@@ -67,7 +67,6 @@ from .program import (
 )
 from .registers import DensityMatrix, Observable, RegisterLayout, embed
 from .semantics import (
-    SemiClassicalDenotation,
     apply_program,
     coin_relocation_lhs_rhs,
     denote,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import linalg, matrixio
@@ -17,7 +18,7 @@ from .errors import QgclError, SourceError
 from .equivalence import program_equiv_report
 from .parser import parse_file
 from .reproduce import SUITES
-from .semantics import apply_program, semi_classical
+from .semantics import MAX_UNROLL_DEFAULT, apply_program, semi_classical
 from .wp import wp_apply
 
 EX_OK = 0
@@ -35,13 +36,32 @@ class _Cli(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+def _checked(convert, ok, rule: str):
+    """argparse type: ``convert`` the text, then require ``ok`` of the value.
+    Text that does not convert is reported as an invalid ``convert`` value."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0")
+_DIMENSION = _checked(int, lambda v: v >= 1, "must be >= 1")
+_COUNT = _checked(int, lambda v: v >= 0, "must be >= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Cli(prog="qgcl", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=None, help="comparison tolerance")
-        p.add_argument("--max-dim", type=int, default=linalg.MAX_DIM_DEFAULT,
+        p.add_argument("--tol", type=_TOLERANCE, default=None, help="comparison tolerance")
+        p.add_argument("--max-dim", type=_DIMENSION, default=linalg.MAX_DIM_DEFAULT,
                        help="total dimension cap (default 4096)")
 
     p_check = sub.add_parser("check", help="well-formedness diagnostics")
@@ -71,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_re = sub.add_parser("reproduce", help="re-run a worked example or theorem suite")
     p_re.add_argument("suite", choices=sorted(SUITES))
-    p_re.add_argument("--n", type=int, default=None, help="instance count / unroll depth")
+    p_re.add_argument("--n", type=_COUNT, default=None, help="instance count / unroll depth")
     p_re.add_argument("--seed", type=int, default=0)
     common(p_re)
     return top
@@ -107,7 +127,10 @@ def _emit(record, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "reproduce" and args.suite == "loop" and (args.n or 0) > MAX_UNROLL_DEFAULT:
+        parser.error(f"loop --n must be <= {MAX_UNROLL_DEFAULT}, got {args.n}")
     tol = args.tol if args.tol is not None else linalg.DEFAULT_TOL
     try:
         if args.command == "check":
@@ -152,7 +175,7 @@ def main(argv=None) -> int:
             program = _load_program(args.file, tol)
             sd = semi_classical(program, tol=tol, max_dim=args.max_dim)
             for state in sorted(sd.states, key=sort_key):
-                weight = sd.function.weight(state)
+                weight = sd.weight(state)
                 print(f"{render(state)}  weight={weight!r}")
             return EX_OK
 

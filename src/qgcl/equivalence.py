@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import LayoutError
-from .ovf import OperatorValuedFunction, SuperOperator, guarded_ovf, to_superop
+from .ovf import OperatorValuedFunction, SuperOperator, guarded_superop_member
+from .ovf import guarded_ovf, to_superop  # noqa: F401  lookup sites patched by perfbench/tracing.py
 from .program import GuardBasis, Program, qvar_layout
 from .semantics import denote
 
@@ -37,13 +38,7 @@ def program_equiv(
 ) -> bool:
     """Programs are equivalent when they share quantum variables and denote
     the same channel."""
-    lp = qvar_layout(p)
-    lq = qvar_layout(q)
-    if not lp.same_variables(lq):
-        return False
-    return superop_equal(
-        denote(p, max_dim=max_dim), denote(q, max_dim=max_dim), tol
-    )
+    return program_equiv_report(p, q, tol, max_dim=max_dim)[0] == "equiv"
 
 
 def program_equiv_report(
@@ -74,25 +69,13 @@ def refinement_member(
     ``reps`` picks one operator-valued function per branch channel; the
     composition of those representatives is one member of the set.  Returns
     whether it coincides with ``guard_channel``.  Representatives must induce
-    their channels, otherwise the certificate is meaningless and an error is
-    raised.
+    their channels, otherwise the certificate is meaningless and
+    :func:`guarded_superop_member` raises an error.
     """
-    from .errors import ContractError
-
-    if len(reps) != len(branch_channels):
-        raise ContractError(
-            f"{len(branch_channels)} branch channels but {len(reps)} representatives"
-        )
-    data_layout = reps[0].layout
-    for i, (rep, ch) in enumerate(zip(reps, branch_channels)):
-        if rep.layout.variables != data_layout.variables:
-            raise ContractError(f"representative {i} lives on a different layout")
-        if linalg.max_abs_diff(to_superop(rep).choi(), ch.choi()) > tol:
-            raise ContractError(f"representative {i} does not induce branch channel {i}")
+    data_layout = branch_channels[0].layout
     guard_names = [n for n in guard_channel.layout.names if n not in data_layout]
     guard_layout = guard_channel.layout.restrict(guard_names)
     if data_layout.dim * guard_layout.dim != guard_channel.layout.dim:
         raise LayoutError("guard channel layout does not decompose into data and guard parts")
-    member = to_superop(guarded_ovf(basis, list(reps), guard_layout))
-    member = member.extended_to(guard_channel.layout)
-    return superop_equal(guard_channel, member, tol)
+    member = guarded_superop_member(basis, branch_channels, guard_layout, reps, tol=tol)
+    return superop_equal(guard_channel, member.extended_to(guard_channel.layout), tol)

@@ -8,7 +8,7 @@ computation at desk scale.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,13 +62,6 @@ def tensor(a, b, *, max_dim: int = MAX_DIM_DEFAULT) -> np.ndarray:
             f"tensor product of shape ({rows}, {cols}) exceeds the dimension cap {max_dim}"
         )
     return np.kron(a, b)
-
-
-def tensor_all(mats: Iterable, *, max_dim: int = MAX_DIM_DEFAULT) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for m in mats:
-        out = tensor(out, m, max_dim=max_dim)
-    return out
 
 
 def partial_trace(m, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

@@ -103,11 +103,6 @@ def load_file(path: str) -> Any:
         return json.load(fh)
 
 
-def save_record(path: str, record: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(record))
-
-
 def load_definitions(path: str) -> dict[str, np.ndarray]:
     """Named matrix definitions: a JSON object mapping names to records."""
     data = load_file(path)

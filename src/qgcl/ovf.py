@@ -128,14 +128,8 @@ class SuperOperator:
             out += linalg.dagger(op) @ op
         return out
 
-    def is_trace_nonincreasing(self, tol: float = linalg.DEFAULT_TOL) -> bool:
-        return linalg.loewner_leq(self.gram_sum(), linalg.identity(self.layout.dim), tol)
-
-    def is_trace_preserving(self, tol: float = linalg.DEFAULT_TOL) -> bool:
-        return linalg.max_abs_diff(self.gram_sum(), linalg.identity(self.layout.dim)) <= tol
-
     def validate(self, tol: float = linalg.DEFAULT_TOL) -> "SuperOperator":
-        if not self.is_trace_nonincreasing(tol):
+        if not linalg.loewner_leq(self.gram_sum(), linalg.identity(self.layout.dim), tol):
             raise ContractError("Kraus family is not trace-nonincreasing")
         return self
 
@@ -153,18 +147,6 @@ class SuperOperator:
             raise LayoutError("composed channels must share a layout dimension")
         ops = tuple(b @ a for a in self.kraus for b in later.kraus)
         return SuperOperator(self.layout, prune_zero_kraus(ops))
-
-    def scaled(self, factor: float) -> "SuperOperator":
-        root = np.sqrt(float(factor))
-        return SuperOperator(self.layout, tuple(root * op for op in self.kraus))
-
-    @staticmethod
-    def identity(layout: RegisterLayout) -> "SuperOperator":
-        return SuperOperator(layout, (linalg.identity(layout.dim),))
-
-    @staticmethod
-    def zero(layout: RegisterLayout) -> "SuperOperator":
-        return SuperOperator(layout, ())
 
 
 def apply_kraus(kraus, rho, dim: int | None = None) -> np.ndarray:
@@ -196,10 +178,6 @@ def lambda_weight(f: OperatorValuedFunction, state: cs.ClassicalState) -> float:
     if denominator <= 1e-300:
         return 1.0 / np.sqrt(len(f.states))
     return float(np.sqrt(numerator / denominator))
-
-
-def lambda_table(f: OperatorValuedFunction) -> dict[cs.ClassicalState, float]:
-    return {d: lambda_weight(f, d) for d in f.states}
 
 
 def guarded_unitary(
@@ -243,14 +221,14 @@ def guarded_ovf(
     guard_layout: RegisterLayout,
     *,
     max_dim: int = linalg.MAX_DIM_DEFAULT,
-    validate: bool = True,
 ) -> OperatorValuedFunction:
     """Guarded composition of operator-valued functions.
 
     All functions must already live on one common data layout.  The combined
     domain is the set of superposition labels over the branch domains; each
     component scales a branch operator by the product of the *other* branches'
-    weights.  Fullness is preserved when every input is full.
+    weights.  Fullness is preserved when every input is full, and the trace
+    bound when every input satisfies it, so the result is not re-checked.
     """
     if len(functions) != basis.arity:
         raise ArityError(f"{basis.arity} guard states but {len(functions)} functions")
@@ -266,7 +244,7 @@ def guarded_ovf(
                 "extend them cylindrically first"
             )
     joint = RegisterLayout(tuple(data_layout.variables) + tuple(guard_layout.variables))
-    weights = [lambda_table(f) for f in functions]
+    weights = [{d: lambda_weight(f, d) for d in f.states} for f in functions]
     branch_states = [f.sorted_states() for f in functions]
     projectors = [basis.column(i) @ linalg.dagger(basis.column(i)) for i in range(basis.arity)]
     table: dict[cs.ClassicalState, np.ndarray] = {}
@@ -283,10 +261,7 @@ def guarded_ovf(
         if label in table:
             raise ContractError(f"duplicate combined state {cs.render(label)}")
         table[label] = acc
-    out = OperatorValuedFunction(joint, table)
-    if validate:
-        out.validate()
-    return out
+    return OperatorValuedFunction(joint, table)
 
 
 def to_superop(f: OperatorValuedFunction) -> SuperOperator:

@@ -28,34 +28,17 @@ from .program import (
     Seq,
     Skip,
     Unitary,
+    children,
+    declared,
 )
 
 
 def _collect_qvars(p: Program, seen: dict[str, int]) -> None:
-    declared = ()
-    children: list[Program] = []
-    if isinstance(p, Unitary):
-        declared = p.qvars
-    elif isinstance(p, Measure):
-        declared = p.qvars
-        children = [sub for _, sub in p.branches]
-    elif isinstance(p, Guarded):
-        declared = p.qvars
-        children = list(p.branches)
-    elif isinstance(p, Seq):
-        children = [p.first, p.second]
-    elif isinstance(p, Block):
-        declared = p.qvars
-        children = [p.body]
-    elif isinstance(p, ProbChoice):
-        children = list(p.branches)
-    elif isinstance(p, QChoice):
-        children = [p.coin, *p.branches]
-    elif isinstance(p, (Name, Mu)):
+    if isinstance(p, (Name, Mu)):
         raise UnsupportedConstructError("program names and recursion have no concrete syntax")
-    for name, d in declared:
+    for name, d in declared(p):
         seen.setdefault(name, d)
-    for child in children:
+    for child in children(p):
         _collect_qvars(child, seen)
 
 

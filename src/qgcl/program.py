@@ -2,13 +2,18 @@
 
 Programs are immutable trees.  Quantum variables appear as (name, dimension)
 pairs so a program is self-contained; classical variables range over the
-integers and record measurement outcomes.  ``well_formed`` collects the side
-conditions each construct must satisfy; evaluation assumes they hold.
+integers and record measurement outcomes.  ``children`` and ``rebuild`` walk
+any node through its dataclass fields.  Checks happen at the edges:
+``well_formed`` collects each construct's side conditions at parse and
+``check`` time, input states and observables are checked when loaded, and
+evaluation assumes well-formedness, checking only the trace bound, once, at
+the root of ``semantics.semi_classical`` and ``semantics.denote``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -199,70 +204,73 @@ class Mu(Program):
     classical: tuple[str, ...] = ()
 
 
+@cache
+def _child_fields(cls: type) -> tuple[str, ...]:
+    """Fields of a node class whose annotation mentions ``Program``: a single
+    subprogram, a tuple of them, or a tuple of (outcome, subprogram) pairs."""
+    return tuple(f.name for f in fields(cls) if "Program" in str(f.type))
+
+
+def children(p: Program) -> list[Program]:
+    """Immediate subprograms in field order, so a quantum choice's coin comes
+    before its branches."""
+    out: list[Program] = []
+    for name in _child_fields(type(p)):
+        value = getattr(p, name)
+        if isinstance(value, Program):
+            out.append(value)
+        else:
+            out.extend(v[1] if isinstance(v, tuple) else v for v in value)
+    return out
+
+
+def rebuild(p: Program, fn) -> Program:
+    """Copy of ``p`` with ``fn`` applied to each immediate subprogram; every
+    other field, the span included, is kept.  A leaf is returned as is."""
+    changes = {}
+    for name in _child_fields(type(p)):
+        value = getattr(p, name)
+        if isinstance(value, Program):
+            changes[name] = fn(value)
+        else:
+            changes[name] = tuple(
+                (v[0], fn(v[1])) if isinstance(v, tuple) else fn(v) for v in value
+            )
+    return replace(p, **changes) if changes else p
+
+
+def declared(p: Program) -> tuple[QVar, ...]:
+    """Quantum variables a node names itself: operands, guard variables,
+    block locals, or the a-priori set of a name or recursion."""
+    return getattr(p, "qvars", getattr(p, "quantum", ()))
+
+
 def var(p: Program) -> frozenset[str]:
-    """Classical variables of a program."""
-    if isinstance(p, (Abort, Skip, Unitary)):
-        return frozenset()
-    if isinstance(p, Measure):
-        out = frozenset((p.x,))
-        for _, sub in p.branches:
-            out |= var(sub)
-        return out
-    if isinstance(p, (Guarded, ProbChoice)):
-        return frozenset().union(*(var(b) for b in p.branches)) if p.branches else frozenset()
-    if isinstance(p, Seq):
-        return var(p.first) | var(p.second)
-    if isinstance(p, Block):
-        return var(p.body)
-    if isinstance(p, QChoice):
-        return var(p.coin) | (
-            frozenset().union(*(var(b) for b in p.branches)) if p.branches else frozenset()
-        )
+    """Classical variables of a program: the outcome variables it binds, or
+    the declared set of a name or recursion."""
     if isinstance(p, (Name, Mu)):
         return frozenset(p.classical)
-    raise TypeError(f"unknown program node {type(p).__name__}")
+    bound = frozenset((p.x,)) if isinstance(p, Measure) else frozenset()
+    return bound.union(*(var(c) for c in children(p)))
 
 
 def qvar_layout(p: Program) -> RegisterLayout:
     """Quantum variables of a program as an ordered layout.
 
-    Order is first occurrence in a left-to-right traversal, which fixes the
-    tensor-factor order used by the semantics.  A variable used with two
-    different dimensions raises :class:`LayoutError`.
+    Order is first occurrence in a left-to-right traversal, a node's own
+    variables before its subprograms', which fixes the tensor-factor order
+    used by the semantics.  Block locals are removed from the body's layout;
+    a name or recursion contributes its declared set only.  A variable used
+    with two different dimensions raises :class:`LayoutError`.
     """
-    out = RegisterLayout()
-    if isinstance(p, (Abort, Skip)):
-        return out
-    if isinstance(p, Unitary):
-        return out.extended(RegisterLayout(p.qvars))
-    if isinstance(p, Measure):
-        out = out.extended(RegisterLayout(p.qvars))
-        for _, sub in p.branches:
-            out = out.extended(qvar_layout(sub))
-        return out
-    if isinstance(p, Guarded):
-        out = out.extended(RegisterLayout(p.qvars))
-        for b in p.branches:
-            out = out.extended(qvar_layout(b))
-        return out
-    if isinstance(p, Seq):
-        return qvar_layout(p.first).extended(qvar_layout(p.second))
-    if isinstance(p, Block):
-        inner = qvar_layout(p.body)
-        RegisterLayout(p.qvars)  # validates the local declarations themselves
-        return inner.remove(n for n, _ in p.qvars)
-    if isinstance(p, ProbChoice):
-        for b in p.branches:
-            out = out.extended(qvar_layout(b))
-        return out
-    if isinstance(p, QChoice):
-        out = qvar_layout(p.coin)
-        for b in p.branches:
-            out = out.extended(qvar_layout(b))
-        return out
     if isinstance(p, (Name, Mu)):
         return RegisterLayout(p.quantum)
-    raise TypeError(f"unknown program node {type(p).__name__}")
+    if isinstance(p, Block):  # building the locals' layout validates them too
+        return qvar_layout(p.body).remove(RegisterLayout(p.qvars).names)
+    out = RegisterLayout(declared(p))
+    for child in children(p):
+        out = out.extended(qvar_layout(child))
+    return out
 
 
 def qvar(p: Program) -> frozenset[str]:
@@ -277,107 +285,33 @@ def desugar_qchoice(p: QChoice) -> Seq:
 
 def desugar(p: Program) -> Program:
     """Replace every quantum choice by its sequential form."""
-    if isinstance(p, (Abort, Skip, Unitary, Name)):
-        return p
-    if isinstance(p, Measure):
-        return Measure(
-            p.x,
-            p.qvars,
-            p.measurement,
-            tuple((m, desugar(sub)) for m, sub in p.branches),
-            span=p.span,
-        )
-    if isinstance(p, Guarded):
-        return Guarded(p.qvars, p.basis, tuple(desugar(b) for b in p.branches), span=p.span)
-    if isinstance(p, Seq):
-        return Seq(desugar(p.first), desugar(p.second), span=p.span)
-    if isinstance(p, Block):
-        return Block(p.qvars, p.init, desugar(p.body), span=p.span)
-    if isinstance(p, ProbChoice):
-        return ProbChoice(p.weights, tuple(desugar(b) for b in p.branches), span=p.span)
-    if isinstance(p, QChoice):
-        return desugar(desugar_qchoice(QChoice(desugar(p.coin), p.basis, tuple(desugar(b) for b in p.branches), span=p.span)))
-    if isinstance(p, Mu):
-        return Mu(p.ident, desugar(p.body), p.quantum, p.classical, span=p.span)
-    raise TypeError(f"unknown program node {type(p).__name__}")
+    out = rebuild(p, desugar)
+    return desugar_qchoice(out) if isinstance(out, QChoice) else out
 
 
 def is_core(p: Program) -> bool:
     """True when the program uses only the measurement-and-guard core (quantum
     choice counts: it desugars into the core)."""
-    if isinstance(p, (Abort, Skip, Unitary)):
-        return True
-    if isinstance(p, Measure):
-        return all(is_core(sub) for _, sub in p.branches)
-    if isinstance(p, Guarded):
-        return all(is_core(b) for b in p.branches)
-    if isinstance(p, Seq):
-        return is_core(p.first) and is_core(p.second)
-    if isinstance(p, QChoice):
-        return is_core(p.coin) and all(is_core(b) for b in p.branches)
-    return False
+    return not isinstance(p, (Block, ProbChoice, Name, Mu)) and all(
+        is_core(c) for c in children(p)
+    )
 
 
 def ast_equal(a: Program, b: Program) -> bool:
     """Structural equality; matrices compare entrywise, spans are ignored."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (Abort, Skip)):
-        return True
-    if isinstance(a, Unitary):
-        return a.qvars == b.qvars and np.array_equal(a.matrix, b.matrix)
-    if isinstance(a, Measure):
-        if a.x != b.x or a.qvars != b.qvars:
-            return False
-        if a.measurement.outcomes != b.measurement.outcomes:
-            return False
-        for (m, op1), (_, op2) in zip(a.measurement.operators, b.measurement.operators):
-            if not np.array_equal(op1, op2):
-                return False
-        if len(a.branches) != len(b.branches):
-            return False
-        return all(
-            m1 == m2 and ast_equal(p1, p2)
-            for (m1, p1), (m2, p2) in zip(a.branches, b.branches)
+    return _same(a, b)
+
+
+def _same(x, y) -> bool:
+    """Nodes, guard bases and measurements (all dataclasses) compare field by
+    field, tuples elementwise, anything else entrywise as arrays."""
+    if is_dataclass(x):
+        return type(x) is type(y) and all(
+            _same(getattr(x, f.name), getattr(y, f.name)) for f in fields(x) if f.name != "span"
         )
-    if isinstance(a, Guarded):
-        return (
-            a.qvars == b.qvars
-            and np.array_equal(a.basis.matrix, b.basis.matrix)
-            and len(a.branches) == len(b.branches)
-            and all(ast_equal(x, y) for x, y in zip(a.branches, b.branches))
-        )
-    if isinstance(a, Seq):
-        return ast_equal(a.first, b.first) and ast_equal(a.second, b.second)
-    if isinstance(a, Block):
-        return (
-            a.qvars == b.qvars
-            and np.array_equal(a.init, b.init)
-            and ast_equal(a.body, b.body)
-        )
-    if isinstance(a, ProbChoice):
-        return (
-            a.weights == b.weights
-            and len(a.branches) == len(b.branches)
-            and all(ast_equal(x, y) for x, y in zip(a.branches, b.branches))
-        )
-    if isinstance(a, QChoice):
-        return (
-            ast_equal(a.coin, b.coin)
-            and np.array_equal(a.basis.matrix, b.basis.matrix)
-            and len(a.branches) == len(b.branches)
-            and all(ast_equal(x, y) for x, y in zip(a.branches, b.branches))
-        )
-    if isinstance(a, Name):
-        return a.ident == b.ident and a.quantum == b.quantum and a.classical == b.classical
-    if isinstance(a, Mu):
-        return (
-            a.ident == b.ident
-            and a.quantum == b.quantum
-            and a.classical == b.classical
-            and ast_equal(a.body, b.body)
-        )
-    raise TypeError(f"unknown program node {type(a).__name__}")
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and len(x) == len(y) and all(map(_same, x, y))
+    return bool(np.array_equal(x, y))
 
 
 def _diag(code: str, message: str, node: Program) -> Diagnostic:
@@ -401,12 +335,7 @@ def check(p: Program, tol: float = linalg.DEFAULT_TOL) -> Program:
 
 
 def _check_dims_consistent(p: Program, seen: dict[str, int], out: list[Diagnostic]) -> None:
-    declared: tuple[QVar, ...] = ()
-    if isinstance(p, (Unitary, Measure, Guarded, Block)):
-        declared = p.qvars
-    elif isinstance(p, (Name, Mu)):
-        declared = p.quantum
-    for name, d in declared:
+    for name, d in declared(p):
         if name in seen and seen[name] != d:
             out.append(
                 _diag(
@@ -416,24 +345,8 @@ def _check_dims_consistent(p: Program, seen: dict[str, int], out: list[Diagnosti
                 )
             )
         seen.setdefault(name, d)
-    for child in _children(p):
+    for child in children(p):
         _check_dims_consistent(child, seen, out)
-
-
-def _children(p: Program) -> list[Program]:
-    if isinstance(p, Measure):
-        return [sub for _, sub in p.branches]
-    if isinstance(p, (Guarded, ProbChoice)):
-        return list(p.branches)
-    if isinstance(p, Seq):
-        return [p.first, p.second]
-    if isinstance(p, Block):
-        return [p.body]
-    if isinstance(p, QChoice):
-        return [p.coin, *p.branches]
-    if isinstance(p, Mu):
-        return [p.body]
-    return []
 
 
 def _guard_checks(p: Program, qvars: tuple[QVar, ...], basis: GuardBasis,

@@ -158,10 +158,6 @@ class DensityMatrix:
         if tr > 1 + tol:
             raise ContractError(f"density matrix has trace {tr} > 1")
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
     def permuted_to(self, layout: RegisterLayout) -> "DensityMatrix":
         if not self.layout.same_variables(layout):
             raise LayoutError("cannot permute density to a layout over different variables")

@@ -121,7 +121,7 @@ def reproduce_gmeas(*, seed: int = 0, n: int | None = None, tol: float | None = 
     for i in range(2):
         for j in range(2):
             label = oplus((bind("x", i), bind("y", j)))
-            got = embed(sd.function(label), sd.layout, target)
+            got = embed(sd(label), sd.layout, target)
             formula = (
                 np.kron(MEAS_COMPUTATIONAL.operator(i), np.diag([1.0, 0.0]))
                 + np.kron(MEAS_DIAGONAL.operator(j), np.diag([0.0, 1.0]))
@@ -130,7 +130,7 @@ def reproduce_gmeas(*, seed: int = 0, n: int | None = None, tol: float | None = 
     good = worst <= 1e-12
     ok &= good
     lines.append(_line(good, f"four composed operators match the formula, worst {worst:.2e}"))
-    completeness = linalg.max_abs_diff(sd.function.gram_sum(), linalg.identity(4))
+    completeness = linalg.max_abs_diff(sd.gram_sum(), linalg.identity(4))
     good = completeness <= 1e-10
     ok &= good
     lines.append(_line(good, f"composed measurement is complete, deviation {completeness:.2e}"))
@@ -287,7 +287,7 @@ def reproduce_loop(*, seed: int = 0, n: int | None = None, tol: float | None = N
         sd = semi_classical(quantum)
         (label,) = sd.states
         target = RegisterLayout.of(("q", 2), *[(f"@q{k}", 2) for k in range(1, depth + 1)])
-        op = embed(sd.function(label), sd.layout, target)
+        op = embed(sd(label), sd.layout, target)
         vec = psi
         for _ in range(depth):
             vec = np.kron(vec, linalg.basis_ket(2, 0))
@@ -303,10 +303,10 @@ def reproduce_loop(*, seed: int = 0, n: int | None = None, tol: float | None = N
         worst_state = max(worst_state, linalg.max_abs_diff(got, expect))
 
         localized = unroll_loop(u, HADAMARD, depth, "localized")
-        channel = denote(localized)
+        channel = denote(localized).extended_to(RegisterLayout.of(("q", 2)))
         expected_kraus = [coeffs[i] * np.linalg.matrix_power(u, i) for i in range(depth)]
         worst_choi = max(
-            worst_choi, linalg.max_abs_diff(channel.choi(), linalg.choi(expected_kraus))
+            worst_choi, linalg.max_abs_diff(channel.choi(), linalg.choi(expected_kraus, dim=2))
         )
     good = worst_state <= 1e-10
     ok &= good

@@ -10,7 +10,6 @@ from itertools import count
 
 import numpy as np
 
-from . import linalg
 from .classical import bind
 from .ovf import OperatorValuedFunction
 from .program import (
@@ -176,11 +175,3 @@ class ProgramSampler:
             return Seq(self.program(depth - 1), self.program(depth - 1))
         return self.unitary()
 
-
-def random_core_program(
-    gen: np.random.Generator,
-    data: tuple[QVar, ...] = (("q", 2),),
-    fresh: tuple[QVar, ...] = (("g0", 2), ("g1", 2)),
-    depth: int = 2,
-) -> Program:
-    return ProgramSampler(gen, data, fresh).program(depth)

@@ -13,6 +13,7 @@ channels support the coin-relocation equivalences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -57,28 +58,22 @@ RESERVED_PREFIX = "@"
 MAX_UNROLL_DEFAULT = 6
 
 
-@dataclass(eq=False)
-class SemiClassicalDenotation:
-    """Classical-state set and operator-valued function of a core program."""
-
-    function: OperatorValuedFunction
-
-    @property
-    def layout(self) -> RegisterLayout:
-        return self.function.layout
-
-    @property
-    def states(self) -> tuple[cs.ClassicalState, ...]:
-        return self.function.states
-
-    def __call__(self, state: cs.ClassicalState) -> np.ndarray:
-        return self.function(state)
-
-
 def _scalar_function(value: complex) -> OperatorValuedFunction:
     return OperatorValuedFunction(
         RegisterLayout(), {cs.EPS: np.array([[value]], dtype=complex)}
     )
+
+
+def _joint(parts, start: RegisterLayout = RegisterLayout()) -> RegisterLayout:
+    """``start`` extended by the layout of each function or channel in turn:
+    the layout of a node, computed from its subprograms' results."""
+    return reduce(RegisterLayout.extended, (part.layout for part in parts), start)
+
+
+def _check_cap(layout: RegisterLayout, max_dim: int) -> RegisterLayout:
+    if layout.dim > max_dim:
+        raise CapacityError(f"layout dimension {layout.dim} exceeds the cap {max_dim}")
+    return layout
 
 
 def semi_classical(
@@ -86,18 +81,20 @@ def semi_classical(
     *,
     tol: float = linalg.DEFAULT_TOL,
     max_dim: int = linalg.MAX_DIM_DEFAULT,
-) -> SemiClassicalDenotation:
-    """Semi-classical denotation of a core program.
+) -> OperatorValuedFunction:
+    """Semi-classical denotation of a core program: an operator-valued
+    function over the program's classical states and quantum layout.
 
     Defined for the measurement-and-guard core only; quantum choice is
     accepted through its sequential desugaring.  Blocks, probabilistic
     choices and recursion are rejected: their meaning exists only at the
-    channel level.
+    channel level.  The trace bound ``sum F† F <= I`` is checked once, on the
+    result: well-formed leaves satisfy it and every composition preserves it.
     """
-    return SemiClassicalDenotation(_semi(p, tol, max_dim))
+    return _semi(p, max_dim).validate(tol)
 
 
-def _semi(p: Program, tol: float, max_dim: int) -> OperatorValuedFunction:
+def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
     if isinstance(p, Abort):
         return _scalar_function(0.0)
     if isinstance(p, Skip):
@@ -111,52 +108,45 @@ def _semi(p: Program, tol: float, max_dim: int) -> OperatorValuedFunction:
             )
         return OperatorValuedFunction(layout, {cs.EPS: op})
     if isinstance(p, Measure):
-        full = qvar_layout(p)
-        if full.dim > max_dim:
-            raise CapacityError(f"layout dimension {full.dim} exceeds the cap {max_dim}")
         qlay = RegisterLayout(p.qvars)
+        subs = [_semi(sub, max_dim) for _, sub in p.branches]
+        full = _check_cap(_joint(subs, qlay), max_dim)
         table: dict[cs.ClassicalState, np.ndarray] = {}
-        for m, sub in p.branches:
-            sub_f = _semi(sub, tol, max_dim).extended_to(full, max_dim=max_dim)
+        for (m, _), sub_f in zip(p.branches, subs):
+            sub_f = sub_f.extended_to(full, max_dim=max_dim)
             m_op = embed(p.measurement.operator(m), qlay, full, max_dim=max_dim)
             for delta in sub_f.sorted_states():
                 label = cs.extend(delta, p.x, m)
                 if label in table:
                     raise ContractError(f"collided classical state {cs.render(label)}")
                 table[label] = sub_f(delta) @ m_op
-        return OperatorValuedFunction(full, table).validate(tol)
+        return OperatorValuedFunction(full, table)
     if isinstance(p, Guarded):
-        full = qvar_layout(p)
-        if full.dim > max_dim:
-            raise CapacityError(f"layout dimension {full.dim} exceeds the cap {max_dim}")
         guard_layout = RegisterLayout(p.qvars)
-        data_layout = RegisterLayout()
-        for b in p.branches:
-            data_layout = data_layout.extended(qvar_layout(b))
-        branch_fs = [
-            _semi(b, tol, max_dim).extended_to(data_layout, max_dim=max_dim)
-            for b in p.branches
-        ]
+        branch_fs = [_semi(b, max_dim) for b in p.branches]
+        data_layout = _joint(branch_fs)
+        full = _check_cap(guard_layout.extended(data_layout), max_dim)
+        branch_fs = [f.extended_to(data_layout, max_dim=max_dim) for f in branch_fs]
         from .ovf import guarded_ovf
 
         combined = guarded_ovf(p.basis, branch_fs, guard_layout, max_dim=max_dim)
         return combined.extended_to(full, max_dim=max_dim)
     if isinstance(p, Seq):
-        full = qvar_layout(p)
-        if full.dim > max_dim:
-            raise CapacityError(f"layout dimension {full.dim} exceeds the cap {max_dim}")
-        f1 = _semi(p.first, tol, max_dim).extended_to(full, max_dim=max_dim)
-        f2 = _semi(p.second, tol, max_dim).extended_to(full, max_dim=max_dim)
-        table: dict[cs.ClassicalState, np.ndarray] = {}
+        f1 = _semi(p.first, max_dim)
+        f2 = _semi(p.second, max_dim)
+        full = _check_cap(f1.layout.extended(f2.layout), max_dim)
+        f1 = f1.extended_to(full, max_dim=max_dim)
+        f2 = f2.extended_to(full, max_dim=max_dim)
+        table = {}
         for d1 in f1.sorted_states():
             for d2 in f2.sorted_states():
                 label = cs.concat(d1, d2)
                 if label in table:
                     raise ContractError(f"collided classical state {cs.render(label)}")
                 table[label] = f2(d2) @ f1(d1)
-        return OperatorValuedFunction(full, table).validate(tol)
+        return OperatorValuedFunction(full, table)
     if isinstance(p, QChoice):
-        return _semi(desugar_qchoice(p), tol, max_dim)
+        return _semi(desugar_qchoice(p), max_dim)
     raise UnsupportedConstructError(
         f"{type(p).__name__} has no semi-classical denotation; evaluate it as a channel"
     )
@@ -173,36 +163,43 @@ def denote(
     Core programs go through the semi-classical denotation.  Sequencing,
     measurement, blocks and probabilistic choice compose at the channel
     level; a guarded command whose branches fall outside the core is
-    rejected, as is recursion.
+    rejected, as is recursion.  The channel is checked to be
+    trace-nonincreasing once, on the result.
     """
+    return _denote(p, tol, max_dim).validate(tol)
+
+
+def _denote(p: Program, tol: float, max_dim: int) -> SuperOperator:
     if is_core(p):
-        return to_superop(semi_classical(p, tol=tol, max_dim=max_dim).function)
+        return to_superop(_semi(p, max_dim))
     if isinstance(p, QChoice):
-        return denote(desugar_qchoice(p), tol=tol, max_dim=max_dim)
+        return _denote(desugar_qchoice(p), tol, max_dim)
     if isinstance(p, Seq):
-        full = qvar_layout(p)
-        e1 = denote(p.first, tol=tol, max_dim=max_dim).extended_to(full, max_dim=max_dim)
-        e2 = denote(p.second, tol=tol, max_dim=max_dim).extended_to(full, max_dim=max_dim)
-        return e1.then(e2)
+        e1 = _denote(p.first, tol, max_dim)
+        e2 = _denote(p.second, tol, max_dim)
+        full = e1.layout.extended(e2.layout)
+        return e1.extended_to(full, max_dim=max_dim).then(e2.extended_to(full, max_dim=max_dim))
     if isinstance(p, Measure):
-        full = qvar_layout(p)
         qlay = RegisterLayout(p.qvars)
+        subs = [_denote(sub, tol, max_dim) for _, sub in p.branches]
+        full = _joint(subs, qlay)
         ops: list[np.ndarray] = []
-        for m, sub in p.branches:
-            e_sub = denote(sub, tol=tol, max_dim=max_dim).extended_to(full, max_dim=max_dim)
+        for (m, _), e_sub in zip(p.branches, subs):
+            e_sub = e_sub.extended_to(full, max_dim=max_dim)
             m_op = embed(p.measurement.operator(m), qlay, full, max_dim=max_dim)
             ops.extend(e @ m_op for e in e_sub.kraus)
         return SuperOperator(full, prune_zero_kraus(tuple(ops)))
     if isinstance(p, Block):
-        inner = denote(p.body, tol=tol, max_dim=max_dim)
+        inner = _denote(p.body, tol, max_dim)
         return block_channel(inner, RegisterLayout(p.qvars), p.init, tol=tol)
     if isinstance(p, ProbChoice):
         if len(p.weights) != len(p.branches):
             raise ArityError("probabilistic choice weight/branch count mismatch")
-        full = qvar_layout(p)
+        subs = [_denote(b, tol, max_dim) for b in p.branches]
+        full = _joint(subs)
         ops = []
-        for w, b in zip(p.weights, p.branches):
-            e_b = denote(b, tol=tol, max_dim=max_dim).extended_to(full, max_dim=max_dim)
+        for w, e_b in zip(p.weights, subs):
+            e_b = e_b.extended_to(full, max_dim=max_dim)
             root = np.sqrt(float(w))
             ops.extend(root * e for e in e_b.kraus)
         return SuperOperator(full, prune_zero_kraus(tuple(ops)))

@@ -120,13 +120,13 @@ def test_criterion_2_guarded_measurement_composition():
     worst = 0.0
     for i in range(2):
         for j in range(2):
-            got = embed(sd.function(cs.oplus((cs.bind("x", i), cs.bind("y", j)))), sd.layout, target)
+            got = embed(sd(cs.oplus((cs.bind("x", i), cs.bind("y", j)))), sd.layout, target)
             formula = (
                 la.tensor(M_COMP.operator(i), np.diag([1.0, 0.0]))
                 + la.tensor(M_DIAG.operator(j), np.diag([0.0, 1.0]))
             ) / np.sqrt(2)
             worst = max(worst, la.max_abs_diff(got, formula))
-    completeness = la.max_abs_diff(sd.function.gram_sum(), la.identity(4))
+    completeness = la.max_abs_diff(sd.gram_sum(), la.identity(4))
     verdict(2, "composed measurement operators", worst <= 1e-12 and completeness <= 1e-10)
 
 
@@ -228,7 +228,7 @@ def test_criterion_6_loop_unrolling_closed_forms():
             sd = semi_classical(quantum)
             (label,) = sd.states
             target = RegisterLayout.of(Q, *[(f"@q{k}", 2) for k in range(1, depth + 1)])
-            op = embed(sd.function(label), sd.layout, target)
+            op = embed(sd(label), sd.layout, target)
             vec = psi
             for _ in range(depth):
                 vec = np.kron(vec, la.basis_ket(2, 0))
@@ -306,11 +306,11 @@ def test_criterion_7_weakest_precondition_suite():
     b2 = Unitary((Q,), random_unitary(gen, 2))
     guard = Guarded((C,), GuardBasis.computational(2), (b1, b2))
     data = RegisterLayout.of(Q)
-    fs = [semi_classical(b1).function.extended_to(data),
-          semi_classical(b2).function.extended_to(data)]
+    fs = [semi_classical(b1).extended_to(data),
+          semi_classical(b2).extended_to(data)]
     witness = to_superop(
         guarded_ovf(GuardBasis.computational(2), [f.dagger() for f in fs],
-                    RegisterLayout.of(C), validate=False)
+                    RegisterLayout.of(C))
     )
     wp_guard = wp(guard)
     clause_ok &= (
@@ -340,7 +340,7 @@ def test_criterion_8_guarded_composition_bound_suite():
             if gen.uniform() < 0.5
             else GuardBasis(random_unitary(gen, arity))
         )
-        composed = guarded_ovf(basis, fs, guard, validate=False)
+        composed = guarded_ovf(basis, fs, guard)
         ok &= la.loewner_leq(
             composed.gram_sum(), la.identity(composed.layout.dim), 1e-9
         )

@@ -151,12 +151,38 @@ class TestBranches:
         assert run_cli("branches", sample("bb84.qgcl")) == 70
 
 
+# Out-of-range arguments are usage errors, rejected before any work runs.
+BAD_ARGUMENTS = [
+    ("reproduce", "local", "--n", "-1"),
+    ("reproduce", "loop", "--n", "-2"),
+    ("reproduce", "loop", "--n", "7"),
+    ("reproduce", "loop", "--n", "20"),
+    ("check", sample("bb84.qgcl"), "--tol", "nan"),
+    ("check", sample("bb84.qgcl"), "--tol", "-1"),
+    ("check", sample("bb84.qgcl"), "--tol", "inf"),
+    ("run", sample("bb84.qgcl"), "--input", sample("bb84_input.json"), "--max-dim", "0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", BAD_ARGUMENTS, ids=lambda argv: " ".join(a for a in argv if not os.path.isfile(a))
+)
+def test_bad_argument_is_a_usage_error(argv, capsys):
+    assert run_cli(*argv) == 64
+    assert "error:" in capsys.readouterr().err
+
+
 class TestReproduce:
     @pytest.mark.parametrize("suite", ["walk", "gmeas", "bb84", "loop"])
     def test_suites_pass(self, suite, capsys):
         assert run_cli("reproduce", suite) == 0
         out = capsys.readouterr().out
         assert out.strip().endswith("PASS")
+
+    @pytest.mark.parametrize("n", ["0", "6"])
+    def test_loop_depth_bounds_pass(self, n, capsys):
+        assert run_cli("reproduce", "loop", "--n", n) == 0
+        assert capsys.readouterr().out.strip().endswith("PASS")
 
     def test_loop_prints_coefficients(self, capsys):
         assert run_cli("reproduce", "loop", "--n", "3") == 0

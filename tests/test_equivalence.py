@@ -135,8 +135,8 @@ class TestRefinementMember:
         guard = Guarded((C,), GuardBasis.computational(2), (b1, b2))
         data = RegisterLayout.of(Q)
         reps = [
-            semi_classical(b1).function.extended_to(data),
-            semi_classical(b2).function.extended_to(data),
+            semi_classical(b1).extended_to(data),
+            semi_classical(b2).extended_to(data),
         ]
         channels = [to_superop(r) for r in reps]
         guard_channel = denote(guard).extended_to(

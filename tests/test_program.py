@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgcl import linalg as la
-from qgcl.errors import LayoutError, SourceError
+from qgcl.errors import LayoutError, SourceError, Span
 from qgcl.program import (
     Abort,
     Block,
@@ -20,10 +20,12 @@ from qgcl.program import (
     Unitary,
     ast_equal,
     check,
+    children,
     desugar_qchoice,
     is_core,
     qvar,
     qvar_layout,
+    rebuild,
     var,
     well_formed,
 )
@@ -181,7 +183,78 @@ class TestDesugar:
         assert not is_core(ProbChoice((1.0,), (Skip(),)))
 
 
+def one_of_each():
+    """One instance of every node type, with its expected children in order."""
+    b0, b1, coin = Unitary((Q,), H), Unitary((Q,), X), Unitary((C,), H)
+    span = Span(3, 4)
+    return [
+        (Abort(span=span), []),
+        (Skip(span=span), []),
+        (Unitary((Q,), X, span=span), []),
+        (Measure("x", (Q,), M0, ((1, b1), (0, b0)), span=span), [b0, b1]),
+        (Guarded((C,), GuardBasis.computational(2), (b0, b1), span=span), [b0, b1]),
+        (Seq(b0, b1, span=span), [b0, b1]),
+        (Block((C,), np.diag([1.0, 0.0]), coin, span=span), [coin]),
+        (ProbChoice((0.25, 0.75), (b0, b1), span=span), [b0, b1]),
+        (QChoice(coin, GuardBasis.computational(2), (b0, b1), span=span), [coin, b0, b1]),
+        (Name("f", (Q,), ("x",), span=span), []),
+        (Mu("f", b0, (Q,), (), span=span), [b0]),
+    ]
+
+
+class TestTraversal:
+    @pytest.mark.parametrize("node, expected", one_of_each(), ids=lambda v: type(v).__name__)
+    def test_children_in_field_order(self, node, expected):
+        got = children(node)
+        assert len(got) == len(expected)
+        assert all(a is b for a, b in zip(got, expected))
+
+    @pytest.mark.parametrize("node, _", one_of_each(), ids=lambda v: type(v).__name__)
+    def test_identity_rebuild_keeps_tree_and_span(self, node, _):
+        copy = rebuild(node, lambda c: c)
+        assert ast_equal(copy, node)
+        assert copy.span == node.span == Span(3, 4)
+
+    @pytest.mark.parametrize("node, _", one_of_each(), ids=lambda v: type(v).__name__)
+    def test_rebuild_replaces_only_children(self, node, _):
+        copy = rebuild(node, lambda c: Abort())
+        assert all(isinstance(c, Abort) for c in children(copy))
+        assert len(children(copy)) == len(children(node))
+        if isinstance(node, Measure):
+            assert copy.measurement is node.measurement and copy.x == node.x
+            assert [m for m, _ in copy.branches] == [0, 1]
+
+
+def bump(m):
+    out = np.array(m, dtype=complex)
+    out[0, 0] += 1e-3
+    return out
+
+
 class TestAstEquality:
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (Unitary((Q,), X), Unitary((Q,), bump(X))),
+            (
+                Guarded((C,), GuardBasis(H), (Skip(), Skip())),
+                Guarded((C,), GuardBasis(bump(H)), (Skip(), Skip())),
+            ),
+            (
+                measure_skip(mmt=M0),
+                measure_skip(mmt=Measurement(((0, bump(M0.operator(0))), (1, M0.operator(1))))),
+            ),
+            (ProbChoice((0.25, 0.75), (Skip(), Skip())), ProbChoice((0.25, 0.5), (Skip(), Skip()))),
+            (measure_skip("x"), measure_skip("y")),
+            (Name("f", (Q,), ("x",)), Name("g", (Q,), ("x",))),
+            (Mu("f", Skip(), (Q,), ()), Mu("g", Skip(), (Q,), ())),
+        ],
+        ids=["unitary", "guard-basis", "measurement", "weight", "x", "name-ident", "mu-ident"],
+    )
+    def test_one_field_entry_changed(self, a, b):
+        assert ast_equal(a, a) and ast_equal(b, b)
+        assert not ast_equal(a, b) and not ast_equal(b, a)
+
     def test_matrices_compare_entrywise(self):
         a = Unitary((Q,), X)
         b = Unitary((Q,), X.copy())
@@ -190,8 +263,6 @@ class TestAstEquality:
         assert not ast_equal(a, c)
 
     def test_span_is_ignored(self):
-        from qgcl.errors import Span
-
         assert ast_equal(Skip(span=Span(1, 1)), Skip())
 
 
@@ -206,9 +277,7 @@ def test_sampled_programs_are_well_formed_and_monotone(seed):
     assert well_formed(p) == []
 
     def walk(node):
-        from qgcl.program import _children
-
-        for child in _children(node):
+        for child in children(node):
             assert var(child) <= var(node)
             assert qvar(child) <= qvar(node)
             walk(child)

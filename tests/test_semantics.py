@@ -21,10 +21,11 @@ from qgcl.program import (
     Skip,
     Unitary,
     desugar_qchoice,
+    is_core,
     qvar_layout,
     well_formed,
 )
-from qgcl.registers import DensityMatrix, RegisterLayout, embed
+from qgcl.registers import DensityMatrix, Observable, RegisterLayout, embed
 from qgcl.sampling import (
     ProgramSampler,
     random_density,
@@ -41,6 +42,7 @@ from qgcl.semantics import (
     system_environment_model,
     unroll_loop,
 )
+from qgcl.wp import wp_apply
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -146,8 +148,8 @@ class TestDenote:
         direct = denote(p)
         data = RegisterLayout.of(("q", 2))
         fs = [
-            semi_classical(measure_skip("x")).function.extended_to(data),
-            semi_classical(Unitary((Q,), H)).function.extended_to(data),
+            semi_classical(measure_skip("x")).extended_to(data),
+            semi_classical(Unitary((Q,), H)).extended_to(data),
         ]
         witness = to_superop(guarded_ovf(GuardBasis.computational(2), fs, RegisterLayout.of(C)))
         assert choi_dev(direct, witness.extended_to(direct.layout)) < 1e-12
@@ -329,7 +331,7 @@ class TestUnrollLoop:
         sd = semi_classical(p)
         (label,) = sd.states
         target = RegisterLayout.of(Q, ("@q1", 2), ("@q2", 2))
-        op = embed(sd.function(label), sd.layout, target)
+        op = embed(sd(label), sd.layout, target)
         vec = np.kron(np.kron(psi, la.basis_ket(2, 0)), la.basis_ket(2, 0))
         got = op @ vec
         expect = 2**-0.5 * np.kron(np.kron(psi, la.basis_ket(2, 0)), la.basis_ket(2, 0)) \
@@ -445,6 +447,52 @@ class TestCoinRelocation:
         lhs, rhs = coin_relocation_lhs_rhs(coin, GuardBasis.computational(4), branches)
         assert well_formed(lhs) == [] and well_formed(rhs) == []
         assert program_equiv(lhs, rhs, 1e-8)
+
+
+def layout_programs():
+    """Sampled core programs, then a block, a probabilistic choice and the
+    three loop unrollings, whose layouts the semantics builds bottom-up."""
+    out = [
+        ProgramSampler(rng(seed), (Q, ("r", 2)), (("g0", 2), ("g1", 3))).program(3)
+        for seed in range(20)
+    ]
+    guard = Guarded((C,), GuardBasis.computational(2), (Unitary((Q,), X), Unitary((("r", 2),), H)))
+    out.append(Block((C,), np.diag([1.0, 0.0]), Seq(Unitary((C,), H), guard)))
+    out.append(ProbChoice((0.25, 0.5), (Unitary((("r", 2),), X), measure_skip("x"))))
+    u = random_unitary(rng(5), 2)
+    out.extend(unroll_loop(u, H, 2, flavor) for flavor in ("classical", "quantum", "localized"))
+    return out
+
+
+@pytest.mark.parametrize("p", layout_programs())
+def test_result_layout_is_the_program_layout(p):
+    expected = qvar_layout(p).variables
+    assert denote(p).layout.variables == expected
+    if is_core(p):
+        assert semi_classical(p).layout.variables == expected
+
+
+ABOVE_IDENTITY = Seq(Unitary((Q,), 2 * I2), Skip())
+QL = RegisterLayout.of(Q)
+CHANNEL_EVALUATORS = {
+    "denote": denote,
+    "apply_program": lambda p: apply_program(p, DensityMatrix(np.diag([1.0, 0.0]), QL)),
+    "wp_apply": lambda p: wp_apply(p, Observable(I2, QL)),
+}
+
+
+@pytest.mark.parametrize("evaluate", [semi_classical, *CHANNEL_EVALUATORS.values()],
+                         ids=["semi_classical", *CHANNEL_EVALUATORS])
+def test_family_above_identity_is_rejected(evaluate):
+    with pytest.raises(ContractError):
+        evaluate(ABOVE_IDENTITY)
+
+
+@pytest.mark.parametrize("evaluate", CHANNEL_EVALUATORS.values(), ids=list(CHANNEL_EVALUATORS))
+def test_channel_above_identity_outside_the_core_is_rejected(evaluate):
+    # Weights summing above one are caught by the single check on the result.
+    with pytest.raises(ContractError):
+        evaluate(ProbChoice((0.9, 0.9), (Unitary((Q,), X), Skip())))
 
 
 @given(st.integers(0, 2**32 - 1))

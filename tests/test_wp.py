@@ -113,12 +113,11 @@ class TestClauses:
         direct = wp(prog)
         data = RegisterLayout.of(Q)
         backwards = [
-            semi_classical(b1).function.extended_to(data).dagger(),
-            semi_classical(b2).function.extended_to(data).dagger(),
+            semi_classical(b1).extended_to(data).dagger(),
+            semi_classical(b2).extended_to(data).dagger(),
         ]
         witness = to_superop(
-            guarded_ovf(GuardBasis.computational(2), backwards, RegisterLayout.of(C),
-                        validate=False)
+            guarded_ovf(GuardBasis.computational(2), backwards, RegisterLayout.of(C))
         )
         assert la.max_abs_diff(
             direct.choi(), witness.extended_to(direct.layout).choi()
