@@ -152,19 +152,25 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
 def is_positive(m, tol: float = DEFAULT_TOL) -> bool:
     """Positive semidefiniteness within tolerance.
 
-    The anti-Hermitian part must itself be below tolerance; the Hermitian
-    part is then eigen-tested.
+    The anti-Hermitian part must itself be below tolerance.  The Hermitian
+    part passes when ``herm + tol I`` has a Cholesky factor; only when the
+    factorisation fails do its eigenvalues decide, so the verdict is the one
+    of ``min eig(herm) >= -tol``.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"positivity is defined for square matrices, got {m.shape}")
+    if m.size == 0:
+        return True
     herm = (m + dagger(m)) / 2
     if np.max(np.abs(m - herm)) > tol:
         return False
-    if herm.shape[0] == 0:
+    herm.flat[:: herm.shape[0] + 1] += tol
+    try:
+        np.linalg.cholesky(herm)
         return True
-    eigs = np.linalg.eigvalsh(herm)
-    return bool(eigs.min() >= -tol)
+    except np.linalg.LinAlgError:
+        return bool(np.linalg.eigvalsh(herm).min() >= 0)
 
 
 def loewner_leq(a, b, tol: float = DEFAULT_TOL) -> bool:

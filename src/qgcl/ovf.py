@@ -74,7 +74,7 @@ class OperatorValuedFunction:
     def weight(self, state: cs.ClassicalState) -> float:
         """``tr F(d)† F(d)`` for one state."""
         op = self(state)
-        return float(np.real(np.trace(linalg.dagger(op) @ op)))
+        return float(np.vdot(op, op).real)
 
     def dagger(self) -> "OperatorValuedFunction":
         return OperatorValuedFunction(
@@ -166,18 +166,23 @@ def prune_zero_kraus(ops, cutoff: float = 1e-14) -> tuple[np.ndarray, ...]:
     return kept
 
 
-def lambda_weight(f: OperatorValuedFunction, state: cs.ClassicalState) -> float:
-    """Branch weight of one classical state inside its function.
+def lambda_weights(f: OperatorValuedFunction) -> dict[cs.ClassicalState, float]:
+    """Branch weight of every classical state inside its function.
 
     The square weights sum to one over the function's domain.  For the
     all-zero function the weights are uniform, which keeps the sum rule and
     makes aborted branches transparent to the other branches of a guard.
     """
-    numerator = f.weight(state)
-    denominator = sum(f.weight(d) for d in f.states)
+    weights = {d: f.weight(d) for d in f.states}
+    denominator = sum(weights.values())
     if denominator <= 1e-300:
-        return 1.0 / np.sqrt(len(f.states))
-    return float(np.sqrt(numerator / denominator))
+        return {d: 1.0 / np.sqrt(len(weights)) for d in weights}
+    return {d: float(np.sqrt(w / denominator)) for d, w in weights.items()}
+
+
+def lambda_weight(f: OperatorValuedFunction, state: cs.ClassicalState) -> float:
+    """Branch weight of one classical state inside its function."""
+    return lambda_weights(f)[state]
 
 
 def guarded_unitary(
@@ -244,7 +249,7 @@ def guarded_ovf(
                 "extend them cylindrically first"
             )
     joint = RegisterLayout(tuple(data_layout.variables) + tuple(guard_layout.variables))
-    weights = [{d: lambda_weight(f, d) for d in f.states} for f in functions]
+    weights = [lambda_weights(f) for f in functions]
     branch_states = [f.sorted_states() for f in functions]
     projectors = [basis.column(i) @ linalg.dagger(basis.column(i)) for i in range(basis.arity)]
     table: dict[cs.ClassicalState, np.ndarray] = {}

@@ -6,8 +6,10 @@ integers and record measurement outcomes.  ``children`` and ``rebuild`` walk
 any node through its dataclass fields.  Checks happen at the edges:
 ``well_formed`` collects each construct's side conditions at parse and
 ``check`` time, input states and observables are checked when loaded, and
-evaluation assumes well-formedness, checking only the trace bound, once, at
-the root of ``semantics.semi_classical`` and ``semantics.denote``.
+evaluation assumes well-formedness, checking only the trace bound once per
+call: on the result of ``semantics.semi_classical`` and ``semantics.denote``,
+and as ``wp(I) <= I`` in ``apply_program`` and ``wp_apply``, which stream the
+state or observable through the tree without building the channel.
 """
 
 from __future__ import annotations
@@ -350,7 +352,10 @@ def _check_dims_consistent(p: Program, seen: dict[str, int], out: list[Diagnosti
 
 
 def _guard_checks(p: Program, qvars: tuple[QVar, ...], basis: GuardBasis,
-                  branches: tuple[Program, ...], tol: float, out: list[Diagnostic]) -> None:
+                  branches: list[RegisterLayout | None], tol: float,
+                  out: list[Diagnostic]) -> None:
+    """Side conditions of a guard; ``branches`` holds each branch's layout,
+    ``None`` where it has none."""
     names = [n for n, _ in qvars]
     if len(set(names)) != len(names):
         out.append(_diag("qvar-duplicate", f"repeated guard variable in {names}", p))
@@ -376,10 +381,8 @@ def _guard_checks(p: Program, qvars: tuple[QVar, ...], basis: GuardBasis,
                 p,
             )
         )
-    try:
-        used = frozenset().union(*(qvar(b) for b in branches)) if branches else frozenset()
-    except LayoutError:
-        used = frozenset()
+    used = (set().union(*(b.names for b in branches))
+            if None not in branches else set())
     overlap = set(names) & used
     if overlap:
         out.append(
@@ -391,17 +394,57 @@ def _guard_checks(p: Program, qvars: tuple[QVar, ...], basis: GuardBasis,
         )
 
 
-def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]) -> None:
+def _layout_from(p: Program, subs: list[RegisterLayout | None]) -> RegisterLayout | None:
+    """``qvar_layout(p)`` from its children's layouts, or ``None`` where
+    ``qvar_layout`` raises :class:`LayoutError`."""
+    try:
+        if isinstance(p, (Name, Mu)):
+            return RegisterLayout(p.quantum)
+        if None in subs:
+            return None
+        if isinstance(p, Block):
+            return subs[0].remove(RegisterLayout(p.qvars).names)
+        out = RegisterLayout(declared(p))
+        for sub in subs:
+            out = out.extended(sub)
+        return out
+    except LayoutError:
+        return None
+
+
+def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]
+                     ) -> tuple[frozenset[str], RegisterLayout | None]:
+    """Append the diagnostics of ``p``, its own before its subprograms', and
+    return ``(var(p), qvar_layout(p))`` with ``None`` for a layout error, so
+    every node is walked once."""
+    inner: list[Diagnostic] = []
+    subs = [_well_formed_rec(c, tol, inner) for c in children(p)]
+    cvars = [v for v, _ in subs]
+    layouts = [lay for _, lay in subs]
+    if isinstance(p, (Name, Mu)):
+        own = frozenset(p.classical)
+    else:
+        own = frozenset((p.x,) if isinstance(p, Measure) else ()).union(*cvars)
+    result = own, _layout_from(p, layouts)
+    if _node_checks(p, tol, out, cvars, layouts):
+        out.extend(inner)
+    return result
+
+
+def _node_checks(p: Program, tol: float, out: list[Diagnostic],
+                 cvars: list[frozenset[str]], layouts: list[RegisterLayout | None]) -> bool:
+    """A node's own side conditions, given its children's classical variables
+    and layouts.  False when its subprograms' diagnostics are not reported."""
     if isinstance(p, (Abort, Skip, Name)):
-        return
+        return True
     if isinstance(p, Unitary):
         names = [n for n, _ in p.qvars]
         if not p.qvars:
             out.append(_diag("qvar-empty", "unitary statement needs at least one variable", p))
-            return
+            return True
         if len(set(names)) != len(names):
             out.append(_diag("qvar-duplicate", f"repeated quantum variable in {names}", p))
-            return
+            return True
         dim = RegisterLayout(p.qvars).dim
         if p.matrix.shape != (dim, dim):
             out.append(
@@ -413,15 +456,15 @@ def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]) -> None:
             )
         elif not linalg.is_unitary(p.matrix, tol):
             out.append(_diag("unitary-nonunitary", "matrix is not unitary within tolerance", p))
-        return
+        return True
     if isinstance(p, Measure):
         names = [n for n, _ in p.qvars]
         if not p.qvars:
             out.append(_diag("qvar-empty", "measurement needs at least one variable", p))
-            return
+            return False
         if len(set(names)) != len(names):
             out.append(_diag("qvar-duplicate", f"repeated quantum variable in {names}", p))
-            return
+            return False
         dim = RegisterLayout(p.qvars).dim
         bad_shape = any(op.shape != (dim, dim) for _, op in p.measurement.operators)
         if bad_shape:
@@ -444,8 +487,7 @@ def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]) -> None:
                     p,
                 )
             )
-        captured = [sub for _, sub in p.branches if p.x in var(sub)]
-        if captured:
+        if any(p.x in v for v in cvars):
             out.append(
                 _diag(
                     "measure-var-capture",
@@ -453,16 +495,12 @@ def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]) -> None:
                     p,
                 )
             )
-        for _, sub in p.branches:
-            _well_formed_rec(sub, tol, out)
-        return
+        return True
     if isinstance(p, Guarded):
-        _guard_checks(p, p.qvars, p.basis, p.branches, tol, out)
-        for b in p.branches:
-            _well_formed_rec(b, tol, out)
-        return
+        _guard_checks(p, p.qvars, p.basis, layouts, tol, out)
+        return True
     if isinstance(p, Seq):
-        shared = var(p.first) & var(p.second)
+        shared = cvars[0] & cvars[1]
         if shared:
             out.append(
                 _diag(
@@ -471,9 +509,7 @@ def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]) -> None:
                     p,
                 )
             )
-        _well_formed_rec(p.first, tol, out)
-        _well_formed_rec(p.second, tol, out)
-        return
+        return True
     if isinstance(p, Block):
         names = [n for n, _ in p.qvars]
         if not p.qvars:
@@ -481,10 +517,7 @@ def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]) -> None:
         elif len(set(names)) != len(names):
             out.append(_diag("qvar-duplicate", f"repeated local variable in {names}", p))
         else:
-            try:
-                body_vars = qvar(p.body)
-            except LayoutError:
-                body_vars = frozenset()
+            body_vars = set(layouts[0].names) if layouts[0] is not None else set()
             missing = set(names) - body_vars
             if missing:
                 out.append(
@@ -510,8 +543,7 @@ def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]) -> None:
                 and float(np.trace(init).real) <= 1 + tol
             ):
                 out.append(_diag("block-init", "initial state is not a density operator", p))
-        _well_formed_rec(p.body, tol, out)
-        return
+        return True
     if isinstance(p, ProbChoice):
         if len(p.weights) != len(p.branches) or not p.branches:
             out.append(
@@ -527,32 +559,20 @@ def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]) -> None:
             out.append(
                 _diag("prob-weights", f"branch probabilities sum to {sum(p.weights)} > 1", p)
             )
-        for b in p.branches:
-            _well_formed_rec(b, tol, out)
-        return
+        return True
     if isinstance(p, QChoice):
-        try:
-            coin_layout = qvar_layout(p.coin)
-        except LayoutError:
-            coin_layout = RegisterLayout()
-        _guard_checks(p, tuple(coin_layout.variables), p.basis, p.branches, tol, out)
-        _well_formed_rec(p.coin, tol, out)
-        for b in p.branches:
-            _well_formed_rec(b, tol, out)
-        return
+        coin_layout = layouts[0] if layouts[0] is not None else RegisterLayout()
+        _guard_checks(p, tuple(coin_layout.variables), p.basis, layouts[1:], tol, out)
+        return True
     if isinstance(p, Mu):
-        if not var(p.body) <= frozenset(p.classical):
+        if not cvars[0] <= frozenset(p.classical):
             out.append(
                 _diag("mu-scope", "body uses classical variables outside the declared set", p)
             )
-        try:
-            body_q = qvar(p.body)
-        except LayoutError:
-            body_q = frozenset()
-        if not body_q <= frozenset(n for n, _ in p.quantum):
+        body_q = set(layouts[0].names) if layouts[0] is not None else set()
+        if not body_q <= {n for n, _ in p.quantum}:
             out.append(
                 _diag("mu-scope", "body uses quantum variables outside the declared set", p)
             )
-        _well_formed_rec(p.body, tol, out)
-        return
+        return True
     raise TypeError(f"unknown program node {type(p).__name__}")

@@ -158,12 +158,6 @@ class DensityMatrix:
         if tr > 1 + tol:
             raise ContractError(f"density matrix has trace {tr} > 1")
 
-    def permuted_to(self, layout: RegisterLayout) -> "DensityMatrix":
-        if not self.layout.same_variables(layout):
-            raise LayoutError("cannot permute density to a layout over different variables")
-        m = embed(self.matrix, self.layout, layout)
-        return DensityMatrix(m, layout)
-
 
 @dataclass(eq=False)
 class Observable:
@@ -184,8 +178,3 @@ class Observable:
             raise ContractError("observable is not Hermitian within tolerance")
         if not linalg.is_positive(self.matrix, tol):
             raise ContractError("observable is not positive semidefinite within tolerance")
-
-    def permuted_to(self, layout: RegisterLayout) -> "Observable":
-        if not self.layout.same_variables(layout):
-            raise LayoutError("cannot permute observable to a layout over different variables")
-        return Observable(embed(self.matrix, self.layout, layout), layout)

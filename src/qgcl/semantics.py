@@ -8,11 +8,17 @@ blocks and probabilistic choices are handled directly at the channel level,
 where local variables become initialise-run-trace and probabilistic choice a
 weighted mixture.  Bounded loop unrolling and the system-environment model of
 channels support the coin-relocation equivalences.
+
+``apply_program`` and ``wp_apply`` never build the channel: ``stream`` pushes
+the state (or, backwards, the observable) through the tree, each operator
+acting on its own tensor factors, a guard acting block by block in its basis,
+and checks the trace bound once per call as ``wp(I) <= I``.  ``denote`` and
+``semi_classical`` stay the dense reference path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -24,11 +30,14 @@ from .errors import (
     CapacityError,
     ContractError,
     LayoutError,
+    QgclError,
     UnsupportedConstructError,
 )
 from .ovf import (
     OperatorValuedFunction,
     SuperOperator,
+    apply_kraus,
+    lambda_weights,
     prune_zero_kraus,
     to_superop,
 )
@@ -91,10 +100,12 @@ def semi_classical(
     channel level.  The trace bound ``sum F† F <= I`` is checked once, on the
     result: well-formed leaves satisfy it and every composition preserves it.
     """
-    return _semi(p, max_dim).validate(tol)
+    return _semi(p, max_dim, {}).validate(tol)
 
 
-def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
+def _semi(p: Program, max_dim: int, memo: dict) -> OperatorValuedFunction:
+    """``memo`` keeps each guard branch's function by node identity for the
+    rest of one evaluation."""
     if isinstance(p, Abort):
         return _scalar_function(0.0)
     if isinstance(p, Skip):
@@ -109,7 +120,7 @@ def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
         return OperatorValuedFunction(layout, {cs.EPS: op})
     if isinstance(p, Measure):
         qlay = RegisterLayout(p.qvars)
-        subs = [_semi(sub, max_dim) for _, sub in p.branches]
+        subs = [_semi(sub, max_dim, memo) for _, sub in p.branches]
         full = _check_cap(_joint(subs, qlay), max_dim)
         table: dict[cs.ClassicalState, np.ndarray] = {}
         for (m, _), sub_f in zip(p.branches, subs):
@@ -123,7 +134,7 @@ def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
         return OperatorValuedFunction(full, table)
     if isinstance(p, Guarded):
         guard_layout = RegisterLayout(p.qvars)
-        branch_fs = [_semi(b, max_dim) for b in p.branches]
+        branch_fs = [_branch_semi(b, max_dim, memo) for b in p.branches]
         data_layout = _joint(branch_fs)
         full = _check_cap(guard_layout.extended(data_layout), max_dim)
         branch_fs = [f.extended_to(data_layout, max_dim=max_dim) for f in branch_fs]
@@ -132,8 +143,8 @@ def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
         combined = guarded_ovf(p.basis, branch_fs, guard_layout, max_dim=max_dim)
         return combined.extended_to(full, max_dim=max_dim)
     if isinstance(p, Seq):
-        f1 = _semi(p.first, max_dim)
-        f2 = _semi(p.second, max_dim)
+        f1 = _semi(p.first, max_dim, memo)
+        f2 = _semi(p.second, max_dim, memo)
         full = _check_cap(f1.layout.extended(f2.layout), max_dim)
         f1 = f1.extended_to(full, max_dim=max_dim)
         f2 = f2.extended_to(full, max_dim=max_dim)
@@ -146,10 +157,16 @@ def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
                 table[label] = f2(d2) @ f1(d1)
         return OperatorValuedFunction(full, table)
     if isinstance(p, QChoice):
-        return _semi(desugar_qchoice(p), max_dim)
+        return _semi(desugar_qchoice(p), max_dim, memo)
     raise UnsupportedConstructError(
         f"{type(p).__name__} has no semi-classical denotation; evaluate it as a channel"
     )
+
+
+def _branch_semi(p: Program, max_dim: int, memo: dict) -> OperatorValuedFunction:
+    if id(p) not in memo:
+        memo[id(p)] = _semi(p, max_dim, memo)
+    return memo[id(p)]
 
 
 def denote(
@@ -171,7 +188,7 @@ def denote(
 
 def _denote(p: Program, tol: float, max_dim: int) -> SuperOperator:
     if is_core(p):
-        return to_superop(_semi(p, max_dim))
+        return to_superop(_semi(p, max_dim, {}))
     if isinstance(p, QChoice):
         return _denote(desugar_qchoice(p), tol, max_dim)
     if isinstance(p, Seq):
@@ -273,14 +290,290 @@ def apply_program(
     max_dim: int = linalg.MAX_DIM_DEFAULT,
 ) -> DensityMatrix:
     """Evaluate a program on an input state given over at least its variables."""
-    e = denote(p, tol=tol, max_dim=max_dim)
-    for name, d in e.layout.variables:
-        if name not in rho.layout:
+    return DensityMatrix(stream(p, rho.matrix, rho.layout, tol=tol, max_dim=max_dim), rho.layout)
+
+
+def stream(
+    p: Program,
+    x: np.ndarray,
+    layout: RegisterLayout,
+    *,
+    adjoint: bool = False,
+    tol: float = linalg.DEFAULT_TOL,
+    max_dim: int = linalg.MAX_DIM_DEFAULT,
+) -> np.ndarray:
+    """Push a state through a program, or with ``adjoint`` an observable
+    backwards to its weakest precondition, without building the channel.
+
+    ``x`` is given on ``layout``: a state over at least the program's
+    variables, an observable over exactly them, in any factor order.  Every
+    operator acts on its own factors of ``x``.  The trace bound is checked
+    once, as ``wp(I) <= I`` on the program's layout, before ``x`` is touched.
+    A program that ``denote`` rejects, or that uses a construct streaming
+    does not cover, is evaluated through ``denote``, so it fails with the
+    same error at the same point.
+    """
+    try:
+        step = _prepare(p, tol, max_dim, {})
+    except (QgclError, _Unplanned):
+        e = denote(p, tol=tol, max_dim=max_dim)
+        _check_input(e.layout, layout, adjoint)
+        ops = e.extended_to(layout, max_dim=max_dim).kraus
+        return apply_kraus([linalg.dagger(k) for k in ops] if adjoint else ops, x, layout.dim)
+    run = _Stream(tol, max_dim)
+    d = step.layout.dim
+    bound = run.push(step, linalg.identity(d).reshape(step.layout.dims * 2), step.layout.names,
+                     adjoint=True)
+    if not linalg.loewner_leq(bound.reshape(d, d), linalg.identity(d), tol):
+        raise ContractError("Kraus family is not trace-nonincreasing")
+    _check_input(step.layout, layout, adjoint)
+    if layout.variables != step.layout.variables:
+        _check_cap(layout, max_dim)
+    t = linalg.as_matrix(x).reshape(layout.dims * 2)
+    out = run.push(step, t, layout.names, adjoint=adjoint).reshape(layout.dim, layout.dim)
+    return out.copy() if np.may_share_memory(out, x) else out
+
+
+def _check_input(program: RegisterLayout, given: RegisterLayout, adjoint: bool) -> None:
+    """A state must carry every program variable; an observable exactly them."""
+    if adjoint:
+        if not given.same_variables(program):
+            raise ContractError(
+                "observable must be given over exactly the program's quantum variables"
+            )
+        return
+    for name, d in program.variables:
+        if name not in given:
             raise LayoutError(f"input state lacks program variable {name!r}")
-        if rho.layout.dim_of(name) != d:
+        if given.dim_of(name) != d:
             raise LayoutError(f"input state dimension mismatch on {name!r}")
-    lifted = e.extended_to(rho.layout, max_dim=max_dim)
-    return DensityMatrix(lifted(rho.matrix), rho.layout)
+
+
+class _Unplanned(Exception):
+    """The program goes through ``denote`` instead of streaming."""
+
+
+@dataclass(eq=False)
+class _Step:
+    """A program node prepared for streaming.
+
+    ``ops[k]`` acts on the variables ``sites[k]``: a unitary, one
+    measurement operator per branch, a block's initial state, or per guard
+    branch ``A = sum_d lambda(d) F(d)`` over that branch's function.
+    """
+
+    node: Program
+    layout: RegisterLayout
+    cvars: frozenset = frozenset()
+    subs: tuple = ()
+    ops: tuple = ()
+    sites: tuple = ()
+
+
+def _prepare(p: Program, tol: float, max_dim: int, memo: dict) -> _Step:
+    """Layouts, operators and guard weights of ``p``, bottom-up.
+
+    Raises :class:`_Unplanned` (or the layout error met) wherever ``denote``
+    could fail or streaming does not apply; ``memo`` shares each guard
+    branch's semi-classical function within the call.
+    """
+    if isinstance(p, (Abort, Skip)):
+        return _Step(p, RegisterLayout())
+    if isinstance(p, QChoice):
+        return _prepare(desugar_qchoice(p), tol, max_dim, memo)
+    if isinstance(p, Unitary):
+        layout = RegisterLayout(p.qvars)
+        op = linalg.as_matrix(p.matrix)
+        _require(op.shape == (layout.dim, layout.dim))
+        return _Step(p, _capped(layout, max_dim), ops=(op,), sites=(layout.names,))
+    if isinstance(p, Measure):
+        qlay = RegisterLayout(p.qvars)
+        outcomes = p.measurement.outcomes
+        _require(p.branches and all(m in outcomes for m, _ in p.branches))
+        ops = tuple(p.measurement.operator(m) for m, _ in p.branches)
+        _require(all(op.shape == (qlay.dim, qlay.dim) for op in ops))
+        subs = tuple(_prepare(sub, tol, max_dim, memo) for _, sub in p.branches)
+        _require(all(p.x not in sub.cvars for sub in subs))
+        cvars = frozenset((p.x,)).union(*(sub.cvars for sub in subs))
+        return _Step(p, _capped(_joint(subs, qlay), max_dim), cvars, subs, ops,
+                     (qlay.names,) * len(ops))
+    if isinstance(p, Seq):
+        first = _prepare(p.first, tol, max_dim, memo)
+        second = _prepare(p.second, tol, max_dim, memo)
+        _require(not first.cvars & second.cvars)
+        layout = _capped(first.layout.extended(second.layout), max_dim)
+        return _Step(p, layout, first.cvars | second.cvars, (first, second))
+    if isinstance(p, Guarded):
+        guard = RegisterLayout(p.qvars)
+        _require(p.branches and p.basis.arity == len(p.branches) == guard.dim)
+        _require(p.basis.is_orthonormal(tol))
+        fs = [_branch_semi(b, max_dim, memo) for b in p.branches]
+        subs = tuple(_prepare(b, tol, max_dim, memo) for b in p.branches)
+        data = _joint(subs)
+        _require(not set(guard.names) & set(data.names))
+        ops = tuple(sum(w * f(d) for d, w in lambda_weights(f).items()) for f in fs)
+        return _Step(p, _capped(guard.extended(data), max_dim), _joint_cvars(subs), subs, ops,
+                     tuple(f.layout.names for f in fs))
+    if isinstance(p, Block):
+        body = _prepare(p.body, tol, max_dim, memo)
+        local = RegisterLayout(p.qvars)
+        init = linalg.as_matrix(p.init)
+        _require(all(name in body.layout and body.layout.dim_of(name) == d
+                     for name, d in local.variables))
+        _require(init.shape == (local.dim, local.dim))
+        _require(np.linalg.eigh((init + linalg.dagger(init)) / 2)[0].min() >= -tol)
+        layout = body.layout.remove(local.names)
+        return _Step(p, layout, body.cvars, (body,), (init,), (local.names,))
+    if isinstance(p, ProbChoice):
+        _require(len(p.weights) == len(p.branches))
+        weights = tuple(float(w) for w in p.weights)
+        _require(all(np.isfinite(w) and w >= 0 for w in weights))
+        subs = tuple(_prepare(b, tol, max_dim, memo) for b in p.branches)
+        return _Step(p, _capped(_joint(subs), max_dim), _joint_cvars(subs), subs, weights)
+    raise _Unplanned
+
+
+def _require(condition) -> None:
+    if not condition:
+        raise _Unplanned
+
+
+def _capped(layout: RegisterLayout, max_dim: int) -> RegisterLayout:
+    _require(layout.dim <= max_dim)
+    return layout
+
+
+def _joint_cvars(subs) -> frozenset:
+    return frozenset().union(*(sub.cvars for sub in subs))
+
+
+@dataclass
+class _Stream:
+    """One evaluation pass over prepared steps.  A block whose state with
+    its locals would exceed ``max_dim`` is applied through its dense Kraus
+    family on its own layout, kept in ``blocks`` for the rest of the call."""
+
+    tol: float
+    max_dim: int
+    blocks: dict = field(default_factory=dict)
+
+    def push(self, step: _Step, t: np.ndarray, names: tuple[str, ...], adjoint: bool) -> np.ndarray:
+        """``t`` is a matrix on ``names`` shaped ``dims + dims``; the result
+        has the same shape.  Forward: the program's channel applied to
+        ``t``; adjoint: its dual, ``sum_k E_k† t E_k``."""
+        p = step.node
+        if isinstance(p, Abort):
+            return np.zeros_like(t)
+        if isinstance(p, Skip):
+            return t
+        if isinstance(p, Unitary):
+            return _sandwich(t, names, _side(step.ops[0], adjoint), step.sites[0])
+        if isinstance(p, Seq):
+            for sub in reversed(step.subs) if adjoint else step.subs:
+                t = self.push(sub, t, names, adjoint)
+            return t
+        if isinstance(p, Measure):
+            out = np.zeros_like(t)
+            for op, site, sub in zip(step.ops, step.sites, step.subs):
+                if adjoint:
+                    out += _sandwich(self.push(sub, t, names, True), names, _side(op, True), site)
+                else:
+                    out += self.push(sub, _sandwich(t, names, op, site), names, False)
+            return out
+        if isinstance(p, ProbChoice):
+            out = np.zeros_like(t)
+            for w, sub in zip(step.ops, step.subs):
+                out += w * self.push(sub, t, names, adjoint)
+            return out
+        if isinstance(p, Block):
+            return self._block(step, t, names, adjoint)
+        return self._guard(step, t, names, adjoint)
+
+    def _block(self, step: _Step, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
+        """Forward: ``tr_loc[body(X (x) init)]``; adjoint:
+        ``tr_loc[wp_body(M (x) I_loc) (I (x) init)]``."""
+        p, (body,), (init,) = step.node, step.subs, step.ops
+        local = RegisterLayout(p.qvars)
+        d, dl = int(np.prod(t.shape[: len(names)])), local.dim
+        if d * dl > self.max_dim:
+            if id(step) not in self.blocks:
+                self.blocks[id(step)] = _denote(p, self.tol, self.max_dim).kraus
+            out = np.zeros_like(t)
+            for k in self.blocks[id(step)]:
+                out += _sandwich(t, names, _side(k, adjoint), step.layout.names)
+            return out
+        # A local shadows any variable of the same name outside the block.
+        outer = tuple(_fresh_name(n + "'", set(names) | set(local.names)) if n in local else n
+                      for n in names)
+        shape = t.shape[: len(names)] + local.dims
+        x = t.reshape(d, d)
+        if adjoint:
+            w = self.push(body, np.kron(x, linalg.identity(dl)).reshape(shape * 2),
+                          outer + local.names, True)
+            out = np.einsum("aibj,ji->ab", w.reshape(d, dl, d, dl), init)
+        else:
+            r = self.push(body, np.kron(x, init).reshape(shape * 2), outer + local.names, False)
+            out = np.einsum("aibi->ab", r.reshape(d, dl, d, dl))
+        return out.reshape(t.shape)
+
+    def _guard(self, step: _Step, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
+        """In the guard basis, diagonal block ``i`` is branch ``i``'s own
+        evaluation and off-diagonal block ``(i, j)`` is ``A_i X_ij A_j†``
+        (with ``A†`` for the adjoint): the square branch weights sum to one,
+        so the guarded composition never needs its joint domain."""
+        p = step.node
+        gnames = tuple(name for name, _ in p.qvars)
+        rotate = not p.basis.is_computational()
+        if rotate:
+            t = _sandwich(t, names, linalg.dagger(p.basis.matrix), gnames)
+        n = len(names)
+        gpos = [names.index(g) for g in gnames]
+        moved = gpos + [n + a for a in gpos]
+        data = tuple(name for name in names if name not in gnames)
+        blocks = np.moveaxis(t, moved, range(len(moved)))
+        gshape = blocks.shape[: len(moved)]
+        dg = p.basis.dim
+        blocks = blocks.reshape((dg, dg) + blocks.shape[len(moved):])
+        sides = [_side(a, adjoint) for a in step.ops]
+        out = np.empty_like(blocks)
+        for i in range(dg):
+            for j in range(dg):
+                if not blocks[i, j].any():  # e.g. the identity's off-diagonal blocks
+                    out[i, j] = 0
+                elif i == j:
+                    out[i, i] = self.push(step.subs[i], blocks[i, i], data, adjoint)
+                else:
+                    out[i, j] = _sandwich(blocks[i, j], data, sides[i], step.sites[i],
+                                          sides[j], step.sites[j])
+        t = np.moveaxis(out.reshape(gshape + out.shape[2:]), range(len(moved)), moved)
+        if rotate:
+            t = _sandwich(t, names, p.basis.matrix, gnames)
+        return t
+
+
+def _side(op: np.ndarray, adjoint: bool) -> np.ndarray:
+    return linalg.dagger(op) if adjoint else op
+
+
+def _sandwich(t, names, left, site, right=None, right_site=None) -> np.ndarray:
+    """``(L (x) I) X (R (x) I)†`` with ``L`` on the variables ``site`` and
+    ``R`` (default ``L``) on ``right_site`` (default ``site``); ``t`` and the
+    result are shaped ``dims + dims`` over ``names``."""
+    if right is None:
+        right, right_site = left, site
+    n = len(names)
+    t = _contract(left, t, [names.index(v) for v in site])
+    return _contract(right.conj(), t, [n + names.index(v) for v in right_site])
+
+
+def _contract(op: np.ndarray, t: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Apply ``op`` to the tensor factors of ``t`` at ``axes``, in order."""
+    if not axes:
+        return op[0, 0] * t
+    order = axes + [a for a in range(t.ndim) if a not in axes]
+    moved = t.transpose(order)
+    out = (op @ moved.reshape(op.shape[1], -1)).reshape(moved.shape)
+    return out.transpose(np.argsort(order))
 
 
 @dataclass(eq=False)

@@ -9,11 +9,10 @@ every state, and extends to all operators by linearity.
 from __future__ import annotations
 
 from . import linalg
-from .errors import ContractError
 from .ovf import SuperOperator
 from .program import Program
 from .registers import Observable
-from .semantics import denote
+from .semantics import denote, stream
 
 
 def wp(
@@ -38,14 +37,8 @@ def wp_apply(
     tol: float = linalg.DEFAULT_TOL,
     max_dim: int = linalg.MAX_DIM_DEFAULT,
 ) -> Observable:
-    """Weakest precondition of an observable with respect to a program."""
+    """Weakest precondition of an observable given over exactly the program's
+    variables, in any factor order, streamed backwards through the program."""
     m.validate(tol)
-    transformer = wp(p, tol=tol, max_dim=max_dim)
-    if not m.layout.same_variables(transformer.layout):
-        raise ContractError(
-            "observable must be given over exactly the program's quantum variables"
-        )
-    aligned = m.permuted_to(transformer.layout)
-    out = transformer(aligned.matrix)
-    result = Observable(out, transformer.layout)
-    return result.permuted_to(m.layout)
+    return Observable(stream(p, m.matrix, m.layout, adjoint=True, tol=tol, max_dim=max_dim),
+                      m.layout)

@@ -110,6 +110,46 @@ class TestPredicates:
             la.is_positive(np.zeros((2, 3)))
 
 
+def with_lowest_eigenvalue(gen, dim, lowest):
+    """Hermitian matrix with spectrum in [lowest, 1], ``lowest`` attained."""
+    u, _ = np.linalg.qr(rand_matrix(gen, dim, dim))
+    eigs = gen.uniform(0.0, 1.0, dim)
+    eigs[0] = lowest
+    return (u * eigs) @ u.conj().T
+
+
+def eigvalsh_positive(m, tol):
+    """Reference verdict: small anti-Hermitian part, min eigenvalue >= -tol."""
+    herm = (m + m.conj().T) / 2
+    return bool(np.max(np.abs(m - herm)) <= tol and np.linalg.eigvalsh(herm).min() >= -tol)
+
+
+class TestPositivityAgainstEigenvalues:
+    TOL = 1e-9
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64, 512])
+    @pytest.mark.parametrize("scale", [0.0, 1 - 1e-3, 1 + 1e-3])
+    def test_min_eigenvalue_at_the_tolerance_edge(self, dim, scale):
+        m = with_lowest_eigenvalue(np.random.default_rng(dim), dim, -self.TOL * scale)
+        assert la.is_positive(m, self.TOL) == eigvalsh_positive(m, self.TOL) == (scale < 1)
+
+    @pytest.mark.parametrize("skew", [0.1, 10.0])
+    def test_non_hermitian_input(self, skew):
+        gen = np.random.default_rng(3)
+        a = rand_matrix(gen, 4, 4)
+        m = with_lowest_eigenvalue(gen, 4, 0.0) + skew * self.TOL * (a - a.conj().T) / 2
+        assert la.is_positive(m, self.TOL) == eigvalsh_positive(m, self.TOL) == (skew < 1)
+
+    def test_empty_matrix_is_positive(self):
+        assert la.is_positive(np.zeros((0, 0)), self.TOL)
+
+    def test_input_is_not_modified(self):
+        m = with_lowest_eigenvalue(np.random.default_rng(4), 3, 0.0)
+        before = m.copy()
+        la.is_positive(m, self.TOL)
+        assert np.array_equal(m, before)
+
+
 class TestChoi:
     def test_identity_kraus_gives_entangled_projector(self):
         c = la.choi([la.identity(2)])

@@ -116,6 +116,13 @@ class TestLambdaWeight:
             f(cs.bind("x", 0))
 
 
+def test_weight_is_the_trace_of_the_gram_operator():
+    gen = rng(12)
+    op = gen.normal(size=(5, 5)) + 1j * gen.normal(size=(5, 5))
+    f = OperatorValuedFunction(RegisterLayout.of(("q", 5)), {cs.EPS: op})
+    assert f.weight(cs.EPS) == pytest.approx(np.trace(op.conj().T @ op).real, rel=1e-12)
+
+
 class TestGuardedComposition:
     def test_two_measurements_compose_to_four_weighted_operators(self):
         f0 = meas_ovf([MEAS_COMP.operator(0), MEAS_COMP.operator(1)], [("x", 0), ("x", 1)])

@@ -1,0 +1,212 @@
+"""Streaming ``apply_program``/``wp_apply`` against the dense reference path.
+
+The reference is the channel ``denote(p)`` lifted to the input's layout and
+applied as a Kraus family (forward) or as its adjoint family (wp).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import qgcl.semantics as semantics
+from qgcl import linalg as la
+from qgcl.errors import CapacityError, LayoutError
+from qgcl.program import (
+    Abort,
+    Block,
+    GuardBasis,
+    Guarded,
+    Measure,
+    Measurement,
+    Mu,
+    Name,
+    ProbChoice,
+    QChoice,
+    Seq,
+    Skip,
+    Unitary,
+    qvar_layout,
+)
+from qgcl.registers import DensityMatrix, Observable, RegisterLayout
+from qgcl.sampling import (
+    ProgramSampler,
+    random_density,
+    random_measurement,
+    random_positive,
+    random_unitary,
+    rng,
+)
+from qgcl.semantics import apply_program, denote, unroll_loop
+from qgcl.wp import wp_apply
+
+H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+I2 = la.identity(2)
+Q, R, C = ("q", 2), ("r", 2), ("c", 2)
+TOL = 1e-10
+
+
+def dense(p, x, layout, adjoint=False, max_dim=la.MAX_DIM_DEFAULT):
+    ops = denote(p, max_dim=max_dim).extended_to(layout, max_dim=max_dim).kraus
+    out = np.zeros_like(x)
+    for k in ops:
+        out += la.dagger(k) @ x @ k if adjoint else k @ x @ la.dagger(k)
+    return out
+
+
+def shuffled(gen, layout, extra=()):
+    """The program's layout plus ``extra`` variables, in a random factor order."""
+    variables = list(layout.variables) + list(extra)
+    return RegisterLayout(tuple(variables[i] for i in gen.permutation(len(variables))))
+
+
+def streamed(p, x, layout, adjoint=False, max_dim=la.MAX_DIM_DEFAULT):
+    """``apply_program`` or ``wp_apply``, failing if it falls back to ``denote``."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dense path was taken")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semantics, "denote", forbidden)
+        if adjoint:
+            return wp_apply(p, Observable(x, layout), max_dim=max_dim).matrix
+        return apply_program(p, DensityMatrix(x, layout), max_dim=max_dim).matrix
+
+
+def assert_matches_dense(p, gen, extra=(), max_dim=la.MAX_DIM_DEFAULT):
+    layout = qvar_layout(p)
+    state_layout = shuffled(gen, layout, extra)
+    rho = random_density(gen, state_layout.dim)
+    expect = dense(p, rho, state_layout, max_dim=max_dim)
+    assert la.max_abs_diff(streamed(p, rho, state_layout, max_dim=max_dim), expect) < TOL
+    obs_layout = shuffled(gen, layout)
+    m = random_positive(gen, obs_layout.dim)
+    expect = dense(p, m, obs_layout, adjoint=True, max_dim=max_dim)
+    assert la.max_abs_diff(streamed(p, m, obs_layout, True, max_dim), expect) < TOL
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_sampled_programs_match_dense(seed, depth):
+    gen = rng(seed)
+    p = ProgramSampler(gen, (Q, R), (("g0", 2), ("g1", 3))).program(depth)
+    assert_matches_dense(p, gen, extra=(("e", 3),) if gen.uniform() < 0.5 else ())
+
+
+def test_guards_in_non_computational_bases():
+    gen = rng(1)
+    m = random_measurement(gen, 2)
+    branches = (
+        Unitary((Q,), random_unitary(gen, 2)),
+        Measure("x", (R,), m, tuple((k, Unitary((Q, R), random_unitary(gen, 4))) for k in m.outcomes)),
+        Abort(),
+    )
+    p = Guarded((("g", 3),), GuardBasis(random_unitary(gen, 3)), branches)
+    assert_matches_dense(p, gen, extra=(C,))
+    coin = Seq(Unitary((C,), random_unitary(gen, 2)), Measure("y", (C,), Measurement.computational(2),
+                                                              ((0, Skip()), (1, Skip()))))
+    assert_matches_dense(QChoice(coin, GuardBasis(random_unitary(gen, 2)), branches[:2]), gen)
+
+
+def test_nested_guards():
+    gen = rng(2)
+    inner = Guarded((("g1", 2),), GuardBasis(random_unitary(gen, 2)),
+                    (Unitary((Q,), random_unitary(gen, 2)), Seq(Unitary((R,), H), Abort())))
+    outer = Guarded((("g0", 2),), GuardBasis.computational(2), (inner, Unitary((Q, R), random_unitary(gen, 4))))
+    assert_matches_dense(outer, gen)
+
+
+def test_blocks_and_probabilistic_choice():
+    gen = rng(3)
+    guard = Guarded((C,), GuardBasis.computational(2), (Unitary((Q,), X), Unitary((R,), H)))
+    block = Block((C,), random_density(gen, 2), Seq(Unitary((Q, C), random_unitary(gen, 4)), guard))
+    assert_matches_dense(block, gen, extra=(("e", 2),))
+    mixed = ProbChoice((0.25, 0.5), (block, Measure("x", (R,), Measurement.computational(2),
+                                                      ((0, Skip()), (1, Unitary((Q,), H))))))
+    assert_matches_dense(mixed, gen)
+
+
+@pytest.mark.parametrize("flavor", ["classical", "quantum", "localized"])
+def test_loop_unrollings(flavor):
+    gen = rng(4)
+    assert_matches_dense(unroll_loop(random_unitary(gen, 3), H, 3, flavor), gen, extra=(R,))
+
+
+def test_block_local_shadowing_an_input_variable():
+    # The input carries its own ``c``; the block's local ``c`` is another variable.
+    gen = rng(5)
+    body = Seq(Unitary((C,), H), Guarded((C,), GuardBasis.computational(2),
+                                         (Skip(), Unitary((Q,), X))))
+    p = Block((C,), random_density(gen, 2), body)
+    assert qvar_layout(p).names == ("q",)
+    assert_matches_dense(p, gen, extra=(C,))
+
+
+def test_block_beyond_the_cap_uses_its_kraus_family():
+    # State (q, e) times the local exceeds max_dim; each part stays within it.
+    gen = rng(6)
+    p = Block((C,), random_density(gen, 2), Seq(Unitary((Q, C), random_unitary(gen, 4)),
+                                                Measure("x", (C,), Measurement.computational(2),
+                                                        ((0, Skip()), (1, Unitary((Q,), X))))))
+    layout = RegisterLayout.of(Q, ("e", 4))
+    rho = random_density(gen, 8)
+    expect = dense(p, rho, layout, max_dim=8)
+    assert la.max_abs_diff(streamed(p, rho, layout, max_dim=8), expect) < TOL
+
+
+def test_output_is_a_fresh_array():
+    rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex), RegisterLayout.of(Q))
+    out = apply_program(Skip(), rho)
+    out.matrix[0, 0] = 1.0
+    assert rho.matrix[0, 0] == 0.25
+
+
+QL = RegisterLayout.of(Q)
+MEASURE_X = Measure("x", (Q,), Measurement.computational(2), ((0, Skip()), (1, Skip())))
+REJECTED = {
+    "name": (Name("X", (Q,)), {}),
+    "mu": (Mu("X", Unitary((Q,), H), (Q,)), {}),
+    "guard-over-block": (Guarded((C,), GuardBasis.computational(2),
+                                 (Block((R,), np.diag([1.0, 0.0]), Unitary((Q, R), np.kron(X, I2))),
+                                  Skip())), {}),
+    "guard-over-pchoice": (Guarded((C,), GuardBasis.computational(2),
+                                   (ProbChoice((0.5,), (Unitary((Q,), X),)), Skip())), {}),
+    "above-identity": (Seq(Unitary((Q,), 2 * I2), Skip()), {}),
+    "pchoice-above-one": (ProbChoice((0.9, 0.9), (Unitary((Q,), X), Skip())), {}),
+    "pchoice-arity": (ProbChoice((0.5,), (Unitary((Q,), X), Skip())), {}),
+    "guard-arity": (Guarded((C,), GuardBasis.computational(2), (Skip(), Skip(), Skip())), {}),
+    "above-max-dim": (Seq(Unitary((Q,), X), Unitary((R,), H)), {"max_dim": 2}),
+    "outcome-reuse": (Seq(MEASURE_X, MEASURE_X), {}),
+    "outcome-capture": (Measure("x", (R,), Measurement.computational(2), ((0, MEASURE_X), (1, Skip()))),
+                        {}),
+}
+
+
+def raised(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", list(REJECTED))
+@pytest.mark.parametrize("state_layout", [QL, RegisterLayout.of(("z", 2))], ids=["ok", "mismatched"])
+def test_rejections_match_denote(name, state_layout):
+    # Evaluation errors come before any complaint about the input's layout.
+    p, kwargs = REJECTED[name]
+    expected = raised(lambda: denote(p, **kwargs))
+    assert expected is not None
+    state = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), state_layout)
+    obs = Observable(np.diag([1.0, 0.5]).astype(complex), state_layout)
+    assert raised(lambda: apply_program(p, state, **kwargs)) == expected
+    assert raised(lambda: wp_apply(p, obs, **kwargs)) == expected
+
+
+def test_input_errors_after_a_successful_evaluation():
+    p = Seq(Unitary((Q,), X), Unitary((R,), H))
+    with pytest.raises(LayoutError, match="lacks program variable 'r'"):
+        apply_program(p, DensityMatrix(np.diag([1.0, 0.0]).astype(complex), QL))
+    big = RegisterLayout.of(Q, R, ("e", 2))
+    with pytest.raises(CapacityError):
+        apply_program(p, DensityMatrix(np.eye(8) / 8, big), max_dim=4)
