@@ -6,10 +6,10 @@ integers and record measurement outcomes.  ``children`` and ``rebuild`` walk
 any node through its dataclass fields.  Checks happen at the edges:
 ``well_formed`` collects each construct's side conditions at parse and
 ``check`` time, input states and observables are checked when loaded, and
-evaluation assumes well-formedness, checking only the trace bound once per
-call: on the result of ``semantics.semi_classical`` and ``semantics.denote``,
-and as ``wp(I) <= I`` in ``apply_program`` and ``wp_apply``, which stream the
-state or observable through the tree without building the channel.
+every evaluator in ``semantics`` starts from one checked pass, which
+raises a typed error at the first violated condition.  The trace bound is
+checked once per call: on the result of ``semi_classical`` and
+``denote``, and as ``wp(I) <= I`` in ``apply_program`` and ``wp_apply``.
 """
 
 from __future__ import annotations
@@ -553,8 +553,8 @@ def _node_checks(p: Program, tol: float, out: list[Diagnostic],
                     p,
                 )
             )
-        if any(w < 0 for w in p.weights):
-            out.append(_diag("prob-weights", "negative branch probability", p))
+        if not all(np.isfinite(w) and w >= 0 for w in p.weights):
+            out.append(_diag("prob-weights", "branch probabilities must be finite and nonnegative", p))
         elif sum(p.weights) > 1 + tol:
             out.append(
                 _diag("prob-weights", f"branch probabilities sum to {sum(p.weights)} > 1", p)

@@ -9,12 +9,15 @@ where local variables become initialise-run-trace and probabilistic choice a
 weighted mixture.  Bounded loop unrolling and the system-environment model of
 channels support the coin-relocation equivalences.
 
-``apply_program`` and ``wp_apply`` never build the channel: ``stream`` pushes
-the state (or, backwards, the observable) through the tree, each operator
-acting on its own tensor factors, a guard acting block by block in its basis,
-and checks the trace bound once per call as ``wp(I) <= I``.  ``denote`` and
-``semi_classical`` stay the dense reference path.
-"""
+Every evaluator starts from one checked pass, ``_prepare``, which builds each
+node's layout, operators and guard branch functions bottom-up and raises the
+first violated condition, so ``semi_classical``, ``denote``,
+``apply_program`` and ``wp_apply`` accept the same programs and reject the
+rest with the same error.  ``denote`` and ``semi_classical`` fold its steps
+into the dense reference path; ``apply_program`` and ``wp_apply`` never build
+the channel: ``stream`` pushes the state (or, backwards, the observable)
+through the steps, each operator acting on its own tensor factors, a guard
+block by block in its basis, and checks the trace bound as ``wp(I) <= I``."""
 
 from __future__ import annotations
 
@@ -29,14 +32,13 @@ from .errors import (
     ArityError,
     CapacityError,
     ContractError,
+    DomainClashError,
     LayoutError,
-    QgclError,
     UnsupportedConstructError,
 )
 from .ovf import (
     OperatorValuedFunction,
     SuperOperator,
-    apply_kraus,
     lambda_weights,
     prune_zero_kraus,
     to_superop,
@@ -57,8 +59,8 @@ from .program import (
     Seq,
     Skip,
     Unitary,
+    children,
     desugar_qchoice,
-    is_core,
     qvar_layout,
 )
 from .registers import DensityMatrix, RegisterLayout, embed
@@ -100,73 +102,43 @@ def semi_classical(
     channel level.  The trace bound ``sum F† F <= I`` is checked once, on the
     result: well-formed leaves satisfy it and every composition preserves it.
     """
-    return _semi(p, max_dim, {}).validate(tol)
+    return _semi(_prepare(p, tol, max_dim), max_dim).validate(tol)
 
 
-def _semi(p: Program, max_dim: int, memo: dict) -> OperatorValuedFunction:
-    """``memo`` keeps each guard branch's function by node identity for the
-    rest of one evaluation."""
+def _semi(step: _Step, max_dim: int) -> OperatorValuedFunction:
+    """Fold of a prepared step into its function; ``_prepare`` made the checks."""
+    p, full = step.node, step.layout
     if isinstance(p, Abort):
         return _scalar_function(0.0)
     if isinstance(p, Skip):
         return _scalar_function(1.0)
     if isinstance(p, Unitary):
-        layout = RegisterLayout(p.qvars)
-        op = linalg.as_matrix(p.matrix)
-        if op.shape != (layout.dim, layout.dim):
-            raise LayoutError(
-                f"unitary shape {op.shape} does not match its variables (dim {layout.dim})"
-            )
-        return OperatorValuedFunction(layout, {cs.EPS: op})
+        return OperatorValuedFunction(full, {cs.EPS: step.ops[0]})
     if isinstance(p, Measure):
         qlay = RegisterLayout(p.qvars)
-        subs = [_semi(sub, max_dim, memo) for _, sub in p.branches]
-        full = _check_cap(_joint(subs, qlay), max_dim)
         table: dict[cs.ClassicalState, np.ndarray] = {}
-        for (m, _), sub_f in zip(p.branches, subs):
-            sub_f = sub_f.extended_to(full, max_dim=max_dim)
-            m_op = embed(p.measurement.operator(m), qlay, full, max_dim=max_dim)
+        for (m, _), sub, op in zip(p.branches, step.subs, step.ops):
+            sub_f = _semi(sub, max_dim).extended_to(full, max_dim=max_dim)
+            m_op = embed(op, qlay, full, max_dim=max_dim)
             for delta in sub_f.sorted_states():
-                label = cs.extend(delta, p.x, m)
-                if label in table:
-                    raise ContractError(f"collided classical state {cs.render(label)}")
-                table[label] = sub_f(delta) @ m_op
+                table[cs.extend(delta, p.x, m)] = sub_f(delta) @ m_op
         return OperatorValuedFunction(full, table)
     if isinstance(p, Guarded):
-        guard_layout = RegisterLayout(p.qvars)
-        branch_fs = [_branch_semi(b, max_dim, memo) for b in p.branches]
-        data_layout = _joint(branch_fs)
-        full = _check_cap(guard_layout.extended(data_layout), max_dim)
-        branch_fs = [f.extended_to(data_layout, max_dim=max_dim) for f in branch_fs]
+        data = _joint(step.subs)
+        branch_fs = [f.extended_to(data, max_dim=max_dim) for f in step.fns]
         from .ovf import guarded_ovf
 
-        combined = guarded_ovf(p.basis, branch_fs, guard_layout, max_dim=max_dim)
+        combined = guarded_ovf(p.basis, branch_fs, RegisterLayout(p.qvars), max_dim=max_dim)
         return combined.extended_to(full, max_dim=max_dim)
     if isinstance(p, Seq):
-        f1 = _semi(p.first, max_dim, memo)
-        f2 = _semi(p.second, max_dim, memo)
-        full = _check_cap(f1.layout.extended(f2.layout), max_dim)
-        f1 = f1.extended_to(full, max_dim=max_dim)
-        f2 = f2.extended_to(full, max_dim=max_dim)
-        table = {}
-        for d1 in f1.sorted_states():
-            for d2 in f2.sorted_states():
-                label = cs.concat(d1, d2)
-                if label in table:
-                    raise ContractError(f"collided classical state {cs.render(label)}")
-                table[label] = f2(d2) @ f1(d1)
-        return OperatorValuedFunction(full, table)
-    if isinstance(p, QChoice):
-        return _semi(desugar_qchoice(p), max_dim, memo)
+        f1, f2 = (_semi(sub, max_dim).extended_to(full, max_dim=max_dim) for sub in step.subs)
+        return OperatorValuedFunction(full, {
+            cs.concat(d1, d2): f2(d2) @ f1(d1)
+            for d1 in f1.sorted_states() for d2 in f2.sorted_states()
+        })
     raise UnsupportedConstructError(
         f"{type(p).__name__} has no semi-classical denotation; evaluate it as a channel"
     )
-
-
-def _branch_semi(p: Program, max_dim: int, memo: dict) -> OperatorValuedFunction:
-    if id(p) not in memo:
-        memo[id(p)] = _semi(p, max_dim, memo)
-    return memo[id(p)]
 
 
 def denote(
@@ -183,52 +155,50 @@ def denote(
     rejected, as is recursion.  The channel is checked to be
     trace-nonincreasing once, on the result.
     """
-    return _denote(p, tol, max_dim).validate(tol)
+    return _denote(_prepare(p, tol, max_dim), tol, max_dim).validate(tol)
 
 
-def _denote(p: Program, tol: float, max_dim: int) -> SuperOperator:
-    if is_core(p):
-        return to_superop(_semi(p, max_dim, {}))
-    if isinstance(p, QChoice):
-        return _denote(desugar_qchoice(p), tol, max_dim)
+def _denote(step: _Step, tol: float, max_dim: int) -> SuperOperator:
+    """Fold of a prepared step into its channel: a core subtree through its
+    semi-classical function, anything else composed channel by channel."""
+    if step.core:
+        return to_superop(_semi(step, max_dim))
+    p, full = step.node, step.layout
+    subs = [_denote(sub, tol, max_dim) for sub in step.subs]
+    if isinstance(p, Block):
+        return block_channel(subs[0], RegisterLayout(p.qvars), p.init, tol=tol)
+    subs = [e.extended_to(full, max_dim=max_dim) for e in subs]
     if isinstance(p, Seq):
-        e1 = _denote(p.first, tol, max_dim)
-        e2 = _denote(p.second, tol, max_dim)
-        full = e1.layout.extended(e2.layout)
-        return e1.extended_to(full, max_dim=max_dim).then(e2.extended_to(full, max_dim=max_dim))
+        return subs[0].then(subs[1])
+    ops: list[np.ndarray] = []
     if isinstance(p, Measure):
         qlay = RegisterLayout(p.qvars)
-        subs = [_denote(sub, tol, max_dim) for _, sub in p.branches]
-        full = _joint(subs, qlay)
-        ops: list[np.ndarray] = []
-        for (m, _), e_sub in zip(p.branches, subs):
-            e_sub = e_sub.extended_to(full, max_dim=max_dim)
-            m_op = embed(p.measurement.operator(m), qlay, full, max_dim=max_dim)
+        for op, e_sub in zip(step.ops, subs):
+            m_op = embed(op, qlay, full, max_dim=max_dim)
             ops.extend(e @ m_op for e in e_sub.kraus)
-        return SuperOperator(full, prune_zero_kraus(tuple(ops)))
-    if isinstance(p, Block):
-        inner = _denote(p.body, tol, max_dim)
-        return block_channel(inner, RegisterLayout(p.qvars), p.init, tol=tol)
-    if isinstance(p, ProbChoice):
-        if len(p.weights) != len(p.branches):
-            raise ArityError("probabilistic choice weight/branch count mismatch")
-        subs = [_denote(b, tol, max_dim) for b in p.branches]
-        full = _joint(subs)
-        ops = []
-        for w, e_b in zip(p.weights, subs):
-            e_b = e_b.extended_to(full, max_dim=max_dim)
-            root = np.sqrt(float(w))
+    else:  # probabilistic choice
+        for w, e_b in zip(step.ops, subs):
+            root = np.sqrt(w)
             ops.extend(root * e for e in e_b.kraus)
-        return SuperOperator(full, prune_zero_kraus(tuple(ops)))
-    if isinstance(p, Guarded):
-        raise UnsupportedConstructError(
-            "guarded command over block/probabilistic branches has no defined semantics"
+    return SuperOperator(full, prune_zero_kraus(tuple(ops)))
+
+
+def _check_block(local: RegisterLayout, init: np.ndarray, body: RegisterLayout, tol: float):
+    """Side conditions of a block over a body on ``body``; returns the
+    eigendecomposition of the initial state's Hermitian part."""
+    for name, d in local.variables:
+        if name not in body:
+            raise LayoutError(f"local variable {name!r} does not occur in the body")
+        if body.dim_of(name) != d:
+            raise LayoutError(f"local variable {name!r} dimension mismatch")
+    if init.shape != (local.dim, local.dim):
+        raise LayoutError(
+            f"block initial state shape {init.shape} does not match locals dim {local.dim}"
         )
-    if isinstance(p, (Name, Mu)):
-        raise UnsupportedConstructError(
-            "recursion has no channel semantics; use a bounded unrolling"
-        )
-    raise UnsupportedConstructError(f"cannot evaluate {type(p).__name__}")
+    vals, vecs = np.linalg.eigh((init + linalg.dagger(init)) / 2)
+    if vals.min() < -tol:
+        raise ContractError("block initial state is not positive semidefinite")
+    return vals, vecs
 
 
 def block_channel(
@@ -246,24 +216,13 @@ def block_channel(
     """
     init = linalg.as_matrix(init)
     full = inner.layout
-    for name, d in locals_layout.variables:
-        if name not in full:
-            raise LayoutError(f"local variable {name!r} does not occur in the body")
-        if full.dim_of(name) != d:
-            raise LayoutError(f"local variable {name!r} dimension mismatch")
-    if init.shape != (locals_layout.dim, locals_layout.dim):
-        raise LayoutError(
-            f"block initial state shape {init.shape} does not match locals dim {locals_layout.dim}"
-        )
+    vals, vecs = _check_block(locals_layout, init, full, tol)
     outer = full.remove(locals_layout.names)
     rearranged = RegisterLayout(tuple(outer.variables) + tuple(locals_layout.variables))
     order = [full.index(name) for name in rearranged.names]
     perm = linalg.permutation_matrix(full.dims, order)
     d_out = outer.dim
     d_loc = locals_layout.dim
-    vals, vecs = np.linalg.eigh((init + linalg.dagger(init)) / 2)
-    if vals.min() < -tol:
-        raise ContractError("block initial state is not positive semidefinite")
     i_out = linalg.identity(d_out)
     injections = []
     for val, vec in zip(vals, vecs.T):
@@ -309,17 +268,8 @@ def stream(
     variables, an observable over exactly them, in any factor order.  Every
     operator acts on its own factors of ``x``.  The trace bound is checked
     once, as ``wp(I) <= I`` on the program's layout, before ``x`` is touched.
-    A program that ``denote`` rejects, or that uses a construct streaming
-    does not cover, is evaluated through ``denote``, so it fails with the
-    same error at the same point.
     """
-    try:
-        step = _prepare(p, tol, max_dim, {})
-    except (QgclError, _Unplanned):
-        e = denote(p, tol=tol, max_dim=max_dim)
-        _check_input(e.layout, layout, adjoint)
-        ops = e.extended_to(layout, max_dim=max_dim).kraus
-        return apply_kraus([linalg.dagger(k) for k in ops] if adjoint else ops, x, layout.dim)
+    step = _prepare(p, tol, max_dim)
     run = _Stream(tol, max_dim)
     d = step.layout.dim
     bound = run.push(step, linalg.identity(d).reshape(step.layout.dims * 2), step.layout.names,
@@ -349,17 +299,15 @@ def _check_input(program: RegisterLayout, given: RegisterLayout, adjoint: bool) 
             raise LayoutError(f"input state dimension mismatch on {name!r}")
 
 
-class _Unplanned(Exception):
-    """The program goes through ``denote`` instead of streaming."""
-
-
 @dataclass(eq=False)
 class _Step:
-    """A program node prepared for streaming.
+    """A checked program node, the common input of every evaluator.
 
     ``ops[k]`` acts on the variables ``sites[k]``: a unitary, one
-    measurement operator per branch, a block's initial state, or per guard
-    branch ``A = sum_d lambda(d) F(d)`` over that branch's function.
+    measurement operator per branch, a block's initial state, a weight per
+    probabilistic branch, or per guard branch ``A = sum_d lambda(d) F(d)``
+    over that branch's semi-classical function ``fns[k]``.  ``core`` marks a
+    subtree inside the measurement-and-guard core.
     """
 
     node: Program
@@ -368,83 +316,100 @@ class _Step:
     subs: tuple = ()
     ops: tuple = ()
     sites: tuple = ()
+    core: bool = True
+    fns: tuple = ()
 
 
-def _prepare(p: Program, tol: float, max_dim: int, memo: dict) -> _Step:
-    """Layouts, operators and guard weights of ``p``, bottom-up.
+def _prepare(p: Program, tol: float, max_dim: int) -> _Step:
+    """The one checked pass: layouts, classical variables, operators and
+    guard branch functions of ``p``, bottom-up.
 
-    Raises :class:`_Unplanned` (or the layout error met) wherever ``denote``
-    could fail or streaming does not apply; ``memo`` shares each guard
-    branch's semi-classical function within the call.
+    A node's side conditions are checked once its subprograms are prepared;
+    the first one violated raises its typed error, so every evaluator
+    accepts the same programs and rejects the rest with the same message.
     """
+    if isinstance(p, QChoice):
+        return _prepare(desugar_qchoice(p), tol, max_dim)
+    if isinstance(p, (Name, Mu)):
+        raise UnsupportedConstructError(
+            "recursion has no channel semantics; use a bounded unrolling"
+        )
+    subs = tuple(_prepare(c, tol, max_dim) for c in children(p))
+    cvars = frozenset().union(*(sub.cvars for sub in subs))
+    core = all(sub.core for sub in subs)
     if isinstance(p, (Abort, Skip)):
         return _Step(p, RegisterLayout())
-    if isinstance(p, QChoice):
-        return _prepare(desugar_qchoice(p), tol, max_dim, memo)
     if isinstance(p, Unitary):
         layout = RegisterLayout(p.qvars)
         op = linalg.as_matrix(p.matrix)
-        _require(op.shape == (layout.dim, layout.dim))
-        return _Step(p, _capped(layout, max_dim), ops=(op,), sites=(layout.names,))
+        if op.shape != (layout.dim, layout.dim):
+            raise LayoutError(
+                f"unitary shape {op.shape} does not match its variables (dim {layout.dim})"
+            )
+        return _Step(p, _check_cap(layout, max_dim), ops=(op,), sites=(layout.names,))
     if isinstance(p, Measure):
         qlay = RegisterLayout(p.qvars)
-        outcomes = p.measurement.outcomes
-        _require(p.branches and all(m in outcomes for m, _ in p.branches))
-        ops = tuple(p.measurement.operator(m) for m, _ in p.branches)
-        _require(all(op.shape == (qlay.dim, qlay.dim) for op in ops))
-        subs = tuple(_prepare(sub, tol, max_dim, memo) for _, sub in p.branches)
-        _require(all(p.x not in sub.cvars for sub in subs))
-        cvars = frozenset((p.x,)).union(*(sub.cvars for sub in subs))
-        return _Step(p, _capped(_joint(subs, qlay), max_dim), cvars, subs, ops,
-                     (qlay.names,) * len(ops))
+        layout = _check_cap(_joint(subs, qlay), max_dim)
+        if not p.branches:
+            raise ArityError("operator-valued function needs a nonempty domain")
+        ops, seen = [], set()
+        for (m, _), sub in zip(p.branches, subs):
+            if m not in p.measurement.outcomes:
+                raise ContractError(f"no measurement operator for branch outcome {m}")
+            op = p.measurement.operator(m)
+            if op.shape != (qlay.dim, qlay.dim):
+                raise LayoutError(
+                    f"operator shape {op.shape} does not match sub-layout dim {qlay.dim}"
+                )
+            if p.x in sub.cvars:
+                raise DomainClashError(f"classical variables bound twice: {[p.x]}")
+            if m in seen:
+                raise ContractError(f"collided classical state {cs.render(cs.bind(p.x, m))}")
+            seen.add(m)
+            ops.append(op)
+        return _Step(p, layout, cvars | {p.x}, subs, tuple(ops), (qlay.names,) * len(ops), core)
     if isinstance(p, Seq):
-        first = _prepare(p.first, tol, max_dim, memo)
-        second = _prepare(p.second, tol, max_dim, memo)
-        _require(not first.cvars & second.cvars)
-        layout = _capped(first.layout.extended(second.layout), max_dim)
-        return _Step(p, layout, first.cvars | second.cvars, (first, second))
+        layout = _check_cap(subs[0].layout.extended(subs[1].layout), max_dim)
+        shared = subs[0].cvars & subs[1].cvars
+        if shared:
+            raise DomainClashError(f"classical variables bound twice: {sorted(shared)}")
+        return _Step(p, layout, cvars, subs, core=core)
     if isinstance(p, Guarded):
-        guard = RegisterLayout(p.qvars)
-        _require(p.branches and p.basis.arity == len(p.branches) == guard.dim)
-        _require(p.basis.is_orthonormal(tol))
-        fs = [_branch_semi(b, max_dim, memo) for b in p.branches]
-        subs = tuple(_prepare(b, tol, max_dim, memo) for b in p.branches)
-        data = _joint(subs)
-        _require(not set(guard.names) & set(data.names))
-        ops = tuple(sum(w * f(d) for d, w in lambda_weights(f).items()) for f in fs)
-        return _Step(p, _capped(guard.extended(data), max_dim), _joint_cvars(subs), subs, ops,
-                     tuple(f.layout.names for f in fs))
+        if not core:
+            raise UnsupportedConstructError(
+                "guarded command over block/probabilistic branches has no defined semantics"
+            )
+        guard, data = RegisterLayout(p.qvars), _joint(subs)
+        layout = _check_cap(guard.extended(data), max_dim)
+        if p.basis.arity != len(subs):
+            raise ArityError(f"{p.basis.arity} guard states but {len(subs)} functions")
+        if p.basis.dim != guard.dim:
+            raise LayoutError(
+                f"guard basis dimension {p.basis.dim} does not match guard layout {guard.dim}"
+            )
+        if set(guard.names) & set(data.names):
+            raise LayoutError(
+                f"duplicate variable names in layout {list(data.names + guard.names)}"
+            )
+        if not p.basis.is_orthonormal(tol):
+            raise ContractError("guard basis columns are not orthonormal")
+        fns = tuple(_semi(sub, max_dim) for sub in subs)
+        ops = tuple(sum(w * f(d) for d, w in lambda_weights(f).items()) for f in fns)
+        return _Step(p, layout, cvars, subs, ops, tuple(f.layout.names for f in fns), fns=fns)
     if isinstance(p, Block):
-        body = _prepare(p.body, tol, max_dim, memo)
         local = RegisterLayout(p.qvars)
         init = linalg.as_matrix(p.init)
-        _require(all(name in body.layout and body.layout.dim_of(name) == d
-                     for name, d in local.variables))
-        _require(init.shape == (local.dim, local.dim))
-        _require(np.linalg.eigh((init + linalg.dagger(init)) / 2)[0].min() >= -tol)
-        layout = body.layout.remove(local.names)
-        return _Step(p, layout, body.cvars, (body,), (init,), (local.names,))
+        _check_block(local, init, subs[0].layout, tol)
+        layout = subs[0].layout.remove(local.names)
+        return _Step(p, layout, cvars, subs, (init,), (local.names,), core=False)
     if isinstance(p, ProbChoice):
-        _require(len(p.weights) == len(p.branches))
+        if len(p.weights) != len(subs):
+            raise ArityError("probabilistic choice weight/branch count mismatch")
         weights = tuple(float(w) for w in p.weights)
-        _require(all(np.isfinite(w) and w >= 0 for w in weights))
-        subs = tuple(_prepare(b, tol, max_dim, memo) for b in p.branches)
-        return _Step(p, _capped(_joint(subs), max_dim), _joint_cvars(subs), subs, weights)
-    raise _Unplanned
-
-
-def _require(condition) -> None:
-    if not condition:
-        raise _Unplanned
-
-
-def _capped(layout: RegisterLayout, max_dim: int) -> RegisterLayout:
-    _require(layout.dim <= max_dim)
-    return layout
-
-
-def _joint_cvars(subs) -> frozenset:
-    return frozenset().union(*(sub.cvars for sub in subs))
+        if not all(np.isfinite(w) and w >= 0 for w in weights):
+            raise ContractError("probabilistic choice weights must be finite and nonnegative")
+        return _Step(p, _check_cap(_joint(subs), max_dim), cvars, subs, weights, core=False)
+    raise UnsupportedConstructError(f"cannot evaluate {type(p).__name__}")
 
 
 @dataclass
@@ -497,7 +462,7 @@ class _Stream:
         d, dl = int(np.prod(t.shape[: len(names)])), local.dim
         if d * dl > self.max_dim:
             if id(step) not in self.blocks:
-                self.blocks[id(step)] = _denote(p, self.tol, self.max_dim).kraus
+                self.blocks[id(step)] = _denote(step, self.tol, self.max_dim).kraus
             out = np.zeros_like(t)
             for k in self.blocks[id(step)]:
                 out += _sandwich(t, names, _side(k, adjoint), step.layout.names)

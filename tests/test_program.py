@@ -143,6 +143,10 @@ class TestWellFormed:
         assert "prob-arity" in codes(ProbChoice((0.5,), (Skip(), Skip())))
         assert well_formed(ProbChoice((0.2, 0.3), (Skip(), Skip()))) == []
 
+    def test_prob_choice_weights_must_be_finite(self):
+        for w in (np.nan, np.inf):
+            assert "prob-weights" in codes(ProbChoice((w, 0.5), (Skip(), Skip())))
+
     def test_mu_scope(self):
         body = Unitary((Q,), X)
         assert "mu-scope" in codes(Mu("X", body, (), ()))

@@ -1,13 +1,19 @@
 """Streaming ``apply_program``/``wp_apply`` against the dense reference path.
 
 The reference is the channel ``denote(p)`` lifted to the input's layout and
-applied as a Kraus family (forward) or as its adjoint family (wp).
+applied as a Kraus family (forward) or as its adjoint family (wp).  All
+evaluators share one checked pass, so they also reject the same programs
+with the same error.
 """
+
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qgcl.program as program
 import qgcl.semantics as semantics
 from qgcl import linalg as la
 from qgcl.errors import CapacityError, LayoutError
@@ -25,7 +31,9 @@ from qgcl.program import (
     Seq,
     Skip,
     Unitary,
+    children,
     qvar_layout,
+    rebuild,
 )
 from qgcl.registers import DensityMatrix, Observable, RegisterLayout
 from qgcl.sampling import (
@@ -179,6 +187,13 @@ REJECTED = {
     "outcome-reuse": (Seq(MEASURE_X, MEASURE_X), {}),
     "outcome-capture": (Measure("x", (R,), Measurement.computational(2), ((0, MEASURE_X), (1, Skip()))),
                         {}),
+    "outcome-repeated": (Measure("x", (Q,), Measurement.computational(2), ((0, Abort()), (0, Skip()))),
+                         {}),
+    "pchoice-negative": (ProbChoice((0.7, -0.2), (Unitary((Q,), X), Skip())), {}),
+    "pchoice-nan": (ProbChoice((np.nan, 0.5), (Unitary((Q,), X), Skip())), {}),
+    "pchoice-inf": (ProbChoice((np.inf, 0.5), (Unitary((Q,), X), Skip())), {}),
+    "guard-basis-not-orthonormal": (Guarded((C,), GuardBasis(0.8 * I2), (Unitary((Q,), X), Skip())),
+                                    {}),
 }
 
 
@@ -210,3 +225,83 @@ def test_input_errors_after_a_successful_evaluation():
     big = RegisterLayout.of(Q, R, ("e", 2))
     with pytest.raises(CapacityError):
         apply_program(p, DensityMatrix(np.eye(8) / 8, big), max_dim=4)
+
+
+def nodes(p):
+    out = [p]
+    for c in children(p):
+        out.extend(nodes(c))
+    return out
+
+
+def replaced(p, target, new):
+    return new if p is target else rebuild(p, lambda c: replaced(c, target, new))
+
+
+def mutated(gen, p):
+    """``p`` with one fault of a random kind, put in at a random node where
+    that kind applies."""
+    kinds: dict[str, list] = {}
+
+    def add(kind, node, fault):
+        kinds.setdefault(kind, []).append((node, fault))
+
+    for node in nodes(p):
+        layout = qvar_layout(node)
+        local = layout.variables[:1] or (("fresh", 2),)
+        scale = gen.choice([0.5, 1.5])
+        if isinstance(node, Unitary):
+            add("scaled unitary", node, replace(node, matrix=scale * node.matrix))
+        if isinstance(node, Measure):
+            add("outcome", node, replace(node, branches=node.branches + node.branches[:1]))
+            add("outcome", node, replace(node, branches=node.branches[1:]))
+        if isinstance(node, (Guarded, QChoice)):
+            add("scaled basis", node, replace(node, basis=GuardBasis(scale * node.basis.matrix)))
+        add("block init", node, Block(local, np.diag([1.5, -0.5] + [0.0] * (local[0][1] - 2)), node))
+        add("block init", node, Block(local, np.eye(5) / 5, node))
+        add("weight", node, ProbChoice((gen.choice([-0.2, np.nan, np.inf]), 0.5), (node, Skip())))
+        add("free name", node, Name("X", layout.variables))
+    options = kinds[sorted(kinds)[int(gen.integers(len(kinds)))]]
+    node, fault = options[int(gen.integers(len(options)))]
+    return replaced(p, node, fault)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_evaluators_agree_on_mutated_programs(seed, depth):
+    # Each evaluator accepts the program, or all raise the same error.
+    gen = rng(seed)
+    p = mutated(gen, ProgramSampler(gen, (Q, R), (("g0", 2), ("g1", 3))).program(depth))
+    layout = qvar_layout(p)
+    rho = DensityMatrix(random_density(gen, layout.dim), layout)
+    obs = Observable(random_positive(gen, layout.dim), layout)
+    expected = raised(lambda: denote(p))
+    assert raised(lambda: apply_program(p, rho)) == expected
+    assert raised(lambda: wp_apply(p, obs)) == expected
+    if expected is None:
+        assert la.max_abs_diff(apply_program(p, rho).matrix, dense(p, rho.matrix, layout)) < TOL
+
+
+def test_denote_work_is_linear_in_depth(monkeypatch):
+    # A chain of unitaries ending in a probabilistic choice: no node may be
+    # revisited once per ancestor.
+    visits = Counter()
+    for module, name in ((semantics, "_prepare"), (semantics, "_semi"), (semantics, "_denote"),
+                         (program, "children")):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            visits[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def count(depth):
+        p = ProbChoice((0.5, 0.5), (Unitary((Q,), X), Skip()))
+        for _ in range(depth):
+            p = Seq(Unitary((Q,), H), p)
+        visits.clear()
+        denote(p)
+        return sum(visits.values())
+
+    v16, v32, v64 = count(16), count(32), count(64)
+    assert v64 - v32 <= 2 * (v32 - v16)
+    assert v64 <= 10 * 64
