@@ -13,14 +13,28 @@ PROGRAM_TOL_DEFAULT = 1e-8
 
 
 def choi_deviation(a: SuperOperator, b: SuperOperator) -> float:
-    """Largest entrywise Choi difference, after aligning factor orders."""
+    """Largest entrywise difference ``max |C_A - C_B|`` of the two channels'
+    Choi matrices, after aligning factor orders.
+
+    ``C_E = sum_k vec(E_k) vec(E_k)†`` is built on the unnormalised maximally
+    entangled vector, so the deviation is zero exactly when the channels are
+    equal; callers compare it with a tolerance (``PROGRAM_TOL_DEFAULT`` = 1e-8
+    for programs, the ``--tol`` of ``qgcl equiv``).  It is computed from the
+    stacked Kraus operators (:func:`linalg.choi_max_diff`) in O(d² K) memory,
+    without a d² x d² matrix.  Channels on different variables raise
+    ``LayoutError``, even when their dimensions agree.
+    """
     if a.layout.dim != b.layout.dim:
         raise LayoutError(
             f"channels act on different dimensions ({a.layout.dim} vs {b.layout.dim})"
         )
-    if a.layout.variables != b.layout.variables and a.layout.same_variables(b.layout):
-        b = b.extended_to(a.layout)
-    return linalg.max_abs_diff(a.choi(), b.choi())
+    if not a.layout.same_variables(b.layout):
+        raise LayoutError(
+            f"channels act on different variables ({list(a.layout.variables)} vs "
+            f"{list(b.layout.variables)})"
+        )
+    b = b.extended_to(a.layout)
+    return linalg.choi_max_diff(a.kraus, b.kraus, a.layout.dim)
 
 
 def superop_equal(a: SuperOperator, b: SuperOperator, tol: float = linalg.DEFAULT_TOL) -> bool:

@@ -195,28 +195,66 @@ def psd_sqrt(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (vecs * roots) @ dagger(vecs)
 
 
+def _kraus_stack(kraus: Sequence[np.ndarray], dim: int | None = None) -> np.ndarray:
+    """The family's operators, vectorised row-major, as the rows of a K x dim**2 array.
+
+    Row k is ``vec A_k``, the vector whose outer products make up the Choi
+    matrix.  An empty family needs ``dim``.
+    """
+    ops = [np.asarray(k, dtype=complex) for k in kraus]
+    if not ops:
+        if dim is None:
+            raise ShapeError("empty Kraus family needs an explicit dimension")
+        return np.zeros((0, dim * dim), dtype=complex)
+    d = require_square(as_matrix(ops[0]))
+    if dim is not None and dim != d:
+        raise ShapeError(f"Kraus dimension {d} disagrees with requested {dim}")
+    if any(op.shape != (d, d) for op in ops):
+        raise ShapeError("Kraus operators must share one square dimension")
+    rows = np.array(ops).reshape(len(ops), d * d)
+    if not np.all(np.isfinite(rows)):
+        raise ShapeError("matrix has non-finite entries")
+    return rows
+
+
 def choi(kraus: Sequence[np.ndarray], dim: int | None = None) -> np.ndarray:
     """Choi matrix of the channel with the given Kraus family.
 
     Built from the unnormalised maximally entangled vector, so two Kraus
     families induce the same channel exactly when their Choi matrices are
     equal.  An empty family represents the zero channel and requires ``dim``.
+    With the vectorised operators as the columns of ``V`` it is ``V V†``.
     """
-    ops = [as_matrix(k) for k in kraus]
-    if not ops:
-        if dim is None:
-            raise ShapeError("empty Kraus family needs an explicit dimension")
-        return np.zeros((dim * dim, dim * dim), dtype=complex)
-    d = require_square(ops[0])
-    if dim is not None and dim != d:
-        raise ShapeError(f"Kraus dimension {d} disagrees with requested {dim}")
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for op in ops:
-        if op.shape != (d, d):
-            raise ShapeError("Kraus operators must share one square dimension")
-        v = op.reshape(-1, 1)
-        out += v @ dagger(v)
-    return out
+    rows = _kraus_stack(kraus, dim)
+    return rows.T @ rows.conj()
+
+
+CHOI_BLOCK_BYTES = 1 << 22  # one row block of a Choi difference, 4 MB
+
+
+def choi_max_diff(a: Sequence[np.ndarray], b: Sequence[np.ndarray], dim: int) -> float:
+    """``max_abs_diff(choi(a), choi(b))`` without forming either Choi matrix.
+
+    With ``V = [vec A_1 ... vec A_k | vec B_1 ... vec B_l]`` and ``s`` the
+    signature (+1 for ``a``, -1 for ``b``), ``choi(a) - choi(b) = V diag(s) V†``.
+    The difference is Hermitian, so only its upper triangle is formed, in
+    row blocks of about ``CHOI_BLOCK_BYTES``, keeping the running maximum:
+    O(dim**2 (k + l)) memory besides the block instead of O(dim**4).
+    """
+    plus = _kraus_stack(a, dim)
+    stack = np.concatenate([plus, _kraus_stack(b, dim)])
+    if len(stack) == 0:
+        return 0.0
+    signed = stack.T.copy()
+    signed[:, len(plus):] *= -1
+    adj = stack.conj()
+    side = stack.shape[1]
+    step = max(1, CHOI_BLOCK_BYTES // (16 * side))
+    worst = 0.0
+    for r0 in range(0, side, step):
+        block = signed[r0:r0 + step] @ adj[:, r0:]
+        worst = max(worst, float(np.abs(block).max()))
+    return worst
 
 
 def choi_to_kraus(c, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -233,6 +271,20 @@ def choi_to_kraus(c, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
         if val > tol:
             ops.append(np.sqrt(val) * vec.reshape(d, d))
     return ops
+
+
+def reduce_kraus(kraus: Sequence[np.ndarray], dim: int,
+                 tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """A family of at most dim**2 operators inducing the same channel.
+
+    From the SVD ``V = U S W†`` of the stacked vectorised operators: the
+    Choi matrix is ``V V† = U S² U†``, so the columns with ``s² > tol`` keep
+    the Choi eigenvectors that ``choi_to_kraus(choi(kraus), tol)`` keeps,
+    without a dim**2 x dim**2 matrix or its eigendecomposition.
+    """
+    rows = _kraus_stack(kraus, dim)
+    u, s, _ = np.linalg.svd(rows.T, full_matrices=False)
+    return [val * vec.reshape(dim, dim) for val, vec in zip(s, u.T) if val * val > tol]
 
 
 def max_abs_diff(a, b) -> float:

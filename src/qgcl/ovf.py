@@ -324,7 +324,7 @@ def guarded_superop_member(
         for i, (rep, e) in enumerate(zip(reps, channels)):
             if rep.layout.variables != data_layout.variables:
                 raise ContractError(f"representative {i} lives on a different layout")
-            diff = linalg.max_abs_diff(to_superop(rep).choi(), e.choi())
+            diff = linalg.choi_max_diff(to_superop(rep).kraus, e.kraus, data_layout.dim)
             if diff > tol:
                 raise ContractError(
                     f"representative {i} does not induce its channel (Choi deviation {diff:.3e})"

@@ -305,9 +305,7 @@ def reproduce_loop(*, seed: int = 0, n: int | None = None, tol: float | None = N
         localized = unroll_loop(u, HADAMARD, depth, "localized")
         channel = denote(localized).extended_to(RegisterLayout.of(("q", 2)))
         expected_kraus = [coeffs[i] * np.linalg.matrix_power(u, i) for i in range(depth)]
-        worst_choi = max(
-            worst_choi, linalg.max_abs_diff(channel.choi(), linalg.choi(expected_kraus, dim=2))
-        )
+        worst_choi = max(worst_choi, linalg.choi_max_diff(channel.kraus, expected_kraus, 2))
     good = worst_state <= 1e-10
     ok &= good
     lines.append(_line(good, f"amplitude closed form at depth {depth}, worst {worst_state:.2e}"))

@@ -583,7 +583,7 @@ def system_environment_model(
     """Dilate a trace-nonincreasing channel to unitary-plus-projection form.
 
     The environment dimension equals the Kraus count after removing zero
-    operators (reduced through the Choi matrix when above dim**2), plus one
+    operators (reduced by ``linalg.reduce_kraus`` when above dim**2), plus one
     completion operator when the channel is strictly trace-decreasing.  A
     trace-preserving channel gets the identity projector; the zero channel
     the zero projector.  Unitary channels need no environment at all: the
@@ -592,9 +592,7 @@ def system_environment_model(
     d = e.layout.dim
     ops = list(prune_zero_kraus(e.kraus))
     if len(ops) > d * d:
-        ops = linalg.choi_to_kraus(e.choi(), tol)
-        if len(ops) > d * d:
-            raise CapacityError("channel has more Kraus operators than dim**2 after reduction")
+        ops = linalg.reduce_kraus(ops, d, tol)
     gram = sum((linalg.dagger(op) @ op for op in ops), np.zeros((d, d), dtype=complex))
     if not linalg.loewner_leq(gram, linalg.identity(d), tol):
         raise ContractError("dilation needs a trace-nonincreasing channel")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qgcl import classical as cs
 from qgcl import linalg as la
 from qgcl.equivalence import (
+    choi_deviation,
     program_equiv,
     program_equiv_report,
     refinement_member,
@@ -64,6 +67,70 @@ class TestSuperopEqual:
         with pytest.raises(LayoutError):
             superop_equal(SuperOperator(QL, (I2,)),
                           SuperOperator(RegisterLayout.of(("r", 3)), (la.identity(3),)))
+
+    @pytest.mark.parametrize("left, right", [
+        (RegisterLayout.of(("q", 2)), RegisterLayout.of(("r", 2))),
+        (RegisterLayout.of(("a", 2), ("b", 4)), RegisterLayout.of(("c", 4), ("d", 2))),
+    ])
+    def test_variable_mismatch_raises(self, left, right):
+        # equal dimensions, identical Kraus matrices, different variables
+        a = SuperOperator(left, (la.identity(left.dim),))
+        b = SuperOperator(right, (la.identity(right.dim),))
+        with pytest.raises(LayoutError, match="different variables"):
+            choi_deviation(a, b)
+        with pytest.raises(LayoutError, match="different variables"):
+            superop_equal(a, b)
+
+
+FACTOR_DIMS = st.lists(st.sampled_from([2, 3, 4]), max_size=3).filter(
+    lambda dims: int(np.prod(dims)) <= 16)
+
+
+@given(FACTOR_DIMS, st.data(), st.integers(0, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_choi_deviation_matches_dense_choi(dims, data, ka, kb, seed):
+    """Deviation from the stacked Kraus operators equals the dense Choi
+    difference, also when the second channel's factor order needs
+    ``extended_to``; zero operators and empty families included."""
+    gen = rng(seed)
+    layout = RegisterLayout(tuple((f"v{i}", d) for i, d in enumerate(dims)))
+    order = data.draw(st.permutations(range(len(dims))))
+    other = RegisterLayout(tuple(layout.variables[i] for i in order))
+    d = layout.dim
+
+    def family(k):
+        return tuple(
+            np.zeros((d, d), dtype=complex) if gen.uniform() < 0.2
+            else gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+            for _ in range(k)
+        )
+
+    a, b = SuperOperator(layout, family(ka)), SuperOperator(other, family(kb))
+    dense = la.max_abs_diff(a.choi(), b.extended_to(layout).choi())
+    assert abs(choi_deviation(a, b) - dense) <= 1e-12 * max(1.0, dense)
+    assert abs(choi_deviation(b, a) - dense) <= 1e-12 * max(1.0, dense)
+
+
+def test_dim_64_deviation_allocates_no_choi_matrix():
+    """At dim 64 a Choi matrix has 4096 x 4096 entries (256 MB); the dense
+    comparison peaked near 900 MB."""
+    gen = rng(44)
+    layout = RegisterLayout.of(("a", 8), ("b", 8))
+    swapped = RegisterLayout.of(("b", 8), ("a", 8))
+    ops = tuple(0.5 * random_unitary(gen, 64) for _ in range(4))
+    a = SuperOperator(layout, ops)
+    same = a.extended_to(swapped)
+    other = SuperOperator(layout, ops[:3] + (0.5 * random_unitary(gen, 64),))
+    tracemalloc.start()
+    try:
+        equal_dev = choi_deviation(a, same)
+        distinct_dev = choi_deviation(a, other)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert equal_dev < 1e-12
+    assert distinct_dev > 1e-3
+    assert peak < 32 * 2**20
 
 
 class TestProgramEquiv:

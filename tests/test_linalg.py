@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,6 +186,22 @@ class TestChoi:
         assert len(back) <= 4
         assert la.max_abs_diff(la.choi(back), c) < 1e-10
 
+    def test_single_product_matches_rank_one_sum(self):
+        gen = np.random.default_rng(12)
+        ops = [rand_matrix(gen, 3, 3) for _ in range(4)]
+        expect = sum(op.reshape(-1, 1) @ op.reshape(1, -1).conj() for op in ops)
+        assert la.max_abs_diff(la.choi(ops), expect) < 1e-12
+
+    def test_family_shape_errors(self):
+        with pytest.raises(ShapeError):
+            la.choi([])
+        with pytest.raises(ShapeError):
+            la.choi([la.identity(2), la.identity(3)])
+        with pytest.raises(ShapeError):
+            la.choi([la.identity(2)], dim=3)
+        with pytest.raises(ShapeError):
+            la.choi_max_diff([la.identity(2)], [np.full((2, 2), np.nan)], 2)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
     def test_equal_choi_means_equal_channel_on_states(self, seed):
@@ -206,3 +224,52 @@ class TestChoi:
             out1 = sum(e @ rho @ la.dagger(e) for e in family)
             out2 = sum(e @ rho @ la.dagger(e) for e in mixed)
             assert la.max_abs_diff(out1, out2) < 1e-9
+
+
+OP_KINDS = st.lists(st.sampled_from(["random", "zero"]), max_size=6)
+
+
+class TestChoiMaxDiff:
+    @given(st.integers(1, 16), OP_KINDS, OP_KINDS, st.booleans(),
+           st.sampled_from([16, 256, 4096, la.CHOI_BLOCK_BYTES]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_choi_difference(self, dim, kinds_a, kinds_b, mixed, block, seed):
+        # families of 0-6 operators on each side, all-zero operators among
+        # them; ``mixed`` makes the second family a unitary mixing of the
+        # first (the same channel), and small blocks exercise the row loop
+        gen = np.random.default_rng(seed)
+
+        def family(kinds):
+            return [np.zeros((dim, dim), dtype=complex) if kind == "zero"
+                    else rand_matrix(gen, dim, dim) for kind in kinds]
+
+        a = family(kinds_a)
+        if mixed and a:
+            mix = np.linalg.qr(rand_matrix(gen, len(a), len(a)))[0]
+            b = [sum(mix[i, j] * a[j] for j in range(len(a))) for i in range(len(a))]
+        else:
+            b = family(kinds_b)
+        dense = la.max_abs_diff(la.choi(a, dim), la.choi(b, dim))
+        with patch.object(la, "CHOI_BLOCK_BYTES", block):
+            got = la.choi_max_diff(a, b, dim)
+        assert abs(got - dense) <= 1e-12 * max(1.0, dense)
+
+    def test_empty_families(self):
+        assert la.choi_max_diff([], [], 3) == 0.0
+        assert la.choi_max_diff([], [H], 2) == pytest.approx(0.5)
+        with pytest.raises(ShapeError):
+            la.choi_max_diff([], [H], 3)
+
+
+class TestReduceKraus:
+    @given(st.integers(1, 4), st.integers(0, 24), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_same_channel_as_choi_to_kraus(self, dim, count, seed):
+        gen = np.random.default_rng(seed)
+        # rank at most ``count`` and at most dim**2
+        ops = [rand_matrix(gen, dim, dim) for _ in range(count)]
+        reduced = la.reduce_kraus(ops, dim)
+        canonical = la.choi_to_kraus(la.choi(ops, dim))
+        assert len(reduced) == len(canonical) <= dim * dim
+        scale = max(1.0, float(np.abs(la.choi(ops, dim)).max()))
+        assert la.choi_max_diff(reduced, ops, dim) < 1e-12 * scale
