@@ -109,9 +109,9 @@ def _load_program(path: str, tol: float):
         raise SystemExit(EX_REPORTED)
 
 
-def _load_json(path: str, loader):
+def _load_json(path: str, loader, tol: float):
     try:
-        return loader(matrixio.load_file(path))
+        return loader(matrixio.load_file(path), tol)
     except (OSError, json.JSONDecodeError, QgclError, ValueError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EX_NOINPUT)
@@ -148,14 +148,14 @@ def main(argv=None) -> int:
 
         if args.command == "run":
             program = _load_program(args.file, tol)
-            state = _load_json(args.input, matrixio.density_from_record)
+            state = _load_json(args.input, matrixio.density_from_record, tol)
             out = apply_program(program, state, tol=tol, max_dim=args.max_dim)
             _emit(matrixio.density_to_record(out), args.out)
             return EX_OK
 
         if args.command == "wp":
             program = _load_program(args.file, tol)
-            observable = _load_json(args.observable, matrixio.observable_from_record)
+            observable = _load_json(args.observable, matrixio.observable_from_record, tol)
             result = wp_apply(program, observable, tol=tol, max_dim=args.max_dim)
             _emit(matrixio.observable_to_record(result), args.out)
             return EX_OK

@@ -172,6 +172,35 @@ def test_bad_argument_is_a_usage_error(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# Input files are validated at the command's --tol: a state or observable
+# 1e-7 outside the cone passes at 1e-6 and is rejected at the default 1e-9.
+NEAR_PSD = [
+    ("run", "--input", [1 + 1e-7, -1e-7], (), 66),
+    ("run", "--input", [1 + 1e-7, -1e-7], ("--tol", "1e-6"), 0),
+    ("run", "--input", [1 + 1e-7, -1e-7], ("--tol", "1e-8"), 66),
+    ("wp", "--observable", [1.0, -1e-7], (), 66),
+    ("wp", "--observable", [1.0, -1e-7], ("--tol", "1e-6"), 0),
+    ("wp", "--observable", [1.0, -1e-7], ("--tol", "1e-8"), 66),
+]
+
+
+@pytest.mark.parametrize("command, flag, diagonal, tol, code", NEAR_PSD)
+def test_input_files_are_validated_at_the_given_tolerance(
+    tmp_path, capsys, command, flag, diagonal, tol, code
+):
+    prog = write(tmp_path / "p.qgcl", PRELUDE + "H[q]; H[q]")
+    record = {"rows": 2, "cols": 2, "layout": [["q", 2]],
+              "entries": [[diagonal[0], 0], [0, 0], [0, 0], [diagonal[1], 0]]}
+    data = write(tmp_path / "s.json", json.dumps(record))
+    assert run_cli(command, prog, flag, data, *tol) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "not positive semidefinite" in captured.err
+    else:
+        got = np.array(json.loads(captured.out)["entries"])
+        assert np.abs(got - np.array(record["entries"])).max() < 1e-12
+
+
 class TestReproduce:
     @pytest.mark.parametrize("suite", ["walk", "gmeas", "bb84", "loop"])
     def test_suites_pass(self, suite, capsys):

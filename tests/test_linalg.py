@@ -151,6 +151,54 @@ class TestPositivityAgainstEigenvalues:
         la.is_positive(m, self.TOL)
         assert np.array_equal(m, before)
 
+    # The Gershgorin certificate answers True only when its bound
+    # min_i (m_ii - sum_{j != i} |m_ij|) is at least -tol; every other matrix
+    # goes on to the Cholesky factorisation.
+
+    def verdict_and_factored(self, m):
+        with patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+            verdict = la.is_positive(m, self.TOL)
+        return verdict, cholesky.called
+
+    @pytest.mark.parametrize("dim", [2, 64, 512])
+    def test_rounding_noise_is_certified(self, dim):
+        # The identity, and I - wp(I) of a trace-preserving program.
+        gen = np.random.default_rng(dim)
+        noise = 1e-17 * rand_matrix(gen, dim, dim)
+        noise += noise.conj().T
+        for m in (la.identity(dim) + noise, noise):
+            assert eigvalsh_positive(m, self.TOL)
+            assert self.verdict_and_factored(m) == (True, False)
+
+    @pytest.mark.parametrize("dim", [2, 8, 64])
+    @pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3])
+    def test_gershgorin_bound_at_the_tolerance_edge(self, dim, scale):
+        # 2x2 blocks [[x, z], [z*, x]] with |z| = 1 have lowest eigenvalue
+        # x - 1, their Gershgorin bound; rows and columns are then shuffled.
+        gen = np.random.default_rng(dim)
+        xs = gen.uniform(1.5, 2.0, dim // 2)
+        xs[0] = 1 - self.TOL * scale
+        m = np.zeros((dim, dim), dtype=complex)
+        for k, x in enumerate(xs):
+            z = np.exp(2j * np.pi * gen.uniform())
+            m[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[x, z], [np.conj(z), x]]
+        m = m[np.ix_(*[gen.permutation(dim)] * 2)]
+        assert eigvalsh_positive(m, self.TOL) == (scale < 1)
+        assert self.verdict_and_factored(m) == (scale < 1, scale > 1)
+
+    @pytest.mark.parametrize("dim", [3, 7, 64])
+    def test_all_ones_is_positive_through_cholesky(self, dim):
+        m = np.ones((dim, dim))
+        assert eigvalsh_positive(m, self.TOL)
+        assert self.verdict_and_factored(m) == (True, True)
+
+    @pytest.mark.parametrize("lowest, expected", [(-1e-6, (False, True)),
+                                                  (-1e-9 * (1 - 1e-3), (True, False))])
+    def test_negative_diagonal(self, lowest, expected):
+        m = np.diag([1.0, 0.5, lowest])
+        assert eigvalsh_positive(m, self.TOL) == expected[0]
+        assert self.verdict_and_factored(m) == expected
+
 
 class TestChoi:
     def test_identity_kraus_gives_entangled_projector(self):

@@ -305,3 +305,122 @@ def test_denote_work_is_linear_in_depth(monkeypatch):
     v16, v32, v64 = count(16), count(32), count(64)
     assert v64 - v32 <= 2 * (v32 - v16)
     assert v64 <= 10 * 64
+
+
+# -- Leaf kernels ---------------------------------------------------------------
+# A monomial operator (at most one nonzero per row and column) is applied as a
+# gather; every other operator by matmul.
+
+
+def monomial(gen, n, kind):
+    """An n x n monomial operator of the given kind."""
+    perm = gen.permutation(n)
+    phases = np.exp(2j * np.pi * gen.uniform(size=n))
+    if kind == "permutation":
+        scale = np.ones(n)
+    elif kind == "diagonal":
+        perm, scale = np.arange(n), gen.normal(size=n) + 1j * gen.normal(size=n)
+    elif kind == "phase permutation":
+        scale = phases
+    elif kind == "projector":  # basis projector: empty rows, scale 0 there
+        perm, scale = np.arange(n), (gen.uniform(size=n) < 0.5).astype(float)
+    else:  # general monomial, some rows empty
+        scale = (gen.normal(size=n) + 1j * gen.normal(size=n)) * (gen.uniform(size=n) < 0.7)
+    op = np.zeros((n, n), dtype=complex)
+    op[np.arange(n), perm] = scale
+    return op
+
+
+KINDS = ["permutation", "diagonal", "phase permutation", "projector", "monomial"]
+
+
+def not_monomial(gen, n):
+    """Exactly n nonzeros, yet row 0 holds two of them and row 1 none (the
+    transpose does the same with two columns)."""
+    op = monomial(gen, n, "phase permutation")
+    op[0] += op[1]
+    op[1] = 0
+    return op
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.sampled_from(KINDS))
+@settings(max_examples=150, deadline=None)
+def test_monomial_sandwich_matches_matmul(seed, left_kind, right_kind):
+    gen = rng(seed)
+    dims = tuple(int(d) for d in gen.integers(1, 4, size=3))
+    names = ("a", "b", "c")
+    t = gen.normal(size=dims * 2) + 1j * gen.normal(size=dims * 2)
+
+    def site():
+        size = int(gen.integers(1, 3))
+        return tuple(names[i] for i in gen.permutation(3)[:size])
+
+    left_site, right_site = site(), site()
+    left = monomial(gen, int(np.prod([dims[names.index(v)] for v in left_site])), left_kind)
+    right = monomial(gen, int(np.prod([dims[names.index(v)] for v in right_site])), right_kind)
+    kl, kr = semantics._kernel(left), semantics._kernel(right)
+    for op, kernel in ((left, kl), (right, kr)):  # a 1 x 1 operator stays a matrix
+        assert isinstance(kernel, semantics._Monomial) == (len(op) > 1)
+    for adjoint in (False, True):
+        sl, sr = semantics._side(kl, adjoint), semantics._side(kr, adjoint)
+        dl, dr = semantics._side(left, adjoint), semantics._side(right, adjoint)
+        got = semantics._sandwich(t, names, sl, left_site)
+        assert la.max_abs_diff(got, semantics._sandwich(t, names, dl, left_site)) < 1e-12
+        got = semantics._sandwich(t, names, sl, left_site, sr, right_site)
+        expect = semantics._sandwich(t, names, dl, left_site, dr, right_site)
+        assert la.max_abs_diff(got, expect) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_dense_operators_keep_the_matmul(n):
+    gen = rng(n)
+    tricky = not_monomial(gen, n)
+    assert np.count_nonzero(tricky) == n
+    for op in (tricky, tricky.T.copy(), H if n == 2 else random_unitary(gen, n), np.ones((n, n))):
+        assert semantics._kernel(op) is op
+
+
+def monomial_leaves(gen, p):
+    """``p`` with every unitary a phase permutation, permutation or
+    diagonal, and every measurement made of monomial operators."""
+    if isinstance(p, Unitary):
+        n = qvar_layout(p).dim
+        kind = ["permutation", "diagonal", "phase permutation"][int(gen.integers(3))]
+        u = monomial(gen, n, kind)
+        return Unitary(p.qvars, u / np.abs(u).sum(axis=1, keepdims=True))  # unit entries
+    if isinstance(p, Measure):
+        n, outcomes = p.measurement.dim, p.measurement.outcomes
+        perm = np.eye(n)[gen.permutation(n)] if gen.uniform() < 0.5 else np.eye(n)
+        if gen.uniform() < 0.5:  # basis projectors, each row kept by one outcome
+            owner = gen.integers(len(outcomes), size=n)
+            weights = [(owner == k).astype(float) for k in range(len(outcomes))]
+        else:
+            raw = gen.uniform(size=(len(outcomes), n))
+            weights = list(raw / raw.sum(axis=0))
+        ops = tuple((m, np.diag(np.sqrt(w)) @ perm) for m, w in zip(outcomes, weights))
+        branches = tuple((m, monomial_leaves(gen, b)) for m, b in p.branches)
+        return Measure(p.x, p.qvars, Measurement(ops), branches)
+    return rebuild(p, lambda c: monomial_leaves(gen, c))
+
+
+def leaf_kernels(step):
+    if isinstance(step.node, (Unitary, Measure)):
+        yield from step.kernels
+    for sub in step.subs:
+        yield from leaf_kernels(sub)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(["plain", "guard", "block"]))
+@settings(max_examples=60, deadline=None)
+def test_monomial_leaves_match_dense(seed, depth, wrap):
+    gen = rng(seed)
+    p = monomial_leaves(gen, ProgramSampler(gen, (Q, R), (("g0", 2), ("g1", 3))).program(depth))
+    if wrap == "guard":
+        other = monomial_leaves(gen, ProgramSampler(gen, (Q, R)).program(depth - 1))
+        p = Guarded((C,), GuardBasis(random_unitary(gen, 2)) if gen.uniform() < 0.5
+                    else GuardBasis.computational(2), (p, other))
+    elif wrap == "block" and Q in qvar_layout(p).variables:
+        p = Block((Q,), random_density(gen, 2), p)
+    kernels = list(leaf_kernels(semantics._prepare(p, la.DEFAULT_TOL, la.MAX_DIM_DEFAULT)))
+    assert all(isinstance(k, semantics._Monomial) for k in kernels)
+    assert_matches_dense(p, gen, extra=(("e", 3),) if gen.uniform() < 0.5 else ())
