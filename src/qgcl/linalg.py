@@ -1,13 +1,17 @@
 """Dense complex linear algebra: tensor products, partial traces, factor
-permutations, order/positivity predicates and Choi matrices.
+permutations, order/positivity/unitarity predicates and Choi matrices.
 
 All operators are plain ``numpy.ndarray`` values with ``complex128`` entries.
 Matrices are kept dense; the configurable total-dimension cap keeps every
-computation at desk scale.
+computation at desk scale.  ``monomial`` classifies an operator with at most
+one nonzero per row and column, which ``is_unitary`` decides in O(n) and
+streaming evaluation applies as a gather.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +27,7 @@ def as_matrix(value) -> np.ndarray:
     m = np.asarray(value, dtype=complex)
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got array of rank {m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ShapeError("matrix has non-finite entries")
     return m
 
@@ -142,11 +146,60 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
+    """``max |U† U - I| <= tol``.  For a monomial ``U``, ``U† U`` is diagonal,
+    holding ``|scale|²`` at each filled column and 0 at each empty one, so
+    the same verdict takes O(n) once ``U`` is classified."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    d = m.shape[0]
-    return bool(np.max(np.abs(dagger(m) @ m - identity(d))) <= tol)
+    mono = monomial(m)
+    if mono is None:
+        defect = dagger(m) @ m
+        defect.flat[:: len(m) + 1] -= 1
+    else:
+        filled = mono.scale != 0
+        defect = np.full(len(m), -1.0)
+        defect[mono.col[filled]] += np.abs(mono.scale[filled]) ** 2
+    return m.size == 0 or bool(np.abs(defect).max() <= tol)
+
+
+@dataclass(eq=False)
+class Monomial:
+    """An operator with at most one nonzero entry per row and per column:
+    row ``i`` holds ``scale[i]`` in column ``col[i]``, and an empty row has
+    scale 0.  Permutations, diagonals, phase permutations and basis
+    projectors are monomial.  ``conj`` and ``T`` mirror the ndarray ones,
+    so the adjoint is the inverse permutation with the conjugated scale, in
+    O(n), never a dense copy; the transpose is worked out once."""
+
+    col: np.ndarray
+    scale: np.ndarray
+
+    def conj(self) -> Monomial:
+        return Monomial(self.col, self.scale.conj())
+
+    @cached_property
+    def T(self) -> Monomial:
+        rows = np.flatnonzero(self.scale)
+        col, scale = np.zeros_like(self.col), np.zeros_like(self.scale)
+        col[self.col[rows]] = rows
+        scale[self.col[rows]] = self.scale[rows]
+        return Monomial(col, scale)
+
+
+def monomial(op: np.ndarray) -> Monomial | None:
+    """A nonempty square operator as a :class:`Monomial`, or ``None`` when a
+    row or a column holds two nonzeros.  One with more than n nonzeros is
+    told apart by a single count."""
+    n = len(op)
+    count = np.count_nonzero(op)
+    if count > n or n == 0:
+        return None
+    hit = op != 0
+    if count != np.count_nonzero(hit.any(axis=0)) or count != np.count_nonzero(hit.any(axis=1)):
+        return None
+    col = hit.argmax(axis=1)  # 0 in an empty row, whose entry there is 0
+    return Monomial(col, op[np.arange(n), col])
 
 
 def is_positive(m, tol: float = DEFAULT_TOL) -> bool:

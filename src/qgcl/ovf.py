@@ -98,8 +98,8 @@ class SuperOperator:
 
     Channels produced by program semantics are trace-nonincreasing; weakest
     preconditions reuse this container with the adjoint family, which instead
-    satisfies ``sum E E† <= I``, so the bound is checked by the producers
-    rather than here.
+    satisfies ``sum E E† <= I``, so the bound is the producers' concern
+    (program semantics gets it from the leaf contracts), not checked here.
     """
 
     layout: RegisterLayout

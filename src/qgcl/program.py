@@ -3,24 +3,44 @@
 Programs are immutable trees.  Quantum variables appear as (name, dimension)
 pairs so a program is self-contained; classical variables range over the
 integers and record measurement outcomes.  ``children`` and ``rebuild`` walk
-any node through its dataclass fields.  Checks happen at the edges:
-``well_formed`` collects each construct's side conditions at parse and
-``check`` time, input states and observables are checked when loaded, and
-every evaluator in ``semantics`` starts from one checked pass, which
-raises a typed error at the first violated condition.  The trace bound is
-checked once per call: on the result of ``semi_classical`` and
-``denote``, and as ``wp(I) <= I`` in ``apply_program`` and ``wp_apply``.
+any node through its dataclass fields.
+
+Each construct's side conditions are written once, in ``RULES``: every rule
+gives a diagnostic code, a message and an error type.  ``well_formed``
+collects every violation at parse and ``check`` time; every evaluator in
+``semantics`` runs the same rules in its one checked pass and raises the
+first violation as its typed error.  Among them are the leaf contracts: a
+unitary has ``U† U = I``, a measurement is complete and every outcome has a
+branch, ``pchoice`` weights are finite, nonnegative and sum to at most one,
+and a block starts from a density operator.  Each holds within ``tol``:
+``max |U† U - I| <= tol``, ``max |sum M† M - I| <= tol``, weights summing to
+at most ``1 + tol``, and an initial state Hermitian and positive within
+``tol`` (``min eig >= -tol``) with trace at most ``1 + tol``.  Guarded
+composition, ``;``, measurement, probabilistic choice and blocks all
+preserve the trace bound ``sum F† F <= I``, so it holds for every accepted
+program with no global check: within about ``tol`` per leaf.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
 
 import numpy as np
 
 from . import linalg
-from .errors import Diagnostic, LayoutError, SourceError, Span
+from .errors import (
+    ArityError,
+    ContractError,
+    Diagnostic,
+    DomainClashError,
+    LayoutError,
+    QgclError,
+    SourceError,
+    Span,
+)
 from .registers import QVar, RegisterLayout
 
 
@@ -58,6 +78,8 @@ class Measurement:
         return self.operators[0][1].shape[0]
 
     def is_complete(self, tol: float = linalg.DEFAULT_TOL) -> bool:
+        if not self.operators:  # the empty sum is 0, not I
+            return False
         d = self.dim
         total = sum(linalg.dagger(op) @ op for _, op in self.operators)
         return linalg.max_abs_diff(total, linalg.identity(d)) <= tol
@@ -96,7 +118,7 @@ class GuardBasis:
             self.matrix, tol
         )
 
-    def is_computational(self, tol: float = 0.0) -> bool:
+    def is_computational(self) -> bool:
         return self.matrix.shape[0] == self.matrix.shape[1] and bool(
             np.all(self.matrix == linalg.identity(self.dim))
         )
@@ -316,10 +338,6 @@ def _same(x, y) -> bool:
     return bool(np.array_equal(x, y))
 
 
-def _diag(code: str, message: str, node: Program) -> Diagnostic:
-    return Diagnostic(code, message, node.span)
-
-
 def well_formed(p: Program, tol: float = linalg.DEFAULT_TOL) -> list[Diagnostic]:
     """All violated side conditions, empty when the program is well-formed."""
     out: list[Diagnostic] = []
@@ -339,59 +357,12 @@ def check(p: Program, tol: float = linalg.DEFAULT_TOL) -> Program:
 def _check_dims_consistent(p: Program, seen: dict[str, int], out: list[Diagnostic]) -> None:
     for name, d in declared(p):
         if name in seen and seen[name] != d:
-            out.append(
-                _diag(
-                    "dim-conflict",
-                    f"quantum variable {name!r} used with dimensions {seen[name]} and {d}",
-                    p,
-                )
-            )
+            out.append(Diagnostic(
+                "dim-conflict", f"quantum variable {name!r} used with dimensions {seen[name]} and {d}",
+                p.span))
         seen.setdefault(name, d)
     for child in children(p):
         _check_dims_consistent(child, seen, out)
-
-
-def _guard_checks(p: Program, qvars: tuple[QVar, ...], basis: GuardBasis,
-                  branches: list[RegisterLayout | None], tol: float,
-                  out: list[Diagnostic]) -> None:
-    """Side conditions of a guard; ``branches`` holds each branch's layout,
-    ``None`` where it has none."""
-    names = [n for n, _ in qvars]
-    if len(set(names)) != len(names):
-        out.append(_diag("qvar-duplicate", f"repeated guard variable in {names}", p))
-        return
-    guard_dim = 1
-    for _, d in qvars:
-        guard_dim *= d
-    if not basis.is_orthonormal(tol):
-        out.append(_diag("guard-basis", "guard basis columns are not orthonormal", p))
-    if basis.dim != guard_dim:
-        out.append(
-            _diag(
-                "guard-basis",
-                f"guard basis dimension {basis.dim} does not match guard space {guard_dim}",
-                p,
-            )
-        )
-    if basis.arity != len(branches):
-        out.append(
-            _diag(
-                "guard-arity",
-                f"{basis.arity} basis states but {len(branches)} branches",
-                p,
-            )
-        )
-    used = (set().union(*(b.names for b in branches))
-            if None not in branches else set())
-    overlap = set(names) & used
-    if overlap:
-        out.append(
-            _diag(
-                "guard-var-overlap",
-                f"guard variables {sorted(overlap)} also occur in a branch",
-                p,
-            )
-        )
 
 
 def _layout_from(p: Program, subs: list[RegisterLayout | None]) -> RegisterLayout | None:
@@ -425,154 +396,183 @@ def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]
         own = frozenset(p.classical)
     else:
         own = frozenset((p.x,) if isinstance(p, Measure) else ()).union(*cvars)
-    result = own, _layout_from(p, layouts)
-    if _node_checks(p, tol, out, cvars, layouts):
+    found = list(violations(p, cvars, layouts, tol))
+    out.extend(Diagnostic(v.code, v.message, p.span) for v in found)
+    if not any(v.cut for v in found):
         out.extend(inner)
-    return result
+    return own, _layout_from(p, layouts)
 
 
-def _node_checks(p: Program, tol: float, out: list[Diagnostic],
-                 cvars: list[frozenset[str]], layouts: list[RegisterLayout | None]) -> bool:
-    """A node's own side conditions, given its children's classical variables
-    and layouts.  False when its subprograms' diagnostics are not reported."""
-    if isinstance(p, (Abort, Skip, Name)):
-        return True
-    if isinstance(p, Unitary):
-        names = [n for n, _ in p.qvars]
-        if not p.qvars:
-            out.append(_diag("qvar-empty", "unitary statement needs at least one variable", p))
-            return True
-        if len(set(names)) != len(names):
-            out.append(_diag("qvar-duplicate", f"repeated quantum variable in {names}", p))
-            return True
-        dim = RegisterLayout(p.qvars).dim
-        if p.matrix.shape != (dim, dim):
-            out.append(
-                _diag(
-                    "unitary-shape",
-                    f"matrix shape {p.matrix.shape} does not match variables of dimension {dim}",
-                    p,
-                )
-            )
-        elif not linalg.is_unitary(p.matrix, tol):
-            out.append(_diag("unitary-nonunitary", "matrix is not unitary within tolerance", p))
-        return True
-    if isinstance(p, Measure):
-        names = [n for n, _ in p.qvars]
-        if not p.qvars:
-            out.append(_diag("qvar-empty", "measurement needs at least one variable", p))
-            return False
-        if len(set(names)) != len(names):
-            out.append(_diag("qvar-duplicate", f"repeated quantum variable in {names}", p))
-            return False
-        dim = RegisterLayout(p.qvars).dim
-        bad_shape = any(op.shape != (dim, dim) for _, op in p.measurement.operators)
-        if bad_shape:
-            out.append(
-                _diag(
-                    "measure-op-shape",
-                    f"measurement operators must be {dim}x{dim} for these variables",
-                    p,
-                )
-            )
-        elif not p.measurement.is_complete(tol):
-            out.append(
-                _diag("measure-incomplete", "measurement operators do not sum to the identity", p)
-            )
-        if p.measurement.outcomes != tuple(m for m, _ in p.branches):
-            out.append(
-                _diag(
-                    "measure-branch-outcomes",
-                    "branch outcomes do not match the measurement's outcomes",
-                    p,
-                )
-            )
-        if any(p.x in v for v in cvars):
-            out.append(
-                _diag(
-                    "measure-var-capture",
-                    f"outcome variable {p.x!r} reused inside a branch",
-                    p,
-                )
-            )
-        return True
-    if isinstance(p, Guarded):
-        _guard_checks(p, p.qvars, p.basis, layouts, tol, out)
-        return True
-    if isinstance(p, Seq):
-        shared = cvars[0] & cvars[1]
-        if shared:
-            out.append(
-                _diag(
-                    "var-reuse",
-                    f"classical variables {sorted(shared)} appear on both sides of ';'",
-                    p,
-                )
-            )
-        return True
-    if isinstance(p, Block):
-        names = [n for n, _ in p.qvars]
-        if not p.qvars:
-            out.append(_diag("block-locals", "block declares no local variables", p))
-        elif len(set(names)) != len(names):
-            out.append(_diag("qvar-duplicate", f"repeated local variable in {names}", p))
-        else:
-            body_vars = set(layouts[0].names) if layouts[0] is not None else set()
-            missing = set(names) - body_vars
-            if missing:
-                out.append(
-                    _diag(
-                        "block-locals",
-                        f"local variables {sorted(missing)} do not occur in the body",
-                        p,
-                    )
-                )
-            dim = RegisterLayout(p.qvars).dim
-            init = linalg.as_matrix(p.init)
-            if init.shape != (dim, dim):
-                out.append(
-                    _diag(
-                        "block-init",
-                        f"initial state shape {init.shape} does not match locals of dimension {dim}",
-                        p,
-                    )
-                )
-            elif not (
-                linalg.is_hermitian(init, tol)
-                and linalg.is_positive(init, tol)
-                and float(np.trace(init).real) <= 1 + tol
-            ):
-                out.append(_diag("block-init", "initial state is not a density operator", p))
-        return True
-    if isinstance(p, ProbChoice):
-        if len(p.weights) != len(p.branches) or not p.branches:
-            out.append(
-                _diag(
-                    "prob-arity",
-                    f"{len(p.weights)} weights for {len(p.branches)} branches",
-                    p,
-                )
-            )
-        if not all(np.isfinite(w) and w >= 0 for w in p.weights):
-            out.append(_diag("prob-weights", "branch probabilities must be finite and nonnegative", p))
-        elif sum(p.weights) > 1 + tol:
-            out.append(
-                _diag("prob-weights", f"branch probabilities sum to {sum(p.weights)} > 1", p)
-            )
-        return True
-    if isinstance(p, QChoice):
-        coin_layout = layouts[0] if layouts[0] is not None else RegisterLayout()
-        _guard_checks(p, tuple(coin_layout.variables), p.basis, layouts[1:], tol, out)
-        return True
-    if isinstance(p, Mu):
-        if not cvars[0] <= frozenset(p.classical):
-            out.append(
-                _diag("mu-scope", "body uses classical variables outside the declared set", p)
-            )
-        body_q = set(layouts[0].names) if layouts[0] is not None else set()
-        if not body_q <= {n for n, _ in p.quantum}:
-            out.append(
-                _diag("mu-scope", "body uses quantum variables outside the declared set", p)
-            )
-        return True
-    raise TypeError(f"unknown program node {type(p).__name__}")
+# -- The side conditions ---------------------------------------------------------
+# One rule per condition, grouped by construct in ``RULES``.  Each construct's
+# rules see the node, its subprograms' classical variables and layouts (a
+# layout is ``None`` in ``well_formed`` where it does not exist) and ``tol``.
+# ``well_formed`` reports every violation; evaluation raises the first one.
+
+
+@dataclass(frozen=True)
+class Violation:
+    """A violated side condition: its diagnostic code and message, and the
+    error evaluation raises for it.  ``cut`` leaves the subprograms'
+    diagnostics out of ``well_formed``."""
+
+    code: str
+    message: str
+    error: type[QgclError]
+    cut: bool = False
+
+
+def violations(p: Program, cvars: list[frozenset[str]], layouts: list[RegisterLayout | None],
+               tol: float) -> Iterator[Violation]:
+    """The violated side conditions of node ``p``, in order, lazily."""
+    rules = RULES.get(type(p))
+    return rules(p, cvars, layouts, tol) if rules else iter(())
+
+
+def enforce(found: Iterable[Violation]) -> None:
+    """Raise the first violation as its typed error, its code leading the message."""
+    for v in found:
+        raise v.error(f"{v.code}: {v.message}")
+
+
+def _operands(qvars: tuple[QVar, ...], what: str, empty: str | None = None,
+              cut: bool = False) -> Violation | None:
+    """A node's own variables must be named, each once; ``empty`` is the
+    message for none, ``None`` where none is allowed."""
+    names = [n for n, _ in qvars]
+    if empty is not None and not names:
+        return Violation("qvar-empty", empty, ArityError, cut)
+    if len(set(names)) != len(names):
+        return Violation("qvar-duplicate", f"repeated {what} variable in {names}", LayoutError, cut)
+    return None
+
+
+def _unitary(p: Unitary, cvars, layouts, tol):
+    if bad := _operands(p.qvars, "quantum", "unitary statement needs at least one variable"):
+        yield bad
+        return
+    dim, shape = RegisterLayout(p.qvars).dim, np.shape(p.matrix)
+    if shape != (dim, dim):
+        yield Violation("unitary-shape",
+                        f"matrix shape {shape} does not match variables of dimension {dim}",
+                        LayoutError)
+    elif not linalg.is_unitary(p.matrix, tol):  # O(n) for a monomial U, e.g. a shift
+        yield Violation("unitary-nonunitary", "matrix is not unitary within tolerance", ContractError)
+
+
+def _measure(p: Measure, cvars, layouts, tol):
+    if bad := _operands(p.qvars, "quantum", "measurement needs at least one variable", cut=True):
+        yield bad
+        return
+    dim = RegisterLayout(p.qvars).dim
+    if any(op.shape != (dim, dim) for _, op in p.measurement.operators):
+        yield Violation("measure-op-shape",
+                        f"measurement operators must be {dim}x{dim} for these variables", LayoutError)
+    elif not p.measurement.is_complete(tol):
+        yield Violation("measure-incomplete",
+                        "measurement operators do not sum to the identity", ContractError)
+    if p.measurement.outcomes != tuple(m for m, _ in p.branches):
+        yield Violation("measure-branch-outcomes",
+                        "branch outcomes do not match the measurement's outcomes", ContractError)
+    if any(p.x in v for v in cvars):
+        yield Violation("measure-var-capture", f"outcome variable {p.x!r} reused inside a branch",
+                        DomainClashError)
+
+
+def _guard(qvars: tuple[QVar, ...], basis: GuardBasis, branches: list[RegisterLayout | None],
+           tol: float):
+    if bad := _operands(qvars, "guard"):
+        yield bad
+        return
+    guard_dim = math.prod(d for _, d in qvars)
+    if not basis.is_orthonormal(tol):
+        yield Violation("guard-basis", "guard basis columns are not orthonormal", ContractError)
+    if basis.dim != guard_dim:
+        yield Violation("guard-basis",
+                        f"guard basis dimension {basis.dim} does not match guard space {guard_dim}",
+                        LayoutError)
+    if basis.arity != len(branches):
+        yield Violation("guard-arity", f"{basis.arity} basis states but {len(branches)} branches",
+                        ArityError)
+    used = set().union(*(b.names for b in branches)) if None not in branches else set()
+    overlap = {n for n, _ in qvars} & used
+    if overlap:
+        yield Violation("guard-var-overlap",
+                        f"guard variables {sorted(overlap)} also occur in a branch", LayoutError)
+
+
+def _seq(cvars: list[frozenset[str]]):
+    shared = cvars[0] & frozenset().union(*cvars[1:])
+    if shared:
+        yield Violation("var-reuse",
+                        f"classical variables {sorted(shared)} appear on both sides of ';'",
+                        DomainClashError)
+
+
+def _qchoice(p: QChoice, cvars, layouts, tol):
+    """The guard over the coin's variables, run after the coin."""
+    coin = layouts[0] if layouts[0] is not None else RegisterLayout()
+    yield from _guard(tuple(coin.variables), p.basis, layouts[1:], tol)
+    yield from _seq(cvars)
+
+
+def block_rules(qvars: tuple[QVar, ...], init, body: RegisterLayout | None,
+                tol: float = linalg.DEFAULT_TOL) -> Iterator[Violation]:
+    """Side conditions of a block with locals ``qvars`` over a body on
+    ``body``: its locals occur in the body and ``init`` is a density
+    operator on them (Hermitian, positive, trace at most one)."""
+    if not qvars:
+        yield Violation("block-locals", "block declares no local variables", ArityError)
+        return
+    if bad := _operands(qvars, "local"):
+        yield bad
+        return
+    names = [n for n, _ in qvars]
+    missing = set(names) - set(body.names if body is not None else ())
+    if missing:
+        yield Violation("block-locals",
+                        f"local variables {sorted(missing)} do not occur in the body", LayoutError)
+    dim = RegisterLayout(qvars).dim
+    init = linalg.as_matrix(init)
+    if init.shape != (dim, dim):
+        yield Violation(
+            "block-init",
+            f"initial state shape {init.shape} does not match locals of dimension {dim}",
+            LayoutError)
+    elif not (linalg.is_hermitian(init, tol) and linalg.is_positive(init, tol)
+              and float(np.trace(init).real) <= 1 + tol):
+        yield Violation("block-init", "initial state is not a density operator", ContractError)
+
+
+def _prob_choice(p: ProbChoice, cvars, layouts, tol):
+    if len(p.weights) != len(p.branches) or not p.branches:
+        yield Violation("prob-arity", f"{len(p.weights)} weights for {len(p.branches)} branches",
+                        ArityError)
+    if not all(np.isfinite(w) and w >= 0 for w in p.weights):
+        yield Violation("prob-weights", "branch probabilities must be finite and nonnegative",
+                        ContractError)
+    elif sum(p.weights) > 1 + tol:
+        yield Violation("prob-weights", f"branch probabilities sum to {sum(p.weights)} > 1",
+                        ContractError)
+
+
+def _mu(p: Mu, cvars, layouts, tol):
+    if not cvars[0] <= frozenset(p.classical):
+        yield Violation("mu-scope", "body uses classical variables outside the declared set",
+                        LayoutError)
+    body_q = set(layouts[0].names) if layouts[0] is not None else set()
+    if not body_q <= {n for n, _ in p.quantum}:
+        yield Violation("mu-scope", "body uses quantum variables outside the declared set",
+                        LayoutError)
+
+
+RULES = {
+    Unitary: _unitary,
+    Measure: _measure,
+    Guarded: lambda p, cvars, layouts, tol: _guard(p.qvars, p.basis, layouts, tol),
+    QChoice: _qchoice,
+    Seq: lambda p, cvars, layouts, tol: _seq(cvars),
+    Block: lambda p, cvars, layouts, tol: block_rules(p.qvars, p.init, layouts[0], tol),
+    ProbChoice: _prob_choice,
+    Mu: _mu,
+}

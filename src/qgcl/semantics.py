@@ -10,24 +10,28 @@ weighted mixture.  Bounded loop unrolling and the system-environment model of
 channels support the coin-relocation equivalences.
 
 Every evaluator starts from one checked pass, ``_prepare``, which builds each
-node's layout, operators and guard branch functions bottom-up and raises the
-first violated condition, so ``semi_classical``, ``denote``,
-``apply_program`` and ``wp_apply`` accept the same programs and reject the
-rest with the same error.  ``denote`` and ``semi_classical`` fold its steps
-into the dense reference path; ``apply_program`` and ``wp_apply`` never build
-the channel: ``stream`` pushes the state (or, backwards, the observable)
-through the steps, each operator acting on its own tensor factors, a guard
-block by block in its basis, and checks the trace bound as ``wp(I) <= I``.
+node's layout, operators and guard branch functions bottom-up.  At each node
+it runs the side conditions of ``program.RULES``, the ones ``well_formed``
+reports, and raises the first violated one with its code leading the
+message; so ``semi_classical``, ``denote``, ``apply_program`` and
+``wp_apply`` accept the same programs and reject the rest with the same
+error.  The trace bound ``sum F† F <= I`` is not checked again on the
+result: it follows from the leaf contracts among those rules (unitarity,
+complete measurements, weights summing to at most one, density initial
+states), each within ``tol``, since every construct preserves it.
+``denote`` and ``semi_classical`` fold the steps into the dense reference
+path; ``apply_program`` and ``wp_apply`` never build the channel: ``stream``
+pushes the state (or, backwards, the observable) through the steps, each
+operator acting on its own tensor factors, a guard block by block in its
+basis.
 
 Streaming classifies each leaf operator (a unitary, a measurement operator,
-a guard branch's ``A``) once per call, on its step.  A monomial one, with at
-most one nonzero per row and per column (permutations such as the walk's
-shifts, diagonals, phase permutations, basis projectors), is applied as a
-gather of its factors' rows times a scale vector, its adjoint as the inverse
-permutation with the conjugated scale; any other operator by dense matmul.
-The trace bound goes through ``linalg.is_positive``, whose Gershgorin
-certificate settles a near-identity ``I - wp(I)`` in O(d²) before any
-factorisation; its verdict is still ``min eig >= -tol``."""
+a guard branch's ``A``) once per call, on its step.  A monomial one
+(``linalg.Monomial``: at most one nonzero per row and per column, such as
+the walk's shifts, diagonals, phase permutations, basis projectors) is
+applied as a gather of its factors' rows times a scale vector, its adjoint
+as the inverse permutation with the conjugated scale; any other operator by
+dense matmul."""
 
 from __future__ import annotations
 
@@ -42,7 +46,6 @@ from .errors import (
     ArityError,
     CapacityError,
     ContractError,
-    DomainClashError,
     LayoutError,
     UnsupportedConstructError,
 )
@@ -69,9 +72,12 @@ from .program import (
     Seq,
     Skip,
     Unitary,
+    block_rules,
     children,
-    desugar_qchoice,
+    declared,
+    enforce,
     qvar_layout,
+    violations,
 )
 from .registers import DensityMatrix, RegisterLayout, embed
 
@@ -109,10 +115,12 @@ def semi_classical(
     Defined for the measurement-and-guard core only; quantum choice is
     accepted through its sequential desugaring.  Blocks, probabilistic
     choices and recursion are rejected: their meaning exists only at the
-    channel level.  The trace bound ``sum F† F <= I`` is checked once, on the
-    result: well-formed leaves satisfy it and every composition preserves it.
+    channel level.  The result keeps the trace bound ``sum F† F <= I``
+    within about ``tol`` per leaf: each leaf meets its contract within
+    ``tol`` and every composition preserves the bound, so it is not checked
+    again.
     """
-    return _semi(_prepare(p, tol, max_dim), max_dim).validate(tol)
+    return _semi(_prepare(p, tol, max_dim), max_dim)
 
 
 def _semi(step: _Step, max_dim: int) -> OperatorValuedFunction:
@@ -162,10 +170,11 @@ def denote(
     Core programs go through the semi-classical denotation.  Sequencing,
     measurement, blocks and probabilistic choice compose at the channel
     level; a guarded command whose branches fall outside the core is
-    rejected, as is recursion.  The channel is checked to be
-    trace-nonincreasing once, on the result.
+    rejected, as is recursion.  The channel is trace-nonincreasing by
+    construction, within about ``tol`` per leaf: the leaf contracts hold
+    within ``tol`` and every construct preserves the bound.
     """
-    return _denote(_prepare(p, tol, max_dim), tol, max_dim).validate(tol)
+    return _denote(_prepare(p, tol, max_dim), tol, max_dim)
 
 
 def _denote(step: _Step, tol: float, max_dim: int) -> SuperOperator:
@@ -193,24 +202,6 @@ def _denote(step: _Step, tol: float, max_dim: int) -> SuperOperator:
     return SuperOperator(full, prune_zero_kraus(tuple(ops)))
 
 
-def _check_block(local: RegisterLayout, init: np.ndarray, body: RegisterLayout, tol: float):
-    """Side conditions of a block over a body on ``body``; returns the
-    eigendecomposition of the initial state's Hermitian part."""
-    for name, d in local.variables:
-        if name not in body:
-            raise LayoutError(f"local variable {name!r} does not occur in the body")
-        if body.dim_of(name) != d:
-            raise LayoutError(f"local variable {name!r} dimension mismatch")
-    if init.shape != (local.dim, local.dim):
-        raise LayoutError(
-            f"block initial state shape {init.shape} does not match locals dim {local.dim}"
-        )
-    vals, vecs = np.linalg.eigh((init + linalg.dagger(init)) / 2)
-    if vals.min() < -tol:
-        raise ContractError("block initial state is not positive semidefinite")
-    return vals, vecs
-
-
 def block_channel(
     inner: SuperOperator,
     locals_layout: RegisterLayout,
@@ -226,8 +217,9 @@ def block_channel(
     """
     init = linalg.as_matrix(init)
     full = inner.layout
-    vals, vecs = _check_block(locals_layout, init, full, tol)
-    outer = full.remove(locals_layout.names)
+    enforce(block_rules(locals_layout.variables, init, full, tol))
+    outer = locals_layout.extended(full).remove(locals_layout.names)  # locals' dimensions agree
+    vals, vecs = np.linalg.eigh((init + linalg.dagger(init)) / 2)
     rearranged = RegisterLayout(tuple(outer.variables) + tuple(locals_layout.variables))
     order = [full.index(name) for name in rearranged.names]
     perm = linalg.permutation_matrix(full.dims, order)
@@ -276,21 +268,17 @@ def stream(
 
     ``x`` is given on ``layout``: a state over at least the program's
     variables, an observable over exactly them, in any factor order.  Every
-    operator acts on its own factors of ``x``.  The trace bound is checked
-    once, as ``wp(I) <= I`` on the program's layout, before ``x`` is touched.
+    operator acts on its own factors of ``x``.  The program is checked, and
+    ``x``'s layout, before ``x`` is touched.  No ``wp(I) <= I`` pass is made:
+    the trace bound follows from the leaf contracts, each checked within
+    ``tol`` on the leaf's own operator.
     """
     step = _prepare(p, tol, max_dim)
-    run = _Stream(tol, max_dim)
-    d = step.layout.dim
-    bound = run.push(step, linalg.identity(d).reshape(step.layout.dims * 2), step.layout.names,
-                     adjoint=True)
-    if not linalg.loewner_leq(bound.reshape(d, d), linalg.identity(d), tol):
-        raise ContractError("Kraus family is not trace-nonincreasing")
     _check_input(step.layout, layout, adjoint)
     if layout.variables != step.layout.variables:
         _check_cap(layout, max_dim)
     t = linalg.as_matrix(x).reshape(layout.dims * 2)
-    out = run.push(step, t, layout.names, adjoint=adjoint).reshape(layout.dim, layout.dim)
+    out = _Stream(tol, max_dim).push(step, t, layout.names, adjoint).reshape(layout.dim, layout.dim)
     return out.copy() if np.may_share_memory(out, x) else out
 
 
@@ -340,91 +328,57 @@ def _prepare(p: Program, tol: float, max_dim: int) -> _Step:
     """The one checked pass: layouts, classical variables, operators and
     guard branch functions of ``p``, bottom-up.
 
-    A node's side conditions are checked once its subprograms are prepared;
-    the first one violated raises its typed error, so every evaluator
-    accepts the same programs and rejects the rest with the same message.
+    Once a node's subprograms are prepared, the first of its side conditions
+    (``program.RULES``) that fails raises, with its code leading the
+    message; ``_build`` adds what only evaluation needs.  A quantum choice
+    becomes its coin followed by the guard over the coin's variables.
     """
+    subs = tuple(_prepare(c, tol, max_dim) for c in children(p))
+    enforce(violations(p, [sub.cvars for sub in subs], [sub.layout for sub in subs], tol))
     if isinstance(p, QChoice):
-        return _prepare(desugar_qchoice(p), tol, max_dim)
+        guard = Guarded(tuple(subs[0].layout.variables), p.basis, p.branches)
+        return _build(Seq(p.coin, guard, span=p.span),
+                      (subs[0], _build(guard, subs[1:], max_dim)), max_dim)
+    return _build(p, subs, max_dim)
+
+
+def _build(p: Program, subs: tuple[_Step, ...], max_dim: int) -> _Step:
+    """The step of a node whose side conditions hold.  Raised here: the
+    conditions that only evaluation has, which are recursion, a guard over
+    branches outside the core and the ``max_dim`` cap, and a variable met
+    with two dimensions (``dim-conflict``)."""
     if isinstance(p, (Name, Mu)):
         raise UnsupportedConstructError(
             "recursion has no channel semantics; use a bounded unrolling"
         )
-    subs = tuple(_prepare(c, tol, max_dim) for c in children(p))
     cvars = frozenset().union(*(sub.cvars for sub in subs))
     core = all(sub.core for sub in subs)
-    if isinstance(p, (Abort, Skip)):
-        return _Step(p, RegisterLayout())
+    if isinstance(p, Guarded) and not core:
+        raise UnsupportedConstructError(
+            "guarded command over block/probabilistic branches has no defined semantics"
+        )
+    own = RegisterLayout(declared(p))
+    try:
+        layout = (own.extended(subs[0].layout).remove(own.names) if isinstance(p, Block)
+                  else _joint(subs, own))
+    except LayoutError as exc:
+        raise LayoutError(f"dim-conflict: {exc}") from None
+    _check_cap(layout, max_dim)
     if isinstance(p, Unitary):
-        layout = RegisterLayout(p.qvars)
-        op = linalg.as_matrix(p.matrix)
-        if op.shape != (layout.dim, layout.dim):
-            raise LayoutError(
-                f"unitary shape {op.shape} does not match its variables (dim {layout.dim})"
-            )
-        return _Step(p, _check_cap(layout, max_dim), ops=(op,), sites=(layout.names,))
+        return _Step(p, layout, ops=(linalg.as_matrix(p.matrix),), sites=(own.names,))
     if isinstance(p, Measure):
-        qlay = RegisterLayout(p.qvars)
-        layout = _check_cap(_joint(subs, qlay), max_dim)
-        if not p.branches:
-            raise ArityError("operator-valued function needs a nonempty domain")
-        ops, seen = [], set()
-        for (m, _), sub in zip(p.branches, subs):
-            if m not in p.measurement.outcomes:
-                raise ContractError(f"no measurement operator for branch outcome {m}")
-            op = p.measurement.operator(m)
-            if op.shape != (qlay.dim, qlay.dim):
-                raise LayoutError(
-                    f"operator shape {op.shape} does not match sub-layout dim {qlay.dim}"
-                )
-            if p.x in sub.cvars:
-                raise DomainClashError(f"classical variables bound twice: {[p.x]}")
-            if m in seen:
-                raise ContractError(f"collided classical state {cs.render(cs.bind(p.x, m))}")
-            seen.add(m)
-            ops.append(op)
-        return _Step(p, layout, cvars | {p.x}, subs, tuple(ops), (qlay.names,) * len(ops), core)
-    if isinstance(p, Seq):
-        layout = _check_cap(subs[0].layout.extended(subs[1].layout), max_dim)
-        shared = subs[0].cvars & subs[1].cvars
-        if shared:
-            raise DomainClashError(f"classical variables bound twice: {sorted(shared)}")
-        return _Step(p, layout, cvars, subs, core=core)
+        ops = tuple(op for _, op in p.measurement.operators)  # one per branch, by outcome
+        return _Step(p, layout, cvars | {p.x}, subs, ops, (own.names,) * len(ops), core)
     if isinstance(p, Guarded):
-        if not core:
-            raise UnsupportedConstructError(
-                "guarded command over block/probabilistic branches has no defined semantics"
-            )
-        guard, data = RegisterLayout(p.qvars), _joint(subs)
-        layout = _check_cap(guard.extended(data), max_dim)
-        if p.basis.arity != len(subs):
-            raise ArityError(f"{p.basis.arity} guard states but {len(subs)} functions")
-        if p.basis.dim != guard.dim:
-            raise LayoutError(
-                f"guard basis dimension {p.basis.dim} does not match guard layout {guard.dim}"
-            )
-        if set(guard.names) & set(data.names):
-            raise LayoutError(
-                f"duplicate variable names in layout {list(data.names + guard.names)}"
-            )
-        if not p.basis.is_orthonormal(tol):
-            raise ContractError("guard basis columns are not orthonormal")
         fns = tuple(_semi(sub, max_dim) for sub in subs)
         ops = tuple(sum(w * f(d) for d, w in lambda_weights(f).items()) for f in fns)
         return _Step(p, layout, cvars, subs, ops, tuple(f.layout.names for f in fns), fns=fns)
     if isinstance(p, Block):
-        local = RegisterLayout(p.qvars)
-        init = linalg.as_matrix(p.init)
-        _check_block(local, init, subs[0].layout, tol)
-        layout = subs[0].layout.remove(local.names)
-        return _Step(p, layout, cvars, subs, (init,), (local.names,), core=False)
+        return _Step(p, layout, cvars, subs, (linalg.as_matrix(p.init),), (own.names,), core=False)
     if isinstance(p, ProbChoice):
-        if len(p.weights) != len(subs):
-            raise ArityError("probabilistic choice weight/branch count mismatch")
-        weights = tuple(float(w) for w in p.weights)
-        if not all(np.isfinite(w) and w >= 0 for w in weights):
-            raise ContractError("probabilistic choice weights must be finite and nonnegative")
-        return _Step(p, _check_cap(_joint(subs), max_dim), cvars, subs, weights, core=False)
+        return _Step(p, layout, cvars, subs, tuple(float(w) for w in p.weights), core=False)
+    if isinstance(p, (Abort, Skip, Seq)):
+        return _Step(p, layout, cvars, subs, core=core)
     raise UnsupportedConstructError(f"cannot evaluate {type(p).__name__}")
 
 
@@ -550,16 +504,16 @@ def _sandwich(t, names, left, site, right=None, right_site=None) -> np.ndarray:
 
 def _contract(op, t: np.ndarray, axes: list[int]) -> np.ndarray:
     """Apply ``op`` to the tensor factors of ``t`` at ``axes``, in order: a
-    ``_Monomial`` as a gather of their rows, a dense matrix by matmul."""
+    ``linalg.Monomial`` as a gather of their rows, a dense matrix by matmul."""
     if not axes:
         return op[0, 0] * t
-    if isinstance(op, _Monomial) and len(axes) == 1:  # gather in place, no transposes
+    if isinstance(op, linalg.Monomial) and len(axes) == 1:  # gather in place, no transposes
         out = t[(slice(None),) * axes[0] + (op.col,)]
         out *= op.scale.reshape((-1,) + (1,) * (t.ndim - axes[0] - 1))
         return out
     order = axes + [a for a in range(t.ndim) if a not in axes]
     moved = t.transpose(order)
-    if isinstance(op, _Monomial):
+    if isinstance(op, linalg.Monomial):
         rest = moved.shape[len(axes):]
         out = moved.reshape((len(op.col),) + rest)[op.col]
         out *= op.scale.reshape((-1,) + (1,) * len(rest))
@@ -568,45 +522,11 @@ def _contract(op, t: np.ndarray, axes: list[int]) -> np.ndarray:
     return out.reshape(moved.shape).transpose(np.argsort(order))
 
 
-@dataclass(eq=False)
-class _Monomial:
-    """An operator with at most one nonzero entry per row and per column:
-    row ``i`` holds ``scale[i]`` in column ``col[i]``, and an empty row has
-    scale 0.  Permutations, diagonals, phase permutations and basis
-    projectors are monomial.  ``conj`` and ``T`` mirror the ndarray ones,
-    so ``_side`` gives the adjoint as the inverse permutation with the
-    conjugated scale, in O(n), never as a dense copy; a leaf's transpose is
-    worked out once per call."""
-
-    col: np.ndarray
-    scale: np.ndarray
-
-    def conj(self) -> _Monomial:
-        return _Monomial(self.col, self.scale.conj())
-
-    @cached_property
-    def T(self) -> _Monomial:
-        rows = np.flatnonzero(self.scale)
-        col, scale = np.zeros_like(self.col), np.zeros_like(self.scale)
-        col[self.col[rows]] = rows
-        scale[self.col[rows]] = self.scale[rows]
-        return _Monomial(col, scale)
-
-
 def _kernel(op: np.ndarray):
-    """A square operator as ``_contract`` applies it: a ``_Monomial`` when it
-    has at most one nonzero per row and per column, else ``op`` itself.  An
-    operator with more than n nonzeros is told dense by a single count; a
-    1 x 1 one stays a matrix, since applying it is one scaling."""
-    n = len(op)
-    count = np.count_nonzero(op)
-    if count > n or n == 1:
-        return op
-    hit = op != 0
-    if count != np.count_nonzero(hit.any(axis=0)) or count != np.count_nonzero(hit.any(axis=1)):
-        return op
-    col = hit.argmax(axis=1)  # 0 in an empty row, whose entry there is 0
-    return _Monomial(col, op[np.arange(n), col])
+    """A square operator as ``_contract`` applies it: a ``linalg.Monomial``
+    where it is one, else ``op`` itself.  A 1 x 1 operator stays a matrix,
+    since applying it is one scaling."""
+    return op if len(op) == 1 else linalg.monomial(op) or op
 
 
 @dataclass(eq=False)

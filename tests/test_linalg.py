@@ -111,6 +111,36 @@ class TestPredicates:
         with pytest.raises(ShapeError):
             la.is_positive(np.zeros((2, 3)))
 
+    def test_empty_matrix_is_unitary(self):
+        assert la.is_unitary(np.zeros((0, 0)))
+
+
+def scaled_monomial(gen, n, kind, tol):
+    """An n x n monomial matrix: its nonzeros sit on a permutation and have
+    modulus ``1 + c tol``, ``c`` kept well away from the verdict's edge."""
+    perm = gen.permutation(n)
+    scale = np.ones(n, dtype=complex)
+    if kind != "permutation":
+        scale = np.exp(2j * np.pi * gen.uniform(size=n))
+    if kind == "projector":
+        perm, scale = np.arange(n), (gen.uniform(size=n) < 0.5).astype(complex)
+    elif kind == "scaled":
+        scale *= 1 + tol * gen.choice([-3.0, -2.0, -0.25, 0.0, 0.25, 2.0, 3.0], size=n)
+    m = np.zeros((n, n), dtype=complex)
+    m[np.arange(n), perm] = scale
+    return m
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9),
+       st.sampled_from(["permutation", "phase permutation", "projector", "scaled"]),
+       st.sampled_from([1e-12, 1e-9, 1e-6]))
+@settings(max_examples=200, deadline=None)
+def test_monomial_unitarity_matches_the_dense_product(seed, n, kind, tol):
+    # is_unitary decides a monomial matrix from its classified form.
+    m = scaled_monomial(np.random.default_rng(seed), n, kind, tol)
+    assert la.monomial(m) is not None
+    assert la.is_unitary(m, tol) == (la.max_abs_diff(m.conj().T @ m, la.identity(n)) <= tol)
+
 
 def with_lowest_eigenvalue(gen, dim, lowest):
     """Hermitian matrix with spectrum in [lowest, 1], ``lowest`` attained."""

@@ -152,6 +152,17 @@ class TestWellFormed:
         assert "mu-scope" in codes(Mu("X", body, (), ()))
         assert well_formed(Mu("X", body, (Q,), ())) == []
 
+    def test_measurement_without_operators(self):
+        assert codes(Measure("x", (Q,), Measurement(()), ())) == ["measure-incomplete"]
+
+    def test_empty_guard_basis(self):
+        assert codes(Guarded((), GuardBasis(np.zeros((0, 0))), ())) == ["guard-basis"]
+
+    def test_qchoice_coin_and_branch_bind_one_outcome_variable(self):
+        p = QChoice(measure_skip("x", C), GuardBasis.computational(2),
+                    (measure_skip("x"), Skip()))
+        assert codes(p) == ["var-reuse"]
+
     def test_check_raises_with_diagnostics(self):
         with pytest.raises(SourceError) as exc:
             check(Seq(measure_skip("x"), measure_skip("x")))

@@ -490,7 +490,7 @@ def test_family_above_identity_is_rejected(evaluate):
 
 @pytest.mark.parametrize("evaluate", CHANNEL_EVALUATORS.values(), ids=list(CHANNEL_EVALUATORS))
 def test_channel_above_identity_outside_the_core_is_rejected(evaluate):
-    # Weights summing above one are caught by the single check on the result.
+    # Weights summing above one break the pchoice contract in the rule table.
     with pytest.raises(ContractError):
         evaluate(ProbChoice((0.9, 0.9), (Unitary((Q,), X), Skip())))
 

@@ -3,7 +3,8 @@
 The reference is the channel ``denote(p)`` lifted to the input's layout and
 applied as a Kraus family (forward) or as its adjoint family (wp).  All
 evaluators share one checked pass, so they also reject the same programs
-with the same error.
+with the same error: the first side condition violated, from the rule table
+that ``well_formed`` reports.
 """
 
 from collections import Counter
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import qgcl.program as program
 import qgcl.semantics as semantics
 from qgcl import linalg as la
-from qgcl.errors import CapacityError, LayoutError
+from qgcl.errors import CapacityError, LayoutError, UnsupportedConstructError
 from qgcl.program import (
     Abort,
     Block,
@@ -32,8 +33,10 @@ from qgcl.program import (
     Skip,
     Unitary,
     children,
+    is_core,
     qvar_layout,
     rebuild,
+    well_formed,
 )
 from qgcl.registers import DensityMatrix, Observable, RegisterLayout
 from qgcl.sampling import (
@@ -44,12 +47,13 @@ from qgcl.sampling import (
     random_unitary,
     rng,
 )
-from qgcl.semantics import apply_program, denote, unroll_loop
+from qgcl.semantics import apply_program, denote, semi_classical, unroll_loop
 from qgcl.wp import wp_apply
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = la.identity(2)
+SWAP = np.eye(4)[[0, 2, 1, 3]]
 Q, R, C = ("q", 2), ("r", 2), ("c", 2)
 TOL = 1e-10
 
@@ -194,7 +198,27 @@ REJECTED = {
     "pchoice-inf": (ProbChoice((np.inf, 0.5), (Unitary((Q,), X), Skip())), {}),
     "guard-basis-not-orthonormal": (Guarded((C,), GuardBasis(0.8 * I2), (Unitary((Q,), X), Skip())),
                                     {}),
+    "pchoice-empty": (ProbChoice((), ()), {}),
+    "unitary-no-variables": (Unitary((), [[1]]), {}),
+    "unitary-repeated-variable": (Unitary((Q, Q), la.identity(4)), {}),
+    "non-unitary": (Unitary((Q,), np.diag([1.0, 0.5])), {}),
+    "measurement-incomplete": (Measure("x", (Q,), Measurement(((0, np.diag([1.0, 0.0])),
+                                                                (1, np.diag([0.0, 0.5])))),
+                                       ((0, Skip()), (1, Skip()))), {}),
+    "measurement-empty": (Measure("x", (Q,), Measurement(()), ()), {}),
+    "branch-outcome-missing": (Measure("x", (Q,), Measurement.computational(2), ((0, Skip()),)),
+                               {}),
+    "block-init-not-hermitian": (Block((C,), np.array([[0.5, 0.5], [0.0, 0.5]]), Unitary((Q, C), SWAP)),
+                                 {}),
+    "guard-basis-empty": (Guarded((), GuardBasis(np.zeros((0, 0))), ()), {}),
+    # Leaves just outside their contract at the default tolerance.
+    "permutation-scale-above-tol": (Unitary((Q,), (1 + 2 * la.DEFAULT_TOL) * X), {}),
+    "monomial-with-empty-row": (Unitary((Q,), np.diag([1.0, 0.0])), {}),
+    "dense-near-unitary": (Unitary((Q,), (1 + 2 * la.DEFAULT_TOL) * H), {}),
 }
+# Rejected for what only evaluation knows; every other row is flagged by
+# well_formed with the code the evaluators raise.
+EVALUATION_ONLY = {"name", "mu", "guard-over-block", "guard-over-pchoice", "above-max-dim"}
 
 
 def raised(call):
@@ -216,6 +240,14 @@ def test_rejections_match_denote(name, state_layout):
     obs = Observable(np.diag([1.0, 0.5]).astype(complex), state_layout)
     assert raised(lambda: apply_program(p, state, **kwargs)) == expected
     assert raised(lambda: wp_apply(p, obs, **kwargs)) == expected
+
+
+@pytest.mark.parametrize("name", sorted(set(REJECTED) - EVALUATION_ONLY))
+def test_rejections_are_well_formed_diagnostics(name):
+    # The error is the first violation of the one rule table, as reported.
+    p, kwargs = REJECTED[name]
+    _, message = raised(lambda: denote(p, **kwargs))
+    assert message in {f"{d.code}: {d.message}" for d in well_formed(p)}
 
 
 def test_input_errors_after_a_successful_evaluation():
@@ -249,10 +281,11 @@ def mutated(gen, p):
     for node in nodes(p):
         layout = qvar_layout(node)
         local = layout.variables[:1] or (("fresh", 2),)
-        scale = gen.choice([0.5, 1.5])
+        scale = gen.choice([0.5, 1.5, 1 + 2 * la.DEFAULT_TOL])
         if isinstance(node, Unitary):
             add("scaled unitary", node, replace(node, matrix=scale * node.matrix))
         if isinstance(node, Measure):
+            add("scaled measurement", node, stretched(node, scale, deep=False))
             add("outcome", node, replace(node, branches=node.branches + node.branches[:1]))
             add("outcome", node, replace(node, branches=node.branches[1:]))
         if isinstance(node, (Guarded, QChoice)):
@@ -280,6 +313,75 @@ def test_evaluators_agree_on_mutated_programs(seed, depth):
     assert raised(lambda: wp_apply(p, obs)) == expected
     if expected is None:
         assert la.max_abs_diff(apply_program(p, rho).matrix, dense(p, rho.matrix, layout)) < TOL
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_evaluators_reject_what_well_formed_flags(seed, depth):
+    # At the default cap every evaluator rejects a program exactly when
+    # well_formed flags it, with one of its codes; a free name (recursion)
+    # is the one fault that only evaluation knows.
+    gen = rng(seed)
+    p = ProgramSampler(gen, (Q, R), (("g0", 2), ("g1", 3))).program(depth)
+    if gen.uniform() < 0.8:
+        p = mutated(gen, p)
+    layout = qvar_layout(p)
+    rho = DensityMatrix(random_density(gen, layout.dim), layout)
+    obs = Observable(random_positive(gen, layout.dim), layout)
+    evaluators = [lambda: denote(p), lambda: apply_program(p, rho), lambda: wp_apply(p, obs)]
+    if is_core(p):
+        evaluators.append(lambda: semi_classical(p))
+    codes = {d.code for d in well_formed(p)}
+    recursive = any(isinstance(n, Name) for n in nodes(p))
+    for evaluate in evaluators:
+        error = raised(evaluate)
+        if codes:
+            assert error is not None and error[1].split(":")[0] in codes
+        elif recursive:
+            assert error[0] is UnsupportedConstructError
+        else:
+            assert error is None
+
+
+def stretched(p, s, deep=True):
+    """``p`` with its unitaries and measurement operators scaled by ``s``:
+    only the root's own with ``deep`` false."""
+    if deep:
+        p = rebuild(p, lambda c: stretched(c, s))
+    if isinstance(p, Unitary):
+        return replace(p, matrix=s * p.matrix)
+    if isinstance(p, Measure):
+        ops = tuple((m, s * op) for m, op in p.measurement.operators)
+        return replace(p, measurement=Measurement(ops))
+    return p
+
+
+CONTRACTS = (Unitary, Measure, Guarded, QChoice, Block, ProbChoice)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3),
+       st.sampled_from([1.0, 1 + 0.45 * la.DEFAULT_TOL, 1 + 2 * la.DEFAULT_TOL]))
+@settings(max_examples=80, deadline=None)
+def test_leaf_contracts_bound_the_channel(seed, depth, stretch):
+    # Evaluation no longer checks sum K† K <= I; each leaf's contract holds
+    # within tol, so the whole program keeps it within (leaves) x tol.  Here
+    # every leaf is pushed towards, or past, the edge of its contract.
+    tol = la.DEFAULT_TOL
+    gen = rng(seed)
+    p = ProgramSampler(gen, (Q, R), (("g0", 2), ("g1", 3))).program(depth)
+    local = qvar_layout(p).variables[:1]
+    if gen.uniform() < 0.3:
+        p = ProbChoice((0.5, 0.5 + tol / 2), (p, Unitary((Q,), H)))
+    elif gen.uniform() < 0.5 and local:
+        p = Block(local, random_density(gen, local[0][1]) * (1 + tol / 2), p)
+    p = stretched(p, stretch)
+    error = raised(lambda: denote(p))
+    if error is not None:
+        assert stretch > 1 + tol / 2 and error[1].split(":")[0] in {d.code for d in well_formed(p)}
+        return
+    gram = denote(p).gram_sum()
+    leaves = sum(isinstance(n, CONTRACTS) for n in nodes(p))
+    assert la.loewner_leq(gram, la.identity(len(gram)), leaves * tol)
 
 
 def test_denote_work_is_linear_in_depth(monkeypatch):
@@ -360,7 +462,7 @@ def test_monomial_sandwich_matches_matmul(seed, left_kind, right_kind):
     right = monomial(gen, int(np.prod([dims[names.index(v)] for v in right_site])), right_kind)
     kl, kr = semantics._kernel(left), semantics._kernel(right)
     for op, kernel in ((left, kl), (right, kr)):  # a 1 x 1 operator stays a matrix
-        assert isinstance(kernel, semantics._Monomial) == (len(op) > 1)
+        assert isinstance(kernel, la.Monomial) == (len(op) > 1)
     for adjoint in (False, True):
         sl, sr = semantics._side(kl, adjoint), semantics._side(kr, adjoint)
         dl, dr = semantics._side(left, adjoint), semantics._side(right, adjoint)
@@ -422,5 +524,5 @@ def test_monomial_leaves_match_dense(seed, depth, wrap):
     elif wrap == "block" and Q in qvar_layout(p).variables:
         p = Block((Q,), random_density(gen, 2), p)
     kernels = list(leaf_kernels(semantics._prepare(p, la.DEFAULT_TOL, la.MAX_DIM_DEFAULT)))
-    assert all(isinstance(k, semantics._Monomial) for k in kernels)
+    assert all(isinstance(k, la.Monomial) for k in kernels)
     assert_matches_dense(p, gen, extra=(("e", 3),) if gen.uniform() < 0.5 else ())
