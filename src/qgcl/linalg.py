@@ -5,7 +5,7 @@ All operators are plain ``numpy.ndarray`` values with ``complex128`` entries.
 Matrices are kept dense; the configurable total-dimension cap keeps every
 computation at desk scale.  ``monomial`` classifies an operator with at most
 one nonzero per row and column, which ``is_unitary`` decides in O(n) and
-streaming evaluation applies as a gather.
+streaming evaluation applies as a gather (``kernel``).
 """
 
 from __future__ import annotations
@@ -146,21 +146,33 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    """``max |U† U - I| <= tol``.  For a monomial ``U``, ``U† U`` is diagonal,
-    holding ``|scale|²`` at each filled column and 0 at each empty one, so
-    the same verdict takes O(n) once ``U`` is classified."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    mono = monomial(m)
-    if mono is None:
-        defect = dagger(m) @ m
-        defect.flat[:: len(m) + 1] -= 1
-    else:
-        filled = mono.scale != 0
-        defect = np.full(len(m), -1.0)
-        defect[mono.col[filled]] += np.abs(mono.scale[filled]) ** 2
-    return m.size == 0 or bool(np.abs(defect).max() <= tol)
+    """``U† U`` within ``tol`` of ``I`` (see ``near_identity``), so that
+    ``||U||² <= 1 + tol``.  ``m`` may be given as its ``kernel``.  For a
+    monomial ``U``, ``U† U`` is diagonal, holding ``|scale|²`` at each
+    filled column and 0 at each empty one, so the verdict takes O(n)."""
+    if not isinstance(m, Monomial):
+        m = as_matrix(m)
+        if m.shape[0] != m.shape[1]:
+            return False
+        m = kernel(m)
+    if not isinstance(m, Monomial):
+        return near_identity(dagger(m) @ m, tol)
+    filled = m.scale != 0
+    defect = np.full(len(m.col), -1.0)
+    defect[m.col[filled]] += np.abs(m.scale[filled]) ** 2
+    return bool(np.abs(defect).max() <= tol)  # a diagonal's top eigenvalue is an entry
+
+
+def near_identity(gram: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """Whether a Gram matrix ``sum_k A_k† A_k`` is within ``tol`` of ``I``
+    entrywise and at most ``(1 + tol) I``.  The entrywise bound alone does
+    not limit the norm: ``I + t J`` (``J`` all ones) passes it for ``t <= tol``
+    with top eigenvalue ``1 + n t``.  A Frobenius norm of ``I - gram``
+    within ``tol`` bounds both at once; otherwise ``is_positive`` decides."""
+    slack = identity(len(gram)) - gram
+    if np.vdot(slack, slack).real <= tol * tol:
+        return True
+    return bool(np.abs(slack).max() <= tol) and is_positive(slack, tol)
 
 
 @dataclass(eq=False)
@@ -200,6 +212,12 @@ def monomial(op: np.ndarray) -> Monomial | None:
         return None
     col = hit.argmax(axis=1)  # 0 in an empty row, whose entry there is 0
     return Monomial(col, op[np.arange(n), col])
+
+
+def kernel(op: np.ndarray):
+    """A square operator as streaming applies it: a :class:`Monomial` where
+    it is one, else ``op`` itself (so is a 1 x 1 one, applied as a scaling)."""
+    return op if len(op) <= 1 else monomial(op) or op
 
 
 def is_positive(m, tol: float = DEFAULT_TOL) -> bool:

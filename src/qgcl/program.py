@@ -12,13 +12,16 @@ collects every violation at parse and ``check`` time; every evaluator in
 first violation as its typed error.  Among them are the leaf contracts: a
 unitary has ``U† U = I``, a measurement is complete and every outcome has a
 branch, ``pchoice`` weights are finite, nonnegative and sum to at most one,
-and a block starts from a density operator.  Each holds within ``tol``:
-``max |U† U - I| <= tol``, ``max |sum M† M - I| <= tol``, weights summing to
-at most ``1 + tol``, and an initial state Hermitian and positive within
-``tol`` (``min eig >= -tol``) with trace at most ``1 + tol``.  Guarded
-composition, ``;``, measurement, probabilistic choice and blocks all
-preserve the trace bound ``sum F† F <= I``, so it holds for every accepted
-program with no global check: within about ``tol`` per leaf.
+a guard basis is orthonormal, and a block starts from a density operator.
+Each holds within ``tol``: the Gram matrices ``U† U``, ``sum M† M`` and
+``B† B`` are within ``tol`` of ``I`` entry by entry and at most
+``(1 + tol) I`` (``linalg.near_identity``), weights sum to at most
+``1 + tol``, and an initial state is Hermitian within ``tol`` with no
+eigenvalue below ``-tol`` and positive eigenvalues summing to at most
+``1 + tol``.  Guarded composition, ``;``, measurement, probabilistic choice
+and blocks all preserve the trace bound ``sum F† F <= I``, so it holds for
+every accepted program with no global check: within about ``tol`` per leaf,
+``2 tol`` per guard basis, which acts on both sides of its branches.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import cache
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -78,11 +81,10 @@ class Measurement:
         return self.operators[0][1].shape[0]
 
     def is_complete(self, tol: float = linalg.DEFAULT_TOL) -> bool:
+        """``sum_m M_m† M_m`` within ``tol`` of ``I`` (``linalg.near_identity``)."""
         if not self.operators:  # the empty sum is 0, not I
             return False
-        d = self.dim
-        total = sum(linalg.dagger(op) @ op for _, op in self.operators)
-        return linalg.max_abs_diff(total, linalg.identity(d)) <= tol
+        return linalg.near_identity(sum(linalg.dagger(op) @ op for _, op in self.operators), tol)
 
     @staticmethod
     def computational(dim: int) -> "Measurement":
@@ -147,6 +149,16 @@ class Skip(Program):
 class Unitary(Program):
     qvars: tuple[QVar, ...]
     matrix: np.ndarray
+
+    @cached_property
+    def operator(self) -> np.ndarray:
+        """``matrix`` as a finite complex matrix, converted once."""
+        return linalg.as_matrix(self.matrix)
+
+    @cached_property
+    def kernel(self):
+        """``operator`` classified once, for its rule and for streaming."""
+        return linalg.kernel(self.operator)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,12 +301,19 @@ def qvar_layout(p: Program) -> RegisterLayout:
     """
     if isinstance(p, (Name, Mu)):
         return RegisterLayout(p.quantum)
-    if isinstance(p, Block):  # building the locals' layout validates them too
-        return qvar_layout(p.body).remove(RegisterLayout(p.qvars).names)
-    out = RegisterLayout(declared(p))
-    for child in children(p):
-        out = out.extended(qvar_layout(child))
-    return out
+    return joined_layout(p, [qvar_layout(c) for c in children(p)])
+
+
+def joined_layout(p: Program, layouts: list[RegisterLayout]) -> RegisterLayout:
+    """``qvar_layout(p)`` from its subprograms' layouts: the node's own
+    variables, then each subprogram's in turn; a block's locals go out of
+    scope, so the block's layout is its body's without them."""
+    if isinstance(p, (Name, Mu)):
+        return RegisterLayout(p.quantum)
+    own = RegisterLayout(declared(p))  # building the locals' layout validates them too
+    if isinstance(p, Block):
+        return layouts[0].remove(own.names)
+    return reduce(RegisterLayout.extended, layouts, own)
 
 
 def qvar(p: Program) -> frozenset[str]:
@@ -341,7 +360,6 @@ def _same(x, y) -> bool:
 def well_formed(p: Program, tol: float = linalg.DEFAULT_TOL) -> list[Diagnostic]:
     """All violated side conditions, empty when the program is well-formed."""
     out: list[Diagnostic] = []
-    _check_dims_consistent(p, {}, out)
     _well_formed_rec(p, tol, out)
     return out
 
@@ -354,31 +372,13 @@ def check(p: Program, tol: float = linalg.DEFAULT_TOL) -> Program:
     return p
 
 
-def _check_dims_consistent(p: Program, seen: dict[str, int], out: list[Diagnostic]) -> None:
-    for name, d in declared(p):
-        if name in seen and seen[name] != d:
-            out.append(Diagnostic(
-                "dim-conflict", f"quantum variable {name!r} used with dimensions {seen[name]} and {d}",
-                p.span))
-        seen.setdefault(name, d)
-    for child in children(p):
-        _check_dims_consistent(child, seen, out)
-
-
 def _layout_from(p: Program, subs: list[RegisterLayout | None]) -> RegisterLayout | None:
     """``qvar_layout(p)`` from its children's layouts, or ``None`` where
     ``qvar_layout`` raises :class:`LayoutError`."""
+    if None in subs and not isinstance(p, (Name, Mu)):
+        return None
     try:
-        if isinstance(p, (Name, Mu)):
-            return RegisterLayout(p.quantum)
-        if None in subs:
-            return None
-        if isinstance(p, Block):
-            return subs[0].remove(RegisterLayout(p.qvars).names)
-        out = RegisterLayout(declared(p))
-        for sub in subs:
-            out = out.extended(sub)
-        return out
+        return joined_layout(p, subs)
     except LayoutError:
         return None
 
@@ -404,10 +404,11 @@ def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]
 
 
 # -- The side conditions ---------------------------------------------------------
-# One rule per condition, grouped by construct in ``RULES``.  Each construct's
-# rules see the node, its subprograms' classical variables and layouts (a
-# layout is ``None`` in ``well_formed`` where it does not exist) and ``tol``.
-# ``well_formed`` reports every violation; evaluation raises the first one.
+# One rule per condition, grouped by construct in ``RULES``; ``_dims`` is the
+# one every construct has.  Each construct's rules see the node, its
+# subprograms' classical variables and layouts (a layout is ``None`` in
+# ``well_formed`` where it does not exist) and ``tol``.  ``well_formed``
+# reports every violation; evaluation raises the first one.
 
 
 @dataclass(frozen=True)
@@ -425,14 +426,27 @@ class Violation:
 def violations(p: Program, cvars: list[frozenset[str]], layouts: list[RegisterLayout | None],
                tol: float) -> Iterator[Violation]:
     """The violated side conditions of node ``p``, in order, lazily."""
-    rules = RULES.get(type(p))
-    return rules(p, cvars, layouts, tol) if rules else iter(())
+    yield from _dims(p, layouts)
+    yield from RULES.get(type(p), lambda *_: ())(p, cvars, layouts, tol)
 
 
 def enforce(found: Iterable[Violation]) -> None:
     """Raise the first violation as its typed error, its code leading the message."""
     for v in found:
         raise v.error(f"{v.code}: {v.message}")
+
+
+def _dims(p: Program, layouts: list[RegisterLayout | None]) -> Iterator[Violation]:
+    """Each quantum variable has one dimension among a node's own variables
+    and its subprograms' layouts, as ``joined_layout`` joins them; a block's
+    locals are out of scope outside it, so they may shadow outer variables."""
+    seen: dict[str, int] = {}
+    for pairs in (declared(p), *(lay.variables for lay in layouts if lay is not None)):
+        for name, d in pairs:
+            if seen.setdefault(name, d) != d:
+                yield Violation("dim-conflict",
+                                f"quantum variable {name!r} used with dimensions {seen[name]} and {d}",
+                                LayoutError)
 
 
 def _operands(qvars: tuple[QVar, ...], what: str, empty: str | None = None,
@@ -456,7 +470,7 @@ def _unitary(p: Unitary, cvars, layouts, tol):
         yield Violation("unitary-shape",
                         f"matrix shape {shape} does not match variables of dimension {dim}",
                         LayoutError)
-    elif not linalg.is_unitary(p.matrix, tol):  # O(n) for a monomial U, e.g. a shift
+    elif not linalg.is_unitary(p.kernel, tol):  # O(n) for a monomial U, e.g. a shift
         yield Violation("unitary-nonunitary", "matrix is not unitary within tolerance", ContractError)
 
 
@@ -539,9 +553,15 @@ def block_rules(qvars: tuple[QVar, ...], init, body: RegisterLayout | None,
             "block-init",
             f"initial state shape {init.shape} does not match locals of dimension {dim}",
             LayoutError)
-    elif not (linalg.is_hermitian(init, tol) and linalg.is_positive(init, tol)
-              and float(np.trace(init).real) <= 1 + tol):
+    elif not (linalg.is_hermitian(init, tol) and _density_spectrum(init, tol)):
         yield Violation("block-init", "initial state is not a density operator", ContractError)
+
+
+def _density_spectrum(init: np.ndarray, tol: float) -> bool:
+    """No eigenvalue below ``-tol``, and the positive ones sum to at most
+    ``1 + tol``: that sum, not the trace, bounds what the block keeps."""
+    eigs = np.linalg.eigvalsh((init + linalg.dagger(init)) / 2)
+    return bool(eigs.min() >= -tol and eigs[eigs > 0].sum() <= 1 + tol)
 
 
 def _prob_choice(p: ProbChoice, cvars, layouts, tol):

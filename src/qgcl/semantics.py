@@ -17,8 +17,9 @@ message; so ``semi_classical``, ``denote``, ``apply_program`` and
 ``wp_apply`` accept the same programs and reject the rest with the same
 error.  The trace bound ``sum F† F <= I`` is not checked again on the
 result: it follows from the leaf contracts among those rules (unitarity,
-complete measurements, weights summing to at most one, density initial
-states), each within ``tol``, since every construct preserves it.
+complete measurements, orthonormal guard bases, weights summing to at most
+one, density initial states), each within ``tol`` in norm, since every
+construct preserves it.
 ``denote`` and ``semi_classical`` fold the steps into the dense reference
 path; ``apply_program`` and ``wp_apply`` never build the channel: ``stream``
 pushes the state (or, backwards, the observable) through the steps, each
@@ -76,6 +77,7 @@ from .program import (
     children,
     declared,
     enforce,
+    joined_layout,
     qvar_layout,
     violations,
 )
@@ -89,12 +91,6 @@ def _scalar_function(value: complex) -> OperatorValuedFunction:
     return OperatorValuedFunction(
         RegisterLayout(), {cs.EPS: np.array([[value]], dtype=complex)}
     )
-
-
-def _joint(parts, start: RegisterLayout = RegisterLayout()) -> RegisterLayout:
-    """``start`` extended by the layout of each function or channel in turn:
-    the layout of a node, computed from its subprograms' results."""
-    return reduce(RegisterLayout.extended, (part.layout for part in parts), start)
 
 
 def _check_cap(layout: RegisterLayout, max_dim: int) -> RegisterLayout:
@@ -116,9 +112,9 @@ def semi_classical(
     accepted through its sequential desugaring.  Blocks, probabilistic
     choices and recursion are rejected: their meaning exists only at the
     channel level.  The result keeps the trace bound ``sum F† F <= I``
-    within about ``tol`` per leaf: each leaf meets its contract within
-    ``tol`` and every composition preserves the bound, so it is not checked
-    again.
+    within about ``tol`` per leaf (``2 tol`` per guard basis): each leaf's
+    Gram matrix is at most ``(1 + tol) I`` and every composition preserves
+    the bound, so it is not checked again.
     """
     return _semi(_prepare(p, tol, max_dim), max_dim)
 
@@ -142,7 +138,7 @@ def _semi(step: _Step, max_dim: int) -> OperatorValuedFunction:
                 table[cs.extend(delta, p.x, m)] = sub_f(delta) @ m_op
         return OperatorValuedFunction(full, table)
     if isinstance(p, Guarded):
-        data = _joint(step.subs)
+        data = reduce(RegisterLayout.extended, (sub.layout for sub in step.subs), RegisterLayout())
         branch_fs = [f.extended_to(data, max_dim=max_dim) for f in step.fns]
         from .ovf import guarded_ovf
 
@@ -171,8 +167,9 @@ def denote(
     measurement, blocks and probabilistic choice compose at the channel
     level; a guarded command whose branches fall outside the core is
     rejected, as is recursion.  The channel is trace-nonincreasing by
-    construction, within about ``tol`` per leaf: the leaf contracts hold
-    within ``tol`` and every construct preserves the bound.
+    construction, within about ``tol`` per leaf (``2 tol`` per guard
+    basis): the leaf contracts bound each leaf's norm within ``tol`` and
+    every construct preserves the bound.
     """
     return _denote(_prepare(p, tol, max_dim), tol, max_dim)
 
@@ -270,8 +267,8 @@ def stream(
     variables, an observable over exactly them, in any factor order.  Every
     operator acts on its own factors of ``x``.  The program is checked, and
     ``x``'s layout, before ``x`` is touched.  No ``wp(I) <= I`` pass is made:
-    the trace bound follows from the leaf contracts, each checked within
-    ``tol`` on the leaf's own operator.
+    the trace bound follows from the leaf contracts, each checked on the
+    leaf's own operator, its norm within ``tol`` (as for ``denote``).
     """
     step = _prepare(p, tol, max_dim)
     _check_input(step.layout, layout, adjoint)
@@ -320,8 +317,11 @@ class _Step:
     @cached_property
     def kernels(self) -> tuple:
         """The operators of a unitary, measurement or guard as streaming
-        applies them (see ``_kernel``), classified on first use."""
-        return tuple(map(_kernel, self.ops))
+        applies them (``linalg.kernel``), classified on first use; a
+        unitary's was classified once, on its node, for its rule."""
+        if isinstance(self.node, Unitary):
+            return (self.node.kernel,)
+        return tuple(map(linalg.kernel, self.ops))
 
 
 def _prepare(p: Program, tol: float, max_dim: int) -> _Step:
@@ -345,8 +345,7 @@ def _prepare(p: Program, tol: float, max_dim: int) -> _Step:
 def _build(p: Program, subs: tuple[_Step, ...], max_dim: int) -> _Step:
     """The step of a node whose side conditions hold.  Raised here: the
     conditions that only evaluation has, which are recursion, a guard over
-    branches outside the core and the ``max_dim`` cap, and a variable met
-    with two dimensions (``dim-conflict``)."""
+    branches outside the core and the ``max_dim`` cap."""
     if isinstance(p, (Name, Mu)):
         raise UnsupportedConstructError(
             "recursion has no channel semantics; use a bounded unrolling"
@@ -358,14 +357,9 @@ def _build(p: Program, subs: tuple[_Step, ...], max_dim: int) -> _Step:
             "guarded command over block/probabilistic branches has no defined semantics"
         )
     own = RegisterLayout(declared(p))
-    try:
-        layout = (own.extended(subs[0].layout).remove(own.names) if isinstance(p, Block)
-                  else _joint(subs, own))
-    except LayoutError as exc:
-        raise LayoutError(f"dim-conflict: {exc}") from None
-    _check_cap(layout, max_dim)
+    layout = _check_cap(joined_layout(p, [sub.layout for sub in subs]), max_dim)
     if isinstance(p, Unitary):
-        return _Step(p, layout, ops=(linalg.as_matrix(p.matrix),), sites=(own.names,))
+        return _Step(p, layout, ops=(p.operator,), sites=(own.names,))
     if isinstance(p, Measure):
         ops = tuple(op for _, op in p.measurement.operators)  # one per branch, by outcome
         return _Step(p, layout, cvars | {p.x}, subs, ops, (own.names,) * len(ops), core)
@@ -520,13 +514,6 @@ def _contract(op, t: np.ndarray, axes: list[int]) -> np.ndarray:
     else:
         out = op @ moved.reshape(op.shape[1], -1)
     return out.reshape(moved.shape).transpose(np.argsort(order))
-
-
-def _kernel(op: np.ndarray):
-    """A square operator as ``_contract`` applies it: a ``linalg.Monomial``
-    where it is one, else ``op`` itself.  A 1 x 1 operator stays a matrix,
-    since applying it is one scaling."""
-    return op if len(op) == 1 else linalg.monomial(op) or op
 
 
 @dataclass(eq=False)

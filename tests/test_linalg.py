@@ -114,6 +114,17 @@ class TestPredicates:
     def test_empty_matrix_is_unitary(self):
         assert la.is_unitary(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_entrywise_bound_does_not_limit_the_norm(self, n):
+        # I + t J is within t of I in every entry, but its top eigenvalue is 1 + n t.
+        tol, ones = 1e-9, np.ones((n, n))
+        assert la.near_identity(la.identity(n) + 0.9 * tol / n * ones, tol)
+        assert not la.near_identity(la.identity(n) + 0.9 * tol * ones, tol)
+        assert la.near_identity(la.identity(n) - 0.9 * tol * ones, tol)  # a contraction
+        root = la.identity(n) + (np.sqrt(1 + 0.9 * tol * n) - 1) / n * ones  # root² = I + 0.9 tol J
+        assert la.max_abs_diff(root.conj().T @ root, la.identity(n)) <= tol
+        assert not la.is_unitary(root, tol)
+
 
 def scaled_monomial(gen, n, kind, tol):
     """An n x n monomial matrix: its nonzeros sit on a permutation and have

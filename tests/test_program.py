@@ -78,6 +78,12 @@ class TestVariableAccounting:
             qvar_layout(p)
         assert "dim-conflict" in codes(p)
 
+    def test_block_local_may_shadow_with_another_dimension(self):
+        # A block's locals are out of scope outside it, as in evaluation.
+        shadow = Block((("q", 3),), np.eye(3) / 3, Unitary((("q", 3),), la.identity(3)))
+        assert well_formed(Seq(shadow, Unitary((Q,), X))) == []
+        assert "dim-conflict" in codes(Block((("q", 3),), np.eye(3) / 3, Unitary((Q,), X)))
+
     def test_name_and_mu_use_declared_sets(self):
         n = Name("X", (Q,), ("x",))
         assert qvar(n) == {"q"} and var(n) == {"x"}

@@ -173,6 +173,19 @@ def test_output_is_a_fresh_array():
     assert rho.matrix[0, 0] == 0.25
 
 
+def spread(a):
+    """``op -> op @ S`` with ``S = sqrt(I + a(n) J)``, ``J`` the n x n
+    all-ones matrix: a unitary's Gram, a complete measurement's or a guard
+    basis's becomes ``I + a(n) J``, off by ``a(n)`` in each entry but by
+    ``n a(n)`` in norm."""
+    def f(op):
+        n = len(op)
+        return op @ (np.eye(n) + (np.sqrt(1 + a(n) * n) - 1) / n * np.ones((n, n)))
+    return f
+
+
+# Within tol of a unitary entry by entry, yet its norm squared is 1 + 3.6 tol.
+ENTRYWISE_EDGE = spread(lambda n: 0.9 * la.DEFAULT_TOL)
 QL = RegisterLayout.of(Q)
 MEASURE_X = Measure("x", (Q,), Measurement.computational(2), ((0, Skip()), (1, Skip())))
 REJECTED = {
@@ -215,6 +228,17 @@ REJECTED = {
     "permutation-scale-above-tol": (Unitary((Q,), (1 + 2 * la.DEFAULT_TOL) * X), {}),
     "monomial-with-empty-row": (Unitary((Q,), np.diag([1.0, 0.0])), {}),
     "dense-near-unitary": (Unitary((Q,), (1 + 2 * la.DEFAULT_TOL) * H), {}),
+    # Leaves within tol of their contract entry by entry, not in norm.
+    "unitary-norm-above-one": (Unitary((Q, R), ENTRYWISE_EDGE(la.identity(4))), {}),
+    "measurement-norm-above-one": (
+        Measure("x", (Q, R), Measurement(tuple((m, ENTRYWISE_EDGE(op)) for m, op in
+                                               Measurement.computational(4).operators)),
+                tuple((m, Skip()) for m in range(4))), {}),
+    "guard-basis-norm-above-one": (Guarded((Q, R), GuardBasis(ENTRYWISE_EDGE(la.identity(4))),
+                                           (Skip(),) * 4), {}),
+    "block-init-positive-part-above-one": (
+        Block((("c", 4),), np.diag([1 + 2.5 * la.DEFAULT_TOL] + [-0.9 * la.DEFAULT_TOL] * 3),
+              Unitary((("c", 4),), la.identity(4))), {}),
 }
 # Rejected for what only evaluation knows; every other row is flagged by
 # well_formed with the code the evaluators raise.
@@ -285,7 +309,7 @@ def mutated(gen, p):
         if isinstance(node, Unitary):
             add("scaled unitary", node, replace(node, matrix=scale * node.matrix))
         if isinstance(node, Measure):
-            add("scaled measurement", node, stretched(node, scale, deep=False))
+            add("scaled measurement", node, stretched(node, scaled(scale), deep=False))
             add("outcome", node, replace(node, branches=node.branches + node.branches[:1]))
             add("outcome", node, replace(node, branches=node.branches[1:]))
         if isinstance(node, (Guarded, QChoice)):
@@ -343,30 +367,47 @@ def test_evaluators_reject_what_well_formed_flags(seed, depth):
             assert error is None
 
 
-def stretched(p, s, deep=True):
-    """``p`` with its unitaries and measurement operators scaled by ``s``:
-    only the root's own with ``deep`` false."""
+def stretched(p, f, deep=True):
+    """``p`` with ``f`` applied to its unitaries, measurement operators and
+    guard bases: only the root's own with ``deep`` false."""
     if deep:
-        p = rebuild(p, lambda c: stretched(c, s))
+        p = rebuild(p, lambda c: stretched(c, f))
     if isinstance(p, Unitary):
-        return replace(p, matrix=s * p.matrix)
+        return replace(p, matrix=f(la.as_matrix(p.matrix)))
     if isinstance(p, Measure):
-        ops = tuple((m, s * op) for m, op in p.measurement.operators)
+        ops = tuple((m, f(op)) for m, op in p.measurement.operators)
         return replace(p, measurement=Measurement(ops))
+    if isinstance(p, (Guarded, QChoice)):
+        return replace(p, basis=GuardBasis(f(p.basis.matrix)))
     return p
 
 
+def scaled(s):
+    return lambda op: s * op
+
+
 CONTRACTS = (Unitary, Measure, Guarded, QChoice, Block, ProbChoice)
+# Each leaf pushed towards its contract's edge (kept) or past it (may be
+# rejected): scaled, which moves every entry and the norm alike, or spread,
+# which moves the norm n times as far as any entry.
+EDGES = {
+    "exact": (scaled(1.0), False),
+    "scaled-within": (scaled(1 + 0.45 * la.DEFAULT_TOL), False),
+    "scaled-beyond": (scaled(1 + 2 * la.DEFAULT_TOL), True),
+    "spread-within": (spread(lambda n: 0.9 * la.DEFAULT_TOL / n), False),
+    "spread-entrywise-within": (ENTRYWISE_EDGE, True),
+}
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(0, 3),
-       st.sampled_from([1.0, 1 + 0.45 * la.DEFAULT_TOL, 1 + 2 * la.DEFAULT_TOL]))
-@settings(max_examples=80, deadline=None)
-def test_leaf_contracts_bound_the_channel(seed, depth, stretch):
-    # Evaluation no longer checks sum K† K <= I; each leaf's contract holds
-    # within tol, so the whole program keeps it within (leaves) x tol.  Here
-    # every leaf is pushed towards, or past, the edge of its contract.
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from(sorted(EDGES)))
+@settings(max_examples=120, deadline=None)
+def test_leaf_contracts_bound_the_channel(seed, depth, edge):
+    # Evaluation does not check sum K† K <= I; each leaf's contract holds
+    # within tol, so the whole program keeps it within (leaves) x tol, a
+    # guard basis counting twice since it acts on both sides of its
+    # branches.
     tol = la.DEFAULT_TOL
+    push, may_reject = EDGES[edge]
     gen = rng(seed)
     p = ProgramSampler(gen, (Q, R), (("g0", 2), ("g1", 3))).program(depth)
     local = qvar_layout(p).variables[:1]
@@ -374,14 +415,23 @@ def test_leaf_contracts_bound_the_channel(seed, depth, stretch):
         p = ProbChoice((0.5, 0.5 + tol / 2), (p, Unitary((Q,), H)))
     elif gen.uniform() < 0.5 and local:
         p = Block(local, random_density(gen, local[0][1]) * (1 + tol / 2), p)
-    p = stretched(p, stretch)
+    p = stretched(p, push)
     error = raised(lambda: denote(p))
     if error is not None:
-        assert stretch > 1 + tol / 2 and error[1].split(":")[0] in {d.code for d in well_formed(p)}
+        assert may_reject and error[1].split(":")[0] in {d.code for d in well_formed(p)}
         return
     gram = denote(p).gram_sum()
-    leaves = sum(isinstance(n, CONTRACTS) for n in nodes(p))
+    leaves = sum(1 + isinstance(n, (Guarded, QChoice)) for n in nodes(p) if isinstance(n, CONTRACTS))
     assert la.loewner_leq(gram, la.identity(len(gram)), leaves * tol)
+
+
+def test_a_guard_basis_counts_twice():
+    # B† B = (1 + 0.9 tol) I is within its contract; B acts before and after
+    # the branches, so the channel exceeds the bound by 1.8 tol.
+    tol = la.DEFAULT_TOL
+    p = Guarded((C,), GuardBasis((1 + 0.45 * tol) * H), (Unitary((Q,), X), Skip()))
+    excess = np.linalg.eigvalsh(denote(p).gram_sum()).max() - 1
+    assert tol < excess <= 2 * tol
 
 
 def test_denote_work_is_linear_in_depth(monkeypatch):
@@ -460,7 +510,7 @@ def test_monomial_sandwich_matches_matmul(seed, left_kind, right_kind):
     left_site, right_site = site(), site()
     left = monomial(gen, int(np.prod([dims[names.index(v)] for v in left_site])), left_kind)
     right = monomial(gen, int(np.prod([dims[names.index(v)] for v in right_site])), right_kind)
-    kl, kr = semantics._kernel(left), semantics._kernel(right)
+    kl, kr = la.kernel(left), la.kernel(right)
     for op, kernel in ((left, kl), (right, kr)):  # a 1 x 1 operator stays a matrix
         assert isinstance(kernel, la.Monomial) == (len(op) > 1)
     for adjoint in (False, True):
@@ -479,7 +529,7 @@ def test_dense_operators_keep_the_matmul(n):
     tricky = not_monomial(gen, n)
     assert np.count_nonzero(tricky) == n
     for op in (tricky, tricky.T.copy(), H if n == 2 else random_unitary(gen, n), np.ones((n, n))):
-        assert semantics._kernel(op) is op
+        assert la.kernel(op) is op
 
 
 def monomial_leaves(gen, p):
