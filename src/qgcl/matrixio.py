@@ -20,18 +20,25 @@ from .registers import DensityMatrix, Observable, RegisterLayout
 
 def matrix_to_record(m: np.ndarray) -> dict[str, Any]:
     m = linalg.as_matrix(m)
-    entries = [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
+    entries = np.stack([m.real, m.imag], axis=-1).reshape(-1, 2).tolist()
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries}
+
+
+def _count(value: Any, what: str) -> int:
+    # bool is an int subclass, but JSON true is not a count
+    if type(value) is not int:
+        raise ShapeError(f"{what} must be a JSON integer, got {value!r:.40}")
+    return value
 
 
 def matrix_from_record(record: Any) -> np.ndarray:
     if not isinstance(record, dict):
         raise ShapeError("matrix record must be a JSON object")
     try:
-        rows = int(record["rows"])
-        cols = int(record["cols"])
+        rows = _count(record["rows"], "rows")
+        cols = _count(record["cols"], "cols")
         entries = record["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ShapeError(f"malformed matrix record: {exc}") from exc
     if rows <= 0 or cols <= 0:
         raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
@@ -39,12 +46,13 @@ def matrix_from_record(record: Any) -> np.ndarray:
         raise ShapeError(
             f"matrix record needs {rows * cols} entries, got {len(entries) if isinstance(entries, list) else 'non-list'}"
         )
-    values = []
-    for e in entries:
-        if not isinstance(e, list) or len(e) != 2:
-            raise ShapeError("matrix entries must be [re, im] pairs")
-        values.append(complex(float(e[0]), float(e[1])))
-    m = np.array(values, dtype=complex).reshape(rows, cols)
+    try:
+        values = np.array(entries)
+    except ValueError:  # ragged nesting
+        values = None
+    if values is None or values.dtype.kind not in "iuf" or values.shape != (rows * cols, 2):
+        raise ShapeError("matrix entries must be [re, im] pairs of numbers")
+    m = values.astype(float, copy=False).view(complex).reshape(rows, cols)
     return linalg.as_matrix(m)
 
 
@@ -59,7 +67,7 @@ def layout_from_record(record: Any) -> RegisterLayout:
     for item in record:
         if not isinstance(item, list) or len(item) != 2:
             raise ShapeError("layout entries must be [name, dim] pairs")
-        pairs.append((str(item[0]), int(item[1])))
+        pairs.append((str(item[0]), _count(item[1], "layout dimension")))
     return RegisterLayout(tuple(pairs))
 
 

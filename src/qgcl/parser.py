@@ -13,13 +13,21 @@ inline JSON records in the shared matrix text format.
     use "gates.json";
 
     measure x <- M[q] { 0: skip; 1: H[q] }
+
+A ``{`` whose next non-blank character is ``"`` opens an inline matrix: the
+lexer decodes the whole JSON record as one token.  No brace of the grammar
+can start that way, since a statement never starts with a string.  Numbers
+are written with ASCII digits and have at least one digit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -42,149 +50,73 @@ from .program import (
     well_formed,
 )
 
-KEYWORDS = {
-    "abort",
-    "skip",
-    "measure",
-    "guard",
-    "basis",
-    "begin",
-    "local",
-    "end",
-    "pchoice",
-    "qchoice",
-    "qvar",
-    "matrix",
-    "measurement",
-    "use",
-}
-
-_PUNCT = ["<-", "->", ":=", "[", "]", "{", "}", "(", ")", ";", ":", ",", "|", ">", "@", "="]
+# One alternative per token kind, tried in order.  WORD is split into
+# KEYWORD and IDENT after the match; JSON matches only the opening brace.
+_TOKEN = re.compile(
+    r"""(?P<SPACE>[ \t\r\n]+|//[^\n]*)
+      | (?P<JSON>\{(?=[ \t\r\n]*"))
+      | (?P<STRING>"[^"\\]*(?:\\.[^"\\]*)*")
+      | (?P<FLOAT>(?:-?[0-9]+\.[0-9]*|-\.[0-9]+)(?:[eE][+-]?[0-9]+)?|-?[0-9]+[eE][+-]?[0-9]+)
+      | (?P<INT>-?[0-9]+)
+      | (?P<WORD>[^\W\d]\w*)
+      | (?P<PUNCT><-|->|:=|[\[\]{}();:,|>@=])""",
+    re.VERBOSE | re.DOTALL,
+)
+_JSON = json.JSONDecoder()
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT, KEYWORD, INT, FLOAT, STRING, PUNCT, EOF
+class Token(NamedTuple):
+    kind: str  # IDENT, KEYWORD, INT, FLOAT, STRING, JSON, PUNCT, EOF
     text: str
     span: Span
-    offset: int
+    # JSON: the decoded record.  A "{" whose record does not decode is lexed
+    # as PUNCT and carries the reason, reported if a matrix is expected there.
+    value: Any = None
 
 
 def _error(code: str, message: str, span: Span | None) -> SourceError:
     return SourceError([Diagnostic(code, message, span)])
 
 
+def _found(tok: Token) -> str:
+    """A token as a diagnostic names it; a record's text is never quoted."""
+    return "inline matrix" if tok.kind == "JSON" else repr(tok.text or tok.kind)
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def push(kind: str, start: int, end: int, span: Span):
-        tokens.append(Token(kind, text[start:end], span, start))
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = Span(line, col)
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\\":
-                    j += 1
-                j += 1
-            if j >= n:
+    pos, line, line_start = 0, 1, 0
+    while pos < len(text):
+        span = Span(line, pos - line_start + 1)
+        m = _TOKEN.match(text, pos)
+        kind = m.lastgroup if m else None
+        # \w also admits numeric characters that are not letters; an
+        # identifier starts with a letter or "_".
+        if kind == "WORD" and not (text[pos].isalpha() or text[pos] == "_"):
+            kind = None
+        if kind is None:
+            if text[pos] == '"':
                 raise _error("lex", "unterminated string literal", span)
-            push("STRING", i, j + 1, span)
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            push("KEYWORD" if word in KEYWORDS else "IDENT", i, j, span)
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")):
-            j = i + 1 if ch == "-" else i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and text[j] == ".":
-                is_float = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            push("FLOAT" if is_float else "INT", i, j, span)
-            col += j - i
-            i = j
-            continue
-        matched = None
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                matched = p
-                break
-        if matched is None:
-            raise _error("lex", f"unexpected character {ch!r}", span)
-        push("PUNCT", i, i + len(matched), span)
-        col += len(matched)
-        i += len(matched)
-    tokens.append(Token("EOF", "", Span(line, col), n))
+            raise _error("lex", f"unexpected character {text[pos]!r}", span)
+        end, value = m.end(), None
+        if kind == "JSON":
+            try:
+                value, end = _JSON.raw_decode(text, pos)
+            except json.JSONDecodeError as exc:
+                kind = "PUNCT"
+                value = ("unterminated inline matrix" if exc.pos >= len(text) else
+                         f"malformed inline matrix: {exc.msg} at {exc.lineno}:{exc.colno}")
+        elif kind == "WORD":
+            kind = "KEYWORD" if m.group() in KEYWORDS else "IDENT"
+        if kind != "SPACE":
+            tokens.append(Token(kind, text[pos:end], span, value))
+        newlines = text.count("\n", pos, end)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", pos, end) + 1
+        pos = end
+    tokens.append(Token("EOF", "", Span(line, pos - line_start + 1)))
     return tokens
-
-
-def _scan_balanced_json(text: str, start: int, span: Span):
-    """Extract one JSON object starting at ``text[start] == '{'``."""
-    depth = 0
-    i = start
-    in_string = False
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if in_string:
-            if ch == "\\":
-                i += 1
-            elif ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                raw = text[start : i + 1]
-                try:
-                    return json.loads(raw), i + 1
-                except json.JSONDecodeError as exc:
-                    raise _error("syntax", f"malformed inline matrix: {exc}", span) from exc
-        i += 1
-    raise _error("syntax", "unterminated inline matrix", span)
 
 
 @dataclass
@@ -198,7 +130,6 @@ class Definitions:
 
 class Parser:
     def __init__(self, text: str, *, base_dir: str = ".", tol: float = linalg.DEFAULT_TOL):
-        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
         self.base_dir = base_dir
@@ -225,81 +156,83 @@ class Parser:
         tok = self.peek()
         if not self.at(kind, text):
             want = text if text is not None else kind
-            raise _error("syntax", f"expected {want!r}, found {tok.text or tok.kind!r}", tok.span)
+            raise _error("syntax", f"expected {want!r}, found {_found(tok)}", tok.span)
         return self.advance()
+
+    def _list(self, item: Callable[[], Any], sep: str = ";") -> list:
+        """``item (sep item)*``."""
+        items = [item()]
+        while self.at("PUNCT", sep):
+            self.advance()
+            items.append(item())
+        return items
+
+    def _arms(self, item: Callable[[], Any]) -> list:
+        """``{ item (; item)* }``."""
+        self.expect("PUNCT", "{")
+        items = self._list(item)
+        self.expect("PUNCT", "}")
+        return items
+
+    def _outcome(self, item: Callable[[], Any]) -> tuple[int, Any]:
+        """``INT : item`` as a pair."""
+        outcome = int(self.expect("INT").text)
+        self.expect("PUNCT", ":")
+        return outcome, item()
 
     # -- declarations ------------------------------------------------------
 
     def parse_source(self) -> Program:
-        while self.at("KEYWORD", "qvar") or self.at("KEYWORD", "matrix") or self.at(
-            "KEYWORD", "measurement"
-        ) or self.at("KEYWORD", "use"):
-            self._declaration()
+        while self.peek().kind == "KEYWORD" and self.peek().text in _DECLARATIONS:
+            _DECLARATIONS[self.advance().text](self)
+            self.expect("PUNCT", ";")
         body = self.parse_program()
         self.expect("EOF")
         return body
 
-    def _declaration(self) -> None:
-        tok = self.advance()
-        if tok.text == "qvar":
-            name = self.expect("IDENT")
-            self.expect("PUNCT", ":")
-            dim_tok = self.expect("INT")
-            dim = int(dim_tok.text)
-            if dim < 2:
-                raise _error("declaration", f"dimension of {name.text!r} must be at least 2", dim_tok.span)
-            if name.text in self.defs.qvars:
-                raise _error("declaration", f"quantum variable {name.text!r} declared twice", name.span)
-            self.defs.qvars[name.text] = dim
-        elif tok.text == "matrix":
-            name = self.expect("IDENT")
-            self.expect("PUNCT", "=")
-            self.defs.matrices[name.text] = self._matrix_ref()
-        elif tok.text == "measurement":
-            name = self.expect("IDENT")
-            self.expect("PUNCT", "=")
-            self.defs.measurements[name.text] = self._measurement_literal()
-        else:  # use
-            path_tok = self.expect("STRING")
-            rel = path_tok.text[1:-1]
-            path = rel if os.path.isabs(rel) else os.path.join(self.base_dir, rel)
-            try:
-                loaded = matrixio.load_definitions(path)
-            except (OSError, ValueError, QgclError) as exc:
-                raise _error("use", f"cannot load definitions from {rel!r}: {exc}", path_tok.span)
-            self.defs.matrices.update(loaded)
-        self.expect("PUNCT", ";")
+    def _qvar_declaration(self) -> None:
+        name = self.expect("IDENT")
+        self.expect("PUNCT", ":")
+        dim_tok = self.expect("INT")
+        dim = int(dim_tok.text)
+        if dim < 2:
+            raise _error("declaration", f"dimension of {name.text!r} must be at least 2", dim_tok.span)
+        if name.text in self.defs.qvars:
+            raise _error("declaration", f"quantum variable {name.text!r} declared twice", name.span)
+        self.defs.qvars[name.text] = dim
+
+    def _define(self, table: dict, value: Callable[[], Any]) -> None:
+        name = self.expect("IDENT")
+        self.expect("PUNCT", "=")
+        table[name.text] = value()
+
+    def _use(self) -> None:
+        path_tok = self.expect("STRING")
+        rel = path_tok.text[1:-1]
+        path = rel if os.path.isabs(rel) else os.path.join(self.base_dir, rel)
+        try:
+            loaded = matrixio.load_definitions(path)
+        except (OSError, ValueError, QgclError) as exc:
+            raise _error("use", f"cannot load definitions from {rel!r}: {exc}", path_tok.span)
+        self.defs.matrices.update(loaded)
 
     def _matrix_ref(self) -> np.ndarray:
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "IDENT":
-            self.advance()
             if tok.text not in self.defs.matrices:
                 raise _error("unknown-name", f"matrix {tok.text!r} is not declared", tok.span)
             return self.defs.matrices[tok.text]
-        if self.at("PUNCT", "{"):
-            record, end = _scan_balanced_json(self.text, tok.offset, tok.span)
-            while self.peek().kind != "EOF" and self.peek().offset < end:
-                self.advance()
+        if tok.kind == "JSON":
             try:
-                return matrixio.matrix_from_record(record)
-            except Exception as exc:
+                return matrixio.matrix_from_record(tok.value)
+            except QgclError as exc:
                 raise _error("syntax", f"bad inline matrix: {exc}", tok.span)
-        raise _error("syntax", f"expected a matrix name or inline matrix, found {tok.text!r}", tok.span)
+        raise _error(
+            "syntax", tok.value or f"expected a matrix name or inline matrix, found {_found(tok)}", tok.span
+        )
 
     def _measurement_literal(self) -> Measurement:
-        self.expect("PUNCT", "{")
-        pairs = []
-        while True:
-            outcome = int(self.expect("INT").text)
-            self.expect("PUNCT", ":")
-            pairs.append((outcome, self._matrix_ref()))
-            if self.at("PUNCT", ";"):
-                self.advance()
-                continue
-            break
-        self.expect("PUNCT", "}")
-        return Measurement(tuple(pairs))
+        return Measurement(tuple(self._arms(lambda: self._outcome(self._matrix_ref))))
 
     def _measurement_ref(self) -> Measurement:
         tok = self.peek()
@@ -310,109 +243,69 @@ class Parser:
             return self.defs.measurements[tok.text]
         if self.at("PUNCT", "{"):
             return self._measurement_literal()
-        raise _error("syntax", f"expected a measurement, found {tok.text!r}", tok.span)
+        raise _error("syntax", f"expected a measurement, found {_found(tok)}", tok.span)
+
+    def _qvar(self) -> QVar:
+        name = self.expect("IDENT")
+        if name.text not in self.defs.qvars:
+            raise _error("undeclared-variable", f"quantum variable {name.text!r} is not declared", name.span)
+        return name.text, self.defs.qvars[name.text]
 
     def _qvar_list(self) -> tuple[QVar, ...]:
-        out = []
-        while True:
-            name = self.expect("IDENT")
-            if name.text not in self.defs.qvars:
-                raise _error(
-                    "undeclared-variable", f"quantum variable {name.text!r} is not declared", name.span
-                )
-            out.append((name.text, self.defs.qvars[name.text]))
-            if self.at("PUNCT", ","):
-                self.advance()
-                continue
-            return tuple(out)
+        return tuple(self._list(self._qvar, ","))
+
+    def _qvar_brackets(self) -> tuple[QVar, ...]:
+        self.expect("PUNCT", "[")
+        qvars = self._qvar_list()
+        self.expect("PUNCT", "]")
+        return qvars
 
     # -- programs ----------------------------------------------------------
 
-    def _starts_statement(self, tok: Token) -> bool:
-        if tok.kind == "IDENT":
-            return True
-        if tok.kind == "PUNCT" and tok.text in ("(", "{"):
-            return True
-        if tok.kind == "KEYWORD" and tok.text in (
-            "abort",
-            "skip",
-            "measure",
-            "guard",
-            "begin",
-            "pchoice",
-            "qchoice",
-        ):
-            return True
-        return False
-
     def parse_program(self) -> Program:
         first = self.parse_statement()
-        if self.at("PUNCT", ";") and self._starts_statement(self.peek(1)):
-            span = self.peek().span
-            self.advance()
-            rest = self.parse_program()
-            return Seq(first, rest, span=span)
+        if self.at("PUNCT", ";") and _starts_statement(self.peek(1)):
+            span = self.advance().span
+            return Seq(first, self.parse_program(), span=span)
         return first
 
     def parse_statement(self) -> Program:
         tok = self.peek()
-        if self.at("KEYWORD", "abort"):
-            self.advance()
-            return Abort(span=tok.span)
-        if self.at("KEYWORD", "skip"):
-            self.advance()
-            return Skip(span=tok.span)
+        if tok.kind == "KEYWORD" and tok.text in _STATEMENTS:
+            return _STATEMENTS[tok.text](self)
         if self.at("PUNCT", "("):
             self.advance()
             inner = self.parse_program()
             self.expect("PUNCT", ")")
             return inner
-        if self.at("KEYWORD", "measure"):
-            return self._measure_statement()
-        if self.at("KEYWORD", "guard"):
-            return self._guard_statement()
-        if self.at("KEYWORD", "begin"):
-            return self._block_statement()
-        if self.at("KEYWORD", "pchoice"):
-            return self._pchoice_statement()
-        if self.at("KEYWORD", "qchoice"):
-            return self._qchoice_statement()
-        if tok.kind == "IDENT" or self.at("PUNCT", "{"):
+        if _starts_statement(tok):
             matrix = self._matrix_ref()
-            self.expect("PUNCT", "[")
-            qvars = self._qvar_list()
-            self.expect("PUNCT", "]")
-            return Unitary(qvars, matrix, span=tok.span)
-        raise _error("syntax", f"expected a statement, found {tok.text or tok.kind!r}", tok.span)
+            return Unitary(self._qvar_brackets(), matrix, span=tok.span)
+        raise _error("syntax", f"expected a statement, found {_found(tok)}", tok.span)
 
-    def _measure_statement(self) -> Program:
-        start = self.expect("KEYWORD", "measure")
+    def _measure(self) -> Program:
+        start = self.advance()
         xvar = self.expect("IDENT")
         self.expect("PUNCT", "<-")
         measurement = self._measurement_ref()
-        self.expect("PUNCT", "[")
-        qvars = self._qvar_list()
-        self.expect("PUNCT", "]")
-        self.expect("PUNCT", "{")
-        branches = []
-        while True:
-            outcome = int(self.expect("INT").text)
-            self.expect("PUNCT", ":")
-            branches.append((outcome, self.parse_program()))
-            if self.at("PUNCT", ";"):
-                self.advance()
-                continue
-            break
-        self.expect("PUNCT", "}")
+        qvars = self._qvar_brackets()
+        branches = self._arms(lambda: self._outcome(self.parse_program))
         seen = [m for m, _ in branches]
         if len(set(seen)) != len(seen):
             raise _error("syntax", f"duplicate measurement arm {seen}", start.span)
         return Measure(xvar.text, qvars, measurement, tuple(branches), span=start.span)
 
-    def _guard_arms(self, arity: int, span: Span) -> tuple[Program, ...]:
-        self.expect("PUNCT", "{")
+    def _basis_and_arms(self, dim: int, span: Span) -> tuple[GuardBasis, tuple[Program, ...]]:
+        """``[basis B] { |i> -> P; ... }``, the tail shared by guard and qchoice."""
+        if self.at("KEYWORD", "basis"):
+            self.advance()
+            basis = GuardBasis(self._matrix_ref())
+        else:
+            basis = GuardBasis.computational(dim)
+        arity = basis.arity if basis.dim == dim else dim
         arms: dict[int, Program] = {}
-        while True:
+
+        def arm() -> None:
             self.expect("PUNCT", "|")
             idx_tok = self.expect("INT")
             idx = int(idx_tok.text)
@@ -421,46 +314,32 @@ class Parser:
             if idx in arms:
                 raise _error("syntax", f"duplicate guard arm |{idx}>", idx_tok.span)
             arms[idx] = self.parse_program()
-            if self.at("PUNCT", ";"):
-                self.advance()
-                continue
-            break
-        self.expect("PUNCT", "}")
+
+        self._arms(arm)
         if sorted(arms) != list(range(arity)):
             raise _error(
                 "guard-arms",
                 f"guard arms must enumerate |0>..|{arity - 1}| exactly, got {sorted(arms)}",
                 span,
             )
-        return tuple(arms[i] for i in range(arity))
+        return basis, tuple(arms[i] for i in range(arity))
 
-    def _guard_statement(self) -> Program:
-        start = self.expect("KEYWORD", "guard")
+    def _guard(self) -> Program:
+        start = self.advance()
         qvars = self._qvar_list()
-        dim = 1
-        for _, d in qvars:
-            dim *= d
-        if self.at("KEYWORD", "basis"):
-            self.advance()
-            basis = GuardBasis(self._matrix_ref())
-        else:
-            basis = GuardBasis.computational(dim)
-        arity = basis.arity if basis.dim == dim else dim
-        branches = self._guard_arms(arity, start.span)
+        basis, branches = self._basis_and_arms(math.prod(d for _, d in qvars), start.span)
         return Guarded(qvars, basis, branches, span=start.span)
 
-    def _block_statement(self) -> Program:
-        start = self.expect("KEYWORD", "begin")
+    def _block(self) -> Program:
+        start = self.advance()
         self.expect("KEYWORD", "local")
         qvars = self._qvar_list()
         self.expect("PUNCT", ":=")
-        dim = 1
-        for _, d in qvars:
-            dim *= d
         if self.at("PUNCT", "|"):
             self.advance()
             idx_tok = self.expect("INT")
             self.expect("PUNCT", ">")
+            dim = math.prod(d for _, d in qvars)
             idx = int(idx_tok.text)
             if not 0 <= idx < dim:
                 raise _error(
@@ -475,40 +354,55 @@ class Parser:
         self.expect("KEYWORD", "end")
         return Block(qvars, init, body, span=start.span)
 
-    def _pchoice_statement(self) -> Program:
-        start = self.expect("KEYWORD", "pchoice")
-        self.expect("PUNCT", "{")
-        branches = []
-        weights = []
-        while True:
-            branches.append(self.parse_program())
+    def _pchoice(self) -> Program:
+        start = self.advance()
+
+        def arm() -> tuple[float, Program]:
+            branch = self.parse_program()
             self.expect("PUNCT", "@")
             num = self.peek()
             if num.kind not in ("INT", "FLOAT"):
-                raise _error("syntax", f"expected a probability, found {num.text!r}", num.span)
+                raise _error("syntax", f"expected a probability, found {_found(num)}", num.span)
             self.advance()
-            weights.append(float(num.text))
-            if self.at("PUNCT", ";"):
-                self.advance()
-                continue
-            break
-        self.expect("PUNCT", "}")
-        return ProbChoice(tuple(weights), tuple(branches), span=start.span)
+            return float(num.text), branch
 
-    def _qchoice_statement(self) -> Program:
-        start = self.expect("KEYWORD", "qchoice")
+        weights, branches = zip(*self._arms(arm))
+        return ProbChoice(weights, branches, span=start.span)
+
+    def _qchoice(self) -> Program:
+        start = self.advance()
         coin = self.parse_statement()
         from .program import qvar_layout
 
-        dim = qvar_layout(coin).dim
-        if self.at("KEYWORD", "basis"):
-            self.advance()
-            basis = GuardBasis(self._matrix_ref())
-        else:
-            basis = GuardBasis.computational(dim)
-        arity = basis.arity if basis.dim == dim else dim
-        branches = self._guard_arms(arity, start.span)
+        basis, branches = self._basis_and_arms(qvar_layout(coin).dim, start.span)
         return QChoice(coin, basis, branches, span=start.span)
+
+
+# Each keyword that opens a declaration or a statement, with its parser.
+_DECLARATIONS: dict[str, Callable[[Parser], None]] = {
+    "qvar": Parser._qvar_declaration,
+    "matrix": lambda p: p._define(p.defs.matrices, p._matrix_ref),
+    "measurement": lambda p: p._define(p.defs.measurements, p._measurement_literal),
+    "use": Parser._use,
+}
+_STATEMENTS: dict[str, Callable[[Parser], Program]] = {
+    "abort": lambda p: Abort(span=p.advance().span),
+    "skip": lambda p: Skip(span=p.advance().span),
+    "measure": Parser._measure,
+    "guard": Parser._guard,
+    "begin": Parser._block,
+    "pchoice": Parser._pchoice,
+    "qchoice": Parser._qchoice,
+}
+KEYWORDS = frozenset(_DECLARATIONS) | frozenset(_STATEMENTS) | {"basis", "local", "end"}
+
+
+def _starts_statement(tok: Token) -> bool:
+    """One token of lookahead; a ``{`` here opens an inline matrix that did
+    not decode, reported by the statement that reads it."""
+    if tok.kind == "KEYWORD":
+        return tok.text in _STATEMENTS
+    return tok.kind in ("IDENT", "JSON") or (tok.kind == "PUNCT" and tok.text in ("(", "{"))
 
 
 def parse_source(

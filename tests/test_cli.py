@@ -201,6 +201,27 @@ def test_input_files_are_validated_at_the_given_tolerance(
         assert np.abs(got - np.array(record["entries"])).max() < 1e-12
 
 
+# A malformed record is reported on one line with exit 66, never a traceback.
+BAD_RECORDS = [
+    ("run", "--input", {"entries": [[None, 0], [0, 0], [0, 0], [0.5, 0]]}),
+    ("wp", "--observable", {"entries": [[None, 0], [0, 0], [0, 0], [0.5, 0]]}),
+    ("run", "--input", {"layout": [["q", None]]}),
+    ("run", "--input", {"layout": [["q", 2.7]]}),
+    ("run", "--input", {"rows": 2.7}),
+]
+
+
+@pytest.mark.parametrize("command, flag, change", BAD_RECORDS)
+def test_malformed_record_exit_66(tmp_path, capsys, command, flag, change):
+    prog = write(tmp_path / "p.qgcl", PRELUDE + "H[q]")
+    record = {"rows": 2, "cols": 2, "layout": [["q", 2]],
+              "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]], **change}
+    data = write(tmp_path / "s.json", json.dumps(record))
+    assert run_cli(command, prog, flag, data) == 66
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestReproduce:
     @pytest.mark.parametrize("suite", ["walk", "gmeas", "bb84", "loop"])
     def test_suites_pass(self, suite, capsys):

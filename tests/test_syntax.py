@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from qgcl import linalg as la
 from qgcl.errors import SourceError
 from qgcl.matrixio import matrix_to_record
-from qgcl.parser import check_source, parse_file, parse_source
+from qgcl.parser import check_source, parse_file, parse_source, tokenize
 from qgcl.printer import print_program
 from qgcl.program import (
     Block,
@@ -24,6 +25,7 @@ from qgcl.semantics import denote
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = la.identity(2)
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def lit(m) -> str:
@@ -154,6 +156,9 @@ class TestDiagnostics:
             "syntax",
         ),
         ('qvar q : 2;\nuse "no-such-defs.json";\nskip', "use"),
+        (f'qvar q : 2;\nuse "{os.path.join(DATA, "null_entry_defs.json")}";\nskip', "use"),
+        ("pchoice { skip @ -. }", "lex"),
+        ("qvar q : \u00b2;", "lex"),
     ]
 
     @pytest.mark.parametrize("src,code", NEGATIVE, ids=[c for _, c in NEGATIVE])
@@ -161,6 +166,55 @@ class TestDiagnostics:
         diagnostics = check_source(src)
         assert diagnostics, f"expected a diagnostic of class {code}"
         assert code in {d.code for d in diagnostics}
+
+
+MATRIX_3_LINES = '{"rows":1,\n "cols":1,\n "entries":[[1,0]]}'
+
+
+class TestLexer:
+    TABLE = [
+        ("// note\nskip // end", [("KEYWORD", "skip", 2, 1), ("EOF", "", 2, 12)]),
+        (
+            "-0.5 -.5 5. 1e-3 1e",
+            [("FLOAT", "-0.5", 1, 1), ("FLOAT", "-.5", 1, 6), ("FLOAT", "5.", 1, 10),
+             ("FLOAT", "1e-3", 1, 13), ("INT", "1", 1, 18), ("IDENT", "e", 1, 19), ("EOF", "", 1, 20)],
+        ),
+        ("-> <- :=", [("PUNCT", "->", 1, 1), ("PUNCT", "<-", 1, 4), ("PUNCT", ":=", 1, 7), ("EOF", "", 1, 9)]),
+        ('"a\\"b" x', [("STRING", '"a\\"b"', 1, 1), ("IDENT", "x", 1, 8), ("EOF", "", 1, 9)]),
+        (
+            "{ 0: P }",
+            [("PUNCT", "{", 1, 1), ("INT", "0", 1, 3), ("PUNCT", ":", 1, 4), ("IDENT", "P", 1, 6),
+             ("PUNCT", "}", 1, 8), ("EOF", "", 1, 9)],
+        ),
+        ('{ "rows": 1 } x', [("JSON", '{ "rows": 1 }', 1, 1), ("IDENT", "x", 1, 15), ("EOF", "", 1, 16)]),
+        ('{"n":"}"} x', [("JSON", '{"n":"}"}', 1, 1), ("IDENT", "x", 1, 11), ("EOF", "", 1, 12)]),
+        (MATRIX_3_LINES + " ;", [("JSON", MATRIX_3_LINES, 1, 1), ("PUNCT", ";", 3, 21), ("EOF", "", 3, 22)]),
+    ]
+
+    @pytest.mark.parametrize("text,expected", TABLE)
+    def test_kind_text_and_span(self, text, expected):
+        assert [(t.kind, t.text, t.span.line, t.span.col) for t in tokenize(text)] == expected
+
+    def test_inline_matrix_token_carries_the_record(self):
+        tok = tokenize('{"n":"}"}')[0]
+        assert tok.value == {"n": "}"}
+
+    def test_diagnostic_after_a_multiline_matrix(self):
+        [d] = check_source(f"qvar q : 2;\nmatrix A = {MATRIX_3_LINES};\nskip skip")
+        assert (d.code, d.span.line, d.span.col) == ("syntax", 5, 6)
+
+    def test_unterminated_string(self):
+        [d] = check_source('qvar q : 2;\nuse "gates.json;\nskip')
+        assert (d.code, d.message, d.span.line, d.span.col) == ("lex", "unterminated string literal", 2, 5)
+
+    def test_unterminated_inline_matrix(self):
+        [d] = check_source('qvar q : 2;\nskip; {"rows": 2, "cols": 2')
+        assert (d.code, d.message, d.span.line, d.span.col) == ("syntax", "unterminated inline matrix", 2, 7)
+
+    def test_diagnostic_names_but_never_quotes_an_inline_matrix(self):
+        [d] = check_source('qvar q : 2;\nuse {"rows": 1};\nskip')
+        assert d.code == "syntax"
+        assert "found inline matrix" in d.message and "rows" not in d.message
 
 
 class TestRoundTrip:
