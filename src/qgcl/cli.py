@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 from . import linalg, matrixio
 from .classical import render, sort_key
@@ -55,6 +56,7 @@ _DIMENSION = _checked(int, lambda v: v >= 1, "must be >= 1")
 _COUNT = _checked(int, lambda v: v >= 0, "must be >= 0")
 
 
+@cache  # one parser per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     top = _Cli(prog="qgcl", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

@@ -62,12 +62,14 @@ def program_equiv_report(
     *,
     max_dim: int = linalg.MAX_DIM_DEFAULT,
 ) -> tuple[str, float | None]:
-    """Verdict plus Choi deviation: 'equiv', 'distinct' or 'qvar-mismatch'."""
+    """Verdict plus Choi deviation: 'equiv', 'distinct' or 'qvar-mismatch'.
+    ``tol`` bounds the deviation and is the tolerance the leaves are checked at."""
     lp = qvar_layout(p)
     lq = qvar_layout(q)
     if not lp.same_variables(lq):
         return "qvar-mismatch", None
-    dev = choi_deviation(denote(p, max_dim=max_dim), denote(q, max_dim=max_dim))
+    dev = choi_deviation(denote(p, tol=tol, max_dim=max_dim),
+                         denote(q, tol=tol, max_dim=max_dim))
     return ("equiv" if dev <= tol else "distinct"), dev
 
 

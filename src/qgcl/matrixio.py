@@ -9,6 +9,7 @@ accepted anywhere JSON numbers are.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -50,7 +51,9 @@ def matrix_from_record(record: Any) -> np.ndarray:
         values = np.array(entries)
     except ValueError:  # ragged nesting
         values = None
-    if values is None or values.dtype.kind not in "iuf" or values.shape != (rows * cols, 2):
+    # numpy reads a JSON true/false mixed with numbers as 1/0: scan the types
+    if (values is None or values.dtype.kind not in "iuf" or values.shape != (rows * cols, 2)
+            or bool in set(map(type, chain.from_iterable(entries)))):
         raise ShapeError("matrix entries must be [re, im] pairs of numbers")
     m = values.astype(float, copy=False).view(complex).reshape(rows, cols)
     return linalg.as_matrix(m)

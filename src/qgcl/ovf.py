@@ -160,10 +160,10 @@ def apply_kraus(kraus, rho, dim: int | None = None) -> np.ndarray:
     return out
 
 
-def prune_zero_kraus(ops, cutoff: float = 1e-14) -> tuple[np.ndarray, ...]:
-    """Drop numerically zero Kraus operators; the channel is unchanged."""
-    kept = tuple(op for op in ops if float(np.max(np.abs(op))) > cutoff)
-    return kept
+def prune_zero_kraus(ops) -> tuple[np.ndarray, ...]:
+    """Drop numerically zero Kraus operators (no entry above 1e-14); the
+    channel is unchanged."""
+    return tuple(op for op in ops if float(np.max(np.abs(op))) > 1e-14)
 
 
 def lambda_weights(f: OperatorValuedFunction) -> dict[cs.ClassicalState, float]:

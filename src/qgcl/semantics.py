@@ -1,13 +1,16 @@
 """Program semantics at two levels.
 
-The semi-classical denotation of a core program is an operator-valued
-function indexed by the program's classical states: one operator per
-measurement-outcome path, with guard branches combined by guarded
-composition.  The channel semantics uses those operators as a Kraus family;
-blocks and probabilistic choices are handled directly at the channel level,
-where local variables become initialise-run-trace and probabilistic choice a
-weighted mixture.  Bounded loop unrolling and the system-environment model of
-channels support the coin-relocation equivalences.
+The semi-classical denotation of a core program (``semi_classical``) is the
+paper's operator-valued function over the program's classical states: one
+operator per measurement-outcome path, guard branches combined by guarded
+composition over the product of their domains.  The channel (``denote``) is
+one fold that builds each construct's Kraus family from its parts: a
+leaf's operator; sequencing, measurement and probabilistic choice by
+composing the sub-families; a block from its body's family by reshaping; a
+guard from its branch functions, without their joint domain.  Each family
+is pruned of zero operators and held at ``d²`` operators or fewer.  Bounded
+loop unrolling and the system-environment model of channels support the
+coin-relocation equivalences.
 
 Every evaluator starts from one checked pass, ``_prepare``, which builds each
 node's layout, operators and guard branch functions bottom-up.  At each node
@@ -20,18 +23,13 @@ result: it follows from the leaf contracts among those rules (unitarity,
 complete measurements, orthonormal guard bases, weights summing to at most
 one, density initial states), each within ``tol`` in norm, since every
 construct preserves it.
-``denote`` and ``semi_classical`` fold the steps into the dense reference
-path; ``apply_program`` and ``wp_apply`` never build the channel: ``stream``
+
+``apply_program`` and ``wp_apply`` never build the channel: ``stream``
 pushes the state (or, backwards, the observable) through the steps, each
 operator acting on its own tensor factors, a guard block by block in its
-basis.
-
-Streaming classifies each leaf operator (a unitary, a measurement operator,
-a guard branch's ``A``) once per call, on its step.  A monomial one
-(``linalg.Monomial``: at most one nonzero per row and per column, such as
-the walk's shifts, diagonals, phase permutations, basis projectors) is
-applied as a gather of its factors' rows times a scale vector, its adjoint
-as the inverse permutation with the conjugated scale; any other operator by
+basis.  A monomial leaf operator (``linalg.Monomial``: the walk's shifts,
+diagonals, phase permutations, basis projectors), classified once per call
+on its step, is applied as a gather times a scale vector; any other by
 dense matmul."""
 
 from __future__ import annotations
@@ -77,6 +75,7 @@ from .program import (
     children,
     declared,
     enforce,
+    is_core,
     joined_layout,
     qvar_layout,
     violations,
@@ -111,10 +110,7 @@ def semi_classical(
     Defined for the measurement-and-guard core only; quantum choice is
     accepted through its sequential desugaring.  Blocks, probabilistic
     choices and recursion are rejected: their meaning exists only at the
-    channel level.  The result keeps the trace bound ``sum F† F <= I``
-    within about ``tol`` per leaf (``2 tol`` per guard basis): each leaf's
-    Gram matrix is at most ``(1 + tol) I`` and every composition preserves
-    the bound, so it is not checked again.
+    channel level.  The trace bound ``sum F† F <= I`` holds as for ``denote``.
     """
     return _semi(_prepare(p, tol, max_dim), max_dim)
 
@@ -161,42 +157,70 @@ def denote(
     tol: float = linalg.DEFAULT_TOL,
     max_dim: int = linalg.MAX_DIM_DEFAULT,
 ) -> SuperOperator:
-    """Channel semantics of a program over its quantum-variable layout.
+    """Channel semantics of a program over its quantum-variable layout, as
+    a Kraus family of at most ``d²`` operators composed node by node.
 
-    Core programs go through the semi-classical denotation.  Sequencing,
-    measurement, blocks and probabilistic choice compose at the channel
-    level; a guarded command whose branches fall outside the core is
-    rejected, as is recursion.  The channel is trace-nonincreasing by
-    construction, within about ``tol`` per leaf (``2 tol`` per guard
-    basis): the leaf contracts bound each leaf's norm within ``tol`` and
-    every construct preserves the bound.
+    A guarded command whose branches fall outside the core is rejected, as
+    is recursion.  The channel is trace-nonincreasing by construction,
+    within about ``tol`` per leaf (``2 tol`` per guard basis): the leaf
+    contracts bound each leaf's norm within ``tol`` and every construct
+    preserves the bound.
     """
     return _denote(_prepare(p, tol, max_dim), tol, max_dim)
 
 
 def _denote(step: _Step, tol: float, max_dim: int) -> SuperOperator:
-    """Fold of a prepared step into its channel: a core subtree through its
-    semi-classical function, anything else composed channel by channel."""
-    if step.core:
-        return to_superop(_semi(step, max_dim))
+    """Fold of a prepared step into its channel: a leaf's operator, and for
+    every other construct a Kraus family composed from its parts' families,
+    pruned and held at ``d²`` operators or fewer (``_family``)."""
     p, full = step.node, step.layout
+    if not step.subs:  # abort, skip, unitary
+        return to_superop(_semi(step, max_dim))
+    if isinstance(p, Guarded):
+        return _family(full, _guard_family(step, max_dim))
     subs = [_denote(sub, tol, max_dim) for sub in step.subs]
     if isinstance(p, Block):
         return block_channel(subs[0], RegisterLayout(p.qvars), p.init, tol=tol)
     subs = [e.extended_to(full, max_dim=max_dim) for e in subs]
     if isinstance(p, Seq):
-        return subs[0].then(subs[1])
-    ops: list[np.ndarray] = []
-    if isinstance(p, Measure):
-        qlay = RegisterLayout(p.qvars)
-        for op, e_sub in zip(step.ops, subs):
-            m_op = embed(op, qlay, full, max_dim=max_dim)
-            ops.extend(e @ m_op for e in e_sub.kraus)
-    else:  # probabilistic choice
-        for w, e_b in zip(step.ops, subs):
-            root = np.sqrt(w)
-            ops.extend(root * e for e in e_b.kraus)
-    return SuperOperator(full, prune_zero_kraus(tuple(ops)))
+        return _family(full, subs[0].then(subs[1]).kraus)
+    if isinstance(p, Measure):  # each branch after its measurement operator
+        first = [embed(op, RegisterLayout(p.qvars), full, max_dim=max_dim) for op in step.ops]
+    else:  # probabilistic choice: each branch scaled by its weight's root
+        first = [np.sqrt(w) for w in step.ops]
+    return _family(full, [np.dot(e, m) for m, sub in zip(first, subs) for e in sub.kraus])
+
+
+def _guard_family(step: _Step, max_dim: int) -> list[np.ndarray]:
+    """With ``P_i`` the guard's basis projectors and branch ``i``'s function
+    ``F_i``, weights ``λ_i`` and ``A_i = sum_d λ_i(d) F_i(d)``: the family
+    ``sum_i P_i (x) A_i`` and every nonzero ``P_i (x) (F_i(d) - λ_i(d) A_i)``.
+
+    It induces ``guarded_ovf``'s channel: as ``sum_d λ_i(d)² = 1``, that
+    function's Choi matrix is ``sum_ij vec(P_i (x) A_i) vec(P_j (x) A_j)†``
+    plus ``P_i (x) (Choi(F_i) - vec A_i vec A_i†)`` per branch, which the
+    deviations give exactly, since ``I - λ_i λ_i†`` is a projector."""
+    p, full = step.node, step.layout
+    tops, rest = [], []
+    for i, (f, a) in enumerate(zip(step.fns, step.ops)):
+        col = p.basis.column(i)
+        proj, lay = col @ linalg.dagger(col), RegisterLayout(p.qvars).extended(f.layout)
+        ops = (a, *prune_zero_kraus([f(d) - w * a for d, w in lambda_weights(f).items()]))
+        branch = SuperOperator(lay, tuple(linalg.tensor(proj, op, max_dim=max_dim) for op in ops))
+        top, *devs = branch.extended_to(full, max_dim=max_dim).kraus
+        tops.append(top)
+        rest += devs
+    return [sum(tops), *rest]
+
+
+def _family(layout: RegisterLayout, ops) -> SuperOperator:
+    """The channel of ``ops``: zero operators pruned, and a family longer
+    than ``d²`` reduced to the Choi rank with no tolerance cut
+    (``linalg.reduce_kraus``), so no verdict can move."""
+    ops = prune_zero_kraus(ops)
+    if len(ops) > layout.dim**2:
+        ops = prune_zero_kraus(linalg.reduce_kraus(ops, layout.dim, 0.0))
+    return SuperOperator(layout, ops)
 
 
 def block_channel(
@@ -208,36 +232,24 @@ def block_channel(
 ) -> SuperOperator:
     """Channel of a block: initialise locals, run the body, trace them out.
 
-    Realised as an explicit Kraus family: purify the initial state, inject
-    each pure component, apply a body operator, project the locals onto a
-    basis vector.  The induced channel equals initialise-apply-partial-trace.
+    With ``init = sum_k val_k φ_k φ_k†``, each body operator ``E`` (locals
+    last) gives the Kraus operators ``(I (x) <b|) E (I (x) √val_k φ_k)`` for
+    every local basis state ``b``, read off ``E`` reshaped to
+    ``(d_out, d_loc, d_out, d_loc)``.  The induced channel equals
+    initialise-apply-partial-trace.
     """
     init = linalg.as_matrix(init)
     full = inner.layout
     enforce(block_rules(locals_layout.variables, init, full, tol))
     outer = locals_layout.extended(full).remove(locals_layout.names)  # locals' dimensions agree
     vals, vecs = np.linalg.eigh((init + linalg.dagger(init)) / 2)
-    rearranged = RegisterLayout(tuple(outer.variables) + tuple(locals_layout.variables))
-    order = [full.index(name) for name in rearranged.names]
-    perm = linalg.permutation_matrix(full.dims, order)
-    d_out = outer.dim
-    d_loc = locals_layout.dim
-    i_out = linalg.identity(d_out)
-    injections = []
-    for val, vec in zip(vals, vecs.T):
-        if val > 1e-12:
-            phi = vec.reshape(d_loc, 1)
-            injections.append((np.sqrt(val), linalg.dagger(perm) @ np.kron(i_out, phi)))
-    extractions = [
-        np.kron(i_out, linalg.dagger(linalg.basis_ket(d_loc, b))) @ perm for b in range(d_loc)
-    ]
-    ops = []
-    for root, inj in injections:
-        for e in inner.kraus:
-            lifted = e @ inj
-            for ext in extractions:
-                ops.append(root * (ext @ lifted))
-    return SuperOperator(outer, prune_zero_kraus(tuple(ops)))
+    keep = vals > 1e-12
+    cols = vecs[:, keep] * np.sqrt(vals[keep])
+    order = [full.index(name) for name in outer.names + locals_layout.names]
+    d_out, d_loc = outer.dim, locals_layout.dim
+    body = np.array([linalg.permute_factors(e, full.dims, order) for e in inner.kraus])
+    ops = np.einsum("naibj,jk->kniab", body.reshape(-1, d_out, d_loc, d_out, d_loc), cols)
+    return _family(outer, list(ops.reshape(-1, d_out, d_out)))
 
 
 def apply_program(
@@ -301,8 +313,7 @@ class _Step:
     ``ops[k]`` acts on the variables ``sites[k]``: a unitary, one
     measurement operator per branch, a block's initial state, a weight per
     probabilistic branch, or per guard branch ``A = sum_d lambda(d) F(d)``
-    over that branch's semi-classical function ``fns[k]``.  ``core`` marks a
-    subtree inside the measurement-and-guard core.
+    over that branch's semi-classical function ``fns[k]``.
     """
 
     node: Program
@@ -311,7 +322,6 @@ class _Step:
     subs: tuple = ()
     ops: tuple = ()
     sites: tuple = ()
-    core: bool = True
     fns: tuple = ()
 
     @cached_property
@@ -351,8 +361,7 @@ def _build(p: Program, subs: tuple[_Step, ...], max_dim: int) -> _Step:
             "recursion has no channel semantics; use a bounded unrolling"
         )
     cvars = frozenset().union(*(sub.cvars for sub in subs))
-    core = all(sub.core for sub in subs)
-    if isinstance(p, Guarded) and not core:
+    if isinstance(p, Guarded) and not all(map(is_core, p.branches)):
         raise UnsupportedConstructError(
             "guarded command over block/probabilistic branches has no defined semantics"
         )
@@ -362,17 +371,17 @@ def _build(p: Program, subs: tuple[_Step, ...], max_dim: int) -> _Step:
         return _Step(p, layout, ops=(p.operator,), sites=(own.names,))
     if isinstance(p, Measure):
         ops = tuple(op for _, op in p.measurement.operators)  # one per branch, by outcome
-        return _Step(p, layout, cvars | {p.x}, subs, ops, (own.names,) * len(ops), core)
+        return _Step(p, layout, cvars | {p.x}, subs, ops, (own.names,) * len(ops))
     if isinstance(p, Guarded):
         fns = tuple(_semi(sub, max_dim) for sub in subs)
         ops = tuple(sum(w * f(d) for d, w in lambda_weights(f).items()) for f in fns)
         return _Step(p, layout, cvars, subs, ops, tuple(f.layout.names for f in fns), fns=fns)
     if isinstance(p, Block):
-        return _Step(p, layout, cvars, subs, (linalg.as_matrix(p.init),), (own.names,), core=False)
+        return _Step(p, layout, cvars, subs, (linalg.as_matrix(p.init),), (own.names,))
     if isinstance(p, ProbChoice):
-        return _Step(p, layout, cvars, subs, tuple(float(w) for w in p.weights), core=False)
+        return _Step(p, layout, cvars, subs, tuple(float(w) for w in p.weights))
     if isinstance(p, (Abort, Skip, Seq)):
-        return _Step(p, layout, cvars, subs, core=core)
+        return _Step(p, layout, cvars, subs)
     raise UnsupportedConstructError(f"cannot evaluate {type(p).__name__}")
 
 
@@ -587,17 +596,11 @@ def system_environment_model(
             projector=projector,
             kept=kept,
         )
-    isometry = np.zeros((d * m, d), dtype=complex)
-    for j, op in enumerate(ops):
-        isometry[j::m, :] = op
+    isometry = np.stack(ops, axis=1).reshape(d * m, d)  # row s*m + j: row s of ops[j]
     q, _ = np.linalg.qr(isometry, mode="complete")
-    unitary = np.zeros((d * m, d * m), dtype=complex)
-    for s in range(d):
-        unitary[:, s * m] = isometry[:, s]
-    spare = iter(range(d, d * m))
-    for s in range(d):
-        for j in range(1, m):
-            unitary[:, s * m + j] = q[:, next(spare)]
+    # column s*m is the isometry's column s, columns s*m + 1 .. s*m + m-1 spare ones
+    spare = q[:, d:].reshape(d * m, d, m - 1)
+    unitary = np.concatenate([isometry[:, :, None], spare], axis=2).reshape(d * m, d * m)
     if not linalg.is_unitary(unitary, 1e-8):
         raise ContractError("dilation unitary completion failed")
     env_proj = np.diag([1.0 if j < kept else 0.0 for j in range(m)]).astype(complex)
@@ -651,12 +654,9 @@ def coin_relocation_lhs_rhs(
     )
     m = dilation.env_dim
 
-    def discarded(branch: Program) -> Program:
-        return Seq(branch, Abort())
-
     if m == 1:
         kept_branches = (
-            branches if dilation.kept == 1 else tuple(discarded(b) for b in branches)
+            branches if dilation.kept == 1 else tuple(Seq(b, Abort()) for b in branches)
         )
         rotated = GuardBasis(linalg.dagger(dilation.unitary) @ basis.matrix)
         rhs = Seq(
@@ -670,7 +670,7 @@ def coin_relocation_lhs_rhs(
         linalg.dagger(dilation.unitary) @ np.kron(basis.matrix, linalg.identity(m))
     )
     rhs_branches = tuple(
-        branches[i] if j < dilation.kept else discarded(branches[i])
+        branches[i] if j < dilation.kept else Seq(branches[i], Abort())
         for i in range(len(branches))
         for j in range(m)
     )

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ class TestRun:
         for out in (out1, out2):
             assert run_cli("run", sample("bb84.qgcl"), "--input",
                            sample("bb84_input.json"), "--out", out) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_malformed_state_exit_66(self, tmp_path):
         bad = write(tmp_path / "bad.json", '{"rows": 2}')
@@ -201,6 +202,26 @@ def test_input_files_are_validated_at_the_given_tolerance(
         assert np.abs(got - np.array(record["entries"])).max() < 1e-12
 
 
+# A unitary 1e-7 off: every command checks it at its own --tol, equiv included.
+NEAR_UNITARY = '{"rows":2,"cols":2,"entries":[[1.0000001,0],[0,0],[0,0],[1,0]]}[q]'
+
+
+@pytest.mark.parametrize("command", ["check", "run", "branches", "equiv"])
+def test_leaves_are_checked_at_the_given_tolerance(tmp_path, capsys, command):
+    prog = write(tmp_path / "a.qgcl", "qvar q : 2;\n" + NEAR_UNITARY)
+    state = write(tmp_path / "s.json", json.dumps(
+        {"rows": 2, "cols": 2, "layout": [["q", 2]], "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+    args = {"check": [prog], "run": [prog, "--input", state], "branches": [prog],
+            "equiv": [prog, prog]}[command]
+    assert run_cli(command, *args, "--tol", "1e-6") == 0
+    out = capsys.readouterr().out
+    if command == "equiv":
+        assert out.startswith("EQUIV")
+    assert run_cli(command, *args) == 1
+    captured = capsys.readouterr()
+    assert "unitary-nonunitary" in captured.out + captured.err
+
+
 # A malformed record is reported on one line with exit 66, never a traceback.
 BAD_RECORDS = [
     ("run", "--input", {"entries": [[None, 0], [0, 0], [0, 0], [0.5, 0]]}),
@@ -208,6 +229,7 @@ BAD_RECORDS = [
     ("run", "--input", {"layout": [["q", None]]}),
     ("run", "--input", {"layout": [["q", 2.7]]}),
     ("run", "--input", {"rows": 2.7}),
+    ("run", "--input", {"entries": [[True, 0.5], [0, 0], [0, 0], [0.5, 0]]}),
 ]
 
 

@@ -30,6 +30,8 @@ def test_records_match_the_per_entry_conversion():
         {"rows": True},
         {"cols": "2"},
         {"cols": None},
+        {"entries": [[True, 0.5], [0, 0]]},
+        {"entries": [[1, 0], [0, False]]},
     ],
 )
 def test_malformed_matrix_records_raise_shape_error(change):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgcl import classical as cs
 from qgcl import linalg as la
+from qgcl import semantics
 from qgcl.errors import CapacityError, ContractError, UnsupportedConstructError
 from qgcl.ovf import SuperOperator, to_superop
 from qgcl.program import (
@@ -504,3 +507,55 @@ def test_denote_of_desugared_matches_direct(seed):
     from qgcl.program import desugar
 
     assert choi_dev(denote(p), denote(desugar(p))) < 1e-9
+
+
+# -- One channel construction ---------------------------------------------------
+# ``denote`` composes every construct's Kraus family from its parts; a guard's
+# comes from its branch functions without their joint domain.  The reference is
+# the paper's definition: the operators of the semi-classical function.
+
+
+def checked_denote(p):
+    """``denote(p)``, asserting that every node's family has at most d² operators."""
+    original = semantics._denote
+
+    def bounded(step, *args):
+        out = original(step, *args)
+        assert len(out.kraus) <= step.layout.dim ** 2, type(step.node).__name__
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semantics, "_denote", bounded)
+        return denote(p)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_denote_matches_the_semi_classical_function(seed, depth):
+    p = ProgramSampler(rng(seed), (Q, ("r", 2)), (("g1", 2), ("g2", 3), ("g3", 2))).program(depth)
+    channel = checked_denote(p)
+    reference = to_superop(semi_classical(p)).extended_to(channel.layout)
+    assert la.choi_max_diff(channel.kraus, reference.kraus, channel.layout.dim) < 1e-12
+
+
+def measurement_chain(k, x):
+    """``k`` rounds of a Hadamard and a computational measurement on ``q``."""
+    p = Skip()
+    for i in range(k):
+        p = Seq(p, Seq(Unitary((Q,), H), measure_skip(f"{x}{i}")))
+    return p
+
+
+def test_guard_over_measurement_chains_stays_compact():
+    # The product of the branch domains has 64 x 64 = 4,096 states.
+    p = Guarded((C,), GuardBasis.computational(2), (measurement_chain(6, "x"), measurement_chain(6, "y")))
+    tracemalloc.start()
+    try:
+        channel = checked_denote(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(channel.kraus) <= 16
+    assert peak < 2 * 2**20
+    reference = to_superop(semi_classical(p)).extended_to(channel.layout)
+    assert la.choi_max_diff(channel.kraus, reference.kraus, channel.layout.dim) < 1e-12

@@ -157,6 +157,7 @@ class TestDiagnostics:
         ),
         ('qvar q : 2;\nuse "no-such-defs.json";\nskip', "use"),
         (f'qvar q : 2;\nuse "{os.path.join(DATA, "null_entry_defs.json")}";\nskip', "use"),
+        (f'qvar q : 2;\nuse "{os.path.join(DATA, "bool_entry_defs.json")}";\nskip', "use"),
         ("pchoice { skip @ -. }", "lex"),
         ("qvar q : \u00b2;", "lex"),
     ]
