@@ -114,35 +114,33 @@ def permute_factors(m, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
     return t.transpose(axes).reshape(side, side)
 
 
-def permutation_matrix(dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Explicit basis-permutation matrix P with P |i_old> = |i_new>.
-
-    Satisfies ``P @ m @ P.conj().T == permute_factors(m, dims, order)``.
-    """
-    dims = list(dims)
-    n = len(dims)
-    total = int(np.prod(dims)) if dims else 1
-    p = np.zeros((total, total), dtype=complex)
-    new_dims = [dims[i] for i in order]
-    for src in range(total):
-        digits = []
-        rem = src
-        for d in reversed(dims):
-            digits.append(rem % d)
-            rem //= d
-        digits.reverse()
-        dst = 0
-        for pos in range(n):
-            dst = dst * new_dims[pos] + digits[order[pos]]
-        p[dst, src] = 1.0
-    return p
+def frozen(value) -> np.ndarray:
+    """A read-only complex copy of ``value``, in its memory order; ``value``
+    itself when it already is a read-only complex array owning its data.
+    Program nodes keep such snapshots, so no caller can change their
+    matrices after construction."""
+    if (isinstance(value, np.ndarray) and value.dtype == complex
+            and value.flags.owndata and not value.flags.writeable):
+        return value
+    m = np.array(value, dtype=complex)
+    m.flags.writeable = False
+    return m
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    m = as_matrix(m)
+def hermitian_part(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray | None:
+    """``(m + m†) / 2`` when ``m`` (a matrix as ``as_matrix`` returns it) is
+    square and ``max |m - m†| <= tol``, Hermitian within ``tol``; else
+    ``None``.  ``m†`` is formed once, as a contiguous copy, and its buffer
+    becomes the result."""
     if m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m - dagger(m))) <= tol)
+        return None
+    adj = m.T.copy()
+    np.conjugate(adj, out=adj)
+    if np.max(np.abs(m - adj)) > tol:
+        return None
+    adj += m
+    adj /= 2
+    return adj
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
@@ -221,16 +219,8 @@ def kernel(op: np.ndarray):
 
 
 def is_positive(m, tol: float = DEFAULT_TOL) -> bool:
-    """Positive semidefiniteness within tolerance.
-
-    The anti-Hermitian part must itself be below tolerance.  The Hermitian
-    part passes at once when Gershgorin's discs prove it, in O(d²): every
-    eigenvalue is at least ``min_i (herm_ii - sum_{j != i} |herm_ij|)``.
-    Otherwise it passes when ``herm + tol I`` has a Cholesky factor; only
-    when the factorisation fails do its eigenvalues decide.  Each step
-    answers only what it proves, so the verdict is the one of
-    ``min eig(herm) >= -tol``.
-    """
+    """Positive semidefiniteness within tolerance: the anti-Hermitian part
+    is below ``tol`` and the Hermitian part passes ``hermitian_psd``."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"positivity is defined for square matrices, got {m.shape}")
@@ -239,6 +229,19 @@ def is_positive(m, tol: float = DEFAULT_TOL) -> bool:
     herm = (m + dagger(m)) / 2
     if np.max(np.abs(m - herm)) > tol:
         return False
+    return hermitian_psd(herm, tol)
+
+
+def hermitian_psd(herm: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """``min eig(herm) >= -tol`` for a Hermitian ``herm``, which may be
+    overwritten.
+
+    It passes at once when Gershgorin's discs prove it, in O(d²): every
+    eigenvalue is at least ``min_i (herm_ii - sum_{j != i} |herm_ij|)``.
+    Otherwise it passes when ``herm + tol I`` has a Cholesky factor; only
+    when the factorisation fails do its eigenvalues decide.  Each step
+    answers only what it proves, so the verdict is the eigenvalues' one.
+    """
     radii = np.abs(herm)
     radii.flat[:: herm.shape[0] + 1] = 0
     if np.min(herm.diagonal().real - radii.sum(axis=1)) >= -tol:

@@ -1,9 +1,17 @@
 """Abstract syntax of guarded-command quantum programs.
 
-Programs are immutable trees.  Quantum variables appear as (name, dimension)
-pairs so a program is self-contained; classical variables range over the
-integers and record measurement outcomes.  ``children`` and ``rebuild`` walk
-any node through its dataclass fields.
+Programs are immutable trees, values that never change.  Quantum variables
+appear as (name, dimension) pairs so a program is self-contained; classical
+variables range over the integers and record measurement outcomes.
+``children`` and ``rebuild`` walk any node through its dataclass fields.
+
+A node keeps a read-only complex copy of every matrix it is given
+(``Unitary``, ``Measurement``, ``GuardBasis``, ``Block``; ``linalg.frozen``),
+so writing later into the array passed in leaves the program as it was.
+What is worked out from a node is therefore fixed for the node's lifetime
+and kept in its ``__dict__``: ``Unitary.operator`` and ``kernel``, the
+``tol`` at which ``well_formed`` found its rules to hold, and the checked
+step of ``semantics._prepare`` per ``(tol, max_dim)``.
 
 Each construct's side conditions are written once, in ``RULES``: every rule
 gives a diagnostic code, a message and an error type.  ``well_formed``
@@ -47,7 +55,7 @@ from .errors import (
 from .registers import QVar, RegisterLayout
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Measurement:
     """Complete quantum measurement: integer outcomes to operators M_m with
     sum_m M_m† M_m = I."""
@@ -57,14 +65,14 @@ class Measurement:
     def __post_init__(self):
         ops = tuple(
             sorted(
-                ((int(m), linalg.as_matrix(op)) for m, op in self.operators),
+                ((int(m), linalg.as_matrix(linalg.frozen(op))) for m, op in self.operators),
                 key=lambda pair: pair[0],
             )
         )
         outcomes = [m for m, _ in ops]
         if len(set(outcomes)) != len(outcomes):
             raise LayoutError(f"duplicate measurement outcomes {outcomes}")
-        self.operators = ops
+        object.__setattr__(self, "operators", ops)
 
     @property
     def outcomes(self) -> tuple[int, ...]:
@@ -95,14 +103,14 @@ class Measurement:
         return Measurement(tuple(ops))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GuardBasis:
     """Orthonormal guard states, stored as the columns of a square matrix."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = linalg.as_matrix(self.matrix)
+        object.__setattr__(self, "matrix", linalg.as_matrix(linalg.frozen(self.matrix)))
 
     @property
     def arity(self) -> int:
@@ -150,9 +158,12 @@ class Unitary(Program):
     qvars: tuple[QVar, ...]
     matrix: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", linalg.frozen(self.matrix))
+
     @cached_property
     def operator(self) -> np.ndarray:
-        """``matrix`` as a finite complex matrix, converted once."""
+        """``matrix``, checked once to be a finite complex matrix."""
         return linalg.as_matrix(self.matrix)
 
     @cached_property
@@ -204,6 +215,9 @@ class Block(Program):
     qvars: tuple[QVar, ...]
     init: np.ndarray
     body: "Program"
+
+    def __post_init__(self):
+        object.__setattr__(self, "init", linalg.frozen(self.init))
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,6 +411,8 @@ def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]
     else:
         own = frozenset((p.x,) if isinstance(p, Measure) else ()).union(*cvars)
     found = list(violations(p, cvars, layouts, tol))
+    if not found and None not in layouts:
+        p.__dict__[_RULES_PASSED] = tol
     out.extend(Diagnostic(v.code, v.message, p.span) for v in found)
     if not any(v.cut for v in found):
         out.extend(inner)
@@ -434,6 +450,21 @@ def enforce(found: Iterable[Violation]) -> None:
     """Raise the first violation as its typed error, its code leading the message."""
     for v in found:
         raise v.error(f"{v.code}: {v.message}")
+
+
+# ``well_formed`` stores under this key of a node's ``__dict__`` the ``tol`` at
+# which the node passed every rule with all its subprograms' layouts known.
+_RULES_PASSED = "_rules_passed_at"
+
+
+def enforce_rules(p: Program, cvars: list[frozenset[str]], layouts: list[RegisterLayout],
+                  tol: float) -> None:
+    """``enforce`` the side conditions of node ``p`` over its subprograms'
+    classical variables and layouts, unless ``well_formed`` found them all
+    to hold at this ``tol``: a node and its matrices never change, and the
+    subprograms' variables and layouts are the ones ``well_formed`` saw."""
+    if p.__dict__.get(_RULES_PASSED) != tol:
+        enforce(violations(p, cvars, layouts, tol))
 
 
 def _dims(p: Program, layouts: list[RegisterLayout | None]) -> Iterator[Violation]:
@@ -553,14 +584,15 @@ def block_rules(qvars: tuple[QVar, ...], init, body: RegisterLayout | None,
             "block-init",
             f"initial state shape {init.shape} does not match locals of dimension {dim}",
             LayoutError)
-    elif not (linalg.is_hermitian(init, tol) and _density_spectrum(init, tol)):
+    elif (herm := linalg.hermitian_part(init, tol)) is None or not _density_spectrum(herm, tol):
         yield Violation("block-init", "initial state is not a density operator", ContractError)
 
 
-def _density_spectrum(init: np.ndarray, tol: float) -> bool:
-    """No eigenvalue below ``-tol``, and the positive ones sum to at most
-    ``1 + tol``: that sum, not the trace, bounds what the block keeps."""
-    eigs = np.linalg.eigvalsh((init + linalg.dagger(init)) / 2)
+def _density_spectrum(herm: np.ndarray, tol: float) -> bool:
+    """No eigenvalue of the Hermitian part below ``-tol``, and the positive
+    ones sum to at most ``1 + tol``: that sum, not the trace, bounds what
+    the block keeps."""
+    eigs = np.linalg.eigvalsh(herm)
     return bool(eigs.min() >= -tol and eigs[eigs > 0].sum() <= 1 + tol)
 
 

@@ -135,6 +135,18 @@ def embed(
     return linalg.permute_factors(ext, [d for _, d in src_vars], order)
 
 
+def _check_positive(m: np.ndarray, tol: float, what: str) -> None:
+    """Hermitian within ``tol``, then positive semidefinite within ``tol``,
+    in one pass over ``m``: once ``max |m - m†| <= tol``, the anti-Hermitian
+    part ``|m - (m + m†)/2| = |m - m†|/2`` is within ``tol`` too, so only the
+    Hermitian part's spectrum is left to test."""
+    herm = linalg.hermitian_part(m, tol)
+    if herm is None:
+        raise ContractError(f"{what} is not Hermitian within tolerance")
+    if not linalg.hermitian_psd(herm, tol):
+        raise ContractError(f"{what} is not positive semidefinite within tolerance")
+
+
 @dataclass(eq=False)
 class DensityMatrix:
     """A (partial) density operator together with its register layout."""
@@ -150,10 +162,7 @@ class DensityMatrix:
             )
 
     def validate(self, tol: float = linalg.DEFAULT_TOL) -> None:
-        if not linalg.is_hermitian(self.matrix, tol):
-            raise ContractError("density matrix is not Hermitian within tolerance")
-        if not linalg.is_positive(self.matrix, tol):
-            raise ContractError("density matrix is not positive semidefinite within tolerance")
+        _check_positive(self.matrix, tol, "density matrix")
         tr = float(np.trace(self.matrix).real)
         if tr > 1 + tol:
             raise ContractError(f"density matrix has trace {tr} > 1")
@@ -174,7 +183,4 @@ class Observable:
             )
 
     def validate(self, tol: float = linalg.DEFAULT_TOL) -> None:
-        if not linalg.is_hermitian(self.matrix, tol):
-            raise ContractError("observable is not Hermitian within tolerance")
-        if not linalg.is_positive(self.matrix, tol):
-            raise ContractError("observable is not positive semidefinite within tolerance")
+        _check_positive(self.matrix, tol, "observable")

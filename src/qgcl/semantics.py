@@ -13,7 +13,8 @@ loop unrolling and the system-environment model of channels support the
 coin-relocation equivalences.
 
 Every evaluator starts from one checked pass, ``_prepare``, which builds each
-node's layout, operators and guard branch functions bottom-up.  At each node
+node's layout, operators and guard branch functions bottom-up, once per
+program and ``(tol, max_dim)``: each node keeps its step.  At each node
 it runs the side conditions of ``program.RULES``, the ones ``well_formed``
 reports, and raises the first violated one with its code leading the
 message; so ``semi_classical``, ``denote``, ``apply_program`` and
@@ -28,9 +29,9 @@ construct preserves it.
 pushes the state (or, backwards, the observable) through the steps, each
 operator acting on its own tensor factors, a guard block by block in its
 basis.  A monomial leaf operator (``linalg.Monomial``: the walk's shifts,
-diagonals, phase permutations, basis projectors), classified once per call
-on its step, is applied as a gather times a scale vector; any other by
-dense matmul."""
+diagonals, phase permutations, basis projectors), classified once per
+program on its step, is applied as a gather times a scale vector; any other
+by dense matmul."""
 
 from __future__ import annotations
 
@@ -75,10 +76,10 @@ from .program import (
     children,
     declared,
     enforce,
+    enforce_rules,
     is_core,
     joined_layout,
     qvar_layout,
-    violations,
 )
 from .registers import DensityMatrix, RegisterLayout, embed
 
@@ -308,7 +309,8 @@ def _check_input(program: RegisterLayout, given: RegisterLayout, adjoint: bool) 
 
 @dataclass(eq=False)
 class _Step:
-    """A checked program node, the common input of every evaluator.
+    """A checked program node, the common input of every evaluator; the
+    node keeps it (``_prepare``).
 
     ``ops[k]`` acts on the variables ``sites[k]``: a unitary, one
     measurement operator per branch, a block's initial state, a weight per
@@ -334,22 +336,38 @@ class _Step:
         return tuple(map(linalg.kernel, self.ops))
 
 
+_STEPS = "_steps"  # the key of a node's prepared steps by (tol, max_dim)
+
+
 def _prepare(p: Program, tol: float, max_dim: int) -> _Step:
     """The one checked pass: layouts, classical variables, operators and
-    guard branch functions of ``p``, bottom-up.
+    guard branch functions of ``p``, bottom-up, memoized on each node.
 
     Once a node's subprograms are prepared, the first of its side conditions
     (``program.RULES``) that fails raises, with its code leading the
     message; ``_build`` adds what only evaluation needs.  A quantum choice
     becomes its coin followed by the guard over the coin's variables.
+
+    A node and its matrices never change, so its step depends only on
+    ``(tol, max_dim)``: it is kept in the node's ``__dict__`` under that key,
+    as ``cached_property`` keeps ``Unitary.kernel``, and a shared subprogram
+    is prepared once.  A node that raises keeps nothing.  The step refers
+    back to its node, so a dropped program goes with the cyclic collector.
     """
+    key = (tol, max_dim)
+    memo = p.__dict__.get(_STEPS)
+    if memo is not None and key in memo:
+        return memo[key]
     subs = tuple(_prepare(c, tol, max_dim) for c in children(p))
-    enforce(violations(p, [sub.cvars for sub in subs], [sub.layout for sub in subs], tol))
+    enforce_rules(p, [sub.cvars for sub in subs], [sub.layout for sub in subs], tol)
     if isinstance(p, QChoice):
         guard = Guarded(tuple(subs[0].layout.variables), p.basis, p.branches)
-        return _build(Seq(p.coin, guard, span=p.span),
+        step = _build(Seq(p.coin, guard, span=p.span),
                       (subs[0], _build(guard, subs[1:], max_dim)), max_dim)
-    return _build(p, subs, max_dim)
+    else:
+        step = _build(p, subs, max_dim)
+    p.__dict__.setdefault(_STEPS, {})[key] = step
+    return step
 
 
 def _build(p: Program, subs: tuple[_Step, ...], max_dim: int) -> _Step:

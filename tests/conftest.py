@@ -1,4 +1,7 @@
-"""Shared corpus builders for the syntax and acceptance suites."""
+"""Shared corpus builders for the syntax and acceptance suites, and the
+explicit permutation matrix the linalg and ovf suites check against."""
+
+import numpy as np
 
 from qgcl.program import Block, ProbChoice, qvar_layout, well_formed
 from qgcl.sampling import ProgramSampler, random_density, rng
@@ -31,3 +34,14 @@ def corpus(count: int = 50):
         if not well_formed(p):
             out.append(p)
     return out
+
+
+def permutation_matrix(dims, order):
+    """Basis permutation ``P`` with ``P |i_old> = |i_new>``, built by index
+    arithmetic: ``P m P†`` is ``linalg.permute_factors(m, dims, order)``."""
+    total = int(np.prod(dims))
+    digits = np.unravel_index(np.arange(total), dims)
+    dst = np.ravel_multi_index([digits[i] for i in order], [dims[i] for i in order])
+    p = np.zeros((total, total), dtype=complex)
+    p[dst, np.arange(total)] = 1.0
+    return p

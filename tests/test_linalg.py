@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgcl import linalg as la
-from qgcl.errors import CapacityError, ShapeError
+from qgcl.errors import CapacityError, ContractError, ShapeError
+from qgcl.registers import DensityMatrix, Observable, RegisterLayout
+
+from conftest import permutation_matrix
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -86,7 +89,7 @@ class TestPermutations:
         m = rand_matrix(gen, total, total)
         order = list(gen.permutation(3))
         fast = la.permute_factors(m, dims, order)
-        p = la.permutation_matrix(dims, order)
+        p = permutation_matrix(dims, order)
         assert la.max_abs_diff(fast, p @ m @ la.dagger(p)) < 1e-12
 
 
@@ -239,6 +242,35 @@ class TestPositivityAgainstEigenvalues:
         m = np.diag([1.0, 0.5, lowest])
         assert eigvalsh_positive(m, self.TOL) == expected[0]
         assert self.verdict_and_factored(m) == expected
+
+    # ``DensityMatrix``/``Observable.validate`` test ``max |m - m†| <= tol``
+    # and then only the Hermitian part's spectrum: the anti-Hermitian part
+    # ``|m - m†| / 2`` is then within ``tol / 2``, inside ``is_positive``'s bound.
+
+    @pytest.mark.parametrize("dim", [2, 64])
+    @pytest.mark.parametrize("edge", [1 - 1e-3, 1 + 1e-3, 2 - 1e-3, 2 + 1e-3])
+    def test_anti_hermitian_part_at_the_tolerance_edge(self, dim, edge):
+        gen = np.random.default_rng(dim)
+        skew = rand_matrix(gen, dim, dim)
+        skew -= skew.conj().T
+        skew *= edge * self.TOL / np.abs(skew).max()  # max |m - m†| = edge tol
+        m = with_lowest_eigenvalue(gen, dim, 0.0) / dim + skew / 2
+        assert (np.abs(m - m.conj().T).max() <= self.TOL) == (edge < 1)
+        assert la.is_positive(m, self.TOL) == eigvalsh_positive(m, self.TOL) == (edge < 2)
+        layout = RegisterLayout.of(("q", dim))
+        for kind, what in ((DensityMatrix, "density matrix"), (Observable, "observable")):
+            if edge < 1:
+                kind(m, layout).validate(self.TOL)
+            else:
+                with pytest.raises(ContractError, match=f"^{what} is not Hermitian"):
+                    kind(m, layout).validate(self.TOL)
+
+    @pytest.mark.parametrize("kind, what", [(DensityMatrix, "density matrix"),
+                                            (Observable, "observable")])
+    def test_validate_rejects_a_negative_hermitian_part(self, kind, what):
+        m = with_lowest_eigenvalue(np.random.default_rng(6), 8, -16 * self.TOL) / 8  # -2 tol
+        with pytest.raises(ContractError, match=f"^{what} is not positive semidefinite"):
+            kind(m, RegisterLayout.of(("q", 8))).validate(self.TOL)
 
 
 class TestChoi:

@@ -19,6 +19,8 @@ from qgcl.program import GuardBasis, Measurement
 from qgcl.registers import RegisterLayout
 from qgcl.sampling import random_ovf, random_unitary, rng
 
+from conftest import permutation_matrix
+
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -48,7 +50,7 @@ class TestGuardedUnitary:
         data = RegisterLayout.of(("d", 2))
         guard = RegisterLayout.of(("s1", 2), ("s2", 2))
         got = guarded_unitary(GuardBasis.computational(4), us, data, guard)
-        swap = la.permutation_matrix([2, 2, 2], [1, 2, 0])  # data-first -> guard-first
+        swap = permutation_matrix([2, 2, 2], [1, 2, 0])  # data-first -> guard-first
         block = np.zeros((8, 8), dtype=complex)
         for i, u in enumerate(us):
             block[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = u

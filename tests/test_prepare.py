@@ -1,0 +1,199 @@
+"""The checked pass is made once per program: ``_prepare`` keeps each node's
+step per ``(tol, max_dim)``, nodes own read-only copies of their matrices,
+and a node ``well_formed`` passed is not checked again at the same ``tol``.
+"""
+
+import gc
+import io
+import weakref
+from contextlib import contextmanager, redirect_stdout
+from pathlib import Path
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+
+import qgcl.program as program
+import qgcl.semantics as semantics
+from qgcl import cli
+from qgcl import linalg as la
+from qgcl.errors import CapacityError, ContractError, UnsupportedConstructError
+from qgcl.program import (
+    Block,
+    GuardBasis,
+    Guarded,
+    Measure,
+    Measurement,
+    Mu,
+    ProbChoice,
+    QChoice,
+    Seq,
+    Skip,
+    Unitary,
+    qvar_layout,
+    well_formed,
+)
+from qgcl.registers import DensityMatrix, Observable, RegisterLayout
+from qgcl.sampling import random_density, random_positive, random_unitary, rng
+from qgcl.semantics import apply_program, denote, semi_classical
+from qgcl.wp import wp_apply
+
+H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Q, C, E = ("q", 2), ("c", 2), ("e", 2)
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def shift(n: int, k: int) -> np.ndarray:
+    return np.roll(np.eye(n), k, axis=0).astype(complex)
+
+
+def core_program() -> QChoice:
+    """A walk step followed by a measurement whose branches share a guard."""
+    walk = QChoice(Unitary((C,), H), GuardBasis.computational(2),
+                   (Unitary((("v", 4),), shift(4, 1)), Unitary((("v", 4),), shift(4, -1))))
+    guard = Guarded((C,), GuardBasis(H), (Unitary((Q,), X), Skip()))
+    return Seq(walk, Measure("x", (Q,), Measurement.computational(2), ((0, guard), (1, guard))))
+
+
+def channel_program() -> Block:
+    """A block over a probabilistic choice, a construct with no semi-classical form."""
+    gen = rng(7)
+    body = ProbChoice((0.25, 0.75), (Unitary((Q, E), random_unitary(gen, 4)), core_program()))
+    return Block((E,), random_density(gen, 2), body)
+
+
+EVALUATORS = {
+    "apply_program": lambda p: apply_program(
+        p, DensityMatrix(random_density(rng(1), qvar_layout(p).dim), qvar_layout(p))).matrix,
+    "wp_apply": lambda p: wp_apply(
+        p, Observable(random_positive(rng(2), qvar_layout(p).dim) / 8, qvar_layout(p))).matrix,
+    "denote": lambda p: np.array(denote(p).kraus),
+    "semi_classical": lambda p: semi_table(semi_classical(p)),
+}
+
+
+def semi_table(f) -> np.ndarray:
+    return np.array([f(d) for d in f.sorted_states()])
+
+
+@contextmanager
+def counted():
+    with patch.object(semantics, "_build", wraps=semantics._build) as build, \
+            patch.object(program, "violations", wraps=program.violations) as rules:
+        yield build, rules
+
+
+class TestMemo:
+    @pytest.mark.parametrize("evaluate, make", [
+        *((name, make) for name in sorted(EVALUATORS) for make in (core_program, channel_program)
+          if (name, make) != ("semi_classical", channel_program))])
+    def test_second_call_rebuilds_and_rechecks_nothing(self, evaluate, make):
+        run = EVALUATORS[evaluate]
+        p = make()
+        with counted() as (build, rules):
+            first = run(p)
+            assert build.call_count > 0 and rules.call_count > 0
+            build.reset_mock()
+            rules.reset_mock()
+            second = run(p)
+        assert (build.call_count, rules.call_count) == (0, 0)
+        fresh = run(make())
+        assert first.tobytes() == second.tobytes() == fresh.tobytes()
+
+    def test_shared_subprogram_is_prepared_once(self):
+        leaf = Unitary((Q,), H)
+        with counted() as (build, _):
+            semantics._prepare(Seq(leaf, leaf), la.DEFAULT_TOL, la.MAX_DIM_DEFAULT)
+        assert [call.args[0] for call in build.call_args_list].count(leaf) == 1
+
+    @pytest.mark.parametrize("order", [(1e-6, 1e-9), (1e-9, 1e-6)])
+    def test_each_tolerance_is_checked_on_its_own(self, order):
+        near = Unitary((Q,), H * (1 + 1e-7))  # U† U = (1 + 1e-7)² I
+        rho = DensityMatrix(np.diag([1.0, 0.0]), RegisterLayout.of(Q))
+        for tol in order:
+            if tol > 1e-7:
+                apply_program(near, rho, tol=tol)
+            else:
+                with pytest.raises(ContractError, match="unitary-nonunitary"):
+                    apply_program(near, rho, tol=tol)
+
+    def test_each_cap_is_checked_on_its_own(self):
+        p = Unitary((("a", 4), ("b", 4)), np.eye(16))
+        rho = DensityMatrix(np.eye(16) / 16, RegisterLayout.of(("a", 4), ("b", 4)))
+        apply_program(p, rho, max_dim=64)
+        with pytest.raises(CapacityError):
+            apply_program(p, rho, max_dim=8)
+
+    @pytest.mark.parametrize("p", [
+        Seq(Unitary((Q,), H), Unitary((Q,), 2 * H)),
+        Seq(Skip(), Mu("f", Skip(), (Q,))),
+    ], ids=["rule", "recursion"])
+    def test_rejected_program_raises_the_same_error_again(self, p):
+        errors = []
+        for _ in range(2):
+            with pytest.raises((ContractError, UnsupportedConstructError)) as info:
+                denote(p)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert "_steps" not in p.__dict__
+
+    def test_dropped_program_is_collected(self):
+        p = channel_program()
+        EVALUATORS["apply_program"](p)
+        ref = weakref.ref(p)
+        del p
+        gc.collect()
+        assert ref() is None
+
+
+class TestNodesOwnTheirMatrices:
+    def test_caller_mutation_does_not_reach_the_program(self):
+        u = X.copy()
+        p = Unitary((Q,), u)
+        rho = DensityMatrix(np.diag([1.0, 0.0]), RegisterLayout.of(Q))
+        first = apply_program(p, rho).matrix
+        u[:] = H
+        assert np.array_equal(p.matrix, X)
+        assert apply_program(p, rho).matrix.tobytes() == first.tobytes()
+
+    def test_every_node_matrix_is_read_only(self):
+        measurement = Measurement.computational(2)
+        basis = GuardBasis(H)
+        block = Block((E,), np.diag([1.0, 0.0]), Unitary((Q, E), np.eye(4)))
+        for m in (Unitary((Q,), H).matrix, measurement.operators[0][1], basis.matrix, block.init):
+            with pytest.raises(ValueError):
+                m[0, 0] = 5
+
+    def test_measurement_guard_and_block_copy_their_input(self):
+        p0, basis, init = np.diag([1.0, 0.0]), H.copy(), np.diag([1.0, 0.0])
+        m = Measurement(((0, p0), (1, np.eye(2) - p0)))
+        g, b = GuardBasis(basis), Block((E,), init, Unitary((E,), X))
+        p0[0, 0], basis[0, 0], init[0, 0] = 7, 7, 7
+        assert m.operators[0][1][0, 0] == g.matrix[0, 0] * np.sqrt(2) == b.init[0, 0] == 1
+
+    def test_read_only_owned_complex_array_is_kept(self):
+        u = la.frozen(H)
+        assert la.frozen(u) is u and Unitary((Q,), u).matrix is u
+        view = u[:, :]
+        assert la.frozen(view) is not view
+
+
+class TestRulesRunOnce:
+    def test_cli_run_checks_each_leaf_once(self):
+        argv = ["run", str(SAMPLES / "bb84.qgcl"), "--input", str(SAMPLES / "bb84_input.json")]
+        with patch.object(la, "near_identity", wraps=la.near_identity) as gram, \
+                redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert gram.call_count == 3  # two unitaries and one measurement
+
+    def test_well_formed_at_another_tolerance_does_not_excuse_a_leaf(self):
+        near = Unitary((Q,), H * (1 + 1e-7))
+        assert well_formed(near, 1e-6) == []
+        with pytest.raises(ContractError, match="unitary-nonunitary"):
+            denote(near, tol=1e-9)
+
+    def test_well_formed_reports_the_same_diagnostics_again(self):
+        p = Seq(Unitary((Q,), 2 * H), Measure("x", (Q,), Measurement.computational(2), ()))
+        first = [(d.code, d.message) for d in well_formed(p)]
+        assert first and first == [(d.code, d.message) for d in well_formed(p)]
