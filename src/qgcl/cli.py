@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
-Exit codes: 0 success (or EQUIV), 1 diagnostics reported or programs
-DISTINCT, 2 equivalence attempted over different variable sets, 64 usage
-error, 66 unreadable or malformed input file, 70 numerical failure.
+Exit codes: 0 success (or EQUIV), 1 diagnostics reported or programs DISTINCT,
+2 equivalence attempted over different variable sets, 64 usage error, 66
+unreadable or malformed input file, 70 numerical failure or resource limit.
 """
 
 from __future__ import annotations
@@ -191,6 +191,9 @@ def main(argv=None) -> int:
             return EX_OK if ok else EX_NUMERICAL
     except QgclError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EX_NUMERICAL
+    except RecursionError:
+        print("error: program nests too deeply (Python's recursion limit)", file=sys.stderr)
         return EX_NUMERICAL
     raise AssertionError("unreachable")
 

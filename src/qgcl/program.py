@@ -9,9 +9,10 @@ A node keeps a read-only complex copy of every matrix it is given
 (``Unitary``, ``Measurement``, ``GuardBasis``, ``Block``; ``linalg.frozen``),
 so writing later into the array passed in leaves the program as it was.
 What is worked out from a node is therefore fixed for the node's lifetime
-and kept in its ``__dict__``: ``Unitary.operator`` and ``kernel``, the
-``tol`` at which ``well_formed`` found its rules to hold, and the checked
-step of ``semantics._prepare`` per ``(tol, max_dim)``.
+and kept in its ``__dict__``: ``own_layout``, ``Unitary.operator`` and
+``kernel``, ``Measurement.kernels``, the ``tol`` at which ``well_formed``
+found its rules to hold, and the checked step of ``semantics._prepare`` per
+``(tol, max_dim)``, which keeps only what is worked out from subprograms.
 
 Each construct's side conditions are written once, in ``RULES``: every rule
 gives a diagnostic code, a message and an error type.  ``well_formed``
@@ -94,6 +95,11 @@ class Measurement:
             return False
         return linalg.near_identity(sum(linalg.dagger(op) @ op for _, op in self.operators), tol)
 
+    @cached_property
+    def kernels(self) -> tuple:
+        """The operators by outcome, classified once for streaming (``linalg.kernel``)."""
+        return tuple(linalg.kernel(op) for _, op in self.operators)
+
     @staticmethod
     def computational(dim: int) -> "Measurement":
         ops = []
@@ -141,6 +147,11 @@ class GuardBasis:
 @dataclass(frozen=True, eq=False)
 class Program:
     span: Span | None = field(default=None, repr=False, kw_only=True)
+
+    @cached_property
+    def own_layout(self) -> RegisterLayout:
+        """``declared(self)`` as a layout, built (and so validated) once."""
+        return RegisterLayout(declared(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,10 +309,15 @@ def declared(p: Program) -> tuple[QVar, ...]:
 def var(p: Program) -> frozenset[str]:
     """Classical variables of a program: the outcome variables it binds, or
     the declared set of a name or recursion."""
+    return joined_cvars(p, [var(c) for c in children(p)])
+
+
+def joined_cvars(p: Program, cvars: list[frozenset[str]]) -> frozenset[str]:
+    """``var(p)`` from its subprograms' classical variables: a measurement
+    binds its outcome variable; a name or recursion declares its own set."""
     if isinstance(p, (Name, Mu)):
         return frozenset(p.classical)
-    bound = frozenset((p.x,)) if isinstance(p, Measure) else frozenset()
-    return bound.union(*(var(c) for c in children(p)))
+    return frozenset((p.x,) if isinstance(p, Measure) else ()).union(*cvars)
 
 
 def qvar_layout(p: Program) -> RegisterLayout:
@@ -324,10 +340,9 @@ def joined_layout(p: Program, layouts: list[RegisterLayout]) -> RegisterLayout:
     scope, so the block's layout is its body's without them."""
     if isinstance(p, (Name, Mu)):
         return RegisterLayout(p.quantum)
-    own = RegisterLayout(declared(p))  # building the locals' layout validates them too
-    if isinstance(p, Block):
-        return layouts[0].remove(own.names)
-    return reduce(RegisterLayout.extended, layouts, own)
+    if isinstance(p, Block):  # building the locals' layout validates them too
+        return layouts[0].remove(p.own_layout.names)
+    return reduce(RegisterLayout.extended, layouts, p.own_layout)
 
 
 def qvar(p: Program) -> frozenset[str]:
@@ -406,17 +421,13 @@ def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]
     subs = [_well_formed_rec(c, tol, inner) for c in children(p)]
     cvars = [v for v, _ in subs]
     layouts = [lay for _, lay in subs]
-    if isinstance(p, (Name, Mu)):
-        own = frozenset(p.classical)
-    else:
-        own = frozenset((p.x,) if isinstance(p, Measure) else ()).union(*cvars)
     found = list(violations(p, cvars, layouts, tol))
     if not found and None not in layouts:
         p.__dict__[_RULES_PASSED] = tol
     out.extend(Diagnostic(v.code, v.message, p.span) for v in found)
     if not any(v.cut for v in found):
         out.extend(inner)
-    return own, _layout_from(p, layouts)
+    return joined_cvars(p, cvars), _layout_from(p, layouts)
 
 
 # -- The side conditions ---------------------------------------------------------
@@ -496,7 +507,7 @@ def _unitary(p: Unitary, cvars, layouts, tol):
     if bad := _operands(p.qvars, "quantum", "unitary statement needs at least one variable"):
         yield bad
         return
-    dim, shape = RegisterLayout(p.qvars).dim, np.shape(p.matrix)
+    dim, shape = p.own_layout.dim, np.shape(p.matrix)
     if shape != (dim, dim):
         yield Violation("unitary-shape",
                         f"matrix shape {shape} does not match variables of dimension {dim}",
@@ -509,7 +520,7 @@ def _measure(p: Measure, cvars, layouts, tol):
     if bad := _operands(p.qvars, "quantum", "measurement needs at least one variable", cut=True):
         yield bad
         return
-    dim = RegisterLayout(p.qvars).dim
+    dim = p.own_layout.dim
     if any(op.shape != (dim, dim) for _, op in p.measurement.operators):
         yield Violation("measure-op-shape",
                         f"measurement operators must be {dim}x{dim} for these variables", LayoutError)

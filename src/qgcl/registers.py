@@ -9,6 +9,7 @@ order; it is a homomorphism for products and adjoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class RegisterLayout:
     def of(*pairs: QVar) -> "RegisterLayout":
         return RegisterLayout(tuple((str(n), int(d)) for n, d in pairs))
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.variables)
 

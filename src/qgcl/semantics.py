@@ -13,11 +13,11 @@ loop unrolling and the system-environment model of channels support the
 coin-relocation equivalences.
 
 Every evaluator starts from one checked pass, ``_prepare``, which builds each
-node's layout, operators and guard branch functions bottom-up, once per
-program and ``(tol, max_dim)``: each node keeps its step.  At each node
-it runs the side conditions of ``program.RULES``, the ones ``well_formed``
-reports, and raises the first violated one with its code leading the
-message; so ``semi_classical``, ``denote``, ``apply_program`` and
+node's layout and guard branch functions bottom-up, once per program and
+``(tol, max_dim)``: each node keeps its step; operators, weights and initial
+states are read from the node itself.  At each node it runs the side
+conditions of ``program.RULES``, the ones ``well_formed`` reports, and
+raises the first violated one with its code leading the message; so ``semi_classical``, ``denote``, ``apply_program`` and
 ``wp_apply`` accept the same programs and reject the rest with the same
 error.  The trace bound ``sum F† F <= I`` is not checked again on the
 result: it follows from the leaf contracts among those rules (unitarity,
@@ -29,9 +29,9 @@ construct preserves it.
 pushes the state (or, backwards, the observable) through the steps, each
 operator acting on its own tensor factors, a guard block by block in its
 basis.  A monomial leaf operator (``linalg.Monomial``: the walk's shifts,
-diagonals, phase permutations, basis projectors), classified once per
-program on its step, is applied as a gather times a scale vector; any other
-by dense matmul."""
+diagonals, phase permutations, basis projectors), classified once on its
+node (``Unitary.kernel``, ``Measurement.kernels``), is applied as a gather
+times a scale vector; any other by dense matmul."""
 
 from __future__ import annotations
 
@@ -74,10 +74,10 @@ from .program import (
     Unitary,
     block_rules,
     children,
-    declared,
     enforce,
     enforce_rules,
     is_core,
+    joined_cvars,
     joined_layout,
     qvar_layout,
 )
@@ -124,13 +124,12 @@ def _semi(step: _Step, max_dim: int) -> OperatorValuedFunction:
     if isinstance(p, Skip):
         return _scalar_function(1.0)
     if isinstance(p, Unitary):
-        return OperatorValuedFunction(full, {cs.EPS: step.ops[0]})
-    if isinstance(p, Measure):
-        qlay = RegisterLayout(p.qvars)
+        return OperatorValuedFunction(full, {cs.EPS: p.operator})
+    if isinstance(p, Measure):  # outcomes and branches agree, both sorted
         table: dict[cs.ClassicalState, np.ndarray] = {}
-        for (m, _), sub, op in zip(p.branches, step.subs, step.ops):
+        for (m, op), sub in zip(p.measurement.operators, step.subs):
             sub_f = _semi(sub, max_dim).extended_to(full, max_dim=max_dim)
-            m_op = embed(op, qlay, full, max_dim=max_dim)
+            m_op = embed(op, p.own_layout, full, max_dim=max_dim)
             for delta in sub_f.sorted_states():
                 table[cs.extend(delta, p.x, m)] = sub_f(delta) @ m_op
         return OperatorValuedFunction(full, table)
@@ -139,7 +138,7 @@ def _semi(step: _Step, max_dim: int) -> OperatorValuedFunction:
         branch_fs = [f.extended_to(data, max_dim=max_dim) for f in step.fns]
         from .ovf import guarded_ovf
 
-        combined = guarded_ovf(p.basis, branch_fs, RegisterLayout(p.qvars), max_dim=max_dim)
+        combined = guarded_ovf(p.basis, branch_fs, p.own_layout, max_dim=max_dim)
         return combined.extended_to(full, max_dim=max_dim)
     if isinstance(p, Seq):
         f1, f2 = (_semi(sub, max_dim).extended_to(full, max_dim=max_dim) for sub in step.subs)
@@ -181,14 +180,15 @@ def _denote(step: _Step, tol: float, max_dim: int) -> SuperOperator:
         return _family(full, _guard_family(step, max_dim))
     subs = [_denote(sub, tol, max_dim) for sub in step.subs]
     if isinstance(p, Block):
-        return block_channel(subs[0], RegisterLayout(p.qvars), p.init, tol=tol)
+        return block_channel(subs[0], p.own_layout, p.init, tol=tol)
     subs = [e.extended_to(full, max_dim=max_dim) for e in subs]
     if isinstance(p, Seq):
         return _family(full, subs[0].then(subs[1]).kraus)
     if isinstance(p, Measure):  # each branch after its measurement operator
-        first = [embed(op, RegisterLayout(p.qvars), full, max_dim=max_dim) for op in step.ops]
+        ops = (op for _, op in p.measurement.operators)
+        first = [embed(op, p.own_layout, full, max_dim=max_dim) for op in ops]
     else:  # probabilistic choice: each branch scaled by its weight's root
-        first = [np.sqrt(w) for w in step.ops]
+        first = [np.sqrt(w) for w in p.weights]
     return _family(full, [np.dot(e, m) for m, sub in zip(first, subs) for e in sub.kraus])
 
 
@@ -203,9 +203,9 @@ def _guard_family(step: _Step, max_dim: int) -> list[np.ndarray]:
     deviations give exactly, since ``I - λ_i λ_i†`` is a projector."""
     p, full = step.node, step.layout
     tops, rest = [], []
-    for i, (f, a) in enumerate(zip(step.fns, step.ops)):
+    for i, (f, a) in enumerate(zip(step.fns, step.a)):
         col = p.basis.column(i)
-        proj, lay = col @ linalg.dagger(col), RegisterLayout(p.qvars).extended(f.layout)
+        proj, lay = col @ linalg.dagger(col), p.own_layout.extended(f.layout)
         ops = (a, *prune_zero_kraus([f(d) - w * a for d, w in lambda_weights(f).items()]))
         branch = SuperOperator(lay, tuple(linalg.tensor(proj, op, max_dim=max_dim) for op in ops))
         top, *devs = branch.extended_to(full, max_dim=max_dim).kraus
@@ -312,36 +312,31 @@ class _Step:
     """A checked program node, the common input of every evaluator; the
     node keeps it (``_prepare``).
 
-    ``ops[k]`` acts on the variables ``sites[k]``: a unitary, one
-    measurement operator per branch, a block's initial state, a weight per
-    probabilistic branch, or per guard branch ``A = sum_d lambda(d) F(d)``
-    over that branch's semi-classical function ``fns[k]``.
+    It holds only what evaluation works out from the subprograms; for a
+    guard, each branch's semi-classical function ``fns[i]`` and ``a[i] =
+    sum_d lambda(d) F(d)`` over it, on ``subs[i].layout``.  Operators,
+    weights and a block's initial state are read from the node.
     """
 
     node: Program
     layout: RegisterLayout
     cvars: frozenset = frozenset()
     subs: tuple = ()
-    ops: tuple = ()
-    sites: tuple = ()
     fns: tuple = ()
+    a: tuple = ()
 
     @cached_property
     def kernels(self) -> tuple:
-        """The operators of a unitary, measurement or guard as streaming
-        applies them (``linalg.kernel``), classified on first use; a
-        unitary's was classified once, on its node, for its rule."""
-        if isinstance(self.node, Unitary):
-            return (self.node.kernel,)
-        return tuple(map(linalg.kernel, self.ops))
+        """A guard's ``a`` as streaming applies them (``linalg.kernel``)."""
+        return tuple(map(linalg.kernel, self.a))
 
 
 _STEPS = "_steps"  # the key of a node's prepared steps by (tol, max_dim)
 
 
 def _prepare(p: Program, tol: float, max_dim: int) -> _Step:
-    """The one checked pass: layouts, classical variables, operators and
-    guard branch functions of ``p``, bottom-up, memoized on each node.
+    """The one checked pass: layouts, classical variables and guard branch
+    functions of ``p``, bottom-up, memoized on each node.
 
     Once a node's subprograms are prepared, the first of its side conditions
     (``program.RULES``) that fails raises, with its code leading the
@@ -371,36 +366,26 @@ def _prepare(p: Program, tol: float, max_dim: int) -> _Step:
 
 
 def _build(p: Program, subs: tuple[_Step, ...], max_dim: int) -> _Step:
-    """The step of a node whose side conditions hold.  Raised here: the
-    conditions that only evaluation has, which are recursion, a guard over
-    branches outside the core and the ``max_dim`` cap."""
+    """The step of a node whose side conditions hold.  Raised here: what only
+    evaluation rejects, which is recursion, a guard over branches outside
+    the core, the ``max_dim`` cap and a node class it does not know."""
     if isinstance(p, (Name, Mu)):
         raise UnsupportedConstructError(
             "recursion has no channel semantics; use a bounded unrolling"
         )
-    cvars = frozenset().union(*(sub.cvars for sub in subs))
     if isinstance(p, Guarded) and not all(map(is_core, p.branches)):
         raise UnsupportedConstructError(
             "guarded command over block/probabilistic branches has no defined semantics"
         )
-    own = RegisterLayout(declared(p))
     layout = _check_cap(joined_layout(p, [sub.layout for sub in subs]), max_dim)
-    if isinstance(p, Unitary):
-        return _Step(p, layout, ops=(p.operator,), sites=(own.names,))
-    if isinstance(p, Measure):
-        ops = tuple(op for _, op in p.measurement.operators)  # one per branch, by outcome
-        return _Step(p, layout, cvars | {p.x}, subs, ops, (own.names,) * len(ops))
-    if isinstance(p, Guarded):
-        fns = tuple(_semi(sub, max_dim) for sub in subs)
-        ops = tuple(sum(w * f(d) for d, w in lambda_weights(f).items()) for f in fns)
-        return _Step(p, layout, cvars, subs, ops, tuple(f.layout.names for f in fns), fns=fns)
-    if isinstance(p, Block):
-        return _Step(p, layout, cvars, subs, (linalg.as_matrix(p.init),), (own.names,))
-    if isinstance(p, ProbChoice):
-        return _Step(p, layout, cvars, subs, tuple(float(w) for w in p.weights))
-    if isinstance(p, (Abort, Skip, Seq)):
+    if not isinstance(p, (Abort, Skip, Unitary, Measure, Guarded, Seq, Block, ProbChoice)):
+        raise UnsupportedConstructError(f"cannot evaluate {type(p).__name__}")
+    cvars = joined_cvars(p, [sub.cvars for sub in subs])
+    if not isinstance(p, Guarded):
         return _Step(p, layout, cvars, subs)
-    raise UnsupportedConstructError(f"cannot evaluate {type(p).__name__}")
+    fns = tuple(_semi(sub, max_dim) for sub in subs)
+    return _Step(p, layout, cvars, subs, fns,
+                 tuple(sum(w * f(d) for d, w in lambda_weights(f).items()) for f in fns))
 
 
 @dataclass
@@ -423,14 +408,14 @@ class _Stream:
         if isinstance(p, Skip):
             return t
         if isinstance(p, Unitary):
-            return _sandwich(t, names, _side(step.kernels[0], adjoint), step.sites[0])
+            return _sandwich(t, names, _side(p.kernel, adjoint), p.own_layout.names)
         if isinstance(p, Seq):
             for sub in reversed(step.subs) if adjoint else step.subs:
                 t = self.push(sub, t, names, adjoint)
             return t
         if isinstance(p, Measure):
-            out = np.zeros_like(t)
-            for op, site, sub in zip(step.kernels, step.sites, step.subs):
+            out, site = np.zeros_like(t), p.own_layout.names
+            for op, sub in zip(p.measurement.kernels, step.subs):
                 if adjoint:
                     out += _sandwich(self.push(sub, t, names, True), names, _side(op, True), site)
                 else:
@@ -438,7 +423,7 @@ class _Stream:
             return out
         if isinstance(p, ProbChoice):
             out = np.zeros_like(t)
-            for w, sub in zip(step.ops, step.subs):
+            for w, sub in zip(p.weights, step.subs):
                 out += w * self.push(sub, t, names, adjoint)
             return out
         if isinstance(p, Block):
@@ -448,8 +433,8 @@ class _Stream:
     def _block(self, step: _Step, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
         """Forward: ``tr_loc[body(X (x) init)]``; adjoint:
         ``tr_loc[wp_body(M (x) I_loc) (I (x) init)]``."""
-        p, (body,), (init,) = step.node, step.subs, step.ops
-        local = RegisterLayout(p.qvars)
+        p, (body,) = step.node, step.subs
+        local, init = p.own_layout, p.init
         d, dl = int(np.prod(t.shape[: len(names)])), local.dim
         if d * dl > self.max_dim:
             if id(step) not in self.blocks:
@@ -478,7 +463,7 @@ class _Stream:
         (with ``A†`` for the adjoint): the square branch weights sum to one,
         so the guarded composition never needs its joint domain."""
         p = step.node
-        gnames = tuple(name for name, _ in p.qvars)
+        gnames = p.own_layout.names
         rotate = not p.basis.is_computational()
         if rotate:
             t = _sandwich(t, names, linalg.dagger(p.basis.matrix), gnames)
@@ -499,8 +484,8 @@ class _Stream:
                 elif i == j:
                     out[i, i] = self.push(step.subs[i], blocks[i, i], data, adjoint)
                 else:
-                    out[i, j] = _sandwich(blocks[i, j], data, sides[i], step.sites[i],
-                                          sides[j], step.sites[j])
+                    out[i, j] = _sandwich(blocks[i, j], data, sides[i], step.subs[i].layout.names,
+                                          sides[j], step.subs[j].layout.names)
         t = np.moveaxis(out.reshape(gshape + out.shape[2:]), range(len(moved)), moved)
         if rotate:
             t = _sandwich(t, names, p.basis.matrix, gnames)
@@ -714,7 +699,6 @@ def unroll_loop(
     flavor: str,
     *,
     qvars: tuple[QVar, ...] | None = None,
-    max_n: int = MAX_UNROLL_DEFAULT,
 ) -> Program:
     """Bounded iterations of the guarded loop over a body unitary.
 
@@ -741,8 +725,8 @@ def unroll_loop(
             raise ContractError(f"variable {name!r} collides with the reserved prefix")
     if n < 0:
         raise ArityError("iteration count must be nonnegative")
-    if n > max_n:
-        raise CapacityError(f"iteration count {n} exceeds the bound {max_n}")
+    if n > MAX_UNROLL_DEFAULT:
+        raise CapacityError(f"iteration count {n} exceeds the bound {MAX_UNROLL_DEFAULT}")
     if flavor not in ("classical", "quantum", "localized"):
         raise ContractError(f"unknown loop flavor {flavor!r}")
 

@@ -244,6 +244,28 @@ def test_malformed_record_exit_66(tmp_path, capsys, command, flag, change):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+DEEP_COMMANDS = {
+    "check": [],
+    "run": ["--input", sample("bb84_input.json")],
+    "wp": ["--observable", sample("observable_p0.json")],
+    "branches": [],
+    "equiv": None,
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEEP_COMMANDS))
+def test_too_deep_a_program_is_a_resource_limit(tmp_path, capsys, command):
+    """A ';' chain deeper than Python's recursion limit exits 70 with one
+    error line, not a traceback under the exit code of a verdict."""
+    prog = write(tmp_path / "deep.qgcl",
+                 'qvar q1 : 2;\nmatrix I = {"rows":2,"cols":2,"entries":[[1,0],[0,0],[0,0],[1,0]]};\n'
+                 + "; ".join(["I[q1]"] * 600))
+    extra = DEEP_COMMANDS[command]
+    assert run_cli(command, prog, *([prog] if extra is None else extra)) == 70
+    err = capsys.readouterr().err
+    assert err.startswith("error: program nests too deeply") and err.count("\n") == 1
+
+
 class TestReproduce:
     @pytest.mark.parametrize("suite", ["walk", "gmeas", "bb84", "loop"])
     def test_suites_pass(self, suite, capsys):

@@ -9,10 +9,11 @@ that ``well_formed`` reports.
 
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import qgcl.program as program
 import qgcl.semantics as semantics
@@ -556,8 +557,12 @@ def monomial_leaves(gen, p):
 
 
 def leaf_kernels(step):
-    if isinstance(step.node, (Unitary, Measure)):
-        yield from step.kernels
+    """The kernels streaming applies at the leaves under ``step``, read from
+    the nodes that keep them."""
+    if isinstance(step.node, Unitary):
+        yield step.node.kernel
+    elif isinstance(step.node, Measure):
+        yield from step.node.measurement.kernels
     for sub in step.subs:
         yield from leaf_kernels(sub)
 
@@ -574,5 +579,20 @@ def test_monomial_leaves_match_dense(seed, depth, wrap):
     elif wrap == "block" and Q in qvar_layout(p).variables:
         p = Block((Q,), random_density(gen, 2), p)
     kernels = list(leaf_kernels(semantics._prepare(p, la.DEFAULT_TOL, la.MAX_DIM_DEFAULT)))
+    assume(kernels)  # only skips and aborts: no leaf to check
     assert all(isinstance(k, la.Monomial) for k in kernels)
     assert_matches_dense(p, gen, extra=(("e", 3),) if gen.uniform() < 0.5 else ())
+
+
+def test_shared_measurement_is_classified_once():
+    mmt = Measurement.computational(4)
+    v = ("v", 4)
+    programs = [Measure(x, (v,), mmt, tuple((m, Skip()) for m in mmt.outcomes)) for x in "xy"]
+    layout = RegisterLayout.of(v)
+    rho = random_density(rng(0), 4)
+    with mock.patch.object(la, "kernel", wraps=la.kernel) as kernel:
+        for p in programs:
+            apply_program(p, DensityMatrix(rho, layout))
+            wp_apply(p, Observable(rho, layout))
+    assert kernel.call_count == len(mmt.outcomes)
+    assert all(isinstance(k, la.Monomial) for k in mmt.kernels)
