@@ -9,10 +9,12 @@ A node keeps a read-only complex copy of every matrix it is given
 (``Unitary``, ``Measurement``, ``GuardBasis``, ``Block``; ``linalg.frozen``),
 so writing later into the array passed in leaves the program as it was.
 What is worked out from a node is therefore fixed for the node's lifetime
-and kept in its ``__dict__``: ``own_layout``, ``Unitary.operator`` and
-``kernel``, ``Measurement.kernels``, the ``tol`` at which ``well_formed``
-found its rules to hold, and the checked step of ``semantics._prepare`` per
-``(tol, max_dim)``, which keeps only what is worked out from subprograms.
+and kept in its ``__dict__``: ``own_layout``, its layout (``layout``, kept by
+``qvar_layout``) and classical variables (``cvars``, kept by ``var``),
+``Unitary.operator`` and ``kernel``, ``Measurement.kernels``, a quantum
+choice's coin-then-guard ``seq``, the ``tol`` at which ``well_formed`` found
+its rules to hold and, from ``semantics``, a guard's branch functions and
+the ``(tol, max_dim)`` pairs at which the node passed evaluation's checks.
 
 Each construct's side conditions are written once, in ``RULES``: every rule
 gives a diagnostic code, a message and an error type.  ``well_formed``
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache, cached_property, reduce
 
@@ -153,6 +156,16 @@ class Program:
         """``declared(self)`` as a layout, built (and so validated) once."""
         return RegisterLayout(declared(self))
 
+    @cached_property
+    def layout(self) -> RegisterLayout:
+        """``qvar_layout(self)``, which keeps it here."""
+        return qvar_layout(self)
+
+    @cached_property
+    def cvars(self) -> frozenset[str]:
+        """``var(self)``, which keeps it here."""
+        return var(self)
+
 
 @dataclass(frozen=True, eq=False)
 class Abort(Program):
@@ -245,6 +258,11 @@ class QChoice(Program):
     basis: GuardBasis
     branches: tuple["Program", ...]
 
+    @cached_property
+    def seq(self) -> "Seq":
+        """``desugar_qchoice(self)``, built once: evaluation reads the choice through it."""
+        return desugar_qchoice(self)
+
 
 @dataclass(frozen=True, eq=False)
 class Name(Program):
@@ -308,8 +326,10 @@ def declared(p: Program) -> tuple[QVar, ...]:
 
 def var(p: Program) -> frozenset[str]:
     """Classical variables of a program: the outcome variables it binds, or
-    the declared set of a name or recursion."""
-    return joined_cvars(p, [var(c) for c in children(p)])
+    the declared set of a name or recursion.  Kept on each node (``cvars``)."""
+    if "cvars" not in p.__dict__:
+        p.__dict__["cvars"] = joined_cvars(p, [var(c) for c in children(p)])
+    return p.__dict__["cvars"]
 
 
 def joined_cvars(p: Program, cvars: list[frozenset[str]]) -> frozenset[str]:
@@ -327,11 +347,14 @@ def qvar_layout(p: Program) -> RegisterLayout:
     variables before its subprograms', which fixes the tensor-factor order
     used by the semantics.  Block locals are removed from the body's layout;
     a name or recursion contributes its declared set only.  A variable used
-    with two different dimensions raises :class:`LayoutError`.
+    with two different dimensions raises :class:`LayoutError`.  Kept on each
+    node (``layout``), filled here rather than read top-down through the
+    property, which would cost more frames per nesting level.
     """
-    if isinstance(p, (Name, Mu)):
-        return RegisterLayout(p.quantum)
-    return joined_layout(p, [qvar_layout(c) for c in children(p)])
+    if "layout" not in p.__dict__:
+        subs = [] if isinstance(p, (Name, Mu)) else [qvar_layout(c) for c in children(p)]
+        p.__dict__["layout"] = joined_layout(p, subs)
+    return p.__dict__["layout"]
 
 
 def joined_layout(p: Program, layouts: list[RegisterLayout]) -> RegisterLayout:
@@ -401,22 +424,11 @@ def check(p: Program, tol: float = linalg.DEFAULT_TOL) -> Program:
     return p
 
 
-def _layout_from(p: Program, subs: list[RegisterLayout | None]) -> RegisterLayout | None:
-    """``qvar_layout(p)`` from its children's layouts, or ``None`` where
-    ``qvar_layout`` raises :class:`LayoutError`."""
-    if None in subs and not isinstance(p, (Name, Mu)):
-        return None
-    try:
-        return joined_layout(p, subs)
-    except LayoutError:
-        return None
-
-
 def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]
                      ) -> tuple[frozenset[str], RegisterLayout | None]:
     """Append the diagnostics of ``p``, its own before its subprograms', and
     return ``(var(p), qvar_layout(p))`` with ``None`` for a layout error, so
-    every node is walked once."""
+    every node is walked once; both are kept on the node."""
     inner: list[Diagnostic] = []
     subs = [_well_formed_rec(c, tol, inner) for c in children(p)]
     cvars = [v for v, _ in subs]
@@ -427,7 +439,10 @@ def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]
     out.extend(Diagnostic(v.code, v.message, p.span) for v in found)
     if not any(v.cut for v in found):
         out.extend(inner)
-    return joined_cvars(p, cvars), _layout_from(p, layouts)
+    if None not in layouts or isinstance(p, (Name, Mu)):
+        with suppress(LayoutError):
+            p.__dict__.setdefault("layout", joined_layout(p, layouts))
+    return p.__dict__.setdefault("cvars", joined_cvars(p, cvars)), p.__dict__.get("layout")
 
 
 # -- The side conditions ---------------------------------------------------------

@@ -12,21 +12,26 @@ is pruned of zero operators and held at ``d²`` operators or fewer.  Bounded
 loop unrolling and the system-environment model of channels support the
 coin-relocation equivalences.
 
-Every evaluator starts from one checked pass, ``_prepare``, which builds each
-node's layout and guard branch functions bottom-up, once per program and
-``(tol, max_dim)``: each node keeps its step; operators, weights and initial
-states are read from the node itself.  At each node it runs the side
-conditions of ``program.RULES``, the ones ``well_formed`` reports, and
-raises the first violated one with its code leading the message; so ``semi_classical``, ``denote``, ``apply_program`` and
-``wp_apply`` accept the same programs and reject the rest with the same
-error.  The trace bound ``sum F† F <= I`` is not checked again on the
-result: it follows from the leaf contracts among those rules (unitarity,
-complete measurements, orthonormal guard bases, weights summing to at most
-one, density initial states), each within ``tol`` in norm, since every
-construct preserves it.
+Every evaluator starts from one checked pass, ``_check``, bottom-up over
+the program.  At each node it runs the side conditions of ``program.RULES``,
+the ones ``well_formed`` reports, and raises the first violated one with its
+code leading the message; so ``semi_classical``, ``denote``,
+``apply_program`` and ``wp_apply`` accept the same programs and reject the
+rest with the same error.  The trace bound ``sum F† F <= I`` is not checked
+again on the result: it follows from the leaf contracts among those rules
+(unitarity, complete measurements, orthonormal guard bases, weights summing
+to at most one, density initial states), each within ``tol`` in norm, since
+every construct preserves it.
+
+The evaluators then fold the program nodes themselves and check nothing.
+A node keeps what only the program fixes: its layout and classical
+variables (``Program.layout``, ``Program.cvars``), a quantum choice its
+coin-then-guard ``QChoice.seq``, a guard its branch functions and their
+``A_i`` (``_branches``).  Per ``(tol, max_dim)`` a node keeps only the
+record that it passed ``_check``.
 
 ``apply_program`` and ``wp_apply`` never build the channel: ``stream``
-pushes the state (or, backwards, the observable) through the steps, each
+pushes the state (or, backwards, the observable) through the program, each
 operator acting on its own tensor factors, a guard block by block in its
 basis.  A monomial leaf operator (``linalg.Monomial``: the walk's shifts,
 diagonals, phase permutations, basis projectors), classified once on its
@@ -36,7 +41,7 @@ times a scale vector; any other by dense matmul."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -77,8 +82,6 @@ from .program import (
     enforce,
     enforce_rules,
     is_core,
-    joined_cvars,
-    joined_layout,
     qvar_layout,
 )
 from .registers import DensityMatrix, RegisterLayout, embed
@@ -93,10 +96,9 @@ def _scalar_function(value: complex) -> OperatorValuedFunction:
     )
 
 
-def _check_cap(layout: RegisterLayout, max_dim: int) -> RegisterLayout:
+def _check_cap(layout: RegisterLayout, max_dim: int) -> None:
     if layout.dim > max_dim:
         raise CapacityError(f"layout dimension {layout.dim} exceeds the cap {max_dim}")
-    return layout
 
 
 def semi_classical(
@@ -113,12 +115,13 @@ def semi_classical(
     choices and recursion are rejected: their meaning exists only at the
     channel level.  The trace bound ``sum F† F <= I`` holds as for ``denote``.
     """
-    return _semi(_prepare(p, tol, max_dim), max_dim)
+    _check(p, tol, max_dim)
+    return _semi(p, max_dim)
 
 
-def _semi(step: _Step, max_dim: int) -> OperatorValuedFunction:
-    """Fold of a prepared step into its function; ``_prepare`` made the checks."""
-    p, full = step.node, step.layout
+def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
+    """Fold of a checked program into its function."""
+    full = p.layout
     if isinstance(p, Abort):
         return _scalar_function(0.0)
     if isinstance(p, Skip):
@@ -127,25 +130,27 @@ def _semi(step: _Step, max_dim: int) -> OperatorValuedFunction:
         return OperatorValuedFunction(full, {cs.EPS: p.operator})
     if isinstance(p, Measure):  # outcomes and branches agree, both sorted
         table: dict[cs.ClassicalState, np.ndarray] = {}
-        for (m, op), sub in zip(p.measurement.operators, step.subs):
+        for (m, op), (_, sub) in zip(p.measurement.operators, p.branches):
             sub_f = _semi(sub, max_dim).extended_to(full, max_dim=max_dim)
             m_op = embed(op, p.own_layout, full, max_dim=max_dim)
             for delta in sub_f.sorted_states():
                 table[cs.extend(delta, p.x, m)] = sub_f(delta) @ m_op
         return OperatorValuedFunction(full, table)
     if isinstance(p, Guarded):
-        data = reduce(RegisterLayout.extended, (sub.layout for sub in step.subs), RegisterLayout())
-        branch_fs = [f.extended_to(data, max_dim=max_dim) for f in step.fns]
+        data = reduce(RegisterLayout.extended, (b.layout for b in p.branches), RegisterLayout())
+        branch_fs = [f.extended_to(data, max_dim=max_dim) for f in _branches(p, max_dim)[0]]
         from .ovf import guarded_ovf
 
         combined = guarded_ovf(p.basis, branch_fs, p.own_layout, max_dim=max_dim)
         return combined.extended_to(full, max_dim=max_dim)
     if isinstance(p, Seq):
-        f1, f2 = (_semi(sub, max_dim).extended_to(full, max_dim=max_dim) for sub in step.subs)
+        f1, f2 = (_semi(s, max_dim).extended_to(full, max_dim=max_dim) for s in (p.first, p.second))
         return OperatorValuedFunction(full, {
             cs.concat(d1, d2): f2(d2) @ f1(d1)
             for d1 in f1.sorted_states() for d2 in f2.sorted_states()
         })
+    if isinstance(p, QChoice):
+        return _semi(p.seq, max_dim)
     raise UnsupportedConstructError(
         f"{type(p).__name__} has no semi-classical denotation; evaluate it as a channel"
     )
@@ -166,22 +171,24 @@ def denote(
     contracts bound each leaf's norm within ``tol`` and every construct
     preserves the bound.
     """
-    return _denote(_prepare(p, tol, max_dim), tol, max_dim)
+    _check(p, tol, max_dim)
+    return _denote(p, max_dim)
 
 
-def _denote(step: _Step, tol: float, max_dim: int) -> SuperOperator:
-    """Fold of a prepared step into its channel: a leaf's operator, and for
+def _denote(p: Program, max_dim: int) -> SuperOperator:
+    """Fold of a checked program into its channel: a leaf's operator, and for
     every other construct a Kraus family composed from its parts' families,
     pruned and held at ``d²`` operators or fewer (``_family``)."""
-    p, full = step.node, step.layout
-    if not step.subs:  # abort, skip, unitary
-        return to_superop(_semi(step, max_dim))
+    full = p.layout
+    if isinstance(p, (Abort, Skip, Unitary)):
+        return to_superop(_semi(p, max_dim))
     if isinstance(p, Guarded):
-        return _family(full, _guard_family(step, max_dim))
-    subs = [_denote(sub, tol, max_dim) for sub in step.subs]
+        return _family(full, _guard_family(p, max_dim))
+    if isinstance(p, QChoice):
+        return _denote(p.seq, max_dim)
     if isinstance(p, Block):
-        return block_channel(subs[0], p.own_layout, p.init, tol=tol)
-    subs = [e.extended_to(full, max_dim=max_dim) for e in subs]
+        return _block_family(_denote(p.body, max_dim), p.own_layout, p.init)
+    subs = [_denote(sub, max_dim).extended_to(full, max_dim=max_dim) for sub in children(p)]
     if isinstance(p, Seq):
         return _family(full, subs[0].then(subs[1]).kraus)
     if isinstance(p, Measure):  # each branch after its measurement operator
@@ -192,7 +199,7 @@ def _denote(step: _Step, tol: float, max_dim: int) -> SuperOperator:
     return _family(full, [np.dot(e, m) for m, sub in zip(first, subs) for e in sub.kraus])
 
 
-def _guard_family(step: _Step, max_dim: int) -> list[np.ndarray]:
+def _guard_family(p: Guarded, max_dim: int) -> list[np.ndarray]:
     """With ``P_i`` the guard's basis projectors and branch ``i``'s function
     ``F_i``, weights ``λ_i`` and ``A_i = sum_d λ_i(d) F_i(d)``: the family
     ``sum_i P_i (x) A_i`` and every nonzero ``P_i (x) (F_i(d) - λ_i(d) A_i)``.
@@ -201,17 +208,31 @@ def _guard_family(step: _Step, max_dim: int) -> list[np.ndarray]:
     function's Choi matrix is ``sum_ij vec(P_i (x) A_i) vec(P_j (x) A_j)†``
     plus ``P_i (x) (Choi(F_i) - vec A_i vec A_i†)`` per branch, which the
     deviations give exactly, since ``I - λ_i λ_i†`` is a projector."""
-    p, full = step.node, step.layout
+    fns, a_s, _ = _branches(p, max_dim)
     tops, rest = [], []
-    for i, (f, a) in enumerate(zip(step.fns, step.a)):
+    for i, (f, a) in enumerate(zip(fns, a_s)):
         col = p.basis.column(i)
         proj, lay = col @ linalg.dagger(col), p.own_layout.extended(f.layout)
         ops = (a, *prune_zero_kraus([f(d) - w * a for d, w in lambda_weights(f).items()]))
         branch = SuperOperator(lay, tuple(linalg.tensor(proj, op, max_dim=max_dim) for op in ops))
-        top, *devs = branch.extended_to(full, max_dim=max_dim).kraus
+        top, *devs = branch.extended_to(p.layout, max_dim=max_dim).kraus
         tops.append(top)
         rest += devs
     return [sum(tops), *rest]
+
+
+_BRANCHES = "_branches"  # the key of a guard's branch data in its ``__dict__``
+
+
+def _branches(p: Guarded, max_dim: int) -> tuple:
+    """Each branch's function ``F_i``, ``A_i = sum_d λ_i(d) F_i(d)`` and the
+    ``A_i`` as streaming applies them (``linalg.kernel``), kept on the guard:
+    ``_check`` capped every layout in it, so ``max_dim`` cannot change them."""
+    if _BRANCHES not in p.__dict__:
+        fns = [_semi(b, max_dim) for b in p.branches]
+        a = [sum(w * f(d) for d, w in lambda_weights(f).items()) for f in fns]
+        p.__dict__[_BRANCHES] = fns, a, [linalg.kernel(op) for op in a]
+    return p.__dict__[_BRANCHES]
 
 
 def _family(layout: RegisterLayout, ops) -> SuperOperator:
@@ -240,8 +261,13 @@ def block_channel(
     initialise-apply-partial-trace.
     """
     init = linalg.as_matrix(init)
+    enforce(block_rules(locals_layout.variables, init, inner.layout, tol))
+    return _block_family(inner, locals_layout, init)
+
+
+def _block_family(inner: SuperOperator, locals_layout: RegisterLayout, init) -> SuperOperator:
+    """``block_channel`` of a block whose rules hold, without checking them."""
     full = inner.layout
-    enforce(block_rules(locals_layout.variables, init, full, tol))
     outer = locals_layout.extended(full).remove(locals_layout.names)  # locals' dimensions agree
     vals, vecs = np.linalg.eigh((init + linalg.dagger(init)) / 2)
     keep = vals > 1e-12
@@ -283,12 +309,16 @@ def stream(
     the trace bound follows from the leaf contracts, each checked on the
     leaf's own operator, its norm within ``tol`` (as for ``denote``).
     """
-    step = _prepare(p, tol, max_dim)
-    _check_input(step.layout, layout, adjoint)
-    if layout.variables != step.layout.variables:
+    _check(p, tol, max_dim)
+    _check_input(p.layout, layout, adjoint)
+    if layout.variables != p.layout.variables:
         _check_cap(layout, max_dim)
-    t = linalg.as_matrix(x).reshape(layout.dims * 2)
-    out = _Stream(tol, max_dim).push(step, t, layout.names, adjoint).reshape(layout.dim, layout.dim)
+    m = linalg.as_matrix(x)
+    if m.shape != (layout.dim, layout.dim):
+        kind = "observable" if adjoint else "density"  # as Observable and DensityMatrix say
+        raise LayoutError(f"{kind} shape {m.shape} does not match layout dim {layout.dim}")
+    out = _Stream(max_dim).push(p, m.reshape(layout.dims * 2), layout.names, adjoint)
+    out = out.reshape(layout.dim, layout.dim)
     return out.copy() if np.may_share_memory(out, x) else out
 
 
@@ -307,102 +337,53 @@ def _check_input(program: RegisterLayout, given: RegisterLayout, adjoint: bool) 
             raise LayoutError(f"input state dimension mismatch on {name!r}")
 
 
-@dataclass(eq=False)
-class _Step:
-    """A checked program node, the common input of every evaluator; the
-    node keeps it (``_prepare``).
-
-    It holds only what evaluation works out from the subprograms; for a
-    guard, each branch's semi-classical function ``fns[i]`` and ``a[i] =
-    sum_d lambda(d) F(d)`` over it, on ``subs[i].layout``.  Operators,
-    weights and a block's initial state are read from the node.
-    """
-
-    node: Program
-    layout: RegisterLayout
-    cvars: frozenset = frozenset()
-    subs: tuple = ()
-    fns: tuple = ()
-    a: tuple = ()
-
-    @cached_property
-    def kernels(self) -> tuple:
-        """A guard's ``a`` as streaming applies them (``linalg.kernel``)."""
-        return tuple(map(linalg.kernel, self.a))
+_CHECKED = "_checked_at"  # the key of the (tol, max_dim) pairs at which a node passed ``_check``
 
 
-_STEPS = "_steps"  # the key of a node's prepared steps by (tol, max_dim)
+def _check(p: Program, tol: float, max_dim: int) -> None:
+    """The one checked pass, bottom-up.  Once a node's subprograms pass, the
+    first of its side conditions (``program.RULES``) that fails raises, with
+    its code leading the message; then what only evaluation rejects, which
+    is recursion, a guard over branches outside the core, the ``max_dim`` cap
+    and a node class it does not know.
 
-
-def _prepare(p: Program, tol: float, max_dim: int) -> _Step:
-    """The one checked pass: layouts, classical variables and guard branch
-    functions of ``p``, bottom-up, memoized on each node.
-
-    Once a node's subprograms are prepared, the first of its side conditions
-    (``program.RULES``) that fails raises, with its code leading the
-    message; ``_build`` adds what only evaluation needs.  A quantum choice
-    becomes its coin followed by the guard over the coin's variables.
-
-    A node and its matrices never change, so its step depends only on
-    ``(tol, max_dim)``: it is kept in the node's ``__dict__`` under that key,
-    as ``cached_property`` keeps ``Unitary.kernel``, and a shared subprogram
-    is prepared once.  A node that raises keeps nothing.  The step refers
-    back to its node, so a dropped program goes with the cyclic collector.
+    A node and its matrices never change, so whether it passes depends only
+    on ``(tol, max_dim)``: a node that passes records the pair in its
+    ``__dict__``, so a shared subprogram is checked once, and a node that
+    raises records nothing.
     """
     key = (tol, max_dim)
-    memo = p.__dict__.get(_STEPS)
-    if memo is not None and key in memo:
-        return memo[key]
-    subs = tuple(_prepare(c, tol, max_dim) for c in children(p))
+    if key in p.__dict__.get(_CHECKED, ()):
+        return
+    subs = children(p)
+    for sub in subs:
+        _check(sub, tol, max_dim)
     enforce_rules(p, [sub.cvars for sub in subs], [sub.layout for sub in subs], tol)
-    if isinstance(p, QChoice):
-        guard = Guarded(tuple(subs[0].layout.variables), p.basis, p.branches)
-        step = _build(Seq(p.coin, guard, span=p.span),
-                      (subs[0], _build(guard, subs[1:], max_dim)), max_dim)
-    else:
-        step = _build(p, subs, max_dim)
-    p.__dict__.setdefault(_STEPS, {})[key] = step
-    return step
-
-
-def _build(p: Program, subs: tuple[_Step, ...], max_dim: int) -> _Step:
-    """The step of a node whose side conditions hold.  Raised here: what only
-    evaluation rejects, which is recursion, a guard over branches outside
-    the core, the ``max_dim`` cap and a node class it does not know."""
     if isinstance(p, (Name, Mu)):
         raise UnsupportedConstructError(
-            "recursion has no channel semantics; use a bounded unrolling"
-        )
-    if isinstance(p, Guarded) and not all(map(is_core, p.branches)):
+            "recursion has no channel semantics; use a bounded unrolling")
+    if isinstance(p, (Guarded, QChoice)) and not all(map(is_core, p.branches)):
         raise UnsupportedConstructError(
-            "guarded command over block/probabilistic branches has no defined semantics"
-        )
-    layout = _check_cap(joined_layout(p, [sub.layout for sub in subs]), max_dim)
-    if not isinstance(p, (Abort, Skip, Unitary, Measure, Guarded, Seq, Block, ProbChoice)):
+            "guarded command over block/probabilistic branches has no defined semantics")
+    _check_cap(p.layout, max_dim)
+    if not isinstance(p, (Abort, Skip, Unitary, Measure, Guarded, QChoice, Seq, Block, ProbChoice)):
         raise UnsupportedConstructError(f"cannot evaluate {type(p).__name__}")
-    cvars = joined_cvars(p, [sub.cvars for sub in subs])
-    if not isinstance(p, Guarded):
-        return _Step(p, layout, cvars, subs)
-    fns = tuple(_semi(sub, max_dim) for sub in subs)
-    return _Step(p, layout, cvars, subs, fns,
-                 tuple(sum(w * f(d) for d, w in lambda_weights(f).items()) for f in fns))
+    p.__dict__.setdefault(_CHECKED, set()).add(key)
 
 
 @dataclass
 class _Stream:
-    """One evaluation pass over prepared steps.  A block whose state with
+    """One evaluation pass over a checked program.  A block whose state with
     its locals would exceed ``max_dim`` is applied through its dense Kraus
     family on its own layout, kept in ``blocks`` for the rest of the call."""
 
-    tol: float
     max_dim: int
     blocks: dict = field(default_factory=dict)
 
-    def push(self, step: _Step, t: np.ndarray, names: tuple[str, ...], adjoint: bool) -> np.ndarray:
+    def push(self, p: Program, t: np.ndarray, names: tuple[str, ...], adjoint: bool) -> np.ndarray:
         """``t`` is a matrix on ``names`` shaped ``dims + dims``; the result
         has the same shape.  Forward: the program's channel applied to
         ``t``; adjoint: its dual, ``sum_k E_k† t E_k``."""
-        p = step.node
         if isinstance(p, Abort):
             return np.zeros_like(t)
         if isinstance(p, Skip):
@@ -410,12 +391,12 @@ class _Stream:
         if isinstance(p, Unitary):
             return _sandwich(t, names, _side(p.kernel, adjoint), p.own_layout.names)
         if isinstance(p, Seq):
-            for sub in reversed(step.subs) if adjoint else step.subs:
+            for sub in (p.second, p.first) if adjoint else (p.first, p.second):
                 t = self.push(sub, t, names, adjoint)
             return t
         if isinstance(p, Measure):
             out, site = np.zeros_like(t), p.own_layout.names
-            for op, sub in zip(p.measurement.kernels, step.subs):
+            for op, (_, sub) in zip(p.measurement.kernels, p.branches):
                 if adjoint:
                     out += _sandwich(self.push(sub, t, names, True), names, _side(op, True), site)
                 else:
@@ -423,25 +404,26 @@ class _Stream:
             return out
         if isinstance(p, ProbChoice):
             out = np.zeros_like(t)
-            for w, sub in zip(p.weights, step.subs):
+            for w, sub in zip(p.weights, p.branches):
                 out += w * self.push(sub, t, names, adjoint)
             return out
         if isinstance(p, Block):
-            return self._block(step, t, names, adjoint)
-        return self._guard(step, t, names, adjoint)
+            return self._block(p, t, names, adjoint)
+        if isinstance(p, QChoice):
+            return self.push(p.seq, t, names, adjoint)
+        return self._guard(p, t, names, adjoint)
 
-    def _block(self, step: _Step, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
+    def _block(self, p: Block, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
         """Forward: ``tr_loc[body(X (x) init)]``; adjoint:
         ``tr_loc[wp_body(M (x) I_loc) (I (x) init)]``."""
-        p, (body,) = step.node, step.subs
-        local, init = p.own_layout, p.init
+        body, local, init = p.body, p.own_layout, p.init
         d, dl = int(np.prod(t.shape[: len(names)])), local.dim
         if d * dl > self.max_dim:
-            if id(step) not in self.blocks:
-                self.blocks[id(step)] = _denote(step, self.tol, self.max_dim).kraus
+            if id(p) not in self.blocks:
+                self.blocks[id(p)] = _denote(p, self.max_dim).kraus
             out = np.zeros_like(t)
-            for k in self.blocks[id(step)]:
-                out += _sandwich(t, names, _side(k, adjoint), step.layout.names)
+            for k in self.blocks[id(p)]:
+                out += _sandwich(t, names, _side(k, adjoint), p.layout.names)
             return out
         # A local shadows any variable of the same name outside the block.
         outer = tuple(_fresh_name(n + "'", set(names) | set(local.names)) if n in local else n
@@ -457,12 +439,11 @@ class _Stream:
             out = np.einsum("aibi->ab", r.reshape(d, dl, d, dl))
         return out.reshape(t.shape)
 
-    def _guard(self, step: _Step, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
+    def _guard(self, p: Guarded, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
         """In the guard basis, diagonal block ``i`` is branch ``i``'s own
         evaluation and off-diagonal block ``(i, j)`` is ``A_i X_ij A_j†``
         (with ``A†`` for the adjoint): the square branch weights sum to one,
         so the guarded composition never needs its joint domain."""
-        p = step.node
         gnames = p.own_layout.names
         rotate = not p.basis.is_computational()
         if rotate:
@@ -475,17 +456,17 @@ class _Stream:
         gshape = blocks.shape[: len(moved)]
         dg = p.basis.dim
         blocks = blocks.reshape((dg, dg) + blocks.shape[len(moved):])
-        sides = [_side(a, adjoint) for a in step.kernels]
+        sides = [_side(a, adjoint) for a in _branches(p, self.max_dim)[2]]
         out = np.empty_like(blocks)
         for i in range(dg):
             for j in range(dg):
                 if not blocks[i, j].any():  # e.g. the identity's off-diagonal blocks
                     out[i, j] = 0
                 elif i == j:
-                    out[i, i] = self.push(step.subs[i], blocks[i, i], data, adjoint)
+                    out[i, i] = self.push(p.branches[i], blocks[i, i], data, adjoint)
                 else:
-                    out[i, j] = _sandwich(blocks[i, j], data, sides[i], step.subs[i].layout.names,
-                                          sides[j], step.subs[j].layout.names)
+                    out[i, j] = _sandwich(blocks[i, j], data, sides[i], p.branches[i].layout.names,
+                                          sides[j], p.branches[j].layout.names)
         t = np.moveaxis(out.reshape(gshape + out.shape[2:]), range(len(moved)), moved)
         if rotate:
             t = _sandwich(t, names, p.basis.matrix, gnames)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +266,23 @@ def test_too_deep_a_program_is_a_resource_limit(tmp_path, capsys, command):
     assert run_cli(command, prog, *([prog] if extra is None else extra)) == 70
     err = capsys.readouterr().err
     assert err.startswith("error: program nests too deeply") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(DEEP_COMMANDS))
+def test_a_long_chain_below_the_limit_passes(tmp_path, command):
+    """A 480-statement ';' chain passes every command: no walk after parsing
+    nests more frames per statement than the parser's own, which reaches
+    Python's recursion limit at about 493 statements.  Run as its own
+    process, so that the test runner's frames do not count."""
+    prog = write(tmp_path / "long.qgcl",
+                 'qvar q1 : 2;\nmatrix I = {"rows":2,"cols":2,"entries":[[1,0],[0,0],[0,0],[1,0]]};\n'
+                 + "; ".join(["I[q1]"] * 480))
+    extra = DEEP_COMMANDS[command]
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(SAMPLES), "src")}
+    done = subprocess.run([sys.executable, "-m", "qgcl", command, prog,
+                           *([prog] if extra is None else extra)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestReproduce:

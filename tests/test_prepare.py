@@ -1,6 +1,10 @@
-"""The checked pass is made once per program: ``_prepare`` keeps each node's
-step per ``(tol, max_dim)``, nodes own read-only copies of their matrices,
-and a node ``well_formed`` passed is not checked again at the same ``tol``.
+"""The checked pass is made once per program: ``_check`` records on each
+node the ``(tol, max_dim)`` pairs it passed at, and that record is all a
+node keeps per pair.  What the program alone fixes is kept on the node once:
+its layout and classical variables, a quantum choice's coin-then-guard
+``seq`` and a guard's branch functions.  Nodes own read-only copies of their
+matrices, and a node ``well_formed`` passed is not checked again at the same
+``tol``.
 """
 
 import gc
@@ -79,9 +83,11 @@ def semi_table(f) -> np.ndarray:
 
 @contextmanager
 def counted():
-    with patch.object(semantics, "_build", wraps=semantics._build) as build, \
+    """Counts visits of the checked pass, layouts built and rule runs."""
+    with patch.object(semantics, "_check", wraps=semantics._check) as checks, \
+            patch.object(program, "joined_layout", wraps=program.joined_layout) as layouts, \
             patch.object(program, "violations", wraps=program.violations) as rules:
-        yield build, rules
+        yield checks, layouts, rules
 
 
 class TestMemo:
@@ -91,21 +97,22 @@ class TestMemo:
     def test_second_call_rebuilds_and_rechecks_nothing(self, evaluate, make):
         run = EVALUATORS[evaluate]
         p = make()
-        with counted() as (build, rules):
+        with counted() as counts:
             first = run(p)
-            assert build.call_count > 0 and rules.call_count > 0
-            build.reset_mock()
-            rules.reset_mock()
+            assert all(count.call_count > 1 for count in counts)
+            for count in counts:
+                count.reset_mock()
             second = run(p)
-        assert (build.call_count, rules.call_count) == (0, 0)
+        assert [count.call_count for count in counts] == [1, 0, 0]  # the root's record, no descent
         fresh = run(make())
         assert first.tobytes() == second.tobytes() == fresh.tobytes()
 
     def test_shared_subprogram_is_prepared_once(self):
         leaf = Unitary((Q,), H)
-        with counted() as (build, _):
-            semantics._prepare(Seq(leaf, leaf), la.DEFAULT_TOL, la.MAX_DIM_DEFAULT)
-        assert [call.args[0] for call in build.call_args_list].count(leaf) == 1
+        with counted() as (checks, _, rules):
+            semantics._check(Seq(leaf, leaf), la.DEFAULT_TOL, la.MAX_DIM_DEFAULT)
+        assert [call.args[0] for call in checks.call_args_list].count(leaf) == 2
+        assert [call.args[0] for call in rules.call_args_list].count(leaf) == 1
 
     @pytest.mark.parametrize("order", [(1e-6, 1e-9), (1e-9, 1e-6)])
     def test_each_tolerance_is_checked_on_its_own(self, order):
@@ -136,7 +143,18 @@ class TestMemo:
                 denote(p)
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
-        assert "_steps" not in p.__dict__
+        assert semantics._CHECKED in p.first.__dict__  # the record's key: the rest is not vacuous
+        assert semantics._CHECKED not in p.__dict__ and semantics._CHECKED not in p.second.__dict__
+
+    def test_guard_data_is_built_once_whatever_the_tolerance(self):
+        measure = Measure("x", (Q,), Measurement.computational(2), ((0, Skip()), (1, Skip())))
+        p = Guarded((C,), GuardBasis(H), (measure, Unitary((Q,), X)))
+        rho = DensityMatrix(random_density(rng(3), 4), qvar_layout(p))
+        with patch.object(semantics, "_semi", wraps=semantics._semi) as semi:
+            for tol in (1e-9, 1e-8):
+                apply_program(p, rho, tol=tol)
+        built = [call.args[0] for call in semi.call_args_list]
+        assert len(built) == len(set(map(id, built))) == 4  # each branch node once
 
     def test_dropped_program_is_collected(self):
         p = channel_program()
@@ -186,6 +204,14 @@ class TestRulesRunOnce:
                 redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
         assert gram.call_count == 3  # two unitaries and one measurement
+
+    def test_block_rules_run_once(self):
+        p = channel_program()
+        with patch.object(program, "block_rules", wraps=program.block_rules) as rules, \
+                patch.object(semantics, "block_rules", rules):
+            for _ in range(3):
+                denote(p)
+        assert rules.call_count == 1
 
     def test_well_formed_at_another_tolerance_does_not_excuse_a_leaf(self):
         near = Unitary((Q,), H * (1 + 1e-7))

@@ -519,9 +519,9 @@ def checked_denote(p):
     """``denote(p)``, asserting that every node's family has at most d² operators."""
     original = semantics._denote
 
-    def bounded(step, *args):
-        out = original(step, *args)
-        assert len(out.kraus) <= step.layout.dim ** 2, type(step.node).__name__
+    def bounded(p, *args):
+        out = original(p, *args)
+        assert len(out.kraus) <= p.layout.dim ** 2, type(p).__name__
         return out
 
     with pytest.MonkeyPatch.context() as patch:

@@ -7,6 +7,7 @@ with the same error: the first side condition violated, from the rule table
 that ``well_formed`` reports.
 """
 
+import re
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -284,6 +285,15 @@ def test_input_errors_after_a_successful_evaluation():
         apply_program(p, DensityMatrix(np.eye(8) / 8, big), max_dim=4)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_mis_shaped_input_is_a_layout_error(shape, adjoint):
+    # Checked before the reshape, which would raise numpy's ValueError.
+    message = f"{'observable' if adjoint else 'density'} shape {shape} does not match layout dim 2"
+    with pytest.raises(LayoutError, match=re.escape(message)):
+        semantics.stream(Unitary((Q,), H), np.ones(shape), QL, adjoint=adjoint)
+
+
 def nodes(p):
     out = [p]
     for c in children(p):
@@ -439,7 +449,7 @@ def test_denote_work_is_linear_in_depth(monkeypatch):
     # A chain of unitaries ending in a probabilistic choice: no node may be
     # revisited once per ancestor.
     visits = Counter()
-    for module, name in ((semantics, "_prepare"), (semantics, "_semi"), (semantics, "_denote"),
+    for module, name in ((semantics, "_check"), (semantics, "_semi"), (semantics, "_denote"),
                          (program, "children")):
         def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
             visits[_name] += 1
@@ -556,14 +566,14 @@ def monomial_leaves(gen, p):
     return rebuild(p, lambda c: monomial_leaves(gen, c))
 
 
-def leaf_kernels(step):
-    """The kernels streaming applies at the leaves under ``step``, read from
-    the nodes that keep them."""
-    if isinstance(step.node, Unitary):
-        yield step.node.kernel
-    elif isinstance(step.node, Measure):
-        yield from step.node.measurement.kernels
-    for sub in step.subs:
+def leaf_kernels(p):
+    """The kernels streaming applies at the leaves of ``p``, read from the
+    nodes that keep them."""
+    if isinstance(p, Unitary):
+        yield p.kernel
+    elif isinstance(p, Measure):
+        yield from p.measurement.kernels
+    for sub in children(p):
         yield from leaf_kernels(sub)
 
 
@@ -578,7 +588,7 @@ def test_monomial_leaves_match_dense(seed, depth, wrap):
                     else GuardBasis.computational(2), (p, other))
     elif wrap == "block" and Q in qvar_layout(p).variables:
         p = Block((Q,), random_density(gen, 2), p)
-    kernels = list(leaf_kernels(semantics._prepare(p, la.DEFAULT_TOL, la.MAX_DIM_DEFAULT)))
+    kernels = list(leaf_kernels(p))
     assume(kernels)  # only skips and aborts: no leaf to check
     assert all(isinstance(k, la.Monomial) for k in kernels)
     assert_matches_dense(p, gen, extra=(("e", 3),) if gen.uniform() < 0.5 else ())
