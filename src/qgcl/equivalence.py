@@ -34,7 +34,7 @@ def choi_deviation(a: SuperOperator, b: SuperOperator) -> float:
             f"{list(b.layout.variables)})"
         )
     b = b.extended_to(a.layout)
-    return linalg.choi_max_diff(a.kraus, b.kraus, a.layout.dim)
+    return linalg.choi_max_diff(a.stack, b.stack, a.layout.dim)
 
 
 def superop_equal(a: SuperOperator, b: SuperOperator, tol: float = linalg.DEFAULT_TOL) -> bool:

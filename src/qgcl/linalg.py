@@ -68,6 +68,14 @@ def tensor(a, b, *, max_dim: int = MAX_DIM_DEFAULT) -> np.ndarray:
     return np.kron(a, b)
 
 
+def tensor_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``A_k (x) B_k`` for two stacks of matrices, ``(K, n, m)`` and
+    ``(K, p, q)`` or either with ``K = 1`` (broadcast), ``a`` as the
+    high-order factor: one broadcast product, no checks."""
+    rows, cols = a.shape[1] * b.shape[1], a.shape[2] * b.shape[2]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, rows, cols)
+
+
 def partial_trace(m, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Trace out every tensor factor whose position is not in ``keep``.
 
@@ -280,19 +288,23 @@ def _kraus_stack(kraus: Sequence[np.ndarray], dim: int | None = None) -> np.ndar
     """The family's operators, vectorised row-major, as the rows of a K x dim**2 array.
 
     Row k is ``vec A_k``, the vector whose outer products make up the Choi
-    matrix.  An empty family needs ``dim``.
+    matrix.  ``kraus`` is a sequence of matrices or one ``(K, d, d)`` array.
+    An empty family needs ``dim``.
     """
-    ops = [np.asarray(k, dtype=complex) for k in kraus]
-    if not ops:
+    if isinstance(kraus, np.ndarray) and kraus.ndim == 3:
+        ops = kraus
+    else:
+        ops = [np.asarray(k, dtype=complex) for k in kraus]
+        if any(op.shape != ops[0].shape for op in ops):
+            raise ShapeError("Kraus operators must share one square dimension")
+    if len(ops) == 0:
         if dim is None:
             raise ShapeError("empty Kraus family needs an explicit dimension")
         return np.zeros((0, dim * dim), dtype=complex)
     d = require_square(as_matrix(ops[0]))
     if dim is not None and dim != d:
         raise ShapeError(f"Kraus dimension {d} disagrees with requested {dim}")
-    if any(op.shape != (d, d) for op in ops):
-        raise ShapeError("Kraus operators must share one square dimension")
-    rows = np.array(ops).reshape(len(ops), d * d)
+    rows = np.asarray(ops, dtype=complex).reshape(len(ops), d * d)
     if not np.all(np.isfinite(rows)):
         raise ShapeError("matrix has non-finite entries")
     return rows
@@ -355,8 +367,9 @@ def choi_to_kraus(c, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
 
 
 def reduce_kraus(kraus: Sequence[np.ndarray], dim: int,
-                 tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """A family of at most dim**2 operators inducing the same channel.
+                 tol: float = DEFAULT_TOL) -> np.ndarray:
+    """A family of at most dim**2 operators inducing the same channel, as a
+    ``(K, dim, dim)`` array.
 
     From the SVD ``V = U S W†`` of the stacked vectorised operators: the
     Choi matrix is ``V V† = U S² U†``, so the columns with ``s² > tol`` keep
@@ -365,7 +378,8 @@ def reduce_kraus(kraus: Sequence[np.ndarray], dim: int,
     """
     rows = _kraus_stack(kraus, dim)
     u, s, _ = np.linalg.svd(rows.T, full_matrices=False)
-    return [val * vec.reshape(dim, dim) for val, vec in zip(s, u.T) if val * val > tol]
+    keep = s * s > tol
+    return (u[:, keep] * s[keep]).T.reshape(-1, dim, dim)
 
 
 def max_abs_diff(a, b) -> float:

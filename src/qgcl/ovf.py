@@ -7,6 +7,14 @@ joint data-plus-guard space, weighting each branch by the other branches'
 normalised trace weights.  A function induces a channel by using its operators
 as a Kraus family; guard composition of channels goes through representative
 functions because the channel-level composition is set-valued.
+
+The public constructors check every operator they are given.  What the
+package builds from operators already checked goes through the trusted
+constructors ``OperatorValuedFunction._of`` and ``SuperOperator._of``, which
+check nothing.  A channel keeps its Kraus family as one ``(K, d, d)`` array
+(``SuperOperator.stack``; ``kraus`` is a tuple of views into it), so
+extension, composition and pruning each run once per family, not once per
+operator.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 
 from . import classical as cs
 from . import linalg
-from .errors import ArityError, ContractError, LayoutError
+from .errors import ArityError, CapacityError, ContractError, LayoutError
 from .program import GuardBasis
 from .registers import RegisterLayout, embed
 
@@ -43,12 +51,25 @@ class OperatorValuedFunction:
             raise ArityError("operator-valued function needs a nonempty domain")
         self.table = fixed
 
+    @classmethod
+    def _of(cls, layout: RegisterLayout, table: dict) -> "OperatorValuedFunction":
+        """A function on a nonempty ``table`` of ``layout.dim``-square complex
+        operators built from checked ones; nothing is checked again."""
+        f = object.__new__(cls)
+        f.layout, f.table = layout, table
+        return f
+
     @property
     def states(self) -> tuple[cs.ClassicalState, ...]:
         return tuple(self.table.keys())
 
     def sorted_states(self) -> list[cs.ClassicalState]:
         return sorted(self.table.keys(), key=cs.sort_key)
+
+    def sorted_stack(self) -> tuple[list[cs.ClassicalState], np.ndarray]:
+        """The sorted states and their operators as one ``(K, d, d)`` array."""
+        states = self.sorted_states()
+        return states, np.array([self.table[d] for d in states])
 
     def __call__(self, state: cs.ClassicalState) -> np.ndarray:
         try:
@@ -77,7 +98,7 @@ class OperatorValuedFunction:
         return float(np.vdot(op, op).real)
 
     def dagger(self) -> "OperatorValuedFunction":
-        return OperatorValuedFunction(
+        return OperatorValuedFunction._of(
             self.layout, {d: linalg.dagger(op) for d, op in self.table.items()}
         )
 
@@ -86,10 +107,11 @@ class OperatorValuedFunction:
         """Cylindrical extension (and factor reorder) into ``full``."""
         if full.variables == self.layout.variables:
             return self
-        return OperatorValuedFunction(
-            full,
-            {d: embed(op, self.layout, full, max_dim=max_dim) for d, op in self.table.items()},
-        )
+        ops = embed(np.array(list(self.table.values())), self.layout, full, max_dim=max_dim)
+        return OperatorValuedFunction._of(full, dict(zip(self.table, ops)))
+
+
+THEN_HOLD = 2  # ``SuperOperator.then`` holds about this many times d² products at once
 
 
 @dataclass(eq=False)
@@ -100,27 +122,37 @@ class SuperOperator:
     preconditions reuse this container with the adjoint family, which instead
     satisfies ``sum E E† <= I``, so the bound is the producers' concern
     (program semantics gets it from the leaf contracts), not checked here.
+    The family is also one ``(K, d, d)`` array, ``stack``; ``kraus`` is a
+    tuple of views into it.
     """
 
     layout: RegisterLayout
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        d = self.layout.dim
         ops = []
         for op in self.kraus:
             op = linalg.as_matrix(op)
-            if op.shape != (self.layout.dim, self.layout.dim):
-                raise LayoutError(
-                    f"Kraus shape {op.shape} does not match layout dim {self.layout.dim}"
-                )
+            if op.shape != (d, d):
+                raise LayoutError(f"Kraus shape {op.shape} does not match layout dim {d}")
             ops.append(op)
-        self.kraus = tuple(ops)
+        self.stack = np.array(ops, dtype=complex).reshape(len(ops), d, d)
+        self.kraus = tuple(self.stack)
+
+    @classmethod
+    def _of(cls, layout: RegisterLayout, stack: np.ndarray) -> "SuperOperator":
+        """The channel of a ``(K, d, d)`` complex ``stack`` built from checked
+        operators; nothing is checked again."""
+        e = object.__new__(cls)
+        e.layout, e.stack, e.kraus = layout, stack, tuple(stack)
+        return e
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         return apply_kraus(self.kraus, rho, self.layout.dim)
 
     def choi(self) -> np.ndarray:
-        return linalg.choi(self.kraus, dim=self.layout.dim)
+        return linalg.choi(self.stack, dim=self.layout.dim)
 
     def gram_sum(self) -> np.ndarray:
         out = np.zeros((self.layout.dim, self.layout.dim), dtype=complex)
@@ -137,16 +169,43 @@ class SuperOperator:
                     ) -> "SuperOperator":
         if full.variables == self.layout.variables:
             return self
-        return SuperOperator(
-            full, tuple(embed(op, self.layout, full, max_dim=max_dim) for op in self.kraus)
-        )
+        return SuperOperator._of(full, embed(self.stack, self.layout, full, max_dim=max_dim))
 
     def then(self, later: "SuperOperator") -> "SuperOperator":
-        """Sequential composition: this channel first, then ``later``."""
-        if later.layout.dim != self.layout.dim:
-            raise LayoutError("composed channels must share a layout dimension")
-        ops = tuple(b @ a for a in self.kraus for b in later.kraus)
-        return SuperOperator(self.layout, prune_zero_kraus(ops))
+        """Sequential composition: this channel first, then ``later``, which
+        must act on the same variables (in any factor order; it is put in
+        this channel's).
+
+        The products ``B_j A_i`` come in ``i``-major order.  When there are
+        more than ``THEN_HOLD d²`` of them they are formed in chunks of
+        ``A``, and the running family is reduced to its Choi rank with no
+        tolerance cut (``linalg.reduce_kraus(..., 0.0)``) whenever it passes
+        half that, so no more than about ``THEN_HOLD d²`` are held at once.
+        """
+        if later.layout.variables != self.layout.variables:
+            if not later.layout.same_variables(self.layout):
+                raise LayoutError(
+                    f"composed channels act on different variables ({list(self.layout.variables)}"
+                    f" vs {list(later.layout.variables)})"
+                )
+            later = later.extended_to(self.layout)
+        a, b, d = self.stack, later.stack, self.layout.dim
+        hold = int(THEN_HOLD * d * d)
+        if len(a) * len(b) <= hold:
+            return SuperOperator._of(self.layout, prune_zero_kraus(kraus_products(a, b)))
+        rows = max(1, hold // (2 * len(b)))
+        held = a[:0]
+        for i in range(0, len(a), rows):
+            if 2 * len(held) > hold:
+                held = linalg.reduce_kraus(held, d, 0.0)
+            held = np.concatenate([held, prune_zero_kraus(kraus_products(a[i:i + rows], b))])
+        return SuperOperator._of(self.layout, held)
+
+
+def kraus_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``B_j A_i`` for every ``i`` and, within it, every ``j``, as one
+    ``(|A| |B|, d, d)`` stack from the stacks ``a`` and ``b``."""
+    return (b[None] @ a[:, None]).reshape(-1, *a.shape[1:])
 
 
 def apply_kraus(kraus, rho, dim: int | None = None) -> np.ndarray:
@@ -160,10 +219,11 @@ def apply_kraus(kraus, rho, dim: int | None = None) -> np.ndarray:
     return out
 
 
-def prune_zero_kraus(ops) -> tuple[np.ndarray, ...]:
-    """Drop numerically zero Kraus operators (no entry above 1e-14); the
-    channel is unchanged."""
-    return tuple(op for op in ops if float(np.max(np.abs(op))) > 1e-14)
+def prune_zero_kraus(ops: np.ndarray) -> np.ndarray:
+    """Drop the numerically zero operators (no entry above 1e-14) of a
+    ``(K, d, d)`` stack; the channel is unchanged."""
+    keep = np.abs(ops).max(axis=(1, 2)) > 1e-14
+    return ops if keep.all() else ops[keep]
 
 
 def lambda_weights(f: OperatorValuedFunction) -> dict[cs.ClassicalState, float]:
@@ -249,24 +309,30 @@ def guarded_ovf(
                 "extend them cylindrically first"
             )
     joint = RegisterLayout(tuple(data_layout.variables) + tuple(guard_layout.variables))
+    if joint.dim > max_dim:
+        raise CapacityError(f"layout dimension {joint.dim} exceeds the cap {max_dim}")
     weights = [lambda_weights(f) for f in functions]
-    branch_states = [f.sorted_states() for f in functions]
-    projectors = [basis.column(i) @ linalg.dagger(basis.column(i)) for i in range(basis.arity)]
+    branch_states, lifted = [], []  # lifted: F_i(d) (x) P_i by state d, one product per branch
+    for i, f in enumerate(functions):
+        states, ops = f.sorted_stack()
+        proj = basis.column(i) @ linalg.dagger(basis.column(i))
+        branch_states.append(states)
+        lifted.append(dict(zip(states, linalg.tensor_stack(ops, proj[None]))))
     table: dict[cs.ClassicalState, np.ndarray] = {}
     for combo in itertools.product(*branch_states):
         label = cs.oplus(combo)
         acc = np.zeros((joint.dim, joint.dim), dtype=complex)
-        for i, f in enumerate(functions):
+        for i in range(len(functions)):
             coeff = 1.0
             for k in range(len(functions)):
                 if k != i:
                     coeff *= weights[k][combo[k]]
             if coeff != 0.0:
-                acc += coeff * linalg.tensor(f(combo[i]), projectors[i], max_dim=max_dim)
+                acc += coeff * lifted[i][combo[i]]
         if label in table:
             raise ContractError(f"duplicate combined state {cs.render(label)}")
         table[label] = acc
-    return OperatorValuedFunction(joint, table)
+    return OperatorValuedFunction._of(joint, table)
 
 
 def to_superop(f: OperatorValuedFunction) -> SuperOperator:
@@ -276,8 +342,7 @@ def to_superop(f: OperatorValuedFunction) -> SuperOperator:
     channel and are dropped, so the all-zero function induces the zero
     channel with an empty family.
     """
-    ops = tuple(f(d) for d in f.sorted_states())
-    return SuperOperator(f.layout, prune_zero_kraus(ops))
+    return SuperOperator._of(f.layout, prune_zero_kraus(f.sorted_stack()[1]))
 
 
 def indexed_ovf(

@@ -10,11 +10,13 @@ A node keeps a read-only complex copy of every matrix it is given
 so writing later into the array passed in leaves the program as it was.
 What is worked out from a node is therefore fixed for the node's lifetime
 and kept in its ``__dict__``: ``own_layout``, its layout (``layout``, kept by
-``qvar_layout``) and classical variables (``cvars``, kept by ``var``),
-``Unitary.operator`` and ``kernel``, ``Measurement.kernels``, a quantum
-choice's coin-then-guard ``seq``, the ``tol`` at which ``well_formed`` found
-its rules to hold and, from ``semantics``, a guard's branch functions and
-the ``(tol, max_dim)`` pairs at which the node passed evaluation's checks.
+``qvar_layout``), classical variables (``cvars``, kept by ``var``) and
+whether it lies in the core (``core``, kept by ``is_core``),
+``Unitary.operator`` and ``kernel``, ``Measurement.kernels`` and ``stack``,
+a quantum choice's coin-then-guard ``seq``, the ``tol`` at which
+``well_formed`` found its rules to hold and, from ``semantics``, a guard's
+branch functions and the ``(tol, max_dim)`` pairs at which the node passed
+evaluation's checks.
 
 Each construct's side conditions are written once, in ``RULES``: every rule
 gives a diagnostic code, a message and an error type.  ``well_formed``
@@ -102,6 +104,12 @@ class Measurement:
     def kernels(self) -> tuple:
         """The operators by outcome, classified once for streaming (``linalg.kernel``)."""
         return tuple(linalg.kernel(op) for _, op in self.operators)
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The operators by outcome as one ``(K, d, d)`` array, for a
+        measurement whose operators share one shape."""
+        return np.array([op for _, op in self.operators])
 
     @staticmethod
     def computational(dim: int) -> "Measurement":
@@ -386,10 +394,14 @@ def desugar(p: Program) -> Program:
 
 def is_core(p: Program) -> bool:
     """True when the program uses only the measurement-and-guard core (quantum
-    choice counts: it desugars into the core)."""
-    return not isinstance(p, (Block, ProbChoice, Name, Mu)) and all(
-        is_core(c) for c in children(p)
-    )
+    choice counts: it desugars into the core).  Kept on each node (``core``),
+    so a subtree is walked once however often its nodes are asked."""
+    if "core" not in p.__dict__:
+        core = not isinstance(p, (Block, ProbChoice, Name, Mu))
+        for c in children(p):
+            core = core and is_core(c)
+        p.__dict__["core"] = core
+    return p.__dict__["core"]
 
 
 def ast_equal(a: Program, b: Program) -> bool:

@@ -1,20 +1,21 @@
 """Ordered quantum registers and cylindrical extension of operators.
 
 A :class:`RegisterLayout` fixes the tensor-factor position of every quantum
-variable.  ``embed`` lifts an operator from a sub-layout into a full layout by
-tensoring identities onto the missing factors and permuting to the full
-order; it is a homomorphism for products and adjoints.
+variable.  ``embed`` lifts an operator, or a stack of them in one pass, from
+a sub-layout into a full layout by tensoring identities onto the missing
+factors and permuting to the full order; it is a homomorphism for products
+and adjoints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .errors import CapacityError, ContractError, LayoutError
+from .errors import CapacityError, ContractError, LayoutError, ShapeError
 
 QVar = tuple[str, int]
 
@@ -24,43 +25,32 @@ class RegisterLayout:
     """Ordered sequence of (quantum variable, dimension >= 2) pairs.
 
     The empty layout describes the one-dimensional space of programs without
-    quantum variables; operators on it are 1x1 matrices.
+    quantum variables; operators on it are 1x1 matrices.  ``names``,
+    ``dims`` (the factor dimensions) and ``dim`` (their product) are set
+    once, at construction.
     """
 
     variables: tuple[QVar, ...] = ()
 
     def __post_init__(self):
-        names = [name for name, _ in self.variables]
+        names = tuple(name for name, _ in self.variables)
         if len(set(names)) != len(names):
-            raise LayoutError(f"duplicate variable names in layout {names}")
+            raise LayoutError(f"duplicate variable names in layout {list(names)}")
         for name, d in self.variables:
             if d < 2:
                 raise LayoutError(f"variable {name!r} has dimension {d}; minimum is 2")
+        dims = tuple(d for _, d in self.variables)
+        self.__dict__.update(names=names, dims=dims, dim=math.prod(dims))
 
     @staticmethod
     def of(*pairs: QVar) -> "RegisterLayout":
         return RegisterLayout(tuple((str(n), int(d)) for n, d in pairs))
 
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.variables)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.variables)
-
-    @property
-    def dim(self) -> int:
-        out = 1
-        for _, d in self.variables:
-            out *= d
-        return out
-
     def __len__(self) -> int:
         return len(self.variables)
 
     def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _ in self.variables)
+        return name in self.names
 
     def index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.variables):
@@ -110,14 +100,23 @@ def embed(
     *,
     max_dim: int = linalg.MAX_DIM_DEFAULT,
 ) -> np.ndarray:
-    """Cylindrical extension of ``op`` from ``sub`` into ``full``.
+    """Cylindrical extension of ``op`` from ``sub`` into ``full``: ``op (x) I``
+    on the variables ``sub`` lacks, in ``full``'s factor order.
 
-    ``sub``'s variables must all occur in ``full`` with equal dimensions;
-    their order may differ.  The result acts on ``full.dim`` dimensions.
+    ``op`` is one operator or a ``(K, s, s)`` stack of them, which comes back
+    as a ``(K, d, d)`` stack.  ``sub``'s variables must all occur in ``full``
+    with equal dimensions; their order may differ.  Every operator is written
+    at once on the diagonal of the missing factors' identity in a zero
+    ``(K, s, m, s, m)`` array, which one transpose puts in ``full``'s order
+    (none when ``sub`` and the missing factors already are in it).
     """
-    op = linalg.as_matrix(op)
-    if op.shape != (sub.dim, sub.dim):
-        raise LayoutError(f"operator shape {op.shape} does not match sub-layout dim {sub.dim}")
+    ops = np.asarray(op, dtype=complex)
+    if ops.ndim not in (2, 3):
+        raise ShapeError(f"expected a matrix or a stack of matrices, got array of rank {ops.ndim}")
+    if not np.isfinite(ops).all():
+        raise ShapeError("matrix has non-finite entries")
+    if ops.shape[-2:] != (sub.dim, sub.dim):
+        raise LayoutError(f"operator shape {ops.shape} does not match sub-layout dim {sub.dim}")
     for name, d in sub.variables:
         if name not in full:
             raise LayoutError(f"sub-layout variable {name!r} missing from full layout")
@@ -127,13 +126,19 @@ def embed(
             )
     if full.dim > max_dim:
         raise CapacityError(f"layout dimension {full.dim} exceeds the cap {max_dim}")
-    missing = [v for v in full.variables if v[0] not in sub]
-    missing_dim = int(np.prod([d for _, d in missing])) if missing else 1
-    src_vars = list(sub.variables) + missing
-    ext = linalg.tensor(op, linalg.identity(missing_dim), max_dim=max_dim)
-    src_names = [n for n, _ in src_vars]
-    order = [src_names.index(name) for name in full.names]
-    return linalg.permute_factors(ext, [d for _, d in src_vars], order)
+    s, m = sub.dim, full.dim // sub.dim
+    stack = ops.reshape(-1, s, s)
+    k = len(stack)
+    ext = np.zeros((k, s, m, s, m), dtype=complex)
+    np.einsum("kajbj->kajb", ext)[...] = stack[:, :, None, :]
+    src = sub.variables + tuple(v for v in full.variables if v[0] not in sub)
+    if src != full.variables:
+        n, order = len(src), [src.index(v) for v in full.variables]
+        dims = tuple(d for _, d in src)
+        axes = [0] + [1 + i for i in order] + [1 + n + i for i in order]
+        ext = ext.reshape((k,) + dims * 2).transpose(axes)
+    out = ext.reshape(k, full.dim, full.dim)
+    return out[0] if ops.ndim == 2 else out
 
 
 def _check_positive(m: np.ndarray, tol: float, what: str) -> None:

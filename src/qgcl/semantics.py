@@ -8,7 +8,8 @@ one fold that builds each construct's Kraus family from its parts: a
 leaf's operator; sequencing, measurement and probabilistic choice by
 composing the sub-families; a block from its body's family by reshaping; a
 guard from its branch functions, without their joint domain.  Each family
-is pruned of zero operators and held at ``d²`` operators or fewer.  Bounded
+is one ``(K, d, d)`` array, embedded, composed and pruned in one numpy call
+per family, and held at ``d²`` operators or fewer.  Bounded
 loop unrolling and the system-environment model of channels support the
 coin-relocation equivalences.
 
@@ -57,6 +58,7 @@ from .errors import (
 from .ovf import (
     OperatorValuedFunction,
     SuperOperator,
+    kraus_products,
     lambda_weights,
     prune_zero_kraus,
     to_superop,
@@ -91,7 +93,7 @@ MAX_UNROLL_DEFAULT = 6
 
 
 def _scalar_function(value: complex) -> OperatorValuedFunction:
-    return OperatorValuedFunction(
+    return OperatorValuedFunction._of(
         RegisterLayout(), {cs.EPS: np.array([[value]], dtype=complex)}
     )
 
@@ -120,22 +122,22 @@ def semi_classical(
 
 
 def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
-    """Fold of a checked program into its function."""
+    """Fold of a checked program into its function, one frame per level."""
     full = p.layout
     if isinstance(p, Abort):
         return _scalar_function(0.0)
     if isinstance(p, Skip):
         return _scalar_function(1.0)
     if isinstance(p, Unitary):
-        return OperatorValuedFunction(full, {cs.EPS: p.operator})
+        return OperatorValuedFunction._of(full, {cs.EPS: p.operator})
     if isinstance(p, Measure):  # outcomes and branches agree, both sorted
         table: dict[cs.ClassicalState, np.ndarray] = {}
-        for (m, op), (_, sub) in zip(p.measurement.operators, p.branches):
-            sub_f = _semi(sub, max_dim).extended_to(full, max_dim=max_dim)
-            m_op = embed(op, p.own_layout, full, max_dim=max_dim)
-            for delta in sub_f.sorted_states():
-                table[cs.extend(delta, p.x, m)] = sub_f(delta) @ m_op
-        return OperatorValuedFunction(full, table)
+        m_ops = embed(p.measurement.stack, p.own_layout, full, max_dim=max_dim)
+        for m, m_op, (_, sub) in zip(p.measurement.outcomes, m_ops, p.branches):
+            states, ops = _semi(sub, max_dim).extended_to(full, max_dim=max_dim).sorted_stack()
+            for delta, op in zip(states, ops @ m_op):
+                table[cs.extend(delta, p.x, m)] = op
+        return OperatorValuedFunction._of(full, table)
     if isinstance(p, Guarded):
         data = reduce(RegisterLayout.extended, (b.layout for b in p.branches), RegisterLayout())
         branch_fs = [f.extended_to(data, max_dim=max_dim) for f in _branches(p, max_dim)[0]]
@@ -144,11 +146,10 @@ def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
         combined = guarded_ovf(p.basis, branch_fs, p.own_layout, max_dim=max_dim)
         return combined.extended_to(full, max_dim=max_dim)
     if isinstance(p, Seq):
-        f1, f2 = (_semi(s, max_dim).extended_to(full, max_dim=max_dim) for s in (p.first, p.second))
-        return OperatorValuedFunction(full, {
-            cs.concat(d1, d2): f2(d2) @ f1(d1)
-            for d1 in f1.sorted_states() for d2 in f2.sorted_states()
-        })
+        s1, ops1 = _semi(p.first, max_dim).extended_to(full, max_dim=max_dim).sorted_stack()
+        s2, ops2 = _semi(p.second, max_dim).extended_to(full, max_dim=max_dim).sorted_stack()
+        labels = [cs.concat(d1, d2) for d1 in s1 for d2 in s2]
+        return OperatorValuedFunction._of(full, dict(zip(labels, kraus_products(ops1, ops2))))
     if isinstance(p, QChoice):
         return _semi(p.seq, max_dim)
     raise UnsupportedConstructError(
@@ -176,9 +177,11 @@ def denote(
 
 
 def _denote(p: Program, max_dim: int) -> SuperOperator:
-    """Fold of a checked program into its channel: a leaf's operator, and for
-    every other construct a Kraus family composed from its parts' families,
-    pruned and held at ``d²`` operators or fewer (``_family``)."""
+    """Fold of a checked program into its channel, one frame per level: a
+    leaf's operator, and for every other construct a Kraus family composed
+    from its parts' families, pruned and held at ``d²`` operators or fewer
+    (``_family``).  Each family is one ``(K, d, d)`` stack, extended,
+    composed and pruned in one numpy call per family."""
     full = p.layout
     if isinstance(p, (Abort, Skip, Unitary)):
         return to_superop(_semi(p, max_dim))
@@ -188,21 +191,26 @@ def _denote(p: Program, max_dim: int) -> SuperOperator:
         return _denote(p.seq, max_dim)
     if isinstance(p, Block):
         return _block_family(_denote(p.body, max_dim), p.own_layout, p.init)
-    subs = [_denote(sub, max_dim).extended_to(full, max_dim=max_dim) for sub in children(p)]
     if isinstance(p, Seq):
-        return _family(full, subs[0].then(subs[1]).kraus)
+        first = _denote(p.first, max_dim).extended_to(full, max_dim=max_dim)
+        second = _denote(p.second, max_dim).extended_to(full, max_dim=max_dim)
+        return _family(full, first.then(second).stack)
     if isinstance(p, Measure):  # each branch after its measurement operator
-        ops = (op for _, op in p.measurement.operators)
-        first = [embed(op, p.own_layout, full, max_dim=max_dim) for op in ops]
+        factors = embed(p.measurement.stack, p.own_layout, full, max_dim=max_dim)
     else:  # probabilistic choice: each branch scaled by its weight's root
-        first = [np.sqrt(w) for w in p.weights]
-    return _family(full, [np.dot(e, m) for m, sub in zip(first, subs) for e in sub.kraus])
+        factors = [np.sqrt(w) for w in p.weights]
+    parts = []
+    for m, sub in zip(factors, children(p)):
+        family = _denote(sub, max_dim).extended_to(full, max_dim=max_dim).stack
+        parts.append(family @ m if isinstance(p, Measure) else family * m)
+    return _family(full, np.concatenate(parts))
 
 
-def _guard_family(p: Guarded, max_dim: int) -> list[np.ndarray]:
+def _guard_family(p: Guarded, max_dim: int) -> np.ndarray:
     """With ``P_i`` the guard's basis projectors and branch ``i``'s function
     ``F_i``, weights ``λ_i`` and ``A_i = sum_d λ_i(d) F_i(d)``: the family
     ``sum_i P_i (x) A_i`` and every nonzero ``P_i (x) (F_i(d) - λ_i(d) A_i)``.
+    A branch's operators are lifted by ``P_i`` and embedded as one stack.
 
     It induces ``guarded_ovf``'s channel: as ``sum_d λ_i(d)² = 1``, that
     function's Choi matrix is ``sum_ij vec(P_i (x) A_i) vec(P_j (x) A_j)†``
@@ -213,12 +221,13 @@ def _guard_family(p: Guarded, max_dim: int) -> list[np.ndarray]:
     for i, (f, a) in enumerate(zip(fns, a_s)):
         col = p.basis.column(i)
         proj, lay = col @ linalg.dagger(col), p.own_layout.extended(f.layout)
-        ops = (a, *prune_zero_kraus([f(d) - w * a for d, w in lambda_weights(f).items()]))
-        branch = SuperOperator(lay, tuple(linalg.tensor(proj, op, max_dim=max_dim) for op in ops))
-        top, *devs = branch.extended_to(p.layout, max_dim=max_dim).kraus
-        tops.append(top)
-        rest += devs
-    return [sum(tops), *rest]
+        weights = lambda_weights(f)
+        w = np.array(list(weights.values()))[:, None, None]
+        ops = np.concatenate([a[None], prune_zero_kraus(np.array([f(d) for d in weights]) - w * a)])
+        lifted = embed(linalg.tensor_stack(proj[None], ops), lay, p.layout, max_dim=max_dim)
+        tops.append(lifted[0])
+        rest.append(lifted[1:])
+    return np.concatenate([sum(tops)[None], *rest])
 
 
 _BRANCHES = "_branches"  # the key of a guard's branch data in its ``__dict__``
@@ -235,14 +244,14 @@ def _branches(p: Guarded, max_dim: int) -> tuple:
     return p.__dict__[_BRANCHES]
 
 
-def _family(layout: RegisterLayout, ops) -> SuperOperator:
-    """The channel of ``ops``: zero operators pruned, and a family longer
-    than ``d²`` reduced to the Choi rank with no tolerance cut
-    (``linalg.reduce_kraus``), so no verdict can move."""
+def _family(layout: RegisterLayout, ops: np.ndarray) -> SuperOperator:
+    """The channel of the ``(K, d, d)`` stack ``ops``: zero operators
+    pruned, and a family longer than ``d²`` reduced to the Choi rank with no
+    tolerance cut (``linalg.reduce_kraus``), so no verdict can move."""
     ops = prune_zero_kraus(ops)
     if len(ops) > layout.dim**2:
         ops = prune_zero_kraus(linalg.reduce_kraus(ops, layout.dim, 0.0))
-    return SuperOperator(layout, ops)
+    return SuperOperator._of(layout, ops)
 
 
 def block_channel(
@@ -272,11 +281,11 @@ def _block_family(inner: SuperOperator, locals_layout: RegisterLayout, init) -> 
     vals, vecs = np.linalg.eigh((init + linalg.dagger(init)) / 2)
     keep = vals > 1e-12
     cols = vecs[:, keep] * np.sqrt(vals[keep])
-    order = [full.index(name) for name in outer.names + locals_layout.names]
+    locals_last = RegisterLayout(outer.variables + locals_layout.variables)
     d_out, d_loc = outer.dim, locals_layout.dim
-    body = np.array([linalg.permute_factors(e, full.dims, order) for e in inner.kraus])
+    body = embed(inner.stack, full, locals_last, max_dim=full.dim)
     ops = np.einsum("naibj,jk->kniab", body.reshape(-1, d_out, d_loc, d_out, d_loc), cols)
-    return _family(outer, list(ops.reshape(-1, d_out, d_out)))
+    return _family(outer, ops.reshape(-1, d_out, d_out))
 
 
 def apply_program(
@@ -558,9 +567,9 @@ def system_environment_model(
     returned environment layout is empty (dimension one).
     """
     d = e.layout.dim
-    ops = list(prune_zero_kraus(e.kraus))
+    ops = list(prune_zero_kraus(e.stack))
     if len(ops) > d * d:
-        ops = linalg.reduce_kraus(ops, d, tol)
+        ops = list(linalg.reduce_kraus(ops, d, tol))
     gram = sum((linalg.dagger(op) @ op for op in ops), np.zeros((d, d), dtype=complex))
     if not linalg.loewner_leq(gram, linalg.identity(d), tol):
         raise ContractError("dilation needs a trace-nonincreasing channel")

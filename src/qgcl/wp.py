@@ -27,7 +27,7 @@ def wp(
     it satisfies ``sum E E† <= I`` rather than the forward trace bound.
     """
     forward = denote(p, tol=tol, max_dim=max_dim)
-    return SuperOperator(forward.layout, tuple(linalg.dagger(e) for e in forward.kraus))
+    return SuperOperator._of(forward.layout, forward.stack.conj().transpose(0, 2, 1))
 
 
 def wp_apply(

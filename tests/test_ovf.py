@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from qgcl import classical as cs
 from qgcl import linalg as la
-from qgcl.errors import ContractError
+from qgcl import ovf
+from qgcl.errors import ContractError, LayoutError
 from qgcl.ovf import (
     OperatorValuedFunction,
     SuperOperator,
@@ -275,3 +276,62 @@ def test_guarded_composition_respects_the_bound_property(seed):
         assert composed.is_full(1e-9)
     for f in fs:
         assert sum(lambda_weight(f, d) ** 2 for d in f.states) == pytest.approx(1.0, abs=1e-9)
+
+
+# -- Sequential composition -------------------------------------------------------
+
+
+def random_family(gen, dim, count, zeros=0):
+    ops = gen.normal(size=(count, dim, dim)) + 1j * gen.normal(size=(count, dim, dim))
+    ops[:zeros] = 0  # zero operators, which composition prunes
+    return ops / np.sqrt(count * dim)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(0, 12), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_then_in_chunks_matches_all_products(seed, ka, kb, zeros):
+    # THEN_HOLD sets how many products ``then`` holds at once; tiny, every
+    # chunk of A is reduced into the running family, huge, none is.
+    gen = rng(seed)
+    layout = RegisterLayout.of(("q", 2), ("r", 2))
+    a = SuperOperator(layout, tuple(random_family(gen, 4, ka, min(zeros, ka))))
+    b = SuperOperator(layout, tuple(random_family(gen, 4, kb)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ovf, "THEN_HOLD", 10**9)
+        whole = a.then(b)
+        patch.setattr(ovf, "THEN_HOLD", 0.01)
+        chunked = a.then(b)
+    assert len(whole.kraus) == (ka - min(zeros, ka)) * kb
+    assert len(chunked.kraus) <= 2 * layout.dim**2
+    assert la.max_abs_diff(whole.choi(), chunked.choi()) < 1e-12
+    assert la.max_abs_diff(a.then(b).choi(), whole.choi()) < 1e-12
+
+
+def test_then_aligns_factor_orders():
+    # dimensions 2 and 3, so a wrong factor order cannot go unnoticed
+    gen = rng(16)
+    qr, rq = RegisterLayout.of(("q", 2), ("r", 3)), RegisterLayout.of(("r", 3), ("q", 2))
+    first = SuperOperator(qr, tuple(random_family(gen, 6, 2)))
+    later = SuperOperator(rq, tuple(random_family(gen, 6, 3)))
+    rho = gen.normal(size=(6, 6)) + 1j * gen.normal(size=(6, 6))
+    mid = la.permute_factors(first(rho), [2, 3], [1, 0])  # into (r, q)
+    expect = la.permute_factors(later(mid), [3, 2], [1, 0])  # back into (q, r)
+    composed = first.then(later)
+    assert composed.layout == qr
+    assert la.max_abs_diff(composed(rho), expect) < 1e-12
+
+
+def test_then_rejects_other_variables_of_equal_dimension():
+    first = SuperOperator(RegisterLayout.of(("s", 2), ("t", 2)), (la.identity(4),))
+    later = SuperOperator(RegisterLayout.of(("q", 2), ("r", 2)), (la.identity(4),))
+    with pytest.raises(LayoutError):
+        first.then(later)
+
+
+def test_families_view_one_stack():
+    e = SuperOperator(Q, (H, X))
+    lifted = e.extended_to(RegisterLayout.of(("q", 2), ("c", 2)))
+    for family in (e, lifted, e.then(e)):
+        assert family.stack.shape == (len(family.kraus), family.layout.dim, family.layout.dim)
+        assert all(np.shares_memory(k, family.stack) for k in family.kraus)
+    assert SuperOperator(Q, ()).stack.shape == (0, 2, 2)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgcl import linalg as la
-from qgcl.errors import ContractError, LayoutError
+from qgcl.errors import CapacityError, ContractError, LayoutError, ShapeError
 from qgcl.registers import DensityMatrix, Observable, RegisterLayout, embed
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -89,3 +90,67 @@ def test_observable_validation():
     Observable(la.tensor(np.diag([1.0, 0.0]), la.identity(2)), lay).validate()
     with pytest.raises(ContractError):
         Observable(np.diag([-1.0, 0.0]).astype(complex), RegisterLayout.of(("q", 2))).validate()
+
+
+# -- Stacked embedding ----------------------------------------------------------
+# ``embed`` extends a whole (K, s, s) stack in one pass; the reference is the
+# per-operator definition: tensor with the missing identity, then permute.
+
+
+def reference_embed(op, sub, full):
+    missing = [v for v in full.variables if v[0] not in sub]
+    src = list(sub.variables) + missing
+    ext = la.tensor(op, la.identity(int(np.prod([d for _, d in missing]))))
+    order = [src.index(v) for v in full.variables]
+    return la.permute_factors(ext, [d for _, d in src], order)
+
+
+@st.composite
+def stacked_embeddings(draw):
+    """A full layout of up to four variables, a sub-layout of some of them in
+    any (so also permuted or interleaved) order, and K random operators on it."""
+    dims = draw(st.lists(st.integers(2, 3), max_size=4))
+    full = RegisterLayout(tuple((f"v{i}", d) for i, d in enumerate(dims)))
+    order = draw(st.permutations(range(len(dims))))
+    sub = RegisterLayout(tuple(full.variables[i] for i in order[: draw(st.integers(0, len(dims)))]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(0, 3))
+    ops = gen.normal(size=(k, sub.dim, sub.dim)) + 1j * gen.normal(size=(k, sub.dim, sub.dim))
+    return ops, sub, full
+
+
+@given(stacked_embeddings())
+@settings(max_examples=80, deadline=None)
+def test_stacked_embed_matches_tensor_and_permute(case):
+    ops, sub, full = case
+    got = embed(ops, sub, full)
+    assert got.shape == (len(ops), full.dim, full.dim)
+    for op, lifted in zip(ops, got):
+        assert la.max_abs_diff(lifted, reference_embed(op, sub, full)) == 0
+        assert la.max_abs_diff(embed(op, sub, full), lifted) == 0
+
+
+def test_stacked_embed_edge_cases():
+    empty = RegisterLayout()
+    assert embed(np.ones((1, 1, 1)), empty, empty).tolist() == [[[1]]]
+    full = RegisterLayout.of(("a", 2), ("b", 3))
+    assert embed(np.zeros((0, 3, 3)), RegisterLayout.of(("b", 3)), full).shape == (0, 6, 6)
+    one = embed(np.full((1, 1, 1), 2.0), empty, full)
+    assert la.max_abs_diff(one[0], 2 * la.identity(6)) == 0
+
+
+def test_stacked_embed_errors():
+    q, r = RegisterLayout.of(("q", 2)), RegisterLayout.of(("q", 2), ("r", 3))
+    stack = np.stack([X, X])
+    with pytest.raises(CapacityError):
+        embed(stack, q, r, max_dim=5)
+    with pytest.raises(LayoutError):  # operators of the wrong size
+        embed(np.zeros((2, 3, 3)), q, r)
+    with pytest.raises(LayoutError):  # a variable the full layout lacks
+        embed(stack, RegisterLayout.of(("s", 2)), r)
+    with pytest.raises(LayoutError):  # a variable of another dimension
+        embed(stack, q, RegisterLayout.of(("q", 3)))
+    with pytest.raises(ShapeError):
+        embed(np.zeros((1, 1, 2, 2)), q, r)
+    with pytest.raises(ShapeError):
+        embed(np.stack([X, np.full((2, 2), np.nan)]), q, r)

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from qgcl import classical as cs
 from qgcl import linalg as la
-from qgcl import semantics
+from qgcl import program, semantics
 from qgcl.errors import CapacityError, ContractError, UnsupportedConstructError
-from qgcl.ovf import SuperOperator, to_superop
+from qgcl.ovf import OperatorValuedFunction, SuperOperator, to_superop
 from qgcl.program import (
     Abort,
     Block,
@@ -46,6 +46,8 @@ from qgcl.semantics import (
     unroll_loop,
 )
 from qgcl.wp import wp_apply
+
+from conftest import corpus_program
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -559,3 +561,104 @@ def test_guard_over_measurement_chains_stays_compact():
     assert peak < 2 * 2**20
     reference = to_superop(semi_classical(p)).extended_to(channel.layout)
     assert la.choi_max_diff(channel.kraus, reference.kraus, channel.layout.dim) < 1e-12
+
+
+# -- Stacked families -----------------------------------------------------------
+
+
+def test_denote_builds_no_checked_family():
+    # Families built from checked operators go through the trusted
+    # constructors; the public ones, which check again, never run.
+    programs = [ProgramSampler(rng(seed), (Q, ("r", 2)), (("g1", 2), ("g2", 3))).program(3)
+                for seed in range(30)]
+    programs += [corpus_program(seed) for seed in range(30)]
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (SuperOperator, OperatorValuedFunction):
+            patch.setattr(cls, "__post_init__", lambda self: calls.append(type(self)))
+        for p in programs:
+            denote(p)
+    assert calls == []
+
+
+def pchoice_of_unitaries(gen, qvars, count):
+    dim = int(np.prod([d for _, d in qvars]))
+    return ProbChoice((1 / count,) * count,
+                      tuple(Unitary(qvars, random_unitary(gen, dim)) for _ in range(count)))
+
+
+def test_sequence_of_wide_choices_composes_in_chunks():
+    # 64 x 64 = 4,096 products of three-qubit operators for a 64-operator
+    # channel: ``then`` reduces as it goes and never holds more than 2 d².
+    gen = rng(17)
+    qvars = (Q, ("r", 2), ("s", 2))
+    p = Seq(pchoice_of_unitaries(gen, qvars, 64), pchoice_of_unitaries(gen, qvars, 64))
+    semantics._check(p, la.DEFAULT_TOL, la.MAX_DIM_DEFAULT)
+    held = []
+    reduce_kraus = la.reduce_kraus
+
+    def counted(kraus, *args):
+        held.append(len(kraus))
+        return reduce_kraus(kraus, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(la, "reduce_kraus", counted)
+        tracemalloc.start()
+        try:
+            channel = denote(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert len(channel.kraus) == 64 and max(held) <= 2 * 64
+    reference = [b.operator @ a.operator / 64 for a in p.first.branches for b in p.second.branches]
+    assert la.max_abs_diff(channel.choi(), la.choi(reference)) < 1e-12
+
+
+def test_long_chains_denote():
+    # One frame per ``;`` level: a chain of 900 statements stays within
+    # Python's default recursion limit, nested either way.
+    gen = rng(18)
+    leaves = [Unitary((Q,), random_unitary(gen, 2)) for _ in range(900)]
+    left, right = leaves[0], leaves[-1]
+    for leaf in leaves[1:]:
+        left = Seq(left, leaf)
+    for leaf in reversed(leaves[:-1]):
+        right = Seq(leaf, right)
+    u = I2
+    for leaf in leaves:
+        u = leaf.operator @ u
+    expect = SuperOperator(RegisterLayout.of(Q), (u,))
+    for p in (left, right):
+        assert choi_dev(denote(p), expect) < 1e-9
+        assert choi_dev(to_superop(semi_classical(p)), expect) < 1e-9
+
+
+def nested_guards(k):
+    """``k`` guards, each over a fresh qubit, with the next one in a branch."""
+    p = Unitary((Q,), H)
+    for i in range(k):
+        p = Guarded(((f"g{i}", 2),), GuardBasis.computational(2), (Skip(), p))
+    return p
+
+
+def test_core_checks_grow_linearly_with_nesting():
+    # Each node keeps whether it lies in the core, so checking k nested
+    # guards asks ``is_core`` O(k) times, not once per guard per subtree node.
+    counts = {}
+    for k in (4, 8, 16, 32):
+        calls = []
+        original = program.is_core
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(program, "is_core", counted)
+            patch.setattr(semantics, "is_core", counted)
+            # the layout reaches 2**33, which only the cap would reject
+            semantics._check(nested_guards(k), la.DEFAULT_TOL, 2**40)
+        counts[k] = len(calls)
+    assert all(counts[k] <= 4 * k for k in counts), counts
+    assert counts[32] - counts[16] == 2 * (counts[16] - counts[8]), counts
