@@ -32,6 +32,22 @@ def as_matrix(value) -> np.ndarray:
     return m
 
 
+def as_matrices(value) -> np.ndarray:
+    """Coerce one matrix, or a sequence or stack of equally shaped ones, to a
+    finite ``(K, n, m)`` complex array; one matrix gives ``K = 1``."""
+    try:
+        m = np.asarray(value, dtype=complex)
+    except ValueError:
+        raise ShapeError("the matrices of a stack must share one shape") from None
+    if m.ndim == 2:
+        m = m[None]
+    if m.ndim != 3:
+        raise ShapeError(f"expected a matrix or a stack of matrices, got array of rank {m.ndim}")
+    if not np.isfinite(m).all():
+        raise ShapeError("matrix has non-finite entries")
+    return m
+
+
 def require_square(m: np.ndarray) -> int:
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
@@ -56,24 +72,21 @@ def basis_ket(dim: int, index: int) -> np.ndarray:
 
 
 def tensor(a, b, *, max_dim: int = MAX_DIM_DEFAULT) -> np.ndarray:
-    """Kronecker product with ``a`` as the high-order factor."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
+    """Kronecker product with ``a`` as the high-order factor.
+
+    Either factor may be a ``(K, n, m)`` stack (``as_matrices``); then the
+    products ``A_k (x) B_k`` come back as one stack, a single matrix or a
+    stack of one standing for every ``k``.
+    """
+    x, y = as_matrices(a), as_matrices(b)
+    rows = x.shape[1] * y.shape[1]
+    cols = x.shape[2] * y.shape[2]
     if max(rows, cols) > max_dim:
         raise CapacityError(
             f"tensor product of shape ({rows}, {cols}) exceeds the dimension cap {max_dim}"
         )
-    return np.kron(a, b)
-
-
-def tensor_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``A_k (x) B_k`` for two stacks of matrices, ``(K, n, m)`` and
-    ``(K, p, q)`` or either with ``K = 1`` (broadcast), ``a`` as the
-    high-order factor: one broadcast product, no checks."""
-    rows, cols = a.shape[1] * b.shape[1], a.shape[2] * b.shape[2]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(-1, rows, cols)
+    out = (x[:, :, None, :, None] * y[:, None, :, None, :]).reshape(-1, rows, cols)
+    return out if np.ndim(a) == 3 or np.ndim(b) == 3 else out[0]
 
 
 def partial_trace(m, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -288,26 +301,18 @@ def _kraus_stack(kraus: Sequence[np.ndarray], dim: int | None = None) -> np.ndar
     """The family's operators, vectorised row-major, as the rows of a K x dim**2 array.
 
     Row k is ``vec A_k``, the vector whose outer products make up the Choi
-    matrix.  ``kraus`` is a sequence of matrices or one ``(K, d, d)`` array.
-    An empty family needs ``dim``.
+    matrix.  ``kraus`` is what ``as_matrices`` takes.  An empty family needs
+    ``dim``.
     """
-    if isinstance(kraus, np.ndarray) and kraus.ndim == 3:
-        ops = kraus
-    else:
-        ops = [np.asarray(k, dtype=complex) for k in kraus]
-        if any(op.shape != ops[0].shape for op in ops):
-            raise ShapeError("Kraus operators must share one square dimension")
-    if len(ops) == 0:
+    if len(kraus) == 0:
         if dim is None:
             raise ShapeError("empty Kraus family needs an explicit dimension")
         return np.zeros((0, dim * dim), dtype=complex)
-    d = require_square(as_matrix(ops[0]))
+    ops = as_matrices(kraus)
+    d = require_square(ops[0])
     if dim is not None and dim != d:
         raise ShapeError(f"Kraus dimension {d} disagrees with requested {dim}")
-    rows = np.asarray(ops, dtype=complex).reshape(len(ops), d * d)
-    if not np.all(np.isfinite(rows)):
-        raise ShapeError("matrix has non-finite entries")
-    return rows
+    return ops.reshape(len(ops), d * d)
 
 
 def choi(kraus: Sequence[np.ndarray], dim: int | None = None) -> np.ndarray:

@@ -176,11 +176,12 @@ class SuperOperator:
         must act on the same variables (in any factor order; it is put in
         this channel's).
 
-        The products ``B_j A_i`` come in ``i``-major order.  When there are
-        more than ``THEN_HOLD d²`` of them they are formed in chunks of
-        ``A``, and the running family is reduced to its Choi rank with no
-        tolerance cut (``linalg.reduce_kraus(..., 0.0)``) whenever it passes
-        half that, so no more than about ``THEN_HOLD d²`` are held at once.
+        The products ``B_j A_i`` come in ``i``-major order, formed for as
+        many rows of ``A`` at once as fit in ``THEN_HOLD d²`` beside the
+        family held so far.  When not even one more row fits, the held
+        family is first reduced to its Choi rank with no tolerance cut
+        (``linalg.reduce_kraus(..., 0.0)``).  Up to ``THEN_HOLD d²``
+        products that is one batch and no reduction.
         """
         if later.layout.variables != self.layout.variables:
             if not later.layout.same_variables(self.layout):
@@ -190,15 +191,15 @@ class SuperOperator:
                 )
             later = later.extended_to(self.layout)
         a, b, d = self.stack, later.stack, self.layout.dim
-        hold = int(THEN_HOLD * d * d)
-        if len(a) * len(b) <= hold:
-            return SuperOperator._of(self.layout, prune_zero_kraus(kraus_products(a, b)))
-        rows = max(1, hold // (2 * len(b)))
-        held = a[:0]
-        for i in range(0, len(a), rows):
-            if 2 * len(held) > hold:
+        hold, width = int(THEN_HOLD * d * d), max(1, len(b))
+        held, i = a[:0], 0
+        while i < len(a):
+            if len(held) and len(held) + width > hold:
                 held = linalg.reduce_kraus(held, d, 0.0)
-            held = np.concatenate([held, prune_zero_kraus(kraus_products(a[i:i + rows], b))])
+            rows = max(1, (hold - len(held)) // width)
+            part = prune_zero_kraus(kraus_products(a[i:i + rows], b))
+            held = np.concatenate([held, part]) if len(held) else part
+            i += rows
         return SuperOperator._of(self.layout, held)
 
 
@@ -317,7 +318,7 @@ def guarded_ovf(
         states, ops = f.sorted_stack()
         proj = basis.column(i) @ linalg.dagger(basis.column(i))
         branch_states.append(states)
-        lifted.append(dict(zip(states, linalg.tensor_stack(ops, proj[None]))))
+        lifted.append(dict(zip(states, linalg.tensor(ops, proj, max_dim=max_dim))))
     table: dict[cs.ClassicalState, np.ndarray] = {}
     for combo in itertools.product(*branch_states):
         label = cs.oplus(combo)

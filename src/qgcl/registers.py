@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import CapacityError, ContractError, LayoutError, ShapeError
+from .errors import CapacityError, ContractError, LayoutError
 
 QVar = tuple[str, int]
 
@@ -110,13 +110,11 @@ def embed(
     ``(K, s, m, s, m)`` array, which one transpose puts in ``full``'s order
     (none when ``sub`` and the missing factors already are in it).
     """
-    ops = np.asarray(op, dtype=complex)
-    if ops.ndim not in (2, 3):
-        raise ShapeError(f"expected a matrix or a stack of matrices, got array of rank {ops.ndim}")
-    if not np.isfinite(ops).all():
-        raise ShapeError("matrix has non-finite entries")
-    if ops.shape[-2:] != (sub.dim, sub.dim):
-        raise LayoutError(f"operator shape {ops.shape} does not match sub-layout dim {sub.dim}")
+    stack = linalg.as_matrices(op)
+    if stack.shape[1:] != (sub.dim, sub.dim):
+        raise LayoutError(
+            f"operator shape {stack.shape[1:]} does not match sub-layout dim {sub.dim}"
+        )
     for name, d in sub.variables:
         if name not in full:
             raise LayoutError(f"sub-layout variable {name!r} missing from full layout")
@@ -127,7 +125,6 @@ def embed(
     if full.dim > max_dim:
         raise CapacityError(f"layout dimension {full.dim} exceeds the cap {max_dim}")
     s, m = sub.dim, full.dim // sub.dim
-    stack = ops.reshape(-1, s, s)
     k = len(stack)
     ext = np.zeros((k, s, m, s, m), dtype=complex)
     np.einsum("kajbj->kajb", ext)[...] = stack[:, :, None, :]
@@ -138,7 +135,7 @@ def embed(
         axes = [0] + [1 + i for i in order] + [1 + n + i for i in order]
         ext = ext.reshape((k,) + dims * 2).transpose(axes)
     out = ext.reshape(k, full.dim, full.dim)
-    return out[0] if ops.ndim == 2 else out
+    return out if np.ndim(op) == 3 else out[0]
 
 
 def _check_positive(m: np.ndarray, tol: float, what: str) -> None:

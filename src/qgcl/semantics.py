@@ -224,7 +224,7 @@ def _guard_family(p: Guarded, max_dim: int) -> np.ndarray:
         weights = lambda_weights(f)
         w = np.array(list(weights.values()))[:, None, None]
         ops = np.concatenate([a[None], prune_zero_kraus(np.array([f(d) for d in weights]) - w * a)])
-        lifted = embed(linalg.tensor_stack(proj[None], ops), lay, p.layout, max_dim=max_dim)
+        lifted = embed(linalg.tensor(proj, ops, max_dim=max_dim), lay, p.layout, max_dim=max_dim)
         tops.append(lifted[0])
         rest.append(lifted[1:])
     return np.concatenate([sum(tops)[None], *rest])

@@ -49,6 +49,46 @@ class TestTensor:
         right = la.tensor(a, la.tensor(b, c))
         assert la.max_abs_diff(left, right) < 1e-12
 
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_stacks_match_kron_per_operator(self, seed, k):
+        # a stack against a matrix, a matrix against a stack and two stacks
+        gen = np.random.default_rng(seed)
+        a = np.array([rand_matrix(gen, 2, 3) for _ in range(k)]).reshape(k, 2, 3)
+        b = np.array([rand_matrix(gen, 3, 2) for _ in range(k)]).reshape(k, 3, 2)
+        m, n = rand_matrix(gen, 2, 2), rand_matrix(gen, 3, 3)
+        for got, expect in [
+            (la.tensor(a, n), [np.kron(x, n) for x in a]),
+            (la.tensor(m, b), [np.kron(m, y) for y in b]),
+            (la.tensor(a, b), [np.kron(x, y) for x, y in zip(a, b)]),
+        ]:
+            assert got.shape[0] == k
+            assert all(np.array_equal(g, e) for g, e in zip(got, expect))
+
+    def test_stack_capacity_cap(self):
+        with pytest.raises(CapacityError):
+            la.tensor(np.zeros((3, 8, 8)), la.identity(8), max_dim=32)
+
+
+class TestAsMatrices:
+    def test_one_matrix_is_a_stack_of_one(self):
+        got = la.as_matrices([[1, 2], [3, 4]])
+        assert got.shape == (1, 2, 2) and got.dtype == complex
+
+    def test_sequences_and_stacks(self):
+        assert la.as_matrices([X, H, P0]).shape == (3, 2, 2)
+        assert la.as_matrices(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+    def test_errors(self):
+        with pytest.raises(ShapeError):
+            la.as_matrices([la.identity(2), la.identity(3)])
+        with pytest.raises(ShapeError):
+            la.as_matrices([1.0, 2.0])
+        with pytest.raises(ShapeError):
+            la.as_matrices(np.zeros((1, 1, 2, 2)))
+        with pytest.raises(ShapeError):
+            la.as_matrices([X, np.full((2, 2), np.inf)])
+
 
 class TestPartialTrace:
     def test_product_projector(self):

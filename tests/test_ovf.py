@@ -290,8 +290,8 @@ def random_family(gen, dim, count, zeros=0):
 @given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(0, 12), st.integers(0, 3))
 @settings(max_examples=40, deadline=None)
 def test_then_in_chunks_matches_all_products(seed, ka, kb, zeros):
-    # THEN_HOLD sets how many products ``then`` holds at once; tiny, every
-    # chunk of A is reduced into the running family, huge, none is.
+    # THEN_HOLD sets how many products ``then`` holds at once; tiny, the
+    # held family is reduced before every row of A, huge, never.
     gen = rng(seed)
     layout = RegisterLayout.of(("q", 2), ("r", 2))
     a = SuperOperator(layout, tuple(random_family(gen, 4, ka, min(zeros, ka))))
@@ -302,6 +302,8 @@ def test_then_in_chunks_matches_all_products(seed, ka, kb, zeros):
         patch.setattr(ovf, "THEN_HOLD", 0.01)
         chunked = a.then(b)
     assert len(whole.kraus) == (ka - min(zeros, ka)) * kb
+    if ka * kb <= ovf.THEN_HOLD * layout.dim**2:  # one batch: every product, as formed
+        assert np.array_equal(a.then(b).stack, whole.stack)
     assert len(chunked.kraus) <= 2 * layout.dim**2
     assert la.max_abs_diff(whole.choi(), chunked.choi()) < 1e-12
     assert la.max_abs_diff(a.then(b).choi(), whole.choi()) < 1e-12
