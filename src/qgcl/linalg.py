@@ -148,20 +148,27 @@ def frozen(value) -> np.ndarray:
     return m
 
 
+HERMITIAN_BLOCK_BYTES = 1 << 18  # rows of m† formed, checked and averaged at a time, 256 KB
+
+
 def hermitian_part(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     """``(m + m†) / 2`` when ``m`` (a matrix as ``as_matrix`` returns it) is
     square and ``max |m - m†| <= tol``, Hermitian within ``tol``; else
-    ``None``.  ``m†`` is formed once, as a contiguous copy, and its buffer
-    becomes the result."""
+    ``None``.  ``m†`` is formed straight into the result, in row blocks of
+    about ``HERMITIAN_BLOCK_BYTES`` that are checked and averaged while
+    they are still in cache."""
     if m.shape[0] != m.shape[1]:
         return None
-    adj = m.T.copy()
-    np.conjugate(adj, out=adj)
-    if np.max(np.abs(m - adj)) > tol:
-        return None
-    adj += m
-    adj /= 2
-    return adj
+    out = np.empty(m.shape, dtype=complex)
+    step = max(1, HERMITIAN_BLOCK_BYTES // (16 * max(1, len(m))))
+    for i in range(0, len(m), step):
+        rows, own = out[i:i + step], m[i:i + step]
+        np.conjugate(m[:, i:i + step].T, out=rows)
+        if np.max(np.abs(own - rows)) > tol:
+            return None
+        rows += own
+        rows /= 2
+    return out
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
@@ -206,8 +213,17 @@ class Monomial:
     col: np.ndarray
     scale: np.ndarray
 
+    @cached_property
+    def unit(self) -> bool:
+        """Every scale entry is 1 (a permutation): applying it is a bare gather."""
+        return bool((self.scale == 1).all())
+
     def conj(self) -> Monomial:
-        return Monomial(self.col, self.scale.conj())
+        if self.unit:
+            return self
+        out = Monomial(self.col, self.scale.conj())
+        out.__dict__["unit"] = False  # the cached flag, known without a pass over the scale
+        return out
 
     @cached_property
     def T(self) -> Monomial:

@@ -220,10 +220,20 @@ def apply_kraus(kraus, rho, dim: int | None = None) -> np.ndarray:
     return out
 
 
+PRUNE_BLOCK_BYTES = 1 << 20  # the moduli of one chunk of operators, 1 MB
+
+
 def prune_zero_kraus(ops: np.ndarray) -> np.ndarray:
     """Drop the numerically zero operators (no entry above 1e-14) of a
-    ``(K, d, d)`` stack; the channel is unchanged."""
-    keep = np.abs(ops).max(axis=(1, 2)) > 1e-14
+    ``(K, d, d)`` stack; the channel is unchanged.  The moduli are taken a
+    chunk of operators at a time, so besides the result only about
+    ``PRUNE_BLOCK_BYTES`` is held, not a float copy of the stack."""
+    step = max(1, PRUNE_BLOCK_BYTES // (8 * ops.shape[1] * ops.shape[2]))
+    if len(ops) <= step:
+        keep = np.abs(ops).max(axis=(1, 2)) > 1e-14
+    else:
+        keep = np.concatenate([np.abs(ops[i:i + step]).max(axis=(1, 2)) > 1e-14
+                               for i in range(0, len(ops), step)])
     return ops if keep.all() else ops[keep]
 
 

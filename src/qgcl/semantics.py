@@ -35,14 +35,21 @@ record that it passed ``_check``.
 pushes the state (or, backwards, the observable) through the program, each
 operator acting on its own tensor factors, a guard block by block in its
 basis.  A monomial leaf operator (``linalg.Monomial``: the walk's shifts,
-diagonals, phase permutations, basis projectors), classified once on its
-node (``Unitary.kernel``, ``Measurement.kernels``), is applied as a gather
-times a scale vector; any other by dense matmul."""
+diagonals, phase permutations, basis projectors) is classified once on its
+node (``Unitary.kernel``, ``Measurement.kernels``).  Every operator is
+applied by one rule (``_contract``): the axes of its variables are brought
+together where the first of them lies, a view that transposes nothing when
+they already are together, and the state is read as ``(pre, k, post)``.  A
+monomial gathers the middle axis, scaled unless it is a permutation; any
+other operator is one broadcast matmul.  Monomials on one variable on both
+sides of a block read it once (``_sandwich``), and a guard writes each
+block's result into the same view of its output, allocated once."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from math import prod
 
 import numpy as np
 
@@ -452,34 +459,36 @@ class _Stream:
         """In the guard basis, diagonal block ``i`` is branch ``i``'s own
         evaluation and off-diagonal block ``(i, j)`` is ``A_i X_ij A_j†``
         (with ``A†`` for the adjoint): the square branch weights sum to one,
-        so the guarded composition never needs its joint domain."""
+        so the guarded composition never needs its joint domain.  Each block
+        is a view of ``t`` at the guard variables' coordinates of ``i`` and
+        ``j``, and its result is written into the same view of the output."""
         gnames = p.own_layout.names
         rotate = not p.basis.is_computational()
         if rotate:
             t = _sandwich(t, names, linalg.dagger(p.basis.matrix), gnames)
         n = len(names)
         gpos = [names.index(g) for g in gnames]
-        moved = gpos + [n + a for a in gpos]
+        coords = [np.unravel_index(i, [t.shape[a] for a in gpos]) for i in range(p.basis.dim)]
         data = tuple(name for name in names if name not in gnames)
-        blocks = np.moveaxis(t, moved, range(len(moved)))
-        gshape = blocks.shape[: len(moved)]
-        dg = p.basis.dim
-        blocks = blocks.reshape((dg, dg) + blocks.shape[len(moved):])
         sides = [_side(a, adjoint) for a in _branches(p, self.max_dim)[2]]
-        out = np.empty_like(blocks)
-        for i in range(dg):
-            for j in range(dg):
-                if not blocks[i, j].any():  # e.g. the identity's off-diagonal blocks
-                    out[i, j] = 0
+        out = np.empty_like(t)
+        for i, row in enumerate(coords):
+            for j, col in enumerate(coords):
+                at = [slice(None)] * (2 * n)
+                for a, r, c in zip(gpos, row, col):
+                    at[a], at[n + a] = r, c
+                at = tuple(at)
+                block = t[at]
+                if not block.any():  # e.g. the identity's off-diagonal blocks
+                    out[at] = 0
                 elif i == j:
-                    out[i, i] = self.push(p.branches[i], blocks[i, i], data, adjoint)
+                    out[at] = self.push(p.branches[i], block, data, adjoint)
                 else:
-                    out[i, j] = _sandwich(blocks[i, j], data, sides[i], p.branches[i].layout.names,
-                                          sides[j], p.branches[j].layout.names)
-        t = np.moveaxis(out.reshape(gshape + out.shape[2:]), range(len(moved)), moved)
+                    out[at] = _sandwich(block, data, sides[i], p.branches[i].layout.names,
+                                        sides[j], p.branches[j].layout.names)
         if rotate:
-            t = _sandwich(t, names, p.basis.matrix, gnames)
-        return t
+            out = _sandwich(out, names, p.basis.matrix, gnames)
+        return out
 
 
 def _side(op, adjoint: bool):
@@ -490,32 +499,51 @@ def _side(op, adjoint: bool):
 def _sandwich(t, names, left, site, right=None, right_site=None) -> np.ndarray:
     """``(L (x) I) X (R (x) I)†`` with ``L`` on the variables ``site`` and
     ``R`` (default ``L``) on ``right_site`` (default ``site``); ``t`` and the
-    result are shaped ``dims + dims`` over ``names``."""
+    result are shaped ``dims + dims`` over ``names``.  When ``L`` and ``R``
+    are monomials on one variable each, ``t`` is read once, as one gather,
+    and scaled on each side that is not a permutation."""
     if right is None:
         right, right_site = left, site
     n = len(names)
-    t = _contract(left, t, [names.index(v) for v in site])
-    return _contract(right.conj(), t, [n + names.index(v) for v in right_site])
+    rows, cols = [names.index(v) for v in site], [n + names.index(v) for v in right_site]
+    if (isinstance(left, linalg.Monomial) and isinstance(right, linalg.Monomial)
+            and len(rows) == len(cols) == 1):
+        (a,), (b,) = rows, cols
+        kept = [i for i, k in enumerate(t.shape) if k > 1]  # fewer index arrays gather faster
+        index = tuple((left.col if i == a else right.col if i == b else np.arange(t.shape[i]))
+                      .reshape((-1,) + (1,) * (len(kept) - m - 1)) for m, i in enumerate(kept))
+        out = t.reshape([t.shape[i] for i in kept])[index].reshape(t.shape)
+        for op, x in ((left, a), (right, b)):
+            if not op.unit:  # in place, so no outer product of the scales is formed
+                scale = op.scale if x == a else op.scale.conj()
+                out *= scale.reshape((-1,) + (1,) * (t.ndim - x - 1))
+        return out
+    return _contract(right.conj(), _contract(left, t, rows), cols)
 
 
 def _contract(op, t: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Apply ``op`` to the tensor factors of ``t`` at ``axes``, in order: a
-    ``linalg.Monomial`` as a gather of their rows, a dense matrix by matmul."""
-    if not axes:
-        return op[0, 0] * t
-    if isinstance(op, linalg.Monomial) and len(axes) == 1:  # gather in place, no transposes
-        out = t[(slice(None),) * axes[0] + (op.col,)]
-        out *= op.scale.reshape((-1,) + (1,) * (t.ndim - axes[0] - 1))
-        return out
-    order = axes + [a for a in range(t.ndim) if a not in axes]
+    """Apply ``op`` to the tensor factors of ``t`` at ``axes``, in order.
+
+    The axes are brought together, in order, where the first of them is (a
+    view: no transpose at all when they already are together), and ``t`` is
+    read as ``(pre, k, post)``.  A ``linalg.Monomial`` gathers the middle
+    axis, then scales it unless it is a permutation; a dense ``op`` is one
+    broadcast matmul, ``op @ t3``, or ``t3[:, :, 0] @ op.T`` when ``post`` is
+    1.  No axes (a 1 x 1 ``op``) is ``k = 1``."""
+    rest = [a for a in range(t.ndim) if a not in axes]
+    lead = sum(a < axes[0] for a in rest) if axes else 0
+    order = rest[:lead] + axes + rest[lead:]
     moved = t.transpose(order)
+    t3 = moved.reshape(prod(moved.shape[:lead]), -1, prod(moved.shape[lead + len(axes):]))
     if isinstance(op, linalg.Monomial):
-        rest = moved.shape[len(axes):]
-        out = moved.reshape((len(op.col),) + rest)[op.col]
-        out *= op.scale.reshape((-1,) + (1,) * len(rest))
+        out = t3[:, op.col]
+        if not op.unit:
+            out *= op.scale[:, None]
+    elif t3.shape[2] == 1:
+        out = t3[:, :, 0] @ op.T
     else:
-        out = op @ moved.reshape(op.shape[1], -1)
-    return out.reshape(moved.shape).transpose(np.argsort(order))
+        out = op @ t3
+    return out.reshape(moved.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
 @dataclass(eq=False)

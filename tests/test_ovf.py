@@ -337,3 +337,35 @@ def test_families_view_one_stack():
         assert family.stack.shape == (len(family.kraus), family.layout.dim, family.layout.dim)
         assert all(np.shares_memory(k, family.stack) for k in family.kraus)
     assert SuperOperator(Q, ()).stack.shape == (0, 2, 2)
+
+
+# -- Pruning ----------------------------------------------------------------------
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.sampled_from([72, 200, 1000, 1 << 20]))
+@settings(max_examples=40, deadline=None)
+def test_prune_in_chunks_keeps_the_one_shot_verdicts(seed, count, block):
+    # Entries at and around the 1e-14 cut, in chunks of one to all operators.
+    gen = rng(seed)
+    ops = random_family(gen, 3, count) * 10.0 ** gen.integers(-16, 1, size=(count, 1, 1))
+    ops[gen.uniform(size=count) < 0.3] = 0
+    ops[gen.uniform(size=count) < 0.2, 1, 2] = 1e-14
+    expect = ops[np.abs(ops).max(axis=(1, 2)) > 1e-14]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ovf, "PRUNE_BLOCK_BYTES", block)
+        assert np.array_equal(ovf.prune_zero_kraus(ops), expect)
+
+
+def test_prune_holds_no_copy_of_the_stack():
+    import tracemalloc
+
+    ops = np.zeros((1024, 64, 64), dtype=complex)  # 64 MB
+    ops[::16, 3, 5] = 1.0  # a small result, so a float copy of the stack would show
+    tracemalloc.start()
+    try:
+        kept = ovf.prune_zero_kraus(ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 64
+    assert peak - kept.nbytes < 8 << 20
