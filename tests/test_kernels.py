@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import qgcl.semantics as semantics
 from qgcl import linalg as la
-from qgcl.program import GuardBasis, Guarded, Measure, Measurement, Skip, Abort, Unitary
+from qgcl.program import Abort, GuardBasis, Guarded, Measure, Measurement, Skip, Unitary
 from qgcl.registers import RegisterLayout, embed
 from qgcl.sampling import random_unitary, rng
 from qgcl.semantics import denote, stream
@@ -101,7 +101,8 @@ def test_sandwich_matches_embedded_operators(data, left_kind, right_kind, adjoin
     names, d = layout.names, layout.dim
     left = operator(gen, sub(layout, left_site).dim, left_kind)
     right = operator(gen, sub(layout, right_site).dim, right_kind)
-    lf, rf = embed(left, sub(layout, left_site), layout), embed(right, sub(layout, right_site), layout)
+    lf = embed(left, sub(layout, left_site), layout)
+    rf = embed(right, sub(layout, right_site), layout)
     if adjoint:
         lf, rf = la.dagger(lf), la.dagger(rf)
     kl = semantics._side(kernel_of(left, left_kind), adjoint)
