@@ -12,7 +12,9 @@ median relative to the base's, the pairs the change won (ties count for
 neither side) and the metric's bound.  A metric is flagged ``WORSE`` when
 the change's median is worse by more than its bound, and ``gain`` when the
 change won at least nine tenths of the pairs and the medians differ by more
-than the base's interquartile range.
+than the base's interquartile range.  Each side's failed ops are totalled;
+when the change fails a larger share of its ops than the base, no metric is
+flagged ``gain`` and the summary says ``FAILED``.
 """
 
 import argparse
@@ -36,7 +38,7 @@ def extract(rev: str, dest: str) -> None:
 
 
 def run(checkout: str, args) -> dict:
-    """The metrics of one benchmark run, from the JSON on its last line."""
+    """One benchmark run's metrics and op counts, from the JSON on its last line."""
     proc = subprocess.run(
         [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload",
          args.workload, "--seed", str(args.seed), "--seconds", str(args.seconds)],
@@ -44,7 +46,8 @@ def run(checkout: str, args) -> dict:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"]:
         print(f"  {checkout}: not correct, {result['failed']} of {result['attempted']} ops failed")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "attempted": result["attempted"], "failed": result["failed"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -72,20 +75,28 @@ def main() -> None:
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
                 sides[side].append(run(checkouts[side], args))
-            figures = "  ".join(f"{s} {sides[s][-1]['ops_per_s']:.4g}" for s in ("base", "change"))
+            figures = "  ".join(f"{s} {sides[s][-1]['metrics']['ops_per_s']:.4g}"
+                                for s in ("base", "change"))
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): ops_per_s {figures}", flush=True)
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs, "
           f"base {args.base}: median [q1, q3]")
+    totals = {s: (sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs))
+              for s, runs in sides.items()}
+    share = {s: failed / max(1, attempted) for s, (failed, attempted) in totals.items()}
+    more_failed = share["change"] > share["base"]
+    print("failed ops: " + ", ".join(f"{s} {f} of {a}" for s, (f, a) in totals.items())
+          + ("  FAILED: the change fails a larger share, so no gain counts" if more_failed else ""))
     print(f"{'metric':12s} {'base':>28s} {'change':>28s} {'ratio':>7s} {'won':>6s} {'bound':>6s}")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
-        base = [r[name] for r in sides["base"]]
-        change = [r[name] for r in sides["change"]]
+        base = [r["metrics"][name] for r in sides["base"]]
+        change = [r["metrics"][name] for r in sides["change"]]
         bq, cq = quartiles(base), quartiles(change)
         won = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         gain = bq[1] - cq[1] if lower else cq[1] - bq[1]
         flag = ("WORSE" if -gain > m["bound"] * bq[1]
-                else "gain" if 10 * won >= 9 * args.pairs and gain > bq[2] - bq[0] else "")
+                else "gain" if (10 * won >= 9 * args.pairs and gain > bq[2] - bq[0]
+                                and not more_failed) else "")
         cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (bq, cq)]
         print(f"{name:12s} {cells[0]:>28s} {cells[1]:>28s} {cq[1] / bq[1]:7.3f} "
               f"{won:>3d}/{args.pairs:<2d} {m['bound']:6.2f} {flag}")

@@ -219,11 +219,7 @@ class Monomial:
         return bool((self.scale == 1).all())
 
     def conj(self) -> Monomial:
-        if self.unit:
-            return self
-        out = Monomial(self.col, self.scale.conj())
-        out.__dict__["unit"] = False  # the cached flag, known without a pass over the scale
-        return out
+        return self if self.unit else Monomial(self.col, self.scale.conj())
 
     @cached_property
     def T(self) -> Monomial:

@@ -229,11 +229,9 @@ def prune_zero_kraus(ops: np.ndarray) -> np.ndarray:
     chunk of operators at a time, so besides the result only about
     ``PRUNE_BLOCK_BYTES`` is held, not a float copy of the stack."""
     step = max(1, PRUNE_BLOCK_BYTES // (8 * ops.shape[1] * ops.shape[2]))
-    if len(ops) <= step:  # one chunk: the common small stack pays for no list or concatenate
-        keep = np.abs(ops).max(axis=(1, 2)) > 1e-14
-    else:
-        keep = np.concatenate([np.abs(ops[i:i + step]).max(axis=(1, 2)) > 1e-14
-                               for i in range(0, len(ops), step)])
+    keep = np.empty(len(ops), dtype=bool)
+    for i in range(0, len(ops), step):
+        keep[i:i + step] = np.abs(ops[i:i + step]).max(axis=(1, 2)) > 1e-14
     return ops if keep.all() else ops[keep]
 
 

@@ -289,7 +289,8 @@ class TestPositivityAgainstEigenvalues:
 
     @pytest.mark.parametrize("dim", [2, 64])
     @pytest.mark.parametrize("edge", [1 - 1e-3, 1 + 1e-3, 2 - 1e-3, 2 + 1e-3])
-    def test_anti_hermitian_part_at_the_tolerance_edge(self, dim, edge):
+    @pytest.mark.parametrize("block_rows", [None, 1, 3])  # 3 rows: a short last block at 64
+    def test_anti_hermitian_part_at_the_tolerance_edge(self, dim, edge, block_rows):
         gen = np.random.default_rng(dim)
         skew = rand_matrix(gen, dim, dim)
         skew -= skew.conj().T
@@ -298,12 +299,39 @@ class TestPositivityAgainstEigenvalues:
         assert (np.abs(m - m.conj().T).max() <= self.TOL) == (edge < 1)
         assert la.is_positive(m, self.TOL) == eigvalsh_positive(m, self.TOL) == (edge < 2)
         layout = RegisterLayout.of(("q", dim))
-        for kind, what in ((DensityMatrix, "density matrix"), (Observable, "observable")):
+        with pytest.MonkeyPatch.context() as patch:
+            if block_rows is not None:
+                patch.setattr(la, "HERMITIAN_BLOCK_BYTES", 16 * dim * block_rows)
+            part = la.hermitian_part(m, self.TOL)
             if edge < 1:
-                kind(m, layout).validate(self.TOL)
+                assert np.array_equal(part, (m + m.conj().T) / 2)
             else:
-                with pytest.raises(ContractError, match=f"^{what} is not Hermitian"):
+                assert part is None
+            for kind, what in ((DensityMatrix, "density matrix"), (Observable, "observable")):
+                if edge < 1:
                     kind(m, layout).validate(self.TOL)
+                else:
+                    with pytest.raises(ContractError, match=f"^{what} is not Hermitian"):
+                        kind(m, layout).validate(self.TOL)
+
+    @pytest.mark.parametrize("at", [(63, 63), (61, 62), (62, 61)])  # all in the later blocks
+    @pytest.mark.parametrize("edge", [1 - 1e-3, 1 + 1e-3])
+    def test_hermitian_part_asymmetric_only_in_the_last_rows(self, at, edge):
+        # Blocks of 3 rows at dim 64: every block before the last two is
+        # Hermitian, so the verdict rests on the last ones.
+        m = with_lowest_eigenvalue(np.random.default_rng(7), 64, 0.0) / 64
+        m = (m + m.conj().T) / 2
+        m[at] += 1j * edge * self.TOL / (2 if at[0] == at[1] else 1)  # |m - m†| = edge tol there
+        assert (np.abs(m - m.conj().T).max() <= self.TOL) == (edge < 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(la, "HERMITIAN_BLOCK_BYTES", 16 * 64 * 3)
+            part = la.hermitian_part(m, self.TOL)
+            if edge < 1:
+                assert np.array_equal(part, (m + m.conj().T) / 2)
+            else:
+                assert part is None
+                with pytest.raises(ContractError, match="^density matrix is not Hermitian"):
+                    DensityMatrix(m, RegisterLayout.of(("q", 64))).validate(self.TOL)
 
     @pytest.mark.parametrize("kind, what", [(DensityMatrix, "density matrix"),
                                             (Observable, "observable")])
