@@ -14,10 +14,12 @@ the change's median is worse by more than its bound, and ``gain`` when the
 change won at least nine tenths of the pairs and the medians differ by more
 than the base's interquartile range.  Each side's failed ops are totalled;
 when the change fails a larger share of its ops than the base, no metric is
-flagged ``gain`` and the summary says ``FAILED``.
+flagged ``gain`` and the summary says ``FAILED``.  Last it prints each
+side's ``src/qgcl`` line total, as ``wc -l src/qgcl/*.py`` counts it.
 """
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -50,6 +52,15 @@ def run(checkout: str, args) -> dict:
             "attempted": result["attempted"], "failed": result["failed"]}
 
 
+def source_lines(checkout: str) -> int:
+    """Lines of the package's Python modules, newlines counted as ``wc -l`` does."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "qgcl", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -78,6 +89,7 @@ def main() -> None:
             figures = "  ".join(f"{s} {sides[s][-1]['metrics']['ops_per_s']:.4g}"
                                 for s in ("base", "change"))
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): ops_per_s {figures}", flush=True)
+        lines = {side: source_lines(path) for side, path in checkouts.items()}
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs, "
           f"base {args.base}: median [q1, q3]")
     totals = {s: (sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs))
@@ -100,6 +112,8 @@ def main() -> None:
         cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (bq, cq)]
         print(f"{name:12s} {cells[0]:>28s} {cells[1]:>28s} {cq[1] / bq[1]:7.3f} "
               f"{won:>3d}/{args.pairs:<2d} {m['bound']:6.2f} {flag}")
+    print(f"src/qgcl lines: base {lines['base']}, change {lines['change']} "
+          f"({lines['change'] - lines['base']:+d})")
 
 
 if __name__ == "__main__":

@@ -129,8 +129,7 @@ def state_set_product(
     first: Sequence[ClassicalState], second: Sequence[ClassicalState]
 ) -> list[ClassicalState]:
     """All pairwise concatenations, in deterministic order."""
-    out = [concat(a, b) for a, b in product(first, second)]
-    return out
+    return [concat(a, b) for a, b in product(first, second)]
 
 
 def render(state: ClassicalState) -> str:

@@ -16,7 +16,7 @@ from functools import cache
 from . import linalg, matrixio
 from .classical import render, sort_key
 from .errors import QgclError, SourceError
-from .equivalence import program_equiv_report
+from .equivalence import PROGRAM_TOL_DEFAULT, program_equiv_report
 from .parser import parse_file
 from .reproduce import SUITES
 from .semantics import MAX_UNROLL_DEFAULT, apply_program, semi_classical
@@ -99,7 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load_program(path: str, tol: float):
+def _load_program(path: str, tol: float, diagnostics=None):
+    """The parsed program; on failure the error or the diagnostics (to the
+    ``diagnostics`` stream, default stderr) and exit 66 or 1."""
     try:
         return parse_file(path, tol=tol)
     except OSError as exc:
@@ -107,7 +109,7 @@ def _load_program(path: str, tol: float):
         raise SystemExit(EX_NOINPUT)
     except SourceError as exc:
         for d in exc.diagnostics:
-            print(str(d), file=sys.stderr)
+            print(str(d), file=diagnostics or sys.stderr)
         raise SystemExit(EX_REPORTED)
 
 
@@ -136,15 +138,7 @@ def main(argv=None) -> int:
     tol = args.tol if args.tol is not None else linalg.DEFAULT_TOL
     try:
         if args.command == "check":
-            try:
-                parse_file(args.file, tol=tol)
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EX_NOINPUT
-            except SourceError as exc:
-                for d in exc.diagnostics:
-                    print(str(d))
-                return EX_REPORTED
+            _load_program(args.file, tol, sys.stdout)
             print("ok")
             return EX_OK
 
@@ -165,7 +159,7 @@ def main(argv=None) -> int:
         if args.command == "equiv":
             p = _load_program(args.file1, tol)
             q = _load_program(args.file2, tol)
-            equiv_tol = args.tol if args.tol is not None else 1e-8
+            equiv_tol = args.tol if args.tol is not None else PROGRAM_TOL_DEFAULT
             verdict, deviation = program_equiv_report(p, q, equiv_tol, max_dim=args.max_dim)
             if verdict == "qvar-mismatch":
                 print("QVAR-MISMATCH")

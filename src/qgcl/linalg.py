@@ -189,6 +189,16 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.abs(defect).max() <= tol)  # a diagonal's top eigenvalue is an entry
 
 
+def gram(ops, dim: int) -> np.ndarray:
+    """``sum_k A_k† A_k`` over ``ops`` (a ``(K, dim, dim)`` stack or any
+    iterable of ``dim``-square operators), added one term at a time in the
+    given order; no operators give the zero matrix."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for op in ops:
+        out += dagger(op) @ op
+    return out
+
+
 def near_identity(gram: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Whether a Gram matrix ``sum_k A_k† A_k`` is within ``tol`` of ``I``
     entrywise and at most ``(1 + tol) I``.  The entrywise bound alone does
@@ -253,16 +263,15 @@ def kernel(op: np.ndarray):
 
 def is_positive(m, tol: float = DEFAULT_TOL) -> bool:
     """Positive semidefiniteness within tolerance: the anti-Hermitian part
-    is below ``tol`` and the Hermitian part passes ``hermitian_psd``."""
+    ``(m - m†) / 2`` is within ``tol`` (``hermitian_part`` at ``2 tol``) and
+    the Hermitian part passes ``hermitian_psd``."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"positivity is defined for square matrices, got {m.shape}")
     if m.size == 0:
         return True
-    herm = (m + dagger(m)) / 2
-    if np.max(np.abs(m - herm)) > tol:
-        return False
-    return hermitian_psd(herm, tol)
+    herm = hermitian_part(m, 2 * tol)
+    return herm is not None and hermitian_psd(herm, tol)
 
 
 def hermitian_psd(herm: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

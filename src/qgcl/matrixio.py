@@ -9,6 +9,7 @@ accepted anywhere JSON numbers are.
 from __future__ import annotations
 
 import json
+from functools import partial
 from itertools import chain
 from typing import Any
 
@@ -74,34 +75,27 @@ def layout_from_record(record: Any) -> RegisterLayout:
     return RegisterLayout(tuple(pairs))
 
 
-def density_to_record(dm: DensityMatrix) -> dict[str, Any]:
-    record = matrix_to_record(dm.matrix)
-    record["layout"] = layout_to_record(dm.layout)
+def to_record(x: DensityMatrix | Observable) -> dict[str, Any]:
+    """A density or observable as its matrix record plus ``layout``."""
+    record = matrix_to_record(x.matrix)
+    record["layout"] = layout_to_record(x.layout)
     return record
 
 
-def density_from_record(record: Any, tol: float = linalg.DEFAULT_TOL) -> DensityMatrix:
+def from_record(kind: type[DensityMatrix] | type[Observable], record: Any,
+                tol: float = linalg.DEFAULT_TOL) -> DensityMatrix | Observable:
+    """The ``kind`` read from its record and validated within ``tol``."""
     if not isinstance(record, dict) or "layout" not in record:
-        raise ShapeError("density record needs a 'layout' field")
+        raise ShapeError(f"{kind.kind} record needs a 'layout' field")
     layout = layout_from_record(record["layout"])
-    dm = DensityMatrix(matrix_from_record(record), layout)
-    dm.validate(tol)
-    return dm
+    x = kind(matrix_from_record(record), layout)
+    x.validate(tol)
+    return x
 
 
-def observable_to_record(obs: Observable) -> dict[str, Any]:
-    record = matrix_to_record(obs.matrix)
-    record["layout"] = layout_to_record(obs.layout)
-    return record
-
-
-def observable_from_record(record: Any, tol: float = linalg.DEFAULT_TOL) -> Observable:
-    if not isinstance(record, dict) or "layout" not in record:
-        raise ShapeError("observable record needs a 'layout' field")
-    layout = layout_from_record(record["layout"])
-    obs = Observable(matrix_from_record(record), layout)
-    obs.validate(tol)
-    return obs
+density_to_record = observable_to_record = to_record
+density_from_record = partial(from_record, DensityMatrix)
+observable_from_record = partial(from_record, Observable)
 
 
 def dumps(record: Any) -> str:

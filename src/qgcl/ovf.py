@@ -4,9 +4,11 @@ An operator-valued function maps classical-state labels to operators with
 ``sum F(d)† F(d) <= I``; it is *full* when the sum is the identity.  Guarded
 composition combines one such function per guard state into a function on the
 joint data-plus-guard space, weighting each branch by the other branches'
-normalised trace weights.  A function induces a channel by using its operators
-as a Kraus family; guard composition of channels goes through representative
-functions because the channel-level composition is set-valued.
+normalised trace weights.  A guarded unitary is its one-state case: each
+branch function holds one unitary, of weight 1, so ``guarded_unitary`` is
+``guarded_ovf``'s single operator.  A function induces a channel by using its
+operators as a Kraus family; guard composition of channels goes through
+representative functions because the channel-level composition is set-valued.
 
 The public constructors check every operator they are given.  What the
 package builds from operators already checked goes through the trusted
@@ -26,9 +28,9 @@ import numpy as np
 
 from . import classical as cs
 from . import linalg
-from .errors import ArityError, CapacityError, ContractError, LayoutError
+from .errors import ArityError, ContractError, LayoutError
 from .program import GuardBasis
-from .registers import RegisterLayout, embed
+from .registers import RegisterLayout, check_cap, embed
 
 
 @dataclass(eq=False)
@@ -79,10 +81,7 @@ class OperatorValuedFunction:
 
     def gram_sum(self) -> np.ndarray:
         """``sum_d F(d)† F(d)``."""
-        out = np.zeros((self.layout.dim, self.layout.dim), dtype=complex)
-        for op in self.table.values():
-            out += linalg.dagger(op) @ op
-        return out
+        return linalg.gram(self.table.values(), self.layout.dim)
 
     def validate(self, tol: float = linalg.DEFAULT_TOL) -> "OperatorValuedFunction":
         if not linalg.loewner_leq(self.gram_sum(), linalg.identity(self.layout.dim), tol):
@@ -155,10 +154,7 @@ class SuperOperator:
         return linalg.choi(self.stack, dim=self.layout.dim)
 
     def gram_sum(self) -> np.ndarray:
-        out = np.zeros((self.layout.dim, self.layout.dim), dtype=complex)
-        for op in self.kraus:
-            out += linalg.dagger(op) @ op
-        return out
+        return linalg.gram(self.stack, self.layout.dim)
 
     def validate(self, tol: float = linalg.DEFAULT_TOL) -> "SuperOperator":
         if not linalg.loewner_leq(self.gram_sum(), linalg.identity(self.layout.dim), tol):
@@ -266,26 +262,20 @@ def guarded_unitary(
     """Combine unitaries along guard states: ``U(|psi>|i>) = (U_i |psi>)|i>``.
 
     Guard factors sit after the data factors.  The result is unitary on the
-    joint space.
+    joint space: the one operator of ``guarded_ovf`` over the one-state
+    functions ``{ε: U_i}``, whose weights are all exactly 1.
     """
     unitaries = [linalg.as_matrix(u) for u in unitaries]
     if len(unitaries) != basis.arity:
         raise ArityError(f"{basis.arity} guard states but {len(unitaries)} unitaries")
-    if basis.dim != guard_layout.dim:
-        raise LayoutError(
-            f"guard basis dimension {basis.dim} does not match guard layout {guard_layout.dim}"
-        )
     d = data_layout.dim
     for u in unitaries:
         if u.shape != (d, d):
             raise ContractError(f"expected {d}x{d} operators on the data space, got {u.shape}")
         if not linalg.is_unitary(u, tol):
             raise ContractError("guarded composition of unitaries needs unitary inputs")
-    total = d * guard_layout.dim
-    out = np.zeros((total, total), dtype=complex)
-    for i, u in enumerate(unitaries):
-        col = basis.column(i)
-        out += linalg.tensor(u, col @ linalg.dagger(col), max_dim=max_dim)
+    fs = [OperatorValuedFunction._of(data_layout, {cs.EPS: u}) for u in unitaries]
+    (out,) = guarded_ovf(basis, fs, guard_layout, max_dim=max_dim).table.values()
     return out
 
 
@@ -318,8 +308,7 @@ def guarded_ovf(
                 "extend them cylindrically first"
             )
     joint = RegisterLayout(tuple(data_layout.variables) + tuple(guard_layout.variables))
-    if joint.dim > max_dim:
-        raise CapacityError(f"layout dimension {joint.dim} exceeds the cap {max_dim}")
+    check_cap(joint, max_dim)
     weights = [lambda_weights(f) for f in functions]
     branch_states, lifted = [], []  # lifted: F_i(d) (x) P_i by state d, one product per branch
     for i, f in enumerate(functions):
@@ -329,7 +318,6 @@ def guarded_ovf(
         lifted.append(dict(zip(states, linalg.tensor(ops, proj, max_dim=max_dim))))
     table: dict[cs.ClassicalState, np.ndarray] = {}
     for combo in itertools.product(*branch_states):
-        label = cs.oplus(combo)
         acc = np.zeros((joint.dim, joint.dim), dtype=complex)
         for i in range(len(functions)):
             coeff = 1.0
@@ -338,9 +326,7 @@ def guarded_ovf(
                     coeff *= weights[k][combo[k]]
             if coeff != 0.0:
                 acc += coeff * lifted[i][combo[i]]
-        if label in table:
-            raise ContractError(f"duplicate combined state {cs.render(label)}")
-        table[label] = acc
+        table[cs.oplus(combo)] = acc
     return OperatorValuedFunction._of(joint, table)
 
 

@@ -98,7 +98,7 @@ class Measurement:
         """``sum_m M_m† M_m`` within ``tol`` of ``I`` (``linalg.near_identity``)."""
         if not self.operators:  # the empty sum is 0, not I
             return False
-        return linalg.near_identity(sum(linalg.dagger(op) @ op for _, op in self.operators), tol)
+        return linalg.near_identity(linalg.gram((op for _, op in self.operators), self.dim), tol)
 
     @cached_property
     def kernels(self) -> tuple:

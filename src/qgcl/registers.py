@@ -4,7 +4,12 @@ A :class:`RegisterLayout` fixes the tensor-factor position of every quantum
 variable.  ``embed`` lifts an operator, or a stack of them in one pass, from
 a sub-layout into a full layout by tensoring identities onto the missing
 factors and permuting to the full order; it is a homomorphism for products
-and adjoints.
+and adjoints.  ``check_cap`` is the one test of a layout against the total
+dimension cap.
+
+``DensityMatrix`` and ``Observable`` are one type, a square matrix on a
+layout, that differ in their ``kind`` (which names them in messages and
+records) and in what ``validate`` asks of the matrix.
 """
 
 from __future__ import annotations
@@ -93,6 +98,12 @@ class RegisterLayout:
         return sorted(self.variables) == sorted(other.variables)
 
 
+def check_cap(layout: RegisterLayout, max_dim: int) -> None:
+    """Raise ``CapacityError`` when ``layout``'s dimension exceeds ``max_dim``."""
+    if layout.dim > max_dim:
+        raise CapacityError(f"layout dimension {layout.dim} exceeds the cap {max_dim}")
+
+
 def embed(
     op,
     sub: RegisterLayout,
@@ -122,8 +133,7 @@ def embed(
             raise LayoutError(
                 f"variable {name!r}: dimension {d} in sub-layout, {full.dim_of(name)} in full"
             )
-    if full.dim > max_dim:
-        raise CapacityError(f"layout dimension {full.dim} exceeds the cap {max_dim}")
+    check_cap(full, max_dim)
     s, m = sub.dim, full.dim // sub.dim
     k = len(stack)
     ext = np.zeros((k, s, m, s, m), dtype=complex)
@@ -151,8 +161,10 @@ def _check_positive(m: np.ndarray, tol: float, what: str) -> None:
 
 
 @dataclass(eq=False)
-class DensityMatrix:
-    """A (partial) density operator together with its register layout."""
+class _OnLayout:
+    """A square matrix on a register layout, coerced by ``linalg.as_matrix``
+    and shaped ``(layout.dim, layout.dim)``; each subclass's ``kind`` names
+    it in messages."""
 
     matrix: np.ndarray
     layout: RegisterLayout
@@ -161,8 +173,14 @@ class DensityMatrix:
         self.matrix = linalg.as_matrix(self.matrix)
         if self.matrix.shape != (self.layout.dim, self.layout.dim):
             raise LayoutError(
-                f"density shape {self.matrix.shape} does not match layout dim {self.layout.dim}"
+                f"{self.kind} shape {self.matrix.shape} does not match layout dim {self.layout.dim}"
             )
+
+
+class DensityMatrix(_OnLayout):
+    """A (partial) density operator together with its register layout."""
+
+    kind = "density"
 
     def validate(self, tol: float = linalg.DEFAULT_TOL) -> None:
         _check_positive(self.matrix, tol, "density matrix")
@@ -171,19 +189,10 @@ class DensityMatrix:
             raise ContractError(f"density matrix has trace {tr} > 1")
 
 
-@dataclass(eq=False)
-class Observable:
+class Observable(_OnLayout):
     """A positive Hermitian operator (a quantum predicate) on a layout."""
 
-    matrix: np.ndarray
-    layout: RegisterLayout
-
-    def __post_init__(self):
-        self.matrix = linalg.as_matrix(self.matrix)
-        if self.matrix.shape != (self.layout.dim, self.layout.dim):
-            raise LayoutError(
-                f"observable shape {self.matrix.shape} does not match layout dim {self.layout.dim}"
-            )
+    kind = "observable"
 
     def validate(self, tol: float = linalg.DEFAULT_TOL) -> None:
         _check_positive(self.matrix, tol, "observable")

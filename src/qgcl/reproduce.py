@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, sampling
-from .equivalence import program_equiv_report
+from .equivalence import PROGRAM_TOL_DEFAULT, program_equiv_report
 from .ovf import guarded_unitary
 from .program import (
     Block,
@@ -188,7 +188,7 @@ def _random_branch(gen, sampler_dims=("q", 2)):
 
 def reproduce_local(*, seed: int = 0, n: int | None = None, tol: float | None = None):
     """Coin relocation: unitary coins, then dilated general coin programs."""
-    tol = 1e-8 if tol is None else tol
+    tol = PROGRAM_TOL_DEFAULT if tol is None else tol
     gen = sampling.rng(seed)
     n_unitary = 25 if n is None else n
     n_general = 10 if n is None else max(1, n // 2)
@@ -233,7 +233,7 @@ def reproduce_local(*, seed: int = 0, n: int | None = None, tol: float | None = 
 
 def reproduce_proim(*, seed: int = 0, n: int | None = None, tol: float | None = None):
     """Localised quantum choice degenerates to probabilistic choice."""
-    tol = 1e-8 if tol is None else tol
+    tol = PROGRAM_TOL_DEFAULT if tol is None else tol
     gen = sampling.rng(seed)
     trials = 25 if n is None else n
     worst = 0.0

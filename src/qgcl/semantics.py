@@ -93,7 +93,7 @@ from .program import (
     is_core,
     qvar_layout,
 )
-from .registers import DensityMatrix, RegisterLayout, embed
+from .registers import DensityMatrix, Observable, RegisterLayout, check_cap, embed
 
 RESERVED_PREFIX = "@"
 MAX_UNROLL_DEFAULT = 6
@@ -103,11 +103,6 @@ def _scalar_function(value: complex) -> OperatorValuedFunction:
     return OperatorValuedFunction._of(
         RegisterLayout(), {cs.EPS: np.array([[value]], dtype=complex)}
     )
-
-
-def _check_cap(layout: RegisterLayout, max_dim: int) -> None:
-    if layout.dim > max_dim:
-        raise CapacityError(f"layout dimension {layout.dim} exceeds the cap {max_dim}")
 
 
 def semi_classical(
@@ -155,7 +150,7 @@ def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
     if isinstance(p, Seq):
         s1, ops1 = _semi(p.first, max_dim).extended_to(full, max_dim=max_dim).sorted_stack()
         s2, ops2 = _semi(p.second, max_dim).extended_to(full, max_dim=max_dim).sorted_stack()
-        labels = [cs.concat(d1, d2) for d1 in s1 for d2 in s2]
+        labels = cs.state_set_product(s1, s2)
         return OperatorValuedFunction._of(full, dict(zip(labels, kraus_products(ops1, ops2))))
     if isinstance(p, QChoice):
         return _semi(p.seq, max_dim)
@@ -328,11 +323,8 @@ def stream(
     _check(p, tol, max_dim)
     _check_input(p.layout, layout, adjoint)
     if layout.variables != p.layout.variables:
-        _check_cap(layout, max_dim)
-    m = linalg.as_matrix(x)
-    if m.shape != (layout.dim, layout.dim):
-        kind = "observable" if adjoint else "density"  # as Observable and DensityMatrix say
-        raise LayoutError(f"{kind} shape {m.shape} does not match layout dim {layout.dim}")
+        check_cap(layout, max_dim)
+    m = (Observable if adjoint else DensityMatrix)(x, layout).matrix
     out = _Stream(max_dim).push(p, m.reshape(layout.dims * 2), layout.names, adjoint)
     out = out.reshape(layout.dim, layout.dim)
     return out.copy() if np.may_share_memory(out, x) else out
@@ -381,7 +373,7 @@ def _check(p: Program, tol: float, max_dim: int) -> None:
     if isinstance(p, (Guarded, QChoice)) and not all(map(is_core, p.branches)):
         raise UnsupportedConstructError(
             "guarded command over block/probabilistic branches has no defined semantics")
-    _check_cap(p.layout, max_dim)
+    check_cap(p.layout, max_dim)
     if not isinstance(p, (Abort, Skip, Unitary, Measure, Guarded, QChoice, Seq, Block, ProbChoice)):
         raise UnsupportedConstructError(f"cannot evaluate {type(p).__name__}")
     p.__dict__.setdefault(_CHECKED, set()).add(key)
@@ -461,7 +453,9 @@ class _Stream:
         (with ``A†`` for the adjoint): the square branch weights sum to one,
         so the guarded composition never needs its joint domain.  Each block
         is a view of ``t`` at the guard variables' coordinates of ``i`` and
-        ``j``, and its result is written into the same view of the output."""
+        ``j``, and its result is written into the same view of the output.
+        A zero block is evaluated like any other: every branch kernel is
+        linear, so it gives zero, and testing for it would read ``t`` again."""
         gnames = p.own_layout.names
         rotate = not p.basis.is_computational()
         if rotate:
@@ -478,13 +472,10 @@ class _Stream:
                 for a, r, c in zip(gpos, row, col):
                     at[a], at[n + a] = r, c
                 at = tuple(at)
-                block = t[at]
-                if not block.any():  # e.g. the identity's off-diagonal blocks
-                    out[at] = 0
-                elif i == j:
-                    out[at] = self.push(p.branches[i], block, data, adjoint)
+                if i == j:
+                    out[at] = self.push(p.branches[i], t[at], data, adjoint)
                 else:
-                    out[at] = _sandwich(block, data, sides[i], p.branches[i].layout.names,
+                    out[at] = _sandwich(t[at], data, sides[i], p.branches[i].layout.names,
                                         sides[j], p.branches[j].layout.names)
         if rotate:
             out = _sandwich(out, names, p.basis.matrix, gnames)
@@ -598,7 +589,7 @@ def system_environment_model(
     ops = list(prune_zero_kraus(e.stack))
     if len(ops) > d * d:
         ops = list(linalg.reduce_kraus(ops, d, tol))
-    gram = sum((linalg.dagger(op) @ op for op in ops), np.zeros((d, d), dtype=complex))
+    gram = linalg.gram(ops, d)
     if not linalg.loewner_leq(gram, linalg.identity(d), tol):
         raise ContractError("dilation needs a trace-nonincreasing channel")
     kept = len(ops)
@@ -651,6 +642,8 @@ def coin_relocation_lhs_rhs(
     is dilated: fresh local environment variables are initialised, the guard
     runs over coin-plus-environment states, branches hit by the discarded
     part of the environment abort, and the dilation unitary closes the block.
+    A coin with one Kraus operator dilates with no environment, so its
+    right-hand side is the guard and the unitary, with no block.
     A discarded branch keeps its program in front of the abort so both sides
     range over the same quantum variables.
     """
@@ -674,17 +667,6 @@ def coin_relocation_lhs_rhs(
         channel, tol=tol, max_dim=max_dim, env_name=_fresh_name(RESERVED_PREFIX + "r", taken)
     )
     m = dilation.env_dim
-
-    if m == 1:
-        kept_branches = (
-            branches if dilation.kept == 1 else tuple(Seq(b, Abort()) for b in branches)
-        )
-        rotated = GuardBasis(linalg.dagger(dilation.unitary) @ basis.matrix)
-        rhs = Seq(
-            Guarded(coin_vars, rotated, kept_branches),
-            Unitary(coin_vars, dilation.unitary),
-        )
-        return lhs, rhs
     env_vars = tuple(dilation.env_layout.variables)
     joint_vars = coin_vars + env_vars
     lifted_basis = GuardBasis(
@@ -699,9 +681,9 @@ def coin_relocation_lhs_rhs(
         Guarded(joint_vars, lifted_basis, rhs_branches),
         Unitary(joint_vars, dilation.unitary),
     )
-    init = dilation.env_state @ linalg.dagger(dilation.env_state)
-    rhs = Block(env_vars, init, body)
-    return lhs, rhs
+    if not env_vars:  # a one-operator coin: no environment, so no block
+        return lhs, body
+    return lhs, Block(env_vars, dilation.env_state @ linalg.dagger(dilation.env_state), body)
 
 
 def _binary_guard_measurement(dim: int) -> Measurement:

@@ -40,7 +40,8 @@ class TestCheck:
     def test_diagnostics_exit_one(self, tmp_path, capsys):
         path = write(tmp_path / "bad.qgcl", PRELUDE + "H[q]; H[w]")
         assert run_cli("check", path) == 1
-        assert "undeclared-variable" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "undeclared-variable" in out and err == ""
 
     def test_missing_file_exit_66(self):
         assert run_cli("check", "no-such-file.qgcl") == 66

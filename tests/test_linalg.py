@@ -196,6 +196,18 @@ def test_monomial_unitarity_matches_the_dense_product(seed, n, kind, tol):
     assert la.is_unitary(m, tol) == (la.max_abs_diff(m.conj().T @ m, la.identity(n)) <= tol)
 
 
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_gram_is_the_per_operator_sum(count):
+    # One sum, term by term in the given order, whatever holds the operators.
+    gen = np.random.default_rng(count)
+    stack = rand_matrix(gen, 3 * count, 3).reshape(count, 3, 3)
+    expect = np.zeros((3, 3), dtype=complex)
+    for op in stack:
+        expect += op.conj().T @ op
+    for ops in (stack, list(stack), (op for op in stack)):
+        assert np.array_equal(la.gram(ops, 3), expect)
+
+
 def with_lowest_eigenvalue(gen, dim, lowest):
     """Hermitian matrix with spectrum in [lowest, 1], ``lowest`` attained."""
     u, _ = np.linalg.qr(rand_matrix(gen, dim, dim))

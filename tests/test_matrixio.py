@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from qgcl import matrixio
 from qgcl.errors import ShapeError
 from qgcl.matrixio import layout_from_record, matrix_from_record, matrix_to_record
+from qgcl.registers import DensityMatrix, Observable, RegisterLayout
 
 
 def test_records_match_the_per_entry_conversion():
@@ -43,3 +45,17 @@ def test_malformed_matrix_records_raise_shape_error(change):
 def test_layout_dimension_must_be_an_integer(dim):
     with pytest.raises(ShapeError):
         layout_from_record([["q", dim]])
+
+
+@pytest.mark.parametrize("kind", ["density", "observable"])
+def test_layout_records_name_their_kind(kind):
+    read, write = (getattr(matrixio, f"{kind}_{way}_record") for way in ("from", "to"))
+    record = matrix_to_record(np.eye(2) / 2)
+    with pytest.raises(ShapeError, match=f"^{kind} record needs a 'layout' field$"):
+        read(record)
+    with pytest.raises(ShapeError, match=f"^{kind} record needs a 'layout' field$"):
+        read([record])
+    record["layout"] = [["q", 2]]
+    x = read(record)
+    assert type(x) is {"density": DensityMatrix, "observable": Observable}[kind]
+    assert x.layout == RegisterLayout.of(("q", 2)) and write(x) == record

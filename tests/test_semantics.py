@@ -438,6 +438,30 @@ class TestCoinRelocation:
         assert well_formed(rhs) == []
         assert program_equiv(lhs, rhs, 1e-8)
 
+    def test_one_operator_coin_needs_no_environment(self):
+        # A coin program with one Kraus operator that is not a Unitary leaf:
+        # the guard in the back-rotated basis, then the dilation unitary.
+        from qgcl.equivalence import program_equiv
+
+        gen = rng(36)
+        coin = Seq(Unitary((C,), random_unitary(gen, 2)), Unitary((C,), random_unitary(gen, 2)))
+        basis = GuardBasis(random_unitary(gen, 2))
+        branches = (Unitary((Q,), I2), Unitary((Q,), X))
+        lhs, rhs = coin_relocation_lhs_rhs(coin, basis, branches)
+        dilation = system_environment_model(denote(coin))
+        assert dilation.env_dim == 1 and dilation.kept == 1
+        old = Seq(Guarded((C,), GuardBasis(la.dagger(dilation.unitary) @ basis.matrix), branches),
+                  Unitary((C,), dilation.unitary))
+        assert program.ast_equal(rhs, old)
+        assert program_equiv(lhs, rhs, 1e-8)
+
+    def test_all_abort_coin_aborts_every_branch(self):
+        coin = Seq(Unitary((C,), H), Abort())
+        branches = (Unitary((Q,), I2), Unitary((Q,), X))
+        _, rhs = coin_relocation_lhs_rhs(coin, GuardBasis.computational(2), branches)
+        assert isinstance(rhs, Seq) and isinstance(rhs.first, Guarded)
+        assert program.ast_equal(rhs.first.branches, tuple(Seq(b, Abort()) for b in branches))
+
     def test_guarded_coin_over_two_registers(self):
         from qgcl.equivalence import program_equiv
 

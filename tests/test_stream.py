@@ -122,12 +122,32 @@ def test_guards_in_non_computational_bases():
     assert_matches_dense(QChoice(coin, GuardBasis(random_unitary(gen, 2)), branches[:2]), gen)
 
 
+def pinched(x, layout, names):
+    """``x`` with every block off the diagonal of the ``names`` coordinates
+    zeroed: a density stays a density."""
+    t, n = x.reshape(layout.dims * 2), len(layout)
+    for a in map(layout.index, names):
+        shape = [1] * (2 * n)
+        shape[a] = shape[n + a] = layout.dims[a]
+        t = t * np.eye(layout.dims[a]).reshape(shape)
+    return t.reshape(x.shape)
+
+
 def test_nested_guards():
     gen = rng(2)
     inner = Guarded((("g1", 2),), GuardBasis(random_unitary(gen, 2)),
                     (Unitary((Q,), random_unitary(gen, 2)), Seq(Unitary((R,), H), Abort())))
     outer = Guarded((("g0", 2),), GuardBasis.computational(2), (inner, Unitary((Q, R), random_unitary(gen, 4))))
     assert_matches_dense(outer, gen)
+    # Inputs whose off-diagonal guard blocks are zero: a state block-diagonal
+    # in both guards' variables, and the identity observable.
+    state_layout = shuffled(gen, outer.layout, (C,))
+    rho = pinched(random_density(gen, state_layout.dim), state_layout, ("g0", "g1"))
+    expect = dense(outer, rho, state_layout)
+    assert la.max_abs_diff(streamed(outer, rho, state_layout), expect) < 1e-12
+    eye = la.identity(outer.layout.dim)
+    expect = dense(outer, eye, outer.layout, adjoint=True)
+    assert la.max_abs_diff(streamed(outer, eye, outer.layout, True), expect) < 1e-12
 
 
 def test_blocks_and_probabilistic_choice():
