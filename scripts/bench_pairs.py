@@ -16,6 +16,10 @@ than the base's interquartile range.  Each side's failed ops are totalled;
 when the change fails a larger share of its ops than the base, no metric is
 flagged ``gain`` and the summary says ``FAILED``.  Last it prints each
 side's ``src/qgcl`` line total, as ``wc -l src/qgcl/*.py`` counts it.
+
+With ``--layers`` it then makes one ``--trace 1`` run per side and prints
+each side's self time per pass in the front-end layers (``LAYERS``), so a
+change in the end-to-end figures can be placed in a layer.
 """
 
 import argparse
@@ -28,6 +32,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LAYERS = ("parser.parse_source", "program.well_formed", "cli.main")
 
 
 def extract(rev: str, dest: str) -> None:
@@ -39,11 +44,12 @@ def extract(rev: str, dest: str) -> None:
         sys.exit(f"git archive {rev} failed")
 
 
-def run(checkout: str, args) -> dict:
+def run(checkout: str, args, trace: int = 0) -> dict:
     """One benchmark run's metrics and op counts, from the JSON on its last line."""
     proc = subprocess.run(
         [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload",
-         args.workload, "--seed", str(args.seed), "--seconds", str(args.seconds)],
+         args.workload, "--seed", str(args.seed), "--seconds", str(args.seconds),
+         "--trace", str(trace)],
         capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"]:
@@ -75,6 +81,8 @@ def main() -> None:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--layers", action="store_true",
+                        help="also compare one traced run per side, layer by layer")
     args = parser.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
@@ -90,6 +98,8 @@ def main() -> None:
                                 for s in ("base", "change"))
             print(f"pair {i + 1}/{args.pairs} ({order[0]} first): ops_per_s {figures}", flush=True)
         lines = {side: source_lines(path) for side, path in checkouts.items()}
+        traced = ({side: run(path, args, trace=1)["metrics"] for side, path in checkouts.items()}
+                  if args.layers else {})
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs, "
           f"base {args.base}: median [q1, q3]")
     totals = {s: (sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs))
@@ -114,6 +124,12 @@ def main() -> None:
               f"{won:>3d}/{args.pairs:<2d} {m['bound']:6.2f} {flag}")
     print(f"src/qgcl lines: base {lines['base']}, change {lines['change']} "
           f"({lines['change'] - lines['base']:+d})")
+    if traced:
+        print(f"\none traced run a side, self time per pass (s):\n"
+              f"{'layer':28s} {'base':>10s} {'change':>10s} {'ratio':>7s}")
+        for layer in LAYERS:
+            base, change = (traced[s][f"{layer}.self_s"] for s in ("base", "change"))
+            print(f"{layer:28s} {base:10.4g} {change:10.4g} {change / base:7.3f}")
 
 
 if __name__ == "__main__":

@@ -99,11 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load_program(path: str, tol: float, diagnostics=None):
+def _load_program(path: str, tol: float, max_dim: int, diagnostics=None):
     """The parsed program; on failure the error or the diagnostics (to the
     ``diagnostics`` stream, default stderr) and exit 66 or 1."""
     try:
-        return parse_file(path, tol=tol)
+        return parse_file(path, tol=tol, max_dim=max_dim)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EX_NOINPUT)
@@ -138,27 +138,27 @@ def main(argv=None) -> int:
     tol = args.tol if args.tol is not None else linalg.DEFAULT_TOL
     try:
         if args.command == "check":
-            _load_program(args.file, tol, sys.stdout)
+            _load_program(args.file, tol, args.max_dim, sys.stdout)
             print("ok")
             return EX_OK
 
         if args.command == "run":
-            program = _load_program(args.file, tol)
+            program = _load_program(args.file, tol, args.max_dim)
             state = _load_json(args.input, matrixio.density_from_record, tol)
             out = apply_program(program, state, tol=tol, max_dim=args.max_dim)
             _emit(matrixio.density_to_record(out), args.out)
             return EX_OK
 
         if args.command == "wp":
-            program = _load_program(args.file, tol)
+            program = _load_program(args.file, tol, args.max_dim)
             observable = _load_json(args.observable, matrixio.observable_from_record, tol)
             result = wp_apply(program, observable, tol=tol, max_dim=args.max_dim)
             _emit(matrixio.observable_to_record(result), args.out)
             return EX_OK
 
         if args.command == "equiv":
-            p = _load_program(args.file1, tol)
-            q = _load_program(args.file2, tol)
+            p = _load_program(args.file1, tol, args.max_dim)
+            q = _load_program(args.file2, tol, args.max_dim)
             equiv_tol = args.tol if args.tol is not None else PROGRAM_TOL_DEFAULT
             verdict, deviation = program_equiv_report(p, q, equiv_tol, max_dim=args.max_dim)
             if verdict == "qvar-mismatch":
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
             return EX_OK if verdict == "equiv" else EX_REPORTED
 
         if args.command == "branches":
-            program = _load_program(args.file, tol)
+            program = _load_program(args.file, tol, args.max_dim)
             sd = semi_classical(program, tol=tol, max_dim=args.max_dim)
             for state in sorted(sd.states, key=sort_key):
                 weight = sd.weight(state)

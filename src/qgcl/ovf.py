@@ -308,7 +308,7 @@ def guarded_ovf(
                 "extend them cylindrically first"
             )
     joint = RegisterLayout(tuple(data_layout.variables) + tuple(guard_layout.variables))
-    check_cap(joint, max_dim)
+    check_cap(joint.dim, max_dim)
     weights = [lambda_weights(f) for f in functions]
     branch_states, lifted = [], []  # lifted: F_i(d) (x) P_i by state d, one product per branch
     for i, f in enumerate(functions):

@@ -18,6 +18,12 @@ A ``{`` whose next non-blank character is ``"`` opens an inline matrix: the
 lexer decodes the whole JSON record as one token.  No brace of the grammar
 can start that way, since a statement never starts with a string.  Numbers
 are written with ASCII digits and have at least one digit.
+
+The lexer makes one match per token, blanks and comments before it included.
+A token keeps its offset; its ``span`` comes from a table of line starts
+where it is read (node spans, diagnostics).  A ``;`` chain is read in a loop.
+A matrix the source only implies (a block's ``|i>`` state, a guard's
+computational basis) is checked against ``max_dim`` before it is built.
 """
 
 from __future__ import annotations
@@ -26,52 +32,54 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from bisect import bisect_right
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import linalg, matrixio
-from .errors import Diagnostic, QgclError, SourceError, Span
-from .program import (
-    Abort,
-    Block,
-    GuardBasis,
-    Guarded,
-    Measure,
-    Measurement,
-    ProbChoice,
-    Program,
-    QChoice,
-    QVar,
-    Seq,
-    Skip,
-    Unitary,
-    well_formed,
-)
+from .errors import CapacityError, Diagnostic, QgclError, SourceError, Span
+from .program import (Abort, Block, GuardBasis, Guarded, Measure, Measurement, ProbChoice, Program,
+                      QChoice, QVar, Seq, Skip, Unitary, well_formed)
+from .registers import check_cap
 
-# One alternative per token kind, tried in order.  WORD is split into
-# KEYWORD and IDENT after the match; JSON matches only the opening brace.
+# One match per token: the blanks and comments before it, then one
+# alternative per token kind, tried in order.  WORD is split into KEYWORD and
+# IDENT after the match; JSON matches only the opening brace; EOF matches at
+# the end of the text and BAD at any other character.
 _TOKEN = re.compile(
-    r"""(?P<SPACE>[ \t\r\n]+|//[^\n]*)
-      | (?P<JSON>\{(?=[ \t\r\n]*"))
-      | (?P<STRING>"[^"\\]*(?:\\.[^"\\]*)*")
-      | (?P<FLOAT>(?:-?[0-9]+\.[0-9]*|-\.[0-9]+)(?:[eE][+-]?[0-9]+)?|-?[0-9]+[eE][+-]?[0-9]+)
-      | (?P<INT>-?[0-9]+)
-      | (?P<WORD>[^\W\d]\w*)
-      | (?P<PUNCT><-|->|:=|[\[\]{}();:,|>@=])""",
+    r"""[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
+      (?: (?P<WORD>[^\W\d]\w*)
+        | (?P<JSON>\{(?=[ \t\r\n]*"))
+        | (?P<PUNCT><-|->|:=|[\[\]{}();:,|>@=])
+        | (?P<FLOAT>(?:-?[0-9]+\.[0-9]*|-\.[0-9]+)(?:[eE][+-]?[0-9]+)?|-?[0-9]+[eE][+-]?[0-9]+)
+        | (?P<INT>-?[0-9]+)
+        | (?P<STRING>"[^"\\]*(?:\\.[^"\\]*)*")
+        | (?P<EOF>\Z)
+        | (?P<BAD>.) )""",
     re.VERBOSE | re.DOTALL,
 )
+_NEWLINE = re.compile("\n")
 _JSON = json.JSONDecoder()
 
 
 class Token(NamedTuple):
     kind: str  # IDENT, KEYWORD, INT, FLOAT, STRING, JSON, PUNCT, EOF
     text: str
-    span: Span
+    pos: int  # offset of the token's first character in the source
+    lines: tuple[int, ...]  # offset of each line's first character in the source
     # JSON: the decoded record.  A "{" whose record does not decode is lexed
     # as PUNCT and carries the reason, reported if a matrix is expected there.
     value: Any = None
+
+    @property
+    def span(self) -> Span:
+        return _span(self.lines, self.pos)
+
+
+def _span(lines: tuple[int, ...], pos: int) -> Span:
+    line = bisect_right(lines, pos)
+    return Span(line, pos - lines[line - 1] + 1)
 
 
 def _error(code: str, message: str, span: Span | None) -> SourceError:
@@ -84,80 +92,72 @@ def _found(tok: Token) -> str:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending with one EOF token."""
+    lines = (0, *(m.end() for m in _NEWLINE.finditer(text)))
     tokens: list[Token] = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        span = Span(line, pos - line_start + 1)
-        m = _TOKEN.match(text, pos)
-        kind = m.lastgroup if m else None
-        # \w also admits numeric characters that are not letters; an
-        # identifier starts with a letter or "_".
-        if kind == "WORD" and not (text[pos].isalpha() or text[pos] == "_"):
-            kind = None
-        if kind is None:
-            if text[pos] == '"':
-                raise _error("lex", "unterminated string literal", span)
-            raise _error("lex", f"unexpected character {text[pos]!r}", span)
-        end, value = m.end(), None
-        if kind == "JSON":
+    match, pos = _TOKEN.match, 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        value = None
+        if kind == "WORD":
+            # \w also admits numeric characters that are not letters; an
+            # identifier starts with a letter or "_".
+            if not (text[start].isalpha() or text[start] == "_"):
+                kind = "BAD"
+            else:
+                kind = "KEYWORD" if text[start:pos] in KEYWORDS else "IDENT"
+        elif kind == "JSON":
             try:
-                value, end = _JSON.raw_decode(text, pos)
+                value, pos = _JSON.raw_decode(text, start)
             except json.JSONDecodeError as exc:
                 kind = "PUNCT"
                 value = ("unterminated inline matrix" if exc.pos >= len(text) else
                          f"malformed inline matrix: {exc.msg} at {exc.lineno}:{exc.colno}")
-        elif kind == "WORD":
-            kind = "KEYWORD" if m.group() in KEYWORDS else "IDENT"
-        if kind != "SPACE":
-            tokens.append(Token(kind, text[pos:end], span, value))
-        newlines = text.count("\n", pos, end)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", pos, end) + 1
-        pos = end
-    tokens.append(Token("EOF", "", Span(line, pos - line_start + 1)))
-    return tokens
-
-
-@dataclass
-class Definitions:
-    """Declared quantum variables and named matrices/measurements."""
-
-    qvars: dict[str, int]
-    matrices: dict[str, np.ndarray]
-    measurements: dict[str, Measurement]
+        if kind == "BAD":
+            bad = text[start]
+            message = "unterminated string literal" if bad == '"' else f"unexpected character {bad!r}"
+            raise _error("lex", message, _span(lines, start))
+        tokens.append(Token(kind, text[start:pos], start, lines, value))
+        if kind == "EOF":
+            return tokens
 
 
 class Parser:
-    def __init__(self, text: str, *, base_dir: str = ".", tol: float = linalg.DEFAULT_TOL):
+    def __init__(self, text: str, *, base_dir: str = ".", max_dim: int = linalg.MAX_DIM_DEFAULT):
+        # EOF twice: the parser reads at most one token past the one it
+        # consumes last, and it consumes EOF at most once.
         self.tokens = tokenize(text)
+        self.tokens.append(self.tokens[-1])
         self.pos = 0
         self.base_dir = base_dir
-        self.tol = tol
-        self.defs = Definitions({}, {}, {})
+        self.max_dim = max_dim
+        # Declared quantum variables and named matrices and measurements.
+        self.qvars: dict[str, int] = {}
+        self.matrices: dict[str, np.ndarray] = {}
+        self.measurements: dict[str, Measurement] = {}
 
     # -- token helpers ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        idx = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[idx]
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
-    def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
+    def at(self, kind: str, text: str | None = None) -> bool:
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, text):
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
             raise _error("syntax", f"expected {want!r}, found {_found(tok)}", tok.span)
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def _list(self, item: Callable[[], Any], sep: str = ";") -> list:
         """``item (sep item)*``."""
@@ -183,7 +183,7 @@ class Parser:
     # -- declarations ------------------------------------------------------
 
     def parse_source(self) -> Program:
-        while self.peek().kind == "KEYWORD" and self.peek().text in _DECLARATIONS:
+        while (tok := self.peek()).kind == "KEYWORD" and tok.text in _DECLARATIONS:
             _DECLARATIONS[self.advance().text](self)
             self.expect("PUNCT", ";")
         body = self.parse_program()
@@ -197,9 +197,9 @@ class Parser:
         dim = int(dim_tok.text)
         if dim < 2:
             raise _error("declaration", f"dimension of {name.text!r} must be at least 2", dim_tok.span)
-        if name.text in self.defs.qvars:
+        if name.text in self.qvars:
             raise _error("declaration", f"quantum variable {name.text!r} declared twice", name.span)
-        self.defs.qvars[name.text] = dim
+        self.qvars[name.text] = dim
 
     def _define(self, table: dict, value: Callable[[], Any]) -> None:
         name = self.expect("IDENT")
@@ -214,14 +214,14 @@ class Parser:
             loaded = matrixio.load_definitions(path)
         except (OSError, ValueError, QgclError) as exc:
             raise _error("use", f"cannot load definitions from {rel!r}: {exc}", path_tok.span)
-        self.defs.matrices.update(loaded)
+        self.matrices.update(loaded)
 
     def _matrix_ref(self) -> np.ndarray:
         tok = self.advance()
         if tok.kind == "IDENT":
-            if tok.text not in self.defs.matrices:
+            if tok.text not in self.matrices:
                 raise _error("unknown-name", f"matrix {tok.text!r} is not declared", tok.span)
-            return self.defs.matrices[tok.text]
+            return self.matrices[tok.text]
         if tok.kind == "JSON":
             try:
                 return matrixio.matrix_from_record(tok.value)
@@ -238,18 +238,18 @@ class Parser:
         tok = self.peek()
         if tok.kind == "IDENT":
             self.advance()
-            if tok.text not in self.defs.measurements:
+            if tok.text not in self.measurements:
                 raise _error("unknown-name", f"measurement {tok.text!r} is not declared", tok.span)
-            return self.defs.measurements[tok.text]
+            return self.measurements[tok.text]
         if self.at("PUNCT", "{"):
             return self._measurement_literal()
         raise _error("syntax", f"expected a measurement, found {_found(tok)}", tok.span)
 
     def _qvar(self) -> QVar:
         name = self.expect("IDENT")
-        if name.text not in self.defs.qvars:
+        if name.text not in self.qvars:
             raise _error("undeclared-variable", f"quantum variable {name.text!r} is not declared", name.span)
-        return name.text, self.defs.qvars[name.text]
+        return name.text, self.qvars[name.text]
 
     def _qvar_list(self) -> tuple[QVar, ...]:
         return tuple(self._list(self._qvar, ","))
@@ -263,11 +263,15 @@ class Parser:
     # -- programs ----------------------------------------------------------
 
     def parse_program(self) -> Program:
-        first = self.parse_statement()
-        if self.at("PUNCT", ";") and _starts_statement(self.peek(1)):
-            span = self.advance().span
-            return Seq(first, self.parse_program(), span=span)
-        return first
+        """A ``;`` chain, collected in a loop and folded to the right."""
+        statements, seps = [self.parse_statement()], []
+        while self.at("PUNCT", ";") and _starts_statement(self.peek(1)):
+            seps.append(self.advance())
+            statements.append(self.parse_statement())
+        program = statements.pop()
+        while statements:
+            program = Seq(statements.pop(), program, span=seps.pop().span)
+        return program
 
     def parse_statement(self) -> Program:
         tok = self.peek()
@@ -297,12 +301,13 @@ class Parser:
 
     def _basis_and_arms(self, dim: int, span: Span) -> tuple[GuardBasis, tuple[Program, ...]]:
         """``[basis B] { |i> -> P; ... }``, the tail shared by guard and qchoice."""
+        basis, arity = None, dim  # the computational basis, built once the arms match it
         if self.at("KEYWORD", "basis"):
             self.advance()
             basis = GuardBasis(self._matrix_ref())
+            arity = basis.arity if basis.dim == dim else dim
         else:
-            basis = GuardBasis.computational(dim)
-        arity = basis.arity if basis.dim == dim else dim
+            check_cap(dim, self.max_dim)
         arms: dict[int, Program] = {}
 
         def arm() -> None:
@@ -322,6 +327,7 @@ class Parser:
                 f"guard arms must enumerate |0>..|{arity - 1}| exactly, got {sorted(arms)}",
                 span,
             )
+        basis = basis or GuardBasis.computational(dim)
         return basis, tuple(arms[i] for i in range(arity))
 
     def _guard(self) -> Program:
@@ -345,6 +351,7 @@ class Parser:
                 raise _error(
                     "syntax", f"ket |{idx}> out of range for locals of dimension {dim}", idx_tok.span
                 )
+            check_cap(dim, self.max_dim)
             ket = linalg.basis_ket(dim, idx)
             init = ket @ linalg.dagger(ket)
         else:
@@ -360,10 +367,9 @@ class Parser:
         def arm() -> tuple[float, Program]:
             branch = self.parse_program()
             self.expect("PUNCT", "@")
-            num = self.peek()
+            num = self.advance()
             if num.kind not in ("INT", "FLOAT"):
                 raise _error("syntax", f"expected a probability, found {_found(num)}", num.span)
-            self.advance()
             return float(num.text), branch
 
         weights, branches = zip(*self._arms(arm))
@@ -381,8 +387,8 @@ class Parser:
 # Each keyword that opens a declaration or a statement, with its parser.
 _DECLARATIONS: dict[str, Callable[[Parser], None]] = {
     "qvar": Parser._qvar_declaration,
-    "matrix": lambda p: p._define(p.defs.matrices, p._matrix_ref),
-    "measurement": lambda p: p._define(p.defs.measurements, p._measurement_literal),
+    "matrix": lambda p: p._define(p.matrices, p._matrix_ref),
+    "measurement": lambda p: p._define(p.measurements, p._measurement_literal),
     "use": Parser._use,
 }
 _STATEMENTS: dict[str, Callable[[Parser], Program]] = {
@@ -405,20 +411,17 @@ def _starts_statement(tok: Token) -> bool:
     return tok.kind in ("IDENT", "JSON") or (tok.kind == "PUNCT" and tok.text in ("(", "{"))
 
 
-def parse_source(
-    text: str,
-    *,
-    base_dir: str = ".",
-    tol: float = linalg.DEFAULT_TOL,
-) -> Program:
+def parse_source(text: str, *, base_dir: str = ".", tol: float = linalg.DEFAULT_TOL,
+                 max_dim: int = linalg.MAX_DIM_DEFAULT) -> Program:
     """Parse and well-formedness-check one source text.
 
     Raises :class:`SourceError` carrying located diagnostics on any lexical,
-    syntactic or well-formedness problem.
+    syntactic or well-formedness problem, and :class:`CapacityError` when a
+    matrix the source implies would exceed ``max_dim``.
     """
     try:
-        program = Parser(text, base_dir=base_dir, tol=tol).parse_source()
-    except SourceError:
+        program = Parser(text, base_dir=base_dir, max_dim=max_dim).parse_source()
+    except (SourceError, CapacityError):
         raise
     except QgclError as exc:  # malformed construction, e.g. duplicate outcomes
         raise SourceError([Diagnostic("syntax", str(exc), None)]) from exc
@@ -428,10 +431,12 @@ def parse_source(
     return program
 
 
-def parse_file(path: str, *, tol: float = linalg.DEFAULT_TOL) -> Program:
+def parse_file(path: str, *, tol: float = linalg.DEFAULT_TOL,
+               max_dim: int = linalg.MAX_DIM_DEFAULT) -> Program:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_source(text, base_dir=os.path.dirname(os.path.abspath(path)), tol=tol)
+    return parse_source(text, base_dir=os.path.dirname(os.path.abspath(path)), tol=tol,
+                        max_dim=max_dim)
 
 
 def check_source(text: str, *, base_dir: str = ".", tol: float = linalg.DEFAULT_TOL) -> list[Diagnostic]:

@@ -14,23 +14,8 @@ import numpy as np
 
 from . import matrixio
 from .errors import UnsupportedConstructError
-from .program import (
-    Abort,
-    Block,
-    Guarded,
-    Measure,
-    Measurement,
-    Mu,
-    Name,
-    ProbChoice,
-    Program,
-    QChoice,
-    Seq,
-    Skip,
-    Unitary,
-    children,
-    declared,
-)
+from .program import (Abort, Block, Guarded, Measure, Measurement, Mu, Name, ProbChoice, Program,
+                      QChoice, Seq, Skip, Unitary, children, declared)
 
 
 def _collect_qvars(p: Program, seen: dict[str, int]) -> None:
@@ -54,7 +39,7 @@ class _Renderer:
             if candidate.shape == m.shape and np.array_equal(candidate, m):
                 self.used_matrices.setdefault(name, candidate)
                 return name
-        return json.dumps(matrixio.matrix_to_record(m), sort_keys=True, separators=(",", ":"))
+        return _record(m)
 
     def measurement(self, mmt: Measurement) -> str:
         for name, candidate in self.measurement_env:
@@ -64,8 +49,10 @@ class _Renderer:
             ):
                 self.used_measurements.setdefault(name, candidate)
                 return name
-        arms = "; ".join(f"{m}: {self.matrix(op)}" for m, op in mmt.operators)
-        return "{ " + arms + " }"
+        return self.measurement_literal(mmt)
+
+    def measurement_literal(self, mmt: Measurement) -> str:
+        return "{ " + "; ".join(f"{m}: {self.matrix(op)}" for m, op in mmt.operators) + " }"
 
     def program(self, p: Program) -> str:
         if isinstance(p, Abort):
@@ -79,12 +66,7 @@ class _Renderer:
             names = ", ".join(n for n, _ in p.qvars)
             return f"measure {p.x} <- {self.measurement(p.measurement)}[{names}] {{ {arms} }}"
         if isinstance(p, Guarded):
-            names = ", ".join(n for n, _ in p.qvars)
-            basis = "" if p.basis.is_computational() else f" basis {self.matrix(p.basis.matrix)}"
-            arms = "; ".join(
-                f"|{i}> -> {self.program(b)}" for i, b in enumerate(p.branches)
-            )
-            return f"guard {names}{basis} {{ {arms} }}"
+            return f"guard {', '.join(n for n, _ in p.qvars)}{self._guard_tail(p)}"
         if isinstance(p, Seq):
             first = self.program(p.first)
             if isinstance(p.first, Seq):
@@ -94,50 +76,43 @@ class _Renderer:
             names = ", ".join(n for n, _ in p.qvars)
             return f"begin local {names} := {self._init(p)}; {self.program(p.body)} end"
         if isinstance(p, ProbChoice):
-            arms = "; ".join(
-                f"{self.program(b)} @ {w!r}" for b, w in zip(p.branches, p.weights)
-            )
+            arms = "; ".join(f"{self.program(b)} @ {w!r}" for b, w in zip(p.branches, p.weights))
             return f"pchoice {{ {arms} }}"
         if isinstance(p, QChoice):
             coin = self.program(p.coin)
             if isinstance(p.coin, Seq):
                 coin = f"({coin})"
-            basis = "" if p.basis.is_computational() else f" basis {self.matrix(p.basis.matrix)}"
-            arms = "; ".join(
-                f"|{i}> -> {self.program(b)}" for i, b in enumerate(p.branches)
-            )
-            return f"qchoice {coin}{basis} {{ {arms} }}"
+            return f"qchoice {coin}{self._guard_tail(p)}"
         raise UnsupportedConstructError(f"{type(p).__name__} has no concrete syntax")
+
+    def _guard_tail(self, p: Guarded | QChoice) -> str:
+        """``[basis B] { |i> -> P; ... }``, shared by guard and qchoice."""
+        basis = "" if p.basis.is_computational() else f" basis {self.matrix(p.basis.matrix)}"
+        arms = "; ".join(f"|{i}> -> {self.program(b)}" for i, b in enumerate(p.branches))
+        return f"{basis} {{ {arms} }}"
 
     def _init(self, p: Block) -> str:
         init = np.asarray(p.init, dtype=complex)
-        dim = init.shape[0]
         hot = np.nonzero(init)
         if len(hot[0]) == 1 and hot[0][0] == hot[1][0] and init[hot[0][0], hot[0][0]] == 1:
             return f"|{int(hot[0][0])}>"
         return self.matrix(init)
 
 
-def print_program(
-    p: Program,
-    *,
-    matrices: dict[str, np.ndarray] | None = None,
-    measurements: dict[str, Measurement] | None = None,
-) -> str:
+def _record(m: np.ndarray) -> str:
+    return json.dumps(matrixio.matrix_to_record(m), sort_keys=True, separators=(",", ":"))
+
+
+def print_program(p: Program, *, matrices: dict[str, np.ndarray] | None = None,
+                  measurements: dict[str, Measurement] | None = None) -> str:
     """Render a program as a self-contained source text."""
     qvars: dict[str, int] = {}
     _collect_qvars(p, qvars)
     renderer = _Renderer(matrices, measurements)
     body = renderer.program(p)
-    measurement_lines = []
-    for name, mmt in renderer.used_measurements.items():
-        arms = "; ".join(f"{m}: {renderer.matrix(op)}" for m, op in mmt.operators)
-        measurement_lines.append(f"measurement {name} = {{ {arms} }};")
+    # Rendered first: a measurement's operators may add matrix declarations.
+    measurement_lines = [f"measurement {name} = {renderer.measurement_literal(mmt)};"
+                         for name, mmt in renderer.used_measurements.items()]
     lines = [f"qvar {name} : {dim};" for name, dim in qvars.items()]
-    for name, m in renderer.used_matrices.items():
-        record = json.dumps(matrixio.matrix_to_record(m), sort_keys=True, separators=(",", ":"))
-        lines.append(f"matrix {name} = {record};")
-    lines.extend(measurement_lines)
-    lines.append("")
-    lines.append(body)
-    return "\n".join(lines) + "\n"
+    lines += [f"matrix {name} = {_record(m)};" for name, m in renderer.used_matrices.items()]
+    return "\n".join([*lines, *measurement_lines, "", body]) + "\n"

@@ -41,9 +41,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from contextlib import suppress
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -365,15 +364,37 @@ def qvar_layout(p: Program) -> RegisterLayout:
     return p.__dict__["layout"]
 
 
-def joined_layout(p: Program, layouts: list[RegisterLayout]) -> RegisterLayout:
+def joined_layout(p: Program, layouts: list[RegisterLayout], joined=None) -> RegisterLayout:
     """``qvar_layout(p)`` from its subprograms' layouts: the node's own
     variables, then each subprogram's in turn; a block's locals go out of
-    scope, so the block's layout is its body's without them."""
+    scope, so the block's layout is its body's without them.  ``joined`` is
+    ``_join(p, layouts)``, where the caller has it."""
     if isinstance(p, (Name, Mu)):
         return RegisterLayout(p.quantum)
     if isinstance(p, Block):  # building the locals' layout validates them too
         return layouts[0].remove(p.own_layout.names)
-    return reduce(RegisterLayout.extended, layouts, p.own_layout)
+    if declared(p) or not layouts:
+        own = p.own_layout  # built, and so validated, once per node
+        if not layouts:
+            return own
+    variables, clashes = joined or _join(p, layouts)
+    for name, first, d in clashes:
+        raise LayoutError(f"variable {name!r} has dimension {first} here, {d} there")
+    return RegisterLayout(tuple(variables.items()))
+
+
+def _join(p: Program, layouts: list[RegisterLayout | None]
+          ) -> tuple[dict[str, int], list[tuple[str, int, int]]]:
+    """One pass over a node's own variables, then each subprogram layout
+    that exists: the variables in first-occurrence order, each with its
+    first dimension, and every ``(name, first, other)`` dimension clash."""
+    variables: dict[str, int] = {}
+    clashes = []
+    for pairs in (declared(p), *(lay.variables for lay in layouts if lay is not None)):
+        for name, d in pairs:
+            if variables.setdefault(name, d) != d:
+                clashes.append((name, variables[name], d))
+    return variables, clashes
 
 
 def qvar(p: Program) -> frozenset[str]:
@@ -445,24 +466,27 @@ def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]
     subs = [_well_formed_rec(c, tol, inner) for c in children(p)]
     cvars = [v for v, _ in subs]
     layouts = [lay for _, lay in subs]
-    found = list(violations(p, cvars, layouts, tol))
+    joined = _join(p, layouts)
+    found = list(violations(p, cvars, layouts, tol, joined[1]))
     if not found and None not in layouts:
         p.__dict__[_RULES_PASSED] = tol
     out.extend(Diagnostic(v.code, v.message, p.span) for v in found)
     if not any(v.cut for v in found):
         out.extend(inner)
-    if None not in layouts or isinstance(p, (Name, Mu)):
-        with suppress(LayoutError):
-            p.__dict__.setdefault("layout", joined_layout(p, layouts))
+    if "layout" not in p.__dict__ and (None not in layouts or isinstance(p, (Name, Mu))):
+        try:
+            p.__dict__["layout"] = joined_layout(p, layouts, joined)
+        except LayoutError:
+            pass
     return p.__dict__.setdefault("cvars", joined_cvars(p, cvars)), p.__dict__.get("layout")
 
 
 # -- The side conditions ---------------------------------------------------------
-# One rule per condition, grouped by construct in ``RULES``; ``_dims`` is the
-# one every construct has.  Each construct's rules see the node, its
-# subprograms' classical variables and layouts (a layout is ``None`` in
-# ``well_formed`` where it does not exist) and ``tol``.  ``well_formed``
-# reports every violation; evaluation raises the first one.
+# One rule per condition, grouped by construct in ``RULES``; ``dim-conflict``
+# (``violations``) is the one every construct has.  Each construct's rules
+# see the node, its subprograms' classical variables and layouts (a layout
+# is ``None`` in ``well_formed`` where it does not exist) and ``tol``.
+# ``well_formed`` reports every violation; evaluation raises the first one.
 
 
 @dataclass(frozen=True)
@@ -478,9 +502,14 @@ class Violation:
 
 
 def violations(p: Program, cvars: list[frozenset[str]], layouts: list[RegisterLayout | None],
-               tol: float) -> Iterator[Violation]:
-    """The violated side conditions of node ``p``, in order, lazily."""
-    yield from _dims(p, layouts)
+               tol: float, clashes=None) -> Iterator[Violation]:
+    """The violated side conditions of node ``p``, in order, lazily: first
+    one ``dim-conflict`` per clash of ``_join`` (``clashes``, where the caller
+    has them).  A block's locals are out of scope outside it, so they may
+    shadow outer variables."""
+    for name, first, d in _join(p, layouts)[1] if clashes is None else clashes:
+        yield Violation("dim-conflict",
+                        f"quantum variable {name!r} used with dimensions {first} and {d}", LayoutError)
     yield from RULES.get(type(p), lambda *_: ())(p, cvars, layouts, tol)
 
 
@@ -503,19 +532,6 @@ def enforce_rules(p: Program, cvars: list[frozenset[str]], layouts: list[Registe
     subprograms' variables and layouts are the ones ``well_formed`` saw."""
     if p.__dict__.get(_RULES_PASSED) != tol:
         enforce(violations(p, cvars, layouts, tol))
-
-
-def _dims(p: Program, layouts: list[RegisterLayout | None]) -> Iterator[Violation]:
-    """Each quantum variable has one dimension among a node's own variables
-    and its subprograms' layouts, as ``joined_layout`` joins them; a block's
-    locals are out of scope outside it, so they may shadow outer variables."""
-    seen: dict[str, int] = {}
-    for pairs in (declared(p), *(lay.variables for lay in layouts if lay is not None)):
-        for name, d in pairs:
-            if seen.setdefault(name, d) != d:
-                yield Violation("dim-conflict",
-                                f"quantum variable {name!r} used with dimensions {seen[name]} and {d}",
-                                LayoutError)
 
 
 def _operands(qvars: tuple[QVar, ...], what: str, empty: str | None = None,

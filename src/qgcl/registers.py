@@ -4,8 +4,8 @@ A :class:`RegisterLayout` fixes the tensor-factor position of every quantum
 variable.  ``embed`` lifts an operator, or a stack of them in one pass, from
 a sub-layout into a full layout by tensoring identities onto the missing
 factors and permuting to the full order; it is a homomorphism for products
-and adjoints.  ``check_cap`` is the one test of a layout against the total
-dimension cap.
+and adjoints.  ``check_cap`` is the one test of a layout's dimension
+against the total dimension cap.
 
 ``DensityMatrix`` and ``Observable`` are one type, a square matrix on a
 layout, that differ in their ``kind`` (which names them in messages and
@@ -98,10 +98,10 @@ class RegisterLayout:
         return sorted(self.variables) == sorted(other.variables)
 
 
-def check_cap(layout: RegisterLayout, max_dim: int) -> None:
-    """Raise ``CapacityError`` when ``layout``'s dimension exceeds ``max_dim``."""
-    if layout.dim > max_dim:
-        raise CapacityError(f"layout dimension {layout.dim} exceeds the cap {max_dim}")
+def check_cap(dim: int, max_dim: int) -> None:
+    """Raise ``CapacityError`` when a layout's dimension ``dim`` exceeds ``max_dim``."""
+    if dim > max_dim:
+        raise CapacityError(f"layout dimension {dim} exceeds the cap {max_dim}")
 
 
 def embed(
@@ -133,7 +133,7 @@ def embed(
             raise LayoutError(
                 f"variable {name!r}: dimension {d} in sub-layout, {full.dim_of(name)} in full"
             )
-    check_cap(full, max_dim)
+    check_cap(full.dim, max_dim)
     s, m = sub.dim, full.dim // sub.dim
     k = len(stack)
     ext = np.zeros((k, s, m, s, m), dtype=complex)

@@ -323,7 +323,7 @@ def stream(
     _check(p, tol, max_dim)
     _check_input(p.layout, layout, adjoint)
     if layout.variables != p.layout.variables:
-        check_cap(layout, max_dim)
+        check_cap(layout.dim, max_dim)
     m = (Observable if adjoint else DensityMatrix)(x, layout).matrix
     out = _Stream(max_dim).push(p, m.reshape(layout.dims * 2), layout.names, adjoint)
     out = out.reshape(layout.dim, layout.dim)
@@ -373,7 +373,7 @@ def _check(p: Program, tol: float, max_dim: int) -> None:
     if isinstance(p, (Guarded, QChoice)) and not all(map(is_core, p.branches)):
         raise UnsupportedConstructError(
             "guarded command over block/probabilistic branches has no defined semantics")
-    check_cap(p.layout, max_dim)
+    check_cap(p.layout.dim, max_dim)
     if not isinstance(p, (Abort, Skip, Unitary, Measure, Guarded, QChoice, Seq, Block, ProbChoice)):
         raise UnsupportedConstructError(f"cannot evaluate {type(p).__name__}")
     p.__dict__.setdefault(_CHECKED, set()).add(key)

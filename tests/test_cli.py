@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -269,12 +270,60 @@ def test_too_deep_a_program_is_a_resource_limit(tmp_path, capsys, command):
     assert err.startswith("error: program nests too deeply") and err.count("\n") == 1
 
 
+OVERSIZE = {
+    "block": "qvar q : {dim}; qvar r : 2;\nbegin local q := |0>; U[r, q] end",
+    "guard": "qvar q : {dim};\nguard q {{ |0> -> skip }}",
+}
+
+
+@pytest.mark.parametrize("dim", [5000, 10**6])
+@pytest.mark.parametrize("kind", sorted(OVERSIZE))
+def test_an_oversize_implied_matrix_is_a_resource_limit(tmp_path, capsys, kind, dim):
+    """A block's ``|i>`` state and a guard's computational basis are checked
+    against the cap before the parser builds them: exit 70, with no more
+    memory taken than the source's own size calls for."""
+    prog = write(tmp_path / "big.qgcl", OVERSIZE[kind].format(dim=dim))
+    run_cli("check", sample("walk_step.qgcl"))  # warm the CLI's own caches
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run_cli("check", prog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 70 and peak < 2**20
+    assert capsys.readouterr().err == f"error: layout dimension {dim} exceeds the cap 4096\n"
+
+
+def test_the_parser_caps_at_the_given_max_dim(tmp_path, capsys):
+    prog = write(tmp_path / "four.qgcl",
+                 "qvar q : 4;\nguard q { |0> -> skip; |1> -> skip; |2> -> skip; |3> -> skip }")
+    assert run_cli("check", prog, "--max-dim", "4") == 0
+    assert run_cli("check", prog, "--max-dim", "3") == 70
+    assert capsys.readouterr().err == "error: layout dimension 4 exceeds the cap 3\n"
+
+
+def test_guard_arms_are_counted_before_the_basis_is_built(tmp_path, capsys):
+    """Below the cap, a guard whose arms miss its basis is reported before
+    its 3000 x 3000 identity basis would be built."""
+    prog = write(tmp_path / "arms.qgcl", OVERSIZE["guard"].format(dim=3000))
+    tracemalloc.start()
+    try:
+        code = run_cli("check", prog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 2**20
+    assert capsys.readouterr().out == "2:1: guard-arms: guard arms must enumerate |0>..|2999| exactly, got [0]\n"
+
+
 @pytest.mark.parametrize("command", sorted(DEEP_COMMANDS))
 def test_a_long_chain_below_the_limit_passes(tmp_path, command):
-    """A 480-statement ';' chain passes every command: no walk after parsing
-    nests more frames per statement than the parser's own, which reaches
-    Python's recursion limit at about 493 statements.  Run as its own
-    process, so that the test runner's frames do not count."""
+    """A 480-statement ';' chain passes every command: the parser reads a
+    chain in a loop, and no walk after it nests more frames per statement
+    than the well-formedness check, which reaches Python's recursion limit
+    at about 493 statements.  Run as its own process, so that the test
+    runner's frames do not count."""
     prog = write(tmp_path / "long.qgcl",
                  'qvar q1 : 2;\nmatrix I = {"rows":2,"cols":2,"entries":[[1,0],[0,0],[0,0],[1,0]]};\n'
                  + "; ".join(["I[q1]"] * 480))

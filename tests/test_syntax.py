@@ -1,15 +1,18 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgcl import linalg as la
-from qgcl.errors import SourceError
+from qgcl.errors import CapacityError, SourceError, Span
 from qgcl.matrixio import matrix_to_record
-from qgcl.parser import check_source, parse_file, parse_source, tokenize
+from qgcl.parser import Parser, check_source, parse_file, parse_source, tokenize
 from qgcl.printer import print_program
 from qgcl.program import (
+    Abort,
     Block,
     Guarded,
     Measurement,
@@ -216,6 +219,74 @@ class TestLexer:
         [d] = check_source('qvar q : 2;\nuse {"rows": 1};\nskip')
         assert d.code == "syntax"
         assert "found inline matrix" in d.message and "rows" not in d.message
+
+    LEX_ERRORS = [
+        ('qvar q : 2;\nuse "gates.json;\nskip', "lex", "unterminated string literal", "2:5"),
+        ("qvar q : 2;\n  skip; $", "lex", "unexpected character '$'", "2:9"),
+        ("qvar q : 2;\r\n\tskip // note\r\n  %", "lex", "unexpected character '%'", "3:3"),
+        ("qvar q : 2;\nqvar r : \u00b2;", "lex", "unexpected character '\u00b2'", "2:10"),
+        ('qvar q : 2;\nskip; {"rows": 2, "cols": 2', "syntax", "unterminated inline matrix", "2:7"),
+        ('qvar q : 2;\nskip;\n  {"rows": 2,, "cols": 2}[q]', "syntax",
+         "malformed inline matrix: Expecting property name enclosed in double quotes at 3:14", "3:3"),
+    ]
+
+    @pytest.mark.parametrize("text,code,message,where", LEX_ERRORS)
+    def test_lex_error_position(self, text, code, message, where):
+        [d] = check_source(text)
+        assert (d.code, d.message, str(d.span)) == (code, message, where)
+
+    # Sources whose tokens the property below reassembles with other blanks.
+    SNIPPETS = [Path(DATA, "..", "..", "samples", name).read_text(encoding="utf-8")
+                for name in ("bb84.qgcl", "walk_step.qgcl")] + [
+        f"qvar q : 2;\nmatrix A = {MATRIX_3_LINES};\npchoice {{ A[q] @ 0.5; skip @ -.5e1 }}"]
+    BLANKS = st.lists(st.sampled_from([" ", "\t", "\n", "\r\n", "// note\n", "//\r\n"]),
+                      min_size=1, max_size=3).map("".join)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_spans_are_the_naive_line_and_column_of_each_offset(self, data):
+        source = data.draw(st.sampled_from(self.SNIPPETS))
+        original = tokenize(source)[:-1]
+        blanks = data.draw(st.lists(self.BLANKS, min_size=len(original) + 1,
+                                    max_size=len(original) + 1))
+        text = blanks[0] + "".join(tok.text + blank for tok, blank in zip(original, blanks[1:]))
+        tokens = tokenize(text)
+        assert [(t.kind, t.text) for t in tokens] == [(t.kind, t.text) for t in original] + [("EOF", "")]
+        for tok in tokens:
+            assert text[tok.pos:tok.pos + len(tok.text)] == tok.text
+            line_start = text.rfind("\n", 0, tok.pos) + 1
+            assert tok.span == Span(text.count("\n", 0, tok.pos) + 1, tok.pos - line_start + 1)
+
+
+class TestParserLimits:
+    def test_a_long_chain_folds_to_the_right_without_recursion(self):
+        n = 5000
+        words = [("skip", "abort")[i % 2] for i in range(n)]
+        program = Parser("; ".join(words)).parse_program()
+        starts = np.cumsum([0] + [len(w) + 2 for w in words]) + 1  # columns of the words
+        expected = Abort(span=Span(1, int(starts[n - 1])))
+        for i in reversed(range(n - 1)):
+            leaf = (Skip, Abort)[i % 2](span=Span(1, int(starts[i])))
+            expected = Seq(leaf, expected, span=Span(1, int(starts[i]) + len(words[i])))
+        # ast_equal recurses once per level, so the spines are walked here.
+        got = program
+        while isinstance(expected, Seq):
+            assert type(got) is Seq and got.span == expected.span
+            assert ast_equal(got.first, expected.first) and got.first.span == expected.first.span
+            got, expected = got.second, expected.second
+        assert ast_equal(got, expected) and got.span == expected.span
+
+    @pytest.mark.parametrize("dim", [5000, 10**6])
+    @pytest.mark.parametrize("body", ["begin local q := |0>; U[r, q] end", "guard q { |0> -> skip }"])
+    def test_implied_matrices_are_capped_before_they_are_built(self, dim, body):
+        with pytest.raises(CapacityError, match=f"layout dimension {dim} exceeds the cap 4096"):
+            parse_source(f"qvar q : {dim}; qvar r : 2; {body}")
+
+    def test_the_cap_is_the_given_max_dim(self):
+        guard = "guard q { |0> -> skip; |1> -> skip; |2> -> skip }"
+        with pytest.raises(CapacityError, match="layout dimension 3 exceeds the cap 2"):
+            parse_source(f"qvar q : 3; {guard}", max_dim=2)
+        assert parse_source(f"qvar q : 3; begin local q := |2>; {guard} end", max_dim=3)
 
 
 class TestRoundTrip:
