@@ -18,8 +18,8 @@ flagged ``gain`` and the summary says ``FAILED``.  Last it prints each
 side's ``src/qgcl`` line total, as ``wc -l src/qgcl/*.py`` counts it.
 
 With ``--layers`` it then makes one ``--trace 1`` run per side and prints
-each side's self time per pass in the front-end layers (``LAYERS``), so a
-change in the end-to-end figures can be placed in a layer.
+each side's self time per pass in the front-end and evaluation layers
+(``LAYERS``), so a change in the end-to-end figures can be placed in a layer.
 """
 
 import argparse
@@ -32,7 +32,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LAYERS = ("parser.parse_source", "program.well_formed", "cli.main")
+LAYERS = ("parser.parse_source", "program.well_formed", "semantics.denote",
+          "semantics.apply_program", "wp.wp_apply", "cli.main")
 
 
 def extract(rev: str, dest: str) -> None:
@@ -129,7 +130,8 @@ def main() -> None:
               f"{'layer':28s} {'base':>10s} {'change':>10s} {'ratio':>7s}")
         for layer in LAYERS:
             base, change = (traced[s][f"{layer}.self_s"] for s in ("base", "change"))
-            print(f"{layer:28s} {base:10.4g} {change:10.4g} {change / base:7.3f}")
+            ratio = change / base if base else float("nan")  # a layer the workload never enters
+            print(f"{layer:28s} {base:10.4g} {change:10.4g} {ratio:7.3f}")
 
 
 if __name__ == "__main__":

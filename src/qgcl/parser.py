@@ -1,10 +1,10 @@
 """Concrete syntax for guarded-command quantum programs.
 
 A source file declares quantum variables, named matrices and measurements,
-then gives one program.  Sequencing binds loosest and associates to the
-right; arms inside braces are separated by ``;`` and the parser tells an arm
-boundary from a sequence by one token of lookahead (a statement never starts
-with an integer, ``|`` or ``@``).  Matrices appear by declared name or as
+then gives one program.  Sequencing binds loosest, and a chain is one node
+however it is parenthesised; arms inside braces are separated by ``;`` and
+the parser tells an arm boundary from a sequence by one token of lookahead (a
+statement never starts with an integer, ``|`` or ``@``).  Matrices appear by declared name or as
 inline JSON records in the shared matrix text format.
 
     qvar q : 2;
@@ -174,11 +174,15 @@ class Parser:
         self.expect("PUNCT", "}")
         return items
 
-    def _outcome(self, item: Callable[[], Any]) -> tuple[int, Any]:
-        """``INT : item`` as a pair."""
-        outcome = int(self.expect("INT").text)
-        self.expect("PUNCT", ":")
-        return outcome, item()
+    def _outcomes(self, item: Callable[[], Any], what: str, span: Span | None = None) -> list:
+        """``{ INT : item (; INT : item)* }`` as pairs, each outcome once: a
+        repeat is reported at ``span``, by default the opening ``{``."""
+        brace = self.peek()
+        arms = self._arms(lambda: (int(self.expect("INT").text), self.expect("PUNCT", ":"), item()))
+        seen = [m for m, _, _ in arms]
+        if len(set(seen)) != len(seen):
+            raise _error("syntax", f"duplicate measurement {what} {seen}", span or brace.span)
+        return [(m, x) for m, _, x in arms]
 
     # -- declarations ------------------------------------------------------
 
@@ -232,7 +236,7 @@ class Parser:
         )
 
     def _measurement_literal(self) -> Measurement:
-        return Measurement(tuple(self._arms(lambda: self._outcome(self._matrix_ref))))
+        return Measurement(tuple(self._outcomes(self._matrix_ref, "outcomes")))
 
     def _measurement_ref(self) -> Measurement:
         tok = self.peek()
@@ -263,15 +267,12 @@ class Parser:
     # -- programs ----------------------------------------------------------
 
     def parse_program(self) -> Program:
-        """A ``;`` chain, collected in a loop and folded to the right."""
+        """A ``;`` chain, collected in a loop into one node at its first ``;``."""
         statements, seps = [self.parse_statement()], []
         while self.at("PUNCT", ";") and _starts_statement(self.peek(1)):
             seps.append(self.advance())
             statements.append(self.parse_statement())
-        program = statements.pop()
-        while statements:
-            program = Seq(statements.pop(), program, span=seps.pop().span)
-        return program
+        return Seq(*statements, span=seps[0].span) if seps else statements[0]
 
     def parse_statement(self) -> Program:
         tok = self.peek()
@@ -293,10 +294,7 @@ class Parser:
         self.expect("PUNCT", "<-")
         measurement = self._measurement_ref()
         qvars = self._qvar_brackets()
-        branches = self._arms(lambda: self._outcome(self.parse_program))
-        seen = [m for m, _ in branches]
-        if len(set(seen)) != len(seen):
-            raise _error("syntax", f"duplicate measurement arm {seen}", start.span)
+        branches = self._outcomes(self.parse_program, "arm", start.span)
         return Measure(xvar.text, qvars, measurement, tuple(branches), span=start.span)
 
     def _basis_and_arms(self, dim: int, span: Span) -> tuple[GuardBasis, tuple[Program, ...]]:
@@ -423,7 +421,7 @@ def parse_source(text: str, *, base_dir: str = ".", tol: float = linalg.DEFAULT_
         program = Parser(text, base_dir=base_dir, max_dim=max_dim).parse_source()
     except (SourceError, CapacityError):
         raise
-    except QgclError as exc:  # malformed construction, e.g. duplicate outcomes
+    except QgclError as exc:  # malformed construction, e.g. a repeated coin variable
         raise SourceError([Diagnostic("syntax", str(exc), None)]) from exc
     diagnostics = well_formed(program, tol)
     if diagnostics:

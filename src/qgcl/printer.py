@@ -68,10 +68,7 @@ class _Renderer:
         if isinstance(p, Guarded):
             return f"guard {', '.join(n for n, _ in p.qvars)}{self._guard_tail(p)}"
         if isinstance(p, Seq):
-            first = self.program(p.first)
-            if isinstance(p.first, Seq):
-                first = f"({first})"  # sequencing parses right-associated
-            return f"{first}; {self.program(p.second)}"
+            return "; ".join(map(self.program, p.parts))
         if isinstance(p, Block):
             names = ", ".join(n for n, _ in p.qvars)
             return f"begin local {names} := {self._init(p)}; {self.program(p.body)} end"

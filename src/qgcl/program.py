@@ -4,14 +4,15 @@ Programs are immutable trees, values that never change.  Quantum variables
 appear as (name, dimension) pairs so a program is self-contained; classical
 variables range over the integers and record measurement outcomes.
 ``children`` and ``rebuild`` walk any node through its dataclass fields.
+``;`` is associative, so a chain is one ``Seq`` node holding its parts however
+it was grouped: only guards, measurements, blocks and choices nest.
 
 A node keeps a read-only complex copy of every matrix it is given
 (``Unitary``, ``Measurement``, ``GuardBasis``, ``Block``; ``linalg.frozen``),
 so writing later into the array passed in leaves the program as it was.
 What is worked out from a node is therefore fixed for the node's lifetime
-and kept in its ``__dict__``: ``own_layout``, its layout (``layout``, kept by
-``qvar_layout``), classical variables (``cvars``, kept by ``var``) and
-whether it lies in the core (``core``, kept by ``is_core``),
+and kept on it, most of it as cached properties: ``own_layout``, its
+``layout``, classical variables ``cvars``, whether it lies in the ``core``,
 ``Unitary.operator`` and ``kernel``, ``Measurement.kernels`` and ``stack``,
 a quantum choice's coin-then-guard ``seq``, the ``tol`` at which
 ``well_formed`` found its rules to hold and, from ``semantics``, a guard's
@@ -165,13 +166,26 @@ class Program:
 
     @cached_property
     def layout(self) -> RegisterLayout:
-        """``qvar_layout(self)``, which keeps it here."""
-        return qvar_layout(self)
+        """Quantum variables as an ordered layout, the tensor-factor order of
+        the semantics (``joined_layout``)."""
+        subs = () if isinstance(self, (Name, Mu)) else children(self)
+        return joined_layout(self, [c.layout for c in subs])
 
     @cached_property
     def cvars(self) -> frozenset[str]:
-        """``var(self)``, which keeps it here."""
-        return var(self)
+        """Classical variables: the outcome variables the program binds, or
+        the declared set of a name or recursion."""
+        if isinstance(self, (Name, Mu)):
+            return frozenset(self.classical)
+        own = (self.x,) if isinstance(self, Measure) else ()
+        return frozenset(own).union(*(c.cvars for c in children(self)))
+
+    @cached_property
+    def core(self) -> bool:
+        """Whether the program uses only the measurement-and-guard core (a
+        quantum choice counts: it desugars into the core)."""
+        return not isinstance(self, (Block, ProbChoice, Name, Mu)) and all(
+            c.core for c in children(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,8 +249,18 @@ class Guarded(Program):
 
 @dataclass(frozen=True, eq=False)
 class Seq(Program):
-    first: "Program"
-    second: "Program"
+    """``P1; P2; ...``: the parts run in order.  ``;`` is associative, so a
+    chain is one node: a part that is itself a ``Seq`` is spliced in."""
+
+    parts: tuple["Program", ...]
+
+    def __init__(self, *parts: "Program", span: Span | None = None):
+        flat = tuple(q for part in parts
+                     for q in (part.parts if isinstance(part, Seq) else (part,)))
+        if len(flat) < 2:
+            raise ArityError(f"a sequence has two or more parts, not {len(flat)}")
+        object.__setattr__(self, "parts", flat)
+        object.__setattr__(self, "span", span)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,6 +337,8 @@ def children(p: Program) -> list[Program]:
 def rebuild(p: Program, fn) -> Program:
     """Copy of ``p`` with ``fn`` applied to each immediate subprogram; every
     other field, the span included, is kept.  A leaf is returned as is."""
+    if isinstance(p, Seq):  # through its constructor, which splices
+        return Seq(*map(fn, p.parts), span=p.span)
     changes = {}
     for name in _child_fields(type(p)):
         value = getattr(p, name)
@@ -332,43 +358,22 @@ def declared(p: Program) -> tuple[QVar, ...]:
 
 
 def var(p: Program) -> frozenset[str]:
-    """Classical variables of a program: the outcome variables it binds, or
-    the declared set of a name or recursion.  Kept on each node (``cvars``)."""
-    if "cvars" not in p.__dict__:
-        p.__dict__["cvars"] = joined_cvars(p, [var(c) for c in children(p)])
-    return p.__dict__["cvars"]
-
-
-def joined_cvars(p: Program, cvars: list[frozenset[str]]) -> frozenset[str]:
-    """``var(p)`` from its subprograms' classical variables: a measurement
-    binds its outcome variable; a name or recursion declares its own set."""
-    if isinstance(p, (Name, Mu)):
-        return frozenset(p.classical)
-    return frozenset((p.x,) if isinstance(p, Measure) else ()).union(*cvars)
+    """Classical variables of a program (``Program.cvars``)."""
+    return p.cvars
 
 
 def qvar_layout(p: Program) -> RegisterLayout:
-    """Quantum variables of a program as an ordered layout.
-
-    Order is first occurrence in a left-to-right traversal, a node's own
-    variables before its subprograms', which fixes the tensor-factor order
-    used by the semantics.  Block locals are removed from the body's layout;
-    a name or recursion contributes its declared set only.  A variable used
-    with two different dimensions raises :class:`LayoutError`.  Kept on each
-    node (``layout``), filled here rather than read top-down through the
-    property, which would cost more frames per nesting level.
-    """
-    if "layout" not in p.__dict__:
-        subs = [] if isinstance(p, (Name, Mu)) else [qvar_layout(c) for c in children(p)]
-        p.__dict__["layout"] = joined_layout(p, subs)
-    return p.__dict__["layout"]
+    """Quantum variables of a program as an ordered layout (``Program.layout``)."""
+    return p.layout
 
 
 def joined_layout(p: Program, layouts: list[RegisterLayout], joined=None) -> RegisterLayout:
-    """``qvar_layout(p)`` from its subprograms' layouts: the node's own
-    variables, then each subprogram's in turn; a block's locals go out of
-    scope, so the block's layout is its body's without them.  ``joined`` is
-    ``_join(p, layouts)``, where the caller has it."""
+    """``qvar_layout(p)`` from its subprograms' layouts: variables in first
+    occurrence order, the node's own, then each subprogram's in turn; a
+    block's locals go out of scope, so the block's layout is its body's
+    without them.  A variable used with two dimensions raises
+    :class:`LayoutError`.  ``joined`` is ``_join(p, layouts)``, where the
+    caller has it."""
     if isinstance(p, (Name, Mu)):
         return RegisterLayout(p.quantum)
     if isinstance(p, Block):  # building the locals' layout validates them too
@@ -414,15 +419,8 @@ def desugar(p: Program) -> Program:
 
 
 def is_core(p: Program) -> bool:
-    """True when the program uses only the measurement-and-guard core (quantum
-    choice counts: it desugars into the core).  Kept on each node (``core``),
-    so a subtree is walked once however often its nodes are asked."""
-    if "core" not in p.__dict__:
-        core = not isinstance(p, (Block, ProbChoice, Name, Mu))
-        for c in children(p):
-            core = core and is_core(c)
-        p.__dict__["core"] = core
-    return p.__dict__["core"]
+    """Whether a program lies in the measurement-and-guard core (``Program.core``)."""
+    return p.core
 
 
 def ast_equal(a: Program, b: Program) -> bool:
@@ -457,17 +455,15 @@ def check(p: Program, tol: float = linalg.DEFAULT_TOL) -> Program:
     return p
 
 
-def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]
-                     ) -> tuple[frozenset[str], RegisterLayout | None]:
+def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]) -> RegisterLayout | None:
     """Append the diagnostics of ``p``, its own before its subprograms', and
-    return ``(var(p), qvar_layout(p))`` with ``None`` for a layout error, so
-    every node is walked once; both are kept on the node."""
+    return ``qvar_layout(p)``, ``None`` for a layout error, so every node is
+    walked once; the layout is kept on the node."""
     inner: list[Diagnostic] = []
-    subs = [_well_formed_rec(c, tol, inner) for c in children(p)]
-    cvars = [v for v, _ in subs]
-    layouts = [lay for _, lay in subs]
+    subs = children(p)
+    layouts = [_well_formed_rec(c, tol, inner) for c in subs]
     joined = _join(p, layouts)
-    found = list(violations(p, cvars, layouts, tol, joined[1]))
+    found = list(violations(p, [c.cvars for c in subs], layouts, tol, joined[1]))
     if not found and None not in layouts:
         p.__dict__[_RULES_PASSED] = tol
     out.extend(Diagnostic(v.code, v.message, p.span) for v in found)
@@ -478,7 +474,7 @@ def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]
             p.__dict__["layout"] = joined_layout(p, layouts, joined)
         except LayoutError:
             pass
-    return p.__dict__.setdefault("cvars", joined_cvars(p, cvars)), p.__dict__.get("layout")
+    return p.__dict__.get("layout")
 
 
 # -- The side conditions ---------------------------------------------------------
@@ -601,7 +597,11 @@ def _guard(qvars: tuple[QVar, ...], basis: GuardBasis, branches: list[RegisterLa
 
 
 def _seq(cvars: list[frozenset[str]]):
-    shared = cvars[0] & frozenset().union(*cvars[1:])
+    """No classical variable is bound in two parts of one chain."""
+    seen, shared = set(), set()
+    for c in cvars:
+        shared |= seen & c
+        seen |= c
     if shared:
         yield Violation("var-reuse",
                         f"classical variables {sorted(shared)} appear on both sides of ';'",
@@ -612,7 +612,7 @@ def _qchoice(p: QChoice, cvars, layouts, tol):
     """The guard over the coin's variables, run after the coin."""
     coin = layouts[0] if layouts[0] is not None else RegisterLayout()
     yield from _guard(tuple(coin.variables), p.basis, layouts[1:], tol)
-    yield from _seq(cvars)
+    yield from _seq([cvars[0], frozenset().union(*cvars[1:])])
 
 
 def block_rules(qvars: tuple[QVar, ...], init, body: RegisterLayout | None,

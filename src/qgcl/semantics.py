@@ -9,9 +9,11 @@ leaf's operator; sequencing, measurement and probabilistic choice by
 composing the sub-families; a block from its body's family by reshaping; a
 guard from its branch functions, without their joint domain.  Each family
 is one ``(K, d, d)`` array, embedded, composed and pruned in one numpy call
-per family, and held at ``d²`` operators or fewer.  Bounded
-loop unrolling and the system-environment model of channels support the
-coin-relocation equivalences.
+per family, and held at ``d²`` operators or fewer.  A ``;`` chain is one
+node, whatever its grouping: its parts, each extended to the chain's
+layout, compose right to left, and streaming pushes through them in turn.
+Bounded loop unrolling and the system-environment model of channels support
+the coin-relocation equivalences.
 
 Every evaluator starts from one checked pass, ``_check``, bottom-up over
 the program.  At each node it runs the side conditions of ``program.RULES``,
@@ -124,7 +126,8 @@ def semi_classical(
 
 
 def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
-    """Fold of a checked program into its function, one frame per level."""
+    """Fold of a checked program into its function; a chain's parts are
+    composed right to left, as ``;`` associates."""
     full = p.layout
     if isinstance(p, Abort):
         return _scalar_function(0.0)
@@ -148,10 +151,12 @@ def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
         combined = guarded_ovf(p.basis, branch_fs, p.own_layout, max_dim=max_dim)
         return combined.extended_to(full, max_dim=max_dim)
     if isinstance(p, Seq):
-        s1, ops1 = _semi(p.first, max_dim).extended_to(full, max_dim=max_dim).sorted_stack()
-        s2, ops2 = _semi(p.second, max_dim).extended_to(full, max_dim=max_dim).sorted_stack()
-        labels = cs.state_set_product(s1, s2)
-        return OperatorValuedFunction._of(full, dict(zip(labels, kraus_products(ops1, ops2))))
+        def then(later, first):
+            (s1, ops1), (s2, ops2) = first.sorted_stack(), later.sorted_stack()
+            return OperatorValuedFunction._of(
+                full, dict(zip(cs.state_set_product(s1, s2), kraus_products(ops1, ops2))))
+        fns = (_semi(q, max_dim).extended_to(full, max_dim=max_dim) for q in p.parts[::-1])
+        return reduce(then, fns)
     if isinstance(p, QChoice):
         return _semi(p.seq, max_dim)
     raise UnsupportedConstructError(
@@ -179,10 +184,10 @@ def denote(
 
 
 def _denote(p: Program, max_dim: int) -> SuperOperator:
-    """Fold of a checked program into its channel, one frame per level: a
-    leaf's operator, and for every other construct a Kraus family composed
-    from its parts' families, pruned and held at ``d²`` operators or fewer
-    (``_family``).  Each family is one ``(K, d, d)`` stack, extended,
+    """Fold of a checked program into its channel: a leaf's operator, and
+    for every other construct a Kraus family composed from its parts'
+    families, pruned and held at ``d²`` operators or fewer (``_family``); a
+    chain's parts are composed right to left, as in ``_semi``.  Each family is one ``(K, d, d)`` stack, extended,
     composed and pruned in one numpy call per family."""
     full = p.layout
     if isinstance(p, (Abort, Skip, Unitary)):
@@ -194,9 +199,8 @@ def _denote(p: Program, max_dim: int) -> SuperOperator:
     if isinstance(p, Block):
         return _block_family(_denote(p.body, max_dim), p.own_layout, p.init)
     if isinstance(p, Seq):
-        first = _denote(p.first, max_dim).extended_to(full, max_dim=max_dim)
-        second = _denote(p.second, max_dim).extended_to(full, max_dim=max_dim)
-        return _family(full, first.then(second).stack)
+        parts = (_denote(q, max_dim).extended_to(full, max_dim=max_dim) for q in p.parts[::-1])
+        return reduce(lambda later, first: _family(full, first.then(later).stack), parts)
     if isinstance(p, Measure):  # each branch after its measurement operator
         factors = embed(p.measurement.stack, p.own_layout, full, max_dim=max_dim)
     else:  # probabilistic choice: each branch scaled by its weight's root
@@ -399,7 +403,7 @@ class _Stream:
         if isinstance(p, Unitary):
             return _sandwich(t, names, _side(p.kernel, adjoint), p.own_layout.names)
         if isinstance(p, Seq):
-            for sub in (p.second, p.first) if adjoint else (p.first, p.second):
+            for sub in p.parts[::-1] if adjoint else p.parts:
                 t = self.push(sub, t, names, adjoint)
             return t
         if isinstance(p, Measure):

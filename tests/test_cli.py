@@ -1,7 +1,5 @@
 import json
 import os
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -259,11 +257,11 @@ DEEP_COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(DEEP_COMMANDS))
 def test_too_deep_a_program_is_a_resource_limit(tmp_path, capsys, command):
-    """A ';' chain deeper than Python's recursion limit exits 70 with one
+    """Choices nested deeper than Python's recursion limit exit 70 with one
     error line, not a traceback under the exit code of a verdict."""
     prog = write(tmp_path / "deep.qgcl",
                  'qvar q1 : 2;\nmatrix I = {"rows":2,"cols":2,"entries":[[1,0],[0,0],[0,0],[1,0]]};\n'
-                 + "; ".join(["I[q1]"] * 600))
+                 + "pchoice { " * 600 + "I[q1]" + " @ 1 }" * 600)
     extra = DEEP_COMMANDS[command]
     assert run_cli(command, prog, *([prog] if extra is None else extra)) == 70
     err = capsys.readouterr().err
@@ -318,21 +316,15 @@ def test_guard_arms_are_counted_before_the_basis_is_built(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", sorted(DEEP_COMMANDS))
-def test_a_long_chain_below_the_limit_passes(tmp_path, command):
-    """A 480-statement ';' chain passes every command: the parser reads a
-    chain in a loop, and no walk after it nests more frames per statement
-    than the well-formedness check, which reaches Python's recursion limit
-    at about 493 statements.  Run as its own process, so that the test
-    runner's frames do not count."""
+def test_a_long_chain_passes(tmp_path, capsys, command):
+    """A 10,000-statement ';' chain passes every command in process: a chain
+    is one node, so no walk nests per statement."""
     prog = write(tmp_path / "long.qgcl",
                  'qvar q1 : 2;\nmatrix I = {"rows":2,"cols":2,"entries":[[1,0],[0,0],[0,0],[1,0]]};\n'
-                 + "; ".join(["I[q1]"] * 480))
+                 + "; ".join(["I[q1]"] * 10_000))
     extra = DEEP_COMMANDS[command]
-    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(SAMPLES), "src")}
-    done = subprocess.run([sys.executable, "-m", "qgcl", command, prog,
-                           *([prog] if extra is None else extra)],
-                          capture_output=True, text=True, env=env, check=False)
-    assert (done.returncode, done.stderr) == (0, "")
+    assert run_cli(command, prog, *([prog] if extra is None else extra)) == 0
+    assert capsys.readouterr().err == ""
 
 
 class TestReproduce:

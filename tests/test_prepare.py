@@ -143,8 +143,8 @@ class TestMemo:
                 denote(p)
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
-        assert semantics._CHECKED in p.first.__dict__  # the record's key: the rest is not vacuous
-        assert semantics._CHECKED not in p.__dict__ and semantics._CHECKED not in p.second.__dict__
+        assert semantics._CHECKED in p.parts[0].__dict__  # the record's key: the rest is not vacuous
+        assert semantics._CHECKED not in p.__dict__ and semantics._CHECKED not in p.parts[1].__dict__
 
     def test_guard_data_is_built_once_whatever_the_tolerance(self):
         measure = Measure("x", (Q,), Measurement.computational(2), ((0, Skip()), (1, Skip())))
@@ -223,3 +223,22 @@ class TestRulesRunOnce:
         p = Seq(Unitary((Q,), 2 * H), Measure("x", (Q,), Measurement.computational(2), ()))
         first = [(d.code, d.message) for d in well_formed(p)]
         assert first and first == [(d.code, d.message) for d in well_formed(p)]
+
+
+def test_chain_visits_grow_with_its_length():
+    """A chain is one node: checking and evaluating it visits each statement
+    a fixed number of times, so ten times the statements is ten times the
+    visits, and no walk nests per statement."""
+    visits = {}
+    for n in (1_000, 10_000):
+        p = Seq(*(Unitary((Q,), H) for _ in range(n)))
+        rho = DensityMatrix(np.eye(2) / 2, RegisterLayout.of(Q))
+        with patch.object(semantics, "_check", wraps=semantics._check) as checks, \
+                patch.object(program, "children", wraps=program.children) as kids, \
+                patch.object(semantics, "children", kids):
+            assert well_formed(p) == []
+            apply_program(p, rho)
+            wp_apply(p, Observable(np.eye(2), RegisterLayout.of(Q)))
+            denote(p)
+        visits[n] = checks.call_count + kids.call_count
+    assert 9.9 * visits[1_000] <= visits[10_000] <= 10 * visits[1_000], visits

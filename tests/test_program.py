@@ -180,15 +180,16 @@ class TestDesugar:
         qc = QChoice(Unitary((C,), H), GuardBasis.computational(2), (Skip(), Unitary((Q,), X)))
         seq = desugar_qchoice(qc)
         assert isinstance(seq, Seq)
-        assert ast_equal(seq.first, qc.coin)
-        assert isinstance(seq.second, Guarded)
-        assert seq.second.qvars == (C,)
+        coin, guard = seq.parts
+        assert ast_equal(coin, qc.coin)
+        assert isinstance(guard, Guarded)
+        assert guard.qvars == (C,)
         assert well_formed(seq) == []
 
     def test_single_branch_choice(self):
         qc = QChoice(Skip(), GuardBasis(np.array([[1.0]])), (Unitary((Q,), X),))
         seq = desugar_qchoice(qc)
-        assert isinstance(seq.second, Guarded) and len(seq.second.branches) == 1
+        assert isinstance(seq.parts[1], Guarded) and len(seq.parts[1].branches) == 1
 
     def test_desugar_preserves_well_formedness(self):
         gen = rng(4)

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -305,7 +306,7 @@ class TestUnrollLoop:
         assert p.x == "@x2"
         inner = p.branch(1)
         assert isinstance(inner, Seq)
-        assert isinstance(inner.second, Measure) and inner.second.x == "@x1"
+        assert isinstance(inner.parts[1], Measure) and inner.parts[1].x == "@x1"
         assert well_formed(p) == []
 
     def test_quantum_flavor_uses_fresh_coins(self):
@@ -459,8 +460,8 @@ class TestCoinRelocation:
         coin = Seq(Unitary((C,), H), Abort())
         branches = (Unitary((Q,), I2), Unitary((Q,), X))
         _, rhs = coin_relocation_lhs_rhs(coin, GuardBasis.computational(2), branches)
-        assert isinstance(rhs, Seq) and isinstance(rhs.first, Guarded)
-        assert program.ast_equal(rhs.first.branches, tuple(Seq(b, Abort()) for b in branches))
+        assert isinstance(rhs, Seq) and isinstance(rhs.parts[0], Guarded)
+        assert program.ast_equal(rhs.parts[0].branches, tuple(Seq(b, Abort()) for b in branches))
 
     def test_guarded_coin_over_two_registers(self):
         from qgcl.equivalence import program_equiv
@@ -635,13 +636,13 @@ def test_sequence_of_wide_choices_composes_in_chunks():
             tracemalloc.stop()
     assert peak < 2 * 2**20
     assert len(channel.kraus) == 64 and max(held) <= 2 * 64
-    reference = [b.operator @ a.operator / 64 for a in p.first.branches for b in p.second.branches]
+    first, second = p.parts
+    reference = [b.operator @ a.operator / 64 for a in first.branches for b in second.branches]
     assert la.max_abs_diff(channel.choi(), la.choi(reference)) < 1e-12
 
 
 def test_long_chains_denote():
-    # One frame per ``;`` level: a chain of 900 statements stays within
-    # Python's default recursion limit, nested either way.
+    # Nested either way, a chain of 900 statements is one node.
     gen = rng(18)
     leaves = [Unitary((Q,), random_unitary(gen, 2)) for _ in range(900)]
     left, right = leaves[0], leaves[-1]
@@ -656,6 +657,37 @@ def test_long_chains_denote():
     for p in (left, right):
         assert choi_dev(denote(p), expect) < 1e-9
         assert choi_dev(to_superop(semi_classical(p)), expect) < 1e-9
+
+
+def grouped(parts, data):
+    """``parts`` joined by two-part ``Seq`` calls in a grouping ``data`` draws."""
+    if len(parts) == 1:
+        return parts[0]
+    cut = data.draw(st.integers(1, len(parts) - 1))
+    return Seq(grouped(parts[:cut], data), grouped(parts[cut:], data))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_grouping_of_a_chain_is_one_node(seed, n, data):
+    """However ``;`` is grouped, the chain is the one flat node: it runs its
+    parts in turn, bit for bit as they run one after another, and denotes
+    the composition of their channels."""
+    gen = rng(seed)
+    sampler = ProgramSampler(gen, (Q, ("r", 2)), (("g0", 2), ("g1", 2)))
+    parts = [sampler.program(1) for _ in range(n)]
+    p, right = grouped(parts, data), Seq(*parts)
+    assert program.ast_equal(p, right) and not any(isinstance(q, Seq) for q in p.parts)
+    layout = p.layout
+    rho = DensityMatrix(random_density(gen, layout.dim), layout)
+    obs = Observable(random_density(gen, layout.dim), layout)
+    state = rho
+    for q in parts:
+        state = apply_program(q, state)
+    assert apply_program(p, rho).matrix.tobytes() == state.matrix.tobytes()
+    assert wp_apply(p, obs).matrix.tobytes() == wp_apply(right, obs).matrix.tobytes()
+    composed = reduce(SuperOperator.then, (denote(q).extended_to(layout) for q in parts))
+    assert choi_dev(denote(p), composed) < 1e-12
 
 
 def nested_guards(k):

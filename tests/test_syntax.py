@@ -14,6 +14,7 @@ from qgcl.printer import print_program
 from qgcl.program import (
     Abort,
     Block,
+    GuardBasis,
     Guarded,
     Measurement,
     ProbChoice,
@@ -57,10 +58,12 @@ class TestParsing:
     def test_skip(self):
         assert isinstance(parse("skip"), Skip)
 
-    def test_sequencing_is_right_associative(self):
-        p = parse("H[q]; X[q]; skip")
-        assert isinstance(p, Seq)
-        assert isinstance(p.second, Seq)
+    def test_a_chain_is_one_node_however_grouped(self):
+        parts = [parse(s) for s in ("H[q]", "X[q]", "skip")]
+        for text in ("H[q]; X[q]; skip", "(H[q]; X[q]); skip", "H[q]; (X[q]; skip)"):
+            p = parse(text)
+            assert isinstance(p, Seq) and len(p.parts) == 3
+            assert ast_equal(p, Seq(*parts)) and not any(isinstance(q, Seq) for q in p.parts)
 
     def test_guard_builds_the_controlled_not(self):
         p = parse("guard c { |0> -> I[q]; |1> -> X[q] }")
@@ -130,6 +133,12 @@ class TestParsing:
 
 
 class TestDiagnostics:
+    def test_var_reuse_is_reported_once_at_the_first_semicolon(self):
+        arms = "{ 0: skip; 1: skip }"
+        [d] = check_source(PRELUDE + f"skip; measure x <- M0[q] {arms}; measure x <- M0[q] {arms}")
+        assert (d.code, d.message, str(d.span)) == (
+            "var-reuse", "classical variables ['x'] appear on both sides of ';'", "8:5")
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(SourceError) as exc:
             parse_source("qvar q : 2;\nskip skip")
@@ -228,6 +237,10 @@ class TestLexer:
         ('qvar q : 2;\nskip; {"rows": 2, "cols": 2', "syntax", "unterminated inline matrix", "2:7"),
         ('qvar q : 2;\nskip;\n  {"rows": 2,, "cols": 2}[q]', "syntax",
          "malformed inline matrix: Expecting property name enclosed in double quotes at 3:14", "3:3"),
+        (f"qvar q : 2;\nmeasurement M = {{ 0: {lit(np.diag([1.0, 0.0]))}; "
+         f"0: {lit(np.diag([0.0, 1.0]))} }};\nskip", "syntax", "duplicate measurement outcomes [0, 0]", "2:17"),
+        (PRELUDE + "skip; measure x <- M0[q] { 1: skip; 1: abort }", "syntax",
+         "duplicate measurement arm [1, 1]", "8:7"),
     ]
 
     @pytest.mark.parametrize("text,code,message,where", LEX_ERRORS)
@@ -259,22 +272,15 @@ class TestLexer:
 
 
 class TestParserLimits:
-    def test_a_long_chain_folds_to_the_right_without_recursion(self):
+    def test_a_long_chain_is_one_node(self):
         n = 5000
         words = [("skip", "abort")[i % 2] for i in range(n)]
         program = Parser("; ".join(words)).parse_program()
         starts = np.cumsum([0] + [len(w) + 2 for w in words]) + 1  # columns of the words
-        expected = Abort(span=Span(1, int(starts[n - 1])))
-        for i in reversed(range(n - 1)):
-            leaf = (Skip, Abort)[i % 2](span=Span(1, int(starts[i])))
-            expected = Seq(leaf, expected, span=Span(1, int(starts[i]) + len(words[i])))
-        # ast_equal recurses once per level, so the spines are walked here.
-        got = program
-        while isinstance(expected, Seq):
-            assert type(got) is Seq and got.span == expected.span
-            assert ast_equal(got.first, expected.first) and got.first.span == expected.first.span
-            got, expected = got.second, expected.second
-        assert ast_equal(got, expected) and got.span == expected.span
+        leaves = [(Skip, Abort)[i % 2](span=Span(1, int(starts[i]))) for i in range(n)]
+        assert type(program) is Seq and program.span == Span(1, 5)  # its first ';'
+        assert ast_equal(program, Seq(*leaves))
+        assert [q.span for q in program.parts] == [q.span for q in leaves]
 
     @pytest.mark.parametrize("dim", [5000, 10**6])
     @pytest.mark.parametrize("body", ["begin local q := |0>; U[r, q] end", "guard q { |0> -> skip }"])
@@ -290,6 +296,12 @@ class TestParserLimits:
 
 
 class TestRoundTrip:
+    def test_a_sequence_coin_keeps_its_parentheses(self):
+        coin = Seq(Unitary((("c", 2),), H), Unitary((("c", 2),), X))
+        p = QChoice(coin, GuardBasis.computational(2), (Skip(), Unitary((("q", 2),), X)))
+        text = print_program(p)
+        assert "qchoice (" in text and ast_equal(parse_source(text), p)
+
     def test_print_parse_on_fifty_programs(self):
         from conftest import corpus
 
@@ -358,14 +370,14 @@ class TestTwoWalkersSharingCoins:
         from qgcl.program import desugar, well_formed
 
         p = parse_source(self.SRC)
-        assert isinstance(p, Seq) and isinstance(p.first, Unitary)
-        step1 = p.second.first
+        assert isinstance(p, Seq) and isinstance(p.parts[0], Unitary)
+        step1 = p.parts[1]
         assert isinstance(step1, QChoice) and step1.coin.qvars == (("c1", 2),)
         lowered = desugar(p)
         assert well_formed(lowered) == []
-        step1_low = lowered.second.first
-        assert isinstance(step1_low, Seq) and isinstance(step1_low.second, Guarded)
-        assert step1_low.second.qvars == (("c1", 2),)
+        # each choice's coin and guard are spliced into the one chain
+        assert [type(q) for q in lowered.parts] == [Unitary, Unitary, Guarded, Unitary, Guarded]
+        assert lowered.parts[2].qvars == (("c1", 2),)
 
     def test_step_channel_is_unitary_conjugation(self):
         p = parse_source(self.SRC)
