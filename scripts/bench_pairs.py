@@ -32,8 +32,9 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LAYERS = ("parser.parse_source", "program.well_formed", "semantics.denote",
-          "semantics.apply_program", "wp.wp_apply", "cli.main")
+LAYERS = ("parser.parse_source", "program.well_formed", "semantics.semi_classical",
+          "ovf.guarded_ovf", "semantics.denote", "semantics.apply_program", "wp.wp_apply",
+          "cli.main")
 
 
 def extract(rev: str, dest: str) -> None:

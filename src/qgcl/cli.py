@@ -170,8 +170,8 @@ def main(argv=None) -> int:
         if args.command == "branches":
             program = _load_program(args.file, tol, args.max_dim)
             sd = semi_classical(program, tol=tol, max_dim=args.max_dim)
-            for state in sorted(sd.states, key=sort_key):
-                weight = sd.weight(state)
+            rows = zip(sd.states, sd.trace_weights().tolist())
+            for state, weight in sorted(rows, key=lambda row: sort_key(row[0])):
                 print(f"{render(state)}  weight={weight!r}")
             return EX_OK
 

@@ -10,19 +10,23 @@ branch function holds one unitary, of weight 1, so ``guarded_unitary`` is
 operators as a Kraus family; guard composition of channels goes through
 representative functions because the channel-level composition is set-valued.
 
-The public constructors check every operator they are given.  What the
-package builds from operators already checked goes through the trusted
-constructors ``OperatorValuedFunction._of`` and ``SuperOperator._of``, which
-check nothing.  A channel keeps its Kraus family as one ``(K, d, d)`` array
-(``SuperOperator.stack``; ``kraus`` is a tuple of views into it), so
-extension, composition and pruning each run once per family, not once per
-operator.
+A function and a channel are one representation, ``KrausStack``: a layout
+and one ``(K, d, d)`` array, ``stack``, so extension, composition and
+pruning run once per family.  A function's ``states`` label its rows in the
+order it was built; evaluation reads rows by position and never hashes a
+state.  ``F(d)``, ``weight``, ``lambda_weight``, ``table`` and
+``sorted_states`` are per-state reads for callers; a channel's ``kraus`` is
+a tuple of views into its stack.  The public constructors check every
+operator; what the package builds from checked ones goes through the
+trusted ``KrausStack._of``, which checks nothing.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -33,139 +37,136 @@ from .program import GuardBasis
 from .registers import RegisterLayout, check_cap, embed
 
 
-@dataclass(eq=False)
-class OperatorValuedFunction:
-    """Finite map from classical states to square operators on one layout."""
+class KrausStack:
+    """A layout and one ``(K, d, d)`` stack of operators on it: what a
+    function and a channel share.  ``kind`` names the family in messages."""
 
+    kind: str
     layout: RegisterLayout
-    table: dict[cs.ClassicalState, np.ndarray]
+    stack: np.ndarray
 
-    def __post_init__(self):
-        fixed: dict[cs.ClassicalState, np.ndarray] = {}
-        for state, op in self.table.items():
+    def _checked(self, ops) -> np.ndarray:
+        """The constructor check: every operator a finite complex ``d x d``
+        matrix, returned as one ``(K, d, d)`` stack."""
+        d = self.layout.dim
+        checked = []
+        for op in ops:
             op = linalg.as_matrix(op)
-            if op.shape != (self.layout.dim, self.layout.dim):
-                raise LayoutError(
-                    f"operator shape {op.shape} does not match layout dim {self.layout.dim}"
-                )
-            fixed[state] = op
-        if not fixed:
-            raise ArityError("operator-valued function needs a nonempty domain")
-        self.table = fixed
+            if op.shape != (d, d):
+                raise LayoutError(f"{self.kind} operator shape {op.shape} does not match "
+                                  f"layout dim {d}")
+            checked.append(op)
+        return np.array(checked, dtype=complex).reshape(len(checked), d, d)
 
     @classmethod
-    def _of(cls, layout: RegisterLayout, table: dict) -> "OperatorValuedFunction":
-        """A function on a nonempty ``table`` of ``layout.dim``-square complex
-        operators built from checked ones; nothing is checked again."""
+    def _of(cls, layout: RegisterLayout, stack: np.ndarray, states: tuple | None = None):
+        """The family of a ``(K, d, d)`` complex ``stack`` built from checked
+        operators, with a function's ``states`` labelling its rows; nothing
+        is checked again."""
         f = object.__new__(cls)
-        f.layout, f.table = layout, table
+        f.layout, f.stack = layout, stack
+        if states is not None:
+            f.states = states
         return f
 
-    @property
-    def states(self) -> tuple[cs.ClassicalState, ...]:
-        return tuple(self.table.keys())
-
-    def sorted_states(self) -> list[cs.ClassicalState]:
-        return sorted(self.table.keys(), key=cs.sort_key)
-
-    def sorted_stack(self) -> tuple[list[cs.ClassicalState], np.ndarray]:
-        """The sorted states and their operators as one ``(K, d, d)`` array."""
-        states = self.sorted_states()
-        return states, np.array([self.table[d] for d in states])
-
-    def __call__(self, state: cs.ClassicalState) -> np.ndarray:
-        try:
-            return self.table[state]
-        except KeyError:
-            raise KeyError(f"state {cs.render(state)} not in the function's domain") from None
-
     def gram_sum(self) -> np.ndarray:
-        """``sum_d F(d)† F(d)``."""
-        return linalg.gram(self.table.values(), self.layout.dim)
+        """``sum_k F_k† F_k``."""
+        return linalg.gram(self.stack, self.layout.dim)
 
-    def validate(self, tol: float = linalg.DEFAULT_TOL) -> "OperatorValuedFunction":
+    def validate(self, tol: float = linalg.DEFAULT_TOL):
         if not linalg.loewner_leq(self.gram_sum(), linalg.identity(self.layout.dim), tol):
-            raise ContractError("operator-valued function exceeds the identity")
+            raise ContractError(f"{self.kind} is not trace-nonincreasing")
         return self
 
-    def is_full(self, tol: float = linalg.DEFAULT_TOL) -> bool:
-        return linalg.max_abs_diff(self.gram_sum(), linalg.identity(self.layout.dim)) <= tol
+    def extended_to(self, full: RegisterLayout, *, max_dim: int = linalg.MAX_DIM_DEFAULT):
+        """Cylindrical extension (and factor reorder) into ``full``; a
+        function keeps its states."""
+        if full.variables == self.layout.variables:
+            return self
+        out = copy.copy(self)
+        out.layout, out.stack = full, embed(self.stack, self.layout, full, max_dim=max_dim)
+        return out
+
+
+@dataclass(eq=False)
+class OperatorValuedFunction(KrausStack):
+    """Finite map from classical states to square operators on one layout:
+    row ``k`` of ``stack`` is the operator of ``states[k]``."""
+
+    kind = "operator-valued function"
+    layout: RegisterLayout
+    table: InitVar[dict]
+
+    def __post_init__(self, table):
+        self.stack = self._checked(table.values())
+        self.states = tuple(table)
+        if not self.states:
+            raise ArityError("operator-valued function needs a nonempty domain")
+
+    def sorted_states(self) -> list[cs.ClassicalState]:
+        return sorted(self.states, key=cs.sort_key)
+
+    @cached_property
+    def _rows(self) -> dict:
+        return {d: k for k, d in enumerate(self.states)}
+
+    def row(self, state: cs.ClassicalState) -> int:
+        """The row of ``state`` in ``stack``, from an index built on the first call."""
+        if (k := self._rows.get(state)) is None:
+            raise KeyError(f"state {cs.render(state)} not in the function's domain")
+        return k
+
+    def __call__(self, state: cs.ClassicalState) -> np.ndarray:
+        return self.stack[self.row(state)]
+
+    def trace_weights(self) -> np.ndarray:
+        """``tr F(d)† F(d)`` for every state, aligned with ``states``."""
+        rows = self.stack.reshape(len(self.stack), 1, -1)
+        return (rows.conj() @ rows.transpose(0, 2, 1)).real.ravel()
 
     def weight(self, state: cs.ClassicalState) -> float:
         """``tr F(d)† F(d)`` for one state."""
         op = self(state)
         return float(np.vdot(op, op).real)
 
-    def dagger(self) -> "OperatorValuedFunction":
-        return OperatorValuedFunction._of(
-            self.layout, {d: linalg.dagger(op) for d, op in self.table.items()}
-        )
+    def is_full(self, tol: float = linalg.DEFAULT_TOL) -> bool:
+        return linalg.max_abs_diff(self.gram_sum(), linalg.identity(self.layout.dim)) <= tol
 
-    def extended_to(self, full: RegisterLayout, *, max_dim: int = linalg.MAX_DIM_DEFAULT
-                    ) -> "OperatorValuedFunction":
-        """Cylindrical extension (and factor reorder) into ``full``."""
-        if full.variables == self.layout.variables:
-            return self
-        ops = embed(np.array(list(self.table.values())), self.layout, full, max_dim=max_dim)
-        return OperatorValuedFunction._of(full, dict(zip(self.table, ops)))
+    def dagger(self) -> "OperatorValuedFunction":
+        return self._of(self.layout, self.stack.conj().transpose(0, 2, 1), self.states)
+
+
+# Set after the class, so that the dataclass does not take it for the
+# default of the ``table`` parameter.
+OperatorValuedFunction.table = property(
+    lambda f: dict(zip(f.states, f.stack)), doc="The function as a dict from states to operators.")
 
 
 THEN_HOLD = 2  # ``SuperOperator.then`` holds about this many times d² products at once
 
 
 @dataclass(eq=False)
-class SuperOperator:
+class SuperOperator(KrausStack):
     """A completely positive map given by a Kraus family over a layout.
 
     Channels produced by program semantics are trace-nonincreasing; weakest
     preconditions reuse this container with the adjoint family, which instead
     satisfies ``sum E E† <= I``, so the bound is the producers' concern
     (program semantics gets it from the leaf contracts), not checked here.
-    The family is also one ``(K, d, d)`` array, ``stack``; ``kraus`` is a
-    tuple of views into it.
     """
 
+    kind = "Kraus family"
     layout: RegisterLayout
-    kraus: tuple[np.ndarray, ...]
+    kraus: InitVar[tuple[np.ndarray, ...]]
 
-    def __post_init__(self):
-        d = self.layout.dim
-        ops = []
-        for op in self.kraus:
-            op = linalg.as_matrix(op)
-            if op.shape != (d, d):
-                raise LayoutError(f"Kraus shape {op.shape} does not match layout dim {d}")
-            ops.append(op)
-        self.stack = np.array(ops, dtype=complex).reshape(len(ops), d, d)
-        self.kraus = tuple(self.stack)
-
-    @classmethod
-    def _of(cls, layout: RegisterLayout, stack: np.ndarray) -> "SuperOperator":
-        """The channel of a ``(K, d, d)`` complex ``stack`` built from checked
-        operators; nothing is checked again."""
-        e = object.__new__(cls)
-        e.layout, e.stack, e.kraus = layout, stack, tuple(stack)
-        return e
+    def __post_init__(self, kraus):
+        self.stack = self._checked(kraus)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return apply_kraus(self.kraus, rho, self.layout.dim)
+        return apply_kraus(self.stack, rho, self.layout.dim)
 
     def choi(self) -> np.ndarray:
         return linalg.choi(self.stack, dim=self.layout.dim)
-
-    def gram_sum(self) -> np.ndarray:
-        return linalg.gram(self.stack, self.layout.dim)
-
-    def validate(self, tol: float = linalg.DEFAULT_TOL) -> "SuperOperator":
-        if not linalg.loewner_leq(self.gram_sum(), linalg.identity(self.layout.dim), tol):
-            raise ContractError("Kraus family is not trace-nonincreasing")
-        return self
-
-    def extended_to(self, full: RegisterLayout, *, max_dim: int = linalg.MAX_DIM_DEFAULT
-                    ) -> "SuperOperator":
-        if full.variables == self.layout.variables:
-            return self
-        return SuperOperator._of(full, embed(self.stack, self.layout, full, max_dim=max_dim))
 
     def then(self, later: "SuperOperator") -> "SuperOperator":
         """Sequential composition: this channel first, then ``later``, which
@@ -197,6 +198,11 @@ class SuperOperator:
             held = np.concatenate([held, part]) if len(held) else part
             i += rows
         return SuperOperator._of(self.layout, held)
+
+
+# Set after the class, as ``OperatorValuedFunction.table`` is.
+SuperOperator.kraus = property(
+    lambda e: tuple(e.stack), doc="The Kraus operators, as views into ``stack``.")
 
 
 def kraus_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -231,23 +237,23 @@ def prune_zero_kraus(ops: np.ndarray) -> np.ndarray:
     return ops if keep.all() else ops[keep]
 
 
-def lambda_weights(f: OperatorValuedFunction) -> dict[cs.ClassicalState, float]:
-    """Branch weight of every classical state inside its function.
+def lambda_weights(f: OperatorValuedFunction) -> np.ndarray:
+    """Branch weight of every classical state inside its function, by row.
 
     The square weights sum to one over the function's domain.  For the
     all-zero function the weights are uniform, which keeps the sum rule and
     makes aborted branches transparent to the other branches of a guard.
     """
-    weights = {d: f.weight(d) for d in f.states}
-    denominator = sum(weights.values())
-    if denominator <= 1e-300:
-        return {d: 1.0 / np.sqrt(len(weights)) for d in weights}
-    return {d: float(np.sqrt(w / denominator)) for d, w in weights.items()}
+    weights = f.trace_weights()
+    total = sum(weights.tolist())  # in row order, one term at a time
+    if total <= 1e-300:
+        return np.full(len(weights), 1.0 / np.sqrt(len(weights)))
+    return np.sqrt(weights / total)
 
 
 def lambda_weight(f: OperatorValuedFunction, state: cs.ClassicalState) -> float:
     """Branch weight of one classical state inside its function."""
-    return lambda_weights(f)[state]
+    return float(lambda_weights(f)[f.row(state)])
 
 
 def guarded_unitary(
@@ -274,9 +280,8 @@ def guarded_unitary(
             raise ContractError(f"expected {d}x{d} operators on the data space, got {u.shape}")
         if not linalg.is_unitary(u, tol):
             raise ContractError("guarded composition of unitaries needs unitary inputs")
-    fs = [OperatorValuedFunction._of(data_layout, {cs.EPS: u}) for u in unitaries]
-    (out,) = guarded_ovf(basis, fs, guard_layout, max_dim=max_dim).table.values()
-    return out
+    fs = [OperatorValuedFunction._of(data_layout, u[None], (cs.EPS,)) for u in unitaries]
+    return guarded_ovf(basis, fs, guard_layout, max_dim=max_dim).stack[0]
 
 
 def guarded_ovf(
@@ -289,10 +294,12 @@ def guarded_ovf(
     """Guarded composition of operator-valued functions.
 
     All functions must already live on one common data layout.  The combined
-    domain is the set of superposition labels over the branch domains; each
-    component scales a branch operator by the product of the *other* branches'
-    weights.  Fullness is preserved when every input is full, and the trace
-    bound when every input satisfies it, so the result is not re-checked.
+    domain is the set of superposition labels over the branch domains, one
+    row per combination of branch rows in ``itertools.product`` order; each
+    component scales a branch operator by the product of the *other*
+    branches' weights.  Fullness is preserved when every input is full, and
+    the trace bound when every input satisfies it, so the result is not
+    re-checked.
     """
     if len(functions) != basis.arity:
         raise ArityError(f"{basis.arity} guard states but {len(functions)} functions")
@@ -309,25 +316,17 @@ def guarded_ovf(
             )
     joint = RegisterLayout(tuple(data_layout.variables) + tuple(guard_layout.variables))
     check_cap(joint.dim, max_dim)
-    weights = [lambda_weights(f) for f in functions]
-    branch_states, lifted = [], []  # lifted: F_i(d) (x) P_i by state d, one product per branch
+    # One axis per branch: branch i's weights and operators vary along axis
+    # i, and its component is scaled by every other branch's weight.
+    mesh = np.ix_(*[lambda_weights(f) for f in functions])
+    out = np.zeros(tuple(len(f.states) for f in functions) + (joint.dim, joint.dim), dtype=complex)
     for i, f in enumerate(functions):
-        states, ops = f.sorted_stack()
+        coeff = reduce(np.multiply, mesh[:i] + mesh[i + 1:], np.ones((1,) * len(mesh)))
         proj = basis.column(i) @ linalg.dagger(basis.column(i))
-        branch_states.append(states)
-        lifted.append(dict(zip(states, linalg.tensor(ops, proj, max_dim=max_dim))))
-    table: dict[cs.ClassicalState, np.ndarray] = {}
-    for combo in itertools.product(*branch_states):
-        acc = np.zeros((joint.dim, joint.dim), dtype=complex)
-        for i in range(len(functions)):
-            coeff = 1.0
-            for k in range(len(functions)):
-                if k != i:
-                    coeff *= weights[k][combo[k]]
-            if coeff != 0.0:
-                acc += coeff * lifted[i][combo[i]]
-        table[cs.oplus(combo)] = acc
-    return OperatorValuedFunction._of(joint, table)
+        lifted = linalg.tensor(f.stack, proj, max_dim=max_dim)
+        out += coeff[..., None, None] * lifted.reshape(mesh[i].shape + lifted.shape[1:])
+    states = tuple(map(cs.oplus, itertools.product(*(f.states for f in functions))))
+    return OperatorValuedFunction._of(joint, out.reshape(-1, joint.dim, joint.dim), states)
 
 
 def to_superop(f: OperatorValuedFunction) -> SuperOperator:
@@ -337,21 +336,15 @@ def to_superop(f: OperatorValuedFunction) -> SuperOperator:
     channel and are dropped, so the all-zero function induces the zero
     channel with an empty family.
     """
-    return SuperOperator._of(f.layout, prune_zero_kraus(f.sorted_stack()[1]))
+    return SuperOperator._of(f.layout, prune_zero_kraus(f.stack))
 
 
 def indexed_ovf(
     layout: RegisterLayout, operators, label: str
 ) -> OperatorValuedFunction:
     """Wrap a raw operator family as a function over synthetic index labels."""
-    ops = [linalg.as_matrix(op) for op in operators]
-    if not ops:
-        return OperatorValuedFunction(
-            layout, {cs.bind(label, 0): np.zeros((layout.dim, layout.dim), dtype=complex)}
-        )
-    return OperatorValuedFunction(
-        layout, {cs.bind(label, i): op for i, op in enumerate(ops)}
-    )
+    ops = list(operators) or [np.zeros((layout.dim, layout.dim), dtype=complex)]
+    return OperatorValuedFunction(layout, {cs.bind(label, i): op for i, op in enumerate(ops)})
 
 
 def guarded_superop_member(
@@ -377,14 +370,14 @@ def guarded_superop_member(
         if e.layout.variables != data_layout.variables:
             raise ContractError("guarded composition needs channels on one common layout")
     if reps is None:
-        reps = [indexed_ovf(data_layout, e.kraus, f"@k{i}") for i, e in enumerate(channels)]
+        reps = [indexed_ovf(data_layout, e.stack, f"@k{i}") for i, e in enumerate(channels)]
     else:
         if len(reps) != len(channels):
             raise ArityError(f"{len(channels)} channels but {len(reps)} representatives")
         for i, (rep, e) in enumerate(zip(reps, channels)):
             if rep.layout.variables != data_layout.variables:
                 raise ContractError(f"representative {i} lives on a different layout")
-            diff = linalg.choi_max_diff(to_superop(rep).kraus, e.kraus, data_layout.dim)
+            diff = linalg.choi_max_diff(to_superop(rep).stack, e.stack, data_layout.dim)
             if diff > tol:
                 raise ContractError(
                     f"representative {i} does not induce its channel (Choi deviation {diff:.3e})"

@@ -275,17 +275,24 @@ class Parser:
         return Seq(*statements, span=seps[0].span) if seps else statements[0]
 
     def parse_statement(self) -> Program:
+        """One statement.  A ``QgclError`` raised while its node is built,
+        such as a coin on a repeated variable, is reported at its first token."""
         tok = self.peek()
-        if tok.kind == "KEYWORD" and tok.text in _STATEMENTS:
-            return _STATEMENTS[tok.text](self)
-        if self.at("PUNCT", "("):
-            self.advance()
-            inner = self.parse_program()
-            self.expect("PUNCT", ")")
-            return inner
-        if _starts_statement(tok):
-            matrix = self._matrix_ref()
-            return Unitary(self._qvar_brackets(), matrix, span=tok.span)
+        try:
+            if tok.kind == "KEYWORD" and tok.text in _STATEMENTS:
+                return _STATEMENTS[tok.text](self)
+            if self.at("PUNCT", "("):
+                self.advance()
+                inner = self.parse_program()
+                self.expect("PUNCT", ")")
+                return inner
+            if _starts_statement(tok):
+                matrix = self._matrix_ref()
+                return Unitary(self._qvar_brackets(), matrix, span=tok.span)
+        except (SourceError, CapacityError):
+            raise
+        except QgclError as exc:
+            raise _error("syntax", str(exc), tok.span) from exc
         raise _error("syntax", f"expected a statement, found {_found(tok)}", tok.span)
 
     def _measure(self) -> Program:
@@ -417,12 +424,7 @@ def parse_source(text: str, *, base_dir: str = ".", tol: float = linalg.DEFAULT_
     syntactic or well-formedness problem, and :class:`CapacityError` when a
     matrix the source implies would exceed ``max_dim``.
     """
-    try:
-        program = Parser(text, base_dir=base_dir, max_dim=max_dim).parse_source()
-    except (SourceError, CapacityError):
-        raise
-    except QgclError as exc:  # malformed construction, e.g. a repeated coin variable
-        raise SourceError([Diagnostic("syntax", str(exc), None)]) from exc
+    program = Parser(text, base_dir=base_dir, max_dim=max_dim).parse_source()
     diagnostics = well_formed(program, tol)
     if diagnostics:
         raise SourceError(diagnostics)

@@ -11,13 +11,13 @@ A node keeps a read-only complex copy of every matrix it is given
 (``Unitary``, ``Measurement``, ``GuardBasis``, ``Block``; ``linalg.frozen``),
 so writing later into the array passed in leaves the program as it was.
 What is worked out from a node is therefore fixed for the node's lifetime
-and kept on it, most of it as cached properties: ``own_layout``, its
-``layout``, classical variables ``cvars``, whether it lies in the ``core``,
+and kept on it, most of it as cached properties: ``own_layout``,
 ``Unitary.operator`` and ``kernel``, ``Measurement.kernels`` and ``stack``,
 a quantum choice's coin-then-guard ``seq``, the ``tol`` at which
 ``well_formed`` found its rules to hold and, from ``semantics``, a guard's
 branch functions and the ``(tol, max_dim)`` pairs at which the node passed
-evaluation's checks.
+evaluation's checks.  Its ``layout``, classical variables ``cvars`` and
+whether it lies in the ``core`` are filled bottom-up (``_bottom_up``).
 
 Each construct's side conditions are written once, in ``RULES``: every rule
 gives a diagnostic code, a message and an error type.  ``well_formed``
@@ -155,6 +155,28 @@ class GuardBasis:
         return GuardBasis(linalg.identity(dim))
 
 
+class _bottom_up:
+    """``cached_property`` that first fills the nodes below lacking it,
+    children before parents, from an explicit stack: ``rule`` finds its
+    subprograms' values kept, and a deep program nests no frame per level."""
+
+    def __init__(self, rule):
+        self.rule, self.key, self.__doc__ = rule, rule.__name__, rule.__doc__
+
+    def __get__(self, p, owner=None):
+        if p is None:
+            return self
+        todo = [p]
+        while self.key not in p.__dict__:
+            node = todo.pop()
+            missing = [c for c in _scope(node) if self.key not in c.__dict__]
+            if missing:
+                todo += [node, *missing]
+            elif self.key not in node.__dict__:  # a shared subprogram is filled once
+                node.__dict__[self.key] = self.rule(node)
+        return p.__dict__[self.key]
+
+
 @dataclass(frozen=True, eq=False)
 class Program:
     span: Span | None = field(default=None, repr=False, kw_only=True)
@@ -164,14 +186,13 @@ class Program:
         """``declared(self)`` as a layout, built (and so validated) once."""
         return RegisterLayout(declared(self))
 
-    @cached_property
+    @_bottom_up
     def layout(self) -> RegisterLayout:
         """Quantum variables as an ordered layout, the tensor-factor order of
         the semantics (``joined_layout``)."""
-        subs = () if isinstance(self, (Name, Mu)) else children(self)
-        return joined_layout(self, [c.layout for c in subs])
+        return joined_layout(self, [c.layout for c in _scope(self)])
 
-    @cached_property
+    @_bottom_up
     def cvars(self) -> frozenset[str]:
         """Classical variables: the outcome variables the program binds, or
         the declared set of a name or recursion."""
@@ -180,7 +201,7 @@ class Program:
         own = (self.x,) if isinstance(self, Measure) else ()
         return frozenset(own).union(*(c.cvars for c in children(self)))
 
-    @cached_property
+    @_bottom_up
     def core(self) -> bool:
         """Whether the program uses only the measurement-and-guard core (a
         quantum choice counts: it desugars into the core)."""
@@ -332,6 +353,12 @@ def children(p: Program) -> list[Program]:
         else:
             out.extend(v[1] if isinstance(v, tuple) else v for v in value)
     return out
+
+
+def _scope(p: Program) -> list[Program]:
+    """The subprograms whose variables are ``p``'s: none for a name or a
+    recursion, which declare theirs."""
+    return [] if isinstance(p, (Name, Mu)) else children(p)
 
 
 def rebuild(p: Program, fn) -> Program:
@@ -645,8 +672,10 @@ def block_rules(qvars: tuple[QVar, ...], init, body: RegisterLayout | None,
 def _density_spectrum(herm: np.ndarray, tol: float) -> bool:
     """No eigenvalue of the Hermitian part below ``-tol``, and the positive
     ones sum to at most ``1 + tol``: that sum, not the trace, bounds what
-    the block keeps."""
-    eigs = np.linalg.eigvalsh(herm)
+    the block keeps.  A diagonal part's eigenvalues are its diagonal, such as
+    a ``|i>`` initial state's, so it needs no eigensolver."""
+    diag = herm.diagonal().real  # exactly the diagonal: the Hermitian part's is real
+    eigs = diag if np.count_nonzero(herm) == np.count_nonzero(diag) else np.linalg.eigvalsh(herm)
     return bool(eigs.min() >= -tol and eigs[eigs > 0].sum() <= 1 + tol)
 
 

@@ -116,18 +116,15 @@ def reproduce_gmeas(*, seed: int = 0, n: int | None = None, tol: float | None = 
     lines = []
     ok = True
     worst = 0.0
-    from .classical import bind, oplus
-
-    for i in range(2):
-        for j in range(2):
-            label = oplus((bind("x", i), bind("y", j)))
-            got = embed(sd(label), sd.layout, target)
-            formula = (
-                np.kron(MEAS_COMPUTATIONAL.operator(i), np.diag([1.0, 0.0]))
-                + np.kron(MEAS_DIAGONAL.operator(j), np.diag([0.0, 1.0]))
-            ) / np.sqrt(2)
-            worst = max(worst, linalg.max_abs_diff(got, formula))
-    good = worst <= 1e-12
+    for label, op in zip(sd.states, sd.stack):  # label (+ [x<-i] [y<-j])
+        i, j = (part.value for part in label.parts)
+        got = embed(op, sd.layout, target)
+        formula = (
+            np.kron(MEAS_COMPUTATIONAL.operator(i), np.diag([1.0, 0.0]))
+            + np.kron(MEAS_DIAGONAL.operator(j), np.diag([0.0, 1.0]))
+        ) / np.sqrt(2)
+        worst = max(worst, linalg.max_abs_diff(got, formula))
+    good = worst <= 1e-12 and len(sd.states) == 4
     ok &= good
     lines.append(_line(good, f"four composed operators match the formula, worst {worst:.2e}"))
     completeness = linalg.max_abs_diff(sd.gram_sum(), linalg.identity(4))
@@ -285,9 +282,9 @@ def reproduce_loop(*, seed: int = 0, n: int | None = None, tol: float | None = N
         psi = sampling.random_ket(gen, 2)
         quantum = unroll_loop(u, HADAMARD, depth, "quantum")
         sd = semi_classical(quantum)
-        (label,) = sd.states
+        (op,) = sd.stack
         target = RegisterLayout.of(("q", 2), *[(f"@q{k}", 2) for k in range(1, depth + 1)])
-        op = embed(sd(label), sd.layout, target)
+        op = embed(op, sd.layout, target)
         vec = psi
         for _ in range(depth):
             vec = np.kron(vec, linalg.basis_ket(2, 0))
@@ -305,7 +302,7 @@ def reproduce_loop(*, seed: int = 0, n: int | None = None, tol: float | None = N
         localized = unroll_loop(u, HADAMARD, depth, "localized")
         channel = denote(localized).extended_to(RegisterLayout.of(("q", 2)))
         expected_kraus = [coeffs[i] * np.linalg.matrix_power(u, i) for i in range(depth)]
-        worst_choi = max(worst_choi, linalg.choi_max_diff(channel.kraus, expected_kraus, 2))
+        worst_choi = max(worst_choi, linalg.choi_max_diff(channel.stack, expected_kraus, 2))
     good = worst_state <= 1e-10
     ok &= good
     lines.append(_line(good, f"amplitude closed form at depth {depth}, worst {worst_state:.2e}"))

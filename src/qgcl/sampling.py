@@ -77,8 +77,8 @@ def random_full_ovf(
     d = layout.dim
     z = gen.normal(size=(size * d, d)) + 1j * gen.normal(size=(size * d, d))
     q, _ = np.linalg.qr(z)
-    table = {bind(label, i): q[i * d : (i + 1) * d, :] for i in range(size)}
-    return OperatorValuedFunction(layout, table)
+    states = tuple(bind(label, i) for i in range(size))
+    return OperatorValuedFunction._of(layout, q.reshape(size, d, d), states)
 
 
 def random_ovf(
@@ -98,9 +98,7 @@ def random_ovf(
         return f
     if kind == "sub":
         scale = float(gen.uniform(0.2, 0.9))
-        return OperatorValuedFunction(
-            f.layout, {d: np.sqrt(scale) * op for d, op in f.table.items()}
-        )
+        return OperatorValuedFunction._of(f.layout, np.sqrt(scale) * f.stack, f.states)
     raise ValueError(f"unknown kind {kind!r}")
 
 

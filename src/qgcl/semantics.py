@@ -3,11 +3,13 @@
 The semi-classical denotation of a core program (``semi_classical``) is the
 paper's operator-valued function over the program's classical states: one
 operator per measurement-outcome path, guard branches combined by guarded
-composition over the product of their domains.  The channel (``denote``) is
-one fold that builds each construct's Kraus family from its parts: a
-leaf's operator; sequencing, measurement and probabilistic choice by
-composing the sub-families; a block from its body's family by reshaping; a
-guard from its branch functions, without their joint domain.  Each family
+composition over the product of their domains.  It is one stack, built on
+rows by position (``;`` by ``kraus_products``, a guard by ``guarded_ovf``),
+its states labelled in that order, never hashed or sorted.  The channel
+(``denote``) is one fold that builds each construct's Kraus family from its
+parts: a leaf's operator; sequencing, measurement and probabilistic choice
+by composing the sub-families; a block from its body's family by reshaping;
+a guard from its branch functions, without their joint domain.  Each family
 is one ``(K, d, d)`` array, embedded, composed and pruned in one numpy call
 per family, and held at ``d²`` operators or fewer.  A ``;`` chain is one
 node, whatever its grouping: its parts, each extended to the chain's
@@ -101,12 +103,6 @@ RESERVED_PREFIX = "@"
 MAX_UNROLL_DEFAULT = 6
 
 
-def _scalar_function(value: complex) -> OperatorValuedFunction:
-    return OperatorValuedFunction._of(
-        RegisterLayout(), {cs.EPS: np.array([[value]], dtype=complex)}
-    )
-
-
 def semi_classical(
     p: Program,
     *,
@@ -129,20 +125,17 @@ def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
     """Fold of a checked program into its function; a chain's parts are
     composed right to left, as ``;`` associates."""
     full = p.layout
-    if isinstance(p, Abort):
-        return _scalar_function(0.0)
-    if isinstance(p, Skip):
-        return _scalar_function(1.0)
-    if isinstance(p, Unitary):
-        return OperatorValuedFunction._of(full, {cs.EPS: p.operator})
+    if isinstance(p, (Abort, Skip, Unitary)):  # one operator, of the empty state
+        op = p.operator if isinstance(p, Unitary) else np.eye(1, dtype=complex) * isinstance(p, Skip)
+        return OperatorValuedFunction._of(full, op[None], (cs.EPS,))
     if isinstance(p, Measure):  # outcomes and branches agree, both sorted
-        table: dict[cs.ClassicalState, np.ndarray] = {}
+        states, stacks = [], []
         m_ops = embed(p.measurement.stack, p.own_layout, full, max_dim=max_dim)
         for m, m_op, (_, sub) in zip(p.measurement.outcomes, m_ops, p.branches):
-            states, ops = _semi(sub, max_dim).extended_to(full, max_dim=max_dim).sorted_stack()
-            for delta, op in zip(states, ops @ m_op):
-                table[cs.extend(delta, p.x, m)] = op
-        return OperatorValuedFunction._of(full, table)
+            f = _semi(sub, max_dim).extended_to(full, max_dim=max_dim)
+            states += [cs.extend(delta, p.x, m) for delta in f.states]
+            stacks.append(f.stack @ m_op)
+        return OperatorValuedFunction._of(full, np.concatenate(stacks), tuple(states))
     if isinstance(p, Guarded):
         data = reduce(RegisterLayout.extended, (b.layout for b in p.branches), RegisterLayout())
         branch_fs = [f.extended_to(data, max_dim=max_dim) for f in _branches(p, max_dim)[0]]
@@ -152,9 +145,9 @@ def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
         return combined.extended_to(full, max_dim=max_dim)
     if isinstance(p, Seq):
         def then(later, first):
-            (s1, ops1), (s2, ops2) = first.sorted_stack(), later.sorted_stack()
             return OperatorValuedFunction._of(
-                full, dict(zip(cs.state_set_product(s1, s2), kraus_products(ops1, ops2))))
+                full, kraus_products(first.stack, later.stack),
+                tuple(cs.state_set_product(first.states, later.states)))
         fns = (_semi(q, max_dim).extended_to(full, max_dim=max_dim) for q in p.parts[::-1])
         return reduce(then, fns)
     if isinstance(p, QChoice):
@@ -227,9 +220,8 @@ def _guard_family(p: Guarded, max_dim: int) -> np.ndarray:
     for i, (f, a) in enumerate(zip(fns, a_s)):
         col = p.basis.column(i)
         proj, lay = col @ linalg.dagger(col), p.own_layout.extended(f.layout)
-        weights = lambda_weights(f)
-        w = np.array(list(weights.values()))[:, None, None]
-        ops = np.concatenate([a[None], prune_zero_kraus(np.array([f(d) for d in weights]) - w * a)])
+        w = lambda_weights(f)[:, None, None]
+        ops = np.concatenate([a[None], prune_zero_kraus(f.stack - w * a)])
         lifted = embed(linalg.tensor(proj, ops, max_dim=max_dim), lay, p.layout, max_dim=max_dim)
         tops.append(lifted[0])
         rest.append(lifted[1:])
@@ -245,7 +237,7 @@ def _branches(p: Guarded, max_dim: int) -> tuple:
     ``_check`` capped every layout in it, so ``max_dim`` cannot change them."""
     if _BRANCHES not in p.__dict__:
         fns = [_semi(b, max_dim) for b in p.branches]
-        a = [sum(w * f(d) for d, w in lambda_weights(f).items()) for f in fns]
+        a = [np.einsum("k,kij->ij", lambda_weights(f), f.stack) for f in fns]
         p.__dict__[_BRANCHES] = fns, a, [linalg.kernel(op) for op in a]
     return p.__dict__[_BRANCHES]
 
@@ -432,7 +424,7 @@ class _Stream:
         d, dl = int(np.prod(t.shape[: len(names)])), local.dim
         if d * dl > self.max_dim:
             if id(p) not in self.blocks:
-                self.blocks[id(p)] = _denote(p, self.max_dim).kraus
+                self.blocks[id(p)] = _denote(p, self.max_dim).stack
             out = np.zeros_like(t)
             for k in self.blocks[id(p)]:
                 out += _sandwich(t, names, _side(k, adjoint), p.layout.names)
@@ -590,45 +582,32 @@ def system_environment_model(
     returned environment layout is empty (dimension one).
     """
     d = e.layout.dim
-    ops = list(prune_zero_kraus(e.stack))
+    ops = prune_zero_kraus(e.stack)
     if len(ops) > d * d:
-        ops = list(linalg.reduce_kraus(ops, d, tol))
+        ops = linalg.reduce_kraus(ops, d, tol)
     gram = linalg.gram(ops, d)
     if not linalg.loewner_leq(gram, linalg.identity(d), tol):
         raise ContractError("dilation needs a trace-nonincreasing channel")
     kept = len(ops)
     defect = linalg.identity(d) - gram
     if linalg.max_abs_diff(defect, np.zeros_like(defect)) > tol:
-        ops = ops + [linalg.psd_sqrt(defect, tol)]
+        ops = np.concatenate([ops, linalg.psd_sqrt(defect, tol)[None]])
     m = len(ops)
     if d * m > max_dim:
         raise CapacityError(f"dilated dimension {d * m} exceeds the cap {max_dim}")
     if m == 1:
         projector = linalg.identity(d) if kept == 1 else np.zeros((d, d), dtype=complex)
-        return DilationModel(
-            env_layout=RegisterLayout(),
-            env_state=np.array([[1.0]], dtype=complex),
-            unitary=ops[0],
-            projector=projector,
-            kept=kept,
-        )
-    isometry = np.stack(ops, axis=1).reshape(d * m, d)  # row s*m + j: row s of ops[j]
+        return DilationModel(RegisterLayout(), np.ones((1, 1), complex), ops[0], projector, kept)
+    isometry = ops.transpose(1, 0, 2).reshape(d * m, d)  # row s*m + j: row s of ops[j]
     q, _ = np.linalg.qr(isometry, mode="complete")
     # column s*m is the isometry's column s, columns s*m + 1 .. s*m + m-1 spare ones
     spare = q[:, d:].reshape(d * m, d, m - 1)
     unitary = np.concatenate([isometry[:, :, None], spare], axis=2).reshape(d * m, d * m)
     if not linalg.is_unitary(unitary, 1e-8):
         raise ContractError("dilation unitary completion failed")
-    env_proj = np.diag([1.0 if j < kept else 0.0 for j in range(m)]).astype(complex)
-    projector = np.kron(linalg.identity(d), env_proj)
-    env_layout = RegisterLayout.of((env_name, m))
-    return DilationModel(
-        env_layout=env_layout,
-        env_state=linalg.basis_ket(m, 0),
-        unitary=unitary,
-        projector=projector,
-        kept=kept,
-    )
+    projector = np.kron(linalg.identity(d), np.diag(np.arange(m) < kept).astype(complex))
+    return DilationModel(RegisterLayout.of((env_name, m)), linalg.basis_ket(m, 0), unitary,
+                         projector, kept)
 
 
 def coin_relocation_lhs_rhs(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,6 +278,50 @@ def test_guarded_composition_respects_the_bound_property(seed):
         assert composed.is_full(1e-9)
     for f in fs:
         assert sum(lambda_weight(f, d) ** 2 for d in f.states) == pytest.approx(1.0, abs=1e-9)
+
+
+def reference_lambdas(table):
+    """The paper's branch weights over a plain dict: ``λ(d)² = w(d) / Σ w``
+    with ``w(d) = tr F(d)† F(d)``, uniform for the all-zero function."""
+    w = {d: float(np.vdot(op, op).real) for d, op in table.items()}
+    total = sum(w.values())
+    if total <= 1e-300:
+        return {d: 1 / np.sqrt(len(w)) for d in w}
+    return {d: np.sqrt(v / total) for d, v in w.items()}
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.sampled_from(["full", "sub", "zero"]), st.integers(1, 3)),
+                min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_guarded_ovf_matches_the_per_combination_formula(seed, branches):
+    # F(⊕d) = Σ_i Π_{k≠i} λ_k(d_k) · F_i(d_i) ⊗ P_i, one combination at a
+    # time over plain dicts, against the array form.
+    gen = rng(seed)
+    layout, n = RegisterLayout.of(("d", 2)), len(branches)
+    guard = RegisterLayout.of(("s", n)) if n > 1 else RegisterLayout()
+    basis = GuardBasis(random_unitary(gen, n)) if n > 1 else GuardBasis(np.array([[1.0]]))
+    fs = [random_ovf(gen, layout, size, kind, label=f"k{i}")
+          for i, (kind, size) in enumerate(branches)]
+    tables = [{d: f(d) for d in f.states} for f in fs]
+    lambdas = [reference_lambdas(t) for t in tables]
+    projs = [basis.column(i) @ la.dagger(basis.column(i)) for i in range(n)]
+    expect = {}
+    for combo in itertools.product(*tables):
+        expect[cs.oplus(combo)] = sum(
+            np.prod([lambdas[k][combo[k]] for k in range(n) if k != i])
+            * np.kron(tables[i][combo[i]], projs[i]) for i in range(n))
+    got = guarded_ovf(basis, fs, guard)
+    assert len(got.states) == len(expect) and set(got.states) == set(expect)
+    for state, op in zip(got.states, got.stack):
+        assert la.max_abs_diff(op, expect[state]) < 1e-12
+    for f in (*fs, got):
+        weights = ovf.lambda_weights(f)
+        assert weights.shape == (len(f.states),)
+        assert np.sum(weights**2) == pytest.approx(1.0, abs=1e-12)
+    for f, lam in zip(fs, lambdas):
+        assert all(w == pytest.approx(lam[d], abs=1e-12)
+                   for d, w in zip(f.states, ovf.lambda_weights(f)))
 
 
 # -- Sequential composition -------------------------------------------------------

@@ -1,8 +1,11 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgcl import linalg as la
+from qgcl.equivalence import program_equiv_report
 from qgcl.errors import LayoutError, SourceError, Span
 from qgcl.program import (
     Abort,
@@ -19,6 +22,7 @@ from qgcl.program import (
     Skip,
     Unitary,
     ast_equal,
+    block_rules,
     check,
     children,
     desugar_qchoice,
@@ -29,6 +33,7 @@ from qgcl.program import (
     var,
     well_formed,
 )
+from qgcl.registers import RegisterLayout
 from qgcl.sampling import ProgramSampler, rng
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -305,3 +310,38 @@ def test_sampled_programs_are_well_formed_and_monotone(seed):
             walk(child)
 
     walk(p)
+
+
+def test_deep_library_programs_need_no_recursion():
+    # A fresh library-built program 480 choices deep, at the default
+    # recursion limit: its layout, classical variables and core-ness are
+    # filled bottom-up, so neither they nor ``program_equiv_report`` (which
+    # reads the layout first) nest a frame per level.
+    def deep(levels):
+        p = Measure("x", (Q,), M0, ((0, Unitary((C,), H)), (1, Skip())))
+        for _ in range(levels):
+            p = ProbChoice((0.5, 0.5), (p, Skip()))
+        return p
+
+    assert qvar_layout(deep(480)).names == ("q", "c")
+    assert var(deep(480)) == {"x"}
+    assert not is_core(deep(480))
+    assert program_equiv_report(deep(480), deep(480))[0] == "equiv"
+
+
+@pytest.mark.parametrize("diagonal, ok", [
+    ([0.7, -0.2], False),  # a negative eigenvalue
+    ([0.8, 0.3], False),  # trace above one
+    ([0.3, 0.0], True),  # a partial state, trace below one
+    ([0.0, 1.0], True),  # |1><1|
+])
+def test_block_init_verdict_on_a_diagonal_state_needs_no_eigensolver(diagonal, ok):
+    # The same verdict as on the state rotated off the diagonal, which takes
+    # the eigensolver; the diagonal state itself is read off its diagonal.
+    body = RegisterLayout.of(C, Q)
+    rotated = H @ np.diag(diagonal) @ H
+    assert [v.code for v in block_rules((C,), rotated, body)] == ([] if ok else ["block-init"])
+    with patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        found = [v.code for v in block_rules((C,), np.diag(diagonal), body)]
+    assert found == ([] if ok else ["block-init"])
+    assert eigvalsh.call_count == 0

@@ -606,6 +606,28 @@ def test_denote_builds_no_checked_family():
     assert calls == []
 
 
+def test_evaluation_hashes_no_classical_state():
+    # A function's states label its stack's rows; evaluation works on rows
+    # by position, so no nested label is ever hashed.
+    calls = []
+
+    def counted(state):
+        calls.append(type(state))
+        return object.__hash__(state)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (cs.Empty, cs.Bind, cs.Concat, cs.Oplus):
+            patch.setattr(cls, "__hash__", counted)
+        for seed in range(30):
+            p = ProgramSampler(rng(seed), (Q, ("r", 2)), (("g1", 2), ("g2", 3))).program(3)
+            layout = p.layout
+            denote(p)
+            semi_classical(p)
+            apply_program(p, DensityMatrix(la.identity(layout.dim) / layout.dim, layout))
+            wp_apply(p, Observable(la.identity(layout.dim), layout))
+    assert calls == []
+
+
 def pchoice_of_unitaries(gen, qvars, count):
     dim = int(np.prod([d for _, d in qvars]))
     return ProbChoice((1 / count,) * count,

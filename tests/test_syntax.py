@@ -241,6 +241,8 @@ class TestLexer:
          f"0: {lit(np.diag([0.0, 1.0]))} }};\nskip", "syntax", "duplicate measurement outcomes [0, 0]", "2:17"),
         (PRELUDE + "skip; measure x <- M0[q] { 1: skip; 1: abort }", "syntax",
          "duplicate measurement arm [1, 1]", "8:7"),
+        (PRELUDE + "skip;\n  qchoice H[c, c] { |0> -> skip; |1> -> X[q] }", "syntax",
+         "duplicate variable names in layout ['c', 'c']", "9:3"),
     ]
 
     @pytest.mark.parametrize("text,code,message,where", LEX_ERRORS)
