@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
-"""Compare this checkout with a git revision on one benchmark workload.
+"""Compare this checkout with a git revision on benchmark workloads.
 
     python scripts/bench_pairs.py --base HEAD~1 --workload walk --pairs 10 --seconds 10
+    python scripts/bench_pairs.py --base HEAD~1 --workload all
+
+``--workload`` takes one or more workload names, or ``all`` for every
+workload of ``BENCHMARK.json``; the pairs are run workload by workload.
 
 The revision is extracted with ``git archive`` into a temporary directory,
 so no worktree is made and ``.git`` is not written.  Each pair runs
@@ -16,6 +20,9 @@ than the base's interquartile range.  Each side's failed ops are totalled;
 when the change fails a larger share of its ops than the base, no metric is
 flagged ``gain`` and the summary says ``FAILED``.  Last it prints each
 side's ``src/qgcl`` line total, as ``wc -l src/qgcl/*.py`` counts it.
+The output ends with one summary line per workload naming the metrics
+flagged ``WORSE`` and ``gain``, and ``FAILED`` where it applies, so one
+command tells whether any metric got worse anywhere.
 
 With ``--layers`` it then makes one ``--trace 1`` run per side and prints
 each side's self time per pass in the front-end and evaluation layers
@@ -46,11 +53,11 @@ def extract(rev: str, dest: str) -> None:
         sys.exit(f"git archive {rev} failed")
 
 
-def run(checkout: str, args, trace: int = 0) -> dict:
+def run(checkout: str, workload: str, args, trace: int = 0) -> dict:
     """One benchmark run's metrics and op counts, from the JSON on its last line."""
     proc = subprocess.run(
         [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload",
-         args.workload, "--seed", str(args.seed), "--seconds", str(args.seconds),
+         workload, "--seed", str(args.seed), "--seconds", str(args.seconds),
          "--trace", str(trace)],
         capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -76,33 +83,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--layers", action="store_true",
-                        help="also compare one traced run per side, layer by layer")
-    args = parser.parse_args()
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
+def compare(workload: str, args, checkouts: dict, metrics: list) -> str:
+    """Run the pairs on one workload, print its table and return its summary line."""
     sides = {"base": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as base:
-        extract(args.base, base)
-        checkouts = {"base": base, "change": ROOT}
-        for i in range(args.pairs):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
-                sides[side].append(run(checkouts[side], args))
-            figures = "  ".join(f"{s} {sides[s][-1]['metrics']['ops_per_s']:.4g}"
-                                for s in ("base", "change"))
-            print(f"pair {i + 1}/{args.pairs} ({order[0]} first): ops_per_s {figures}", flush=True)
-        lines = {side: source_lines(path) for side, path in checkouts.items()}
-        traced = ({side: run(path, args, trace=1)["metrics"] for side, path in checkouts.items()}
-                  if args.layers else {})
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs, "
+    for i in range(args.pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            sides[side].append(run(checkouts[side], workload, args))
+        figures = "  ".join(f"{s} {sides[s][-1]['metrics']['ops_per_s']:.4g}"
+                            for s in ("base", "change"))
+        print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): ops_per_s {figures}",
+              flush=True)
+    print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs, "
           f"base {args.base}: median [q1, q3]")
     totals = {s: (sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs))
               for s, runs in sides.items()}
@@ -111,6 +103,7 @@ def main() -> None:
     print("failed ops: " + ", ".join(f"{s} {f} of {a}" for s, (f, a) in totals.items())
           + ("  FAILED: the change fails a larger share, so no gain counts" if more_failed else ""))
     print(f"{'metric':12s} {'base':>28s} {'change':>28s} {'ratio':>7s} {'won':>6s} {'bound':>6s}")
+    flagged = {"WORSE": [], "gain": []}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         base = [r["metrics"][name] for r in sides["base"]]
@@ -121,18 +114,54 @@ def main() -> None:
         flag = ("WORSE" if -gain > m["bound"] * bq[1]
                 else "gain" if (10 * won >= 9 * args.pairs and gain > bq[2] - bq[0]
                                 and not more_failed) else "")
+        if flag:
+            flagged[flag].append(name)
         cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (bq, cq)]
         print(f"{name:12s} {cells[0]:>28s} {cells[1]:>28s} {cq[1] / bq[1]:7.3f} "
               f"{won:>3d}/{args.pairs:<2d} {m['bound']:6.2f} {flag}")
-    print(f"src/qgcl lines: base {lines['base']}, change {lines['change']} "
-          f"({lines['change'] - lines['base']:+d})")
-    if traced:
+    if args.layers:
+        traced = {side: run(path, workload, args, trace=1)["metrics"]
+                  for side, path in checkouts.items()}
         print(f"\none traced run a side, self time per pass (s):\n"
               f"{'layer':28s} {'base':>10s} {'change':>10s} {'ratio':>7s}")
         for layer in LAYERS:
             base, change = (traced[s][f"{layer}.self_s"] for s in ("base", "change"))
             ratio = change / base if base else float("nan")  # a layer the workload never enters
             print(f"{layer:28s} {base:10.4g} {change:10.4g} {ratio:7.3f}")
+    print(flush=True)
+    return (f"{workload}: WORSE {', '.join(flagged['WORSE']) or 'none'}; "
+            f"gain {', '.join(flagged['gain']) or 'none'}"
+            + ("; FAILED" if more_failed else ""))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True, nargs="+",
+                        help="workload names, or all")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--layers", action="store_true",
+                        help="also compare one traced run per side, layer by layer")
+    args = parser.parse_args()
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    known = [w["name"] for w in bench["workloads"]]
+    workloads = known if args.workload == ["all"] else args.workload
+    unknown = sorted(set(workloads) - set(known))
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; choose from {', '.join(known)} or all")
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as base:
+        extract(args.base, base)
+        checkouts = {"base": base, "change": ROOT}
+        summary = [compare(w, args, checkouts, bench["end_to_end"]) for w in workloads]
+        lines = {side: source_lines(path) for side, path in checkouts.items()}
+    print(f"src/qgcl lines: base {lines['base']}, change {lines['change']} "
+          f"({lines['change'] - lines['base']:+d})")
+    print("summary:")
+    for line in summary:
+        print(f"  {line}")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ streaming evaluation applies as a gather (``kernel``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -22,12 +23,19 @@ MAX_DIM_DEFAULT = 4096
 DEFAULT_TOL = 1e-9
 
 
+def _finite(m: np.ndarray) -> bool:
+    """Every entry of a complex array is finite.  A contiguous one is read
+    as the float array of its parts, half the work of the complex test: a
+    complex number is finite exactly when both of its parts are."""
+    return bool(np.isfinite(m.ravel("K").view(float) if m.flags.forc else m).all())
+
+
 def as_matrix(value) -> np.ndarray:
     """Coerce to a finite 2-D complex array."""
     m = np.asarray(value, dtype=complex)
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got array of rank {m.ndim}")
-    if not np.isfinite(m).all():
+    if not _finite(m):
         raise ShapeError("matrix has non-finite entries")
     return m
 
@@ -43,7 +51,7 @@ def as_matrices(value) -> np.ndarray:
         m = m[None]
     if m.ndim != 3:
         raise ShapeError(f"expected a matrix or a stack of matrices, got array of rank {m.ndim}")
-    if not np.isfinite(m).all():
+    if not _finite(m):
         raise ShapeError("matrix has non-finite entries")
     return m
 
@@ -135,40 +143,56 @@ def permute_factors(m, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
     return t.transpose(axes).reshape(side, side)
 
 
+def sealed(m: np.ndarray) -> bool:
+    """Whether no caller can write ``m``'s entries: it owns them and is
+    read-only, as ``frozen`` leaves it."""
+    return m.flags.owndata and not m.flags.writeable
+
+
 def frozen(value) -> np.ndarray:
     """A read-only complex copy of ``value``, in its memory order; ``value``
-    itself when it already is a read-only complex array owning its data.
-    Program nodes keep such snapshots, so no caller can change their
-    matrices after construction."""
-    if (isinstance(value, np.ndarray) and value.dtype == complex
-            and value.flags.owndata and not value.flags.writeable):
+    itself when it already is a sealed complex array.  Program nodes keep
+    such snapshots, so no caller can change their matrices after
+    construction."""
+    if isinstance(value, np.ndarray) and value.dtype == complex and sealed(value):
         return value
     m = np.array(value, dtype=complex)
     m.flags.writeable = False
     return m
 
 
-HERMITIAN_BLOCK_BYTES = 1 << 18  # rows of m† formed, checked and averaged at a time, 256 KB
+HERMITIAN_BLOCK_BYTES = 1 << 18  # one square tile of m, checked and averaged with its mirror, 256 KB
 
 
 def hermitian_part(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     """``(m + m†) / 2`` when ``m`` (a matrix as ``as_matrix`` returns it) is
     square and ``max |m - m†| <= tol``, Hermitian within ``tol``; else
-    ``None``.  ``m†`` is formed straight into the result, in row blocks of
-    about ``HERMITIAN_BLOCK_BYTES`` that are checked and averaged while
-    they are still in cache."""
+    ``None``.
+
+    ``m`` is read in square tiles of about ``HERMITIAN_BLOCK_BYTES``, each
+    tile of the upper triangle together with its mirror below, so every
+    entry is read once and while its partner is in cache.  A tile pair is
+    checked, averaged into the conjugate of the part, in C order, and
+    mirrored.  The part is returned as that buffer's transpose: the part
+    is exactly Hermitian, so the values are bit for bit ``(m + m†) / 2``,
+    and the array is in Fortran order, the order LAPACK reads
+    (``hermitian_psd``).  A matrix that fits in one tile is one step."""
     if m.shape[0] != m.shape[1]:
         return None
-    out = np.empty(m.shape, dtype=complex)
-    step = max(1, HERMITIAN_BLOCK_BYTES // (16 * max(1, len(m))))
-    for i in range(0, len(m), step):
-        rows, own = out[i:i + step], m[i:i + step]
-        np.conjugate(m[:, i:i + step].T, out=rows)
-        if np.max(np.abs(own - rows)) > tol:
-            return None
-        rows += own
-        rows /= 2
-    return out
+    n = len(m)
+    side = max(1, math.isqrt(HERMITIAN_BLOCK_BYTES // 16))
+    conj = np.empty(m.shape, dtype=complex)  # conj(part), the part's transpose
+    for i in range(0, n, side):
+        for j in range(i, n, side):
+            tile, mirror = conj[i:i + side, j:j + side], m[j:j + side, i:i + side].T
+            np.conjugate(m[i:i + side, j:j + side], out=tile)
+            if np.max(np.abs(tile - mirror)) > tol:
+                return None
+            tile += mirror
+            tile /= 2
+            if j != i:
+                np.conjugate(tile.T, out=conj[j:j + side, i:i + side])
+    return conj.T
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
@@ -275,20 +299,25 @@ def is_positive(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def hermitian_psd(herm: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """``min eig(herm) >= -tol`` for a Hermitian ``herm``, which may be
-    overwritten.
+    """``min eig(herm) >= -tol`` for an exactly Hermitian ``herm``, such as
+    ``hermitian_part`` returns, which may be overwritten.
 
     It passes at once when Gershgorin's discs prove it, in O(d²): every
     eigenvalue is at least ``min_i (herm_ii - sum_{j != i} |herm_ij|)``.
     Otherwise it passes when ``herm + tol I`` has a Cholesky factor; only
     when the factorisation fails do its eigenvalues decide.  Each step
     answers only what it proves, so the verdict is the eigenvalues' one.
+    The row sums are taken over ``herm.T``, whose rows hold the same
+    magnitudes in the same order, and which is in C order when ``herm`` is
+    in Fortran order; numpy then hands ``herm`` to LAPACK without a
+    transposing copy.
     """
-    radii = np.abs(herm)
+    rows = herm.T
+    radii = np.abs(rows)
     radii.flat[:: herm.shape[0] + 1] = 0
-    if np.min(herm.diagonal().real - radii.sum(axis=1)) >= -tol:
+    if np.min(rows.diagonal().real - radii.sum(axis=1)) >= -tol:
         return True
-    herm.flat[:: herm.shape[0] + 1] += tol
+    rows.flat[:: herm.shape[0] + 1] += tol
     try:
         np.linalg.cholesky(herm)
         return True
@@ -348,7 +377,7 @@ def choi(kraus: Sequence[np.ndarray], dim: int | None = None) -> np.ndarray:
     return rows.T @ rows.conj()
 
 
-CHOI_BLOCK_BYTES = 1 << 22  # one row block of a Choi difference, 4 MB
+CHOI_BLOCK_BYTES = 1 << 20  # one row block of a Choi difference, 1 MB
 
 
 def choi_max_diff(a: Sequence[np.ndarray], b: Sequence[np.ndarray], dim: int) -> float:

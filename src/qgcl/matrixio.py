@@ -21,8 +21,8 @@ from .registers import DensityMatrix, Observable, RegisterLayout
 
 
 def matrix_to_record(m: np.ndarray) -> dict[str, Any]:
-    m = linalg.as_matrix(m)
-    entries = np.stack([m.real, m.imag], axis=-1).reshape(-1, 2).tolist()
+    m = np.ascontiguousarray(linalg.as_matrix(m))
+    entries = m.view(float).reshape(-1, 2).tolist()
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries}
 
 
@@ -34,6 +34,17 @@ def _count(value: Any, what: str) -> int:
 
 
 def matrix_from_record(record: Any) -> np.ndarray:
+    return linalg.as_matrix(_decode(record))
+
+
+def _decode(record: Any) -> np.ndarray:
+    """The record's matrix as a fresh ``(rows, cols)`` complex array of its
+    own, its entries not yet checked for finiteness.
+
+    The ``[re, im]`` pairs are read in one flat pass: numpy gives the parts
+    the dtype it gives the nested pairs, since it promotes number by number
+    (so an int beyond uint64 is an object, as there), but it reads a JSON
+    true/false among numbers as 1/0, so the parts' types are scanned too."""
     if not isinstance(record, dict):
         raise ShapeError("matrix record must be a JSON object")
     try:
@@ -48,16 +59,18 @@ def matrix_from_record(record: Any) -> np.ndarray:
         raise ShapeError(
             f"matrix record needs {rows * cols} entries, got {len(entries) if isinstance(entries, list) else 'non-list'}"
         )
+    pairs = set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) == {2}
+    parts = list(chain.from_iterable(entries)) if pairs else [None]
     try:
-        values = np.array(entries)
-    except ValueError:  # ragged nesting
+        values = np.array(parts)
+    except ValueError:  # a part that is itself a ragged list
         values = None
-    # numpy reads a JSON true/false mixed with numbers as 1/0: scan the types
-    if (values is None or values.dtype.kind not in "iuf" or values.shape != (rows * cols, 2)
-            or bool in set(map(type, chain.from_iterable(entries)))):
+    if (values is None or values.dtype.kind not in "iuf" or values.ndim != 1
+            or bool in set(map(type, parts))):
         raise ShapeError("matrix entries must be [re, im] pairs of numbers")
-    m = values.astype(float, copy=False).view(complex).reshape(rows, cols)
-    return linalg.as_matrix(m)
+    m = np.empty((rows, cols), dtype=complex)
+    m.view(float).reshape(-1)[:] = values
+    return m
 
 
 def layout_to_record(layout: RegisterLayout) -> list[list]:
@@ -88,7 +101,9 @@ def from_record(kind: type[DensityMatrix] | type[Observable], record: Any,
     if not isinstance(record, dict) or "layout" not in record:
         raise ShapeError(f"{kind.kind} record needs a 'layout' field")
     layout = layout_from_record(record["layout"])
-    x = kind(matrix_from_record(record), layout)
+    matrix = _decode(record)
+    matrix.flags.writeable = False  # sealed: ``validate`` passes it once per ``tol``
+    x = kind(matrix, layout)
     x.validate(tol)
     return x
 
@@ -100,7 +115,7 @@ observable_from_record = partial(from_record, Observable)
 
 def dumps(record: Any) -> str:
     """Deterministic JSON rendering used for all file output."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def load_file(path: str) -> Any:

@@ -9,7 +9,12 @@ against the total dimension cap.
 
 ``DensityMatrix`` and ``Observable`` are one type, a square matrix on a
 layout, that differ in their ``kind`` (which names them in messages and
-records) and in what ``validate`` asks of the matrix.
+records) and in what ``validate`` asks of the matrix.  They carry the one
+input policy.  A value is immutable, and its constructor checks its matrix
+once, finite and shaped to its layout, so the evaluators take it as it is.
+Positivity is checked where an input enters (``validate``: the record
+loaders, ``wp_apply``).  A value whose matrix is sealed, as the loaders
+leave it, is not checked again at a tolerance it passed at.
 """
 
 from __future__ import annotations
@@ -160,21 +165,39 @@ def _check_positive(m: np.ndarray, tol: float, what: str) -> None:
         raise ContractError(f"{what} is not positive semidefinite within tolerance")
 
 
-@dataclass(eq=False)
+_PASSED = "_passed_at"  # the tolerances at which a value with a sealed matrix passed ``validate``
+
+
+@dataclass(frozen=True, eq=False)
 class _OnLayout:
     """A square matrix on a register layout, coerced by ``linalg.as_matrix``
     and shaped ``(layout.dim, layout.dim)``; each subclass's ``kind`` names
-    it in messages."""
+    it in messages, and its ``_contract`` is what ``validate`` asks of the
+    matrix.  The value is immutable, so its matrix is always the array its
+    constructor checked, and the evaluators take it as it is."""
 
     matrix: np.ndarray
     layout: RegisterLayout
 
     def __post_init__(self):
-        self.matrix = linalg.as_matrix(self.matrix)
-        if self.matrix.shape != (self.layout.dim, self.layout.dim):
+        matrix = linalg.as_matrix(self.matrix)
+        if matrix.shape != (self.layout.dim, self.layout.dim):
             raise LayoutError(
-                f"{self.kind} shape {self.matrix.shape} does not match layout dim {self.layout.dim}"
+                f"{self.kind} shape {matrix.shape} does not match layout dim {self.layout.dim}"
             )
+        object.__setattr__(self, "matrix", matrix)
+
+    def validate(self, tol: float = linalg.DEFAULT_TOL) -> None:
+        """Raise ``ContractError`` unless the matrix meets the contract
+        within ``tol``.  A value whose matrix no caller can write
+        (``linalg.sealed``, as the record loader leaves it) records each
+        ``tol`` it passed at and is not checked again at it; any other value
+        is checked at every call."""
+        if tol in self.__dict__.get(_PASSED, ()) and linalg.sealed(self.matrix):
+            return
+        self._contract(tol)
+        if linalg.sealed(self.matrix):
+            self.__dict__.setdefault(_PASSED, set()).add(tol)
 
 
 class DensityMatrix(_OnLayout):
@@ -182,7 +205,7 @@ class DensityMatrix(_OnLayout):
 
     kind = "density"
 
-    def validate(self, tol: float = linalg.DEFAULT_TOL) -> None:
+    def _contract(self, tol: float) -> None:
         _check_positive(self.matrix, tol, "density matrix")
         tr = float(np.trace(self.matrix).real)
         if tr > 1 + tol:
@@ -194,5 +217,5 @@ class Observable(_OnLayout):
 
     kind = "observable"
 
-    def validate(self, tol: float = linalg.DEFAULT_TOL) -> None:
+    def _contract(self, tol: float) -> None:
         _check_positive(self.matrix, tol, "observable")

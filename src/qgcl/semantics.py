@@ -35,6 +35,12 @@ coin-then-guard ``QChoice.seq``, a guard its branch functions and their
 ``A_i`` (``_branches``).  Per ``(tol, max_dim)`` a node keeps only the
 record that it passed ``_check``.
 
+``apply_program`` and ``wp_apply`` take their typed input as its
+constructor checked it (``registers``) and hand it to the stream core,
+which does not scan it again; the public ``stream`` takes a raw array and
+so runs that constructor check.  Results are built by the same
+constructor, so an overflowing result raises ``ShapeError``.
+
 ``apply_program`` and ``wp_apply`` never build the channel: ``stream``
 pushes the state (or, backwards, the observable) through the program, each
 operator acting on its own tensor factors, a guard block by block in its
@@ -294,7 +300,7 @@ def apply_program(
     max_dim: int = linalg.MAX_DIM_DEFAULT,
 ) -> DensityMatrix:
     """Evaluate a program on an input state given over at least its variables."""
-    return DensityMatrix(stream(p, rho.matrix, rho.layout, tol=tol, max_dim=max_dim), rho.layout)
+    return DensityMatrix(_stream(p, rho, False, tol, max_dim), rho.layout)
 
 
 def stream(
@@ -311,19 +317,28 @@ def stream(
 
     ``x`` is given on ``layout``: a state over at least the program's
     variables, an observable over exactly them, in any factor order.  Every
-    operator acts on its own factors of ``x``.  The program is checked, and
-    ``x``'s layout, before ``x`` is touched.  No ``wp(I) <= I`` pass is made:
-    the trace bound follows from the leaf contracts, each checked on the
-    leaf's own operator, its norm within ``tol`` (as for ``denote``).
+    operator acts on its own factors of ``x``.  ``x`` is checked first, as
+    its typed value's constructor checks the input of ``apply_program`` and
+    ``wp_apply``; then the program, and ``x``'s layout, before ``x`` is
+    touched.  No ``wp(I) <= I`` pass is made: the trace bound follows from
+    the leaf contracts, each checked on the leaf's own operator, its norm
+    within ``tol`` (as for ``denote``).
     """
+    return _stream(p, (Observable if adjoint else DensityMatrix)(x, layout), adjoint, tol, max_dim)
+
+
+def _stream(p: Program, x: DensityMatrix | Observable, adjoint: bool, tol: float,
+            max_dim: int) -> np.ndarray:
+    """``stream`` of a typed value, whose matrix its constructor checked,
+    into an array that is not that matrix."""
+    layout, m = x.layout, x.matrix
     _check(p, tol, max_dim)
     _check_input(p.layout, layout, adjoint)
     if layout.variables != p.layout.variables:
         check_cap(layout.dim, max_dim)
-    m = (Observable if adjoint else DensityMatrix)(x, layout).matrix
     out = _Stream(max_dim).push(p, m.reshape(layout.dims * 2), layout.names, adjoint)
     out = out.reshape(layout.dim, layout.dim)
-    return out.copy() if np.may_share_memory(out, x) else out
+    return out.copy() if np.may_share_memory(out, m) else out
 
 
 def _check_input(program: RegisterLayout, given: RegisterLayout, adjoint: bool) -> None:

@@ -12,7 +12,7 @@ from . import linalg
 from .ovf import SuperOperator
 from .program import Program
 from .registers import Observable
-from .semantics import denote, stream
+from .semantics import _stream, denote
 
 
 def wp(
@@ -40,5 +40,4 @@ def wp_apply(
     """Weakest precondition of an observable given over exactly the program's
     variables, in any factor order, streamed backwards through the program."""
     m.validate(tol)
-    return Observable(stream(p, m.matrix, m.layout, adjoint=True, tol=tol, max_dim=max_dim),
-                      m.layout)
+    return Observable(_stream(p, m, True, tol, max_dim), m.layout)

@@ -301,7 +301,9 @@ class TestPositivityAgainstEigenvalues:
 
     @pytest.mark.parametrize("dim", [2, 64])
     @pytest.mark.parametrize("edge", [1 - 1e-3, 1 + 1e-3, 2 - 1e-3, 2 + 1e-3])
-    @pytest.mark.parametrize("block_rows", [None, 1, 3])  # 3 rows: a short last block at 64
+    # The bytes of 1 or 3 rows make square tiles of side 1 or 2 at dim 2 and
+    # side 8 or 13 at dim 64, 13 leaving a short last tile.
+    @pytest.mark.parametrize("block_rows", [None, 1, 3])
     def test_anti_hermitian_part_at_the_tolerance_edge(self, dim, edge, block_rows):
         gen = np.random.default_rng(dim)
         skew = rand_matrix(gen, dim, dim)
@@ -329,8 +331,8 @@ class TestPositivityAgainstEigenvalues:
     @pytest.mark.parametrize("at", [(63, 63), (61, 62), (62, 61)])  # all in the later blocks
     @pytest.mark.parametrize("edge", [1 - 1e-3, 1 + 1e-3])
     def test_hermitian_part_asymmetric_only_in_the_last_rows(self, at, edge):
-        # Blocks of 3 rows at dim 64: every block before the last two is
-        # Hermitian, so the verdict rests on the last ones.
+        # Tiles of side 13 at dim 64: every entry is Hermitian but one in
+        # the short last tile row, so the verdict rests on that tile.
         m = with_lowest_eigenvalue(np.random.default_rng(7), 64, 0.0) / 64
         m = (m + m.conj().T) / 2
         m[at] += 1j * edge * self.TOL / (2 if at[0] == at[1] else 1)  # |m - m†| = edge tol there
@@ -351,6 +353,54 @@ class TestPositivityAgainstEigenvalues:
         m = with_lowest_eigenvalue(np.random.default_rng(6), 8, -16 * self.TOL) / 8  # -2 tol
         with pytest.raises(ContractError, match=f"^{what} is not positive semidefinite"):
             kind(m, RegisterLayout.of(("q", 8))).validate(self.TOL)
+
+
+class TestHermitianTiles:
+    """``hermitian_part`` reads ``m`` in square tiles, each with its mirror,
+    and ``hermitian_psd`` factors the part in Fortran order; the verdicts
+    and values are those of the whole-matrix formulas at every tile size."""
+
+    TOL = 1e-9
+    TILES = [16, 16 * 9, 16 * 64 * 64, la.HERMITIAN_BLOCK_BYTES]  # sides 1, 3, 64, default
+
+    @given(st.integers(1, 200), st.sampled_from(TILES),
+           st.sampled_from(["none", "last", "diagonal", "pair"]),
+           st.sampled_from([1 - 1e-3, 1 + 1e-3]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_part_is_the_average_and_none_past_tol(self, dim, tile, where, edge, seed):
+        gen = np.random.default_rng(seed)
+        a = rand_matrix(gen, dim, dim)
+        m = (a + a.conj().T) / 2  # exactly Hermitian
+        i, j = {"none": (0, 0), "last": (dim - 1, dim // 2), "diagonal": (dim // 3, dim // 3),
+                "pair": (0, dim - 1)}[where]
+        if where != "none":
+            m[i, j] += 1j * edge * self.TOL / (2 if i == j else 1)  # |m - m†| = edge tol there
+        over = bool(np.abs(m - m.conj().T).max() > self.TOL)
+        with patch.object(la, "HERMITIAN_BLOCK_BYTES", tile):
+            part = la.hermitian_part(m, self.TOL)
+        if over:
+            assert part is None
+        else:
+            assert np.array_equal(part, (m + m.conj().T) / 2) and part.flags.f_contiguous
+        assert over == (where != "none" and edge > 1)
+
+    @given(st.integers(2, 120), st.sampled_from(TILES), st.sampled_from([1 - 1e-3, 1 + 1e-3]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_psd_matches_eigenvalues_factoring_fortran_order(self, dim, tile, scale, seed):
+        m = with_lowest_eigenvalue(np.random.default_rng(seed), dim, -self.TOL * scale)
+        real, factored = np.linalg.cholesky, []
+
+        def cholesky(a):
+            factored.append(a.flags.f_contiguous)
+            return real(a)
+
+        with patch.object(la, "HERMITIAN_BLOCK_BYTES", tile), \
+                patch.object(np.linalg, "cholesky", cholesky):
+            part = la.hermitian_part(m, self.TOL)
+            verdict = la.hermitian_psd(part, self.TOL)
+        assert verdict == eigvalsh_positive(m, self.TOL) == (scale < 1)
+        assert all(factored) and (factored or scale < 1)  # Gershgorin cannot pass a -tol part
 
 
 class TestChoi:

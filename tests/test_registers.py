@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +92,35 @@ def test_observable_validation():
     Observable(la.tensor(np.diag([1.0, 0.0]), la.identity(2)), lay).validate()
     with pytest.raises(ContractError):
         Observable(np.diag([-1.0, 0.0]).astype(complex), RegisterLayout.of(("q", 2))).validate()
+
+
+@pytest.mark.parametrize("kind", [DensityMatrix, Observable])
+def test_typed_values_are_immutable(kind):
+    x = kind(np.eye(2) / 2, RegisterLayout.of(("q", 2)))
+    with pytest.raises(FrozenInstanceError):
+        x.matrix = np.zeros((2, 2))
+    with pytest.raises(FrozenInstanceError):
+        x.layout = RegisterLayout.of(("r", 2))
+
+
+@pytest.mark.parametrize("kind", [DensityMatrix, Observable])
+def test_only_a_sealed_matrix_is_validated_once_per_tolerance(kind, monkeypatch):
+    calls = []
+    real = la.hermitian_psd
+    monkeypatch.setattr(la, "hermitian_psd", lambda *a: calls.append(a[1]) or real(*a))
+    lay = RegisterLayout.of(("q", 2))
+    open_ = kind(np.eye(2) / 2, lay)  # its caller can still write the matrix
+    open_.validate()
+    open_.validate()
+    sealed = kind(la.frozen(np.eye(2) / 2), lay)
+    sealed.validate()
+    sealed.validate()
+    sealed.validate(1e-6)
+    assert calls == [la.DEFAULT_TOL, la.DEFAULT_TOL, la.DEFAULT_TOL, 1e-6]
+    bad = la.frozen(np.diag([-1.0, 0.5]))
+    for _ in range(2):  # a failed check records nothing
+        with pytest.raises(ContractError):
+            kind(bad, lay).validate()
 
 
 # -- Stacked embedding ----------------------------------------------------------

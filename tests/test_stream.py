@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 import qgcl.program as program
 import qgcl.semantics as semantics
 from qgcl import linalg as la
-from qgcl.errors import CapacityError, LayoutError, UnsupportedConstructError
+from qgcl.errors import CapacityError, LayoutError, ShapeError, UnsupportedConstructError
 from qgcl.program import (
     Abort,
     Block,
@@ -312,6 +312,25 @@ def test_mis_shaped_input_is_a_layout_error(shape, adjoint):
     message = f"{'observable' if adjoint else 'density'} shape {shape} does not match layout dim 2"
     with pytest.raises(LayoutError, match=re.escape(message)):
         semantics.stream(Unitary((Q,), H), np.ones(shape), QL, adjoint=adjoint)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_non_finite_input_is_a_shape_error(adjoint):
+    x = np.eye(2) / 2
+    x[1, 0] = np.nan
+    with pytest.raises(ShapeError, match="^matrix has non-finite entries$"):
+        semantics.stream(Unitary((Q,), H), x, QL, adjoint=adjoint)
+
+
+def test_an_overflowing_result_is_a_shape_error():
+    # The input state is trusted as its constructor checked it; the result
+    # is built by the same constructor, so its entries are checked again.
+    big = la.frozen(np.full((2, 2), 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ShapeError, match="^matrix has non-finite entries$"):
+            apply_program(Unitary((Q,), H), DensityMatrix(big, QL))
+        with pytest.raises(ShapeError, match="^matrix has non-finite entries$"):
+            wp_apply(Unitary((Q,), H), Observable(big, QL))
 
 
 def nodes(p):

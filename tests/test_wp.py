@@ -207,3 +207,18 @@ def test_wp_family_is_adjoint_of_forward_family():
     assert len(forward.kraus) == len(backward.kraus)
     for f, b in zip(forward.kraus, backward.kraus):
         assert la.max_abs_diff(la.dagger(f), b) == 0
+
+
+def test_a_fresh_observable_is_checked_on_every_call(monkeypatch):
+    # Built from an array its caller can still write, so ``wp_apply`` runs
+    # the whole positivity check each time; a negative one is refused.
+    calls = []
+    real = la.hermitian_psd
+    monkeypatch.setattr(la, "hermitian_psd", lambda *a: calls.append(1) or real(*a))
+    p, layout = Unitary((("q", 2),), la.identity(2)), RegisterLayout.of(("q", 2))
+    m = Observable(np.diag([1.0, 0.5]), layout)
+    wp_apply(p, m)
+    wp_apply(p, m)
+    assert len(calls) == 2
+    with pytest.raises(ContractError, match="^observable is not positive semidefinite"):
+        wp_apply(p, Observable(np.diag([1.0, -0.5]), layout))
