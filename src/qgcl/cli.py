@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or EQUIV), 1 diagnostics reported or programs DISTINCT,
 2 equivalence attempted over different variable sets, 64 usage error, 66
-unreadable or malformed input file, 70 numerical failure or resource limit.
+unreadable or malformed input file, 70 numerical failure or resource limit,
+73 output file cannot be written.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EX_QVAR_MISMATCH = 2
 EX_USAGE = 64
 EX_NOINPUT = 66
 EX_NUMERICAL = 70
+EX_CANTCREAT = 73
 
 
 class _Cli(argparse.ArgumentParser):
@@ -115,19 +117,26 @@ def _load_program(path: str, tol: float, max_dim: int, diagnostics=None):
 
 def _load_json(path: str, loader, tol: float):
     try:
-        return loader(matrixio.load_file(path), tol)
+        with matrixio._gc_paused():
+            return loader(matrixio.load_file(path), tol)
     except (OSError, json.JSONDecodeError, QgclError, ValueError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EX_NOINPUT)
 
 
-def _emit(record, out: str | None) -> None:
-    text = matrixio.dumps(record)
+def _emit(to_record, value, out: str | None) -> None:
+    """``value``'s record, to ``out`` or stdout; exit 73 when ``out`` cannot be written."""
+    with matrixio._gc_paused():
+        text = matrixio.dumps(to_record(value))
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        raise SystemExit(EX_CANTCREAT)
 
 
 def main(argv=None) -> int:
@@ -146,14 +155,14 @@ def main(argv=None) -> int:
             program = _load_program(args.file, tol, args.max_dim)
             state = _load_json(args.input, matrixio.density_from_record, tol)
             out = apply_program(program, state, tol=tol, max_dim=args.max_dim)
-            _emit(matrixio.density_to_record(out), args.out)
+            _emit(matrixio.density_to_record, out, args.out)
             return EX_OK
 
         if args.command == "wp":
             program = _load_program(args.file, tol, args.max_dim)
             observable = _load_json(args.observable, matrixio.observable_from_record, tol)
             result = wp_apply(program, observable, tol=tol, max_dim=args.max_dim)
-            _emit(matrixio.observable_to_record(result), args.out)
+            _emit(matrixio.observable_to_record, result, args.out)
             return EX_OK
 
         if args.command == "equiv":

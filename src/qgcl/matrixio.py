@@ -8,7 +8,9 @@ accepted anywhere JSON numbers are.
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from functools import partial
 from itertools import chain
 from typing import Any
@@ -113,9 +115,31 @@ density_from_record = partial(from_record, DensityMatrix)
 observable_from_record = partial(from_record, Observable)
 
 
+@contextmanager
+def _gc_paused():
+    """CPython's cyclic collector off for the block, and on again after it
+    if it was on (it is process-wide).  A record's ``[re, im]`` pairs are one
+    list each, 16,384 at dimension 128: trees, which reference counting
+    frees, but every few hundred would start a collector pass.  The block
+    spans both the building and the release of the lists; a pass postponed
+    while they live runs as soon as the collector is back on."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def render(record: Any) -> str:
+    """Deterministic JSON text of a record, as in files and printed source."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def dumps(record: Any) -> str:
-    """Deterministic JSON rendering used for all file output."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    """A record's file text: ``render`` plus a newline."""
+    return render(record) + "\n"
 
 
 def load_file(path: str) -> Any:
@@ -125,7 +149,11 @@ def load_file(path: str) -> Any:
 
 def load_definitions(path: str) -> dict[str, np.ndarray]:
     """Named matrix definitions: a JSON object mapping names to records."""
-    data = load_file(path)
+    with _gc_paused():
+        return _definitions(load_file(path))
+
+
+def _definitions(data: Any) -> dict[str, np.ndarray]:
     if not isinstance(data, dict):
         raise ShapeError("definition file must map names to matrix records")
     return {str(name): matrix_from_record(rec) for name, rec in data.items()}

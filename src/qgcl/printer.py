@@ -8,8 +8,6 @@ so the printed text is self-contained.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from . import matrixio
@@ -84,7 +82,7 @@ class _Renderer:
 
     def _guard_tail(self, p: Guarded | QChoice) -> str:
         """``[basis B] { |i> -> P; ... }``, shared by guard and qchoice."""
-        basis = "" if p.basis.is_computational() else f" basis {self.matrix(p.basis.matrix)}"
+        basis = "" if p.basis.is_computational else f" basis {self.matrix(p.basis.matrix)}"
         arms = "; ".join(f"|{i}> -> {self.program(b)}" for i, b in enumerate(p.branches))
         return f"{basis} {{ {arms} }}"
 
@@ -97,7 +95,7 @@ class _Renderer:
 
 
 def _record(m: np.ndarray) -> str:
-    return json.dumps(matrixio.matrix_to_record(m), sort_keys=True, separators=(",", ":"))
+    return matrixio.render(matrixio.matrix_to_record(m))
 
 
 def print_program(p: Program, *, matrices: dict[str, np.ndarray] | None = None,

@@ -145,6 +145,7 @@ class GuardBasis:
             self.matrix, tol
         )
 
+    @cached_property  # the basis is immutable; guards ask once per streamed op
     def is_computational(self) -> bool:
         return self.matrix.shape[0] == self.matrix.shape[1] and bool(
             np.all(self.matrix == linalg.identity(self.dim))

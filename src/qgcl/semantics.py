@@ -468,7 +468,7 @@ class _Stream:
         A zero block is evaluated like any other: every branch kernel is
         linear, so it gives zero, and testing for it would read ``t`` again."""
         gnames = p.own_layout.names
-        rotate = not p.basis.is_computational()
+        rotate = not p.basis.is_computational
         if rotate:
             t = _sandwich(t, names, linalg.dagger(p.basis.matrix), gnames)
         n = len(names)

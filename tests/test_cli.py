@@ -1,13 +1,18 @@
+import gc
 import json
 import os
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qgcl import linalg as la
+from qgcl import linalg as la, matrixio
 from qgcl.cli import main
+from qgcl.errors import ShapeError
+from qgcl.registers import DensityMatrix, RegisterLayout
+from qgcl.sampling import random_density, random_unitary, rng
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
@@ -244,6 +249,102 @@ def test_malformed_record_exit_66(tmp_path, capsys, command, flag, change):
     assert run_cli(command, prog, flag, data) == 66
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flag, data", [("run", "--input", "bb84_input.json"),
+                                                ("wp", "--observable", "observable_p0.json")])
+@pytest.mark.parametrize("where", ["missing/out.json", "."])
+def test_unwritable_out_exit_73(tmp_path, capsys, command, flag, data, where):
+    """An ``--out`` in a missing directory, or naming a directory, is one
+    error line and exit 73, not a traceback under the exit code of a verdict."""
+    out = str(tmp_path / where)
+    assert run_cli(command, sample("bb84.qgcl"), flag, sample(data), "--out", out) == 73
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
+@pytest.fixture
+def collector():
+    """The cyclic collector on for the test, as it was found afterwards."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@contextmanager
+def collections():
+    """The generations of the cyclic collections run in the block."""
+    seen = []
+
+    def count(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    gc.collect()  # the generation counts start from zero
+    gc.callbacks.append(count)
+    try:
+        yield seen
+    finally:
+        gc.callbacks.remove(count)
+
+
+def big_files(tmp_path):
+    """A 128 x 128 state, a definitions file with a 128 x 128 unitary, and
+    a source that uses it."""
+    gen = rng(5)
+    layout = RegisterLayout((("q", 128),))
+    state = write(tmp_path / "state.json",
+                  matrixio.dumps(matrixio.to_record(DensityMatrix(random_density(gen, 128), layout))))
+    write(tmp_path / "defs.json", matrixio.dumps({"U": matrixio.matrix_to_record(random_unitary(gen, 128))}))
+    prog = write(tmp_path / "u.qgcl", 'qvar q : 128;\nuse "defs.json";\n\nU[q]\n')
+    return state, prog
+
+
+def test_record_files_run_no_cyclic_collection(tmp_path, collector):
+    """Reading and writing a 128 x 128 record builds some 16,000 ``[re, im]``
+    lists, which would set off dozens of collector passes; the collector is
+    paused while they live, so a ``run`` makes none and a ``use`` none."""
+    state, prog = big_files(tmp_path)
+    skip = write(tmp_path / "skip.qgcl", "qvar q : 128;\nskip\n")
+    out = str(tmp_path / "out.json")
+    run_cli("check", sample("walk_step.qgcl"))  # warm the CLI's own caches
+    with collections() as seen:
+        assert run_cli("run", skip, "--input", state, "--out", out) == 0
+    assert seen == []
+    assert Path(out).read_bytes() == Path(state).read_bytes()
+    with collections() as seen:
+        assert run_cli("check", prog) == 0
+    assert seen == []
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_record_files_leave_the_collector_as_found(tmp_path, capsys, collector, enabled):
+    """Each record read and write, failing ones too, leaves the collector on
+    or off as the caller had it."""
+    state, prog = big_files(tmp_path)
+    bad_json = write(tmp_path / "bad.json", '{"rows": 2, "cols": ')
+    bad_shape = write(tmp_path / "shape.json", '{"rows": 2, "cols": 2, "layout": [["q", 2]], "entries": []}')
+    bad_defs = write(tmp_path / "bad_defs.json", '{"U": {"rows": 2}}')
+    bad_use = write(tmp_path / "bad_use.qgcl", 'qvar q : 2;\nuse "bad_defs.json";\n\nskip\n')
+    (gc.enable if enabled else gc.disable)()
+    cases = [
+        (("run", prog, "--input", state, "--out", str(tmp_path / "out.json")), 0),
+        (("wp", sample("bb84.qgcl"), "--observable", sample("observable_p0.json")), 0),
+        (("check", prog), 0),
+        (("run", prog, "--input", bad_json), 66),  # json.JSONDecodeError
+        (("run", prog, "--input", bad_shape), 66),  # ShapeError
+        (("check", bad_use), 1),  # ShapeError in the definitions
+        (("run", prog, "--input", state, "--out", str(tmp_path / "no" / "out.json")), 73),
+    ]
+    for argv, code in cases:
+        assert run_cli(*argv) == code
+        assert gc.isenabled() is enabled
+    with pytest.raises(ShapeError):
+        matrixio.load_definitions(bad_defs)
+    assert gc.isenabled() is enabled
 
 
 DEEP_COMMANDS = {
