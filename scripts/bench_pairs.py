@@ -7,10 +7,13 @@
 ``--workload`` takes one or more workload names, or ``all`` for every
 workload of ``BENCHMARK.json``; the pairs are run workload by workload.
 
-The revision is extracted with ``git archive`` into a temporary directory,
-so no worktree is made and ``.git`` is not written.  Each pair runs
-``perfbench/run.py`` once on the revision and once on this checkout as it
-stands, alternating which side runs first.  For every end-to-end metric of
+Both sides run from fresh temporary directories, built the same way, so
+neither has a ``.git``, caches or build leftovers the other lacks: the
+revision is extracted with ``git archive``, and this checkout's working
+tree is copied as it stands, its tracked and untracked files that git does
+not ignore (``git ls-files -co --exclude-standard``).  No worktree is made
+and ``.git`` is not written.  Each pair runs ``perfbench/run.py`` once on
+each side, alternating which side runs first.  For every end-to-end metric of
 ``BENCHMARK.json`` it prints each side's median and quartiles, the change's
 median relative to the base's, the pairs the change won (ties count for
 neither side) and the metric's bound.  A metric is flagged ``WORSE`` when
@@ -33,6 +36,7 @@ import argparse
 import glob
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -51,6 +55,17 @@ def extract(rev: str, dest: str) -> None:
     archive.stdout.close()
     if archive.wait() != 0:
         sys.exit(f"git archive {rev} failed")
+
+
+def snapshot(dest: str) -> None:
+    """Copy the working tree's tracked and untracked, non-ignored files into ``dest``."""
+    listed = subprocess.run(["git", "-C", ROOT, "ls-files", "-z", "-co", "--exclude-standard"],
+                            capture_output=True, check=True).stdout
+    for rel in filter(None, listed.decode().split("\0")):
+        path = os.path.join(ROOT, rel)
+        if os.path.lexists(path):  # a tracked file deleted from the tree is not copied
+            os.makedirs(os.path.dirname(os.path.join(dest, rel)), exist_ok=True)
+            shutil.copy2(path, os.path.join(dest, rel), follow_symlinks=False)
 
 
 def run(checkout: str, workload: str, args, trace: int = 0) -> dict:
@@ -152,9 +167,11 @@ def main() -> None:
     unknown = sorted(set(workloads) - set(known))
     if unknown:
         parser.error(f"unknown workload {', '.join(unknown)}; choose from {', '.join(known)} or all")
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as base:
+    with tempfile.TemporaryDirectory(prefix="bench-") as base, \
+            tempfile.TemporaryDirectory(prefix="bench-") as change:
         extract(args.base, base)
-        checkouts = {"base": base, "change": ROOT}
+        snapshot(change)
+        checkouts = {"base": base, "change": change}
         summary = [compare(w, args, checkouts, bench["end_to_end"]) for w in workloads]
         lines = {side: source_lines(path) for side, path in checkouts.items()}
     print(f"src/qgcl lines: base {lines['base']}, change {lines['change']} "

@@ -48,8 +48,6 @@ from .program import (
     Guarded,
     Measure,
     Measurement,
-    Mu,
-    Name,
     ProbChoice,
     Program,
     QChoice,

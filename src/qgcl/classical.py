@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ArityError, DomainClashError
 
@@ -21,9 +21,6 @@ class ClassicalState:
     """Base class; use the module constructors, not subclasses directly."""
 
     __slots__ = ()
-
-    def __mul__(self, other: "ClassicalState") -> "ClassicalState":
-        return concat(self, other)
 
 
 @dataclass(frozen=True)
@@ -103,13 +100,6 @@ def _normal_concat(parts: Sequence[ClassicalState]) -> ClassicalState:
 def concat(a: ClassicalState, b: ClassicalState) -> ClassicalState:
     """Concatenation of states with disjoint domains, in normal form."""
     return _normal_concat(_flatten(a) + _flatten(b))
-
-
-def concat_all(states: Iterable[ClassicalState]) -> ClassicalState:
-    parts: list[ClassicalState] = []
-    for s in states:
-        parts.extend(_flatten(s))
-    return _normal_concat(parts)
 
 
 def extend(state: ClassicalState, name: str, value: int) -> ClassicalState:

@@ -35,7 +35,8 @@ class ContractError(QgclError):
 
 
 class UnsupportedConstructError(QgclError):
-    """The construct has no semantics at the requested level (e.g. recursion)."""
+    """The construct has no semantics at the requested level (e.g. a
+    probabilistic choice as a semi-classical function)."""
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,11 @@ import numpy as np
 
 from . import matrixio
 from .errors import UnsupportedConstructError
-from .program import (Abort, Block, Guarded, Measure, Measurement, Mu, Name, ProbChoice, Program,
-                      QChoice, Seq, Skip, Unitary, children, declared)
+from .program import (Abort, Block, Guarded, Measure, Measurement, ProbChoice, Program, QChoice,
+                      Seq, Skip, Unitary, children, declared)
 
 
 def _collect_qvars(p: Program, seen: dict[str, int]) -> None:
-    if isinstance(p, (Name, Mu)):
-        raise UnsupportedConstructError("program names and recursion have no concrete syntax")
     for name, d in declared(p):
         seen.setdefault(name, d)
     for child in children(p):

@@ -170,7 +170,7 @@ class _bottom_up:
         todo = [p]
         while self.key not in p.__dict__:
             node = todo.pop()
-            missing = [c for c in _scope(node) if self.key not in c.__dict__]
+            missing = [c for c in children(node) if self.key not in c.__dict__]
             if missing:
                 todo += [node, *missing]
             elif self.key not in node.__dict__:  # a shared subprogram is filled once
@@ -191,14 +191,11 @@ class Program:
     def layout(self) -> RegisterLayout:
         """Quantum variables as an ordered layout, the tensor-factor order of
         the semantics (``joined_layout``)."""
-        return joined_layout(self, [c.layout for c in _scope(self)])
+        return joined_layout(self, [c.layout for c in children(self)])
 
     @_bottom_up
     def cvars(self) -> frozenset[str]:
-        """Classical variables: the outcome variables the program binds, or
-        the declared set of a name or recursion."""
-        if isinstance(self, (Name, Mu)):
-            return frozenset(self.classical)
+        """Classical variables: the outcome variables the program binds."""
         own = (self.x,) if isinstance(self, Measure) else ()
         return frozenset(own).union(*(c.cvars for c in children(self)))
 
@@ -206,7 +203,7 @@ class Program:
     def core(self) -> bool:
         """Whether the program uses only the measurement-and-guard core (a
         quantum choice counts: it desugars into the core)."""
-        return not isinstance(self, (Block, ProbChoice, Name, Mu)) and all(
+        return not isinstance(self, (Block, ProbChoice)) and all(
             c.core for c in children(self))
 
 
@@ -317,25 +314,6 @@ class QChoice(Program):
         return desugar_qchoice(self)
 
 
-@dataclass(frozen=True, eq=False)
-class Name(Program):
-    """Program name with a-priori variable sets; no executable semantics."""
-
-    ident: str
-    quantum: tuple[QVar, ...] = ()
-    classical: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True, eq=False)
-class Mu(Program):
-    """Recursion binder; only bounded unrollings are executable."""
-
-    ident: str
-    body: "Program"
-    quantum: tuple[QVar, ...] = ()
-    classical: tuple[str, ...] = ()
-
-
 @cache
 def _child_fields(cls: type) -> tuple[str, ...]:
     """Fields of a node class whose annotation mentions ``Program``: a single
@@ -356,12 +334,6 @@ def children(p: Program) -> list[Program]:
     return out
 
 
-def _scope(p: Program) -> list[Program]:
-    """The subprograms whose variables are ``p``'s: none for a name or a
-    recursion, which declare theirs."""
-    return [] if isinstance(p, (Name, Mu)) else children(p)
-
-
 def rebuild(p: Program, fn) -> Program:
     """Copy of ``p`` with ``fn`` applied to each immediate subprogram; every
     other field, the span included, is kept.  A leaf is returned as is."""
@@ -380,9 +352,9 @@ def rebuild(p: Program, fn) -> Program:
 
 
 def declared(p: Program) -> tuple[QVar, ...]:
-    """Quantum variables a node names itself: operands, guard variables,
-    block locals, or the a-priori set of a name or recursion."""
-    return getattr(p, "qvars", getattr(p, "quantum", ()))
+    """Quantum variables a node names itself: operands, guard variables or
+    block locals."""
+    return getattr(p, "qvars", ())
 
 
 def var(p: Program) -> frozenset[str]:
@@ -402,8 +374,6 @@ def joined_layout(p: Program, layouts: list[RegisterLayout], joined=None) -> Reg
     without them.  A variable used with two dimensions raises
     :class:`LayoutError`.  ``joined`` is ``_join(p, layouts)``, where the
     caller has it."""
-    if isinstance(p, (Name, Mu)):
-        return RegisterLayout(p.quantum)
     if isinstance(p, Block):  # building the locals' layout validates them too
         return layouts[0].remove(p.own_layout.names)
     if declared(p) or not layouts:
@@ -497,7 +467,7 @@ def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]) -> RegisterL
     out.extend(Diagnostic(v.code, v.message, p.span) for v in found)
     if not any(v.cut for v in found):
         out.extend(inner)
-    if "layout" not in p.__dict__ and (None not in layouts or isinstance(p, (Name, Mu))):
+    if "layout" not in p.__dict__ and None not in layouts:
         try:
             p.__dict__["layout"] = joined_layout(p, layouts, joined)
         except LayoutError:
@@ -692,16 +662,6 @@ def _prob_choice(p: ProbChoice, cvars, layouts, tol):
                         ContractError)
 
 
-def _mu(p: Mu, cvars, layouts, tol):
-    if not cvars[0] <= frozenset(p.classical):
-        yield Violation("mu-scope", "body uses classical variables outside the declared set",
-                        LayoutError)
-    body_q = set(layouts[0].names) if layouts[0] is not None else set()
-    if not body_q <= {n for n, _ in p.quantum}:
-        yield Violation("mu-scope", "body uses quantum variables outside the declared set",
-                        LayoutError)
-
-
 RULES = {
     Unitary: _unitary,
     Measure: _measure,
@@ -710,5 +670,4 @@ RULES = {
     Seq: lambda p, cvars, layouts, tol: _seq(cvars),
     Block: lambda p, cvars, layouts, tol: block_rules(p.qvars, p.init, layouts[0], tol),
     ProbChoice: _prob_choice,
-    Mu: _mu,
 }

@@ -87,8 +87,6 @@ from .program import (
     Guarded,
     Measure,
     Measurement,
-    Mu,
-    Name,
     ProbChoice,
     Program,
     QChoice,
@@ -119,9 +117,9 @@ def semi_classical(
     function over the program's classical states and quantum layout.
 
     Defined for the measurement-and-guard core only; quantum choice is
-    accepted through its sequential desugaring.  Blocks, probabilistic
-    choices and recursion are rejected: their meaning exists only at the
-    channel level.  The trace bound ``sum F† F <= I`` holds as for ``denote``.
+    accepted through its sequential desugaring.  Blocks and probabilistic
+    choices are rejected: their meaning exists only at the channel level.
+    The trace bound ``sum F† F <= I`` holds as for ``denote``.
     """
     _check(p, tol, max_dim)
     return _semi(p, max_dim)
@@ -172,11 +170,10 @@ def denote(
     """Channel semantics of a program over its quantum-variable layout, as
     a Kraus family of at most ``d²`` operators composed node by node.
 
-    A guarded command whose branches fall outside the core is rejected, as
-    is recursion.  The channel is trace-nonincreasing by construction,
-    within about ``tol`` per leaf (``2 tol`` per guard basis): the leaf
-    contracts bound each leaf's norm within ``tol`` and every construct
-    preserves the bound.
+    A guarded command whose branches fall outside the core is rejected.
+    The channel is trace-nonincreasing by construction, within about
+    ``tol`` per leaf (``2 tol`` per guard basis): the leaf contracts bound
+    each leaf's norm within ``tol`` and every construct preserves the bound.
     """
     _check(p, tol, max_dim)
     return _denote(p, max_dim)
@@ -363,8 +360,8 @@ def _check(p: Program, tol: float, max_dim: int) -> None:
     """The one checked pass, bottom-up.  Once a node's subprograms pass, the
     first of its side conditions (``program.RULES``) that fails raises, with
     its code leading the message; then what only evaluation rejects, which
-    is recursion, a guard over branches outside the core, the ``max_dim`` cap
-    and a node class it does not know.
+    is a guard over branches outside the core, the ``max_dim`` cap and a
+    node class it does not know.
 
     A node and its matrices never change, so whether it passes depends only
     on ``(tol, max_dim)``: a node that passes records the pair in its
@@ -378,9 +375,6 @@ def _check(p: Program, tol: float, max_dim: int) -> None:
     for sub in subs:
         _check(sub, tol, max_dim)
     enforce_rules(p, [sub.cvars for sub in subs], [sub.layout for sub in subs], tol)
-    if isinstance(p, (Name, Mu)):
-        raise UnsupportedConstructError(
-            "recursion has no channel semantics; use a bounded unrolling")
     if isinstance(p, (Guarded, QChoice)) and not all(map(is_core, p.branches)):
         raise UnsupportedConstructError(
             "guarded command over block/probabilistic branches has no defined semantics")

@@ -1,9 +1,12 @@
-"""Shared corpus builders for the syntax and acceptance suites, and the
-explicit permutation matrix the linalg and ovf suites check against."""
+"""Shared corpus builders for the syntax and acceptance suites, the
+explicit permutation matrix the linalg and ovf suites check against, and a
+node type defined outside the package."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from qgcl.program import Block, ProbChoice, qvar_layout, well_formed
+from qgcl.program import Block, ProbChoice, Program, qvar_layout, well_formed
 from qgcl.sampling import ProgramSampler, random_density, rng
 
 
@@ -34,6 +37,15 @@ def corpus(count: int = 50):
         if not well_formed(p):
             out.append(p)
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class Repeat(Program):
+    """A node type defined outside the package: the program walks reach it
+    through its fields, and no evaluator or printer knows it."""
+
+    body: Program
+    qvars: tuple = ()
 
 
 def permutation_matrix(dims, order):

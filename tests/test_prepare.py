@@ -28,7 +28,6 @@ from qgcl.program import (
     Guarded,
     Measure,
     Measurement,
-    Mu,
     ProbChoice,
     QChoice,
     Seq,
@@ -41,6 +40,8 @@ from qgcl.registers import DensityMatrix, Observable, RegisterLayout
 from qgcl.sampling import random_density, random_positive, random_unitary, rng
 from qgcl.semantics import apply_program, denote, semi_classical
 from qgcl.wp import wp_apply
+
+from conftest import Repeat
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -134,8 +135,10 @@ class TestMemo:
 
     @pytest.mark.parametrize("p", [
         Seq(Unitary((Q,), H), Unitary((Q,), 2 * H)),
-        Seq(Skip(), Mu("f", Skip(), (Q,))),
-    ], ids=["rule", "recursion"])
+        Seq(Skip(), Guarded((C,), GuardBasis.computational(2),
+                            (ProbChoice((1.0,), (Skip(),)), Skip()))),
+        Seq(Skip(), Repeat(Skip())),
+    ], ids=["rule", "guard-over-pchoice", "unknown-node"])
     def test_rejected_program_raises_the_same_error_again(self, p):
         errors = []
         for _ in range(2):

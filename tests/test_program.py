@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgcl import linalg as la
+from qgcl import program
 from qgcl.equivalence import program_equiv_report
 from qgcl.errors import LayoutError, SourceError, Span
 from qgcl.program import (
@@ -14,8 +15,6 @@ from qgcl.program import (
     Guarded,
     Measure,
     Measurement,
-    Mu,
-    Name,
     ProbChoice,
     QChoice,
     Seq,
@@ -35,6 +34,8 @@ from qgcl.program import (
 )
 from qgcl.registers import RegisterLayout
 from qgcl.sampling import ProgramSampler, rng
+
+from conftest import Repeat
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -89,11 +90,11 @@ class TestVariableAccounting:
         assert well_formed(Seq(shadow, Unitary((Q,), X))) == []
         assert "dim-conflict" in codes(Block((("q", 3),), np.eye(3) / 3, Unitary((Q,), X)))
 
-    def test_name_and_mu_use_declared_sets(self):
-        n = Name("X", (Q,), ("x",))
-        assert qvar(n) == {"q"} and var(n) == {"x"}
-        m = Mu("X", Skip(), (Q,), ("x",))
-        assert qvar(m) == {"q"}
+    def test_foreign_node_uses_its_qvars_and_subprograms(self):
+        p = Repeat(measure_skip(), (("r", 3),))
+        assert qvar_layout(p).names == ("r", "q")
+        assert var(p) == {"x"}
+        assert qvar(Repeat(Skip())) == frozenset()
 
 
 class TestWellFormed:
@@ -158,10 +159,10 @@ class TestWellFormed:
         for w in (np.nan, np.inf):
             assert "prob-weights" in codes(ProbChoice((w, 0.5), (Skip(), Skip())))
 
-    def test_mu_scope(self):
-        body = Unitary((Q,), X)
-        assert "mu-scope" in codes(Mu("X", body, (), ()))
-        assert well_formed(Mu("X", body, (Q,), ())) == []
+    def test_foreign_node_is_left_to_evaluation(self):
+        # No rule names the node itself; its subprograms are still checked.
+        assert well_formed(Repeat(Unitary((Q,), X))) == []
+        assert codes(Repeat(Unitary((Q,), 2 * X))) == codes(Unitary((Q,), 2 * X)) != []
 
     def test_measurement_without_operators(self):
         assert codes(Measure("x", (Q,), Measurement(()), ())) == ["measure-incomplete"]
@@ -224,9 +225,14 @@ def one_of_each():
         (Block((C,), np.diag([1.0, 0.0]), coin, span=span), [coin]),
         (ProbChoice((0.25, 0.75), (b0, b1), span=span), [b0, b1]),
         (QChoice(coin, GuardBasis.computational(2), (b0, b1), span=span), [coin, b0, b1]),
-        (Name("f", (Q,), ("x",), span=span), []),
-        (Mu("f", b0, (Q,), (), span=span), [b0]),
     ]
+
+
+def test_one_of_each_covers_every_node_type():
+    # So the children, rebuild and ast_equal tests below miss no node type.
+    defined = {c for c in vars(program).values() if isinstance(c, type)
+               and issubclass(c, program.Program) and c is not program.Program}
+    assert {type(node) for node, _ in one_of_each()} == defined
 
 
 class TestTraversal:
@@ -251,6 +257,14 @@ class TestTraversal:
             assert copy.measurement is node.measurement and copy.x == node.x
             assert [m for m, _ in copy.branches] == [0, 1]
 
+    def test_foreign_node_is_walked_through_its_fields(self):
+        body = Unitary((Q,), X)
+        node = Repeat(body, (C,), span=Span(3, 4))
+        assert children(node) == [body]
+        copy = rebuild(node, lambda c: Abort())
+        assert isinstance(copy, Repeat) and isinstance(copy.body, Abort)
+        assert copy.qvars == (C,) and copy.span == node.span
+
 
 def bump(m):
     out = np.array(m, dtype=complex)
@@ -273,10 +287,8 @@ class TestAstEquality:
             ),
             (ProbChoice((0.25, 0.75), (Skip(), Skip())), ProbChoice((0.25, 0.5), (Skip(), Skip()))),
             (measure_skip("x"), measure_skip("y")),
-            (Name("f", (Q,), ("x",)), Name("g", (Q,), ("x",))),
-            (Mu("f", Skip(), (Q,), ()), Mu("g", Skip(), (Q,), ())),
         ],
-        ids=["unitary", "guard-basis", "measurement", "weight", "x", "name-ident", "mu-ident"],
+        ids=["unitary", "guard-basis", "measurement", "weight", "x"],
     )
     def test_one_field_entry_changed(self, a, b):
         assert ast_equal(a, a) and ast_equal(b, b)

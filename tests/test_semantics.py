@@ -10,6 +10,7 @@ from qgcl import linalg as la
 from qgcl import program, semantics
 from qgcl.errors import CapacityError, ContractError, UnsupportedConstructError
 from qgcl.ovf import OperatorValuedFunction, SuperOperator, to_superop
+from qgcl.printer import print_program
 from qgcl.program import (
     Abort,
     Block,
@@ -17,8 +18,6 @@ from qgcl.program import (
     Guarded,
     Measure,
     Measurement,
-    Mu,
-    Name,
     ProbChoice,
     QChoice,
     Seq,
@@ -48,7 +47,7 @@ from qgcl.semantics import (
 )
 from qgcl.wp import wp_apply
 
-from conftest import corpus_program
+from conftest import Repeat, corpus_program
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -248,12 +247,6 @@ class TestDenote:
         p = Guarded((C,), GuardBasis.computational(2), (blk, Skip()))
         with pytest.raises(UnsupportedConstructError):
             denote(p)
-
-    def test_recursion_is_rejected(self):
-        with pytest.raises(UnsupportedConstructError):
-            denote(Mu("X", Skip()))
-        with pytest.raises(UnsupportedConstructError):
-            denote(Name("X"))
 
     def test_trace_monotone_and_preserved_without_abort(self):
         gen = rng(27)
@@ -523,6 +516,17 @@ def test_channel_above_identity_outside_the_core_is_rejected(evaluate):
     # Weights summing above one break the pchoice contract in the rule table.
     with pytest.raises(ContractError):
         evaluate(ProbChoice((0.9, 0.9), (Unitary((Q,), X), Skip())))
+
+
+@pytest.mark.parametrize("place", [
+    lambda p: p,
+    lambda p: Seq(Unitary((Q,), H), Guarded((C,), GuardBasis.computational(2), (Skip(), p))),
+], ids=["alone", "in-guard-branch"])
+@pytest.mark.parametrize("evaluate", [semi_classical, *CHANNEL_EVALUATORS.values(), print_program],
+                         ids=["semi_classical", *CHANNEL_EVALUATORS, "print_program"])
+def test_unknown_node_type_is_rejected(evaluate, place):
+    with pytest.raises(UnsupportedConstructError, match="Repeat"):
+        evaluate(place(Repeat(Unitary((Q,), X))))
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -27,8 +27,6 @@ from qgcl.program import (
     Guarded,
     Measure,
     Measurement,
-    Mu,
-    Name,
     ProbChoice,
     QChoice,
     Seq,
@@ -51,6 +49,8 @@ from qgcl.sampling import (
 )
 from qgcl.semantics import apply_program, denote, semi_classical, unroll_loop
 from qgcl.wp import wp_apply
+
+from conftest import Repeat
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -211,13 +211,14 @@ ENTRYWISE_EDGE = spread(lambda n: 0.9 * la.DEFAULT_TOL)
 QL = RegisterLayout.of(Q)
 MEASURE_X = Measure("x", (Q,), Measurement.computational(2), ((0, Skip()), (1, Skip())))
 REJECTED = {
-    "name": (Name("X", (Q,)), {}),
-    "mu": (Mu("X", Unitary((Q,), H), (Q,)), {}),
+    "unknown-node": (Repeat(Unitary((Q,), H)), {}),
     "guard-over-block": (Guarded((C,), GuardBasis.computational(2),
                                  (Block((R,), np.diag([1.0, 0.0]), Unitary((Q, R), np.kron(X, I2))),
                                   Skip())), {}),
     "guard-over-pchoice": (Guarded((C,), GuardBasis.computational(2),
                                    (ProbChoice((0.5,), (Unitary((Q,), X),)), Skip())), {}),
+    "qchoice-over-pchoice": (QChoice(Unitary((C,), H), GuardBasis.computational(2),
+                                     (ProbChoice((0.5,), (Unitary((Q,), X),)), Skip())), {}),
     "above-identity": (Seq(Unitary((Q,), 2 * I2), Skip()), {}),
     "pchoice-above-one": (ProbChoice((0.9, 0.9), (Unitary((Q,), X), Skip())), {}),
     "pchoice-arity": (ProbChoice((0.5,), (Unitary((Q,), X), Skip())), {}),
@@ -264,7 +265,8 @@ REJECTED = {
 }
 # Rejected for what only evaluation knows; every other row is flagged by
 # well_formed with the code the evaluators raise.
-EVALUATION_ONLY = {"name", "mu", "guard-over-block", "guard-over-pchoice", "above-max-dim"}
+EVALUATION_ONLY = {"unknown-node", "guard-over-block", "guard-over-pchoice", "qchoice-over-pchoice",
+                   "above-max-dim"}
 
 
 def raised(call):
@@ -367,7 +369,9 @@ def mutated(gen, p):
         add("block init", node, Block(local, np.diag([1.5, -0.5] + [0.0] * (local[0][1] - 2)), node))
         add("block init", node, Block(local, np.eye(5) / 5, node))
         add("weight", node, ProbChoice((gen.choice([-0.2, np.nan, np.inf]), 0.5), (node, Skip())))
-        add("free name", node, Name("X", layout.variables))
+        # A guard on no variables: one branch, the layout unchanged.
+        add("guard over pchoice", node, Guarded((), GuardBasis(np.eye(1)),
+                                                (ProbChoice((1.0,), (node,)),)))
     options = kinds[sorted(kinds)[int(gen.integers(len(kinds)))]]
     node, fault = options[int(gen.integers(len(options)))]
     return replaced(p, node, fault)
@@ -393,8 +397,9 @@ def test_evaluators_agree_on_mutated_programs(seed, depth):
 @settings(max_examples=80, deadline=None)
 def test_evaluators_reject_what_well_formed_flags(seed, depth):
     # At the default cap every evaluator rejects a program exactly when
-    # well_formed flags it, with one of its codes; a free name (recursion)
-    # is the one fault that only evaluation knows.
+    # well_formed flags it, with one of its codes; a guard over a well-formed
+    # pchoice (a branch outside the core) is the one fault that only
+    # evaluation knows.
     gen = rng(seed)
     p = ProgramSampler(gen, (Q, R), (("g0", 2), ("g1", 3))).program(depth)
     if gen.uniform() < 0.8:
@@ -406,12 +411,13 @@ def test_evaluators_reject_what_well_formed_flags(seed, depth):
     if is_core(p):
         evaluators.append(lambda: semi_classical(p))
     codes = {d.code for d in well_formed(p)}
-    recursive = any(isinstance(n, Name) for n in nodes(p))
+    outside_core = any(isinstance(n, (Guarded, QChoice)) and not all(map(is_core, n.branches))
+                       for n in nodes(p))
     for evaluate in evaluators:
         error = raised(evaluate)
         if codes:
             assert error is not None and error[1].split(":")[0] in codes
-        elif recursive:
+        elif outside_core:
             assert error[0] is UnsupportedConstructError
         else:
             assert error is None
