@@ -28,8 +28,9 @@ flagged ``WORSE`` and ``gain``, and ``FAILED`` where it applies, so one
 command tells whether any metric got worse anywhere.
 
 With ``--layers`` it then makes one ``--trace 1`` run per side and prints
-each side's self time per pass in the front-end and evaluation layers
-(``LAYERS``), so a change in the end-to-end figures can be placed in a layer.
+each side's self time per pass in the front-end, evaluation and
+equivalence layers (``LAYERS``), so a change in the end-to-end figures can
+be placed in a layer.
 """
 
 import argparse
@@ -45,7 +46,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LAYERS = ("parser.parse_source", "program.well_formed", "semantics.semi_classical",
           "ovf.guarded_ovf", "semantics.denote", "semantics.apply_program", "wp.wp_apply",
-          "cli.main")
+          "equivalence.choi_deviation", "cli.main")
 
 
 def extract(rev: str, dest: str) -> None:

@@ -19,10 +19,11 @@ def choi_deviation(a: SuperOperator, b: SuperOperator) -> float:
     ``C_E = sum_k vec(E_k) vec(E_k)†`` is built on the unnormalised maximally
     entangled vector, so the deviation is zero exactly when the channels are
     equal; callers compare it with a tolerance (``PROGRAM_TOL_DEFAULT`` = 1e-8
-    for programs, the ``--tol`` of ``qgcl equiv``).  It is computed from the
-    stacked Kraus operators (:func:`linalg.choi_max_diff`) in O(d² K) memory,
-    without a d² x d² matrix.  Channels on different variables raise
-    ``LayoutError``, even when their dimensions agree.
+    for programs, the ``--tol`` of ``qgcl equiv``).  It is the exact maximum,
+    scanned from the stacked Kraus operators (:func:`linalg.choi_max_diff`):
+    real products over row blocks of the difference's upper triangle, with
+    O(d² K) memory besides one block and no d² x d² matrix.  Channels on
+    different variables raise ``LayoutError``, even when their dimensions agree.
     """
     if a.layout.dim != b.layout.dim:
         raise LayoutError(

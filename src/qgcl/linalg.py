@@ -377,32 +377,42 @@ def choi(kraus: Sequence[np.ndarray], dim: int | None = None) -> np.ndarray:
     return rows.T @ rows.conj()
 
 
-CHOI_BLOCK_BYTES = 1 << 20  # one row block of a Choi difference, 1 MB
+CHOI_BLOCK_BYTES = 1 << 19  # one row block of a Choi difference, real and imaginary parts
 
 
 def choi_max_diff(a: Sequence[np.ndarray], b: Sequence[np.ndarray], dim: int) -> float:
     """``max_abs_diff(choi(a), choi(b))`` without forming either Choi matrix.
 
-    With ``V = [vec A_1 ... vec A_k | vec B_1 ... vec B_l]`` and ``s`` the
-    signature (+1 for ``a``, -1 for ``b``), ``choi(a) - choi(b) = V diag(s) V†``.
-    The difference is Hermitian, so only its upper triangle is formed, in
-    row blocks of about ``CHOI_BLOCK_BYTES``, keeping the running maximum:
-    O(dim**2 (k + l)) memory besides the block instead of O(dim**4).
+    With ``V = [vec A_1 ... vec A_k | vec B_1 ... vec B_l] = X + iY`` and ``s``
+    the signature (+1 for ``a``, -1 for ``b``), ``D = choi(a) - choi(b) =
+    V diag(s) V†``, so ``Re D = [X Y] diag(s, s) [X Y]ᵀ`` and
+    ``Im D = [Y -X] diag(s, s) [X Y]ᵀ``: real products.  ``D`` is Hermitian,
+    so only its upper triangle is formed, in row blocks of about
+    ``CHOI_BLOCK_BYTES``.  A block's real and imaginary parts come from one
+    batched product into one array (with two arrays per block, glibc gave
+    their memory back and faulted it in again), which is squared in place
+    and summed, keeping the running maximum of ``|D_ij|²`` and taking one
+    square root at the end.  ``V`` is first scaled by a power of two, which
+    is exact, so that no square overflows or underflows.  O(dim**2 (k + l))
+    memory besides the block instead of O(dim**4).
     """
-    plus = _kraus_stack(a, dim)
-    stack = np.concatenate([plus, _kraus_stack(b, dim)])
-    if len(stack) == 0:
-        return 0.0
-    signed = stack.T.copy()
-    signed[:, len(plus):] *= -1
-    adj = stack.conj()
-    side = stack.shape[1]
+    plus, minus = _kraus_stack(a, dim), _kraus_stack(b, dim)
+    neg = -minus
+    xa, ya, xb, yb = plus.real, plus.imag, minus.real, minus.imag
+    # [X Y]ᵀ, then diag(s, s) [X Y]ᵀ and diag(s, s) [Y -X]ᵀ
+    parts = np.concatenate([xa, xb, ya, yb, xa, neg.real, ya, neg.imag, ya, neg.imag, -xa, xb])
+    exp = math.frexp(np.abs(parts).max(initial=0.0))[1]
+    np.ldexp(parts, -exp, out=parts)  # every entry now below 1 in modulus
+    width, side = len(parts) // 3, parts.shape[1]
+    right, left = parts[:width], parts[width:].reshape(2, width, side)
     step = max(1, CHOI_BLOCK_BYTES // (16 * side))
     worst = 0.0
     for r0 in range(0, side, step):
-        block = signed[r0:r0 + step] @ adj[:, r0:]
-        worst = max(worst, float(np.abs(block).max()))
-    return worst
+        block = left[:, :, r0:r0 + step].swapaxes(1, 2) @ right[:, r0:]  # Re D, Im D rows
+        np.square(block, out=block)
+        block[0] += block[1]
+        worst = max(worst, float(block[0].max()))
+    return math.ldexp(math.sqrt(worst), 2 * exp)
 
 
 def choi_to_kraus(c, tol: float = DEFAULT_TOL) -> list[np.ndarray]:

@@ -136,6 +136,15 @@ class TestEquiv:
         out = capsys.readouterr().out
         assert out.startswith("DISTINCT") and "max-choi-deviation" in out
 
+    def test_coin_relocation_samples(self, capsys):
+        # the paper's coin relocation; the EQUIV pair's deviation is rounding
+        # noise, so only its verdict is pinned
+        lhs = sample("coin_qchoice.qgcl")
+        assert run_cli("equiv", lhs, sample("coin_relocated.qgcl")) == 0
+        assert capsys.readouterr().out.startswith("EQUIV max-choi-deviation=")
+        assert run_cli("equiv", lhs, sample("coin_relocated_swapped.qgcl")) == 1
+        assert capsys.readouterr().out == "DISTINCT max-choi-deviation=5.000e-01\n"
+
     def test_qvar_mismatch_exit_two(self, tmp_path, capsys):
         a = write(tmp_path / "a.qgcl", PRELUDE + "H[q]")
         b = write(tmp_path / "b.qgcl", "qvar r : 2;\nskip")

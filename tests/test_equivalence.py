@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qgcl import classical as cs
 from qgcl import linalg as la
 from qgcl.equivalence import (
+    PROGRAM_TOL_DEFAULT,
     choi_deviation,
     program_equiv,
     program_equiv_report,
@@ -131,6 +132,28 @@ def test_dim_64_deviation_allocates_no_choi_matrix():
     assert equal_dev < 1e-12
     assert distinct_dev > 1e-3
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("dim", [2, 8, 32])
+@pytest.mark.parametrize("edge", [1 - 1e-3, 1 + 1e-3])
+def test_verdicts_at_the_tolerance_edge(dim, edge):
+    """``pchoice { U @ 1-p; V @ p }`` differs from ``U`` by ``p (C_V - C_U)``,
+    so ``p`` places the dense max Choi deviation at ``edge * tol``; both
+    verdicts agree with the dense oracle's on either side of ``tol``."""
+    gen = rng(45 + dim)
+    tol = PROGRAM_TOL_DEFAULT
+    reg = (("r", dim),)
+    u, v = random_unitary(gen, dim), random_unitary(gen, dim)
+    p = edge * tol / la.max_abs_diff(la.choi([u]), la.choi([v]))
+    lhs = Unitary(reg, u)
+    rhs = ProbChoice((1 - p, p), (lhs, Unitary(reg, v)))
+    a, b = denote(lhs, tol=tol), denote(rhs, tol=tol)
+    dense = la.max_abs_diff(a.choi(), b.choi())
+    assert abs(dense / (edge * tol) - 1) < 1e-4
+    assert superop_equal(a, b, tol) == (dense <= tol) == (edge < 1)
+    verdict, dev = program_equiv_report(lhs, rhs, tol)
+    assert verdict == ("equiv" if dense <= tol else "distinct")
+    assert abs(dev - dense) <= 1e-14  # far inside the 1e-11 either side of tol
 
 
 class TestProgramEquiv:

@@ -481,18 +481,23 @@ OP_KINDS = st.lists(st.sampled_from(["random", "zero"]), max_size=6)
 
 
 class TestChoiMaxDiff:
-    @given(st.integers(1, 16), OP_KINDS, OP_KINDS, st.booleans(),
-           st.sampled_from([16, 256, 4096, la.CHOI_BLOCK_BYTES]), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 32), OP_KINDS, OP_KINDS, st.booleans(),
+           st.sampled_from([16, 256, 4096, la.CHOI_BLOCK_BYTES]), st.sampled_from([-300, 0, 300]),
+           st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_matches_dense_choi_difference(self, dim, kinds_a, kinds_b, mixed, block, seed):
+    def test_matches_dense_choi_difference(self, dim, kinds_a, kinds_b, mixed, block, exp, seed):
         # families of 0-6 operators on each side, all-zero operators among
         # them; ``mixed`` makes the second family a unitary mixing of the
-        # first (the same channel), and small blocks exercise the row loop
+        # first (the same channel), and small blocks exercise the row loop,
+        # as does the default block from dim 16 up.  Both families are
+        # scaled by 2**exp, so at +-300 the Choi entries' squares leave the
+        # range of a float; the bound scales with them, exactly.
         gen = np.random.default_rng(seed)
+        scale = 2.0 ** exp
 
         def family(kinds):
             return [np.zeros((dim, dim), dtype=complex) if kind == "zero"
-                    else rand_matrix(gen, dim, dim) for kind in kinds]
+                    else scale * rand_matrix(gen, dim, dim) for kind in kinds]
 
         a = family(kinds_a)
         if mixed and a:
@@ -503,7 +508,7 @@ class TestChoiMaxDiff:
         dense = la.max_abs_diff(la.choi(a, dim), la.choi(b, dim))
         with patch.object(la, "CHOI_BLOCK_BYTES", block):
             got = la.choi_max_diff(a, b, dim)
-        assert abs(got - dense) <= 1e-12 * max(1.0, dense)
+        assert abs(got - dense) <= 1e-12 * max(scale * scale, dense)
 
     def test_empty_families(self):
         assert la.choi_max_diff([], [], 3) == 0.0
