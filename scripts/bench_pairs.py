@@ -16,13 +16,15 @@ and ``.git`` is not written.  Each pair runs ``perfbench/run.py`` once on
 each side, alternating which side runs first.  For every end-to-end metric of
 ``BENCHMARK.json`` it prints each side's median and quartiles, the change's
 median relative to the base's, the pairs the change won (ties count for
-neither side) and the metric's bound.  A metric is flagged ``WORSE`` when
-the change's median is worse by more than its bound, and ``gain`` when the
-change won at least nine tenths of the pairs and the medians differ by more
-than the base's interquartile range.  Each side's failed ops are totalled;
-when the change fails a larger share of its ops than the base, no metric is
-flagged ``gain`` and the summary says ``FAILED``.  Last it prints each
-side's ``src/qgcl`` line total, as ``wc -l src/qgcl/*.py`` counts it.
+neither side), the one-sided sign-test probability of winning that many of
+the untied pairs by chance, and the metric's bound.  A metric is flagged
+``WORSE`` when the change's median is worse by more than its bound, and
+``gain`` when the change won at least nine tenths of the pairs and the
+medians differ by more than the base's interquartile range.  Each side's
+failed ops are totalled; when the change fails a larger share of its ops
+than the base, no metric is flagged ``gain`` and the summary says
+``FAILED``.  Last it prints each side's ``src/qgcl`` line total, as
+``wc -l src/qgcl/*.py`` counts it.
 The output ends with one summary line per workload naming the metrics
 flagged ``WORSE`` and ``gain``, and ``FAILED`` where it applies, so one
 command tells whether any metric got worse anywhere.
@@ -36,6 +38,7 @@ be placed in a layer.
 import argparse
 import glob
 import json
+import math
 import os
 import shutil
 import statistics
@@ -99,6 +102,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def sign_test(won: int, lost: int) -> float:
+    """The chance of winning ``won`` or more of ``won + lost`` untied pairs
+    when each is a fair coin: the binomial tail of the one-sided sign test."""
+    n = won + lost
+    return sum(math.comb(n, k) for k in range(won, n + 1)) / 2**n
+
+
 def compare(workload: str, args, checkouts: dict, metrics: list) -> str:
     """Run the pairs on one workload, print its table and return its summary line."""
     sides = {"base": [], "change": []}
@@ -118,7 +128,8 @@ def compare(workload: str, args, checkouts: dict, metrics: list) -> str:
     more_failed = share["change"] > share["base"]
     print("failed ops: " + ", ".join(f"{s} {f} of {a}" for s, (f, a) in totals.items())
           + ("  FAILED: the change fails a larger share, so no gain counts" if more_failed else ""))
-    print(f"{'metric':12s} {'base':>28s} {'change':>28s} {'ratio':>7s} {'won':>6s} {'bound':>6s}")
+    print(f"{'metric':12s} {'base':>28s} {'change':>28s} {'ratio':>7s} {'won':>6s} {'p':>7s} "
+          f"{'bound':>6s}")
     flagged = {"WORSE": [], "gain": []}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -126,6 +137,7 @@ def compare(workload: str, args, checkouts: dict, metrics: list) -> str:
         change = [r["metrics"][name] for r in sides["change"]]
         bq, cq = quartiles(base), quartiles(change)
         won = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        lost = sum((c > b) if lower else (c < b) for b, c in zip(base, change))
         gain = bq[1] - cq[1] if lower else cq[1] - bq[1]
         flag = ("WORSE" if -gain > m["bound"] * bq[1]
                 else "gain" if (10 * won >= 9 * args.pairs and gain > bq[2] - bq[0]
@@ -134,7 +146,7 @@ def compare(workload: str, args, checkouts: dict, metrics: list) -> str:
             flagged[flag].append(name)
         cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (bq, cq)]
         print(f"{name:12s} {cells[0]:>28s} {cells[1]:>28s} {cq[1] / bq[1]:7.3f} "
-              f"{won:>3d}/{args.pairs:<2d} {m['bound']:6.2f} {flag}")
+              f"{won:>3d}/{args.pairs:<2d} {sign_test(won, lost):7.4f} {m['bound']:6.2f} {flag}")
     if args.layers:
         traced = {side: run(path, workload, args, trace=1)["metrics"]
                   for side, path in checkouts.items()}

@@ -20,7 +20,7 @@ def choi_deviation(a: SuperOperator, b: SuperOperator) -> float:
     entangled vector, so the deviation is zero exactly when the channels are
     equal; callers compare it with a tolerance (``PROGRAM_TOL_DEFAULT`` = 1e-8
     for programs, the ``--tol`` of ``qgcl equiv``).  It is the exact maximum,
-    scanned from the stacked Kraus operators (:func:`linalg.choi_max_diff`):
+    scanned from the stacked Kraus operators (:func:`linalg.choi_stack_diff`):
     real products over row blocks of the difference's upper triangle, with
     O(d² K) memory besides one block and no d² x d² matrix.  Channels on
     different variables raise ``LayoutError``, even when their dimensions agree.
@@ -35,7 +35,7 @@ def choi_deviation(a: SuperOperator, b: SuperOperator) -> float:
             f"{list(b.layout.variables)})"
         )
     b = b.extended_to(a.layout)
-    return linalg.choi_max_diff(a.stack, b.stack, a.layout.dim)
+    return linalg.choi_stack_diff(a.stack, b.stack)
 
 
 def superop_equal(a: SuperOperator, b: SuperOperator, tol: float = linalg.DEFAULT_TOL) -> bool:

@@ -242,7 +242,8 @@ class Monomial:
     scale 0.  Permutations, diagonals, phase permutations and basis
     projectors are monomial.  ``conj`` and ``T`` mirror the ndarray ones,
     so the adjoint is the inverse permutation with the conjugated scale, in
-    O(n), never a dense copy; the transpose is worked out once."""
+    O(n), never a dense copy; the transpose and the conjugate are worked out
+    once."""
 
     col: np.ndarray
     scale: np.ndarray
@@ -253,7 +254,11 @@ class Monomial:
         return bool((self.scale == 1).all())
 
     def conj(self) -> Monomial:
-        return self if self.unit else Monomial(self.col, self.scale.conj())
+        return self if self.unit else self._conj
+
+    @cached_property
+    def _conj(self) -> Monomial:
+        return Monomial(self.col, self.scale.conj())
 
     @cached_property
     def T(self) -> Monomial:
@@ -394,9 +399,18 @@ def choi_max_diff(a: Sequence[np.ndarray], b: Sequence[np.ndarray], dim: int) ->
     and summed, keeping the running maximum of ``|D_ij|²`` and taking one
     square root at the end.  ``V`` is first scaled by a power of two, which
     is exact, so that no square overflows or underflows.  O(dim**2 (k + l))
-    memory besides the block instead of O(dim**4).
+    memory besides the block instead of O(dim**4).  ``a`` and ``b`` are
+    what ``as_matrices`` takes, and are checked as it checks them; stacks
+    checked already go to ``choi_stack_diff``.
     """
-    plus, minus = _kraus_stack(a, dim), _kraus_stack(b, dim)
+    return choi_stack_diff(*(_kraus_stack(f, dim).reshape(-1, dim, dim) for f in (a, b)))
+
+
+def choi_stack_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """``choi_max_diff`` of two ``(K, d, d)`` stacks of one ``d`` that are
+    checked already, as ``SuperOperator.stack`` holds them, without checking
+    them again."""
+    plus, minus = (s.reshape(len(s), s.shape[1] * s.shape[2]) for s in (a, b))
     neg = -minus
     xa, ya, xb, yb = plus.real, plus.imag, minus.real, minus.imag
     # [X Y]ᵀ, then diag(s, s) [X Y]ᵀ and diag(s, s) [Y -X]ᵀ

@@ -377,7 +377,7 @@ def guarded_superop_member(
         for i, (rep, e) in enumerate(zip(reps, channels)):
             if rep.layout.variables != data_layout.variables:
                 raise ContractError(f"representative {i} lives on a different layout")
-            diff = linalg.choi_max_diff(to_superop(rep).stack, e.stack, data_layout.dim)
+            diff = linalg.choi_stack_diff(to_superop(rep).stack, e.stack)
             if diff > tol:
                 raise ContractError(
                     f"representative {i} does not induce its channel (Choi deviation {diff:.3e})"

@@ -51,9 +51,14 @@ applied by one rule (``_contract``): the axes of its variables are brought
 together where the first of them lies, a view that transposes nothing when
 they already are together, and the state is read as ``(pre, k, post)``.  A
 monomial gathers the middle axis, scaled unless it is a permutation; any
-other operator is one broadcast matmul.  Monomials on one variable on both
-sides of a block read it once (``_sandwich``), and a guard writes each
-block's result into the same view of its output, allocated once."""
+other operator is one broadcast matmul.  Monomials on both sides, on any
+variables, read the state once, as one gather with its adjacent axes
+merged (``_sandwich``).  A computational guard whose branches are unitary
+leaves with monomial ``A_i``, all permutations or none, is itself the
+monomial ``sum_i |i><i| (x) A_i``, found once on its node (``_guard_monomial``)
+and applied as a leaf is: the walk's shift step is one gather.  Any other
+guard writes each block's result into the same view of its output,
+allocated once."""
 
 from __future__ import annotations
 
@@ -243,6 +248,44 @@ def _branches(p: Guarded, max_dim: int) -> tuple:
         a = [np.einsum("k,kij->ij", lambda_weights(f), f.stack) for f in fns]
         p.__dict__[_BRANCHES] = fns, a, [linalg.kernel(op) for op in a]
     return p.__dict__[_BRANCHES]
+
+
+_MONOMIAL = "_monomial"  # the key of a guard's ``_guard_monomial`` in its ``__dict__``
+
+
+def _guard_monomial(p: Guarded, max_dim: int) -> linalg.Monomial | None:
+    """``G = sum_i |i><i| (x) A_i`` on the guard's layout (its own variables,
+    then the branches'), when streaming ``G`` gives the block loop's bits:
+    the basis is computational, every branch is a unitary leaf (one
+    classical state) whose ``A_i`` is monomial, so no scale is 0, and either
+    every ``A_i`` is a permutation or none is, so ``G`` scales exactly the
+    rows the block loop scales.  Else ``None``.  Decided once, when the
+    guard is first streamed, and kept on it.
+
+    Each ``A_i`` is extended to the branches' joint layout by index
+    arithmetic: a joint index's coordinates on the branch's variables are
+    sent where ``A_i`` sends them, the others kept."""
+    if _MONOMIAL in p.__dict__:
+        return p.__dict__[_MONOMIAL]
+    kernels = _branches(p, max_dim)[2]
+    g = None
+    if (p.basis.is_computational and all(isinstance(b, Unitary) for b in p.branches)
+            and all(isinstance(k, linalg.Monomial) for k in kernels)
+            and len({k.unit for k in kernels}) == 1):
+        own = len(p.own_layout.names)
+        names, dims = p.layout.names[own:], p.layout.dims[own:]
+        grid = np.indices(dims).reshape(len(dims), -1)  # each joint index's coordinates
+        cols, scales = [], []
+        for i, (b, k) in enumerate(zip(p.branches, kernels)):
+            at, sub = [names.index(v) for v in b.layout.names], b.layout.dims
+            rows = np.ravel_multi_index(grid[at], sub)
+            src = grid.copy()
+            src[at] = np.unravel_index(k.col[rows], sub)
+            cols.append(i * grid.shape[1] + np.ravel_multi_index(src, dims))
+            scales.append(k.scale[rows])
+        g = linalg.Monomial(np.concatenate(cols), np.concatenate(scales))
+    p.__dict__[_MONOMIAL] = g
+    return g
 
 
 def _family(layout: RegisterLayout, ops: np.ndarray) -> SuperOperator:
@@ -453,6 +496,14 @@ class _Stream:
         return out.reshape(t.shape)
 
     def _guard(self, p: Guarded, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
+        """A guard that is one monomial (``_guard_monomial``) is applied as
+        a unitary leaf is; any other block by block (``_blocks``)."""
+        g = _guard_monomial(p, self.max_dim)
+        if g is None:
+            return self._blocks(p, t, names, adjoint)
+        return _sandwich(t, names, _side(g, adjoint), p.layout.names)
+
+    def _blocks(self, p: Guarded, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
         """In the guard basis, diagonal block ``i`` is branch ``i``'s own
         evaluation and off-diagonal block ``(i, j)`` is ``A_i X_ij A_j†``
         (with ``A†`` for the adjoint): the square branch weights sum to one,
@@ -496,25 +547,88 @@ def _sandwich(t, names, left, site, right=None, right_site=None) -> np.ndarray:
     """``(L (x) I) X (R (x) I)†`` with ``L`` on the variables ``site`` and
     ``R`` (default ``L``) on ``right_site`` (default ``site``); ``t`` and the
     result are shaped ``dims + dims`` over ``names``.  When ``L`` and ``R``
-    are monomials on one variable each, ``t`` is read once, as one gather,
-    and scaled on each side that is not a permutation."""
+    are monomials, on any variables, ``t`` is read once, as one gather
+    (``_gather_plan``), and scaled on each side that is not a permutation,
+    left first, as ``_contract`` would."""
     if right is None:
         right, right_site = left, site
     n = len(names)
     rows, cols = [names.index(v) for v in site], [n + names.index(v) for v in right_site]
-    if (isinstance(left, linalg.Monomial) and isinstance(right, linalg.Monomial)
-            and len(rows) == len(cols) == 1):
-        (a,), (b,) = rows, cols
-        kept = [i for i, k in enumerate(t.shape) if k > 1]  # fewer index arrays gather faster
-        index = tuple((left.col if i == a else right.col if i == b else np.arange(t.shape[i]))
-                      .reshape((-1,) + (1,) * (len(kept) - m - 1)) for m, i in enumerate(kept))
-        out = t.reshape([t.shape[i] for i in kept])[index].reshape(t.shape)
-        for op, x in ((left, a), (right, b)):
-            if not op.unit:  # in place, so no outer product of the scales is formed
-                scale = op.scale if x == a else op.scale.conj()
-                out *= scale.reshape((-1,) + (1,) * (t.ndim - x - 1))
-        return out
+    if isinstance(left, linalg.Monomial) and isinstance(right, linalg.Monomial):
+        key = (None if right is left else right, tuple(rows), tuple(cols), t.shape, t.strides)
+        plans = left.__dict__.setdefault(_PLANS, {})
+        if key not in plans:
+            plans[key] = _gather_plan(left, rows, right, cols, t)
+        shape, index, scales = plans[key]
+        out = t.reshape(shape)[index]
+        for scale in scales:  # in place, so no outer product of the scales is formed
+            out *= scale
+        return out.reshape(t.shape)
     return _contract(right.conj(), _contract(left, t, rows), cols)
+
+
+_PLANS = "_plans"  # the key of a monomial's gather plans in its ``__dict__``
+
+
+def _gather_plan(left, rows: list[int], right, cols: list[int], t: np.ndarray) -> tuple:
+    """How ``_sandwich`` reads ``t`` for the monomials ``left`` on the axes
+    ``rows`` and ``right`` on ``cols``, each in its own variables' order:
+    the shape ``t`` is viewed at, one index array per axis of that view,
+    and the scales to multiply by, each shaped to broadcast over it.
+
+    Adjacent axes of one kind (the left site, the right site, the rest)
+    merge into one axis where their strides let a view do it, so a state on
+    exactly a monomial's variables, in any order, is read as one two-index
+    gather, ``t2[col[:, None], col[None, :]]``.  Each monomial is first put
+    in the axes' order and split at the merged axes (``_in_axis_order``)."""
+    kind = [0] * t.ndim
+    for a in rows:
+        kind[a] = 1
+    for a in cols:
+        kind[a] = 2
+    runs: list[list[int]] = []
+    shape: list[int] = []
+    for a, k in enumerate(t.shape):
+        if a and kind[a] == kind[a - 1] and t.strides[a - 1] == t.strides[a] * k:
+            runs[-1].append(a)
+            shape[-1] *= k
+        else:
+            runs.append([a])
+            shape.append(k)
+    n = len(runs)
+    index: list = [None] * n  # each shaped to broadcast from its own axis on
+    for m, run in enumerate(runs):
+        if not kind[run[0]]:
+            index[m] = np.arange(shape[m]).reshape((-1,) + (1,) * (n - m - 1))
+    scales = []
+    for k, op, axes in ((1, left, rows), (2, right, cols)):
+        at = [m for m in range(n) if kind[runs[m][0]] == k]
+        srcs, scale = _in_axis_order(op, axes, [runs[m] for m in at], t.shape)
+        spread = [shape[m] if m in at else 1 for m in range(at[0], n)]
+        for m, src in zip(at, srcs):
+            index[m] = src.reshape(spread)
+        if not op.unit:
+            scales.append((scale if k == 1 else scale.conj()).reshape(spread))
+    return shape, tuple(index), scales
+
+
+def _in_axis_order(op: linalg.Monomial, axes: list[int], runs: list[list[int]], dims) -> tuple:
+    """``op``, on the axes ``axes`` in its own order, read in axis order and
+    grouped into ``runs`` of adjacent axes: per run, the flat source index
+    along it of every output coordinate, and ``op``'s scale, both shaped by
+    the runs' sizes.  Out of order, ``flat`` sends an index in axis order
+    to ``op``'s own and ``back`` returns it."""
+    sizes = [prod(dims[a] for a in run) for run in runs]
+    order = sorted(axes)
+    src, scale = op.col, op.scale
+    if axes != order:
+        flat = np.arange(len(src)).reshape([dims[a] for a in axes])
+        flat = flat.transpose([axes.index(a) for a in order]).ravel()
+        back = np.empty_like(flat)
+        back[flat] = np.arange(len(flat))
+        src, scale = back[src[flat]], scale[flat]
+    srcs = np.unravel_index(src, sizes) if len(runs) > 1 else (src,)
+    return [s.reshape(sizes) for s in srcs], scale.reshape(sizes)
 
 
 def _contract(op, t: np.ndarray, axes: list[int]) -> np.ndarray:

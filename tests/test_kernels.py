@@ -13,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 import qgcl.semantics as semantics
 from qgcl import linalg as la
-from qgcl.program import Abort, GuardBasis, Guarded, Measure, Measurement, Skip, Unitary
-from qgcl.registers import RegisterLayout, embed
-from qgcl.sampling import random_unitary, rng
-from qgcl.semantics import denote, stream
+from qgcl.program import Abort, GuardBasis, Guarded, Measure, Measurement, Seq, Skip, Unitary
+from qgcl.registers import DensityMatrix, Observable, RegisterLayout, embed
+from qgcl.sampling import random_density, random_unitary, rng
+from qgcl.semantics import apply_program, denote, stream
+from qgcl.wp import wp_apply
 
 TOL = 1e-12
 NAMES = ("a", "b", "c")
@@ -72,6 +73,11 @@ def matrix(gen, d):
     return (gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))) / d
 
 
+def shift(n, k):
+    """The cyclic shift by ``k`` on ``n`` sites, as the walk's shift."""
+    return np.roll(np.eye(n, dtype=complex), k, axis=0)
+
+
 @given(st.data(), st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_contract_matches_embedded_operator(data, kind, seed):
@@ -111,6 +117,16 @@ def test_sandwich_matches_embedded_operators(data, left_kind, right_kind, adjoin
     t = x.reshape(layout.dims * 2)
     got = semantics._sandwich(t, names, kl, left_site, kr, right_site)
     assert la.max_abs_diff(got.reshape(d, d), lf @ x @ la.dagger(rf)) < TOL
+    n = len(names)
+    rows, cols = [names.index(v) for v in left_site], [n + names.index(v) for v in right_site]
+    if isinstance(kl, la.Monomial) and isinstance(kr, la.Monomial):  # one gather, same bits
+        apart = semantics._contract(kr.conj(), semantics._contract(kl, t, rows), cols)
+        assert np.array_equal(got, apart)
+        wide = np.zeros((d, 2, d, 3), dtype=complex)
+        wide[:, 1, :, 2] = x  # a strided view, whose axes cannot all merge
+        view = wide[:, 1, :, 2].reshape(layout.dims * 2)
+        assert np.array_equal(semantics._sandwich(view, names, kl, left_site, kr, right_site),
+                              apart)
     got = semantics._sandwich(t, names, kl, left_site)
     assert la.max_abs_diff(got.reshape(d, d), lf @ x @ la.dagger(lf)) < TOL
 
@@ -181,3 +197,113 @@ def test_monomial_unit_flag():
     assert not la.monomial(np.diag([1, 0, 1]).astype(complex)).unit  # an empty row scales by 0
     assert la.monomial(np.eye(4, dtype=complex)).unit
     assert not la.monomial(-np.eye(2, dtype=complex)).unit
+
+
+@st.composite
+def monomial_guards(draw):
+    """A computational guard on one or two registers, with 2-4 branches,
+    each a phase permutation (or each a permutation) on its own variables
+    of the data registers ``a``, ``b`` and ``c``, in any order."""
+    guard = draw(st.sampled_from([(("g", 2),), (("g", 3),), (("g", 4),), (("g", 2), ("h", 2))]))
+    data = RegisterLayout(tuple(zip(NAMES, draw(st.lists(st.integers(2, 3), min_size=3,
+                                                          max_size=3)))))
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["permutation", "phase permutation"]))
+    arity = RegisterLayout(guard).dim
+    branches = []
+    for _ in range(arity):
+        site = tuple(draw(st.permutations(NAMES))[: draw(st.integers(1, 3))])
+        branches.append(Unitary(sub(data, site).variables,
+                                operator(gen, sub(data, site).dim, kind)))
+    return Guarded(guard, GuardBasis.computational(arity), tuple(branches)), gen
+
+
+def blocks(p, x, layout, adjoint):
+    """``p``'s guard streamed block by block, as any guard that is not one monomial is."""
+    t = x.reshape(layout.dims * 2)
+    out = semantics._Stream(la.MAX_DIM_DEFAULT)._blocks(p, t, layout.names, adjoint)
+    return out.reshape(x.shape)
+
+
+@given(monomial_guards(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_monomial_guard_matches_the_block_loop_bit_for_bit(guard, extra):
+    """A guard of phase permutations is one monomial, streamed in one gather;
+    ``run`` (with an extra variable) and ``wp``, in a shuffled factor order,
+    give exactly the block loop's bits."""
+    p, gen = guard
+    assert semantics._guard_monomial(p, la.MAX_DIM_DEFAULT) is not None
+    variables = p.layout.variables + ((("e", 2),) if extra else ())
+    layout = RegisterLayout(tuple(variables[i] for i in gen.permutation(len(variables))))
+    x = random_density(gen, layout.dim)
+    got = apply_program(p, DensityMatrix(x, layout)).matrix
+    assert np.array_equal(got, blocks(p, x, layout, False))
+    kraus = denote(p).extended_to(layout).kraus
+    assert la.max_abs_diff(got, sum(k @ x @ la.dagger(k) for k in kraus)) < TOL
+    program = layout.remove(["e"])
+    m = random_density(gen, program.dim)
+    got = wp_apply(p, Observable(m, program)).matrix
+    assert np.array_equal(got, blocks(p, m, program, True))
+
+
+def guard_over(basis, *choices):
+    gen = rng(3)
+    return Guarded((("g", 2),), basis, tuple(branch(gen, c) for c in choices))
+
+
+NOT_ONE_MONOMIAL = {
+    "rotated basis": guard_over(GuardBasis(random_unitary(rng(5), 2)), "permutation",
+                                "phase permutation"),
+    "measuring branch": guard_over(GuardBasis.computational(2), "permutation", "measure"),
+    "aborting branch": guard_over(GuardBasis.computational(2), "permutation", "abort"),
+    "skip branch": guard_over(GuardBasis.computational(2), "skip", "permutation"),
+    "dense branch": guard_over(GuardBasis.computational(2), "permutation", "dense"),
+    "permutation beside phases": guard_over(GuardBasis.computational(2), "permutation",
+                                            "phase permutation"),
+    "chain branch": Guarded((("g", 2),), GuardBasis.computational(2), (
+        Unitary((("a", 2),), shift(2, 1)),
+        Seq(Unitary((("a", 2),), shift(2, 1)), Unitary((("b", 3),), shift(3, 1))))),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_ONE_MONOMIAL))
+def test_other_guards_keep_the_block_loop(name):
+    """Every guard that is not one monomial is streamed block by block,
+    with the block loop's results."""
+    p = NOT_ONE_MONOMIAL[name]
+    assert semantics._guard_monomial(p, la.MAX_DIM_DEFAULT) is None
+    gen = rng(11)
+    layout = p.layout
+    kraus = denote(p).kraus
+    for adjoint in (False, True):
+        x = random_density(gen, layout.dim)
+        got = stream(p, x, layout, adjoint=adjoint)
+        assert np.array_equal(got, blocks(p, x, layout, adjoint))
+        expect = sum((la.dagger(k) @ x @ k if adjoint else k @ x @ la.dagger(k) for k in kraus),
+                     np.zeros_like(x))
+        assert la.max_abs_diff(got, expect) < TOL
+
+
+@pytest.mark.parametrize("order", [("v", "c"), ("c", "v"), ("v", "e", "c"), ("c", "e", "v")])
+def test_controlled_shift_as_one_unitary_or_a_guard(order):
+    """The walk's shift written as one unitary on ``(v, c)`` and as a guard
+    of two shifts give the same bits, in any factor order, each read as
+    one gather."""
+    n = 6
+    walk = Guarded((("c", 2),), GuardBasis.computational(2),
+                   (Unitary((("v", n),), shift(n, 1)), Unitary((("v", n),), shift(n, -1))))
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    whole = Unitary((("v", n), ("c", 2)), np.kron(shift(n, 1), p0) + np.kron(shift(n, -1), p1))
+    assert isinstance(whole.kernel, la.Monomial) and whole.kernel.unit
+    dims = {"v": n, "c": 2, "e": 3}
+    layout = RegisterLayout(tuple((v, dims[v]) for v in order))
+    x = random_density(rng(2), layout.dim)
+    for adjoint in (False, True):
+        if adjoint and "e" in order:
+            continue
+        got = stream(whole, x, layout, adjoint=adjoint)
+        assert np.array_equal(got, stream(walk, x, layout, adjoint=adjoint))
+        assert np.array_equal(got, blocks(walk, x, layout, adjoint))
+        full = embed(whole.operator, whole.layout, layout)
+        expect = la.dagger(full) @ x @ full if adjoint else full @ x @ la.dagger(full)
+        assert la.max_abs_diff(got, expect) < TOL

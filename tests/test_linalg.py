@@ -508,7 +508,19 @@ class TestChoiMaxDiff:
         dense = la.max_abs_diff(la.choi(a, dim), la.choi(b, dim))
         with patch.object(la, "CHOI_BLOCK_BYTES", block):
             got = la.choi_max_diff(a, b, dim)
+            stacks = [np.array(f, dtype=complex).reshape(-1, dim, dim) for f in (a, b)]
+            assert la.choi_stack_diff(*stacks) == got  # checked stacks, the same scan
         assert abs(got - dense) <= 1e-12 * max(scale * scale, dense)
+
+    @pytest.mark.parametrize("bad", [
+        [np.full((2, 2), np.nan)], [np.full((2, 2), np.inf)], [H, la.identity(3)],
+        [[1.0, 2.0], [3.0]], np.zeros((2, 2, 2, 2))], ids=["nan", "inf", "mixed shapes",
+                                                         "ragged", "rank 4"])
+    def test_public_scan_checks_its_input(self, bad):
+        """Only ``choi_stack_diff`` trusts its stacks; ``choi_max_diff`` checks."""
+        for a, b in ((bad, [H]), ([H], bad)):
+            with pytest.raises(ShapeError):
+                la.choi_max_diff(a, b, 2)
 
     def test_empty_families(self):
         assert la.choi_max_diff([], [], 3) == 0.0
