@@ -19,8 +19,11 @@ median relative to the base's, the pairs the change won (ties count for
 neither side), the one-sided sign-test probability of winning that many of
 the untied pairs by chance, and the metric's bound.  A metric is flagged
 ``WORSE`` when the change's median is worse by more than its bound, and
-``gain`` when the change won at least nine tenths of the pairs and the
-medians differ by more than the base's interquartile range.  Each side's
+``gain`` when the change's median is better and the sign-test probability
+is at most ``GAIN_P``: the paired differences decide, not the spread of
+one side's runs, which on a noisy workload can hide a gain that wins every
+pair (Kalibera and Jones, "Rigorous benchmarking in reasonable time").
+Of ten untied pairs the change must win nine.  Each side's
 failed ops are totalled; when the change fails a larger share of its ops
 than the base, no metric is flagged ``gain`` and the summary says
 ``FAILED``.  Last it prints each side's ``src/qgcl`` line total, as
@@ -50,6 +53,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LAYERS = ("parser.parse_source", "program.well_formed", "semantics.semi_classical",
           "ovf.guarded_ovf", "semantics.denote", "semantics.apply_program", "wp.wp_apply",
           "equivalence.choi_deviation", "cli.main")
+GAIN_P = 0.05  # the largest one-sided sign-test probability that flags a gain
 
 
 def extract(rev: str, dest: str) -> None:
@@ -139,14 +143,14 @@ def compare(workload: str, args, checkouts: dict, metrics: list) -> str:
         won = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         lost = sum((c > b) if lower else (c < b) for b, c in zip(base, change))
         gain = bq[1] - cq[1] if lower else cq[1] - bq[1]
+        p = sign_test(won, lost)
         flag = ("WORSE" if -gain > m["bound"] * bq[1]
-                else "gain" if (10 * won >= 9 * args.pairs and gain > bq[2] - bq[0]
-                                and not more_failed) else "")
+                else "gain" if gain > 0 and p <= GAIN_P and not more_failed else "")
         if flag:
             flagged[flag].append(name)
         cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (bq, cq)]
         print(f"{name:12s} {cells[0]:>28s} {cells[1]:>28s} {cq[1] / bq[1]:7.3f} "
-              f"{won:>3d}/{args.pairs:<2d} {sign_test(won, lost):7.4f} {m['bound']:6.2f} {flag}")
+              f"{won:>3d}/{args.pairs:<2d} {p:7.4f} {m['bound']:6.2f} {flag}")
     if args.layers:
         traced = {side: run(path, workload, args, trace=1)["metrics"]
                   for side, path in checkouts.items()}

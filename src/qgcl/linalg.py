@@ -174,9 +174,12 @@ def hermitian_part(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray | None
     entry is read once and while its partner is in cache.  A tile pair is
     checked, averaged into the conjugate of the part, in C order, and
     mirrored.  The part is returned as that buffer's transpose: the part
-    is exactly Hermitian, so the values are bit for bit ``(m + m†) / 2``,
-    and the array is in Fortran order, the order LAPACK reads
-    (``hermitian_psd``).  A matrix that fits in one tile is one step."""
+    is exactly Hermitian, and the array is in Fortran order, the order
+    LAPACK reads (``hermitian_psd``).  A matrix that fits in one tile is
+    one step.  The average halves by multiplying by 0.5, not by a complex
+    division, so every nonzero entry is bit for bit ``(m + m†) / 2`` and
+    only the sign of a zero may differ; every caller reads the part only
+    for a verdict."""
     if m.shape[0] != m.shape[1]:
         return None
     n = len(m)
@@ -189,7 +192,7 @@ def hermitian_part(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray | None
             if np.max(np.abs(tile - mirror)) > tol:
                 return None
             tile += mirror
-            tile /= 2
+            tile *= 0.5
             if j != i:
                 np.conjugate(tile.T, out=conj[j:j + side, i:i + side])
     return conj.T

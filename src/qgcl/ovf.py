@@ -316,17 +316,29 @@ def guarded_ovf(
             )
     joint = RegisterLayout(tuple(data_layout.variables) + tuple(guard_layout.variables))
     check_cap(joint.dim, max_dim)
-    # One axis per branch: branch i's weights and operators vary along axis
-    # i, and its component is scaled by every other branch's weight.
+    projs = [basis.column(i) @ linalg.dagger(basis.column(i)) for i in range(basis.arity)]
+    states = tuple(map(cs.oplus, itertools.product(*(f.states for f in functions))))
+    if len(states) == 1:  # every weight is exactly 1: ``_mesh``'s sum and bits, unscaled
+        out = np.zeros((1, joint.dim, joint.dim), dtype=complex)
+        for f, proj in zip(functions, projs):
+            out += linalg.tensor(f.stack, proj, max_dim=max_dim)
+    else:
+        out = _mesh(functions, projs, joint.dim, max_dim)
+    return OperatorValuedFunction._of(joint, out, states)
+
+
+def _mesh(functions: list[OperatorValuedFunction], projs: list[np.ndarray], dim: int,
+          max_dim: int) -> np.ndarray:
+    """``guarded_ovf``'s stack, one row per combination of branch rows.  One
+    axis per branch: branch i's weights and operators vary along axis i, and
+    its component is scaled by every other branch's weight."""
     mesh = np.ix_(*[lambda_weights(f) for f in functions])
-    out = np.zeros(tuple(len(f.states) for f in functions) + (joint.dim, joint.dim), dtype=complex)
-    for i, f in enumerate(functions):
+    out = np.zeros(tuple(len(f.states) for f in functions) + (dim, dim), dtype=complex)
+    for i, (f, proj) in enumerate(zip(functions, projs)):
         coeff = reduce(np.multiply, mesh[:i] + mesh[i + 1:], np.ones((1,) * len(mesh)))
-        proj = basis.column(i) @ linalg.dagger(basis.column(i))
         lifted = linalg.tensor(f.stack, proj, max_dim=max_dim)
         out += coeff[..., None, None] * lifted.reshape(mesh[i].shape + lifted.shape[1:])
-    states = tuple(map(cs.oplus, itertools.product(*(f.states for f in functions))))
-    return OperatorValuedFunction._of(joint, out.reshape(-1, joint.dim, joint.dim), states)
+    return out.reshape(-1, dim, dim)
 
 
 def to_superop(f: OperatorValuedFunction) -> SuperOperator:

@@ -53,12 +53,19 @@ they already are together, and the state is read as ``(pre, k, post)``.  A
 monomial gathers the middle axis, scaled unless it is a permutation; any
 other operator is one broadcast matmul.  Monomials on both sides, on any
 variables, read the state once, as one gather with its adjacent axes
-merged (``_sandwich``).  A computational guard whose branches are unitary
-leaves with monomial ``A_i``, all permutations or none, is itself the
-monomial ``sum_i |i><i| (x) A_i``, found once on its node (``_guard_monomial``)
-and applied as a leaf is: the walk's shift step is one gather.  Any other
-guard writes each block's result into the same view of its output,
-allocated once."""
+merged (``_sandwich``).  A guard is streamed by one of three rules, each
+decided once on its node:
+- a computational guard whose branches are unitary leaves with monomial
+  ``A_i``, all permutations or none, is itself the monomial
+  ``sum_i |i><i| (x) A_i`` (``_guard_monomial``), applied as a leaf is, with
+  the block loop's bits: the walk's shift step is one gather;
+- any other guard whose branch functions each have one classical state,
+  and act on all of its data variables or on none, is the one operator
+  ``G = sum_i |b_i><b_i| (x) A_i`` (``_guard_operator``): in its basis ``G X
+  G†`` is two controlled products, one batched product per side;
+- any other guard, with a measuring branch or branches on different
+  variables, writes each block's result into the same view of its output,
+  allocated once (``_blocks``)."""
 
 from __future__ import annotations
 
@@ -288,6 +295,30 @@ def _guard_monomial(p: Guarded, max_dim: int) -> linalg.Monomial | None:
     return g
 
 
+_OPERATOR = "_operator"  # the key of a guard's ``_guard_operator`` in its ``__dict__``
+
+
+def _guard_operator(p: Guarded, max_dim: int) -> np.ndarray | None:
+    """The ``A_i`` of a guard that is one operator, ``G = sum_i |b_i><b_i|
+    (x) A_i``, as one ``(k, s, s)`` stack on its data layout (its layout
+    after its own variables): every branch function has one classical
+    state, whose weight is exactly 1, and acts on all the data variables,
+    in any order, or on none (``skip``, ``abort``: its scalar times ``I``).
+    Else ``None``: a measuring branch makes the guard a channel of many
+    operators, and extending a branch to variables it does not act on would
+    multiply the flops.  Decided once, when the guard is first streamed,
+    and kept on it."""
+    if _OPERATOR in p.__dict__:
+        return p.__dict__[_OPERATOR]
+    fns, a_s, _ = _branches(p, max_dim)
+    data = RegisterLayout(p.layout.variables[len(p.own_layout.names):])
+    stack = None
+    if all(len(f.states) == 1 and len(f.layout.names) in (0, len(data.names)) for f in fns):
+        stack = np.stack([embed(a, f.layout, data, max_dim=max_dim) for f, a in zip(fns, a_s)])
+    p.__dict__[_OPERATOR] = stack
+    return stack
+
+
 def _family(layout: RegisterLayout, ops: np.ndarray) -> SuperOperator:
     """The channel of the ``(K, d, d)`` stack ``ops``: zero operators
     pruned, and a family longer than ``d²`` reduced to the Choi rank with no
@@ -497,11 +528,28 @@ class _Stream:
 
     def _guard(self, p: Guarded, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
         """A guard that is one monomial (``_guard_monomial``) is applied as
-        a unitary leaf is; any other block by block (``_blocks``)."""
+        a unitary leaf is; one that is one operator (``_guard_operator``) as
+        two controlled products in its basis, ``stack`` on the rows and its
+        conjugate on the columns (the ``A_i†`` for the adjoint); any other
+        block by block (``_blocks``)."""
         g = _guard_monomial(p, self.max_dim)
-        if g is None:
+        if g is not None:
+            return _sandwich(t, names, _side(g, adjoint), p.layout.names)
+        stack = _guard_operator(p, self.max_dim)
+        if stack is None:
             return self._blocks(p, t, names, adjoint)
-        return _sandwich(t, names, _side(g, adjoint), p.layout.names)
+        gnames = p.own_layout.names
+        rotate = not p.basis.is_computational
+        if rotate:
+            t = _sandwich(t, names, linalg.dagger(p.basis.matrix), gnames)
+        rows = [names.index(v) for v in p.layout.names]
+        if adjoint:
+            stack = stack.conj().transpose(0, 2, 1)
+        t = _controlled(stack, t, rows)
+        t = _controlled(stack.conj(), t, [len(names) + a for a in rows])
+        if rotate:
+            t = _sandwich(t, names, p.basis.matrix, gnames)
+        return t
 
     def _blocks(self, p: Guarded, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
         """In the guard basis, diagonal block ``i`` is branch ``i``'s own
@@ -629,6 +677,17 @@ def _in_axis_order(op: linalg.Monomial, axes: list[int], runs: list[list[int]], 
         src, scale = back[src[flat]], scale[flat]
     srcs = np.unravel_index(src, sizes) if len(runs) > 1 else (src,)
     return [s.reshape(sizes) for s in srcs], scale.reshape(sizes)
+
+
+def _controlled(stack: np.ndarray, t: np.ndarray, axes: list[int]) -> np.ndarray:
+    """``sum_i |i><i| (x) stack[i]`` applied to the factors of ``t`` at
+    ``axes``: the first of them index ``i``, the rest are ``stack[i]``'s, in
+    order.  They are brought to the front and ``t`` is read as ``(k, s,
+    rest)``, so the whole guard is one batched product."""
+    order = axes + [a for a in range(t.ndim) if a not in axes]
+    moved = t.transpose(order)
+    out = stack @ moved.reshape(*stack.shape[:2], -1)
+    return out.reshape(moved.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
 def _contract(op, t: np.ndarray, axes: list[int]) -> np.ndarray:

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgcl import linalg as la, matrixio
+from qgcl import linalg as la, matrixio, semantics
 from qgcl.cli import main
 from qgcl.errors import ShapeError
+from qgcl.parser import parse_file
+from qgcl.program import Guarded
 from qgcl.registers import DensityMatrix, RegisterLayout
 from qgcl.sampling import random_density, random_unitary, rng
 
@@ -117,6 +119,29 @@ class TestWp:
             obs_record = json.load(fh)
         obs = np.array([complex(re, im) for re, im in obs_record["entries"]]).reshape(2, 2)
         assert abs(np.trace(wp_matrix @ rho) - np.trace(obs @ out_matrix)) < 1e-9
+
+
+def test_coin_relocation_samples_agree_on_states(tmp_path):
+    """``run`` and ``wp`` of the coin-relocation pair agree within 1e-12.
+    Both guards stream as one operator: the choice's because its branches
+    mix a permutation (X) with phases (Z), the relocated one's because of
+    its rotated basis."""
+    names = ("coin_qchoice.qgcl", "coin_relocated.qgcl")
+    choice, relocated = (parse_file(sample(name)) for name in names)
+    for guard in (choice.seq.parts[-1], relocated.parts[0]):  # the choice's coin, then guard
+        assert isinstance(guard, Guarded)
+        assert semantics._guard_monomial(guard, la.MAX_DIM_DEFAULT) is None
+        assert semantics._guard_operator(guard, la.MAX_DIM_DEFAULT) is not None
+    for command, flag, data in (("run", "--input", "coin_input.json"),
+                                ("wp", "--observable", "coin_observable.json")):
+        records = []
+        for name in names:
+            out = tmp_path / f"{name}.{command}.json"
+            assert run_cli(command, sample(name), flag, sample(data), "--out", str(out)) == 0
+            records.append(json.loads(out.read_text()))
+        a, b = records
+        assert a["layout"] == b["layout"]
+        assert max(abs(complex(*x) - complex(*y)) for x, y in zip(a["entries"], b["entries"])) <= 1e-12
 
 
 class TestEquiv:

@@ -9,7 +9,7 @@ and applied to the flattened matrix, and a guard's channel comes from
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import qgcl.semantics as semantics
 from qgcl import linalg as la
@@ -251,37 +251,145 @@ def guard_over(basis, *choices):
     return Guarded((("g", 2),), basis, tuple(branch(gen, c) for c in choices))
 
 
-NOT_ONE_MONOMIAL = {
-    "rotated basis": guard_over(GuardBasis(random_unitary(rng(5), 2)), "permutation",
-                                "phase permutation"),
-    "measuring branch": guard_over(GuardBasis.computational(2), "permutation", "measure"),
-    "aborting branch": guard_over(GuardBasis.computational(2), "permutation", "abort"),
-    "skip branch": guard_over(GuardBasis.computational(2), "skip", "permutation"),
-    "dense branch": guard_over(GuardBasis.computational(2), "permutation", "dense"),
-    "permutation beside phases": guard_over(GuardBasis.computational(2), "permutation",
-                                            "phase permutation"),
-    "chain branch": Guarded((("g", 2),), GuardBasis.computational(2), (
+def channel_of(p, layout, x, adjoint):
+    """``p``'s channel from ``denote`` (or its dual) applied to ``x`` on ``layout``."""
+    kraus = denote(p).extended_to(layout).kraus
+    return sum((la.dagger(k) @ x @ k if adjoint else k @ x @ la.dagger(k) for k in kraus),
+               np.zeros_like(x))  # every branch aborting leaves no operator
+
+
+def path(p):
+    """How ``_Stream._guard`` streams ``p``, as its decision functions say."""
+    if semantics._guard_monomial(p, la.MAX_DIM_DEFAULT) is not None:
+        return "monomial"
+    if semantics._guard_operator(p, la.MAX_DIM_DEFAULT) is not None:
+        return "operator"
+    return "blocks"
+
+
+# name: (the path the guard takes, the guard).  The branches of every guard
+# on the block loop but the measuring one act on different variables.
+OTHER_GUARDS = {
+    "rotated basis": ("blocks", guard_over(GuardBasis(random_unitary(rng(5), 2)), "permutation",
+                                           "phase permutation")),
+    "measuring branch": ("blocks", guard_over(GuardBasis.computational(2), "permutation",
+                                              "measure")),
+    "aborting branch": ("operator", guard_over(GuardBasis.computational(2), "permutation",
+                                               "abort")),
+    "skip branch": ("operator", guard_over(GuardBasis.computational(2), "skip", "permutation")),
+    "dense branch": ("blocks", guard_over(GuardBasis.computational(2), "permutation", "dense")),
+    "permutation beside phases": ("blocks", guard_over(GuardBasis.computational(2),
+                                                       "permutation", "phase permutation")),
+    "chain branch": ("blocks", Guarded((("g", 2),), GuardBasis.computational(2), (
         Unitary((("a", 2),), shift(2, 1)),
-        Seq(Unitary((("a", 2),), shift(2, 1)), Unitary((("b", 3),), shift(3, 1))))),
+        Seq(Unitary((("a", 2),), shift(2, 1)), Unitary((("b", 3),), shift(3, 1)))))),
+    "skip and abort only": ("operator", Guarded((("g", 2),), GuardBasis(random_unitary(rng(6), 2)),
+                                                (Skip(), Abort()))),
 }
 
 
-@pytest.mark.parametrize("name", list(NOT_ONE_MONOMIAL))
-def test_other_guards_keep_the_block_loop(name):
-    """Every guard that is not one monomial is streamed block by block,
-    with the block loop's results."""
-    p = NOT_ONE_MONOMIAL[name]
-    assert semantics._guard_monomial(p, la.MAX_DIM_DEFAULT) is None
+@pytest.mark.parametrize("name", list(OTHER_GUARDS))
+def test_other_guards_take_their_path(name):
+    """A guard that is not one monomial is streamed as one operator, within
+    rounding of the block loop, when every branch has one classical state
+    and acts on all the data variables or none; any other keeps the block
+    loop with its bits."""
+    want, p = OTHER_GUARDS[name]
+    assert path(p) == want
     gen = rng(11)
     layout = p.layout
-    kraus = denote(p).kraus
     for adjoint in (False, True):
         x = random_density(gen, layout.dim)
         got = stream(p, x, layout, adjoint=adjoint)
-        assert np.array_equal(got, blocks(p, x, layout, adjoint))
-        expect = sum((la.dagger(k) @ x @ k if adjoint else k @ x @ la.dagger(k) for k in kraus),
-                     np.zeros_like(x))
-        assert la.max_abs_diff(got, expect) < TOL
+        if want == "blocks":
+            assert np.array_equal(got, blocks(p, x, layout, adjoint))
+        else:
+            assert la.max_abs_diff(got, blocks(p, x, layout, adjoint)) < TOL
+        assert la.max_abs_diff(got, channel_of(p, layout, x, adjoint)) < TOL
+
+
+def one_state_branch(gen, data, kind):
+    """A branch with one classical state on every variable of ``data``, in a
+    random order, or on none (``skip``, ``abort``)."""
+    if kind == "skip":
+        return Skip()
+    if kind == "abort":
+        return Abort()
+
+    def on(names):
+        qvars = sub(data, tuple(names[i] for i in gen.permutation(len(names)))).variables
+        k = RegisterLayout(qvars).dim
+        op = random_unitary(gen, k) if kind in ("dense", "chain") else operator(gen, k, kind)
+        return Unitary(qvars, op)
+
+    if kind == "chain":  # the parts together cover the data variables
+        part = [data.names[i] for i in np.flatnonzero(gen.uniform(size=len(data.names)) < 0.5)]
+        return Seq(on(data.names), on(part or data.names[:1]))
+    return on(data.names)
+
+
+@st.composite
+def one_operator_guards(draw):
+    """A guard on one or two registers, in the computational or a rotated
+    basis, whose branches each have one classical state and act on every
+    data variable or on none."""
+    guard = draw(st.sampled_from([(("g", 2),), (("g", 3),), (("g", 2), ("h", 2))]))
+    data = RegisterLayout(tuple(zip(NAMES, draw(st.lists(st.integers(2, 3), min_size=1,
+                                                          max_size=2)))))
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    arity = RegisterLayout(guard).dim
+    rotated = draw(st.booleans())
+    basis = GuardBasis(random_unitary(gen, arity)) if rotated else GuardBasis.computational(arity)
+    kinds = draw(st.lists(st.sampled_from(["dense", "permutation", "phase permutation", "skip",
+                                           "abort", "chain"]), min_size=arity, max_size=arity))
+    return Guarded(guard, basis, tuple(one_state_branch(gen, data, k) for k in kinds)), gen
+
+
+@given(one_operator_guards(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_one_operator_guard_matches_the_block_loop(guard, extra):
+    """A guard of one-state branches on its data variables is streamed as
+    two controlled products; ``run`` (with an extra variable) and ``wp``, in
+    a shuffled factor order, agree with the block loop and with ``denote``."""
+    p, gen = guard
+    assume(path(p) == "operator")  # not one monomial, which streams as a gather
+    variables = p.layout.variables + ((("e", 2),) if extra else ())
+    layout = RegisterLayout(tuple(variables[i] for i in gen.permutation(len(variables))))
+    x = random_density(gen, layout.dim)
+    got = apply_program(p, DensityMatrix(x, layout)).matrix
+    assert la.max_abs_diff(got, blocks(p, x, layout, False)) < TOL
+    assert la.max_abs_diff(got, channel_of(p, layout, x, False)) < TOL
+    program = layout.remove(["e"])
+    m = random_density(gen, program.dim)
+    got = wp_apply(p, Observable(m, program)).matrix
+    assert la.max_abs_diff(got, blocks(p, m, program, True)) < TOL
+    assert la.max_abs_diff(got, channel_of(p, program, m, True)) < TOL
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_one_operator_guard_holds_at_most_one_state_more(rotated):
+    """On a dense data register, the controlled products peak at most one
+    state above the block loop."""
+    import tracemalloc
+
+    gen = rng(8)
+    basis = GuardBasis(random_unitary(gen, 2)) if rotated else GuardBasis.computational(2)
+    p = Guarded((("g", 2),), basis, tuple(Unitary((("v", 128),), random_unitary(gen, 128))
+                                          for _ in range(2)))
+    assert path(p) == "operator"
+    layout = p.layout
+    x = matrix(gen, layout.dim)
+    t = x.reshape(layout.dims * 2)
+    peaks = []
+    for run in (lambda: semantics._Stream(la.MAX_DIM_DEFAULT)._guard(p, t, layout.names, False),
+                lambda: blocks(p, x, layout, False)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] + x.nbytes
 
 
 @pytest.mark.parametrize("order", [("v", "c"), ("c", "v"), ("v", "e", "c"), ("c", "e", "v")])

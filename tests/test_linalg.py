@@ -384,6 +384,25 @@ class TestHermitianTiles:
             assert np.array_equal(part, (m + m.conj().T) / 2) and part.flags.f_contiguous
         assert over == (where != "none" and edge > 1)
 
+    @given(st.integers(1, 40), st.sampled_from(TILES), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_nonzero_entries_are_the_average_bit_for_bit(self, dim, tile, seed):
+        """The part halves by multiplying by 0.5; across the whole float
+        range, subnormals and zeros included, only a zero's sign may differ
+        from ``(m + m†) / 2``."""
+        gen = np.random.default_rng(seed)
+        parts = gen.choice([-1.0, 1.0], size=(2, dim, dim)) * np.ldexp(
+            gen.uniform(0.5, 1, size=(2, dim, dim)), gen.integers(-1074, 1023, size=(2, dim, dim)))
+        parts[gen.uniform(size=parts.shape) < 0.1] = 0.0
+        m = parts[0] + 1j * parts[1]
+        with patch.object(la, "HERMITIAN_BLOCK_BYTES", tile):
+            part = la.hermitian_part(m, np.inf)
+        got = np.ascontiguousarray(part).view(np.float64)
+        expect = ((m + m.conj().T) / 2).view(np.float64)
+        nonzero = expect != 0
+        assert np.array_equal(got[nonzero].view(np.uint64), expect[nonzero].view(np.uint64))
+        assert not got[~nonzero].any()
+
     @given(st.integers(2, 120), st.sampled_from(TILES), st.sampled_from([1 - 1e-3, 1 + 1e-3]),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

@@ -280,6 +280,26 @@ def test_guarded_composition_respects_the_bound_property(seed):
         assert sum(lambda_weight(f, d) ** 2 for d in f.states) == pytest.approx(1.0, abs=1e-9)
 
 
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_one_state_guard_has_the_mesh_bits(seed, rotated):
+    """One-state functions skip the weight mesh: every weight is exactly 1,
+    so the sum from zeros in branch order has the mesh's bits, the signs of
+    zeros included."""
+    gen = rng(seed)
+    dim, arity = int(gen.integers(1, 4)), int(gen.integers(2, 5))
+    layout = RegisterLayout.of(("d", dim)) if dim > 1 else RegisterLayout()
+    guard = RegisterLayout.of(("s", arity))
+    basis = GuardBasis(random_unitary(gen, arity)) if rotated else GuardBasis.computational(arity)
+    fs = [random_ovf(gen, layout, 1, str(gen.choice(["full", "sub", "zero"])), label=f"k{i}")
+          for i in range(arity)]
+    projs = [basis.column(i) @ la.dagger(basis.column(i)) for i in range(arity)]
+    composed = guarded_ovf(basis, fs, guard)
+    expect = ovf._mesh(fs, projs, composed.layout.dim, la.MAX_DIM_DEFAULT)
+    assert composed.stack.tobytes() == expect.tobytes()
+    assert composed.states == (cs.oplus(tuple(f.states[0] for f in fs)),)
+
+
 def reference_lambdas(table):
     """The paper's branch weights over a plain dict: ``λ(d)² = w(d) / Σ w``
     with ``w(d) = tr F(d)† F(d)``, uniform for the all-zero function."""
