@@ -19,11 +19,12 @@ median relative to the base's, the pairs the change won (ties count for
 neither side), the one-sided sign-test probability of winning that many of
 the untied pairs by chance, and the metric's bound.  A metric is flagged
 ``WORSE`` when the change's median is worse by more than its bound, and
-``gain`` when the change's median is better and the sign-test probability
-is at most ``GAIN_P``: the paired differences decide, not the spread of
-one side's runs, which on a noisy workload can hide a gain that wins every
-pair (Kalibera and Jones, "Rigorous benchmarking in reasonable time").
-Of ten untied pairs the change must win nine.  Each side's
+``gain`` when the change's median is better, it won at least nine tenths
+of all the pairs, so tied pairs count against it, and the sign-test
+probability is at most ``GAIN_P``: the paired differences decide, not the
+spread of one side's runs, which on a noisy workload can hide a gain that
+wins every pair (Kalibera and Jones, "Rigorous benchmarking in reasonable
+time").  Each side's
 failed ops are totalled; when the change fails a larger share of its ops
 than the base, no metric is flagged ``gain`` and the summary says
 ``FAILED``.  Last it prints each side's ``src/qgcl`` line total, as
@@ -145,7 +146,8 @@ def compare(workload: str, args, checkouts: dict, metrics: list) -> str:
         gain = bq[1] - cq[1] if lower else cq[1] - bq[1]
         p = sign_test(won, lost)
         flag = ("WORSE" if -gain > m["bound"] * bq[1]
-                else "gain" if gain > 0 and p <= GAIN_P and not more_failed else "")
+                else "gain" if (gain > 0 and 10 * won >= 9 * args.pairs and p <= GAIN_P
+                                and not more_failed) else "")
         if flag:
             flagged[flag].append(name)
         cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (bq, cq)]

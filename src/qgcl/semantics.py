@@ -43,8 +43,7 @@ constructor, so an overflowing result raises ``ShapeError``.
 
 ``apply_program`` and ``wp_apply`` never build the channel: ``stream``
 pushes the state (or, backwards, the observable) through the program, each
-operator acting on its own tensor factors, a guard block by block in its
-basis.  A monomial leaf operator (``linalg.Monomial``: the walk's shifts,
+operator acting on its own tensor factors, a guard in its basis.  A monomial leaf operator (``linalg.Monomial``: the walk's shifts,
 diagonals, phase permutations, basis projectors) is classified once on its
 node (``Unitary.kernel``, ``Measurement.kernels``).  Every operator is
 applied by one rule (``_contract``): the axes of its variables are brought
@@ -53,19 +52,22 @@ they already are together, and the state is read as ``(pre, k, post)``.  A
 monomial gathers the middle axis, scaled unless it is a permutation; any
 other operator is one broadcast matmul.  Monomials on both sides, on any
 variables, read the state once, as one gather with its adjacent axes
-merged (``_sandwich``).  A guard is streamed by one of three rules, each
-decided once on its node:
-- a computational guard whose branches are unitary leaves with monomial
-  ``A_i``, all permutations or none, is itself the monomial
-  ``sum_i |i><i| (x) A_i`` (``_guard_monomial``), applied as a leaf is, with
-  the block loop's bits: the walk's shift step is one gather;
-- any other guard whose branch functions each have one classical state,
-  and act on all of its data variables or on none, is the one operator
-  ``G = sum_i |b_i><b_i| (x) A_i`` (``_guard_operator``): in its basis ``G X
-  G†`` is two controlled products, one batched product per side;
-- any other guard, with a measuring branch or branches on different
-  variables, writes each block's result into the same view of its output,
-  allocated once (``_blocks``)."""
+merged (``_sandwich``).  A guard is rotated into its basis and streamed
+there by one of three rules, decided once on its node:
+- when every branch function has one classical state, whose weight is
+  exactly 1, and a monomial ``A_i`` (as a phase permutation on any of
+  the variables is, or ``skip`` or ``abort``), the guard is itself the monomial
+  ``sum_i |i><i| (x) A_i`` (``_guard_monomial``), applied as a leaf is:
+  the walk's shift step, and its coin relocated into the guard's basis,
+  are one gather;
+- when every branch function has one classical state and each ``A_i`` is
+  dense on all the data variables or a scalar (``skip``, ``abort``), the
+  guard is the one operator ``G = sum_i |b_i><b_i| (x) A_i``
+  (``_guard_operator``), and ``G X G†`` is two controlled products, the
+  dense ``A_i`` one batched product per side, with the block loop's flops;
+- any other guard, with a measuring branch, branches on different
+  variables or dense beside monomial ``A_i``, writes each block's result
+  into the same view of its output, allocated once (``_blocks``)."""
 
 from __future__ import annotations
 
@@ -262,33 +264,39 @@ _MONOMIAL = "_monomial"  # the key of a guard's ``_guard_monomial`` in its ``__d
 
 def _guard_monomial(p: Guarded, max_dim: int) -> linalg.Monomial | None:
     """``G = sum_i |i><i| (x) A_i`` on the guard's layout (its own variables,
-    then the branches'), when streaming ``G`` gives the block loop's bits:
-    the basis is computational, every branch is a unitary leaf (one
-    classical state) whose ``A_i`` is monomial, so no scale is 0, and either
-    every ``A_i`` is a permutation or none is, so ``G`` scales exactly the
-    rows the block loop scales.  Else ``None``.  Decided once, when the
-    guard is first streamed, and kept on it.
+    then the branches'), in its basis, when every branch function has one
+    classical state, whose weight is exactly 1, and a monomial ``A_i``: a
+    permutation or phase permutation on any of the variables, or a branch
+    on none, ``skip`` (``I``) or ``abort`` (``0``).  Else ``None``.  Decided
+    once, when the guard is first streamed, and kept on it.
 
     Each ``A_i`` is extended to the branches' joint layout by index
     arithmetic: a joint index's coordinates on the branch's variables are
-    sent where ``A_i`` sends them, the others kept."""
+    sent where ``A_i`` sends them, the others kept.  A computational guard
+    of unitary leaves, all permutations or none, so gives the block loop's
+    bits; any other within rounding (a chain is rounded once as a product,
+    and scaling a permutation's rows by 1 can flip the sign of a zero)."""
     if _MONOMIAL in p.__dict__:
         return p.__dict__[_MONOMIAL]
-    kernels = _branches(p, max_dim)[2]
+    fns, a_s, kernels = _branches(p, max_dim)
+    kernels = [linalg.monomial(a) if len(a) == 1 else k for a, k in zip(a_s, kernels)]
     g = None
-    if (p.basis.is_computational and all(isinstance(b, Unitary) for b in p.branches)
-            and all(isinstance(k, linalg.Monomial) for k in kernels)
-            and len({k.unit for k in kernels}) == 1):
+    if all(len(f.states) == 1 and isinstance(k, linalg.Monomial) for f, k in zip(fns, kernels)):
         own = len(p.own_layout.names)
         names, dims = p.layout.names[own:], p.layout.dims[own:]
-        grid = np.indices(dims).reshape(len(dims), -1)  # each joint index's coordinates
+        n = prod(dims)
+        grid = np.indices(dims).reshape(len(dims), n)  # each joint index's coordinates
         cols, scales = [], []
-        for i, (b, k) in enumerate(zip(p.branches, kernels)):
-            at, sub = [names.index(v) for v in b.layout.names], b.layout.dims
-            rows = np.ravel_multi_index(grid[at], sub)
-            src = grid.copy()
-            src[at] = np.unravel_index(k.col[rows], sub)
-            cols.append(i * grid.shape[1] + np.ravel_multi_index(src, dims))
+        for i, (f, k) in enumerate(zip(fns, kernels)):
+            at, sub = [names.index(v) for v in f.layout.names], f.layout.dims
+            if at:
+                rows = np.ravel_multi_index(grid[at], sub)
+                src = grid.copy()
+                src[at] = np.unravel_index(k.col[rows], sub)
+                col = np.ravel_multi_index(src, dims)
+            else:  # ``skip`` or ``abort``: its scalar times ``I``
+                rows, col = np.zeros(n, dtype=int), np.arange(n)
+            cols.append(i * n + col)
             scales.append(k.scale[rows])
         g = linalg.Monomial(np.concatenate(cols), np.concatenate(scales))
     p.__dict__[_MONOMIAL] = g
@@ -298,25 +306,36 @@ def _guard_monomial(p: Guarded, max_dim: int) -> linalg.Monomial | None:
 _OPERATOR = "_operator"  # the key of a guard's ``_guard_operator`` in its ``__dict__``
 
 
-def _guard_operator(p: Guarded, max_dim: int) -> np.ndarray | None:
-    """The ``A_i`` of a guard that is one operator, ``G = sum_i |b_i><b_i|
-    (x) A_i``, as one ``(k, s, s)`` stack on its data layout (its layout
-    after its own variables): every branch function has one classical
-    state, whose weight is exactly 1, and acts on all the data variables,
-    in any order, or on none (``skip``, ``abort``: its scalar times ``I``).
-    Else ``None``: a measuring branch makes the guard a channel of many
-    operators, and extending a branch to variables it does not act on would
-    multiply the flops.  Decided once, when the guard is first streamed,
-    and kept on it."""
+def _guard_operator(p: Guarded, max_dim: int) -> tuple | None:
+    """A guard that is one operator, ``G = sum_i |b_i><b_i| (x) A_i``, but not
+    one monomial: every branch function has one classical state, and each
+    ``A_i`` is dense on all the data variables (its layout after its own
+    variables), in any order, or a scalar on none (``skip``, ``abort``).
+    Returned as ``(stack, dense, scalar)``: the dense ``A_i`` as one ``(m,
+    s, s)`` stack on the data layout, their branch indices, and each
+    branch's scalar (0 for a dense one), so applying ``G`` costs the block
+    loop's flops.  Else ``None``: a measuring branch makes the guard a
+    channel of many operators, and extending a branch to variables it does
+    not act on, or a monomial to a dense matrix, would multiply the flops.
+    A branch already on the data layout then holds its ``A_i`` as a view of
+    the stack, its one copy.  Decided once, when the guard is first
+    streamed, and kept on it."""
     if _OPERATOR in p.__dict__:
         return p.__dict__[_OPERATOR]
-    fns, a_s, _ = _branches(p, max_dim)
+    fns, a_s, kernels = _branches(p, max_dim)
     data = RegisterLayout(p.layout.variables[len(p.own_layout.names):])
-    stack = None
-    if all(len(f.states) == 1 and len(f.layout.names) in (0, len(data.names)) for f in fns):
-        stack = np.stack([embed(a, f.layout, data, max_dim=max_dim) for f, a in zip(fns, a_s)])
-    p.__dict__[_OPERATOR] = stack
-    return stack
+    scalar = np.array([a[0, 0] if len(a) == 1 else 0 for a in a_s], dtype=complex)
+    dense = [i for i, a in enumerate(a_s) if len(a) > 1]
+    op = None
+    if all(len(f.states) == 1 for f in fns) and all(  # ``linalg.kernel`` keeps a dense A_i as is
+            kernels[i] is a_s[i] and len(fns[i].layout.names) == len(data.names) for i in dense):
+        stack = np.stack([embed(a_s[i], fns[i].layout, data, max_dim=max_dim) for i in dense])
+        for row, i in enumerate(dense):
+            if fns[i].layout.variables == data.variables:
+                kernels[i] = a_s[i] = stack[row]
+        op = stack, dense, scalar
+    p.__dict__[_OPERATOR] = op
+    return op
 
 
 def _family(layout: RegisterLayout, ops: np.ndarray) -> SuperOperator:
@@ -527,32 +546,34 @@ class _Stream:
         return out.reshape(t.shape)
 
     def _guard(self, p: Guarded, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
-        """A guard that is one monomial (``_guard_monomial``) is applied as
-        a unitary leaf is; one that is one operator (``_guard_operator``) as
-        two controlled products in its basis, ``stack`` on the rows and its
-        conjugate on the columns (the ``A_i†`` for the adjoint); any other
-        block by block (``_blocks``)."""
-        g = _guard_monomial(p, self.max_dim)
-        if g is not None:
-            return _sandwich(t, names, _side(g, adjoint), p.layout.names)
-        stack = _guard_operator(p, self.max_dim)
-        if stack is None:
-            return self._blocks(p, t, names, adjoint)
+        """In the guard's basis, a guard that is one monomial
+        (``_guard_monomial``) is applied as a unitary leaf is; one that is
+        one operator (``_guard_operator``) as two controlled products,
+        ``stack`` on the rows and its conjugate on the columns (the ``A_i†``
+        for the adjoint); any other block by block (``_blocks``)."""
         gnames = p.own_layout.names
         rotate = not p.basis.is_computational
         if rotate:
             t = _sandwich(t, names, linalg.dagger(p.basis.matrix), gnames)
-        rows = [names.index(v) for v in p.layout.names]
-        if adjoint:
-            stack = stack.conj().transpose(0, 2, 1)
-        t = _controlled(stack, t, rows)
-        t = _controlled(stack.conj(), t, [len(names) + a for a in rows])
+        g = _guard_monomial(p, self.max_dim)
+        op = None if g is not None else _guard_operator(p, self.max_dim)
+        if g is not None:
+            t = _sandwich(t, names, _side(g, adjoint), p.layout.names)
+        elif op is not None:
+            stack, dense, scalar = op
+            rows = [names.index(v) for v in p.layout.names]
+            if adjoint:
+                stack, scalar = stack.conj().transpose(0, 2, 1), scalar.conj()
+            t = _controlled(stack, dense, scalar, t, rows)
+            t = _controlled(stack.conj(), dense, scalar.conj(), t, [len(names) + a for a in rows])
+        else:
+            t = self._blocks(p, t, names, adjoint)
         if rotate:
             t = _sandwich(t, names, p.basis.matrix, gnames)
         return t
 
     def _blocks(self, p: Guarded, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
-        """In the guard basis, diagonal block ``i`` is branch ``i``'s own
+        """``t`` in the guard basis: diagonal block ``i`` is branch ``i``'s own
         evaluation and off-diagonal block ``(i, j)`` is ``A_i X_ij A_j†``
         (with ``A†`` for the adjoint): the square branch weights sum to one,
         so the guarded composition never needs its joint domain.  Each block
@@ -561,9 +582,6 @@ class _Stream:
         A zero block is evaluated like any other: every branch kernel is
         linear, so it gives zero, and testing for it would read ``t`` again."""
         gnames = p.own_layout.names
-        rotate = not p.basis.is_computational
-        if rotate:
-            t = _sandwich(t, names, linalg.dagger(p.basis.matrix), gnames)
         n = len(names)
         gpos = [names.index(g) for g in gnames]
         coords = [np.unravel_index(i, [t.shape[a] for a in gpos]) for i in range(p.basis.dim)]
@@ -581,8 +599,6 @@ class _Stream:
                 else:
                     out[at] = _sandwich(t[at], data, sides[i], p.branches[i].layout.names,
                                         sides[j], p.branches[j].layout.names)
-        if rotate:
-            out = _sandwich(out, names, p.basis.matrix, gnames)
         return out
 
 
@@ -679,14 +695,23 @@ def _in_axis_order(op: linalg.Monomial, axes: list[int], runs: list[list[int]], 
     return [s.reshape(sizes) for s in srcs], scale.reshape(sizes)
 
 
-def _controlled(stack: np.ndarray, t: np.ndarray, axes: list[int]) -> np.ndarray:
-    """``sum_i |i><i| (x) stack[i]`` applied to the factors of ``t`` at
-    ``axes``: the first of them index ``i``, the rest are ``stack[i]``'s, in
-    order.  They are brought to the front and ``t`` is read as ``(k, s,
-    rest)``, so the whole guard is one batched product."""
+def _controlled(stack: np.ndarray, dense: list[int], scalar: np.ndarray, t: np.ndarray,
+                axes: list[int]) -> np.ndarray:
+    """``sum_i |i><i| (x) A_i`` applied to the factors of ``t`` at ``axes``:
+    the first of them index ``i``, the rest are the ``A_i``'s, in order.
+    ``A_i`` is ``stack[r]`` for ``i = dense[r]``, else ``scalar[i]`` times
+    ``I``.  The axes are brought to the front and ``t`` is read as ``(k, s,
+    rest)``: every ``A_i`` dense is one batched product; else the state is
+    scaled and each dense ``A_i`` writes its product over its own slice."""
     order = axes + [a for a in range(t.ndim) if a not in axes]
     moved = t.transpose(order)
-    out = stack @ moved.reshape(*stack.shape[:2], -1)
+    t3 = moved.reshape(len(scalar), stack.shape[1], -1)
+    if len(dense) == len(scalar):
+        out = stack @ t3
+    else:
+        out = t3 * scalar[:, None, None]
+        for a, i in zip(stack, dense):
+            np.matmul(a, t3[i], out=out[i])
     return out.reshape(moved.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 

@@ -123,15 +123,13 @@ class TestWp:
 
 def test_coin_relocation_samples_agree_on_states(tmp_path):
     """``run`` and ``wp`` of the coin-relocation pair agree within 1e-12.
-    Both guards stream as one operator: the choice's because its branches
-    mix a permutation (X) with phases (Z), the relocated one's because of
-    its rotated basis."""
+    Both guards stream as one monomial in their basis: the choice's mixes
+    a permutation (X) with phases (Z), the relocated one's is rotated."""
     names = ("coin_qchoice.qgcl", "coin_relocated.qgcl")
     choice, relocated = (parse_file(sample(name)) for name in names)
     for guard in (choice.seq.parts[-1], relocated.parts[0]):  # the choice's coin, then guard
         assert isinstance(guard, Guarded)
-        assert semantics._guard_monomial(guard, la.MAX_DIM_DEFAULT) is None
-        assert semantics._guard_operator(guard, la.MAX_DIM_DEFAULT) is not None
+        assert semantics._guard_monomial(guard, la.MAX_DIM_DEFAULT) is not None
     for command, flag, data in (("run", "--input", "coin_input.json"),
                                 ("wp", "--observable", "coin_observable.json")):
         records = []

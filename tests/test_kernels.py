@@ -9,7 +9,7 @@ and applied to the flattened matrix, and a guard's channel comes from
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import qgcl.semantics as semantics
 from qgcl import linalg as la
@@ -219,9 +219,15 @@ def monomial_guards(draw):
 
 
 def blocks(p, x, layout, adjoint):
-    """``p``'s guard streamed block by block, as any guard that is not one monomial is."""
-    t = x.reshape(layout.dims * 2)
-    out = semantics._Stream(la.MAX_DIM_DEFAULT)._blocks(p, t, layout.names, adjoint)
+    """``p``'s guard streamed block by block in its basis, as a guard that
+    is not one operator is."""
+    t, names, site = x.reshape(layout.dims * 2), layout.names, p.own_layout.names
+    rotated = not p.basis.is_computational
+    if rotated:
+        t = semantics._sandwich(t, names, la.dagger(p.basis.matrix), site)
+    out = semantics._Stream(la.MAX_DIM_DEFAULT)._blocks(p, t, names, adjoint)
+    if rotated:
+        out = semantics._sandwich(out, names, p.basis.matrix, site)
     return out.reshape(x.shape)
 
 
@@ -267,33 +273,47 @@ def path(p):
     return "blocks"
 
 
+def dense_on_data(gen):
+    """A dense unitary branch on both data variables, in a random order."""
+    return Unitary(sub(DATA, tuple(DATA.names[i] for i in gen.permutation(2))).variables,
+                   random_unitary(gen, DATA.dim))
+
+
 # name: (the path the guard takes, the guard).  The branches of every guard
-# on the block loop but the measuring one act on different variables.
+# on the block loop but the measuring one act on different variables, or
+# mix a dense branch with a monomial one.
 OTHER_GUARDS = {
-    "rotated basis": ("blocks", guard_over(GuardBasis(random_unitary(rng(5), 2)), "permutation",
-                                           "phase permutation")),
+    "rotated basis": ("monomial", guard_over(GuardBasis(random_unitary(rng(5), 2)),
+                                             "permutation", "phase permutation")),
     "measuring branch": ("blocks", guard_over(GuardBasis.computational(2), "permutation",
                                               "measure")),
-    "aborting branch": ("operator", guard_over(GuardBasis.computational(2), "permutation",
+    "aborting branch": ("monomial", guard_over(GuardBasis.computational(2), "permutation",
                                                "abort")),
-    "skip branch": ("operator", guard_over(GuardBasis.computational(2), "skip", "permutation")),
+    "skip branch": ("monomial", guard_over(GuardBasis.computational(2), "skip", "permutation")),
     "dense branch": ("blocks", guard_over(GuardBasis.computational(2), "permutation", "dense")),
-    "permutation beside phases": ("blocks", guard_over(GuardBasis.computational(2),
-                                                       "permutation", "phase permutation")),
-    "chain branch": ("blocks", Guarded((("g", 2),), GuardBasis.computational(2), (
+    "permutation beside phases": ("monomial", guard_over(GuardBasis.computational(2),
+                                                         "permutation", "phase permutation")),
+    "chain branch": ("monomial", Guarded((("g", 2),), GuardBasis.computational(2), (
         Unitary((("a", 2),), shift(2, 1)),
         Seq(Unitary((("a", 2),), shift(2, 1)), Unitary((("b", 3),), shift(3, 1)))))),
-    "skip and abort only": ("operator", Guarded((("g", 2),), GuardBasis(random_unitary(rng(6), 2)),
+    "skip and abort only": ("monomial", Guarded((("g", 2),), GuardBasis(random_unitary(rng(6), 2)),
                                                 (Skip(), Abort()))),
+    "dense beside skip": ("operator", Guarded((("g", 2),), GuardBasis.computational(2),
+                                              (Skip(), dense_on_data(rng(7))))),
+    "dense beside abort, rotated": ("operator", Guarded(
+        (("g", 3),), GuardBasis(random_unitary(rng(8), 3)),
+        (dense_on_data(rng(9)), Abort(), dense_on_data(rng(10))))),
+    "dense beside a permutation": ("blocks", Guarded((("g", 2),), GuardBasis.computational(2), (
+        dense_on_data(rng(11)), Unitary(DATA.variables, shift(DATA.dim, 1))))),
 }
 
 
 @pytest.mark.parametrize("name", list(OTHER_GUARDS))
 def test_other_guards_take_their_path(name):
-    """A guard that is not one monomial is streamed as one operator, within
-    rounding of the block loop, when every branch has one classical state
-    and acts on all the data variables or none; any other keeps the block
-    loop with its bits."""
+    """A guard of one-state branches is streamed as one monomial when every
+    ``A_i`` is monomial, and as one operator when each is dense on all the
+    data variables or a scalar, within rounding of the block loop; any
+    other keeps the block loop with its bits."""
     want, p = OTHER_GUARDS[name]
     assert path(p) == want
     gen = rng(11)
@@ -329,10 +349,10 @@ def one_state_branch(gen, data, kind):
 
 
 @st.composite
-def one_operator_guards(draw):
+def one_state_guards(draw):
     """A guard on one or two registers, in the computational or a rotated
     basis, whose branches each have one classical state and act on every
-    data variable or on none."""
+    data variable or on none, with the path the branches' kinds give it."""
     guard = draw(st.sampled_from([(("g", 2),), (("g", 3),), (("g", 2), ("h", 2))]))
     data = RegisterLayout(tuple(zip(NAMES, draw(st.lists(st.integers(2, 3), min_size=1,
                                                           max_size=2)))))
@@ -342,17 +362,22 @@ def one_operator_guards(draw):
     basis = GuardBasis(random_unitary(gen, arity)) if rotated else GuardBasis.computational(arity)
     kinds = draw(st.lists(st.sampled_from(["dense", "permutation", "phase permutation", "skip",
                                            "abort", "chain"]), min_size=arity, max_size=arity))
-    return Guarded(guard, basis, tuple(one_state_branch(gen, data, k) for k in kinds)), gen
+    want = ("monomial" if not {"dense", "chain"} & set(kinds)
+            else "operator" if not {"permutation", "phase permutation"} & set(kinds)
+            else "blocks")
+    return Guarded(guard, basis, tuple(one_state_branch(gen, data, k) for k in kinds)), want, gen
 
 
-@given(one_operator_guards(), st.booleans())
-@settings(max_examples=80, deadline=None)
-def test_one_operator_guard_matches_the_block_loop(guard, extra):
-    """A guard of one-state branches on its data variables is streamed as
-    two controlled products; ``run`` (with an extra variable) and ``wp``, in
-    a shuffled factor order, agree with the block loop and with ``denote``."""
-    p, gen = guard
-    assume(path(p) == "operator")  # not one monomial, which streams as a gather
+@given(one_state_guards(), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_one_state_guard_matches_the_block_loop(guard, extra):
+    """A guard of one-state branches takes the path its branches' kinds
+    give: one monomial when every ``A_i`` is monomial, two controlled
+    products when each is dense or a scalar, else the block loop.  ``run``
+    (with an extra variable) and ``wp``, in a shuffled factor order, agree
+    with the block loop and with ``denote``."""
+    p, want, gen = guard
+    assert path(p) == want
     variables = p.layout.variables + ((("e", 2),) if extra else ())
     layout = RegisterLayout(tuple(variables[i] for i in gen.permutation(len(variables))))
     x = random_density(gen, layout.dim)
@@ -367,15 +392,17 @@ def test_one_operator_guard_matches_the_block_loop(guard, extra):
 
 
 @pytest.mark.parametrize("rotated", [False, True])
-def test_one_operator_guard_holds_at_most_one_state_more(rotated):
-    """On a dense data register, the controlled products peak at most one
-    state above the block loop."""
+@pytest.mark.parametrize("skip", [False, True])
+def test_one_operator_guard_holds_at_most_one_state_more(rotated, skip):
+    """On a dense data register, beside another dense branch or ``skip``,
+    the controlled products peak at most one state above the block loop."""
     import tracemalloc
 
     gen = rng(8)
     basis = GuardBasis(random_unitary(gen, 2)) if rotated else GuardBasis.computational(2)
-    p = Guarded((("g", 2),), basis, tuple(Unitary((("v", 128),), random_unitary(gen, 128))
-                                          for _ in range(2)))
+    dense = Unitary((("v", 128),), random_unitary(gen, 128))
+    other = Skip() if skip else Unitary((("v", 128),), random_unitary(gen, 128))
+    p = Guarded((("g", 2),), basis, (other, dense))
     assert path(p) == "operator"
     layout = p.layout
     x = matrix(gen, layout.dim)
@@ -415,3 +442,25 @@ def test_controlled_shift_as_one_unitary_or_a_guard(order):
         full = embed(whole.operator, whole.layout, layout)
         expect = la.dagger(full) @ x @ full if adjoint else full @ x @ la.dagger(full)
         assert la.max_abs_diff(got, expect) < TOL
+
+
+@pytest.mark.parametrize("relocated", [False, True])
+def test_shift_guards_stay_one_gather_at_scale(relocated):
+    """The walk's shift with its coin relocated into the guard's basis
+    (``guard c basis H { |0> -> TR[v]; |1> -> TL[v] }``), and a shift beside
+    ``skip``, are one monomial at state dimension 1024: a gather between the
+    basis rotations, never a dense product, within rounding of the block
+    loop."""
+    n = 512
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    tr, tl = Unitary((("v", n),), shift(n, 1)), Unitary((("v", n),), shift(n, -1))
+    p = (Guarded((("c", 2),), GuardBasis(h), (tr, tl)) if relocated
+         else Guarded((("c", 2),), GuardBasis.computational(2), (Skip(), tr)))
+    assert path(p) == "monomial"
+    assert semantics._OPERATOR not in p.__dict__  # no dense stack was built
+    layout = p.layout
+    x = matrix(rng(4), layout.dim)
+    t = x.reshape(layout.dims * 2)
+    for adjoint in (False, True):
+        got = semantics._Stream(la.MAX_DIM_DEFAULT)._guard(p, t, layout.names, adjoint)
+        assert la.max_abs_diff(got.reshape(x.shape), blocks(p, x, layout, adjoint)) < TOL
