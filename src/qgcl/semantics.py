@@ -53,21 +53,16 @@ monomial gathers the middle axis, scaled unless it is a permutation; any
 other operator is one broadcast matmul.  Monomials on both sides, on any
 variables, read the state once, as one gather with its adjacent axes
 merged (``_sandwich``).  A guard is rotated into its basis and streamed
-there by one of three rules, decided once on its node:
-- when every branch function has one classical state, whose weight is
-  exactly 1, and a monomial ``A_i`` (as a phase permutation on any of
-  the variables is, or ``skip`` or ``abort``), the guard is itself the monomial
-  ``sum_i |i><i| (x) A_i`` (``_guard_monomial``), applied as a leaf is:
-  the walk's shift step, and its coin relocated into the guard's basis,
-  are one gather;
-- when every branch function has one classical state and each ``A_i`` is
-  dense on all the data variables or a scalar (``skip``, ``abort``), the
-  guard is the one operator ``G = sum_i |b_i><b_i| (x) A_i``
-  (``_guard_operator``), and ``G X G†`` is two controlled products, the
-  dense ``A_i`` one batched product per side, with the block loop's flops;
-- any other guard, with a measuring branch, branches on different
-  variables or dense beside monomial ``A_i``, writes each block's result
-  into the same view of its output, allocated once (``_blocks``)."""
+there by one rule, the twin of ``_guard_family``: with ``A_i`` the weighted
+sum of branch ``i``'s operators, block ``(i, j)`` of the result is ``A_i X_ij
+A_j†``, so ``X`` becomes ``C X C†`` with ``C = sum_i |i><i| (x) A_i``; then
+each branch whose function has more than one classical state overwrites its
+diagonal block with its own evaluation of ``X_ii`` (a one-state branch has
+weight exactly 1, so ``C`` already gave it).  How ``C`` is multiplied is
+decided once on the guard (``_control``): one gather when every ``A_i`` is
+monomial (the walk's shift step, and its coin relocated into the guard's
+basis); one batched product per side when every ``A_i`` is dense on all the
+data variables; else slice by slice, each ``A_i`` on its own variables."""
 
 from __future__ import annotations
 
@@ -259,83 +254,70 @@ def _branches(p: Guarded, max_dim: int) -> tuple:
     return p.__dict__[_BRANCHES]
 
 
-_MONOMIAL = "_monomial"  # the key of a guard's ``_guard_monomial`` in its ``__dict__``
+_CONTROL = "_control"  # the key of a guard's ``_control`` in its ``__dict__``
 
 
-def _guard_monomial(p: Guarded, max_dim: int) -> linalg.Monomial | None:
-    """``G = sum_i |i><i| (x) A_i`` on the guard's layout (its own variables,
-    then the branches'), in its basis, when every branch function has one
-    classical state, whose weight is exactly 1, and a monomial ``A_i``: a
-    permutation or phase permutation on any of the variables, or a branch
-    on none, ``skip`` (``I``) or ``abort`` (``0``).  Else ``None``.  Decided
-    once, when the guard is first streamed, and kept on it.
+def _control(p: Guarded, max_dim: int) -> tuple:
+    """``C = sum_i |i><i| (x) A_i`` on the guard's layout (its own variables,
+    then the branches'), in its basis, as streaming multiplies by it, and
+    the branches whose function has more than one classical state.  Decided
+    once, when the guard is first streamed, and kept on it.  ``C`` is
 
-    Each ``A_i`` is extended to the branches' joint layout by index
-    arithmetic: a joint index's coordinates on the branch's variables are
-    sent where ``A_i`` sends them, the others kept.  A computational guard
-    of unitary leaves, all permutations or none, so gives the block loop's
-    bits; any other within rounding (a chain is rounded once as a product,
-    and scaling a permutation's rows by 1 can flip the sign of a zero)."""
-    if _MONOMIAL in p.__dict__:
-        return p.__dict__[_MONOMIAL]
-    fns, a_s, kernels = _branches(p, max_dim)
-    kernels = [linalg.monomial(a) if len(a) == 1 else k for a, k in zip(a_s, kernels)]
-    g = None
-    if all(len(f.states) == 1 and isinstance(k, linalg.Monomial) for f, k in zip(fns, kernels)):
-        own = len(p.own_layout.names)
-        names, dims = p.layout.names[own:], p.layout.dims[own:]
-        n = prod(dims)
-        grid = np.indices(dims).reshape(len(dims), n)  # each joint index's coordinates
-        cols, scales = [], []
-        for i, (f, k) in enumerate(zip(fns, kernels)):
-            at, sub = [names.index(v) for v in f.layout.names], f.layout.dims
-            if at:
-                rows = np.ravel_multi_index(grid[at], sub)
-                src = grid.copy()
-                src[at] = np.unravel_index(k.col[rows], sub)
-                col = np.ravel_multi_index(src, dims)
-            else:  # ``skip`` or ``abort``: its scalar times ``I``
-                rows, col = np.zeros(n, dtype=int), np.arange(n)
-            cols.append(i * n + col)
-            scales.append(k.scale[rows])
-        g = linalg.Monomial(np.concatenate(cols), np.concatenate(scales))
-    p.__dict__[_MONOMIAL] = g
-    return g
+    - one ``linalg.Monomial`` when every ``A_i`` is monomial
+      (``_guard_monomial``);
+    - one ``(k, s, s)`` stack when every ``A_i`` is dense on all the data
+      variables, each put in the data layout's order;
+    - else a list with, per branch, ``A_i`` and the axes it acts on: such
+      a dense ``A_i`` with ``None``, a scalar (a branch on no variables:
+      ``skip``, ``abort``) with none, or ``A_i``'s kernel with the axes of
+      its variables among the data's.
 
-
-_OPERATOR = "_operator"  # the key of a guard's ``_guard_operator`` in its ``__dict__``
-
-
-def _guard_operator(p: Guarded, max_dim: int) -> tuple | None:
-    """A guard that is one operator, ``G = sum_i |b_i><b_i| (x) A_i``, but not
-    one monomial: every branch function has one classical state, and each
-    ``A_i`` is dense on all the data variables (its layout after its own
-    variables), in any order, or a scalar on none (``skip``, ``abort``).
-    Returned as ``(stack, dense, scalar)``: the dense ``A_i`` as one ``(m,
-    s, s)`` stack on the data layout, their branch indices, and each
-    branch's scalar (0 for a dense one), so applying ``G`` costs the block
-    loop's flops.  Else ``None``: a measuring branch makes the guard a
-    channel of many operators, and extending a branch to variables it does
-    not act on, or a monomial to a dense matrix, would multiply the flops.
-    A branch already on the data layout then holds its ``A_i`` as a view of
-    the stack, its one copy.  Decided once, when the guard is first
-    streamed, and kept on it."""
-    if _OPERATOR in p.__dict__:
-        return p.__dict__[_OPERATOR]
+    No ``A_i`` is made dense or extended to variables it does not act on."""
+    if _CONTROL in p.__dict__:
+        return p.__dict__[_CONTROL]
     fns, a_s, kernels = _branches(p, max_dim)
     data = RegisterLayout(p.layout.variables[len(p.own_layout.names):])
-    scalar = np.array([a[0, 0] if len(a) == 1 else 0 for a in a_s], dtype=complex)
-    dense = [i for i, a in enumerate(a_s) if len(a) > 1]
-    op = None
-    if all(len(f.states) == 1 for f in fns) and all(  # ``linalg.kernel`` keeps a dense A_i as is
-            kernels[i] is a_s[i] and len(fns[i].layout.names) == len(data.names) for i in dense):
-        stack = np.stack([embed(a_s[i], fns[i].layout, data, max_dim=max_dim) for i in dense])
-        for row, i in enumerate(dense):
-            if fns[i].layout.variables == data.variables:
-                kernels[i] = a_s[i] = stack[row]
-        op = stack, dense, scalar
-    p.__dict__[_OPERATOR] = op
-    return op
+    monomials = [linalg.monomial(a) if len(a) == 1 else k for a, k in zip(a_s, kernels)]
+    if all(isinstance(k, linalg.Monomial) for k in monomials):
+        c = _guard_monomial(p, fns, monomials)
+    else:
+        c = []
+        for f, a, k in zip(fns, a_s, kernels):  # ``linalg.kernel`` keeps a dense A_i as is
+            if len(a) == 1:
+                c.append((a[0, 0], ()))
+            elif k is a and len(f.layout.names) == len(data.names):
+                c.append((embed(a, f.layout, data, max_dim=max_dim), None))
+            else:
+                c.append((k, [data.names.index(v) for v in f.layout.names]))
+        if all(at is None for _, at in c):
+            c = np.stack([a for a, _ in c])
+    p.__dict__[_CONTROL] = c, [i for i, f in enumerate(fns) if len(f.states) > 1]
+    return p.__dict__[_CONTROL]
+
+
+def _guard_monomial(p: Guarded, fns: list, kernels: list) -> linalg.Monomial:
+    """``C`` when every ``A_i`` is monomial: a permutation, phase permutation
+    or diagonal on any of the variables, or a branch on none, ``skip``
+    (``I``) or ``abort`` (``0``).  Each ``A_i`` is extended to the branches'
+    joint layout by index arithmetic: a joint index's coordinates on the
+    branch's variables are sent where ``A_i`` sends them, the others kept."""
+    own = len(p.own_layout.names)
+    names, dims = p.layout.names[own:], p.layout.dims[own:]
+    n = prod(dims)
+    grid = np.indices(dims).reshape(len(dims), n)  # each joint index's coordinates
+    cols, scales = [], []
+    for i, (f, k) in enumerate(zip(fns, kernels)):
+        at, sub = [names.index(v) for v in f.layout.names], f.layout.dims
+        if at:
+            rows = np.ravel_multi_index(grid[at], sub)
+            src = grid.copy()
+            src[at] = np.unravel_index(k.col[rows], sub)
+            col = np.ravel_multi_index(src, dims)
+        else:  # ``skip`` or ``abort``: its scalar times ``I``
+            rows, col = np.zeros(n, dtype=int), np.arange(n)
+        cols.append(i * n + col)
+        scales.append(k.scale[rows])
+    return linalg.Monomial(np.concatenate(cols), np.concatenate(scales))
 
 
 def _family(layout: RegisterLayout, ops: np.ndarray) -> SuperOperator:
@@ -546,59 +528,39 @@ class _Stream:
         return out.reshape(t.shape)
 
     def _guard(self, p: Guarded, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
-        """In the guard's basis, a guard that is one monomial
-        (``_guard_monomial``) is applied as a unitary leaf is; one that is
-        one operator (``_guard_operator``) as two controlled products,
-        ``stack`` on the rows and its conjugate on the columns (the ``A_i†``
-        for the adjoint); any other block by block (``_blocks``)."""
+        """In the guard's basis, ``X`` becomes ``C X C†`` (with ``C†`` first
+        for the adjoint): block ``(i, j)`` is ``A_i X_ij A_j†``, as the square
+        branch weights sum to one, so the guarded composition never needs its
+        joint domain.  A branch of one classical state has weight exactly 1,
+        so that is its own diagonal block too; any other branch's diagonal
+        block is overwritten by its own evaluation of ``X_ii``.  ``C`` is one
+        gather (``_sandwich``) or, on each side, controlled products
+        (``_controlled``); the rows take ``C``, the columns its conjugate."""
         gnames = p.own_layout.names
         rotate = not p.basis.is_computational
         if rotate:
             t = _sandwich(t, names, linalg.dagger(p.basis.matrix), gnames)
-        g = _guard_monomial(p, self.max_dim)
-        op = None if g is not None else _guard_operator(p, self.max_dim)
-        if g is not None:
-            t = _sandwich(t, names, _side(g, adjoint), p.layout.names)
-        elif op is not None:
-            stack, dense, scalar = op
-            rows = [names.index(v) for v in p.layout.names]
-            if adjoint:
-                stack, scalar = stack.conj().transpose(0, 2, 1), scalar.conj()
-            t = _controlled(stack, dense, scalar, t, rows)
-            t = _controlled(stack.conj(), dense, scalar.conj(), t, [len(names) + a for a in rows])
+        c, measuring = _control(p, self.max_dim)
+        if isinstance(c, linalg.Monomial):
+            out = _sandwich(t, names, _side(c, adjoint), p.layout.names)
         else:
-            t = self._blocks(p, t, names, adjoint)
-        if rotate:
-            t = _sandwich(t, names, p.basis.matrix, gnames)
-        return t
-
-    def _blocks(self, p: Guarded, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
-        """``t`` in the guard basis: diagonal block ``i`` is branch ``i``'s own
-        evaluation and off-diagonal block ``(i, j)`` is ``A_i X_ij A_j†``
-        (with ``A†`` for the adjoint): the square branch weights sum to one,
-        so the guarded composition never needs its joint domain.  Each block
-        is a view of ``t`` at the guard variables' coordinates of ``i`` and
-        ``j``, and its result is written into the same view of the output.
-        A zero block is evaluated like any other: every branch kernel is
-        linear, so it gives zero, and testing for it would read ``t`` again."""
-        gnames = p.own_layout.names
-        n = len(names)
-        gpos = [names.index(g) for g in gnames]
-        coords = [np.unravel_index(i, [t.shape[a] for a in gpos]) for i in range(p.basis.dim)]
-        data = tuple(name for name in names if name not in gnames)
-        sides = [_side(a, adjoint) for a in _branches(p, self.max_dim)[2]]
-        out = np.empty_like(t)
-        for i, row in enumerate(coords):
-            for j, col in enumerate(coords):
+            rows = [names.index(v) for v in p.layout.names]
+            data = p.layout.dims[len(gnames):]
+            out = _controlled(c, t, rows, data, adjoint, False)
+            out = _controlled(c, out, [len(names) + a for a in rows], data, adjoint, True)
+        if measuring:
+            n = len(names)
+            gpos = [names.index(g) for g in gnames]
+            rest = tuple(v for v in names if v not in gnames)
+            for i in measuring:
                 at = [slice(None)] * (2 * n)
-                for a, r, c in zip(gpos, row, col):
-                    at[a], at[n + a] = r, c
+                for a, r in zip(gpos, np.unravel_index(i, [t.shape[a] for a in gpos])):
+                    at[a] = at[n + a] = r
                 at = tuple(at)
-                if i == j:
-                    out[at] = self.push(p.branches[i], t[at], data, adjoint)
-                else:
-                    out[at] = _sandwich(t[at], data, sides[i], p.branches[i].layout.names,
-                                        sides[j], p.branches[j].layout.names)
+                out[at] = self.push(p.branches[i], t[at], rest, adjoint)
+        if rotate:
+            t = out  # drops the rotated input before the rotation back allocates
+            out = _sandwich(t, names, p.basis.matrix, gnames)
         return out
 
 
@@ -695,23 +657,35 @@ def _in_axis_order(op: linalg.Monomial, axes: list[int], runs: list[list[int]], 
     return [s.reshape(sizes) for s in srcs], scale.reshape(sizes)
 
 
-def _controlled(stack: np.ndarray, dense: list[int], scalar: np.ndarray, t: np.ndarray,
-                axes: list[int]) -> np.ndarray:
-    """``sum_i |i><i| (x) A_i`` applied to the factors of ``t`` at ``axes``:
-    the first of them index ``i``, the rest are the ``A_i``'s, in order.
-    ``A_i`` is ``stack[r]`` for ``i = dense[r]``, else ``scalar[i]`` times
-    ``I``.  The axes are brought to the front and ``t`` is read as ``(k, s,
-    rest)``: every ``A_i`` dense is one batched product; else the state is
-    scaled and each dense ``A_i`` writes its product over its own slice."""
+def _controlled(c, t: np.ndarray, axes: list[int], data: tuple, adjoint: bool,
+                right: bool) -> np.ndarray:
+    """``C = sum_i |i><i| (x) A_i`` (``_control``'s stack or list), with the
+    ``A_i†`` for the adjoint and conjugated for the ``right`` side of ``C X
+    C†`` (so the adjoint's right side is a transpose, not a copy), applied
+    to the factors of ``t`` at ``axes``: the first of them index ``i``, the
+    rest are the data variables of dimensions ``data``, in order.  The axes
+    are brought to the front and ``t`` is read as ``(k, s, rest)``: a stack
+    is one batched product; else each ``A_i`` writes its slice of the
+    output, a dense one by a product, a scalar by scaling, and any other on
+    its own axes (``_contract``)."""
     order = axes + [a for a in range(t.ndim) if a not in axes]
     moved = t.transpose(order)
-    t3 = moved.reshape(len(scalar), stack.shape[1], -1)
-    if len(dense) == len(scalar):
-        out = stack @ t3
+    t3 = moved.reshape(len(c), prod(data), -1)
+    if isinstance(c, np.ndarray):
+        a = c.transpose(0, 2, 1) if adjoint else c
+        out = (a.conj() if adjoint != right else a) @ t3
     else:
-        out = t3 * scalar[:, None, None]
-        for a, i in zip(stack, dense):
-            np.matmul(a, t3[i], out=out[i])
+        out = np.empty_like(t3)
+        for x, y, (a, at) in zip(t3, out, c):
+            a = a.T if adjoint else a
+            if adjoint != right:
+                a = a.conj()
+            if at is None:
+                np.matmul(a, x, out=y)
+            elif at:
+                y[...] = _contract(a, x.reshape(data + (-1,)), at).reshape(y.shape)
+            else:
+                np.multiply(x, a, out=y)
     return out.reshape(moved.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 

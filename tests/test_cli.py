@@ -129,7 +129,7 @@ def test_coin_relocation_samples_agree_on_states(tmp_path):
     choice, relocated = (parse_file(sample(name)) for name in names)
     for guard in (choice.seq.parts[-1], relocated.parts[0]):  # the choice's coin, then guard
         assert isinstance(guard, Guarded)
-        assert semantics._guard_monomial(guard, la.MAX_DIM_DEFAULT) is not None
+        assert isinstance(semantics._control(guard, la.MAX_DIM_DEFAULT)[0], la.Monomial)
     for command, flag, data in (("run", "--input", "coin_input.json"),
                                 ("wp", "--observable", "coin_observable.json")):
         records = []
@@ -140,6 +140,34 @@ def test_coin_relocation_samples_agree_on_states(tmp_path):
         a, b = records
         assert a["layout"] == b["layout"]
         assert max(abs(complex(*x) - complex(*y)) for x, y in zip(a["entries"], b["entries"])) <= 1e-12
+
+
+def test_guarded_measurement_sample_is_dual_to_its_wp(tmp_path):
+    """``samples/gmeas.qgcl``, the guarded measurement: ``C`` is one gather
+    and both branches measure, so both diagonal blocks are overwritten.
+    ``tr(run(rho) M) = tr(rho wp(M))`` within 1e-12, and both match
+    ``denote``."""
+    def matrix(path):
+        with open(path) as fh:
+            record = json.load(fh)
+        assert record["layout"] == [["q", 2], ["c", 2]]
+        return np.array([complex(*x) for x in record["entries"]]).reshape(4, 4)
+
+    p = parse_file(sample("gmeas.qgcl"))
+    c, measured = semantics._control(p.parts[-1], la.MAX_DIM_DEFAULT)
+    assert isinstance(c, la.Monomial) and measured == [0, 1]
+    rho, m = matrix(sample("coin_input.json")), matrix(sample("coin_observable.json"))
+    outs = []
+    for command, flag, data in (("run", "--input", "coin_input.json"),
+                                ("wp", "--observable", "coin_observable.json")):
+        out = tmp_path / f"{command}.json"
+        assert run_cli(command, sample("gmeas.qgcl"), flag, sample(data), "--out", str(out)) == 0
+        outs.append(matrix(out))
+    run, wp = outs
+    assert abs(np.trace(run @ m) - np.trace(rho @ wp)) <= 1e-12
+    kraus = semantics.denote(p).extended_to(RegisterLayout.of(("q", 2), ("c", 2))).kraus
+    assert la.max_abs_diff(run, sum(k @ rho @ la.dagger(k) for k in kraus)) <= 1e-12
+    assert la.max_abs_diff(wp, sum(la.dagger(k) @ m @ k for k in kraus)) <= 1e-12
 
 
 class TestEquiv:

@@ -219,13 +219,34 @@ def monomial_guards(draw):
 
 
 def blocks(p, x, layout, adjoint):
-    """``p``'s guard streamed block by block in its basis, as a guard that
-    is not one operator is."""
+    """``p``'s guard streamed block by block in its basis, the reference for
+    ``_Stream._guard``: diagonal block ``i`` is branch ``i``'s own
+    evaluation and off-diagonal block ``(i, j)`` is ``A_i X_ij A_j†`` (with
+    ``A†`` for the adjoint).  Each block is a view of the state at the
+    guard variables' coordinates of ``i`` and ``j``, and its result is
+    written into the same view of the output."""
     t, names, site = x.reshape(layout.dims * 2), layout.names, p.own_layout.names
     rotated = not p.basis.is_computational
     if rotated:
         t = semantics._sandwich(t, names, la.dagger(p.basis.matrix), site)
-    out = semantics._Stream(la.MAX_DIM_DEFAULT)._blocks(p, t, names, adjoint)
+    n = len(names)
+    gpos = [names.index(g) for g in site]
+    coords = [np.unravel_index(i, [t.shape[a] for a in gpos]) for i in range(p.basis.dim)]
+    data = tuple(name for name in names if name not in site)
+    sides = [semantics._side(a, adjoint) for a in semantics._branches(p, la.MAX_DIM_DEFAULT)[2]]
+    out = np.empty_like(t)
+    for i, row in enumerate(coords):
+        for j, col in enumerate(coords):
+            at = [slice(None)] * (2 * n)
+            for a, r, c in zip(gpos, row, col):
+                at[a], at[n + a] = r, c
+            at = tuple(at)
+            if i == j:
+                out[at] = semantics._Stream(la.MAX_DIM_DEFAULT).push(p.branches[i], t[at], data,
+                                                                     adjoint)
+            else:
+                out[at] = semantics._sandwich(t[at], data, sides[i], p.branches[i].layout.names,
+                                              sides[j], p.branches[j].layout.names)
     if rotated:
         out = semantics._sandwich(out, names, p.basis.matrix, site)
     return out.reshape(x.shape)
@@ -238,7 +259,7 @@ def test_monomial_guard_matches_the_block_loop_bit_for_bit(guard, extra):
     ``run`` (with an extra variable) and ``wp``, in a shuffled factor order,
     give exactly the block loop's bits."""
     p, gen = guard
-    assert semantics._guard_monomial(p, la.MAX_DIM_DEFAULT) is not None
+    assert path(p) == "gather"
     variables = p.layout.variables + ((("e", 2),) if extra else ())
     layout = RegisterLayout(tuple(variables[i] for i in gen.permutation(len(variables))))
     x = random_density(gen, layout.dim)
@@ -265,12 +286,10 @@ def channel_of(p, layout, x, adjoint):
 
 
 def path(p):
-    """How ``_Stream._guard`` streams ``p``, as its decision functions say."""
-    if semantics._guard_monomial(p, la.MAX_DIM_DEFAULT) is not None:
-        return "monomial"
-    if semantics._guard_operator(p, la.MAX_DIM_DEFAULT) is not None:
-        return "operator"
-    return "blocks"
+    """How ``_Stream._guard`` multiplies by ``p``'s ``C``, as ``_control`` decided."""
+    c = semantics._control(p, la.MAX_DIM_DEFAULT)[0]
+    return ("gather" if isinstance(c, la.Monomial) else "batched" if isinstance(c, np.ndarray)
+            else "slices")
 
 
 def dense_on_data(gen):
@@ -279,41 +298,58 @@ def dense_on_data(gen):
                    random_unitary(gen, DATA.dim))
 
 
-# name: (the path the guard takes, the guard).  The branches of every guard
-# on the block loop but the measuring one act on different variables, or
-# mix a dense branch with a monomial one.
+def dense_measurement(gen, k, outcomes=2):
+    """A complete measurement on dimension ``k`` whose operators are dense:
+    the blocks of a random isometry."""
+    v = random_unitary(gen, outcomes * k)[:, :k]
+    return Measurement(tuple((m, v[m * k:(m + 1) * k]) for m in range(outcomes)))
+
+
+def measuring(qvars, mmt):
+    return Measure("x", qvars, mmt, tuple((m, Skip()) for m in mmt.outcomes))
+
+
+# name: (how the guard multiplies by C, the guard).
 OTHER_GUARDS = {
-    "rotated basis": ("monomial", guard_over(GuardBasis(random_unitary(rng(5), 2)),
-                                             "permutation", "phase permutation")),
-    "measuring branch": ("blocks", guard_over(GuardBasis.computational(2), "permutation",
+    "rotated basis": ("gather", guard_over(GuardBasis(random_unitary(rng(5), 2)),
+                                           "permutation", "phase permutation")),
+    "measuring branch": ("gather", guard_over(GuardBasis.computational(2), "permutation",
                                               "measure")),
-    "aborting branch": ("monomial", guard_over(GuardBasis.computational(2), "permutation",
-                                               "abort")),
-    "skip branch": ("monomial", guard_over(GuardBasis.computational(2), "skip", "permutation")),
-    "dense branch": ("blocks", guard_over(GuardBasis.computational(2), "permutation", "dense")),
-    "permutation beside phases": ("monomial", guard_over(GuardBasis.computational(2),
-                                                         "permutation", "phase permutation")),
-    "chain branch": ("monomial", Guarded((("g", 2),), GuardBasis.computational(2), (
+    "aborting branch": ("gather", guard_over(GuardBasis.computational(2), "permutation",
+                                             "abort")),
+    "skip branch": ("gather", guard_over(GuardBasis.computational(2), "skip", "permutation")),
+    "dense branch": ("slices", guard_over(GuardBasis.computational(2), "permutation", "dense")),
+    "permutation beside phases": ("gather", guard_over(GuardBasis.computational(2),
+                                                       "permutation", "phase permutation")),
+    "chain branch": ("gather", Guarded((("g", 2),), GuardBasis.computational(2), (
         Unitary((("a", 2),), shift(2, 1)),
         Seq(Unitary((("a", 2),), shift(2, 1)), Unitary((("b", 3),), shift(3, 1)))))),
-    "skip and abort only": ("monomial", Guarded((("g", 2),), GuardBasis(random_unitary(rng(6), 2)),
-                                                (Skip(), Abort()))),
-    "dense beside skip": ("operator", Guarded((("g", 2),), GuardBasis.computational(2),
-                                              (Skip(), dense_on_data(rng(7))))),
-    "dense beside abort, rotated": ("operator", Guarded(
+    "skip and abort only": ("gather", Guarded((("g", 2),), GuardBasis(random_unitary(rng(6), 2)),
+                                              (Skip(), Abort()))),
+    "dense beside skip": ("slices", Guarded((("g", 2),), GuardBasis.computational(2),
+                                            (Skip(), dense_on_data(rng(7))))),
+    "dense beside abort, rotated": ("slices", Guarded(
         (("g", 3),), GuardBasis(random_unitary(rng(8), 3)),
         (dense_on_data(rng(9)), Abort(), dense_on_data(rng(10))))),
-    "dense beside a permutation": ("blocks", Guarded((("g", 2),), GuardBasis.computational(2), (
+    "dense beside a permutation": ("slices", Guarded((("g", 2),), GuardBasis.computational(2), (
         dense_on_data(rng(11)), Unitary(DATA.variables, shift(DATA.dim, 1))))),
+    "two dense, rotated": ("batched", Guarded((("g", 2),), GuardBasis(random_unitary(rng(12), 2)),
+                                              (dense_on_data(rng(13)), dense_on_data(rng(14))))),
+    "dense measurement beside dense": ("batched", Guarded(
+        (("g", 2),), GuardBasis.computational(2),
+        (measuring(DATA.variables, dense_measurement(rng(15), DATA.dim)), dense_on_data(rng(16))))),
+    "guarded measurement": ("gather", Guarded(
+        (("g", 2),), GuardBasis(random_unitary(rng(17), 2)),
+        (measuring(DATA.variables, Measurement.computational(DATA.dim)),
+         measuring((("b", 3),), Measurement.computational(3))))),
 }
 
 
 @pytest.mark.parametrize("name", list(OTHER_GUARDS))
 def test_other_guards_take_their_path(name):
-    """A guard of one-state branches is streamed as one monomial when every
-    ``A_i`` is monomial, and as one operator when each is dense on all the
-    data variables or a scalar, within rounding of the block loop; any
-    other keeps the block loop with its bits."""
+    """``C`` is one gather when every ``A_i`` is monomial, one batched
+    product per side when each is dense on all the data variables, and
+    slice by slice otherwise; each within rounding of the block loop."""
     want, p = OTHER_GUARDS[name]
     assert path(p) == want
     gen = rng(11)
@@ -321,38 +357,46 @@ def test_other_guards_take_their_path(name):
     for adjoint in (False, True):
         x = random_density(gen, layout.dim)
         got = stream(p, x, layout, adjoint=adjoint)
-        if want == "blocks":
-            assert np.array_equal(got, blocks(p, x, layout, adjoint))
-        else:
-            assert la.max_abs_diff(got, blocks(p, x, layout, adjoint)) < TOL
+        assert la.max_abs_diff(got, blocks(p, x, layout, adjoint)) < TOL
         assert la.max_abs_diff(got, channel_of(p, layout, x, adjoint)) < TOL
 
 
-def one_state_branch(gen, data, kind):
-    """A branch with one classical state on every variable of ``data``, in a
-    random order, or on none (``skip``, ``abort``)."""
+MONOMIAL_KINDS = ("permutation", "phase permutation", "projective", "skip", "abort")
+DENSE_KINDS = ("dense", "chain", "povm")
+
+
+def mixed_branch(gen, data, kind, whole):
+    """A branch of ``kind`` on every variable of ``data`` (``whole``) or on a
+    nonempty proper subset of them, in a random order, or on none
+    (``skip``, ``abort``).  A ``projective`` branch measures in the
+    computational basis and a ``povm`` one by dense operators."""
     if kind == "skip":
         return Skip()
     if kind == "abort":
         return Abort()
-
-    def on(names):
-        qvars = sub(data, tuple(names[i] for i in gen.permutation(len(names)))).variables
-        k = RegisterLayout(qvars).dim
-        op = random_unitary(gen, k) if kind in ("dense", "chain") else operator(gen, k, kind)
-        return Unitary(qvars, op)
-
-    if kind == "chain":  # the parts together cover the data variables
-        part = [data.names[i] for i in np.flatnonzero(gen.uniform(size=len(data.names)) < 0.5)]
-        return Seq(on(data.names), on(part or data.names[:1]))
-    return on(data.names)
+    order = gen.permutation(len(data.names))
+    if not whole:
+        order = order[:gen.integers(1, len(order))]
+    qvars = sub(data, tuple(data.names[i] for i in order)).variables
+    k = RegisterLayout(qvars).dim
+    if kind == "projective":
+        return measuring(qvars, Measurement.computational(k))
+    if kind == "povm":
+        return measuring(qvars, dense_measurement(gen, k))
+    if kind == "chain":  # the parts together cover the branch's variables
+        part = qvars[:gen.integers(1, len(qvars) + 1)]
+        return Seq(Unitary(qvars, random_unitary(gen, k)),
+                   Unitary(part, random_unitary(gen, RegisterLayout(part).dim)))
+    op = random_unitary(gen, k) if kind == "dense" else operator(gen, k, kind)
+    return Unitary(qvars, op)
 
 
 @st.composite
-def one_state_guards(draw):
+def mixed_guards(draw):
     """A guard on one or two registers, in the computational or a rotated
-    basis, whose branches each have one classical state and act on every
-    data variable or on none, with the path the branches' kinds give it."""
+    basis, whose branches are leaves, chains or measurements (projective or
+    dense) on all the data variables or on some of them, ``skip`` or
+    ``abort``, with the way of multiplying by ``C`` their kinds give it."""
     guard = draw(st.sampled_from([(("g", 2),), (("g", 3),), (("g", 2), ("h", 2))]))
     data = RegisterLayout(tuple(zip(NAMES, draw(st.lists(st.integers(2, 3), min_size=1,
                                                           max_size=2)))))
@@ -360,22 +404,25 @@ def one_state_guards(draw):
     arity = RegisterLayout(guard).dim
     rotated = draw(st.booleans())
     basis = GuardBasis(random_unitary(gen, arity)) if rotated else GuardBasis.computational(arity)
-    kinds = draw(st.lists(st.sampled_from(["dense", "permutation", "phase permutation", "skip",
-                                           "abort", "chain"]), min_size=arity, max_size=arity))
-    want = ("monomial" if not {"dense", "chain"} & set(kinds)
-            else "operator" if not {"permutation", "phase permutation"} & set(kinds)
-            else "blocks")
-    return Guarded(guard, basis, tuple(one_state_branch(gen, data, k) for k in kinds)), want, gen
+    kinds = draw(st.lists(st.sampled_from(MONOMIAL_KINDS + DENSE_KINDS), min_size=arity,
+                          max_size=arity))
+    branches = tuple(mixed_branch(gen, data, k, len(data.names) == 1 or draw(st.booleans()))
+                     for k in kinds)
+    joint = {v for b in branches for v in b.layout.names}  # the guard's data variables
+    want = ("gather" if set(kinds) <= set(MONOMIAL_KINDS)
+            else "batched" if all(k in DENSE_KINDS and set(b.layout.names) == joint
+                                  for k, b in zip(kinds, branches))
+            else "slices")
+    return Guarded(guard, basis, branches), want, gen
 
 
-@given(one_state_guards(), st.booleans())
-@settings(max_examples=120, deadline=None)
-def test_one_state_guard_matches_the_block_loop(guard, extra):
-    """A guard of one-state branches takes the path its branches' kinds
-    give: one monomial when every ``A_i`` is monomial, two controlled
-    products when each is dense or a scalar, else the block loop.  ``run``
-    (with an extra variable) and ``wp``, in a shuffled factor order, agree
-    with the block loop and with ``denote``."""
+@given(mixed_guards(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_guard_matches_the_block_loop(guard, extra):
+    """A guard multiplies by ``C`` as its branches' kinds give, and its
+    measuring branches overwrite their diagonal blocks.  ``run`` (with an
+    extra variable) and ``wp``, in a shuffled factor order, agree with the
+    block loop and with ``denote``."""
     p, want, gen = guard
     assert path(p) == want
     variables = p.layout.variables + ((("e", 2),) if extra else ())
@@ -392,24 +439,28 @@ def test_one_state_guard_matches_the_block_loop(guard, extra):
 
 
 @pytest.mark.parametrize("rotated", [False, True])
-@pytest.mark.parametrize("skip", [False, True])
-def test_one_operator_guard_holds_at_most_one_state_more(rotated, skip):
-    """On a dense data register, beside another dense branch or ``skip``,
-    the controlled products peak at most one state above the block loop."""
+@pytest.mark.parametrize("other", ["skip", "dense", "projective", "povm"])
+def test_controlled_guard_holds_at_most_one_state_more(rotated, other):
+    """On a dense data register, beside another dense branch, ``skip`` or a
+    measuring branch, the controlled products (and a measuring branch's
+    own diagonal block) peak at most one state above the block loop, with
+    the guard's kept data built first."""
     import tracemalloc
 
     gen = rng(8)
     basis = GuardBasis(random_unitary(gen, 2)) if rotated else GuardBasis.computational(2)
-    dense = Unitary((("v", 128),), random_unitary(gen, 128))
-    other = Skip() if skip else Unitary((("v", 128),), random_unitary(gen, 128))
-    p = Guarded((("g", 2),), basis, (other, dense))
-    assert path(p) == "operator"
+    v = (("v", 128),)
+    dense = Unitary(v, random_unitary(gen, 128))
+    p = Guarded((("g", 2),), basis, (mixed_branch(gen, RegisterLayout(v), other, True), dense))
+    assert path(p) == ("batched" if other in DENSE_KINDS else "slices")
     layout = p.layout
     x = matrix(gen, layout.dim)
     t = x.reshape(layout.dims * 2)
+    runs = (lambda: semantics._Stream(la.MAX_DIM_DEFAULT)._guard(p, t, layout.names, False),
+            lambda: blocks(p, x, layout, False))
     peaks = []
-    for run in (lambda: semantics._Stream(la.MAX_DIM_DEFAULT)._guard(p, t, layout.names, False),
-                lambda: blocks(p, x, layout, False)):
+    for run in runs:
+        run()  # the kept data, and numpy's own first-call allocations
         tracemalloc.start()
         try:
             run()
@@ -450,14 +501,15 @@ def test_shift_guards_stay_one_gather_at_scale(relocated):
     (``guard c basis H { |0> -> TR[v]; |1> -> TL[v] }``), and a shift beside
     ``skip``, are one monomial at state dimension 1024: a gather between the
     basis rotations, never a dense product, within rounding of the block
-    loop."""
+    loop.  The monomial is all the guard keeps for it: no dense stack."""
     n = 512
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     tr, tl = Unitary((("v", n),), shift(n, 1)), Unitary((("v", n),), shift(n, -1))
     p = (Guarded((("c", 2),), GuardBasis(h), (tr, tl)) if relocated
          else Guarded((("c", 2),), GuardBasis.computational(2), (Skip(), tr)))
-    assert path(p) == "monomial"
-    assert semantics._OPERATOR not in p.__dict__  # no dense stack was built
+    assert path(p) == "gather"
+    c, measured = p.__dict__[semantics._CONTROL]
+    assert isinstance(c, la.Monomial) and not measured
     layout = p.layout
     x = matrix(rng(4), layout.dim)
     t = x.reshape(layout.dims * 2)
