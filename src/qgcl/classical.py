@@ -10,6 +10,7 @@ position indexes a guard branch.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -98,13 +99,21 @@ def _normal_concat(parts: Sequence[ClassicalState]) -> ClassicalState:
 
 
 def concat(a: ClassicalState, b: ClassicalState) -> ClassicalState:
-    """Concatenation of states with disjoint domains, in normal form."""
+    """Concatenation of states with disjoint domains, in normal form; the
+    empty state is its unit, so with it the other state is returned as is."""
+    if isinstance(a, Empty) or isinstance(b, Empty):
+        return b if isinstance(a, Empty) else a
     return _normal_concat(_flatten(a) + _flatten(b))
 
 
 def extend(state: ClassicalState, name: str, value: int) -> ClassicalState:
-    """``state[name <- value]`` for a name outside the state's domain."""
-    return concat(state, bind(name, value))
+    """``state[name <- value]`` for a name outside the state's domain, as the
+    caller guarantees: the binding goes in among the parts by binary search,
+    so a state of ``k`` parts costs one copy of them, not ``k`` domains."""
+    new = bind(name, value)
+    parts = _flatten(state)
+    parts.insert(bisect_left(parts, sort_key(new), key=sort_key), new)
+    return parts[0] if len(parts) == 1 else Concat(tuple(parts))
 
 
 def oplus(children: Sequence[ClassicalState]) -> Oplus:

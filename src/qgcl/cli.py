@@ -195,9 +195,6 @@ def main(argv=None) -> int:
     except QgclError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_NUMERICAL
-    except RecursionError:
-        print("error: program nests too deeply (Python's recursion limit)", file=sys.stderr)
-        return EX_NUMERICAL
     raise AssertionError("unreachable")
 
 

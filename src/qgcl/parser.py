@@ -40,7 +40,7 @@ import numpy as np
 from . import linalg, matrixio
 from .errors import CapacityError, Diagnostic, QgclError, SourceError, Span
 from .program import (Abort, Block, GuardBasis, Guarded, Measure, Measurement, ProbChoice, Program,
-                      QChoice, QVar, Seq, Skip, Unitary, well_formed)
+                      QChoice, QVar, Seq, Skip, Unitary, walk, well_formed)
 from .registers import check_cap
 
 # One match per token: the blanks and comments before it, then one
@@ -159,30 +159,31 @@ class Parser:
         self.pos += 1
         return tok
 
-    def _list(self, item: Callable[[], Any], sep: str = ";") -> list:
-        """``item (sep item)*``."""
-        items = [item()]
-        while self.at("PUNCT", sep):
-            self.advance()
-            items.append(item())
-        return items
-
-    def _arms(self, item: Callable[[], Any]) -> list:
-        """``{ item (; item)* }``."""
+    def _arms(self, item: Callable[[], Any]):
+        """``{ item (; item)* }``, each ``item`` a rule of the parse."""
         self.expect("PUNCT", "{")
-        items = self._list(item)
+        items = [(yield from item())]
+        while self.at("PUNCT", ";"):
+            self.advance()
+            items.append((yield from item()))
         self.expect("PUNCT", "}")
         return items
 
-    def _outcomes(self, item: Callable[[], Any], what: str, span: Span | None = None) -> list:
-        """``{ INT : item (; INT : item)* }`` as pairs, each outcome once: a
+    def _outcomes(self, read: Callable[[], Any], what: str, span: Span | None = None):
+        """``{ INT : read (; INT : read)* }`` as pairs, each outcome once: a
         repeat is reported at ``span``, by default the opening ``{``."""
         brace = self.peek()
-        arms = self._arms(lambda: (int(self.expect("INT").text), self.expect("PUNCT", ":"), item()))
-        seen = [m for m, _, _ in arms]
+
+        def arm():
+            m = int(self.expect("INT").text)
+            self.expect("PUNCT", ":")
+            return m, (yield read,)
+
+        arms = yield from self._arms(arm)
+        seen = [m for m, _ in arms]
         if len(set(seen)) != len(seen):
             raise _error("syntax", f"duplicate measurement {what} {seen}", span or brace.span)
-        return [(m, x) for m, _, x in arms]
+        return arms
 
     # -- declarations ------------------------------------------------------
 
@@ -236,7 +237,7 @@ class Parser:
         )
 
     def _measurement_literal(self) -> Measurement:
-        return Measurement(tuple(self._outcomes(self._matrix_ref, "outcomes")))
+        return Measurement(tuple(walk((self._outcomes, self._matrix_ref, "outcomes"), _call)))
 
     def _measurement_ref(self) -> Measurement:
         tok = self.peek()
@@ -256,7 +257,11 @@ class Parser:
         return name.text, self.qvars[name.text]
 
     def _qvar_list(self) -> tuple[QVar, ...]:
-        return tuple(self._list(self._qvar, ","))
+        qvars = [self._qvar()]
+        while self.at("PUNCT", ","):
+            self.advance()
+            qvars.append(self._qvar())
+        return tuple(qvars)
 
     def _qvar_brackets(self) -> tuple[QVar, ...]:
         self.expect("PUNCT", "[")
@@ -265,25 +270,31 @@ class Parser:
         return qvars
 
     # -- programs ----------------------------------------------------------
+    # Each reader below is a rule of one ``walk``: it asks for a nested
+    # program or statement by yielding ``(reader,)``, so a program of any
+    # depth nests no Python frame per level.
 
     def parse_program(self) -> Program:
+        return walk((self._program,), _call)
+
+    def _program(self):
         """A ``;`` chain, collected in a loop into one node at its first ``;``."""
-        statements, seps = [self.parse_statement()], []
+        statements, seps = [(yield self._statement,)], []
         while self.at("PUNCT", ";") and _starts_statement(self.peek(1)):
             seps.append(self.advance())
-            statements.append(self.parse_statement())
+            statements.append((yield self._statement,))
         return Seq(*statements, span=seps[0].span) if seps else statements[0]
 
-    def parse_statement(self) -> Program:
+    def _statement(self):
         """One statement.  A ``QgclError`` raised while its node is built,
         such as a coin on a repeated variable, is reported at its first token."""
         tok = self.peek()
         try:
             if tok.kind == "KEYWORD" and tok.text in _STATEMENTS:
-                return _STATEMENTS[tok.text](self)
+                return (yield from _STATEMENTS[tok.text](self))
             if self.at("PUNCT", "("):
                 self.advance()
-                inner = self.parse_program()
+                inner = yield self._program,
                 self.expect("PUNCT", ")")
                 return inner
             if _starts_statement(tok):
@@ -295,16 +306,22 @@ class Parser:
             raise _error("syntax", str(exc), tok.span) from exc
         raise _error("syntax", f"expected a statement, found {_found(tok)}", tok.span)
 
-    def _measure(self) -> Program:
+    def _leaf(self):
+        """``abort`` or ``skip``: a statement that nests none."""
+        yield from ()
+        tok = self.advance()
+        return (Abort if tok.text == "abort" else Skip)(span=tok.span)
+
+    def _measure(self):
         start = self.advance()
         xvar = self.expect("IDENT")
         self.expect("PUNCT", "<-")
         measurement = self._measurement_ref()
         qvars = self._qvar_brackets()
-        branches = self._outcomes(self.parse_program, "arm", start.span)
+        branches = yield from self._outcomes(self._program, "arm", start.span)
         return Measure(xvar.text, qvars, measurement, tuple(branches), span=start.span)
 
-    def _basis_and_arms(self, dim: int, span: Span) -> tuple[GuardBasis, tuple[Program, ...]]:
+    def _basis_and_arms(self, dim: int, span: Span):
         """``[basis B] { |i> -> P; ... }``, the tail shared by guard and qchoice."""
         basis, arity = None, dim  # the computational basis, built once the arms match it
         if self.at("KEYWORD", "basis"):
@@ -315,7 +332,7 @@ class Parser:
             check_cap(dim, self.max_dim)
         arms: dict[int, Program] = {}
 
-        def arm() -> None:
+        def arm():
             self.expect("PUNCT", "|")
             idx_tok = self.expect("INT")
             idx = int(idx_tok.text)
@@ -323,9 +340,9 @@ class Parser:
             self.expect("PUNCT", "->")
             if idx in arms:
                 raise _error("syntax", f"duplicate guard arm |{idx}>", idx_tok.span)
-            arms[idx] = self.parse_program()
+            arms[idx] = yield self._program,
 
-        self._arms(arm)
+        yield from self._arms(arm)
         if sorted(arms) != list(range(arity)):
             raise _error(
                 "guard-arms",
@@ -335,13 +352,13 @@ class Parser:
         basis = basis or GuardBasis.computational(dim)
         return basis, tuple(arms[i] for i in range(arity))
 
-    def _guard(self) -> Program:
+    def _guard(self):
         start = self.advance()
         qvars = self._qvar_list()
-        basis, branches = self._basis_and_arms(math.prod(d for _, d in qvars), start.span)
+        basis, branches = yield from self._basis_and_arms(math.prod(d for _, d in qvars), start.span)
         return Guarded(qvars, basis, branches, span=start.span)
 
-    def _block(self) -> Program:
+    def _block(self):
         start = self.advance()
         self.expect("KEYWORD", "local")
         qvars = self._qvar_list()
@@ -362,31 +379,36 @@ class Parser:
         else:
             init = self._matrix_ref()
         self.expect("PUNCT", ";")
-        body = self.parse_program()
+        body = yield self._program,
         self.expect("KEYWORD", "end")
         return Block(qvars, init, body, span=start.span)
 
-    def _pchoice(self) -> Program:
+    def _pchoice(self):
         start = self.advance()
 
-        def arm() -> tuple[float, Program]:
-            branch = self.parse_program()
+        def arm():
+            branch = yield self._program,
             self.expect("PUNCT", "@")
             num = self.advance()
             if num.kind not in ("INT", "FLOAT"):
                 raise _error("syntax", f"expected a probability, found {_found(num)}", num.span)
             return float(num.text), branch
 
-        weights, branches = zip(*self._arms(arm))
+        weights, branches = zip(*(yield from self._arms(arm)))
         return ProbChoice(weights, branches, span=start.span)
 
-    def _qchoice(self) -> Program:
+    def _qchoice(self):
         start = self.advance()
-        coin = self.parse_statement()
+        coin = yield self._statement,
         from .program import qvar_layout
 
-        basis, branches = self._basis_and_arms(qvar_layout(coin).dim, start.span)
+        basis, branches = yield from self._basis_and_arms(qvar_layout(coin).dim, start.span)
         return QChoice(coin, basis, branches, span=start.span)
+
+
+def _call(read: Callable, *args):
+    """The parse's rule for ``walk``: a reader, run on the parser's tokens."""
+    return read(*args)
 
 
 # Each keyword that opens a declaration or a statement, with its parser.
@@ -396,9 +418,9 @@ _DECLARATIONS: dict[str, Callable[[Parser], None]] = {
     "measurement": lambda p: p._define(p.measurements, p._measurement_literal),
     "use": Parser._use,
 }
-_STATEMENTS: dict[str, Callable[[Parser], Program]] = {
-    "abort": lambda p: Abort(span=p.advance().span),
-    "skip": lambda p: Skip(span=p.advance().span),
+_STATEMENTS: dict[str, Callable[[Parser], Any]] = {
+    "abort": Parser._leaf,
+    "skip": Parser._leaf,
     "measure": Parser._measure,
     "guard": Parser._guard,
     "begin": Parser._block,

@@ -3,7 +3,9 @@
 Every quantum variable used anywhere in the tree (including block locals) is
 declared up front.  Matrices and measurements render by name when a supplied
 definition matches entrywise, inline otherwise; used names get declarations
-so the printed text is self-contained.
+so the printed text is self-contained.  One ``walk`` renders the program:
+each node's text is a list of strings and its subprograms' lists, joined
+once at the end, so no text is copied per level.
 """
 
 from __future__ import annotations
@@ -13,20 +15,14 @@ import numpy as np
 from . import matrixio
 from .errors import UnsupportedConstructError
 from .program import (Abort, Block, Guarded, Measure, Measurement, ProbChoice, Program, QChoice,
-                      Seq, Skip, Unitary, children, declared)
-
-
-def _collect_qvars(p: Program, seen: dict[str, int]) -> None:
-    for name, d in declared(p):
-        seen.setdefault(name, d)
-    for child in children(p):
-        _collect_qvars(child, seen)
+                      Seq, Skip, Unitary, declared, walk)
 
 
 class _Renderer:
     def __init__(self, matrices, measurements):
         self.matrix_env = list((matrices or {}).items())
         self.measurement_env = list((measurements or {}).items())
+        self.qvars: dict[str, int] = {}
         self.used_matrices: dict[str, np.ndarray] = {}
         self.used_measurements: dict[str, Measurement] = {}
 
@@ -50,39 +46,54 @@ class _Renderer:
     def measurement_literal(self, mmt: Measurement) -> str:
         return "{ " + "; ".join(f"{m}: {self.matrix(op)}" for m, op in mmt.operators) + " }"
 
-    def program(self, p: Program) -> str:
+    def program(self, p: Program):
+        """The rule for ``walk``: the node's text as a list of strings and
+        subprogram texts.  A node's variables are declared in pre-order,
+        and its matrices named in the order the text reads, except a
+        measurement's, after its branches."""
+        for name, d in declared(p):
+            self.qvars.setdefault(name, d)
         if isinstance(p, Abort):
-            return "abort"
+            return ["abort"]
         if isinstance(p, Skip):
-            return "skip"
+            return ["skip"]
         if isinstance(p, Unitary):
-            return f"{self.matrix(p.matrix)}[{', '.join(n for n, _ in p.qvars)}]"
+            return [f"{self.matrix(p.matrix)}[{', '.join(n for n, _ in p.qvars)}]"]
         if isinstance(p, Measure):
-            arms = "; ".join(f"{m}: {self.program(sub)}" for m, sub in p.branches)
+            arms = []
+            for m, sub in p.branches:
+                arms += ["; " if arms else "", f"{m}: ", (yield sub)]
             names = ", ".join(n for n, _ in p.qvars)
-            return f"measure {p.x} <- {self.measurement(p.measurement)}[{names}] {{ {arms} }}"
+            return [f"measure {p.x} <- {self.measurement(p.measurement)}[{names}] {{ ", arms, " }"]
         if isinstance(p, Guarded):
-            return f"guard {', '.join(n for n, _ in p.qvars)}{self._guard_tail(p)}"
+            return [f"guard {', '.join(n for n, _ in p.qvars)}", (yield from self._guard_tail(p))]
         if isinstance(p, Seq):
-            return "; ".join(map(self.program, p.parts))
+            parts = []
+            for sub in p.parts:
+                parts += ["; " if parts else "", (yield sub)]
+            return parts
         if isinstance(p, Block):
             names = ", ".join(n for n, _ in p.qvars)
-            return f"begin local {names} := {self._init(p)}; {self.program(p.body)} end"
+            return [f"begin local {names} := {self._init(p)}; ", (yield p.body), " end"]
         if isinstance(p, ProbChoice):
-            arms = "; ".join(f"{self.program(b)} @ {w!r}" for b, w in zip(p.branches, p.weights))
-            return f"pchoice {{ {arms} }}"
+            arms = []
+            for b, w in zip(p.branches, p.weights):
+                arms += ["; " if arms else "", (yield b), f" @ {w!r}"]
+            return ["pchoice { ", arms, " }"]
         if isinstance(p, QChoice):
-            coin = self.program(p.coin)
+            coin = yield p.coin
             if isinstance(p.coin, Seq):
-                coin = f"({coin})"
-            return f"qchoice {coin}{self._guard_tail(p)}"
+                coin = ["(", coin, ")"]
+            return ["qchoice ", coin, (yield from self._guard_tail(p))]
         raise UnsupportedConstructError(f"{type(p).__name__} has no concrete syntax")
 
-    def _guard_tail(self, p: Guarded | QChoice) -> str:
+    def _guard_tail(self, p: Guarded | QChoice):
         """``[basis B] { |i> -> P; ... }``, shared by guard and qchoice."""
         basis = "" if p.basis.is_computational else f" basis {self.matrix(p.basis.matrix)}"
-        arms = "; ".join(f"|{i}> -> {self.program(b)}" for i, b in enumerate(p.branches))
-        return f"{basis} {{ {arms} }}"
+        arms = []
+        for i, b in enumerate(p.branches):
+            arms += ["; " if arms else "", f"|{i}> -> ", (yield b)]
+        return [basis, " { ", arms, " }"]
 
     def _init(self, p: Block) -> str:
         init = np.asarray(p.init, dtype=complex)
@@ -99,13 +110,18 @@ def _record(m: np.ndarray) -> str:
 def print_program(p: Program, *, matrices: dict[str, np.ndarray] | None = None,
                   measurements: dict[str, Measurement] | None = None) -> str:
     """Render a program as a self-contained source text."""
-    qvars: dict[str, int] = {}
-    _collect_qvars(p, qvars)
     renderer = _Renderer(matrices, measurements)
-    body = renderer.program(p)
+    pieces, todo = [], [walk(p, renderer.program)]
+    while todo:
+        piece = todo.pop()
+        if isinstance(piece, str):
+            pieces.append(piece)
+        else:
+            todo += reversed(piece)
+    body = "".join(pieces)
     # Rendered first: a measurement's operators may add matrix declarations.
     measurement_lines = [f"measurement {name} = {renderer.measurement_literal(mmt)};"
                          for name, mmt in renderer.used_measurements.items()]
-    lines = [f"qvar {name} : {dim};" for name, dim in qvars.items()]
+    lines = [f"qvar {name} : {dim};" for name, dim in renderer.qvars.items()]
     lines += [f"matrix {name} = {_record(m)};" for name, m in renderer.used_matrices.items()]
     return "\n".join([*lines, *measurement_lines, "", body]) + "\n"

@@ -3,39 +3,35 @@
 Programs are immutable trees, values that never change.  Quantum variables
 appear as (name, dimension) pairs so a program is self-contained; classical
 variables range over the integers and record measurement outcomes.
-``children`` and ``rebuild`` walk any node through its dataclass fields.
-``;`` is associative, so a chain is one ``Seq`` node holding its parts however
-it was grouped: only guards, measurements, blocks and choices nest.
+``children`` and ``rebuild`` reach any node's subprograms through its
+dataclass fields, and ``walk`` is the one traversal every pass over a
+program makes (the parser, ``well_formed``, the printer, ``ast_equal``,
+``desugar`` and every evaluator): a rule per node run from an explicit
+stack, so no pass stops at Python's recursion limit, with a per-call memo
+so a shared subprogram is folded once.  ``;`` is associative, so a chain is
+one ``Seq`` node however it was grouped.
 
 A node keeps a read-only complex copy of every matrix it is given
 (``Unitary``, ``Measurement``, ``GuardBasis``, ``Block``; ``linalg.frozen``),
-so writing later into the array passed in leaves the program as it was.
-What is worked out from a node is therefore fixed for the node's lifetime
-and kept on it, most of it as cached properties: ``own_layout``,
-``Unitary.operator`` and ``kernel``, ``Measurement.kernels`` and ``stack``,
-a quantum choice's coin-then-guard ``seq``, the ``tol`` at which
-``well_formed`` found its rules to hold and, from ``semantics``, a guard's
-branch functions and the ``(tol, max_dim)`` pairs at which the node passed
-evaluation's checks.  Its ``layout``, classical variables ``cvars`` and
-whether it lies in the ``core`` are filled bottom-up (``_bottom_up``).
+so what is worked out from a node is fixed for its lifetime and kept on it:
+``own_layout``, ``layout`` and ``core``, ``Unitary.operator`` and
+``kernel``, ``Measurement.kernels`` and ``stack``, a quantum choice's
+coin-then-guard ``seq``, what the rules pass found (``_PASSED``) and, from
+``semantics``, a guard's branch functions.
 
 Each construct's side conditions are written once, in ``RULES``: every rule
-gives a diagnostic code, a message and an error type.  ``well_formed``
-collects every violation at parse and ``check`` time; every evaluator in
-``semantics`` runs the same rules in its one checked pass and raises the
-first violation as its typed error.  Among them are the leaf contracts: a
-unitary has ``U† U = I``, a measurement is complete and every outcome has a
-branch, ``pchoice`` weights are finite, nonnegative and sum to at most one,
-a guard basis is orthonormal, and a block starts from a density operator.
-Each holds within ``tol``: the Gram matrices ``U† U``, ``sum M† M`` and
-``B† B`` are within ``tol`` of ``I`` entry by entry and at most
-``(1 + tol) I`` (``linalg.near_identity``), weights sum to at most
-``1 + tol``, and an initial state is Hermitian within ``tol`` with no
-eigenvalue below ``-tol`` and positive eigenvalues summing to at most
-``1 + tol``.  Guarded composition, ``;``, measurement, probabilistic choice
-and blocks all preserve the trace bound ``sum F† F <= I``, so it holds for
-every accepted program with no global check: within about ``tol`` per leaf,
-``2 tol`` per guard basis, which acts on both sides of its branches.
+gives a diagnostic code, a message and an error type, and one pass,
+``rules``, runs them: ``well_formed`` collects every violation, evaluation
+raises the first.  Among them are the leaf contracts, each within ``tol``:
+the Gram matrices ``U† U``, ``sum M† M`` and ``B† B`` of a unitary, a
+complete measurement and a guard basis are within ``tol`` of ``I`` entry by
+entry and at most ``(1 + tol) I`` (``linalg.near_identity``), ``pchoice``
+weights are finite, nonnegative and sum to at most ``1 + tol``, and a
+block's initial state is Hermitian within ``tol`` with no eigenvalue below
+``-tol`` and positive eigenvalues summing to at most ``1 + tol``.  Every
+construct preserves the trace bound ``sum F† F <= I``, so it holds for every
+accepted program with no global check: within about ``tol`` per leaf, ``2
+tol`` per guard basis, which acts on both sides of its branches.
 """
 
 from __future__ import annotations
@@ -44,21 +40,14 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache, cached_property
+from types import GeneratorType
 
 import numpy as np
 
 from . import linalg
-from .errors import (
-    ArityError,
-    ContractError,
-    Diagnostic,
-    DomainClashError,
-    LayoutError,
-    QgclError,
-    SourceError,
-    Span,
-)
-from .registers import QVar, RegisterLayout
+from .errors import (ArityError, ContractError, Diagnostic, DomainClashError, LayoutError, QgclError,
+                     SourceError, Span, UnsupportedConstructError)
+from .registers import QVar, RegisterLayout, check_cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,10 +145,73 @@ class GuardBasis:
         return GuardBasis(linalg.identity(dim))
 
 
+def walk(root, rule):
+    """The one traversal: ``rule`` run on ``root`` and every subprogram it
+    asks for, from an explicit stack, so no depth nests Python frames.
+
+    ``rule(node)`` gives the node's value, or a generator that asks for
+    values by yielding and returns it: work before its yields is pre-order,
+    after them post-order.  ``(yield sub)`` gives a subprogram's value once
+    per call, memoised by node identity (never written in place) until every
+    parent below ``root`` (``_parents``) has it, so a shared subprogram is
+    folded once and a tree holds what a recursion would; ``None`` is not
+    memoised.  ``(yield sub, *args)`` gives ``rule(sub, *args)`` each time
+    (streaming passes the state).  ``root`` is a node or such a tuple."""
+    memo: dict[int, list] = {}  # id -> [node, value, requests still to come]
+    parents = None
+    stack: list[tuple] = []  # suspended rules, each with the node whose value it gives
+    out, node = rule(*root) if type(root) is tuple else rule(root), None
+    while True:
+        if type(out) is GeneratorType:
+            stack.append((out, node))
+            out = node = None
+        while True:
+            if node is not None and out is not None:
+                parents = _parents(root) if parents is None else parents
+                if parents.get(id(node), 0) > 1:
+                    memo[id(node)] = [node, out, parents[id(node)] - 1]
+            if not stack:
+                return out
+            gen, node = stack[-1]
+            try:
+                ask = gen.send(out)
+            except StopIteration as done:
+                stack.pop()
+                out = done.value
+                continue
+            out = None
+            break
+        if type(ask) is tuple:
+            out, node = rule(*ask), None
+        elif id(ask) in memo:
+            entry = memo[id(ask)]
+            entry[2] -= 1
+            if not entry[2]:
+                del memo[id(ask)]
+            out, node = entry[1], None
+        else:
+            out, node = rule(ask), ask
+        ask = None  # the request's arguments live in the rule's frame only
+
+
+def _parents(root) -> dict[int, int]:
+    """How many times each node below ``root`` is a distinct node's child."""
+    count: dict[int, int] = {}
+    todo = [root] if isinstance(root, Program) else []
+    while todo:
+        for c in children(todo.pop()):
+            n = count.get(id(c), 0)
+            count[id(c)] = n + 1
+            if not n:
+                todo.append(c)
+    return count
+
+
 class _bottom_up:
-    """``cached_property`` that first fills the nodes below lacking it,
-    children before parents, from an explicit stack: ``rule`` finds its
-    subprograms' values kept, and a deep program nests no frame per level."""
+    """``cached_property`` whose ``rule(node, values)`` combines the node's
+    subprograms' values, filled by ``walk`` for the nodes below lacking it,
+    children before parents.  The values kept on the nodes are the memo, so
+    the walk asks for them unmemoised."""
 
     def __init__(self, rule):
         self.rule, self.key, self.__doc__ = rule, rule.__name__, rule.__doc__
@@ -167,15 +219,17 @@ class _bottom_up:
     def __get__(self, p, owner=None):
         if p is None:
             return self
-        todo = [p]
-        while self.key not in p.__dict__:
-            node = todo.pop()
-            missing = [c for c in children(node) if self.key not in c.__dict__]
-            if missing:
-                todo += [node, *missing]
-            elif self.key not in node.__dict__:  # a shared subprogram is filled once
-                node.__dict__[self.key] = self.rule(node)
-        return p.__dict__[self.key]
+        return walk((p,), self._node)
+
+    def _node(self, p):
+        return p.__dict__[self.key] if self.key in p.__dict__ else self._fill(p)
+
+    def _fill(self, p):
+        values = []
+        for c in children(p):
+            values.append((yield c,))
+        p.__dict__[self.key] = value = self.rule(p, values)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,23 +242,23 @@ class Program:
         return RegisterLayout(declared(self))
 
     @_bottom_up
-    def layout(self) -> RegisterLayout:
+    def layout(self, layouts) -> RegisterLayout:
         """Quantum variables as an ordered layout, the tensor-factor order of
         the semantics (``joined_layout``)."""
-        return joined_layout(self, [c.layout for c in children(self)])
+        return joined_layout(self, layouts)
 
-    @_bottom_up
+    @property
     def cvars(self) -> frozenset[str]:
-        """Classical variables: the outcome variables the program binds."""
-        own = (self.x,) if isinstance(self, Measure) else ()
-        return frozenset(own).union(*(c.cvars for c in children(self)))
+        """Classical variables: the outcome variables the program binds.
+        Worked out per call and not kept: a nest of ``k`` measurements would
+        keep ``k²/2`` names."""
+        return walk(self, _cvars)
 
     @_bottom_up
-    def core(self) -> bool:
+    def core(self, cores) -> bool:
         """Whether the program uses only the measurement-and-guard core (a
         quantum choice counts: it desugars into the core)."""
-        return not isinstance(self, (Block, ProbChoice)) and all(
-            c.core for c in children(self))
+        return not isinstance(self, (Block, ProbChoice)) and all(cores)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,36 +421,45 @@ def qvar_layout(p: Program) -> RegisterLayout:
     return p.layout
 
 
-def joined_layout(p: Program, layouts: list[RegisterLayout], joined=None) -> RegisterLayout:
+def joined_layout(p: Program, layouts: list[RegisterLayout]) -> RegisterLayout:
     """``qvar_layout(p)`` from its subprograms' layouts: variables in first
     occurrence order, the node's own, then each subprogram's in turn; a
     block's locals go out of scope, so the block's layout is its body's
     without them.  A variable used with two dimensions raises
-    :class:`LayoutError`.  ``joined`` is ``_join(p, layouts)``, where the
-    caller has it."""
+    :class:`LayoutError`."""
     if isinstance(p, Block):  # building the locals' layout validates them too
         return layouts[0].remove(p.own_layout.names)
     if declared(p) or not layouts:
         own = p.own_layout  # built, and so validated, once per node
         if not layouts:
             return own
-    variables, clashes = joined or _join(p, layouts)
+    variables, clashes = _join(p, [dict(lay.variables) for lay in layouts])
     for name, first, d in clashes:
         raise LayoutError(f"variable {name!r} has dimension {first} here, {d} there")
     return RegisterLayout(tuple(variables.items()))
 
 
-def _join(p: Program, layouts: list[RegisterLayout | None]
+def _join(p: Program, layouts: list[dict[str, int] | None]
           ) -> tuple[dict[str, int], list[tuple[str, int, int]]]:
-    """One pass over a node's own variables, then each subprogram layout
-    that exists: the variables in first-occurrence order, each with its
-    first dimension, and every ``(name, first, other)`` dimension clash."""
+    """A node's own variables, then each subprogram layout that exists (a
+    dict of dimensions by name), each merged in one dict update: the
+    variables in first-occurrence order with their first dimension, and
+    every ``(name, first, other)`` dimension clash in that order."""
     variables: dict[str, int] = {}
     clashes = []
-    for pairs in (declared(p), *(lay.variables for lay in layouts if lay is not None)):
-        for name, d in pairs:
-            if variables.setdefault(name, d) != d:
-                clashes.append((name, variables[name], d))
+    for name, d in declared(p):
+        if variables.setdefault(name, d) != d:
+            clashes.append((name, variables[name], d))
+    for lay in layouts:
+        if lay is None:
+            continue
+        bad = [n for n in variables.keys() & lay.keys() if variables[n] != lay[n]]
+        if bad:
+            order = list(lay)
+            bad.sort(key=order.index)
+            clashes += [(n, variables[n], lay[n]) for n in bad]
+            lay = {n: d for n, d in lay.items() if n not in bad}
+        variables.update(lay)
     return variables, clashes
 
 
@@ -412,7 +475,15 @@ def desugar_qchoice(p: QChoice) -> Seq:
 
 def desugar(p: Program) -> Program:
     """Replace every quantum choice by its sequential form."""
-    out = rebuild(p, desugar)
+    return walk(p, _desugar)
+
+
+def _desugar(p: Program):
+    subs = []
+    for c in children(p):
+        subs.append((yield c))
+    it = iter(subs)
+    out = rebuild(p, lambda _: next(it))  # ``rebuild`` goes in ``children`` order
     return desugar_qchoice(out) if isinstance(out, QChoice) else out
 
 
@@ -423,25 +494,47 @@ def is_core(p: Program) -> bool:
 
 def ast_equal(a: Program, b: Program) -> bool:
     """Structural equality; matrices compare entrywise, spans are ignored."""
-    return _same(a, b)
+    return walk((a, b), _equal)
 
 
-def _same(x, y) -> bool:
-    """Nodes, guard bases and measurements (all dataclasses) compare field by
-    field, tuples elementwise, anything else entrywise as arrays."""
+def _equal(x, y):
+    """``x`` and ``y`` compared as ``_same`` compares them, then each pair
+    of subprograms it left, stopping at the first difference."""
+    pairs: list[tuple] = []
+    if not _same(x, y, pairs, nested=False):
+        return False
+    for pair in pairs:
+        if not (yield pair):
+            return False
+    return True
+
+
+def _same(x, y, pairs: list, nested: bool = True) -> bool:
+    """Nodes, guard bases and measurements (all dataclasses) compare field
+    by field, tuples elementwise, anything else entrywise as arrays; a pair
+    of subprograms is left in ``pairs``, for ``walk`` to compare."""
+    if nested and isinstance(x, Program):
+        pairs.append((x, y))
+        return True
     if is_dataclass(x):
         return type(x) is type(y) and all(
-            _same(getattr(x, f.name), getattr(y, f.name)) for f in fields(x) if f.name != "span"
-        )
+            _same(getattr(x, f.name), getattr(y, f.name), pairs)
+            for f in fields(x) if f.name != "span")
     if isinstance(x, tuple):
-        return isinstance(y, tuple) and len(x) == len(y) and all(map(_same, x, y))
+        return isinstance(y, tuple) and len(x) == len(y) and all(
+            _same(u, v, pairs) for u, v in zip(x, y))
     return bool(np.array_equal(x, y))
 
 
 def well_formed(p: Program, tol: float = linalg.DEFAULT_TOL) -> list[Diagnostic]:
-    """All violated side conditions, empty when the program is well-formed."""
-    out: list[Diagnostic] = []
-    _well_formed_rec(p, tol, out)
+    """All violated side conditions, empty when the program is well-formed:
+    the rules pass (``rules``) collecting."""
+    out, todo = [], [walk(p, lambda q: rules(q, tol))[2]]
+    while todo:  # the diagnostics tree, a node's own before its subprograms'
+        tree = todo.pop()
+        if tree is not None:
+            out += tree[0]
+            todo += reversed(tree[1])
     return out
 
 
@@ -453,26 +546,80 @@ def check(p: Program, tol: float = linalg.DEFAULT_TOL) -> Program:
     return p
 
 
-def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]) -> RegisterLayout | None:
-    """Append the diagnostics of ``p``, its own before its subprograms', and
-    return ``qvar_layout(p)``, ``None`` for a layout error, so every node is
-    walked once; the layout is kept on the node."""
-    inner: list[Diagnostic] = []
-    subs = children(p)
-    layouts = [_well_formed_rec(c, tol, inner) for c in subs]
-    joined = _join(p, layouts)
-    found = list(violations(p, [c.cvars for c in subs], layouts, tol, joined[1]))
-    if not found and None not in layouts:
-        p.__dict__[_RULES_PASSED] = tol
-    out.extend(Diagnostic(v.code, v.message, p.span) for v in found)
-    if not any(v.cut for v in found):
-        out.extend(inner)
-    if "layout" not in p.__dict__ and None not in layouts:
-        try:
-            p.__dict__["layout"] = joined_layout(p, layouts, joined)
+_PASSED = "_passed"  # the key of a node's record of the ``tol`` and ``(tol, max_dim)`` it passed at
+
+
+def rules(p: Program, tol: float, max_dim: int | None = None):
+    """The rules pass at node ``p``, a rule for ``walk``: bottom-up, its
+    value is ``p``'s layout (a dict of dimensions by name, ``None`` where a
+    layout error leaves it undefined), classical variables and diagnostics,
+    not kept.  Collecting (``well_formed``, no ``max_dim``), the diagnostics
+    are a tree, ``(own, [subprograms'])``, which a ``cut`` violation prunes.
+    Raising (evaluation), the first violated rule raises its typed error,
+    its code leading the message; then a guard over branches outside the
+    core, the ``max_dim`` cap and an unknown node class.  A node records
+    (``_PASSED``) each ``tol`` its rules held at, not run again in either
+    mode, and each ``(tol, max_dim)`` its subtree passed raising at, not
+    walked again; raising, a node that runs no rules gives ``None``."""
+    if max_dim is not None and (tol, max_dim) in p.__dict__.get(_PASSED, ()):
+        return None
+    return _rules(p, tol, max_dim, p.__dict__.setdefault(_PASSED, set()))
+
+
+def _rules(p: Program, tol: float, max_dim: int | None, passed: set):
+    subs, values = children(p), []
+    for sub in subs:
+        values.append((yield sub))
+    value = None
+    if max_dim is None or tol not in passed:
+        values = [v or (dict(s.layout.variables), s.cvars, None) for s, v in zip(subs, values)]
+        layouts, cvars = [v[0] for v in values], [v[1] for v in values]
+        variables, clashes = _join(p, layouts)
+        found = violations(p, cvars, layouts, tol, clashes) if tol not in passed else ()
+        try:  # as ``joined_layout`` builds it
+            if isinstance(p, Block) and layouts[0] is not None:
+                variables = {n: d for n, d in layouts[0].items() if n not in p.own_layout}
+            elif declared(p):
+                p.own_layout  # built, and so validated, once per node
+            layout = None if clashes or None in layouts else variables
         except LayoutError:
-            pass
-    return p.__dict__.get("layout")
+            layout = None
+        value = layout, _union(p, cvars), None
+        if max_dim is not None:
+            enforce(found)
+        else:
+            found = list(found)
+            below = [] if any(v.cut for v in found) else [v[2] for v in values if v[2]]
+            if not found and layout is not None:
+                passed.add(tol)
+            own = [Diagnostic(v.code, v.message, p.span) for v in found]
+            return layout, value[1], (own, below) if own or below else None
+    if "layout" not in p.__dict__:
+        p.__dict__["layout"] = joined_layout(p, [s.layout for s in subs])
+    if isinstance(p, (Guarded, QChoice)) and not all(map(is_core, p.branches)):
+        raise UnsupportedConstructError(
+            "guarded command over block/probabilistic branches has no defined semantics")
+    check_cap(p.layout.dim, max_dim)
+    if type(p) not in _NODES:
+        raise UnsupportedConstructError(f"cannot evaluate {type(p).__name__}")
+    passed.update((tol, (tol, max_dim)))
+    return value
+
+
+def _cvars(p: Program):
+    """``Program.cvars`` at one node, a rule for ``walk``."""
+    sets = []
+    for c in children(p):
+        sets.append((yield c))
+    return _union(p, sets)
+
+
+def _union(p: Program, sets: list[frozenset[str]]) -> frozenset[str]:
+    """``p``'s classical variables from its subprograms'; a set is shared,
+    not copied, where it is the only nonempty one and ``p`` binds none."""
+    own = (p.x,) if isinstance(p, Measure) else ()
+    nonempty = [c for c in sets if c]
+    return nonempty[0] if not own and len(nonempty) == 1 else frozenset(own).union(*nonempty)
 
 
 # -- The side conditions ---------------------------------------------------------
@@ -480,7 +627,8 @@ def _well_formed_rec(p: Program, tol: float, out: list[Diagnostic]) -> RegisterL
 # (``violations``) is the one every construct has.  Each construct's rules
 # see the node, its subprograms' classical variables and layouts (a layout
 # is ``None`` in ``well_formed`` where it does not exist) and ``tol``.
-# ``well_formed`` reports every violation; evaluation raises the first one.
+# ``well_formed`` reports every violation; evaluation raises the first one
+# (``rules``).
 
 
 @dataclass(frozen=True)
@@ -495,7 +643,7 @@ class Violation:
     cut: bool = False
 
 
-def violations(p: Program, cvars: list[frozenset[str]], layouts: list[RegisterLayout | None],
+def violations(p: Program, cvars: list[frozenset[str]], layouts: list[dict[str, int] | None],
                tol: float, clashes=None) -> Iterator[Violation]:
     """The violated side conditions of node ``p``, in order, lazily: first
     one ``dim-conflict`` per clash of ``_join`` (``clashes``, where the caller
@@ -511,21 +659,6 @@ def enforce(found: Iterable[Violation]) -> None:
     """Raise the first violation as its typed error, its code leading the message."""
     for v in found:
         raise v.error(f"{v.code}: {v.message}")
-
-
-# ``well_formed`` stores under this key of a node's ``__dict__`` the ``tol`` at
-# which the node passed every rule with all its subprograms' layouts known.
-_RULES_PASSED = "_rules_passed_at"
-
-
-def enforce_rules(p: Program, cvars: list[frozenset[str]], layouts: list[RegisterLayout],
-                  tol: float) -> None:
-    """``enforce`` the side conditions of node ``p`` over its subprograms'
-    classical variables and layouts, unless ``well_formed`` found them all
-    to hold at this ``tol``: a node and its matrices never change, and the
-    subprograms' variables and layouts are the ones ``well_formed`` saw."""
-    if p.__dict__.get(_RULES_PASSED) != tol:
-        enforce(violations(p, cvars, layouts, tol))
 
 
 def _operands(qvars: tuple[QVar, ...], what: str, empty: str | None = None,
@@ -572,7 +705,7 @@ def _measure(p: Measure, cvars, layouts, tol):
                         DomainClashError)
 
 
-def _guard(qvars: tuple[QVar, ...], basis: GuardBasis, branches: list[RegisterLayout | None],
+def _guard(qvars: tuple[QVar, ...], basis: GuardBasis, branches: list[dict[str, int] | None],
            tol: float):
     if bad := _operands(qvars, "guard"):
         yield bad
@@ -587,19 +720,20 @@ def _guard(qvars: tuple[QVar, ...], basis: GuardBasis, branches: list[RegisterLa
     if basis.arity != len(branches):
         yield Violation("guard-arity", f"{basis.arity} basis states but {len(branches)} branches",
                         ArityError)
-    used = set().union(*(b.names for b in branches)) if None not in branches else set()
-    overlap = {n for n, _ in qvars} & used
+    overlap = {n for n, _ in qvars if any(n in b for b in branches)} if None not in branches else ()
     if overlap:
         yield Violation("guard-var-overlap",
                         f"guard variables {sorted(overlap)} also occur in a branch", LayoutError)
 
 
 def _seq(cvars: list[frozenset[str]]):
-    """No classical variable is bound in two parts of one chain."""
+    """No classical variable is bound in two parts of one chain; a chain with
+    one binding part copies no set."""
     seen, shared = set(), set()
     for c in cvars:
-        shared |= seen & c
-        seen |= c
+        if c:
+            shared |= seen & c
+            seen = seen | c if seen else c
     if shared:
         yield Violation("var-reuse",
                         f"classical variables {sorted(shared)} appear on both sides of ';'",
@@ -608,16 +742,17 @@ def _seq(cvars: list[frozenset[str]]):
 
 def _qchoice(p: QChoice, cvars, layouts, tol):
     """The guard over the coin's variables, run after the coin."""
-    coin = layouts[0] if layouts[0] is not None else RegisterLayout()
-    yield from _guard(tuple(coin.variables), p.basis, layouts[1:], tol)
+    coin = layouts[0] if layouts[0] is not None else {}
+    yield from _guard(tuple(coin.items()), p.basis, layouts[1:], tol)
     yield from _seq([cvars[0], frozenset().union(*cvars[1:])])
 
 
-def block_rules(qvars: tuple[QVar, ...], init, body: RegisterLayout | None,
+def block_rules(qvars: tuple[QVar, ...], init, body: RegisterLayout | dict[str, int] | None,
                 tol: float = linalg.DEFAULT_TOL) -> Iterator[Violation]:
     """Side conditions of a block with locals ``qvars`` over a body on
-    ``body``: its locals occur in the body and ``init`` is a density
-    operator on them (Hermitian, positive, trace at most one)."""
+    ``body`` (a layout, or a dict of dimensions by name): its locals occur
+    in the body and ``init`` is a density operator on them (Hermitian,
+    positive, trace at most one)."""
     if not qvars:
         yield Violation("block-locals", "block declares no local variables", ArityError)
         return
@@ -625,7 +760,7 @@ def block_rules(qvars: tuple[QVar, ...], init, body: RegisterLayout | None,
         yield bad
         return
     names = [n for n, _ in qvars]
-    missing = set(names) - set(body.names if body is not None else ())
+    missing = set(names) - set(body.names if isinstance(body, RegisterLayout) else body or ())
     if missing:
         yield Violation("block-locals",
                         f"local variables {sorted(missing)} do not occur in the body", LayoutError)
@@ -671,3 +806,5 @@ RULES = {
     Block: lambda p, cvars, layouts, tol: block_rules(p.qvars, p.init, layouts[0], tol),
     ProbChoice: _prob_choice,
 }
+
+_NODES = frozenset((Abort, Skip, Unitary, Measure, Guarded, Seq, Block, ProbChoice, QChoice))

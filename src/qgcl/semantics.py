@@ -1,68 +1,38 @@
-"""Program semantics at two levels.
+"""Program semantics at two levels, each a fold of ``program.walk``.
 
 The semi-classical denotation of a core program (``semi_classical``) is the
 paper's operator-valued function over the program's classical states: one
 operator per measurement-outcome path, guard branches combined by guarded
-composition over the product of their domains.  It is one stack, built on
-rows by position (``;`` by ``kraus_products``, a guard by ``guarded_ovf``),
-its states labelled in that order, never hashed or sorted.  The channel
-(``denote``) is one fold that builds each construct's Kraus family from its
-parts: a leaf's operator; sequencing, measurement and probabilistic choice
-by composing the sub-families; a block from its body's family by reshaping;
-a guard from its branch functions, without their joint domain.  Each family
-is one ``(K, d, d)`` array, embedded, composed and pruned in one numpy call
-per family, and held at ``d²`` operators or fewer.  A ``;`` chain is one
-node, whatever its grouping: its parts, each extended to the chain's
-layout, compose right to left, and streaming pushes through them in turn.
-Bounded loop unrolling and the system-environment model of channels support
-the coin-relocation equivalences.
+composition over the product of their domains.  The channel (``denote``)
+builds each construct's Kraus family from its parts: a leaf's operator;
+sequencing, measurement and probabilistic choice by composing the
+sub-families; a block from its body's family by reshaping; a guard from its
+branch functions, without their joint domain.  Both are tables of per-class
+rules (``_SEMI``, ``_DENOTE``); a guard asks for no subprogram, as it reads
+its branch functions (``_branches``), and a quantum choice asks for its
+coin-then-guard ``QChoice.seq``.  A function is one stack built on rows by
+position, its states labelled in that order, never hashed or sorted; a
+family is one ``(K, d, d)`` array, composed and pruned in one numpy call
+and held at ``d²`` operators or fewer.  A ``;`` chain is one node whose
+parts compose right to left.
 
-Every evaluator starts from one checked pass, ``_check``, bottom-up over
-the program.  At each node it runs the side conditions of ``program.RULES``,
-the ones ``well_formed`` reports, and raises the first violated one with its
-code leading the message; so ``semi_classical``, ``denote``,
-``apply_program`` and ``wp_apply`` accept the same programs and reject the
-rest with the same error.  The trace bound ``sum F† F <= I`` is not checked
-again on the result: it follows from the leaf contracts among those rules
-(unitarity, complete measurements, orthonormal guard bases, weights summing
-to at most one, density initial states), each within ``tol`` in norm, since
-every construct preserves it.
-
-The evaluators then fold the program nodes themselves and check nothing.
-A node keeps what only the program fixes: its layout and classical
-variables (``Program.layout``, ``Program.cvars``), a quantum choice its
-coin-then-guard ``QChoice.seq``, a guard its branch functions and their
-``A_i`` (``_branches``).  Per ``(tol, max_dim)`` a node keeps only the
-record that it passed ``_check``.
-
-``apply_program`` and ``wp_apply`` take their typed input as its
-constructor checked it (``registers``) and hand it to the stream core,
-which does not scan it again; the public ``stream`` takes a raw array and
-so runs that constructor check.  Results are built by the same
-constructor, so an overflowing result raises ``ShapeError``.
+Every evaluator starts from the rules pass of ``program.rules``, raising:
+the first violated side condition raises, with its code leading the
+message, so the four entry points accept the same programs.  The trace
+bound ``sum F† F <= I`` follows from the leaf contracts among those rules
+and is not checked again.  A node keeps what only the program fixes: its
+layout, a guard its branch functions and their ``A_i`` (``_branches``) and
+how streaming multiplies by them (``_control``).
 
 ``apply_program`` and ``wp_apply`` never build the channel: ``stream``
-pushes the state (or, backwards, the observable) through the program, each
-operator acting on its own tensor factors, a guard in its basis.  A monomial leaf operator (``linalg.Monomial``: the walk's shifts,
-diagonals, phase permutations, basis projectors) is classified once on its
-node (``Unitary.kernel``, ``Measurement.kernels``).  Every operator is
-applied by one rule (``_contract``): the axes of its variables are brought
-together where the first of them lies, a view that transposes nothing when
-they already are together, and the state is read as ``(pre, k, post)``.  A
-monomial gathers the middle axis, scaled unless it is a permutation; any
-other operator is one broadcast matmul.  Monomials on both sides, on any
-variables, read the state once, as one gather with its adjacent axes
-merged (``_sandwich``).  A guard is rotated into its basis and streamed
-there by one rule, the twin of ``_guard_family``: with ``A_i`` the weighted
-sum of branch ``i``'s operators, block ``(i, j)`` of the result is ``A_i X_ij
-A_j†``, so ``X`` becomes ``C X C†`` with ``C = sum_i |i><i| (x) A_i``; then
-each branch whose function has more than one classical state overwrites its
-diagonal block with its own evaluation of ``X_ii`` (a one-state branch has
-weight exactly 1, so ``C`` already gave it).  How ``C`` is multiplied is
-decided once on the guard (``_control``): one gather when every ``A_i`` is
-monomial (the walk's shift step, and its coin relocated into the guard's
-basis); one batched product per side when every ``A_i`` is dense on all the
-data variables; else slice by slice, each ``A_i`` on its own variables."""
+pushes the state (or, backwards, the observable) through the program,
+``_Stream.push`` being the walk's rule, each operator acting on its own
+tensor factors (``_contract``; a monomial such as the walk's shift as one
+gather, ``_sandwich``).  A guard is rotated into its basis, where ``X``
+becomes ``C X C†`` with ``C = sum_i |i><i| (x) A_i``, and each branch with
+more than one classical state overwrites its diagonal block with its own
+evaluation.  Bounded loop unrolling and the system-environment model of
+channels support the coin-relocation equivalences."""
 
 from __future__ import annotations
 
@@ -106,9 +76,9 @@ from .program import (
     block_rules,
     children,
     enforce,
-    enforce_rules,
-    is_core,
     qvar_layout,
+    rules,
+    walk,
 )
 from .registers import DensityMatrix, Observable, RegisterLayout, check_cap, embed
 
@@ -135,39 +105,61 @@ def semi_classical(
 
 
 def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
-    """Fold of a checked program into its function; a chain's parts are
-    composed right to left, as ``;`` associates."""
-    full = p.layout
-    if isinstance(p, (Abort, Skip, Unitary)):  # one operator, of the empty state
-        op = p.operator if isinstance(p, Unitary) else np.eye(1, dtype=complex) * isinstance(p, Skip)
-        return OperatorValuedFunction._of(full, op[None], (cs.EPS,))
-    if isinstance(p, Measure):  # outcomes and branches agree, both sorted
-        states, stacks = [], []
-        m_ops = embed(p.measurement.stack, p.own_layout, full, max_dim=max_dim)
-        for m, m_op, (_, sub) in zip(p.measurement.outcomes, m_ops, p.branches):
-            f = _semi(sub, max_dim).extended_to(full, max_dim=max_dim)
-            states += [cs.extend(delta, p.x, m) for delta in f.states]
-            stacks.append(f.stack @ m_op)
-        return OperatorValuedFunction._of(full, np.concatenate(stacks), tuple(states))
-    if isinstance(p, Guarded):
-        data = reduce(RegisterLayout.extended, (b.layout for b in p.branches), RegisterLayout())
-        branch_fs = [f.extended_to(data, max_dim=max_dim) for f in _branches(p, max_dim)[0]]
-        from .ovf import guarded_ovf
+    """Fold of a checked program into its function, by the rules of ``_SEMI``."""
+    return walk(p, lambda q: _SEMI.get(type(q), _no_semi)(q, max_dim))
 
-        combined = guarded_ovf(p.basis, branch_fs, p.own_layout, max_dim=max_dim)
-        return combined.extended_to(full, max_dim=max_dim)
-    if isinstance(p, Seq):
-        def then(later, first):
-            return OperatorValuedFunction._of(
-                full, kraus_products(first.stack, later.stack),
-                tuple(cs.state_set_product(first.states, later.states)))
-        fns = (_semi(q, max_dim).extended_to(full, max_dim=max_dim) for q in p.parts[::-1])
-        return reduce(then, fns)
-    if isinstance(p, QChoice):
-        return _semi(p.seq, max_dim)
+
+def _semi_leaf(p: Abort | Skip | Unitary, max_dim: int) -> OperatorValuedFunction:
+    """One operator, of the empty state."""
+    op = p.operator if isinstance(p, Unitary) else np.eye(1, dtype=complex) * isinstance(p, Skip)
+    return OperatorValuedFunction._of(p.layout, op[None], (cs.EPS,))
+
+
+def _semi_measure(p: Measure, max_dim: int):
+    """Each branch after its outcome's operator (both sorted by outcome)."""
+    full = p.layout
+    states, stacks = [], []
+    m_ops = embed(p.measurement.stack, p.own_layout, full, max_dim=max_dim)
+    for m, m_op, (_, sub) in zip(p.measurement.outcomes, m_ops, p.branches):
+        f = (yield sub).extended_to(full, max_dim=max_dim)
+        states += [cs.extend(delta, p.x, m) for delta in f.states]
+        stacks.append(f.stack @ m_op)
+    return OperatorValuedFunction._of(full, np.concatenate(stacks), tuple(states))
+
+
+def _semi_guard(p: Guarded, max_dim: int) -> OperatorValuedFunction:
+    data = reduce(RegisterLayout.extended, (b.layout for b in p.branches), RegisterLayout())
+    branch_fs = [f.extended_to(data, max_dim=max_dim) for f in _branches(p, max_dim)[0]]
+    from .ovf import guarded_ovf
+
+    combined = guarded_ovf(p.basis, branch_fs, p.own_layout, max_dim=max_dim)
+    return combined.extended_to(p.layout, max_dim=max_dim)
+
+
+def _chain(p: Seq, max_dim: int, then):
+    """A chain's parts on its layout, composed right to left by ``then``."""
+    out = None
+    for q in p.parts[::-1]:
+        first = (yield q).extended_to(p.layout, max_dim=max_dim)
+        out = first if out is None else then(first, out)
+    return out
+
+
+def _no_semi(p: Program, max_dim: int):
     raise UnsupportedConstructError(
-        f"{type(p).__name__} has no semi-classical denotation; evaluate it as a channel"
-    )
+        f"{type(p).__name__} has no semi-classical denotation; evaluate it as a channel")
+
+
+def _desugared(p: QChoice, max_dim: int):
+    """A quantum choice is read through its coin-then-guard ``seq``."""
+    return (yield p.seq)
+
+
+_SEMI = {Abort: _semi_leaf, Skip: _semi_leaf, Unitary: _semi_leaf, Measure: _semi_measure,
+         Guarded: _semi_guard, QChoice: _desugared,
+         Seq: lambda p, max_dim: _chain(p, max_dim, lambda first, later: OperatorValuedFunction._of(
+             p.layout, kraus_products(first.stack, later.stack),
+             tuple(cs.state_set_product(first.states, later.states))))}
 
 
 def denote(
@@ -189,32 +181,46 @@ def denote(
 
 
 def _denote(p: Program, max_dim: int) -> SuperOperator:
-    """Fold of a checked program into its channel: a leaf's operator, and
-    for every other construct a Kraus family composed from its parts'
-    families, pruned and held at ``d²`` operators or fewer (``_family``); a
-    chain's parts are composed right to left, as in ``_semi``.  Each family is one ``(K, d, d)`` stack, extended,
-    composed and pruned in one numpy call per family."""
+    """Fold of a checked program into its channel, by the rules of
+    ``_DENOTE``: every family is pruned and held at ``d²`` operators or
+    fewer (``_family``)."""
+    return walk(p, lambda q: _DENOTE[type(q)](q, max_dim))
+
+
+def _denote_branches(p: Measure | ProbChoice, max_dim: int):
+    """Each branch after its measurement operator, or by its weight's root."""
     full = p.layout
-    if isinstance(p, (Abort, Skip, Unitary)):
-        return to_superop(_semi(p, max_dim))
-    if isinstance(p, Guarded):
-        return _family(full, _guard_family(p, max_dim))
-    if isinstance(p, QChoice):
-        return _denote(p.seq, max_dim)
-    if isinstance(p, Block):
-        return _block_family(_denote(p.body, max_dim), p.own_layout, p.init)
-    if isinstance(p, Seq):
-        parts = (_denote(q, max_dim).extended_to(full, max_dim=max_dim) for q in p.parts[::-1])
-        return reduce(lambda later, first: _family(full, first.then(later).stack), parts)
-    if isinstance(p, Measure):  # each branch after its measurement operator
+    if isinstance(p, Measure):
         factors = embed(p.measurement.stack, p.own_layout, full, max_dim=max_dim)
-    else:  # probabilistic choice: each branch scaled by its weight's root
+    else:
         factors = [np.sqrt(w) for w in p.weights]
     parts = []
     for m, sub in zip(factors, children(p)):
-        family = _denote(sub, max_dim).extended_to(full, max_dim=max_dim).stack
+        family = (yield sub).extended_to(full, max_dim=max_dim).stack
         parts.append(family @ m if isinstance(p, Measure) else family * m)
     return _family(full, np.concatenate(parts))
+
+
+def _denote_leaf(p: Abort | Skip | Unitary, max_dim: int) -> SuperOperator:
+    return to_superop(_semi_leaf(p, max_dim))
+
+
+def _denote_block(p: Block, max_dim: int):
+    return _block_family((yield p.body), p.own_layout, p.init)
+
+
+_DENOTE = {
+    Abort: _denote_leaf,
+    Skip: _denote_leaf,
+    Unitary: _denote_leaf,
+    Guarded: lambda p, max_dim: _family(p.layout, _guard_family(p, max_dim)),
+    QChoice: _desugared,
+    Block: _denote_block,
+    Seq: lambda p, max_dim: _chain(
+        p, max_dim, lambda first, later: _family(p.layout, first.then(later).stack)),
+    Measure: _denote_branches,
+    ProbChoice: _denote_branches,
+}
 
 
 def _guard_family(p: Guarded, max_dim: int) -> np.ndarray:
@@ -408,7 +414,7 @@ def _stream(p: Program, x: DensityMatrix | Observable, adjoint: bool, tol: float
     _check_input(p.layout, layout, adjoint)
     if layout.variables != p.layout.variables:
         check_cap(layout.dim, max_dim)
-    out = _Stream(max_dim).push(p, m.reshape(layout.dims * 2), layout.names, adjoint)
+    out = walk((p, m.reshape(layout.dims * 2), layout.names, adjoint), _Stream(max_dim).push)
     out = out.reshape(layout.dim, layout.dim)
     return out.copy() if np.may_share_memory(out, m) else out
 
@@ -428,35 +434,10 @@ def _check_input(program: RegisterLayout, given: RegisterLayout, adjoint: bool) 
             raise LayoutError(f"input state dimension mismatch on {name!r}")
 
 
-_CHECKED = "_checked_at"  # the key of the (tol, max_dim) pairs at which a node passed ``_check``
-
-
 def _check(p: Program, tol: float, max_dim: int) -> None:
-    """The one checked pass, bottom-up.  Once a node's subprograms pass, the
-    first of its side conditions (``program.RULES``) that fails raises, with
-    its code leading the message; then what only evaluation rejects, which
-    is a guard over branches outside the core, the ``max_dim`` cap and a
-    node class it does not know.
-
-    A node and its matrices never change, so whether it passes depends only
-    on ``(tol, max_dim)``: a node that passes records the pair in its
-    ``__dict__``, so a shared subprogram is checked once, and a node that
-    raises records nothing.
-    """
-    key = (tol, max_dim)
-    if key in p.__dict__.get(_CHECKED, ()):
-        return
-    subs = children(p)
-    for sub in subs:
-        _check(sub, tol, max_dim)
-    enforce_rules(p, [sub.cvars for sub in subs], [sub.layout for sub in subs], tol)
-    if isinstance(p, (Guarded, QChoice)) and not all(map(is_core, p.branches)):
-        raise UnsupportedConstructError(
-            "guarded command over block/probabilistic branches has no defined semantics")
-    check_cap(p.layout.dim, max_dim)
-    if not isinstance(p, (Abort, Skip, Unitary, Measure, Guarded, QChoice, Seq, Block, ProbChoice)):
-        raise UnsupportedConstructError(f"cannot evaluate {type(p).__name__}")
-    p.__dict__.setdefault(_CHECKED, set()).add(key)
+    """The one checked pass: ``program.rules`` raising, bottom-up; a node
+    that passed at ``(tol, max_dim)`` is not walked again."""
+    walk(p, lambda q: rules(q, tol, max_dim))
 
 
 @dataclass
@@ -468,40 +449,40 @@ class _Stream:
     max_dim: int
     blocks: dict = field(default_factory=dict)
 
-    def push(self, p: Program, t: np.ndarray, names: tuple[str, ...], adjoint: bool) -> np.ndarray:
-        """``t`` is a matrix on ``names`` shaped ``dims + dims``; the result
-        has the same shape.  Forward: the program's channel applied to
-        ``t``; adjoint: its dual, ``sum_k E_k† t E_k``."""
+    def push(self, p: Program, t: np.ndarray, names: tuple[str, ...], adjoint: bool):
+        """The rule for ``walk``: ``t``, a matrix on ``names`` shaped ``dims +
+        dims``, through the channel, or with ``adjoint`` its dual."""
         if isinstance(p, Abort):
             return np.zeros_like(t)
         if isinstance(p, Skip):
             return t
         if isinstance(p, Unitary):
             return _sandwich(t, names, _side(p.kernel, adjoint), p.own_layout.names)
-        if isinstance(p, Seq):
-            for sub in p.parts[::-1] if adjoint else p.parts:
-                t = self.push(sub, t, names, adjoint)
-            return t
-        if isinstance(p, Measure):
-            out, site = np.zeros_like(t), p.own_layout.names
-            for op, (_, sub) in zip(p.measurement.kernels, p.branches):
-                if adjoint:
-                    out += _sandwich(self.push(sub, t, names, True), names, _side(op, True), site)
-                else:
-                    out += self.push(sub, _sandwich(t, names, op, site), names, False)
-            return out
-        if isinstance(p, ProbChoice):
-            out = np.zeros_like(t)
-            for w, sub in zip(p.weights, p.branches):
-                out += w * self.push(sub, t, names, adjoint)
-            return out
-        if isinstance(p, Block):
-            return self._block(p, t, names, adjoint)
         if isinstance(p, QChoice):
             return self.push(p.seq, t, names, adjoint)
-        return self._guard(p, t, names, adjoint)
+        return _PUSH[type(p)](self, p, t, names, adjoint)
 
-    def _block(self, p: Block, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
+    def _seq(self, p: Seq, t: np.ndarray, names, adjoint: bool):
+        for sub in p.parts[::-1] if adjoint else p.parts:
+            t = yield sub, t, names, adjoint
+        return t
+
+    def _measure(self, p: Measure, t: np.ndarray, names, adjoint: bool):
+        out, site = np.zeros_like(t), p.own_layout.names
+        for op, (_, sub) in zip(p.measurement.kernels, p.branches):
+            if adjoint:
+                out += _sandwich((yield sub, t, names, True), names, _side(op, True), site)
+            else:
+                out += yield sub, _sandwich(t, names, op, site), names, False
+        return out
+
+    def _choice(self, p: ProbChoice, t: np.ndarray, names, adjoint: bool):
+        out = np.zeros_like(t)
+        for w, sub in zip(p.weights, p.branches):
+            out += w * (yield sub, t, names, adjoint)
+        return out
+
+    def _block(self, p: Block, t: np.ndarray, names, adjoint: bool):
         """Forward: ``tr_loc[body(X (x) init)]``; adjoint:
         ``tr_loc[wp_body(M (x) I_loc) (I (x) init)]``."""
         body, local, init = p.body, p.own_layout, p.init
@@ -519,15 +500,14 @@ class _Stream:
         shape = t.shape[: len(names)] + local.dims
         x = t.reshape(d, d)
         if adjoint:
-            w = self.push(body, np.kron(x, linalg.identity(dl)).reshape(shape * 2),
-                          outer + local.names, True)
+            w = yield body, np.kron(x, linalg.identity(dl)).reshape(shape * 2), outer + local.names, True
             out = np.einsum("aibj,ji->ab", w.reshape(d, dl, d, dl), init)
         else:
-            r = self.push(body, np.kron(x, init).reshape(shape * 2), outer + local.names, False)
+            r = yield body, np.kron(x, init).reshape(shape * 2), outer + local.names, False
             out = np.einsum("aibi->ab", r.reshape(d, dl, d, dl))
         return out.reshape(t.shape)
 
-    def _guard(self, p: Guarded, t: np.ndarray, names, adjoint: bool) -> np.ndarray:
+    def _guard(self, p: Guarded, t: np.ndarray, names, adjoint: bool):
         """In the guard's basis, ``X`` becomes ``C X C†`` (with ``C†`` first
         for the adjoint): block ``(i, j)`` is ``A_i X_ij A_j†``, as the square
         branch weights sum to one, so the guarded composition never needs its
@@ -557,11 +537,15 @@ class _Stream:
                 for a, r in zip(gpos, np.unravel_index(i, [t.shape[a] for a in gpos])):
                     at[a] = at[n + a] = r
                 at = tuple(at)
-                out[at] = self.push(p.branches[i], t[at], rest, adjoint)
+                out[at] = yield p.branches[i], t[at], rest, adjoint
         if rotate:
             t = out  # drops the rotated input before the rotation back allocates
             out = _sandwich(t, names, p.basis.matrix, gnames)
         return out
+
+
+_PUSH = {Seq: _Stream._seq, Measure: _Stream._measure, ProbChoice: _Stream._choice,
+         Block: _Stream._block, Guarded: _Stream._guard}
 
 
 def _side(op, adjoint: bool):

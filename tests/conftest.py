@@ -1,10 +1,14 @@
 """Shared corpus builders for the syntax and acceptance suites, the
-explicit permutation matrix the linalg and ovf suites check against, and a
-node type defined outside the package."""
+explicit permutation matrix the linalg and ovf suites check against, a
+node type defined outside the package, and counters of the rules that
+``walk`` runs."""
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from types import GeneratorType
 
 import numpy as np
+import pytest
 
 from qgcl.program import Block, ProbChoice, Program, qvar_layout, well_formed
 from qgcl.sampling import ProgramSampler, random_density, rng
@@ -57,3 +61,26 @@ def permutation_matrix(dims, order):
     p = np.zeros((total, total), dtype=complex)
     p[dst, np.arange(total)] = 1.0
     return p
+
+
+@contextmanager
+def rule_calls(table, check=None):
+    """Records the node of every call of a rule in ``table`` (a class-to-rule
+    dict such as ``semantics._DENOTE``) and, when given, runs
+    ``check(node, value)`` on the value each call gives."""
+    nodes = []
+
+    def wrapped(rule):
+        def run(p, *args):
+            nodes.append(p)
+            out = rule(p, *args)
+            value = (yield from out) if isinstance(out, GeneratorType) else out
+            if check is not None:
+                check(p, value)
+            return value
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        for cls, rule in list(table.items()):
+            patch.setitem(table, cls, wrapped(rule))
+        yield nodes

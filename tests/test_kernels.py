@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import qgcl.semantics as semantics
 from qgcl import linalg as la
-from qgcl.program import Abort, GuardBasis, Guarded, Measure, Measurement, Seq, Skip, Unitary
+from qgcl.program import Abort, GuardBasis, Guarded, Measure, Measurement, Seq, Skip, Unitary, walk
 from qgcl.registers import DensityMatrix, Observable, RegisterLayout, embed
 from qgcl.sampling import random_density, random_unitary, rng
 from qgcl.semantics import apply_program, denote, stream
@@ -218,6 +218,11 @@ def monomial_guards(draw):
     return Guarded(guard, GuardBasis.computational(arity), tuple(branches)), gen
 
 
+def streamed(p, t, names, adjoint):
+    """``t`` pushed through ``p`` as one streaming pass does (``_Stream.push``)."""
+    return walk((p, t, names, adjoint), semantics._Stream(la.MAX_DIM_DEFAULT).push)
+
+
 def blocks(p, x, layout, adjoint):
     """``p``'s guard streamed block by block in its basis, the reference for
     ``_Stream._guard``: diagonal block ``i`` is branch ``i``'s own
@@ -242,8 +247,7 @@ def blocks(p, x, layout, adjoint):
                 at[a], at[n + a] = r, c
             at = tuple(at)
             if i == j:
-                out[at] = semantics._Stream(la.MAX_DIM_DEFAULT).push(p.branches[i], t[at], data,
-                                                                     adjoint)
+                out[at] = streamed(p.branches[i], t[at], data, adjoint)
             else:
                 out[at] = semantics._sandwich(t[at], data, sides[i], p.branches[i].layout.names,
                                               sides[j], p.branches[j].layout.names)
@@ -456,7 +460,7 @@ def test_controlled_guard_holds_at_most_one_state_more(rotated, other):
     layout = p.layout
     x = matrix(gen, layout.dim)
     t = x.reshape(layout.dims * 2)
-    runs = (lambda: semantics._Stream(la.MAX_DIM_DEFAULT)._guard(p, t, layout.names, False),
+    runs = (lambda: streamed(p, t, layout.names, False),
             lambda: blocks(p, x, layout, False))
     peaks = []
     for run in runs:
@@ -514,5 +518,5 @@ def test_shift_guards_stay_one_gather_at_scale(relocated):
     x = matrix(rng(4), layout.dim)
     t = x.reshape(layout.dims * 2)
     for adjoint in (False, True):
-        got = semantics._Stream(la.MAX_DIM_DEFAULT)._guard(p, t, layout.names, adjoint)
+        got = streamed(p, t, layout.names, adjoint)
         assert la.max_abs_diff(got.reshape(x.shape), blocks(p, x, layout, adjoint)) < TOL

@@ -1,6 +1,6 @@
-"""The checked pass is made once per program: ``_check`` records on each
-node the ``(tol, max_dim)`` pairs it passed at, and that record is all a
-node keeps per pair.  What the program alone fixes is kept on the node once:
+"""The checked pass is made once per program: ``program.rules`` records on
+each node the ``(tol, max_dim)`` pairs it passed at, and that record is all
+a node keeps per pair.  What the program alone fixes is kept on the node once:
 its layout and classical variables, a quantum choice's coin-then-guard
 ``seq`` and a guard's branch functions.  Nodes own read-only copies of their
 matrices, and a node ``well_formed`` passed is not checked again at the same
@@ -41,7 +41,7 @@ from qgcl.sampling import random_density, random_positive, random_unitary, rng
 from qgcl.semantics import apply_program, denote, semi_classical
 from qgcl.wp import wp_apply
 
-from conftest import Repeat
+from conftest import Repeat, rule_calls
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -84,8 +84,8 @@ def semi_table(f) -> np.ndarray:
 
 @contextmanager
 def counted():
-    """Counts visits of the checked pass, layouts built and rule runs."""
-    with patch.object(semantics, "_check", wraps=semantics._check) as checks, \
+    """Counts the nodes the checked pass visits, layouts built and rule runs."""
+    with patch.object(semantics, "rules", wraps=program.rules) as checks, \
             patch.object(program, "joined_layout", wraps=program.joined_layout) as layouts, \
             patch.object(program, "violations", wraps=program.violations) as rules:
         yield checks, layouts, rules
@@ -112,7 +112,7 @@ class TestMemo:
         leaf = Unitary((Q,), H)
         with counted() as (checks, _, rules):
             semantics._check(Seq(leaf, leaf), la.DEFAULT_TOL, la.MAX_DIM_DEFAULT)
-        assert [call.args[0] for call in checks.call_args_list].count(leaf) == 2
+        assert [call.args[0] for call in checks.call_args_list].count(leaf) == 1
         assert [call.args[0] for call in rules.call_args_list].count(leaf) == 1
 
     @pytest.mark.parametrize("order", [(1e-6, 1e-9), (1e-9, 1e-6)])
@@ -146,17 +146,18 @@ class TestMemo:
                 denote(p)
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
-        assert semantics._CHECKED in p.parts[0].__dict__  # the record's key: the rest is not vacuous
-        assert semantics._CHECKED not in p.__dict__ and semantics._CHECKED not in p.parts[1].__dict__
+        key = (la.DEFAULT_TOL, la.MAX_DIM_DEFAULT)
+        passed = [q.__dict__.get(program._PASSED, ()) for q in (p.parts[0], p, p.parts[1])]
+        assert key in passed[0]  # the record's key: the rest is not vacuous
+        assert key not in passed[1] and key not in passed[2]
 
     def test_guard_data_is_built_once_whatever_the_tolerance(self):
         measure = Measure("x", (Q,), Measurement.computational(2), ((0, Skip()), (1, Skip())))
         p = Guarded((C,), GuardBasis(H), (measure, Unitary((Q,), X)))
         rho = DensityMatrix(random_density(rng(3), 4), qvar_layout(p))
-        with patch.object(semantics, "_semi", wraps=semantics._semi) as semi:
+        with rule_calls(semantics._SEMI) as built:
             for tol in (1e-9, 1e-8):
                 apply_program(p, rho, tol=tol)
-        built = [call.args[0] for call in semi.call_args_list]
         assert len(built) == len(set(map(id, built))) == 4  # each branch node once
 
     def test_dropped_program_is_collected(self):
@@ -236,7 +237,7 @@ def test_chain_visits_grow_with_its_length():
     for n in (1_000, 10_000):
         p = Seq(*(Unitary((Q,), H) for _ in range(n)))
         rho = DensityMatrix(np.eye(2) / 2, RegisterLayout.of(Q))
-        with patch.object(semantics, "_check", wraps=semantics._check) as checks, \
+        with patch.object(semantics, "rules", wraps=program.rules) as checks, \
                 patch.object(program, "children", wraps=program.children) as kids, \
                 patch.object(semantics, "children", kids):
             assert well_formed(p) == []

@@ -47,7 +47,7 @@ from qgcl.semantics import (
 )
 from qgcl.wp import wp_apply
 
-from conftest import Repeat, corpus_program
+from conftest import Repeat, corpus_program, rule_calls
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -548,16 +548,13 @@ def test_denote_of_desugared_matches_direct(seed):
 
 def checked_denote(p):
     """``denote(p)``, asserting that every node's family has at most d² operators."""
-    original = semantics._denote
+    def bounded(node, out):
+        assert len(out.kraus) <= node.layout.dim ** 2, type(node).__name__
 
-    def bounded(p, *args):
-        out = original(p, *args)
-        assert len(out.kraus) <= p.layout.dim ** 2, type(p).__name__
-        return out
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(semantics, "_denote", bounded)
-        return denote(p)
+    with rule_calls(semantics._DENOTE, bounded) as nodes:
+        channel = denote(p)
+    assert nodes  # every node's rule ran under the check
+    return channel
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
@@ -738,7 +735,6 @@ def test_core_checks_grow_linearly_with_nesting():
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(program, "is_core", counted)
-            patch.setattr(semantics, "is_core", counted)
             # the layout reaches 2**33, which only the cap would reject
             semantics._check(nested_guards(k), la.DEFAULT_TOL, 2**40)
         counts[k] = len(calls)

@@ -50,7 +50,7 @@ from qgcl.sampling import (
 from qgcl.semantics import apply_program, denote, semi_classical, unroll_loop
 from qgcl.wp import wp_apply
 
-from conftest import Repeat
+from conftest import Repeat, rule_calls
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -492,10 +492,10 @@ def test_a_guard_basis_counts_twice():
 
 def test_denote_work_is_linear_in_depth(monkeypatch):
     # A chain of unitaries ending in a probabilistic choice: no node may be
-    # revisited once per ancestor.
+    # revisited once per ancestor.  Counted: the nodes the checked pass
+    # visits, the semi-classical and channel rules run, and ``children``.
     visits = Counter()
-    for module, name in ((semantics, "_check"), (semantics, "_semi"), (semantics, "_denote"),
-                         (program, "children")):
+    for module, name in ((semantics, "rules"), (program, "children")):
         def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
             visits[_name] += 1
             return _original(*args, **kwargs)
@@ -507,8 +507,9 @@ def test_denote_work_is_linear_in_depth(monkeypatch):
         for _ in range(depth):
             p = Seq(Unitary((Q,), H), p)
         visits.clear()
-        denote(p)
-        return sum(visits.values())
+        with rule_calls(semantics._SEMI) as semi, rule_calls(semantics._DENOTE) as channel:
+            denote(p)
+        return sum(visits.values()) + len(semi) + len(channel)
 
     v16, v32, v64 = count(16), count(32), count(64)
     assert v64 - v32 <= 2 * (v32 - v16)
