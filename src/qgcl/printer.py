@@ -15,7 +15,7 @@ import numpy as np
 from . import matrixio
 from .errors import UnsupportedConstructError
 from .program import (Abort, Block, Guarded, Measure, Measurement, ProbChoice, Program, QChoice,
-                      Seq, Skip, Unitary, declared, walk)
+                      Seq, Skip, Unitary, declared, text, walk)
 
 
 class _Renderer:
@@ -111,14 +111,7 @@ def print_program(p: Program, *, matrices: dict[str, np.ndarray] | None = None,
                   measurements: dict[str, Measurement] | None = None) -> str:
     """Render a program as a self-contained source text."""
     renderer = _Renderer(matrices, measurements)
-    pieces, todo = [], [walk(p, renderer.program)]
-    while todo:
-        piece = todo.pop()
-        if isinstance(piece, str):
-            pieces.append(piece)
-        else:
-            todo += reversed(piece)
-    body = "".join(pieces)
+    body = text(walk(p, renderer.program))
     # Rendered first: a measurement's operators may add matrix declarations.
     measurement_lines = [f"measurement {name} = {renderer.measurement_literal(mmt)};"
                          for name, mmt in renderer.used_measurements.items()]

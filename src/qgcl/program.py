@@ -5,11 +5,11 @@ appear as (name, dimension) pairs so a program is self-contained; classical
 variables range over the integers and record measurement outcomes.
 ``children`` and ``rebuild`` reach any node's subprograms through its
 dataclass fields, and ``walk`` is the one traversal every pass over a
-program makes (the parser, ``well_formed``, the printer, ``ast_equal``,
-``desugar`` and every evaluator): a rule per node run from an explicit
-stack, so no pass stops at Python's recursion limit, with a per-call memo
-so a shared subprogram is folded once.  ``;`` is associative, so a chain is
-one ``Seq`` node however it was grouped.
+program makes (the parser, ``well_formed``, the printer, ``repr``,
+``ast_equal``, ``desugar`` and every evaluator): a rule per node run from
+an explicit stack, so no pass stops at Python's recursion limit, with a
+per-call memo so a shared subprogram is folded once.  ``;`` is
+associative, so a chain is one ``Seq`` node however it was grouped.
 
 A node keeps a read-only complex copy of every matrix it is given
 (``Unitary``, ``Measurement``, ``GuardBasis``, ``Block``; ``linalg.frozen``),
@@ -236,6 +236,11 @@ class _bottom_up:
 class Program:
     span: Span | None = field(default=None, repr=False, kw_only=True)
 
+    def __repr__(self) -> str:
+        """The dataclass form, ``Seq(parts=(Skip(), Abort()))``, by ``walk``
+        (node classes take no generated ``repr``, which would recurse)."""
+        return text(walk(self, _repr))
+
     @cached_property
     def own_layout(self) -> RegisterLayout:
         """``declared(self)`` as a layout, built (and so validated) once."""
@@ -261,17 +266,17 @@ class Program:
         return not isinstance(self, (Block, ProbChoice)) and all(cores)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Abort(Program):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Skip(Program):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Unitary(Program):
     qvars: tuple[QVar, ...]
     matrix: np.ndarray
@@ -290,7 +295,7 @@ class Unitary(Program):
         return linalg.kernel(self.operator)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Measure(Program):
     """Measure ``qvars``, store the outcome in classical ``x``, then run the
     branch selected by the outcome."""
@@ -310,7 +315,7 @@ class Measure(Program):
         raise KeyError(outcome)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Guarded(Program):
     """Quantum guarded command: fresh guard variables, one branch per basis
     state, branch order follows basis-column order."""
@@ -320,7 +325,7 @@ class Guarded(Program):
     branches: tuple["Program", ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Seq(Program):
     """``P1; P2; ...``: the parts run in order.  ``;`` is associative, so a
     chain is one node: a part that is itself a ``Seq`` is spliced in."""
@@ -336,7 +341,7 @@ class Seq(Program):
         object.__setattr__(self, "span", span)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Block(Program):
     """Local quantum variables initialised to a density operator."""
 
@@ -348,13 +353,13 @@ class Block(Program):
         object.__setattr__(self, "init", linalg.frozen(self.init))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ProbChoice(Program):
     weights: tuple[float, ...]
     branches: tuple["Program", ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class QChoice(Program):
     """Coin program followed by a guarded command over the coin's variables."""
 
@@ -485,6 +490,39 @@ def _desugar(p: Program):
     it = iter(subs)
     out = rebuild(p, lambda _: next(it))  # ``rebuild`` goes in ``children`` order
     return desugar_qchoice(out) if isinstance(out, QChoice) else out
+
+
+def _repr(p: Program):
+    out = [f"{type(p).__name__}("]
+    for f in fields(p):
+        if not f.repr:
+            continue
+        value = getattr(p, f.name)
+        out.append(f"{', ' if len(out) > 1 else ''}{f.name}=")
+        if f.name not in _child_fields(type(p)):
+            out.append(repr(value))
+        elif isinstance(value, Program):
+            out.append((yield value))
+        else:
+            items = []
+            for v in value:
+                sub = ["(", repr(v[0]), ", ", (yield v[1]), ")"] if isinstance(v, tuple) else (yield v)
+                items += [", " if items else "", sub]
+            out += ["(", items, "," if len(value) == 1 else "", ")"]
+    return out + [")"]
+
+
+def text(pieces: list) -> str:
+    """The strings of nested lists of strings, in order, joined: a rule's
+    text for ``walk``, which no level copies."""
+    out, todo = [], [pieces]
+    while todo:
+        piece = todo.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+        else:
+            todo += reversed(piece)
+    return "".join(out)
 
 
 def is_core(p: Program) -> bool:

@@ -58,11 +58,11 @@ def applied(kraus, x, adjoint):
 @pytest.mark.parametrize("kind", sorted(NESTINGS))
 def test_every_pass_reaches_any_depth(kind):
     """Built in the library and read back from its printed source, 10,000
-    levels pass ``well_formed``, print, parse and compare equal; the
+    levels pass ``well_formed``, ``repr``, print, parse and compare equal; the
     evaluators agree on the channel, or all raise the cap's
     ``CapacityError`` where the guards' variables multiply past it."""
     p = nest(NESTINGS[kind])
-    assert well_formed(p) == []
+    assert well_formed(p) == [] and repr(p).startswith(type(p).__name__)
     parsed = parse_source(print_program(p))
     assert ast_equal(parsed, p)
     if kind == "qchoice":
