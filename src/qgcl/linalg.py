@@ -3,9 +3,11 @@ permutations, order/positivity/unitarity predicates and Choi matrices.
 
 All operators are plain ``numpy.ndarray`` values with ``complex128`` entries.
 Matrices are kept dense; the configurable total-dimension cap keeps every
-computation at desk scale.  ``monomial`` classifies an operator with at most
-one nonzero per row and column, which ``is_unitary`` decides in O(n) and
-streaming evaluation applies as a gather (``kernel``).
+computation at desk scale.  ``kernel`` classifies an operator once for
+streaming evaluation: a ``Monomial`` (at most one nonzero per row and
+column), which ``is_unitary`` decides in O(n) and streaming applies as a
+gather; a ``RealMatrix`` (every entry real), which streaming multiplies in
+real arithmetic; or the complex matrix itself.
 """
 
 from __future__ import annotations
@@ -203,11 +205,14 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     ``||U||² <= 1 + tol``.  ``m`` may be given as its ``kernel``.  For a
     monomial ``U``, ``U† U`` is diagonal, holding ``|scale|²`` at each
     filled column and 0 at each empty one, so the verdict takes O(n)."""
-    if not isinstance(m, Monomial):
+    if isinstance(m, RealMatrix):
+        m = m.matrix
+    elif not isinstance(m, Monomial):
         m = as_matrix(m)
         if m.shape[0] != m.shape[1]:
             return False
-        m = kernel(m)
+        if len(m) > 1:
+            m = monomial(m) or m
     if not isinstance(m, Monomial):
         return near_identity(dagger(m) @ m, tol)
     filled = m.scale != 0
@@ -287,10 +292,48 @@ def monomial(op: np.ndarray) -> Monomial | None:
     return Monomial(col, op[np.arange(n), col])
 
 
+@dataclass(eq=False)
+class RealMatrix:
+    """A dense operator whose entries are all real: ``matrix``, the complex
+    operator, and ``real``, its real part as a float array.  ``real @
+    x.view(float)`` is ``matrix @ x`` for a complex ``x`` whose last axis is
+    contiguous, on the float view, in half the multiplications.  ``conj``
+    and ``T`` mirror the ndarray ones on both, each worked out once, so the
+    complex matrix is the one an ndarray operator would give."""
+
+    matrix: np.ndarray
+    real: np.ndarray
+
+    def conj(self) -> RealMatrix:
+        return self._conj
+
+    @cached_property
+    def _conj(self) -> RealMatrix:
+        return RealMatrix(self.matrix.conj(), self.real)
+
+    @cached_property
+    def T(self) -> RealMatrix:
+        return RealMatrix(self.matrix.T, self.real.T)
+
+
+REAL_KERNEL_MAX = 128  # the largest side of a ``RealMatrix``
+
+
 def kernel(op: np.ndarray):
-    """A square operator as streaming applies it: a :class:`Monomial` where
-    it is one, else ``op`` itself (so is a 1 x 1 one, applied as a scaling)."""
-    return op if len(op) <= 1 else monomial(op) or op
+    """A square operator as streaming applies it, decided once: a
+    :class:`Monomial` where it is one, a :class:`RealMatrix` where its
+    entries are all real and its side is at most ``REAL_KERNEL_MAX``, else
+    ``op`` itself (so is a 1 x 1 one, applied as a scaling).  Up to that
+    side OpenBLAS sums each entry of a real and of a complex product in one
+    block, in the same order; above it the complex product splits the sum
+    elsewhere, and the last bits differ."""
+    if len(op) <= 1:
+        return op
+    if (m := monomial(op)) is not None:
+        return m
+    if len(op) > REAL_KERNEL_MAX or np.count_nonzero(op.imag):
+        return op
+    return RealMatrix(op, op.real.copy())
 
 
 def is_positive(m, tol: float = DEFAULT_TOL) -> bool:

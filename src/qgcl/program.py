@@ -15,9 +15,9 @@ A node keeps a read-only complex copy of every matrix it is given
 (``Unitary``, ``Measurement``, ``GuardBasis``, ``Block``; ``linalg.frozen``),
 so what is worked out from a node is fixed for its lifetime and kept on it:
 ``own_layout``, ``layout`` and ``core``, ``Unitary.operator`` and
-``kernel``, ``Measurement.kernels`` and ``stack``, a quantum choice's
-coin-then-guard ``seq``, what the rules pass found (``_PASSED``) and, from
-``semantics``, a guard's branch functions.
+``kernel``, ``Measurement.kernels`` and ``stack``, ``GuardBasis.kernel``, a
+quantum choice's coin-then-guard ``seq``, what the rules pass found
+(``_PASSED``) and, from ``semantics``, a guard's branch functions.
 
 Each construct's side conditions are written once, in ``RULES``: every rule
 gives a diagnostic code, a message and an error type, and one pass,
@@ -139,6 +139,12 @@ class GuardBasis:
         return self.matrix.shape[0] == self.matrix.shape[1] and bool(
             np.all(self.matrix == linalg.identity(self.dim))
         )
+
+    @cached_property
+    def kernel(self):
+        """``matrix`` classified once, for the rotations into and out of the
+        basis when a guard is streamed (``linalg.kernel``)."""
+        return linalg.kernel(self.matrix)
 
     @staticmethod
     def computational(dim: int) -> "GuardBasis":

@@ -27,12 +27,18 @@ how streaming multiplies by them (``_control``).
 ``apply_program`` and ``wp_apply`` never build the channel: ``stream``
 pushes the state (or, backwards, the observable) through the program,
 ``_Stream.push`` being the walk's rule, each operator acting on its own
-tensor factors (``_contract``; a monomial such as the walk's shift as one
-gather, ``_sandwich``).  A guard is rotated into its basis, where ``X``
-becomes ``C X C†`` with ``C = sum_i |i><i| (x) A_i``, and each branch with
-more than one classical state overwrites its diagonal block with its own
-evaluation.  Bounded loop unrolling and the system-environment model of
-channels support the coin-relocation equivalences."""
+tensor factors (``_contract``) as ``linalg.kernel`` classified it once: a
+monomial such as the walk's shift by a gather (``_sandwich``: one
+``np.take`` over a kept flat index for a contiguous state from
+``TAKE_MIN_ENTRIES`` entries while the monomial's indices fit in
+``TAKE_INDEX_BYTES``, else a broadcast gather); a real dense operator such
+as the walk's coin by a real product on the float view of the state where
+that gives the complex product's bits; any other by a complex product.  A
+guard is rotated into its basis, where ``X`` becomes ``C X C†`` with ``C =
+sum_i |i><i| (x) A_i``, and each branch with more than one classical state
+overwrites its diagonal block with its own evaluation.  Bounded loop
+unrolling and the system-environment model of channels support the
+coin-relocation equivalences."""
 
 from __future__ import annotations
 
@@ -288,10 +294,10 @@ def _control(p: Guarded, max_dim: int) -> tuple:
         c = _guard_monomial(p, fns, monomials)
     else:
         c = []
-        for f, a, k in zip(fns, a_s, kernels):  # ``linalg.kernel`` keeps a dense A_i as is
+        for f, a, k in zip(fns, a_s, kernels):
             if len(a) == 1:
                 c.append((a[0, 0], ()))
-            elif k is a and len(f.layout.names) == len(data.names):
+            elif not isinstance(k, linalg.Monomial) and len(f.layout.names) == len(data.names):
                 c.append((embed(a, f.layout, data, max_dim=max_dim), None))
             else:
                 c.append((k, [data.names.index(v) for v in f.layout.names]))
@@ -519,7 +525,7 @@ class _Stream:
         gnames = p.own_layout.names
         rotate = not p.basis.is_computational
         if rotate:
-            t = _sandwich(t, names, linalg.dagger(p.basis.matrix), gnames)
+            t = _sandwich(t, names, _side(p.basis.kernel, True), gnames)
         c, measuring = _control(p, self.max_dim)
         if isinstance(c, linalg.Monomial):
             out = _sandwich(t, names, _side(c, adjoint), p.layout.names)
@@ -540,7 +546,7 @@ class _Stream:
                 out[at] = yield p.branches[i], t[at], rest, adjoint
         if rotate:
             t = out  # drops the rotated input before the rotation back allocates
-            out = _sandwich(t, names, p.basis.matrix, gnames)
+            out = _sandwich(t, names, p.basis.kernel, gnames)
         return out
 
 
@@ -558,7 +564,8 @@ def _sandwich(t, names, left, site, right=None, right_site=None) -> np.ndarray:
     ``R`` (default ``L``) on ``right_site`` (default ``site``); ``t`` and the
     result are shaped ``dims + dims`` over ``names``.  When ``L`` and ``R``
     are monomials, on any variables, ``t`` is read once, as one gather
-    (``_gather_plan``), and scaled on each side that is not a permutation,
+    (``_gather_plan``: one ``np.take`` over a kept flat index, or a
+    broadcast gather), and scaled on each side that is not a permutation,
     left first, as ``_contract`` would."""
     if right is None:
         right, right_site = left, site
@@ -568,9 +575,11 @@ def _sandwich(t, names, left, site, right=None, right_site=None) -> np.ndarray:
         key = (None if right is left else right, tuple(rows), tuple(cols), t.shape, t.strides)
         plans = left.__dict__.setdefault(_PLANS, {})
         if key not in plans:
-            plans[key] = _gather_plan(left, rows, right, cols, t)
+            kept = sum(index.nbytes for _, index, _ in plans.values()
+                       if not isinstance(index, tuple))
+            plans[key] = _gather_plan(left, rows, right, cols, t, TAKE_INDEX_BYTES - kept)
         shape, index, scales = plans[key]
-        out = t.reshape(shape)[index]
+        out = t.reshape(shape)[index] if isinstance(index, tuple) else np.take(t, index)
         for scale in scales:  # in place, so no outer product of the scales is formed
             out *= scale
         return out.reshape(t.shape)
@@ -578,19 +587,34 @@ def _sandwich(t, names, left, site, right=None, right_site=None) -> np.ndarray:
 
 
 _PLANS = "_plans"  # the key of a monomial's gather plans in its ``__dict__``
+TAKE_MIN_ENTRIES = 1 << 12  # the smallest state a gather plan reads with a flat index
+TAKE_INDEX_BYTES = 1 << 20  # the most a monomial's gather plans keep in flat indices
 
 
-def _gather_plan(left, rows: list[int], right, cols: list[int], t: np.ndarray) -> tuple:
+def _gather_plan(left, rows: list[int], right, cols: list[int], t: np.ndarray,
+                 budget: int) -> tuple:
     """How ``_sandwich`` reads ``t`` for the monomials ``left`` on the axes
     ``rows`` and ``right`` on ``cols``, each in its own variables' order:
-    the shape ``t`` is viewed at, one index array per axis of that view,
-    and the scales to multiply by, each shaped to broadcast over it.
+    the shape ``t`` is viewed at, the index, and the scales to multiply by,
+    each shaped to broadcast over that view.
 
     Adjacent axes of one kind (the left site, the right site, the rest)
     merge into one axis where their strides let a view do it, so a state on
     exactly a monomial's variables, in any order, is read as one two-index
     gather, ``t2[col[:, None], col[None, :]]``.  Each monomial is first put
-    in the axes' order and split at the merged axes (``_in_axis_order``)."""
+    in the axes' order and split at the merged axes (``_in_axis_order``).
+
+    The index is a tuple of one array per axis of the view, each shaped to
+    broadcast from its own axis on: a broadcast gather.  A contiguous ``t``
+    of at least ``TAKE_MIN_ENTRIES`` entries whose flat ``intp`` index fits
+    in ``budget`` bytes (what is left of ``TAKE_INDEX_BYTES`` after the
+    monomial's other plans) is read instead by ``np.take`` over that index,
+    shaped as the view, three to four times as fast at dimension 128.
+    Below that size the broadcast gather is as fast and has no index to
+    build (a program parsed once per command never reuses its plans).
+    Above the budget the index alone would hold half a state for the life
+    of the program, and ``np.take`` would copy an index of any narrower
+    type on every call."""
     kind = [0] * t.ndim
     for a in rows:
         kind[a] = 1
@@ -619,6 +643,14 @@ def _gather_plan(left, rows: list[int], right, cols: list[int], t: np.ndarray) -
             index[m] = src.reshape(spread)
         if not op.unit:
             scales.append((scale if k == 1 else scale.conj()).reshape(spread))
+    size = prod(shape)
+    if (t.flags.c_contiguous and TAKE_MIN_ENTRIES <= size
+            and size * np.dtype(np.intp).itemsize <= budget):
+        flat, step = index[-1], shape[-1]
+        for m in range(n - 2, -1, -1):
+            flat = flat + index[m] * step
+            step *= shape[m]
+        return shape, flat.astype(np.intp, copy=False), scales
     return shape, tuple(index), scales
 
 
@@ -651,7 +683,8 @@ def _controlled(c, t: np.ndarray, axes: list[int], data: tuple, adjoint: bool,
     are brought to the front and ``t`` is read as ``(k, s, rest)``: a stack
     is one batched product; else each ``A_i`` writes its slice of the
     output, a dense one by a product, a scalar by scaling, and any other on
-    its own axes (``_contract``)."""
+    its own axes (``_contract``, straight into the slice).  The right side
+    of a list overwrites ``t``, the left side's result, slice by slice."""
     order = axes + [a for a in range(t.ndim) if a not in axes]
     moved = t.transpose(order)
     t3 = moved.reshape(len(c), prod(data), -1)
@@ -659,43 +692,75 @@ def _controlled(c, t: np.ndarray, axes: list[int], data: tuple, adjoint: bool,
         a = c.transpose(0, 2, 1) if adjoint else c
         out = (a.conj() if adjoint != right else a) @ t3
     else:
-        out = np.empty_like(t3)
+        out = t3 if right else np.empty_like(t3)
         for x, y, (a, at) in zip(t3, out, c):
             a = a.T if adjoint else a
             if adjoint != right:
                 a = a.conj()
-            if at is None:
+            if at is None and right:  # in place: the product needs its own buffer
+                y[...] = np.matmul(a, x, out=np.empty_like(x))
+            elif at is None:
                 np.matmul(a, x, out=y)
             elif at:
-                y[...] = _contract(a, x.reshape(data + (-1,)), at).reshape(y.shape)
+                _contract(a, x.reshape(data + (-1,)), at, y.reshape(data + (-1,)))
             else:
                 np.multiply(x, a, out=y)
     return out.reshape(moved.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
-def _contract(op, t: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Apply ``op`` to the tensor factors of ``t`` at ``axes``, in order.
+def _contract(op, t: np.ndarray, axes: list[int], out: np.ndarray | None = None) -> np.ndarray:
+    """Apply ``op`` to the tensor factors of ``t`` at ``axes``, in order,
+    into ``out`` when it is given (shaped as ``t``, and may be ``t``).
 
     The axes are brought together, in order, where the first of them is (a
     view: no transpose at all when they already are together), and ``t`` is
     read as ``(pre, k, post)``.  A ``linalg.Monomial`` gathers the middle
-    axis, then scales it unless it is a permutation; a dense ``op`` is one
-    broadcast matmul, ``op @ t3``, or ``t3[:, :, 0] @ op.T`` when ``post`` is
-    1.  No axes (a 1 x 1 ``op``) is ``k = 1``."""
+    axis (``np.take`` on a contiguous ``t3``), then scales it unless it is a
+    permutation; a dense ``op`` is one broadcast matmul, ``op @ t3``, or
+    ``t3[:, :, 0] @ op.T`` when ``post`` is 1.  A ``linalg.RealMatrix`` is
+    ``op.real @ t3`` on the float view of ``t3`` when ``post`` is a multiple
+    of 4: the complex product's bits, signed zeros included, in half the
+    multiplications.  OpenBLAS's complex kernels take four such columns at a
+    time, and on a remainder they give some exact zeros the other sign.  No
+    axes (a 1 x 1 ``op``) is ``k = 1``.  The product is written straight
+    into ``out`` where ``out``, read as ``t3``, is a view laid out as ``t3``
+    apart from it, so every product sees the operands it would see alone;
+    else it is copied in."""
     rest = [a for a in range(t.ndim) if a not in axes]
     lead = sum(a < axes[0] for a in rest) if axes else 0
     order = rest[:lead] + axes + rest[lead:]
     moved = t.transpose(order)
     t3 = moved.reshape(prod(moved.shape[:lead]), -1, prod(moved.shape[lead + len(axes):]))
+    into = None if out is None else out.transpose(order).reshape(t3.shape)
+    if into is not None and (into.strides != t3.strides or not np.may_share_memory(into, out)
+                             or np.may_share_memory(into, t3)):
+        into = None
+    real = isinstance(op, linalg.RealMatrix)
     if isinstance(op, linalg.Monomial):
-        out = t3[:, op.col]
+        if not t3.flags.c_contiguous:  # np.take would copy ``t3``
+            got, into = t3[:, op.col], None
+        elif into is None:
+            got = np.take(t3, op.col, axis=1)
+        else:  # "clip" buffers no ``out``
+            got = np.take(t3, op.col, axis=1, out=into, mode="clip")
         if not op.unit:
-            out *= op.scale[:, None]
+            got *= op.scale[:, None]
+    elif real and t3.shape[2] % 4 == 0 and t3.strides[2] == t3.itemsize:
+        f = t3.view(float)
+        got = op.real @ f if into is None else np.matmul(op.real, f, out=into.view(float))
+        got = got.view(complex)
     elif t3.shape[2] == 1:
-        out = t3[:, :, 0] @ op.T
+        m, x = (op.matrix if real else op).T, t3[:, :, 0]
+        got = x @ m if into is None else np.matmul(x, m, out=into[:, :, 0])
     else:
-        out = op @ t3
-    return out.reshape(moved.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
+        m = op.matrix if real else op
+        got = m @ t3 if into is None else np.matmul(m, t3, out=into)
+    got = got.reshape(moved.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
+    if out is None:
+        return got
+    if into is None:
+        out[...] = got
+    return out
 
 
 @dataclass(eq=False)

@@ -4,8 +4,13 @@
 operator on the tensor factors where its variables lie.  The reference here
 never uses them: the operator is ``registers.embed``-ed into the full layout
 and applied to the flattened matrix, and a guard's channel comes from
-``denote``, which composes embedded Kraus families.
+``denote``, which composes embedded Kraus families.  Each fast form is also
+held to the form it stands in for, value for value (``np.array_equal``): a
+real operator's product on the float view to the complex product, and a
+gather over a flat index to the broadcast gather.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 import qgcl.semantics as semantics
 from qgcl import linalg as la
-from qgcl.program import Abort, GuardBasis, Guarded, Measure, Measurement, Seq, Skip, Unitary, walk
+from qgcl.program import (Abort, GuardBasis, Guarded, Measure, Measurement, QChoice, Seq, Skip,
+                          Unitary, walk)
 from qgcl.registers import DensityMatrix, Observable, RegisterLayout, embed
 from qgcl.sampling import random_density, random_unitary, rng
 from qgcl.semantics import apply_program, denote, stream
@@ -141,6 +147,180 @@ def test_two_monomial_sandwich_on_a_strided_block(left_kind, right_kind):
     left, right = operator(gen, 5, left_kind), operator(gen, 5, right_kind)
     got = semantics._sandwich(block, ("v",), la.kernel(left), ("v",), la.kernel(right), ("v",))
     assert la.max_abs_diff(got, left @ block @ la.dagger(right)) < TOL
+
+
+def zeroed(gen, shape):
+    """A complex array holding exact zeros and signed zeros in both parts."""
+    x = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    x[gen.random(shape) < 0.3] = 0
+    x.real[gen.random(shape) < 0.2] = -0.0
+    x.imag[gen.random(shape) < 0.2] = -0.0
+    return x
+
+
+def as_given(x, strided):
+    """``x`` itself, or the same values as a strided view of a wider array."""
+    if not strided:
+        return x
+    wide = np.zeros(x.shape + (2,), dtype=complex)
+    wide[..., 1] = x
+    return wide[..., 1]
+
+
+@given(st.data(), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_real_products_match_complex_ones(data, adjoint, strided, seed):
+    """A dense operator with real entries is applied on the float view of
+    the state (``la.RealMatrix``) with exactly the complex product's values:
+    on states holding exact and signed zeros, on any variables in any order,
+    on a strided state, forward and adjoint, and written into a given array
+    as well.  Both sides of the sandwich agree with the embedded operator."""
+    gen = rng(seed)
+    layout = data.draw(layouts())
+    site = data.draw(sites(layout))
+    if not site:  # a 1 x 1 operator is a scaling, never a real matrix
+        site = layout.names[:1]
+    names, n, d = layout.names, len(layout.names), layout.dim
+    op = gen.normal(size=(sub(layout, site).dim,) * 2) + 0j
+    k = la.kernel(op)
+    assert isinstance(k, la.RealMatrix) and k.matrix is op
+    x = zeroed(gen, (d, d))
+    t = as_given(x.reshape(layout.dims * 2), strided)
+    real, cplx = semantics._side(k, adjoint), semantics._side(op, adjoint)
+    for axes in ([names.index(v) for v in site], [n + names.index(v) for v in site]):
+        expect = semantics._contract(cplx, t, axes)
+        assert np.array_equal(semantics._contract(real, t, axes), expect)
+        into = np.empty_like(t)
+        assert semantics._contract(real, t, axes, into) is into
+        assert np.array_equal(into, expect)
+    full = embed(op, sub(layout, site), layout)
+    if adjoint:
+        full = la.dagger(full)
+    got = semantics._sandwich(t, names, real, site)
+    assert la.max_abs_diff(got.reshape(d, d), full @ x @ la.dagger(full)) < TOL
+
+
+def test_a_real_coin_takes_the_float_view_where_its_bits_hold():
+    """The walk's Hadamard coin on a ``(v, c)`` state: its left side, with
+    ``post`` a multiple of 4, is a real product on the float view; its
+    right side, with ``post`` 1, stays a complex product.  A spy whose real
+    part is twice its matrix tells which of the two each side used."""
+    n = 8
+    t = zeroed(rng(2), (2 * n, 2 * n)).reshape(n, 2, n, 2)
+    coin = np.array([[1, 1], [1, -1]]) / np.sqrt(2) + 0j
+    spy = la.RealMatrix(coin, 2 * coin.real)
+    assert np.array_equal(semantics._contract(spy, t, [1]), 2 * semantics._contract(coin, t, [1]))
+    assert np.array_equal(semantics._contract(spy, t, [3]), semantics._contract(coin, t, [3]))
+
+
+def flat_plans(*kernels):
+    """Whether each gather plan kept on ``kernels`` reads a flat index."""
+    return [not isinstance(index, tuple) for k in kernels
+            for _, index, _ in k.__dict__.get(semantics._PLANS, {}).values()]
+
+
+@given(st.data(), st.sampled_from(KINDS[1:]), st.sampled_from(KINDS[1:]), st.booleans(),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_flat_take_matches_the_broadcast_gather(data, left_kind, right_kind, adjoint, strided,
+                                                seed):
+    """A monomial sandwich read by one ``np.take`` over a flat index gives
+    exactly the broadcast gather's values: on any variables in any order,
+    with and without scales (an empty row's included), forward and adjoint,
+    on states holding exact and signed zeros.  A strided state keeps the
+    broadcast gather whatever its size."""
+    gen = rng(seed)
+    layout = data.draw(layouts())
+    left_site = data.draw(sites(layout)) or layout.names[:1]
+    right_site = data.draw(sites(layout)) or layout.names[-1:]
+    left = operator(gen, sub(layout, left_site).dim, left_kind)
+    right = operator(gen, sub(layout, right_site).dim, right_kind)
+    t = as_given(zeroed(gen, (layout.dim,) * 2).reshape(layout.dims * 2), strided)
+    got = []
+    for patch in (("TAKE_MIN_ENTRIES", 1), ("TAKE_INDEX_BYTES", 0)):  # flat, then broadcast
+        kl = semantics._side(kernel_of(left, left_kind), adjoint)
+        kr = semantics._side(kernel_of(right, right_kind), adjoint)
+        with mock.patch.object(semantics, *patch):
+            got.append(semantics._sandwich(t, layout.names, kl, left_site, kr, right_site))
+            got.append(semantics._sandwich(t, layout.names, kl, left_site))
+        assert flat_plans(kl) == [patch[0] == "TAKE_MIN_ENTRIES" and not strided] * 2
+    assert np.array_equal(got[0], got[2]) and np.array_equal(got[1], got[3])
+
+
+def walk_guard(n):
+    """The walk's shift, guarded by its coin."""
+    return Guarded((("c", 2),), GuardBasis.computational(2),
+                   (Unitary((("v", n),), shift(n, 1)), Unitary((("v", n),), shift(n, -1))))
+
+
+def guard_monomials(p):
+    """A gather guard's ``C`` and, once the adjoint has used it, its transpose."""
+    c = p.__dict__[semantics._CONTROL][0]
+    return [c] + ([c.T] if "T" in c.__dict__ else [])
+
+
+def test_flat_index_budget_is_exact():
+    """A contiguous state of ``TAKE_MIN_ENTRIES`` entries or more is
+    gathered over a flat index as long as the index fits the budget; one
+    entry past it, the gather broadcasts and keeps no flat index.  A smaller
+    state broadcasts.  Either way the values are the same.  The budget is
+    the monomial's: an index for a second layout that would pass it is not
+    kept."""
+    itemsize = np.dtype(np.intp).itemsize
+    assert semantics.TAKE_MIN_ENTRIES == 64 * 64
+    for n, budget, flat in ((32, 64 * 64 * itemsize, True), (32, (64 * 64 - 1) * itemsize, False),
+                            (16, semantics.TAKE_INDEX_BYTES, False)):
+        p = walk_guard(n)
+        x = zeroed(rng(n), (2 * n, 2 * n))
+        with mock.patch.object(semantics, "TAKE_INDEX_BYTES", budget):
+            got = [stream(p, x, p.layout, adjoint=adjoint) for adjoint in (False, True)]
+        assert flat_plans(*guard_monomials(p)) == [flat, flat]
+        if n == 32:
+            if flat:
+                expect = got
+            else:
+                assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+    p = walk_guard(32)
+    with mock.patch.object(semantics, "TAKE_INDEX_BYTES", 64 * 64 * itemsize):
+        for order in (("v", "c"), ("c", "v")):
+            layout = RegisterLayout(tuple((v, p.layout.dim_of(v)) for v in order))
+            stream(p, zeroed(rng(1), (64, 64)), layout)
+    assert flat_plans(*guard_monomials(p)) == [True, False]
+
+
+def test_walk_step_keeps_its_peaks_and_its_index_budget():
+    """A warm walk step peaks at two states (``run``) and three (``wp``) at
+    dimension 2048, past the index budget, as before any flat index.  Each
+    monomial keeps flat indices within the budget: at dimension 256 one per
+    direction, at 512 and 1024 none."""
+    import tracemalloc
+
+    for n, flat in ((128, True), (256, False), (1024, False)):
+        step = QChoice(Unitary((("c", 2),), np.array([[1, 1], [1, -1]]) / np.sqrt(2)),
+                       GuardBasis.computational(2), walk_guard(n).branches)
+        layout = RegisterLayout.of(("v", n), ("c", 2))
+        gen = rng(n)
+        psi = gen.normal(size=2 * n) + 1j * gen.normal(size=2 * n)
+        rho = DensityMatrix(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, layout)
+        obs = Observable(np.diag(gen.uniform(size=2 * n)).astype(complex), layout)
+        peaks = []
+        for run in (lambda: apply_program(step, rho), lambda: wp_apply(step, obs)):
+            run()  # the kept data, and numpy's own first-call allocations
+            if n == 1024:
+                tracemalloc.start()
+                try:
+                    run()
+                    peaks.append(tracemalloc.get_traced_memory()[1] / rho.matrix.nbytes)
+                finally:
+                    tracemalloc.stop()
+        monomials = guard_monomials(step.seq.parts[1])
+        assert flat_plans(*monomials) == [flat, flat]
+        for c in monomials:
+            kept = [index.nbytes for _, index, _ in c.__dict__[semantics._PLANS].values()
+                    if not isinstance(index, tuple)]
+            assert sum(kept) <= semantics.TAKE_INDEX_BYTES
+        if peaks:
+            assert peaks[0] < 2.05 and peaks[1] < 3.05
 
 
 DATA = RegisterLayout.of(("a", 2), ("b", 3))
@@ -472,6 +652,50 @@ def test_controlled_guard_holds_at_most_one_state_more(rotated, other):
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1] + x.nbytes
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_measuring_slices_are_written_in_place(rotated):
+    """A two-outcome projective branch beside a dense unitary, at state
+    dimension 256: each ``A_i`` writes its slice of the left side's output
+    directly, and the right side overwrites that output slice by slice, so
+    the pass peaks within 0.1 state of the block loop.  The bits are those
+    of products copied into their slices."""
+    import tracemalloc
+
+    gen = rng(9)
+    v = (("v", 128),)
+    half = np.diag(np.arange(128) < 64).astype(complex)
+    mmt = Measurement(((0, half), (1, np.eye(128) - half)))
+    basis = GuardBasis(random_unitary(gen, 2)) if rotated else GuardBasis.computational(2)
+    p = Guarded((("g", 2),), basis, (measuring(v, mmt), Unitary(v, random_unitary(gen, 128))))
+    assert path(p) == "slices"
+    layout = p.layout
+    x = matrix(gen, layout.dim)
+    t = x.reshape(layout.dims * 2)
+    runs = (lambda: streamed(p, t, layout.names, False), lambda: blocks(p, x, layout, False))
+    peaks, got = [], []
+    for run in runs:
+        got.append(run())  # the kept data, and numpy's own first-call allocations
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] + 0.1 * x.nbytes
+    assert la.max_abs_diff(got[0].reshape(x.shape), got[1]) < TOL
+    contract = semantics._contract
+
+    def copied(op, t, axes, out=None):
+        product = contract(op, t, axes)
+        if out is None:
+            return product
+        out[...] = product
+        return out
+
+    with mock.patch.object(semantics, "_contract", copied):
+        assert streamed(p, t, layout.names, False).tobytes() == got[0].tobytes()
 
 
 @pytest.mark.parametrize("order", [("v", "c"), ("c", "v"), ("v", "e", "c"), ("c", "e", "v")])

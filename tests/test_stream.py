@@ -582,11 +582,18 @@ def test_monomial_sandwich_matches_matmul(seed, left_kind, right_kind):
 
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_dense_operators_keep_the_matmul(n):
+    """A complex dense operator is its own kernel; a real one is marked real
+    once, keeping the operator and its real part as a contiguous float array."""
     gen = rng(n)
     tricky = not_monomial(gen, n)
     assert np.count_nonzero(tricky) == n
-    for op in (tricky, tricky.T.copy(), H if n == 2 else random_unitary(gen, n), np.ones((n, n))):
+    for op in (tricky, tricky.T.copy(), random_unitary(gen, n)):
         assert la.kernel(op) is op
+    for op in (H if n == 2 else tricky.real + 0j, np.ones((n, n))):
+        k = la.kernel(op)
+        assert isinstance(k, la.RealMatrix) and k.matrix is op
+        assert k.real.dtype == float and k.real.flags.c_contiguous
+        assert np.array_equal(k.real, op.real)
 
 
 def monomial_leaves(gen, p):
