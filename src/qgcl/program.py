@@ -142,9 +142,13 @@ class GuardBasis:
 
     @cached_property
     def kernel(self):
-        """``matrix`` classified once, for the rotations into and out of the
-        basis when a guard is streamed (``linalg.kernel``)."""
-        return linalg.kernel(self.matrix)
+        """``matrix`` as the rotations into and out of the basis apply it
+        when a guard is streamed, classified once: a ``linalg.RealMatrix``
+        where ``linalg.kernel`` finds one, else ``matrix``.  A monomial basis
+        stays a dense product, not a gather, as the product's sums give some
+        exact zeros of the state the other sign."""
+        k = linalg.kernel(self.matrix)
+        return k if isinstance(k, linalg.RealMatrix) else self.matrix
 
     @staticmethod
     def computational(dim: int) -> "GuardBasis":

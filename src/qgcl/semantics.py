@@ -697,7 +697,9 @@ def _controlled(c, t: np.ndarray, axes: list[int], data: tuple, adjoint: bool,
             a = a.T if adjoint else a
             if adjoint != right:
                 a = a.conj()
-            if at is None and right:  # in place: the product needs its own buffer
+            if at is None and right:  # ``y`` is ``x``: the product goes to a buffer laid
+                # out as ``x``, as ``np.empty_like(t3)`` lays out the left side's ``y``,
+                # so matmul takes the same BLAS call (``a @ x`` can give other bits)
                 y[...] = np.matmul(a, x, out=np.empty_like(x))
             elif at is None:
                 np.matmul(a, x, out=y)
@@ -715,15 +717,16 @@ def _contract(op, t: np.ndarray, axes: list[int], out: np.ndarray | None = None)
     The axes are brought together, in order, where the first of them is (a
     view: no transpose at all when they already are together), and ``t`` is
     read as ``(pre, k, post)``.  A ``linalg.Monomial`` gathers the middle
-    axis (``np.take`` on a contiguous ``t3``), then scales it unless it is a
-    permutation; a dense ``op`` is one broadcast matmul, ``op @ t3``, or
-    ``t3[:, :, 0] @ op.T`` when ``post`` is 1.  A ``linalg.RealMatrix`` is
-    ``op.real @ t3`` on the float view of ``t3`` when ``post`` is a multiple
-    of 4: the complex product's bits, signed zeros included, in half the
-    multiplications.  OpenBLAS's complex kernels take four such columns at a
-    time, and on a remainder they give some exact zeros the other sign.  No
-    axes (a 1 x 1 ``op``) is ``k = 1``.  The product is written straight
-    into ``out`` where ``out``, read as ``t3``, is a view laid out as ``t3``
+    axis (by ``np.take`` into ``out``, for a contiguous ``t3``), then scales
+    it unless it is a permutation; a dense ``op`` is one broadcast matmul,
+    ``op @ t3``, or ``t3[:, :, 0] @ op.T`` when ``post`` is 1.  A
+    ``linalg.RealMatrix`` is ``op.real @ t3`` on the float view of ``t3``
+    when ``post`` is a multiple of 4: the complex product's bits, signed
+    zeros included, in half the multiplications.  On a remainder of ``post``
+    OpenBLAS's complex kernels give some exact zeros the other sign (both
+    measured with numpy 2.4 on OpenBLAS 0.3.31's Haswell kernels).  No axes
+    (a 1 x 1 ``op``) is ``k = 1``.  The product is written straight into
+    ``out`` where ``out``, read as ``t3``, is a view laid out as ``t3``
     apart from it, so every product sees the operands it would see alone;
     else it is copied in."""
     rest = [a for a in range(t.ndim) if a not in axes]
@@ -737,10 +740,8 @@ def _contract(op, t: np.ndarray, axes: list[int], out: np.ndarray | None = None)
         into = None
     real = isinstance(op, linalg.RealMatrix)
     if isinstance(op, linalg.Monomial):
-        if not t3.flags.c_contiguous:  # np.take would copy ``t3``
+        if into is None or not t3.flags.c_contiguous:  # np.take would copy ``t3``
             got, into = t3[:, op.col], None
-        elif into is None:
-            got = np.take(t3, op.col, axis=1)
         else:  # "clip" buffers no ``out``
             got = np.take(t3, op.col, axis=1, out=into, mode="clip")
         if not op.unit:

@@ -5,9 +5,13 @@ operator on the tensor factors where its variables lie.  The reference here
 never uses them: the operator is ``registers.embed``-ed into the full layout
 and applied to the flattened matrix, and a guard's channel comes from
 ``denote``, which composes embedded Kraus families.  Each fast form is also
-held to the form it stands in for, value for value (``np.array_equal``): a
-real operator's product on the float view to the complex product, and a
-gather over a flat index to the broadcast gather.
+held to the form it stands in for, bit for bit, signed zeros included
+(``same_bits``): a real operator's product on the float view to the complex
+product, a gather over a flat index to the broadcast gather, and a guard's
+rotations to the dense products.  Which real products keep the complex
+product's bits was measured with numpy 2.4 on OpenBLAS 0.3.31's Haswell
+kernels; the tests of those limits use states on which the real product
+gives other bits there.
 """
 
 from unittest import mock
@@ -149,6 +153,12 @@ def test_two_monomial_sandwich_on_a_strided_block(left_kind, right_kind):
     assert la.max_abs_diff(got, left @ block @ la.dagger(right)) < TOL
 
 
+def same_bits(a, b):
+    """Whether ``a`` and ``b`` hold the same bits: unlike ``np.array_equal``,
+    ``-0.0`` and ``0.0`` differ."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def zeroed(gen, shape):
     """A complex array holding exact zeros and signed zeros in both parts."""
     x = gen.normal(size=shape) + 1j * gen.normal(size=shape)
@@ -171,7 +181,7 @@ def as_given(x, strided):
 @settings(max_examples=200, deadline=None)
 def test_real_products_match_complex_ones(data, adjoint, strided, seed):
     """A dense operator with real entries is applied on the float view of
-    the state (``la.RealMatrix``) with exactly the complex product's values:
+    the state (``la.RealMatrix``) with exactly the complex product's bits:
     on states holding exact and signed zeros, on any variables in any order,
     on a strided state, forward and adjoint, and written into a given array
     as well.  Both sides of the sandwich agree with the embedded operator."""
@@ -189,10 +199,10 @@ def test_real_products_match_complex_ones(data, adjoint, strided, seed):
     real, cplx = semantics._side(k, adjoint), semantics._side(op, adjoint)
     for axes in ([names.index(v) for v in site], [n + names.index(v) for v in site]):
         expect = semantics._contract(cplx, t, axes)
-        assert np.array_equal(semantics._contract(real, t, axes), expect)
+        assert same_bits(semantics._contract(real, t, axes), expect)
         into = np.empty_like(t)
         assert semantics._contract(real, t, axes, into) is into
-        assert np.array_equal(into, expect)
+        assert same_bits(into, expect)
     full = embed(op, sub(layout, site), layout)
     if adjoint:
         full = la.dagger(full)
@@ -209,8 +219,61 @@ def test_a_real_coin_takes_the_float_view_where_its_bits_hold():
     t = zeroed(rng(2), (2 * n, 2 * n)).reshape(n, 2, n, 2)
     coin = np.array([[1, 1], [1, -1]]) / np.sqrt(2) + 0j
     spy = la.RealMatrix(coin, 2 * coin.real)
-    assert np.array_equal(semantics._contract(spy, t, [1]), 2 * semantics._contract(coin, t, [1]))
-    assert np.array_equal(semantics._contract(spy, t, [3]), semantics._contract(coin, t, [3]))
+    assert same_bits(semantics._contract(spy, t, [1]), 2 * semantics._contract(coin, t, [1]))
+    assert same_bits(semantics._contract(spy, t, [3]), semantics._contract(coin, t, [3]))
+
+
+@pytest.mark.parametrize("side, post", [(2, 2), (2, 3), (2, 6), (3, 7), (128, 8), (129, 8)])
+def test_real_operators_keep_the_complex_bits_at_their_limits(side, post):
+    """A real operator whose ``post`` is not a multiple of 4, or whose side
+    passes ``la.REAL_KERNEL_MAX``, keeps the complex product, forward and
+    adjoint, written into a given array as well.  On these states the real
+    product gives other bits: other zero signs off a multiple of 4, other
+    last bits from side 129.  Side 128 is the largest real product taken."""
+    gen = rng(side + post)
+    op = gen.normal(size=(side, side)) + 0j
+    k = la.kernel(op)
+    if side == la.REAL_KERNEL_MAX:
+        assert isinstance(k, la.RealMatrix)
+    t = zeroed(gen, (8, side, post))
+    for adjoint in (False, True):
+        expect = semantics._contract(semantics._side(op, adjoint), t, [1])
+        assert same_bits(semantics._contract(semantics._side(k, adjoint), t, [1]), expect)
+        into = np.empty_like(t)
+        semantics._contract(semantics._side(k, adjoint), t, [1], into)
+        assert same_bits(into, expect)
+
+
+GUARD_BASES = {
+    "swap": np.array([[0, 1], [1, 0]]),
+    "phase": np.diag([1, 1j]),
+    "scaled swap": np.array([[0, 1j], [-1, 0]]),
+    "hadamard": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+    "complex": random_unitary(rng(5), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(GUARD_BASES))
+def test_guard_bases_rotate_by_the_dense_products(name):
+    """A guard's rotations into and out of its basis ``B`` give the bits of
+    the dense products by ``la.dagger(B)`` and ``B``, signed zeros included,
+    forward and adjoint, on either factor order: a monomial basis is not
+    rotated by a gather, which gives some zeros the other sign, and a real
+    one keeps the complex product's bits.  The guard's shifts carry the
+    rotated state's zeros through to the rotation back."""
+    basis = GuardBasis(GUARD_BASES[name].astype(complex))
+    shifts = tuple(Unitary((("v", 4),), shift(4, k)) for k in (1, -1))
+    p = Guarded((("g", 2),), basis, shifts)
+    inner = Guarded((("g", 2),), GuardBasis.computational(2), shifts)
+    for order in (("g", "v"), ("v", "g")):
+        layout = RegisterLayout(tuple((v, p.layout.dim_of(v)) for v in order))
+        names = layout.names
+        t = zeroed(rng(7), (layout.dim,) * 2).reshape(layout.dims * 2)
+        for adjoint in (False, True):
+            rotated = semantics._sandwich(t, names, la.dagger(basis.matrix), ("g",))
+            back = streamed(inner, rotated, names, adjoint)
+            expect = semantics._sandwich(back, names, basis.matrix, ("g",))
+            assert same_bits(streamed(p, t, names, adjoint), expect)
 
 
 def flat_plans(*kernels):
@@ -225,7 +288,7 @@ def flat_plans(*kernels):
 def test_flat_take_matches_the_broadcast_gather(data, left_kind, right_kind, adjoint, strided,
                                                 seed):
     """A monomial sandwich read by one ``np.take`` over a flat index gives
-    exactly the broadcast gather's values: on any variables in any order,
+    exactly the broadcast gather's bits: on any variables in any order,
     with and without scales (an empty row's included), forward and adjoint,
     on states holding exact and signed zeros.  A strided state keeps the
     broadcast gather whatever its size."""
@@ -244,7 +307,7 @@ def test_flat_take_matches_the_broadcast_gather(data, left_kind, right_kind, adj
             got.append(semantics._sandwich(t, layout.names, kl, left_site, kr, right_site))
             got.append(semantics._sandwich(t, layout.names, kl, left_site))
         assert flat_plans(kl) == [patch[0] == "TAKE_MIN_ENTRIES" and not strided] * 2
-    assert np.array_equal(got[0], got[2]) and np.array_equal(got[1], got[3])
+    assert same_bits(got[0], got[2]) and same_bits(got[1], got[3])
 
 
 def walk_guard(n):
@@ -279,7 +342,7 @@ def test_flat_index_budget_is_exact():
             if flat:
                 expect = got
             else:
-                assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+                assert all(same_bits(a, b) for a, b in zip(got, expect))
     p = walk_guard(32)
     with mock.patch.object(semantics, "TAKE_INDEX_BYTES", 64 * 64 * itemsize):
         for order in (("v", "c"), ("c", "v")):
@@ -292,7 +355,7 @@ def test_walk_step_keeps_its_peaks_and_its_index_budget():
     """A warm walk step peaks at two states (``run``) and three (``wp``) at
     dimension 2048, past the index budget, as before any flat index.  Each
     monomial keeps flat indices within the budget: at dimension 256 one per
-    direction, at 512 and 1024 none."""
+    direction, at 512 and 2048 none."""
     import tracemalloc
 
     for n, flat in ((128, True), (256, False), (1024, False)):
