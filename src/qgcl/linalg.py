@@ -3,29 +3,26 @@ permutations, order/positivity/unitarity predicates and Choi matrices.
 
 All operators are plain ``numpy.ndarray`` values with ``complex128`` entries.
 Matrices are kept dense; the configurable total-dimension cap keeps every
-computation at desk scale.  ``kernel`` classifies an operator once for
-streaming evaluation: a ``Monomial`` (at most one nonzero per row and
-column), which ``is_unitary`` decides in O(n) and streaming applies as a
-gather; a ``RealMatrix`` (every entry real), which streaming multiplies in
-real arithmetic; or the complex matrix itself.
+computation at desk scale.  How streaming stores and applies an operator
+is ``kernels``' decision; ``is_unitary`` reads a ``kernels.Monomial`` in
+O(n).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ShapeError
+from .kernels import Monomial, RealMatrix, monomial
 
 MAX_DIM_DEFAULT = 4096
 DEFAULT_TOL = 1e-9
 
 
-def _finite(m: np.ndarray) -> bool:
+def finite(m: np.ndarray) -> bool:
     """Every entry of a complex array is finite.  A contiguous one is read
     as the float array of its parts, half the work of the complex test: a
     complex number is finite exactly when both of its parts are."""
@@ -37,7 +34,7 @@ def as_matrix(value) -> np.ndarray:
     m = np.asarray(value, dtype=complex)
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got array of rank {m.ndim}")
-    if not _finite(m):
+    if not finite(m):
         raise ShapeError("matrix has non-finite entries")
     return m
 
@@ -53,7 +50,7 @@ def as_matrices(value) -> np.ndarray:
         m = m[None]
     if m.ndim != 3:
         raise ShapeError(f"expected a matrix or a stack of matrices, got array of rank {m.ndim}")
-    if not _finite(m):
+    if not finite(m):
         raise ShapeError("matrix has non-finite entries")
     return m
 
@@ -202,9 +199,9 @@ def hermitian_part(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray | None
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     """``U† U`` within ``tol`` of ``I`` (see ``near_identity``), so that
-    ``||U||² <= 1 + tol``.  ``m`` may be given as its ``kernel``.  For a
-    monomial ``U``, ``U† U`` is diagonal, holding ``|scale|²`` at each
-    filled column and 0 at each empty one, so the verdict takes O(n)."""
+    ``||U||² <= 1 + tol``.  ``m`` may be given as its ``kernels.kernel``.
+    For a monomial ``U``, ``U† U`` is diagonal, holding ``|scale|²`` at
+    each filled column and 0 at each empty one, so the verdict takes O(n)."""
     if isinstance(m, RealMatrix):
         m = m.matrix
     elif not isinstance(m, Monomial):
@@ -241,100 +238,6 @@ def near_identity(gram: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if np.vdot(slack, slack).real <= tol * tol:
         return True
     return bool(np.abs(slack).max() <= tol) and is_positive(slack, tol)
-
-
-@dataclass(eq=False)
-class Monomial:
-    """An operator with at most one nonzero entry per row and per column:
-    row ``i`` holds ``scale[i]`` in column ``col[i]``, and an empty row has
-    scale 0.  Permutations, diagonals, phase permutations and basis
-    projectors are monomial.  ``conj`` and ``T`` mirror the ndarray ones,
-    so the adjoint is the inverse permutation with the conjugated scale, in
-    O(n), never a dense copy; the transpose and the conjugate are worked out
-    once."""
-
-    col: np.ndarray
-    scale: np.ndarray
-
-    @cached_property
-    def unit(self) -> bool:
-        """Every scale entry is 1 (a permutation): applying it is a bare gather."""
-        return bool((self.scale == 1).all())
-
-    def conj(self) -> Monomial:
-        return self if self.unit else self._conj
-
-    @cached_property
-    def _conj(self) -> Monomial:
-        return Monomial(self.col, self.scale.conj())
-
-    @cached_property
-    def T(self) -> Monomial:
-        rows = np.flatnonzero(self.scale)
-        col, scale = np.zeros_like(self.col), np.zeros_like(self.scale)
-        col[self.col[rows]] = rows
-        scale[self.col[rows]] = self.scale[rows]
-        return Monomial(col, scale)
-
-
-def monomial(op: np.ndarray) -> Monomial | None:
-    """A nonempty square operator as a :class:`Monomial`, or ``None`` when a
-    row or a column holds two nonzeros.  One with more than n nonzeros is
-    told apart by a single count."""
-    n = len(op)
-    count = np.count_nonzero(op)
-    if count > n or n == 0:
-        return None
-    hit = op != 0
-    if count != np.count_nonzero(hit.any(axis=0)) or count != np.count_nonzero(hit.any(axis=1)):
-        return None
-    col = hit.argmax(axis=1)  # 0 in an empty row, whose entry there is 0
-    return Monomial(col, op[np.arange(n), col])
-
-
-@dataclass(eq=False)
-class RealMatrix:
-    """A dense operator whose entries are all real: ``matrix``, the complex
-    operator, and ``real``, its real part as a float array.  ``real @
-    x.view(float)`` is ``matrix @ x`` for a complex ``x`` whose last axis is
-    contiguous, on the float view, in half the multiplications.  ``conj``
-    and ``T`` mirror the ndarray ones on both, each worked out once, so the
-    complex matrix is the one an ndarray operator would give."""
-
-    matrix: np.ndarray
-    real: np.ndarray
-
-    def conj(self) -> RealMatrix:
-        return self._conj
-
-    @cached_property
-    def _conj(self) -> RealMatrix:
-        return RealMatrix(self.matrix.conj(), self.real)
-
-    @cached_property
-    def T(self) -> RealMatrix:
-        return RealMatrix(self.matrix.T, self.real.T)
-
-
-REAL_KERNEL_MAX = 128  # the largest side of a ``RealMatrix``
-
-
-def kernel(op: np.ndarray):
-    """A square operator as streaming applies it, decided once: a
-    :class:`Monomial` where it is one, a :class:`RealMatrix` where its
-    entries are all real and its side is at most ``REAL_KERNEL_MAX``, else
-    ``op`` itself (so is a 1 x 1 one, applied as a scaling).  The side limit
-    was measured with numpy 2.4 on OpenBLAS 0.3.31's Haswell kernels: up to
-    it a real and a complex product sum each entry in one block, in the same
-    order; from side 129 the complex product splits the sum elsewhere, and
-    the last bits differ."""
-    if len(op) <= 1:
-        return op
-    if (m := monomial(op)) is not None:
-        return m
-    if len(op) > REAL_KERNEL_MAX or np.count_nonzero(op.imag):
-        return op
-    return RealMatrix(op, op.real.copy())
 
 
 def is_positive(m, tol: float = DEFAULT_TOL) -> bool:

@@ -318,13 +318,7 @@ def guarded_ovf(
     check_cap(joint.dim, max_dim)
     projs = [basis.column(i) @ linalg.dagger(basis.column(i)) for i in range(basis.arity)]
     states = tuple(map(cs.oplus, itertools.product(*(f.states for f in functions))))
-    if len(states) == 1:  # every weight is exactly 1: ``_mesh``'s sum and bits, unscaled
-        out = np.zeros((1, joint.dim, joint.dim), dtype=complex)
-        for f, proj in zip(functions, projs):
-            out += linalg.tensor(f.stack, proj, max_dim=max_dim)
-    else:
-        out = _mesh(functions, projs, joint.dim, max_dim)
-    return OperatorValuedFunction._of(joint, out, states)
+    return OperatorValuedFunction._of(joint, _mesh(functions, projs, joint.dim, max_dim), states)
 
 
 def _mesh(functions: list[OperatorValuedFunction], projs: list[np.ndarray], dim: int,

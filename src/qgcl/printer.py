@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import matrixio
+from . import linalg, matrixio
 from .errors import UnsupportedConstructError
 from .program import (Abort, Block, Guarded, Measure, Measurement, ProbChoice, Program, QChoice,
                       Seq, Skip, Unitary, declared, text, walk)
@@ -96,7 +96,7 @@ class _Renderer:
         return [basis, " { ", arms, " }"]
 
     def _init(self, p: Block) -> str:
-        init = np.asarray(p.init, dtype=complex)
+        init = linalg.as_matrix(p.init)  # a ``ShapeError`` unless a finite matrix
         hot = np.nonzero(init)
         if len(hot[0]) == 1 and hot[0][0] == hot[1][0] and init[hot[0][0], hot[0][0]] == 1:
             return f"|{int(hot[0][0])}>"

@@ -44,7 +44,7 @@ from types import GeneratorType
 
 import numpy as np
 
-from . import linalg
+from . import kernels, linalg
 from .errors import (ArityError, ContractError, Diagnostic, DomainClashError, LayoutError, QgclError,
                      SourceError, Span, UnsupportedConstructError)
 from .registers import QVar, RegisterLayout, check_cap
@@ -91,8 +91,8 @@ class Measurement:
 
     @cached_property
     def kernels(self) -> tuple:
-        """The operators by outcome, classified once for streaming (``linalg.kernel``)."""
-        return tuple(linalg.kernel(op) for _, op in self.operators)
+        """The operators by outcome, classified once for streaming (``kernels.kernel``)."""
+        return tuple(kernels.kernel(op) for _, op in self.operators)
 
     @cached_property
     def stack(self) -> np.ndarray:
@@ -142,13 +142,8 @@ class GuardBasis:
 
     @cached_property
     def kernel(self):
-        """``matrix`` as the rotations into and out of the basis apply it
-        when a guard is streamed, classified once: a ``linalg.RealMatrix``
-        where ``linalg.kernel`` finds one, else ``matrix``.  A monomial basis
-        stays a dense product, not a gather, as the product's sums give some
-        exact zeros of the state the other sign."""
-        k = linalg.kernel(self.matrix)
-        return k if isinstance(k, linalg.RealMatrix) else self.matrix
+        """``matrix`` as a streamed guard rotates by it, classified once (``kernels.rotation``)."""
+        return kernels.rotation(self.matrix)
 
     @staticmethod
     def computational(dim: int) -> "GuardBasis":
@@ -301,8 +296,8 @@ class Unitary(Program):
 
     @cached_property
     def kernel(self):
-        """``operator`` classified once, for its rule and for streaming."""
-        return linalg.kernel(self.operator)
+        """``operator`` classified once, for its rule and for streaming (``kernels.kernel``)."""
+        return kernels.kernel(self.operator)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -692,12 +687,12 @@ class Violation:
 
 
 def violations(p: Program, cvars: list[frozenset[str]], layouts: list[dict[str, int] | None],
-               tol: float, clashes=None) -> Iterator[Violation]:
+               tol: float, clashes: list) -> Iterator[Violation]:
     """The violated side conditions of node ``p``, in order, lazily: first
-    one ``dim-conflict`` per clash of ``_join`` (``clashes``, where the caller
-    has them).  A block's locals are out of scope outside it, so they may
-    shadow outer variables."""
-    for name, first, d in _join(p, layouts)[1] if clashes is None else clashes:
+    one ``dim-conflict`` per clash of ``_join`` (``clashes``).  A block's
+    locals are out of scope outside it, so they may shadow outer
+    variables."""
+    for name, first, d in clashes:
         yield Violation("dim-conflict",
                         f"quantum variable {name!r} used with dimensions {first} and {d}", LayoutError)
     yield from RULES.get(type(p), lambda *_: ())(p, cvars, layouts, tol)
@@ -730,7 +725,8 @@ def _unitary(p: Unitary, cvars, layouts, tol):
         yield Violation("unitary-shape",
                         f"matrix shape {shape} does not match variables of dimension {dim}",
                         LayoutError)
-    elif not linalg.is_unitary(p.kernel, tol):  # O(n) for a monomial U, e.g. a shift
+    elif not (linalg.finite(p.matrix)  # else ``kernel`` raises
+              and linalg.is_unitary(p.kernel, tol)):  # O(n) for a monomial U, e.g. a shift
         yield Violation("unitary-nonunitary", "matrix is not unitary within tolerance", ContractError)
 
 
@@ -813,13 +809,14 @@ def block_rules(qvars: tuple[QVar, ...], init, body: RegisterLayout | dict[str, 
         yield Violation("block-locals",
                         f"local variables {sorted(missing)} do not occur in the body", LayoutError)
     dim = RegisterLayout(qvars).dim
-    init = linalg.as_matrix(init)
+    init = np.asarray(init, dtype=complex)
     if init.shape != (dim, dim):
         yield Violation(
             "block-init",
             f"initial state shape {init.shape} does not match locals of dimension {dim}",
             LayoutError)
-    elif (herm := linalg.hermitian_part(init, tol)) is None or not _density_spectrum(herm, tol):
+    elif (not linalg.finite(init) or (herm := linalg.hermitian_part(init, tol)) is None
+          or not _density_spectrum(herm, tol)):
         yield Violation("block-init", "initial state is not a density operator", ContractError)
 
 

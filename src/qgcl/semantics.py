@@ -27,29 +27,22 @@ how streaming multiplies by them (``_control``).
 ``apply_program`` and ``wp_apply`` never build the channel: ``stream``
 pushes the state (or, backwards, the observable) through the program,
 ``_Stream.push`` being the walk's rule, each operator acting on its own
-tensor factors (``_contract``) as ``linalg.kernel`` classified it once: a
-monomial such as the walk's shift by a gather (``_sandwich``: one
-``np.take`` over a kept flat index for a contiguous state from
-``TAKE_MIN_ENTRIES`` entries while the monomial's indices fit in
-``TAKE_INDEX_BYTES``, else a broadcast gather); a real dense operator such
-as the walk's coin by a real product on the float view of the state where
-that gives the complex product's bits; any other by a complex product.  A
-guard is rotated into its basis, where ``X`` becomes ``C X C†`` with ``C =
-sum_i |i><i| (x) A_i``, and each branch with more than one classical state
-overwrites its diagonal block with its own evaluation.  Bounded loop
-unrolling and the system-environment model of channels support the
-coin-relocation equivalences."""
+tensor factors in the form ``kernels`` gave it once (``kernels.sandwich``).
+A guard is rotated into its basis, where ``X`` becomes ``C X C†`` with ``C
+= sum_i |i><i| (x) A_i`` (``kernels.control``), and each branch with more
+than one classical state overwrites its diagonal block with its own
+evaluation.  Bounded loop unrolling and the system-environment model of
+channels support the coin-relocation equivalences."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from math import prod
 
 import numpy as np
 
 from . import classical as cs
-from . import linalg
+from . import kernels, linalg
 from .errors import (
     ArityError,
     CapacityError,
@@ -239,7 +232,7 @@ def _guard_family(p: Guarded, max_dim: int) -> np.ndarray:
     function's Choi matrix is ``sum_ij vec(P_i (x) A_i) vec(P_j (x) A_j)†``
     plus ``P_i (x) (Choi(F_i) - vec A_i vec A_i†)`` per branch, which the
     deviations give exactly, since ``I - λ_i λ_i†`` is a projector."""
-    fns, a_s, _ = _branches(p, max_dim)
+    fns, a_s = _branches(p, max_dim)
     tops, rest = [], []
     for i, (f, a) in enumerate(zip(fns, a_s)):
         col = p.basis.column(i)
@@ -256,13 +249,13 @@ _BRANCHES = "_branches"  # the key of a guard's branch data in its ``__dict__``
 
 
 def _branches(p: Guarded, max_dim: int) -> tuple:
-    """Each branch's function ``F_i``, ``A_i = sum_d λ_i(d) F_i(d)`` and the
-    ``A_i`` as streaming applies them (``linalg.kernel``), kept on the guard:
-    ``_check`` capped every layout in it, so ``max_dim`` cannot change them."""
+    """Each branch's function ``F_i`` and ``A_i = sum_d λ_i(d) F_i(d)``, kept
+    on the guard: ``_check`` capped every layout in it, so ``max_dim``
+    cannot change them."""
     if _BRANCHES not in p.__dict__:
         fns = [_semi(b, max_dim) for b in p.branches]
-        a = [np.einsum("k,kij->ij", lambda_weights(f), f.stack) for f in fns]
-        p.__dict__[_BRANCHES] = fns, a, [linalg.kernel(op) for op in a]
+        p.__dict__[_BRANCHES] = fns, [np.einsum("k,kij->ij", lambda_weights(f), f.stack)
+                                      for f in fns]
     return p.__dict__[_BRANCHES]
 
 
@@ -270,66 +263,15 @@ _CONTROL = "_control"  # the key of a guard's ``_control`` in its ``__dict__``
 
 
 def _control(p: Guarded, max_dim: int) -> tuple:
-    """``C = sum_i |i><i| (x) A_i`` on the guard's layout (its own variables,
-    then the branches'), in its basis, as streaming multiplies by it, and
-    the branches whose function has more than one classical state.  Decided
-    once, when the guard is first streamed, and kept on it.  ``C`` is
-
-    - one ``linalg.Monomial`` when every ``A_i`` is monomial
-      (``_guard_monomial``);
-    - one ``(k, s, s)`` stack when every ``A_i`` is dense on all the data
-      variables, each put in the data layout's order;
-    - else a list with, per branch, ``A_i`` and the axes it acts on: such
-      a dense ``A_i`` with ``None``, a scalar (a branch on no variables:
-      ``skip``, ``abort``) with none, or ``A_i``'s kernel with the axes of
-      its variables among the data's.
-
-    No ``A_i`` is made dense or extended to variables it does not act on."""
-    if _CONTROL in p.__dict__:
-        return p.__dict__[_CONTROL]
-    fns, a_s, kernels = _branches(p, max_dim)
-    data = RegisterLayout(p.layout.variables[len(p.own_layout.names):])
-    monomials = [linalg.monomial(a) if len(a) == 1 else k for a, k in zip(a_s, kernels)]
-    if all(isinstance(k, linalg.Monomial) for k in monomials):
-        c = _guard_monomial(p, fns, monomials)
-    else:
-        c = []
-        for f, a, k in zip(fns, a_s, kernels):
-            if len(a) == 1:
-                c.append((a[0, 0], ()))
-            elif not isinstance(k, linalg.Monomial) and len(f.layout.names) == len(data.names):
-                c.append((embed(a, f.layout, data, max_dim=max_dim), None))
-            else:
-                c.append((k, [data.names.index(v) for v in f.layout.names]))
-        if all(at is None for _, at in c):
-            c = np.stack([a for a, _ in c])
-    p.__dict__[_CONTROL] = c, [i for i, f in enumerate(fns) if len(f.states) > 1]
+    """``C = sum_i |i><i| (x) A_i`` in the guard's basis as ``kernels.control``
+    forms it, and the branches whose function has more than one classical
+    state; worked out when the guard is first streamed, and kept on it."""
+    if _CONTROL not in p.__dict__:
+        fns, a_s = _branches(p, max_dim)
+        data = RegisterLayout(p.layout.variables[len(p.own_layout.names):])
+        c = kernels.control([(a, f.layout) for f, a in zip(fns, a_s)], data)
+        p.__dict__[_CONTROL] = c, [i for i, f in enumerate(fns) if len(f.states) > 1]
     return p.__dict__[_CONTROL]
-
-
-def _guard_monomial(p: Guarded, fns: list, kernels: list) -> linalg.Monomial:
-    """``C`` when every ``A_i`` is monomial: a permutation, phase permutation
-    or diagonal on any of the variables, or a branch on none, ``skip``
-    (``I``) or ``abort`` (``0``).  Each ``A_i`` is extended to the branches'
-    joint layout by index arithmetic: a joint index's coordinates on the
-    branch's variables are sent where ``A_i`` sends them, the others kept."""
-    own = len(p.own_layout.names)
-    names, dims = p.layout.names[own:], p.layout.dims[own:]
-    n = prod(dims)
-    grid = np.indices(dims).reshape(len(dims), n)  # each joint index's coordinates
-    cols, scales = [], []
-    for i, (f, k) in enumerate(zip(fns, kernels)):
-        at, sub = [names.index(v) for v in f.layout.names], f.layout.dims
-        if at:
-            rows = np.ravel_multi_index(grid[at], sub)
-            src = grid.copy()
-            src[at] = np.unravel_index(k.col[rows], sub)
-            col = np.ravel_multi_index(src, dims)
-        else:  # ``skip`` or ``abort``: its scalar times ``I``
-            rows, col = np.zeros(n, dtype=int), np.arange(n)
-        cols.append(i * n + col)
-        scales.append(k.scale[rows])
-    return linalg.Monomial(np.concatenate(cols), np.concatenate(scales))
 
 
 def _family(layout: RegisterLayout, ops: np.ndarray) -> SuperOperator:
@@ -463,7 +405,7 @@ class _Stream:
         if isinstance(p, Skip):
             return t
         if isinstance(p, Unitary):
-            return _sandwich(t, names, _side(p.kernel, adjoint), p.own_layout.names)
+            return kernels.sandwich(t, names, kernels.side(p.kernel, adjoint), p.own_layout.names)
         if isinstance(p, QChoice):
             return self.push(p.seq, t, names, adjoint)
         return _PUSH[type(p)](self, p, t, names, adjoint)
@@ -477,9 +419,10 @@ class _Stream:
         out, site = np.zeros_like(t), p.own_layout.names
         for op, (_, sub) in zip(p.measurement.kernels, p.branches):
             if adjoint:
-                out += _sandwich((yield sub, t, names, True), names, _side(op, True), site)
+                out += kernels.sandwich((yield sub, t, names, True), names, kernels.side(op, True),
+                                        site)
             else:
-                out += yield sub, _sandwich(t, names, op, site), names, False
+                out += yield sub, kernels.sandwich(t, names, op, site), names, False
         return out
 
     def _choice(self, p: ProbChoice, t: np.ndarray, names, adjoint: bool):
@@ -498,7 +441,7 @@ class _Stream:
                 self.blocks[id(p)] = _denote(p, self.max_dim).stack
             out = np.zeros_like(t)
             for k in self.blocks[id(p)]:
-                out += _sandwich(t, names, _side(k, adjoint), p.layout.names)
+                out += kernels.sandwich(t, names, kernels.side(k, adjoint), p.layout.names)
             return out
         # A local shadows any variable of the same name outside the block.
         outer = tuple(_fresh_name(n + "'", set(names) | set(local.names)) if n in local else n
@@ -519,21 +462,14 @@ class _Stream:
         branch weights sum to one, so the guarded composition never needs its
         joint domain.  A branch of one classical state has weight exactly 1,
         so that is its own diagonal block too; any other branch's diagonal
-        block is overwritten by its own evaluation of ``X_ii``.  ``C`` is one
-        gather (``_sandwich``) or, on each side, controlled products
-        (``_controlled``); the rows take ``C``, the columns its conjugate."""
+        block is overwritten by its own evaluation of ``X_ii``.  How ``C``
+        is multiplied is ``kernels``' decision (``_control``)."""
         gnames = p.own_layout.names
         rotate = not p.basis.is_computational
         if rotate:
-            t = _sandwich(t, names, _side(p.basis.kernel, True), gnames)
+            t = kernels.sandwich(t, names, kernels.side(p.basis.kernel, True), gnames)
         c, measuring = _control(p, self.max_dim)
-        if isinstance(c, linalg.Monomial):
-            out = _sandwich(t, names, _side(c, adjoint), p.layout.names)
-        else:
-            rows = [names.index(v) for v in p.layout.names]
-            data = p.layout.dims[len(gnames):]
-            out = _controlled(c, t, rows, data, adjoint, False)
-            out = _controlled(c, out, [len(names) + a for a in rows], data, adjoint, True)
+        out = kernels.apply_control(c, t, names, p.layout.names, len(gnames), adjoint)
         if measuring:
             n = len(names)
             gpos = [names.index(g) for g in gnames]
@@ -546,222 +482,12 @@ class _Stream:
                 out[at] = yield p.branches[i], t[at], rest, adjoint
         if rotate:
             t = out  # drops the rotated input before the rotation back allocates
-            out = _sandwich(t, names, p.basis.kernel, gnames)
+            out = kernels.sandwich(t, names, p.basis.kernel, gnames)
         return out
 
 
 _PUSH = {Seq: _Stream._seq, Measure: _Stream._measure, ProbChoice: _Stream._choice,
          Block: _Stream._block, Guarded: _Stream._guard}
-
-
-def _side(op, adjoint: bool):
-    """``op`` or its adjoint; transposing first reuses a monomial's cached ``T``."""
-    return op.T.conj() if adjoint else op
-
-
-def _sandwich(t, names, left, site, right=None, right_site=None) -> np.ndarray:
-    """``(L (x) I) X (R (x) I)†`` with ``L`` on the variables ``site`` and
-    ``R`` (default ``L``) on ``right_site`` (default ``site``); ``t`` and the
-    result are shaped ``dims + dims`` over ``names``.  When ``L`` and ``R``
-    are monomials, on any variables, ``t`` is read once, as one gather
-    (``_gather_plan``: one ``np.take`` over a kept flat index, or a
-    broadcast gather), and scaled on each side that is not a permutation,
-    left first, as ``_contract`` would."""
-    if right is None:
-        right, right_site = left, site
-    n = len(names)
-    rows, cols = [names.index(v) for v in site], [n + names.index(v) for v in right_site]
-    if isinstance(left, linalg.Monomial) and isinstance(right, linalg.Monomial):
-        key = (None if right is left else right, tuple(rows), tuple(cols), t.shape, t.strides)
-        plans = left.__dict__.setdefault(_PLANS, {})
-        if key not in plans:
-            kept = sum(index.nbytes for _, index, _ in plans.values()
-                       if not isinstance(index, tuple))
-            plans[key] = _gather_plan(left, rows, right, cols, t, TAKE_INDEX_BYTES - kept)
-        shape, index, scales = plans[key]
-        out = t.reshape(shape)[index] if isinstance(index, tuple) else np.take(t, index)
-        for scale in scales:  # in place, so no outer product of the scales is formed
-            out *= scale
-        return out.reshape(t.shape)
-    return _contract(right.conj(), _contract(left, t, rows), cols)
-
-
-_PLANS = "_plans"  # the key of a monomial's gather plans in its ``__dict__``
-TAKE_MIN_ENTRIES = 1 << 12  # the smallest state a gather plan reads with a flat index
-TAKE_INDEX_BYTES = 1 << 20  # the most a monomial's gather plans keep in flat indices
-
-
-def _gather_plan(left, rows: list[int], right, cols: list[int], t: np.ndarray,
-                 budget: int) -> tuple:
-    """How ``_sandwich`` reads ``t`` for the monomials ``left`` on the axes
-    ``rows`` and ``right`` on ``cols``, each in its own variables' order:
-    the shape ``t`` is viewed at, the index, and the scales to multiply by,
-    each shaped to broadcast over that view.
-
-    Adjacent axes of one kind (the left site, the right site, the rest)
-    merge into one axis where their strides let a view do it, so a state on
-    exactly a monomial's variables, in any order, is read as one two-index
-    gather, ``t2[col[:, None], col[None, :]]``.  Each monomial is first put
-    in the axes' order and split at the merged axes (``_in_axis_order``).
-
-    The index is a tuple of one array per axis of the view, each shaped to
-    broadcast from its own axis on: a broadcast gather.  A contiguous ``t``
-    of at least ``TAKE_MIN_ENTRIES`` entries whose flat ``intp`` index fits
-    in ``budget`` bytes (what is left of ``TAKE_INDEX_BYTES`` after the
-    monomial's other plans) is read instead by ``np.take`` over that index,
-    shaped as the view, three to four times as fast at dimension 128.
-    Below that size the broadcast gather is as fast and has no index to
-    build (a program parsed once per command never reuses its plans).
-    Above the budget the index alone would hold half a state for the life
-    of the program, and ``np.take`` would copy an index of any narrower
-    type on every call."""
-    kind = [0] * t.ndim
-    for a in rows:
-        kind[a] = 1
-    for a in cols:
-        kind[a] = 2
-    runs: list[list[int]] = []
-    shape: list[int] = []
-    for a, k in enumerate(t.shape):
-        if a and kind[a] == kind[a - 1] and t.strides[a - 1] == t.strides[a] * k:
-            runs[-1].append(a)
-            shape[-1] *= k
-        else:
-            runs.append([a])
-            shape.append(k)
-    n = len(runs)
-    index: list = [None] * n  # each shaped to broadcast from its own axis on
-    for m, run in enumerate(runs):
-        if not kind[run[0]]:
-            index[m] = np.arange(shape[m]).reshape((-1,) + (1,) * (n - m - 1))
-    scales = []
-    for k, op, axes in ((1, left, rows), (2, right, cols)):
-        at = [m for m in range(n) if kind[runs[m][0]] == k]
-        srcs, scale = _in_axis_order(op, axes, [runs[m] for m in at], t.shape)
-        spread = [shape[m] if m in at else 1 for m in range(at[0], n)]
-        for m, src in zip(at, srcs):
-            index[m] = src.reshape(spread)
-        if not op.unit:
-            scales.append((scale if k == 1 else scale.conj()).reshape(spread))
-    size = prod(shape)
-    if (t.flags.c_contiguous and TAKE_MIN_ENTRIES <= size
-            and size * np.dtype(np.intp).itemsize <= budget):
-        flat, step = index[-1], shape[-1]
-        for m in range(n - 2, -1, -1):
-            flat = flat + index[m] * step
-            step *= shape[m]
-        return shape, flat.astype(np.intp, copy=False), scales
-    return shape, tuple(index), scales
-
-
-def _in_axis_order(op: linalg.Monomial, axes: list[int], runs: list[list[int]], dims) -> tuple:
-    """``op``, on the axes ``axes`` in its own order, read in axis order and
-    grouped into ``runs`` of adjacent axes: per run, the flat source index
-    along it of every output coordinate, and ``op``'s scale, both shaped by
-    the runs' sizes.  Out of order, ``flat`` sends an index in axis order
-    to ``op``'s own and ``back`` returns it."""
-    sizes = [prod(dims[a] for a in run) for run in runs]
-    order = sorted(axes)
-    src, scale = op.col, op.scale
-    if axes != order:
-        flat = np.arange(len(src)).reshape([dims[a] for a in axes])
-        flat = flat.transpose([axes.index(a) for a in order]).ravel()
-        back = np.empty_like(flat)
-        back[flat] = np.arange(len(flat))
-        src, scale = back[src[flat]], scale[flat]
-    srcs = np.unravel_index(src, sizes) if len(runs) > 1 else (src,)
-    return [s.reshape(sizes) for s in srcs], scale.reshape(sizes)
-
-
-def _controlled(c, t: np.ndarray, axes: list[int], data: tuple, adjoint: bool,
-                right: bool) -> np.ndarray:
-    """``C = sum_i |i><i| (x) A_i`` (``_control``'s stack or list), with the
-    ``A_i†`` for the adjoint and conjugated for the ``right`` side of ``C X
-    C†`` (so the adjoint's right side is a transpose, not a copy), applied
-    to the factors of ``t`` at ``axes``: the first of them index ``i``, the
-    rest are the data variables of dimensions ``data``, in order.  The axes
-    are brought to the front and ``t`` is read as ``(k, s, rest)``: a stack
-    is one batched product; else each ``A_i`` writes its slice of the
-    output, a dense one by a product, a scalar by scaling, and any other on
-    its own axes (``_contract``, straight into the slice).  The right side
-    of a list overwrites ``t``, the left side's result, slice by slice."""
-    order = axes + [a for a in range(t.ndim) if a not in axes]
-    moved = t.transpose(order)
-    t3 = moved.reshape(len(c), prod(data), -1)
-    if isinstance(c, np.ndarray):
-        a = c.transpose(0, 2, 1) if adjoint else c
-        out = (a.conj() if adjoint != right else a) @ t3
-    else:
-        out = t3 if right else np.empty_like(t3)
-        for x, y, (a, at) in zip(t3, out, c):
-            a = a.T if adjoint else a
-            if adjoint != right:
-                a = a.conj()
-            if at is None and right:  # ``y`` is ``x``: the product goes to a buffer laid
-                # out as ``x``, as ``np.empty_like(t3)`` lays out the left side's ``y``,
-                # so matmul takes the same BLAS call (``a @ x`` can give other bits)
-                y[...] = np.matmul(a, x, out=np.empty_like(x))
-            elif at is None:
-                np.matmul(a, x, out=y)
-            elif at:
-                _contract(a, x.reshape(data + (-1,)), at, y.reshape(data + (-1,)))
-            else:
-                np.multiply(x, a, out=y)
-    return out.reshape(moved.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
-
-
-def _contract(op, t: np.ndarray, axes: list[int], out: np.ndarray | None = None) -> np.ndarray:
-    """Apply ``op`` to the tensor factors of ``t`` at ``axes``, in order,
-    into ``out`` when it is given (shaped as ``t``, and may be ``t``).
-
-    The axes are brought together, in order, where the first of them is (a
-    view: no transpose at all when they already are together), and ``t`` is
-    read as ``(pre, k, post)``.  A ``linalg.Monomial`` gathers the middle
-    axis (by ``np.take`` into ``out``, for a contiguous ``t3``), then scales
-    it unless it is a permutation; a dense ``op`` is one broadcast matmul,
-    ``op @ t3``, or ``t3[:, :, 0] @ op.T`` when ``post`` is 1.  A
-    ``linalg.RealMatrix`` is ``op.real @ t3`` on the float view of ``t3``
-    when ``post`` is a multiple of 4: the complex product's bits, signed
-    zeros included, in half the multiplications.  On a remainder of ``post``
-    OpenBLAS's complex kernels give some exact zeros the other sign (both
-    measured with numpy 2.4 on OpenBLAS 0.3.31's Haswell kernels).  No axes
-    (a 1 x 1 ``op``) is ``k = 1``.  The product is written straight into
-    ``out`` where ``out``, read as ``t3``, is a view laid out as ``t3``
-    apart from it, so every product sees the operands it would see alone;
-    else it is copied in."""
-    rest = [a for a in range(t.ndim) if a not in axes]
-    lead = sum(a < axes[0] for a in rest) if axes else 0
-    order = rest[:lead] + axes + rest[lead:]
-    moved = t.transpose(order)
-    t3 = moved.reshape(prod(moved.shape[:lead]), -1, prod(moved.shape[lead + len(axes):]))
-    into = None if out is None else out.transpose(order).reshape(t3.shape)
-    if into is not None and (into.strides != t3.strides or not np.may_share_memory(into, out)
-                             or np.may_share_memory(into, t3)):
-        into = None
-    real = isinstance(op, linalg.RealMatrix)
-    if isinstance(op, linalg.Monomial):
-        if into is None or not t3.flags.c_contiguous:  # np.take would copy ``t3``
-            got, into = t3[:, op.col], None
-        else:  # "clip" buffers no ``out``
-            got = np.take(t3, op.col, axis=1, out=into, mode="clip")
-        if not op.unit:
-            got *= op.scale[:, None]
-    elif real and t3.shape[2] % 4 == 0 and t3.strides[2] == t3.itemsize:
-        f = t3.view(float)
-        got = op.real @ f if into is None else np.matmul(op.real, f, out=into.view(float))
-        got = got.view(complex)
-    elif t3.shape[2] == 1:
-        m, x = (op.matrix if real else op).T, t3[:, :, 0]
-        got = x @ m if into is None else np.matmul(x, m, out=into[:, :, 0])
-    else:
-        m = op.matrix if real else op
-        got = m @ t3 if into is None else np.matmul(m, t3, out=into)
-    got = got.reshape(moved.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
-    if out is None:
-        return got
-    if into is None:
-        out[...] = got
-    return out
 
 
 @dataclass(eq=False)

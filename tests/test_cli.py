@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgcl import linalg as la, matrixio, semantics
+from qgcl import kernels, linalg as la, matrixio, semantics
 from qgcl.cli import main
 from qgcl.errors import ShapeError
 from qgcl.parser import parse_file
@@ -129,7 +129,7 @@ def test_coin_relocation_samples_agree_on_states(tmp_path):
     choice, relocated = (parse_file(sample(name)) for name in names)
     for guard in (choice.seq.parts[-1], relocated.parts[0]):  # the choice's coin, then guard
         assert isinstance(guard, Guarded)
-        assert isinstance(semantics._control(guard, la.MAX_DIM_DEFAULT)[0], la.Monomial)
+        assert isinstance(semantics._control(guard, la.MAX_DIM_DEFAULT)[0], kernels.Monomial)
     for command, flag, data in (("run", "--input", "coin_input.json"),
                                 ("wp", "--observable", "coin_observable.json")):
         records = []
@@ -155,7 +155,7 @@ def test_guarded_measurement_sample_is_dual_to_its_wp(tmp_path):
 
     p = parse_file(sample("gmeas.qgcl"))
     c, measured = semantics._control(p.parts[-1], la.MAX_DIM_DEFAULT)
-    assert isinstance(c, la.Monomial) and measured == [0, 1]
+    assert isinstance(c, kernels.Monomial) and measured == [0, 1]
     rho, m = matrix(sample("coin_input.json")), matrix(sample("coin_observable.json"))
     outs = []
     for command, flag, data in (("run", "--input", "coin_input.json"),

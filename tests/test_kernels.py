@@ -1,7 +1,7 @@
 """The streaming kernels against an independent reference.
 
-``semantics._contract``, ``_sandwich`` and ``_Stream._guard`` apply each
-operator on the tensor factors where its variables lie.  The reference here
+``kernels.contract``, ``kernels.sandwich`` and ``_Stream._guard`` apply
+each operator on the tensor factors where its variables lie.  The reference here
 never uses them: the operator is ``registers.embed``-ed into the full layout
 and applied to the flattened matrix, and a guard's channel comes from
 ``denote``, which composes embedded Kraus families.  Each fast form is also
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qgcl.semantics as semantics
-from qgcl import linalg as la
+from qgcl import kernels, linalg as la
 from qgcl.program import (Abort, GuardBasis, Guarded, Measure, Measurement, QChoice, Seq, Skip,
                           Unitary, walk)
 from qgcl.registers import DensityMatrix, Observable, RegisterLayout, embed
@@ -55,9 +55,10 @@ def operator(gen, k, kind):
 
 
 def kernel_of(op, kind):
-    """``la.kernel(op)``, checked to be a monomial exactly for the monomial kinds."""
-    k = la.kernel(op)
-    assert isinstance(k, la.Monomial) == (kind != "dense" and len(op) > 1)
+    """``kernels.kernel(op)``, checked to be a monomial exactly for the
+    monomial kinds and for every 1 x 1 operator."""
+    k = kernels.kernel(op)
+    assert isinstance(k, kernels.Monomial) == (kind != "dense" or len(op) == 1)
     return k
 
 
@@ -100,63 +101,57 @@ def test_contract_matches_embedded_operator(data, kind, seed):
     x = matrix(gen, d)
     t = x.reshape(layout.dims * 2)
     k = kernel_of(op, kind)
-    rows = semantics._contract(k, t, [names.index(v) for v in site])
-    cols = semantics._contract(k, t, [n + names.index(v) for v in site])
+    rows = kernels.contract(k, t, [names.index(v) for v in site])
+    cols = kernels.contract(k, t, [n + names.index(v) for v in site])
     assert rows.shape == cols.shape == t.shape
     assert la.max_abs_diff(rows.reshape(d, d), full @ x) < TOL
     assert la.max_abs_diff(cols.reshape(d, d), x @ full.T) < TOL
-
-
-@given(st.data(), st.sampled_from(KINDS), st.sampled_from(KINDS), st.booleans(),
-       st.integers(0, 2**32 - 1))
-@settings(max_examples=300, deadline=None)
-def test_sandwich_matches_embedded_operators(data, left_kind, right_kind, adjoint, seed):
-    gen = rng(seed)
-    layout = data.draw(layouts())
-    left_site, right_site = data.draw(sites(layout)), data.draw(sites(layout))
-    names, d = layout.names, layout.dim
-    left = operator(gen, sub(layout, left_site).dim, left_kind)
-    right = operator(gen, sub(layout, right_site).dim, right_kind)
-    lf = embed(left, sub(layout, left_site), layout)
-    rf = embed(right, sub(layout, right_site), layout)
-    if adjoint:
-        lf, rf = la.dagger(lf), la.dagger(rf)
-    kl = semantics._side(kernel_of(left, left_kind), adjoint)
-    kr = semantics._side(kernel_of(right, right_kind), adjoint)
-    x = matrix(gen, d)
-    t = x.reshape(layout.dims * 2)
-    got = semantics._sandwich(t, names, kl, left_site, kr, right_site)
-    assert la.max_abs_diff(got.reshape(d, d), lf @ x @ la.dagger(rf)) < TOL
-    n = len(names)
-    rows, cols = [names.index(v) for v in left_site], [n + names.index(v) for v in right_site]
-    if isinstance(kl, la.Monomial) and isinstance(kr, la.Monomial):  # one gather, same bits
-        apart = semantics._contract(kr.conj(), semantics._contract(kl, t, rows), cols)
-        assert np.array_equal(got, apart)
-        wide = np.zeros((d, 2, d, 3), dtype=complex)
-        wide[:, 1, :, 2] = x  # a strided view, whose axes cannot all merge
-        view = wide[:, 1, :, 2].reshape(layout.dims * 2)
-        assert np.array_equal(semantics._sandwich(view, names, kl, left_site, kr, right_site),
-                              apart)
-    got = semantics._sandwich(t, names, kl, left_site)
-    assert la.max_abs_diff(got.reshape(d, d), lf @ x @ la.dagger(lf)) < TOL
-
-
-@pytest.mark.parametrize("left_kind", KINDS[1:])
-@pytest.mark.parametrize("right_kind", KINDS[1:])
-def test_two_monomial_sandwich_on_a_strided_block(left_kind, right_kind):
-    """The shape of a guard block: one variable each side, a strided view."""
-    gen = rng(7)
-    t = matrix(gen, 10).reshape(5, 2, 5, 2)
-    block = t[:, 1, :, 0]
-    left, right = operator(gen, 5, left_kind), operator(gen, 5, right_kind)
-    got = semantics._sandwich(block, ("v",), la.kernel(left), ("v",), la.kernel(right), ("v",))
-    assert la.max_abs_diff(got, left @ block @ la.dagger(right)) < TOL
 
 
 def same_bits(a, b):
     """Whether ``a`` and ``b`` hold the same bits: unlike ``np.array_equal``,
     ``-0.0`` and ``0.0`` differ."""
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(st.data(), st.sampled_from(KINDS), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_sandwich_matches_embedded_operators(data, kind, adjoint, seed):
+    """``(L (x) I) X (L (x) I)†`` against the embedded ``L``; a monomial's
+    one gather gives the bits of its two products, on a contiguous and on a
+    strided state."""
+    gen = rng(seed)
+    layout = data.draw(layouts())
+    site = data.draw(sites(layout))
+    names, n, d = layout.names, len(layout.names), layout.dim
+    op = operator(gen, sub(layout, site).dim, kind)
+    full = embed(op, sub(layout, site), layout)
+    if adjoint:
+        full = la.dagger(full)
+    k = kernels.side(kernel_of(op, kind), adjoint)
+    x = matrix(gen, d)
+    t = x.reshape(layout.dims * 2)
+    got = kernels.sandwich(t, names, k, site)
+    assert la.max_abs_diff(got.reshape(d, d), full @ x @ la.dagger(full)) < TOL
+    rows = [names.index(v) for v in site]
+    if isinstance(k, kernels.Monomial) and rows:  # one gather, same bits
+        apart = kernels.contract(k.conj(), kernels.contract(k, t, rows), [n + a for a in rows])
+        assert same_bits(got, apart)
+        wide = np.zeros((d, 2, d, 3), dtype=complex)
+        wide[:, 1, :, 2] = x  # a strided view, whose axes cannot all merge
+        view = wide[:, 1, :, 2].reshape(layout.dims * 2)
+        assert same_bits(kernels.sandwich(view, names, k, site), apart)
+
+
+@pytest.mark.parametrize("kind", KINDS[1:])
+def test_monomial_sandwich_on_a_strided_block(kind):
+    """The shape of a guard block: one variable each side, a strided view."""
+    gen = rng(7)
+    t = matrix(gen, 10).reshape(5, 2, 5, 2)
+    block = t[:, 1, :, 0]
+    op = operator(gen, 5, kind)
+    got = kernels.sandwich(block, ("v",), kernels.kernel(op), ("v",))
+    assert la.max_abs_diff(got, op @ block @ la.dagger(op)) < TOL
 
 
 def zeroed(gen, shape):
@@ -181,7 +176,7 @@ def as_given(x, strided):
 @settings(max_examples=200, deadline=None)
 def test_real_products_match_complex_ones(data, adjoint, strided, seed):
     """A dense operator with real entries is applied on the float view of
-    the state (``la.RealMatrix``) with exactly the complex product's bits:
+    the state (``kernels.RealMatrix``) with exactly the complex product's bits:
     on states holding exact and signed zeros, on any variables in any order,
     on a strided state, forward and adjoint, and written into a given array
     as well.  Both sides of the sandwich agree with the embedded operator."""
@@ -192,21 +187,21 @@ def test_real_products_match_complex_ones(data, adjoint, strided, seed):
         site = layout.names[:1]
     names, n, d = layout.names, len(layout.names), layout.dim
     op = gen.normal(size=(sub(layout, site).dim,) * 2) + 0j
-    k = la.kernel(op)
-    assert isinstance(k, la.RealMatrix) and k.matrix is op
+    k = kernels.kernel(op)
+    assert isinstance(k, kernels.RealMatrix) and k.matrix is op
     x = zeroed(gen, (d, d))
     t = as_given(x.reshape(layout.dims * 2), strided)
-    real, cplx = semantics._side(k, adjoint), semantics._side(op, adjoint)
+    real, cplx = kernels.side(k, adjoint), kernels.side(op, adjoint)
     for axes in ([names.index(v) for v in site], [n + names.index(v) for v in site]):
-        expect = semantics._contract(cplx, t, axes)
-        assert same_bits(semantics._contract(real, t, axes), expect)
+        expect = kernels.contract(cplx, t, axes)
+        assert same_bits(kernels.contract(real, t, axes), expect)
         into = np.empty_like(t)
-        assert semantics._contract(real, t, axes, into) is into
+        assert kernels.contract(real, t, axes, into) is into
         assert same_bits(into, expect)
     full = embed(op, sub(layout, site), layout)
     if adjoint:
         full = la.dagger(full)
-    got = semantics._sandwich(t, names, real, site)
+    got = kernels.sandwich(t, names, real, site)
     assert la.max_abs_diff(got.reshape(d, d), full @ x @ la.dagger(full)) < TOL
 
 
@@ -218,29 +213,29 @@ def test_a_real_coin_takes_the_float_view_where_its_bits_hold():
     n = 8
     t = zeroed(rng(2), (2 * n, 2 * n)).reshape(n, 2, n, 2)
     coin = np.array([[1, 1], [1, -1]]) / np.sqrt(2) + 0j
-    spy = la.RealMatrix(coin, 2 * coin.real)
-    assert same_bits(semantics._contract(spy, t, [1]), 2 * semantics._contract(coin, t, [1]))
-    assert same_bits(semantics._contract(spy, t, [3]), semantics._contract(coin, t, [3]))
+    spy = kernels.RealMatrix(coin, 2 * coin.real)
+    assert same_bits(kernels.contract(spy, t, [1]), 2 * kernels.contract(coin, t, [1]))
+    assert same_bits(kernels.contract(spy, t, [3]), kernels.contract(coin, t, [3]))
 
 
 @pytest.mark.parametrize("side, post", [(2, 2), (2, 3), (2, 6), (3, 7), (128, 8), (129, 8)])
 def test_real_operators_keep_the_complex_bits_at_their_limits(side, post):
     """A real operator whose ``post`` is not a multiple of 4, or whose side
-    passes ``la.REAL_KERNEL_MAX``, keeps the complex product, forward and
+    passes ``kernels.REAL_KERNEL_MAX``, keeps the complex product, forward and
     adjoint, written into a given array as well.  On these states the real
     product gives other bits: other zero signs off a multiple of 4, other
     last bits from side 129.  Side 128 is the largest real product taken."""
     gen = rng(side + post)
     op = gen.normal(size=(side, side)) + 0j
-    k = la.kernel(op)
-    if side == la.REAL_KERNEL_MAX:
-        assert isinstance(k, la.RealMatrix)
+    k = kernels.kernel(op)
+    if side == kernels.REAL_KERNEL_MAX:
+        assert isinstance(k, kernels.RealMatrix)
     t = zeroed(gen, (8, side, post))
     for adjoint in (False, True):
-        expect = semantics._contract(semantics._side(op, adjoint), t, [1])
-        assert same_bits(semantics._contract(semantics._side(k, adjoint), t, [1]), expect)
+        expect = kernels.contract(kernels.side(op, adjoint), t, [1])
+        assert same_bits(kernels.contract(kernels.side(k, adjoint), t, [1]), expect)
         into = np.empty_like(t)
-        semantics._contract(semantics._side(k, adjoint), t, [1], into)
+        kernels.contract(kernels.side(k, adjoint), t, [1], into)
         assert same_bits(into, expect)
 
 
@@ -270,23 +265,22 @@ def test_guard_bases_rotate_by_the_dense_products(name):
         names = layout.names
         t = zeroed(rng(7), (layout.dim,) * 2).reshape(layout.dims * 2)
         for adjoint in (False, True):
-            rotated = semantics._sandwich(t, names, la.dagger(basis.matrix), ("g",))
+            rotated = kernels.sandwich(t, names, la.dagger(basis.matrix), ("g",))
             back = streamed(inner, rotated, names, adjoint)
-            expect = semantics._sandwich(back, names, basis.matrix, ("g",))
+            expect = kernels.sandwich(back, names, basis.matrix, ("g",))
             assert same_bits(streamed(p, t, names, adjoint), expect)
 
 
-def flat_plans(*kernels):
-    """Whether each gather plan kept on ``kernels`` reads a flat index."""
-    return [not isinstance(index, tuple) for k in kernels
-            for _, index, _ in k.__dict__.get(semantics._PLANS, {}).values()]
+def flat_plans(*monomials):
+    """Whether each gather plan kept on ``monomials`` reads a flat index."""
+    return [not isinstance(index, tuple) for k in monomials
+            for _, index, _ in k.__dict__.get(kernels._PLANS, {}).values()]
 
 
-@given(st.data(), st.sampled_from(KINDS[1:]), st.sampled_from(KINDS[1:]), st.booleans(),
-       st.booleans(), st.integers(0, 2**32 - 1))
+@given(st.data(), st.sampled_from(KINDS[1:]), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
-def test_flat_take_matches_the_broadcast_gather(data, left_kind, right_kind, adjoint, strided,
-                                                seed):
+def test_flat_take_matches_the_broadcast_gather(data, kind, adjoint, strided, seed):
     """A monomial sandwich read by one ``np.take`` over a flat index gives
     exactly the broadcast gather's bits: on any variables in any order,
     with and without scales (an empty row's included), forward and adjoint,
@@ -294,20 +288,16 @@ def test_flat_take_matches_the_broadcast_gather(data, left_kind, right_kind, adj
     broadcast gather whatever its size."""
     gen = rng(seed)
     layout = data.draw(layouts())
-    left_site = data.draw(sites(layout)) or layout.names[:1]
-    right_site = data.draw(sites(layout)) or layout.names[-1:]
-    left = operator(gen, sub(layout, left_site).dim, left_kind)
-    right = operator(gen, sub(layout, right_site).dim, right_kind)
+    site = data.draw(sites(layout)) or layout.names[:1]
+    op = operator(gen, sub(layout, site).dim, kind)
     t = as_given(zeroed(gen, (layout.dim,) * 2).reshape(layout.dims * 2), strided)
     got = []
     for patch in (("TAKE_MIN_ENTRIES", 1), ("TAKE_INDEX_BYTES", 0)):  # flat, then broadcast
-        kl = semantics._side(kernel_of(left, left_kind), adjoint)
-        kr = semantics._side(kernel_of(right, right_kind), adjoint)
-        with mock.patch.object(semantics, *patch):
-            got.append(semantics._sandwich(t, layout.names, kl, left_site, kr, right_site))
-            got.append(semantics._sandwich(t, layout.names, kl, left_site))
-        assert flat_plans(kl) == [patch[0] == "TAKE_MIN_ENTRIES" and not strided] * 2
-    assert same_bits(got[0], got[2]) and same_bits(got[1], got[3])
+        k = kernels.side(kernel_of(op, kind), adjoint)
+        with mock.patch.object(kernels, *patch):
+            got.append(kernels.sandwich(t, layout.names, k, site))
+        assert flat_plans(k) == [patch[0] == "TAKE_MIN_ENTRIES" and not strided]
+    assert same_bits(got[0], got[1])
 
 
 def walk_guard(n):
@@ -330,12 +320,12 @@ def test_flat_index_budget_is_exact():
     the monomial's: an index for a second layout that would pass it is not
     kept."""
     itemsize = np.dtype(np.intp).itemsize
-    assert semantics.TAKE_MIN_ENTRIES == 64 * 64
+    assert kernels.TAKE_MIN_ENTRIES == 64 * 64
     for n, budget, flat in ((32, 64 * 64 * itemsize, True), (32, (64 * 64 - 1) * itemsize, False),
-                            (16, semantics.TAKE_INDEX_BYTES, False)):
+                            (16, kernels.TAKE_INDEX_BYTES, False)):
         p = walk_guard(n)
         x = zeroed(rng(n), (2 * n, 2 * n))
-        with mock.patch.object(semantics, "TAKE_INDEX_BYTES", budget):
+        with mock.patch.object(kernels, "TAKE_INDEX_BYTES", budget):
             got = [stream(p, x, p.layout, adjoint=adjoint) for adjoint in (False, True)]
         assert flat_plans(*guard_monomials(p)) == [flat, flat]
         if n == 32:
@@ -344,7 +334,7 @@ def test_flat_index_budget_is_exact():
             else:
                 assert all(same_bits(a, b) for a, b in zip(got, expect))
     p = walk_guard(32)
-    with mock.patch.object(semantics, "TAKE_INDEX_BYTES", 64 * 64 * itemsize):
+    with mock.patch.object(kernels, "TAKE_INDEX_BYTES", 64 * 64 * itemsize):
         for order in (("v", "c"), ("c", "v")):
             layout = RegisterLayout(tuple((v, p.layout.dim_of(v)) for v in order))
             stream(p, zeroed(rng(1), (64, 64)), layout)
@@ -379,9 +369,9 @@ def test_walk_step_keeps_its_peaks_and_its_index_budget():
         monomials = guard_monomials(step.seq.parts[1])
         assert flat_plans(*monomials) == [flat, flat]
         for c in monomials:
-            kept = [index.nbytes for _, index, _ in c.__dict__[semantics._PLANS].values()
+            kept = [index.nbytes for _, index, _ in c.__dict__[kernels._PLANS].values()
                     if not isinstance(index, tuple)]
-            assert sum(kept) <= semantics.TAKE_INDEX_BYTES
+            assert sum(kept) <= kernels.TAKE_INDEX_BYTES
         if peaks:
             assert peaks[0] < 2.05 and peaks[1] < 3.05
 
@@ -432,14 +422,14 @@ def test_guard_on_two_registers_matches_denote(seed, gdims, rotated, choices):
 
 
 def test_monomial_unit_flag():
-    perm = la.monomial(np.eye(3)[[2, 0, 1]].astype(complex))
+    perm = kernels.monomial(np.eye(3)[[2, 0, 1]].astype(complex))
     assert perm.unit and perm.T.unit
     assert perm.conj() is perm  # a permutation is its own conjugate
-    phased = la.monomial(np.diag([1, 1j, 1]).astype(complex))
+    phased = kernels.monomial(np.diag([1, 1j, 1]).astype(complex))
     assert not phased.unit and not phased.T.unit and not phased.conj().unit
-    assert not la.monomial(np.diag([1, 0, 1]).astype(complex)).unit  # an empty row scales by 0
-    assert la.monomial(np.eye(4, dtype=complex)).unit
-    assert not la.monomial(-np.eye(2, dtype=complex)).unit
+    assert not kernels.monomial(np.diag([1, 0, 1]).astype(complex)).unit  # an empty row scales by 0
+    assert kernels.monomial(np.eye(4, dtype=complex)).unit
+    assert not kernels.monomial(-np.eye(2, dtype=complex)).unit
 
 
 @st.composite
@@ -476,12 +466,13 @@ def blocks(p, x, layout, adjoint):
     t, names, site = x.reshape(layout.dims * 2), layout.names, p.own_layout.names
     rotated = not p.basis.is_computational
     if rotated:
-        t = semantics._sandwich(t, names, la.dagger(p.basis.matrix), site)
+        t = kernels.sandwich(t, names, la.dagger(p.basis.matrix), site)
     n = len(names)
     gpos = [names.index(g) for g in site]
     coords = [np.unravel_index(i, [t.shape[a] for a in gpos]) for i in range(p.basis.dim)]
     data = tuple(name for name in names if name not in site)
-    sides = [semantics._side(a, adjoint) for a in semantics._branches(p, la.MAX_DIM_DEFAULT)[2]]
+    sides = [kernels.side(kernels.kernel(a), adjoint)
+             for a in semantics._branches(p, la.MAX_DIM_DEFAULT)[1]]
     out = np.empty_like(t)
     for i, row in enumerate(coords):
         for j, col in enumerate(coords):
@@ -492,10 +483,12 @@ def blocks(p, x, layout, adjoint):
             if i == j:
                 out[at] = streamed(p.branches[i], t[at], data, adjoint)
             else:
-                out[at] = semantics._sandwich(t[at], data, sides[i], p.branches[i].layout.names,
-                                              sides[j], p.branches[j].layout.names)
+                rows = [data.index(v) for v in p.branches[i].layout.names]
+                cols = [len(data) + data.index(v) for v in p.branches[j].layout.names]
+                out[at] = kernels.contract(sides[j].conj(), kernels.contract(sides[i], t[at], rows),
+                                           cols)
     if rotated:
-        out = semantics._sandwich(out, names, p.basis.matrix, site)
+        out = kernels.sandwich(out, names, p.basis.matrix, site)
     return out.reshape(x.shape)
 
 
@@ -535,7 +528,7 @@ def channel_of(p, layout, x, adjoint):
 def path(p):
     """How ``_Stream._guard`` multiplies by ``p``'s ``C``, as ``_control`` decided."""
     c = semantics._control(p, la.MAX_DIM_DEFAULT)[0]
-    return ("gather" if isinstance(c, la.Monomial) else "batched" if isinstance(c, np.ndarray)
+    return ("gather" if isinstance(c, kernels.Monomial) else "batched" if isinstance(c, np.ndarray)
             else "slices")
 
 
@@ -685,6 +678,20 @@ def test_guard_matches_the_block_loop(guard, extra):
     assert la.max_abs_diff(got, channel_of(p, program, m, True)) < TOL
 
 
+@pytest.mark.parametrize("branch", [Skip(), Abort()])
+@pytest.mark.parametrize("phase", [1, 1j])
+def test_guard_on_no_variables_is_its_branch(branch, phase):
+    """A guard on no variables, over one branch on none, has a 1 x 1
+    monomial ``C``: on no variables it scales the state (``contract``),
+    forward and adjoint, as ``denote``'s channel does."""
+    p = Guarded((), GuardBasis(np.array([[phase]])), (branch,))
+    assert path(p) == "gather"
+    for layout, adjoint in ((RegisterLayout.of(("q", 2)), False), (RegisterLayout(), True)):
+        x = random_density(rng(1), layout.dim)
+        got = stream(p, x, layout, adjoint=adjoint)
+        assert la.max_abs_diff(got, channel_of(p, layout, x, adjoint)) < TOL
+
+
 @pytest.mark.parametrize("rotated", [False, True])
 @pytest.mark.parametrize("other", ["skip", "dense", "projective", "povm"])
 def test_controlled_guard_holds_at_most_one_state_more(rotated, other):
@@ -748,7 +755,7 @@ def test_measuring_slices_are_written_in_place(rotated):
             tracemalloc.stop()
     assert peaks[0] <= peaks[1] + 0.1 * x.nbytes
     assert la.max_abs_diff(got[0].reshape(x.shape), got[1]) < TOL
-    contract = semantics._contract
+    contract = kernels.contract
 
     def copied(op, t, axes, out=None):
         product = contract(op, t, axes)
@@ -757,7 +764,7 @@ def test_measuring_slices_are_written_in_place(rotated):
         out[...] = product
         return out
 
-    with mock.patch.object(semantics, "_contract", copied):
+    with mock.patch.object(kernels, "contract", copied):
         assert streamed(p, t, layout.names, False).tobytes() == got[0].tobytes()
 
 
@@ -771,7 +778,7 @@ def test_controlled_shift_as_one_unitary_or_a_guard(order):
                    (Unitary((("v", n),), shift(n, 1)), Unitary((("v", n),), shift(n, -1))))
     p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     whole = Unitary((("v", n), ("c", 2)), np.kron(shift(n, 1), p0) + np.kron(shift(n, -1), p1))
-    assert isinstance(whole.kernel, la.Monomial) and whole.kernel.unit
+    assert isinstance(whole.kernel, kernels.Monomial) and whole.kernel.unit
     dims = {"v": n, "c": 2, "e": 3}
     layout = RegisterLayout(tuple((v, dims[v]) for v in order))
     x = random_density(rng(2), layout.dim)
@@ -800,7 +807,7 @@ def test_shift_guards_stay_one_gather_at_scale(relocated):
          else Guarded((("c", 2),), GuardBasis.computational(2), (Skip(), tr)))
     assert path(p) == "gather"
     c, measured = p.__dict__[semantics._CONTROL]
-    assert isinstance(c, la.Monomial) and not measured
+    assert isinstance(c, kernels.Monomial) and not measured
     layout = p.layout
     x = matrix(rng(4), layout.dim)
     t = x.reshape(layout.dims * 2)

@@ -280,24 +280,35 @@ def test_guarded_composition_respects_the_bound_property(seed):
         assert sum(lambda_weight(f, d) ** 2 for d in f.states) == pytest.approx(1.0, abs=1e-9)
 
 
+def in_order_sum(ops, projs):
+    """``sum_i U_i (x) P_i``, added in branch order to a zero matrix."""
+    out = np.zeros((len(ops[0]) * len(projs[0]),) * 2, dtype=complex)
+    for op, proj in zip(ops, projs):
+        out += la.tensor(op, proj)
+    return out
+
+
 @given(st.integers(0, 2**32 - 1), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_one_state_guard_has_the_mesh_bits(seed, rotated):
-    """One-state functions skip the weight mesh: every weight is exactly 1,
-    so the sum from zeros in branch order has the mesh's bits, the signs of
-    zeros included."""
+@settings(max_examples=100, deadline=None)
+def test_one_state_guard_is_the_in_order_sum(seed, rotated):
+    """Over one-state functions every weight is exactly 1, so the weight mesh
+    gives the bits of the in-order sum of ``U_i (x) P_i``, the signs of zeros
+    included: for ``guarded_ovf`` with a fifth of the branches zero, and
+    for ``guarded_unitary``."""
     gen = rng(seed)
-    dim, arity = int(gen.integers(1, 4)), int(gen.integers(2, 5))
-    layout = RegisterLayout.of(("d", dim)) if dim > 1 else RegisterLayout()
-    guard = RegisterLayout.of(("s", arity))
+    dim, arity = int(gen.integers(2, 9)), int(gen.integers(2, 4))
+    layout, guard = RegisterLayout.of(("d", dim)), RegisterLayout.of(("s", arity))
     basis = GuardBasis(random_unitary(gen, arity)) if rotated else GuardBasis.computational(arity)
-    fs = [random_ovf(gen, layout, 1, str(gen.choice(["full", "sub", "zero"])), label=f"k{i}")
-          for i in range(arity)]
     projs = [basis.column(i) @ la.dagger(basis.column(i)) for i in range(arity)]
+    kinds = ["zero" if gen.uniform() < 0.2 else str(gen.choice(["full", "sub"]))
+             for _ in range(arity)]
+    fs = [random_ovf(gen, layout, 1, kind, label=f"k{i}") for i, kind in enumerate(kinds)]
     composed = guarded_ovf(basis, fs, guard)
-    expect = ovf._mesh(fs, projs, composed.layout.dim, la.MAX_DIM_DEFAULT)
-    assert composed.stack.tobytes() == expect.tobytes()
+    assert composed.stack.tobytes() == in_order_sum([f.stack[0] for f in fs], projs).tobytes()
     assert composed.states == (cs.oplus(tuple(f.states[0] for f in fs)),)
+    us = [random_unitary(gen, dim) for _ in range(arity)]
+    got = guarded_unitary(basis, us, layout, guard)
+    assert got.tobytes() == in_order_sum(us, projs).tobytes()
 
 
 def reference_lambdas(table):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qgcl import linalg as la
 from qgcl import program
 from qgcl.equivalence import program_equiv_report
-from qgcl.errors import LayoutError, SourceError, Span
+from qgcl.errors import ContractError, LayoutError, QgclError, SourceError, Span
 from qgcl.program import (
     Abort,
     Block,
@@ -32,7 +32,9 @@ from qgcl.program import (
     var,
     well_formed,
 )
+from qgcl.printer import print_program
 from qgcl.registers import RegisterLayout
+from qgcl.semantics import denote
 from qgcl.sampling import ProgramSampler, rng
 
 from conftest import Repeat
@@ -339,6 +341,33 @@ def test_deep_library_programs_need_no_recursion():
     assert var(deep(480)) == {"x"}
     assert not is_core(deep(480))
     assert program_equiv_report(deep(480), deep(480))[0] == "equiv"
+
+
+# name: (a node no matrix check rejects at construction, its diagnostic, the
+# error evaluation raises for it).
+UNCHECKED_LEAVES = {
+    "unitary-nan": (Unitary((Q,), [[np.nan, 0], [0, 1]]), "unitary-nonunitary", ContractError),
+    "unitary-inf": (Unitary((Q,), [[1, 0], [0, np.inf]]), "unitary-nonunitary", ContractError),
+    "init-nan": (Block((C,), [[np.nan, 0], [0, 1]], Unitary((C,), H)), "block-init", ContractError),
+    "init-rank-1": (Block((C,), [1.0, 0.0], Unitary((C,), H)), "block-init", LayoutError),
+    "init-rank-3": (Block((C,), np.zeros((2, 2, 2)), Unitary((C,), H)), "block-init", LayoutError),
+}
+
+
+@pytest.mark.parametrize("name", list(UNCHECKED_LEAVES))
+def test_non_finite_or_mis_ranked_leaves_are_diagnostics(name):
+    """A library-built leaf with a non-finite entry, or a block whose
+    initial state is not a matrix, is reported by ``well_formed``, not
+    raised; ``check`` raises a ``SourceError`` and an evaluator the rule's
+    typed error with its code.  The printer raises a ``QgclError``."""
+    p, code, error = UNCHECKED_LEAVES[name]
+    assert [d.code for d in well_formed(p)] == [code]
+    with pytest.raises(SourceError, match=code):
+        check(p)
+    with pytest.raises(error, match=f"^{code}: "):
+        denote(p)
+    with pytest.raises(QgclError):
+        print_program(p)
 
 
 @pytest.mark.parametrize("diagonal, ok", [
