@@ -6,6 +6,13 @@ sum_i |i><i| (x) A_i`` as one gather, one batched stack or per-branch
 slices (``control``, ``apply_control``).  ``sandwich`` applies an operator
 on both sides of a state, ``contract`` on one.
 
+Each of the three is planned (``plan_sandwich``, ``plan_contract``,
+``plan_control``): every choice is made from the arrays' shapes, strides
+and overlaps into a step that makes only the numpy calls, run once on
+those arrays and returned with its result.  ``semantics`` records the
+steps in a program's plan and replays them on arrays laid out the same;
+the call forms run the step they plan once.
+
 Every limit here was measured with numpy 2.4.6 on its OpenBLAS 0.3.31,
 Haswell kernels, one thread: where a real product keeps the complex
 product's bits (``REAL_KERNEL_MAX``; ``post`` a multiple of 4 in
@@ -128,26 +135,51 @@ def side(op, adjoint: bool):
 
 def sandwich(t: np.ndarray, names, op, site) -> np.ndarray:
     """``(L (x) I) X (L (x) I)†`` with ``L = op`` on the variables ``site``;
-    ``t`` and the result are shaped ``dims + dims`` over ``names``.  A
-    monomial ``L``, on any variables, reads ``t`` once, as one gather
+    ``t`` and the result are shaped ``dims + dims`` over ``names``: the
+    result of ``plan_sandwich``'s steps."""
+    return plan_sandwich(t, names, op, site)[1]
+
+
+def plan_sandwich(t: np.ndarray, names, op, site, adjoint: bool = False) -> tuple:
+    """``sandwich`` by ``L = side(op, adjoint)`` decided from ``t``'s shape
+    and strides: the steps, each ``step(t) -> t`` and run in order, that
+    make only the numpy calls for an array laid out as ``t``, and their
+    result on ``t``.
+
+    A monomial ``L``, on any variables, reads ``t`` once, as one gather
     (``_gather_plan``: one ``np.take`` over a kept flat index, or a
     broadcast gather), and scales it on each side unless it is a
-    permutation, left first, as ``contract`` would."""
+    permutation, left first, as ``contract`` would.  Any other ``L`` is two
+    ``contract`` steps, ``L`` on the rows, then its conjugate on the
+    columns.  Of a dense ``op`` the steps keep only ``op`` or its transpose,
+    a view, and form a conjugate on each call, as an operator on every
+    variable of the state would have one as large as the state."""
     rows = [names.index(v) for v in site]
     cols = [len(names) + a for a in rows]
-    if isinstance(op, Monomial) and rows:  # on no variables, ``contract`` scales ``t``
-        key = (tuple(rows), t.shape, t.strides)
-        plans = op.__dict__.setdefault(_PLANS, {})
-        if key not in plans:
-            kept = sum(index.nbytes for _, index, _ in plans.values()
-                       if not isinstance(index, tuple))
-            plans[key] = _gather_plan(op, rows, cols, t, TAKE_INDEX_BYTES - kept)
-        shape, index, scales = plans[key]
-        out = t.reshape(shape)[index] if isinstance(index, tuple) else np.take(t, index)
+    if isinstance(op, np.ndarray):  # ``L`` is ``op``, or ``op.T`` conjugated
+        first, u = plan_contract(op.T if adjoint else op, t, rows, conj=adjoint)
+        second, out = plan_contract(op.T if adjoint else op, u, cols, conj=not adjoint)
+        return (first, second), out
+    op = side(op, adjoint)
+    if not (isinstance(op, Monomial) and rows):  # on no variables, ``contract`` scales ``t``
+        first, u = plan_contract(op, t, rows)
+        second, out = plan_contract(op, u, cols, conj=True)
+        return (first, second), out
+    key = (tuple(rows), t.shape, t.strides)
+    plans = op.__dict__.setdefault(_PLANS, {})
+    if key not in plans:
+        kept = sum(index.nbytes for _, index, _ in plans.values()
+                   if not isinstance(index, tuple))
+        plans[key] = _gather_plan(op, rows, cols, t, TAKE_INDEX_BYTES - kept)
+    shape, index, scales = plans[key]
+    full, flat = t.shape, not isinstance(index, tuple)
+
+    def gather(t):
+        out = np.take(t, index) if flat else t.reshape(shape)[index]
         for scale in scales:  # in place, so no outer product of the scales is formed
             out *= scale
-        return out.reshape(t.shape)
-    return contract(op.conj(), contract(op, t, rows), cols)
+        return out.reshape(full)
+    return (gather,), gather(t)
 
 
 _PLANS = "_plans"  # the key of a monomial's gather plans in its ``__dict__``
@@ -283,51 +315,112 @@ def _guard_monomial(layouts: list, kernels: list, data) -> Monomial:
 
 def apply_control(c, t: np.ndarray, names, site, own: int, adjoint: bool) -> np.ndarray:
     """``C X C†`` (``C† X C`` for the adjoint) for a guard's ``C``
-    (``control``) on the variables ``site`` of ``t``: its first ``own`` are
-    the guard's, indexing ``i``, the rest its data variables.  A monomial
-    ``C`` is one gather (``sandwich``).  Otherwise the rows take ``C`` and
-    then the columns its conjugate (so the adjoint's right side is a
-    transpose, not a copy), each side's axes brought to the front and ``t``
-    read as ``(k, s, rest)``: a stack is one batched product; else each
-    ``A_i`` writes its slice of the output, a dense one by a product, a
-    scalar by scaling, and any other on its own axes (``contract``,
-    straight into the slice).  The right side of a list overwrites the left
-    side's result, slice by slice."""
+    (``control``) on the variables ``site`` of ``t``: the result of
+    ``plan_control``'s steps."""
+    return plan_control(c, t, names, site, own, adjoint)[1]
+
+
+def plan_control(c, t: np.ndarray, names, site, own: int, adjoint: bool) -> tuple:
+    """``apply_control`` decided from ``t``'s shape and strides: its steps,
+    as ``plan_sandwich``'s, and their result on ``t``.  The first ``own`` of
+    ``site`` are the guard's variables, indexing ``i``, the rest its data
+    variables.  A monomial ``C`` is one gather (``plan_sandwich``).
+    Otherwise the rows take ``C`` and then the columns its conjugate (so
+    the adjoint's right side is a transpose, not a copy), each side's axes
+    brought to the front and ``t`` read as ``(k, s, rest)``: a stack is one
+    batched product; else each ``A_i`` writes its slice of the output, a
+    dense one by a product, a scalar by scaling, and any other on its own
+    axes (``plan_contract``, straight into the slice).  The right side of a
+    list overwrites the left side's result, slice by slice."""
     if isinstance(c, Monomial):
-        return sandwich(t, names, side(c, adjoint), site)
+        return plan_sandwich(t, names, c, site, adjoint)
     rows = [names.index(v) for v in site]
     data = tuple(t.shape[a] for a in rows[own:])
+    steps = []
     for right in (False, True):
         axes = [len(names) * right + a for a in rows]
         order = axes + [a for a in range(t.ndim) if a not in axes]
-        moved = t.transpose(order)
-        t3 = moved.reshape(len(c), prod(data), -1)
-        if isinstance(c, np.ndarray):
-            a = c.transpose(0, 2, 1) if adjoint else c
-            out = (a.conj() if adjoint != right else a) @ t3
-        else:
-            out = t3 if right else np.empty_like(t3)
+        step = _control_side(c, t, order, (len(c), prod(data), -1), data, adjoint, right)
+        steps.append(step)
+        t = step(t, plan=True)
+    return tuple(steps), t
+
+
+def _control_side(c, t: np.ndarray, order: list[int], shape3: tuple, data: tuple,
+                  adjoint: bool, right: bool):
+    """One side of ``plan_control``: ``C`` on the rows, or its conjugate on
+    the columns, with ``order`` bringing them to the front.  The step's
+    first call, with ``plan``, decides each branch's product from the
+    slices it meets; later calls replay them."""
+    moved_shape = tuple(t.shape[a] for a in order)
+    back = sorted(range(t.ndim), key=order.__getitem__)
+    if isinstance(c, np.ndarray):
+        a = c.transpose(0, 2, 1) if adjoint else c
+        a = a.conj() if adjoint != right else a
+
+        def stacked(t, plan=False):
+            return (a @ t.transpose(order).reshape(shape3)).reshape(moved_shape).transpose(back)
+        return stacked
+    products = []
+
+    def sliced(t, plan=False):
+        t3 = t.transpose(order).reshape(shape3)
+        out = t3 if right else np.empty_like(t3)
+        if plan:
             for x, y, (a, at) in zip(t3, out, c):
-                a = a.T if adjoint else a
-                if adjoint != right:
-                    a = a.conj()
-                if at is None and right:  # ``y`` is ``x``: the product goes to a buffer
-                    # laid out as ``x``, as ``np.empty_like(t3)`` lays out the left side's
-                    # ``y``, so matmul takes the same BLAS call (``a @ x`` can give other bits)
-                    y[...] = np.matmul(a, x, out=np.empty_like(x))
-                elif at is None:
-                    np.matmul(a, x, out=y)
-                elif at:
-                    contract(a, x.reshape(data + (-1,)), at, y.reshape(data + (-1,)))
-                else:
-                    np.multiply(x, a, out=y)
-        t = out.reshape(moved.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
-    return t
+                products.append(_branch_product(a, at, x, y, data, adjoint, right))
+        else:
+            for product, x, y in zip(products, t3, out):
+                product(x, y)
+        return out.reshape(moved_shape).transpose(back)
+    return sliced
+
+
+def _branch_product(a, at, x: np.ndarray, y: np.ndarray, data: tuple, adjoint: bool,
+                    right: bool):
+    """Branch ``i``'s slice of one side of ``C``: ``A_i`` (its adjoint, and
+    on the columns conjugated) from ``x`` into ``y``, worked out and run
+    once; the returned ``product(x, y)`` replays it."""
+    a = a.T if adjoint else a
+    if adjoint != right:
+        a = a.conj()
+    if at is None and right:  # ``y`` is ``x``: the product goes to a buffer laid out as
+        # ``x``, as ``np.empty_like(t3)`` lays out the left side's ``y``, so matmul takes
+        # the same BLAS call (``a @ x`` can give other bits)
+        def product(x, y):
+            y[...] = np.matmul(a, x, out=np.empty_like(x))
+    elif at is None:
+        def product(x, y):
+            np.matmul(a, x, out=y)
+    elif at:
+        shape = data + (-1,)
+        step = plan_contract(a, x.reshape(shape), at, y.reshape(shape))[0]
+
+        def product(x, y):
+            step(x.reshape(shape), y.reshape(shape))
+        return product
+    else:
+        def product(x, y):
+            np.multiply(x, a, out=y)
+    product(x, y)
+    return product
 
 
 def contract(op, t: np.ndarray, axes: list[int], out: np.ndarray | None = None) -> np.ndarray:
     """Apply ``op`` to the tensor factors of ``t`` at ``axes``, in order,
-    into ``out`` when it is given (shaped as ``t``, and may be ``t``).
+    into ``out`` when it is given (shaped as ``t``, and may be ``t``): the
+    result of ``plan_contract``'s step."""
+    return plan_contract(op, t, axes, out)[1]
+
+
+def plan_contract(op, t: np.ndarray, axes: list[int], out: np.ndarray | None = None,
+                  conj: bool = False) -> tuple:
+    """``contract`` by ``op``, or with ``conj`` its conjugate, decided from
+    the shapes and strides of ``t`` and ``out``: a step, ``step(t,
+    out=None) -> result``, that makes only the numpy calls for arrays laid
+    out as these, and its result on them.  A dense ``op``'s conjugate is
+    formed on each call, as ``op.conj()``; a monomial's or a real
+    operator's is worked out once, on it.
 
     The axes are brought together, in order, where the first of them is (a
     view: no transpose at all when they already are together), and ``t`` is
@@ -343,36 +436,67 @@ def contract(op, t: np.ndarray, axes: list[int], out: np.ndarray | None = None) 
     straight into ``out`` where ``out``, read as ``t3``, is a view laid out
     as ``t3`` apart from it, so every product sees the operands it would
     see alone; else it is copied in."""
+    if conj and not isinstance(op, np.ndarray):
+        op, conj = op.conj(), False
     rest = [a for a in range(t.ndim) if a not in axes]
     lead = sum(a < axes[0] for a in rest) if axes else 0
     order = rest[:lead] + axes + rest[lead:]
     moved = t.transpose(order)
     t3 = moved.reshape(prod(moved.shape[:lead]), -1, prod(moved.shape[lead + len(axes):]))
+    back = sorted(range(t.ndim), key=order.__getitem__)
     into = None if out is None else out.transpose(order).reshape(t3.shape)
     if into is not None and (into.strides != t3.strides or not np.may_share_memory(into, out)
-                             or np.may_share_memory(into, t3)):
+                             or np.may_share_memory(into, t3)  # np.take would copy a ``t3``
+                             or isinstance(op, Monomial) and not t3.flags.c_contiguous):
         into = None
-    real = isinstance(op, RealMatrix)
-    if isinstance(op, Monomial):
-        if into is None or not t3.flags.c_contiguous:  # np.take would copy ``t3``
-            got, into = t3[:, op.col], None
-        else:  # "clip" buffers no ``out``
-            got = np.take(t3, op.col, axis=1, out=into, mode="clip")
-        if not op.unit:
-            got *= op.scale[:, None]
-    elif real and t3.shape[2] % 4 == 0 and t3.strides[2] == t3.itemsize:
-        f = t3.view(float)
-        got = op.real @ f if into is None else np.matmul(op.real, f, out=into.view(float))
-        got = got.view(complex)
-    elif t3.shape[2] == 1:
-        m, x = (op.matrix if real else op).T, t3[:, :, 0]
-        got = x @ m if into is None else np.matmul(x, m, out=into[:, :, 0])
-    else:
-        m = op.matrix if real else op
-        got = m @ t3 if into is None else np.matmul(m, t3, out=into)
-    got = got.reshape(moved.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
-    if out is None:
-        return got
-    if into is None:
+    direct = into is not None
+    product = _product(op, t3, direct, conj)
+    got = product(t3, into).reshape(moved.shape).transpose(back)
+    if out is not None and not direct:
         out[...] = got
-    return out
+    return _contract_step(product, order, t3.shape, moved.shape, back, direct), (
+        got if out is None else out)
+
+
+def _contract_step(product, order: list[int], shape3: tuple, moved_shape: tuple,
+                   back: list[int], direct: bool):
+    """``plan_contract``'s step: ``t`` read as ``t3``, ``product`` on it,
+    written straight into ``out`` where ``direct``, else copied in."""
+    def step(t, out=None):
+        got = product(t.transpose(order).reshape(shape3),
+                      out.transpose(order).reshape(shape3) if direct else None)
+        got = got.reshape(moved_shape).transpose(back)
+        if out is None:
+            return got
+        if not direct:
+            out[...] = got
+        return out
+    return step
+
+
+def _product(op, t3: np.ndarray, direct: bool, conj: bool):
+    """``plan_contract``'s product on ``t3``, ``product(t3, into)``, by the
+    path ``op``'s form and ``t3``'s layout choose, into ``into`` when
+    ``direct``; with ``conj``, by a dense ``op``'s conjugate."""
+    if isinstance(op, Monomial):
+        col, scale = op.col, None if op.unit else op.scale[:, None]
+
+        def gathered(t3, into):  # "clip" buffers no ``out``
+            got = np.take(t3, col, axis=1, out=into, mode="clip") if direct else t3[:, col]
+            if scale is not None:
+                got *= scale
+            return got
+        return gathered
+    real = isinstance(op, RealMatrix)
+    if real and t3.shape[2] % 4 == 0 and t3.strides[2] == t3.itemsize:
+        r = op.real
+        if direct:
+            return lambda t3, into: np.matmul(r, t3.view(float), out=into.view(float)).view(complex)
+        return lambda t3, into: (r @ t3.view(float)).view(complex)
+    m = op.matrix if real else op
+    matrix = m.conj if conj else lambda: m
+    if t3.shape[2] == 1:
+        if direct:
+            return lambda t3, into: np.matmul(t3[:, :, 0], matrix().T, out=into[:, :, 0])
+        return lambda t3, into: t3[:, :, 0] @ matrix().T
+    return lambda t3, into: np.matmul(matrix(), t3, out=into)  # ``@`` where ``into`` is None

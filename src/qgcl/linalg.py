@@ -259,8 +259,10 @@ def hermitian_psd(herm: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
     It passes at once when Gershgorin's discs prove it, in O(d²): every
     eigenvalue is at least ``min_i (herm_ii - sum_{j != i} |herm_ij|)``.
-    Otherwise it passes when ``herm + tol I`` has a Cholesky factor; only
-    when the factorisation fails do its eigenvalues decide.  Each step
+    The row of the lowest diagonal entry is tried first, in O(d): when its
+    disc reaches below ``-tol`` the bound fails too, and no other row is
+    read.  Otherwise it passes when ``herm + tol I`` has a Cholesky factor;
+    only when the factorisation fails do its eigenvalues decide.  Each step
     answers only what it proves, so the verdict is the eigenvalues' one.
     The row sums are taken over ``herm.T``, whose rows hold the same
     magnitudes in the same order, and which is in C order when ``herm`` is
@@ -268,10 +270,15 @@ def hermitian_psd(herm: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     transposing copy.
     """
     rows = herm.T
-    radii = np.abs(rows)
-    radii.flat[:: herm.shape[0] + 1] = 0
-    if np.min(rows.diagonal().real - radii.sum(axis=1)) >= -tol:
-        return True
+    diagonal = rows.diagonal().real
+    k = int(np.argmin(diagonal))
+    weakest = np.abs(rows[k])
+    weakest[k] = 0
+    if diagonal[k] - weakest.sum() >= -tol:
+        radii = np.abs(rows)
+        radii.flat[:: herm.shape[0] + 1] = 0
+        if np.min(diagonal - radii.sum(axis=1)) >= -tol:
+            return True
     rows.flat[:: herm.shape[0] + 1] += tol
     try:
         np.linalg.cholesky(herm)

@@ -325,13 +325,19 @@ def _mesh(functions: list[OperatorValuedFunction], projs: list[np.ndarray], dim:
           max_dim: int) -> np.ndarray:
     """``guarded_ovf``'s stack, one row per combination of branch rows.  One
     axis per branch: branch i's weights and operators vary along axis i, and
-    its component is scaled by every other branch's weight."""
+    its component is scaled by every other branch's weight.  A function of
+    one classical state has weight exactly 1, so where every other branch
+    has one, the component is added unscaled, with the same bits."""
     mesh = np.ix_(*[lambda_weights(f) for f in functions])
     out = np.zeros(tuple(len(f.states) for f in functions) + (dim, dim), dtype=complex)
     for i, (f, proj) in enumerate(zip(functions, projs)):
-        coeff = reduce(np.multiply, mesh[:i] + mesh[i + 1:], np.ones((1,) * len(mesh)))
         lifted = linalg.tensor(f.stack, proj, max_dim=max_dim)
-        out += coeff[..., None, None] * lifted.reshape(mesh[i].shape + lifted.shape[1:])
+        lifted = lifted.reshape(mesh[i].shape + lifted.shape[1:])
+        if out.size // (dim * dim) == len(f.states):  # every other branch has one state
+            out += lifted
+        else:
+            coeff = reduce(np.multiply, mesh[:i] + mesh[i + 1:], np.ones((1,) * len(mesh)))
+            out += coeff[..., None, None] * lifted
     return out.reshape(-1, dim, dim)
 
 

@@ -17,7 +17,8 @@ so what is worked out from a node is fixed for its lifetime and kept on it:
 ``own_layout``, ``layout`` and ``core``, ``Unitary.operator`` and
 ``kernel``, ``Measurement.kernels`` and ``stack``, ``GuardBasis.kernel``, a
 quantum choice's coin-then-guard ``seq``, what the rules pass found
-(``_PASSED``) and, from ``semantics``, a guard's branch functions.
+(``_PASSED``) and, from ``semantics``, a guard's branch functions and a
+streamed program's plans.
 
 Each construct's side conditions are written once, in ``RULES``: every rule
 gives a diagnostic code, a message and an error type, and one pass,
@@ -590,6 +591,7 @@ def check(p: Program, tol: float = linalg.DEFAULT_TOL) -> Program:
 
 
 _PASSED = "_passed"  # the key of a node's record of the ``tol`` and ``(tol, max_dim)`` it passed at
+_KEPT_VARIABLES = linalg.MAX_DIM_DEFAULT.bit_length() - 1  # the most a layout within the cap has
 
 
 def rules(p: Program, tol: float, max_dim: int | None = None):
@@ -597,7 +599,13 @@ def rules(p: Program, tol: float, max_dim: int | None = None):
     value is ``p``'s layout (a dict of dimensions by name, ``None`` where a
     layout error leaves it undefined), classical variables and diagnostics,
     not kept.  Collecting (``well_formed``, no ``max_dim``), the diagnostics
-    are a tree, ``(own, [subprograms'])``, which a ``cut`` violation prunes.
+    are a tree, ``(own, [subprograms'])``, which a ``cut`` violation prunes,
+    and a node whose layout exists keeps it as ``Program.layout``, so the
+    raising pass after a parse builds none; but not a layout of more
+    variables than one within the default cap can have (``_KEPT_VARIABLES``,
+    each of dimension 2 at least): a nest adding a variable per level would
+    keep a number of names quadratic in its depth, and evaluation at that
+    cap rejects such a node anyway.
     Raising (evaluation), the first violated rule raises its typed error,
     its code leading the message; then a guard over branches outside the
     core, the ``max_dim`` cap and an unknown node class.  A node records
@@ -633,8 +641,11 @@ def _rules(p: Program, tol: float, max_dim: int | None, passed: set):
         else:
             found = list(found)
             below = [] if any(v.cut for v in found) else [v[2] for v in values if v[2]]
-            if not found and layout is not None:
-                passed.add(tol)
+            if layout is not None:
+                if "layout" not in p.__dict__ and len(layout) <= _KEPT_VARIABLES:
+                    p.__dict__["layout"] = RegisterLayout._of(layout)  # as ``joined_layout`` builds it
+                if not found:
+                    passed.add(tol)
             own = [Diagnostic(v.code, v.message, p.span) for v in found]
             return layout, value[1], (own, below) if own or below else None
     if "layout" not in p.__dict__:

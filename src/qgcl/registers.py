@@ -56,6 +56,15 @@ class RegisterLayout:
     def of(*pairs: QVar) -> "RegisterLayout":
         return RegisterLayout(tuple((str(n), int(d)) for n, d in pairs))
 
+    @staticmethod
+    def _of(dims: dict[str, int]) -> "RegisterLayout":
+        """The layout of ``dims``, dimensions by name that were checked
+        already (each at least 2), not checked again."""
+        layout = object.__new__(RegisterLayout)
+        layout.__dict__.update(variables=tuple(dims.items()), names=tuple(dims),
+                               dims=tuple(dims.values()), dim=math.prod(dims.values()))
+        return layout
+
     def __len__(self) -> int:
         return len(self.variables)
 

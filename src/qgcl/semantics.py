@@ -22,21 +22,37 @@ message, so the four entry points accept the same programs.  The trace
 bound ``sum F† F <= I`` follows from the leaf contracts among those rules
 and is not checked again.  A node keeps what only the program fixes: its
 layout, a guard its branch functions and their ``A_i`` (``_branches``) and
-how streaming multiplies by them (``_control``).
+how streaming multiplies by them (``_control``), a streamed root its plans
+(``_PLAN``).
 
 ``apply_program`` and ``wp_apply`` never build the channel: ``stream``
-pushes the state (or, backwards, the observable) through the program,
-``_Stream.push`` being the walk's rule, each operator acting on its own
-tensor factors in the form ``kernels`` gave it once (``kernels.sandwich``).
-A guard is rotated into its basis, where ``X`` becomes ``C X C†`` with ``C
-= sum_i |i><i| (x) A_i`` (``kernels.control``), and each branch with more
-than one classical state overwrites its diagonal block with its own
-evaluation.  Bounded loop unrolling and the system-environment model of
-channels support the coin-relocation equivalences."""
+pushes the state (or, backwards, the observable) through the program, each
+operator acting on its own tensor factors in the form ``kernels`` gave it
+once (``kernels.plan_sandwich``).  A guard is rotated into its basis, where
+``X`` becomes ``C X C†`` with ``C = sum_i |i><i| (x) A_i``
+(``kernels.control``), and each branch with more than one classical state
+overwrites its diagonal block with its own evaluation.
+
+Streaming is planned once and replayed.  A plan (``_plan``, the walk's rule
+being ``_Planner.push``) is a flat list of steps over a small stack of
+arrays, each kernel step holding what ``kernels`` decided from the arrays
+it met (side, axis order, shapes, the monomial, real or complex product,
+the gather, writing into ``out``) and making only numpy calls; it is run
+as it is recorded.  The root keeps one plan per direction, for the
+signature of the input it was built on: the layout, the matrix's shape and
+strides, and ``max_dim``.  A call with that signature replays it, one loop
+with no frame per nesting level, making the same numpy calls on arrays of
+the same shapes and strides as the call that built it, so with the same
+bits; a call with another builds a new plan in its place.  A plan holds no
+array the size of a state, and a block over the cap rebuilds its Kraus
+family on every call.
+Every call still checks the program and its input.  Bounded loop unrolling
+and the system-environment model of channels support the coin-relocation
+equivalences."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -356,15 +372,27 @@ def stream(
 def _stream(p: Program, x: DensityMatrix | Observable, adjoint: bool, tol: float,
             max_dim: int) -> np.ndarray:
     """``stream`` of a typed value, whose matrix its constructor checked,
-    into an array that is not that matrix."""
+    into an array that is not that matrix: the root's plan for the input's
+    signature and the direction replayed, or, on a miss, a new one built
+    (``_plan``) in its place."""
     layout, m = x.layout, x.matrix
     _check(p, tol, max_dim)
     _check_input(p.layout, layout, adjoint)
     if layout.variables != p.layout.variables:
         check_cap(layout.dim, max_dim)
-    out = walk((p, m.reshape(layout.dims * 2), layout.names, adjoint), _Stream(max_dim).push)
+    t = m.reshape(layout.dims * 2)
+    key = (layout.variables, m.shape, m.strides, max_dim)
+    plans = p.__dict__.setdefault(_PLAN, [None, None])
+    if plans[adjoint] is not None and plans[adjoint][0] == key:
+        out = _replay(plans[adjoint][1], t)
+    else:
+        steps, out = _plan(p, t, layout.names, adjoint, max_dim)
+        plans[adjoint] = key, steps
     out = out.reshape(layout.dim, layout.dim)
     return out.copy() if np.may_share_memory(out, m) else out
+
+
+_PLAN = "_plan"  # the key of a root's ``[run, wp]`` plans, each ``(key, steps)``
 
 
 def _check_input(program: RegisterLayout, given: RegisterLayout, adjoint: bool) -> None:
@@ -388,75 +416,209 @@ def _check(p: Program, tol: float, max_dim: int) -> None:
     walk(p, lambda q: rules(q, tol, max_dim))
 
 
-@dataclass
-class _Stream:
-    """One evaluation pass over a checked program.  A block whose state with
-    its locals would exceed ``max_dim`` is applied through its dense Kraus
-    family on its own layout, kept in ``blocks`` for the rest of the call."""
+class _Calls(list):
+    """The arrays of one streamed call, as a stack whose top is the matrix
+    being pushed, and the dense Kraus families of the blocks over the cap
+    it met (``_over_cap``), by node, kept for the rest of the call."""
 
-    max_dim: int
-    blocks: dict = field(default_factory=dict)
+    def __init__(self, t: np.ndarray):
+        super().__init__((t,))
+        self.blocks: dict = {}
 
-    def push(self, p: Program, t: np.ndarray, names: tuple[str, ...], adjoint: bool):
-        """The rule for ``walk``: ``t``, a matrix on ``names`` shaped ``dims +
-        dims``, through the channel, or with ``adjoint`` its dual."""
-        if isinstance(p, Abort):
-            return np.zeros_like(t)
-        if isinstance(p, Skip):
-            return t
-        if isinstance(p, Unitary):
-            return kernels.sandwich(t, names, kernels.side(p.kernel, adjoint), p.own_layout.names)
-        if isinstance(p, QChoice):
-            return self.push(p.seq, t, names, adjoint)
-        return _PUSH[type(p)](self, p, t, names, adjoint)
 
-    def _seq(self, p: Seq, t: np.ndarray, names, adjoint: bool):
-        for sub in p.parts[::-1] if adjoint else p.parts:
-            t = yield sub, t, names, adjoint
-        return t
+# How a plan's step ``(f, how)`` meets the stack of a call: ``f`` maps the
+# top matrix to the one replacing it (``_TOP``) or to one pushed above it
+# (``_ABOVE``), or moves arrays on the stack itself (``_STACK``).
+_TOP, _ABOVE, _STACK = range(3)
 
-    def _measure(self, p: Measure, t: np.ndarray, names, adjoint: bool):
-        out, site = np.zeros_like(t), p.own_layout.names
-        for op, (_, sub) in zip(p.measurement.kernels, p.branches):
-            if adjoint:
-                out += kernels.sandwich((yield sub, t, names, True), names, kernels.side(op, True),
-                                        site)
-            else:
-                out += yield sub, kernels.sandwich(t, names, op, site), names, False
-        return out
 
-    def _choice(self, p: ProbChoice, t: np.ndarray, names, adjoint: bool):
+def _replay(steps: list, t: np.ndarray) -> np.ndarray:
+    """A plan's steps run on ``t``, one flat loop: no frame per nesting level."""
+    s = _Calls(t)
+    for f, how in steps:
+        if how == _TOP:
+            s[-1] = f(s[-1])
+        elif how == _ABOVE:
+            s.append(f(s[-1]))
+        else:
+            f(s)
+    return s[0]
+
+
+def _plan(p: Program, t: np.ndarray, names: tuple[str, ...], adjoint: bool,
+          max_dim: int) -> tuple[list, np.ndarray]:
+    """The steps that push ``t``, a matrix on ``names`` shaped ``dims +
+    dims``, through the program (with ``adjoint``, its dual), and their
+    result: the program walked once, each step decided from the arrays it
+    meets (``kernels.plan_sandwich``, ``plan_control``) and run as it is
+    recorded."""
+    planner = _Planner(_Calls(t), [], adjoint, max_dim)
+    walk((p, names), planner.push)
+    return planner.steps, planner.stack[0]
+
+
+# The steps that move arrays on the stack of a call.
+def _again(s):
+    """The matrix under the sum, again, for the next branch."""
+    s.append(s[-2])
+
+
+def _add(s):
+    """A branch's result added to the sum under it."""
+    r = s.pop()
+    s[-1] += r
+
+
+def _close(s):
+    """The result replaces the matrix it was computed from."""
+    out = s.pop()
+    s[-1] = out
+
+
+def _weighted(w: float):
+    """A branch's result, weighted by ``w``, added to the sum under it."""
+    def step(s):
+        r = s.pop()
+        s[-1] += w * r
+    return step
+
+
+def _slice(at: tuple):
+    """Block ``at`` of the matrix under the guard's output, pushed."""
+    def step(s):
+        s.append(s[-2][at])
+    return step
+
+
+def _put(at: tuple):
+    """A branch's result written over block ``at`` of the guard's output."""
+    def step(s):
+        r = s.pop()
+        s[-1][at] = r
+    return step
+
+
+def _over_cap(p: Block, names: tuple[str, ...], adjoint: bool, max_dim: int):
+    """A block whose state with its locals would exceed ``max_dim``: applied
+    through its dense Kraus family on its own layout, built once per call."""
+    def step(s):
+        if id(p) not in s.blocks:
+            s.blocks[id(p)] = _denote(p, max_dim).stack
+        t = s[-1]
         out = np.zeros_like(t)
-        for w, sub in zip(p.weights, p.branches):
-            out += w * (yield sub, t, names, adjoint)
-        return out
+        for k in s.blocks[id(p)]:
+            out += kernels.sandwich(t, names, kernels.side(k, adjoint), p.layout.names)
+        s[-1] = out
+    return step
 
-    def _block(self, p: Block, t: np.ndarray, names, adjoint: bool):
+
+# The steps that map the top matrix.
+def _extend(d: int, other: np.ndarray, shape: tuple):
+    """A block's state with its locals: ``X (x) other``, each entry one
+    product, as ``np.kron`` forms it, without its per-call bookkeeping."""
+    other = other[None, :, None, :]
+
+    def step(t):
+        return np.multiply(t.reshape(d, 1, d, 1), other).reshape(shape)
+    return step
+
+
+def _trace_out(d: int, dl: int, init: np.ndarray | None, shape: tuple):
+    """A block's locals traced out (forward), or the adjoint's ``init`` contracted."""
+    def step(t):
+        x = t.reshape(d, dl, d, dl)
+        out = np.einsum("aibi->ab", x) if init is None else np.einsum("aibj,ji->ab", x, init)
+        return out.reshape(shape)
+    return step
+
+
+@dataclass
+class _Planner:
+    """One plan being built: the walk's rule (``push``) records each step
+    and runs it on ``stack``, as a replay will."""
+
+    stack: _Calls
+    steps: list
+    adjoint: bool
+    max_dim: int
+
+    def do(self, f, how: int = _STACK) -> None:
+        """Records the step ``(f, how)`` and runs it, as ``_replay`` does."""
+        if how == _STACK:
+            self.steps.append((f, how))
+            f(self.stack)
+        else:
+            self.kernel(((f,), f(self.stack[-1])), how)
+
+    def kernel(self, planned: tuple, how: int = _TOP) -> None:
+        """Records a kernel's ``(steps, result)``, planned on the top matrix
+        and run there: the result replaces it, or (``_ABOVE``) goes above
+        it, the first step pushing and the rest mapping what it pushed."""
+        steps, out = planned
+        if how == _ABOVE:
+            self.stack.append(out)
+        else:
+            self.stack[-1] = out
+        for f in steps:
+            self.steps.append((f, how))
+            how = _TOP
+
+    def push(self, p: Program, names: tuple[str, ...]):
+        """The rule for ``walk``: the top matrix, on ``names`` shaped ``dims
+        + dims``, through the channel, or with ``adjoint`` its dual."""
+        if isinstance(p, Abort):
+            self.do(np.zeros_like, _TOP)
+        elif isinstance(p, Unitary):
+            self.kernel(kernels.plan_sandwich(self.stack[-1], names, p.kernel, p.own_layout.names,
+                                              self.adjoint))
+        elif isinstance(p, QChoice):
+            return self.push(p.seq, names)
+        elif not isinstance(p, Skip):
+            return _PUSH[type(p)](self, p, names)
+        return None
+
+    def _seq(self, p: Seq, names):
+        for sub in p.parts[::-1] if self.adjoint else p.parts:
+            yield sub, names
+
+    def _measure(self, p: Measure, names):
+        site = p.own_layout.names
+        self.do(np.zeros_like, _ABOVE)  # the sum the branches' results are added to
+        for op, (_, sub) in zip(p.measurement.kernels, p.branches):
+            self.do(_again)
+            if self.adjoint:
+                yield sub, names
+            self.kernel(kernels.plan_sandwich(self.stack[-1], names, op, site, self.adjoint))
+            if not self.adjoint:
+                yield sub, names
+            self.do(_add)
+        self.do(_close)
+
+    def _choice(self, p: ProbChoice, names):
+        self.do(np.zeros_like, _ABOVE)
+        for w, sub in zip(p.weights, p.branches):
+            self.do(_again)
+            yield sub, names
+            self.do(_weighted(w))
+        self.do(_close)
+
+    def _block(self, p: Block, names):
         """Forward: ``tr_loc[body(X (x) init)]``; adjoint:
         ``tr_loc[wp_body(M (x) I_loc) (I (x) init)]``."""
-        body, local, init = p.body, p.own_layout, p.init
-        d, dl = int(np.prod(t.shape[: len(names)])), local.dim
+        shape, local = self.stack[-1].shape, p.own_layout
+        d, dl = int(np.prod(shape[: len(names)])), local.dim
         if d * dl > self.max_dim:
-            if id(p) not in self.blocks:
-                self.blocks[id(p)] = _denote(p, self.max_dim).stack
-            out = np.zeros_like(t)
-            for k in self.blocks[id(p)]:
-                out += kernels.sandwich(t, names, kernels.side(k, adjoint), p.layout.names)
-            return out
+            self.do(_over_cap(p, names, self.adjoint, self.max_dim))
+            return
         # A local shadows any variable of the same name outside the block.
         outer = tuple(_fresh_name(n + "'", set(names) | set(local.names)) if n in local else n
                       for n in names)
-        shape = t.shape[: len(names)] + local.dims
-        x = t.reshape(d, d)
-        if adjoint:
-            w = yield body, np.kron(x, linalg.identity(dl)).reshape(shape * 2), outer + local.names, True
-            out = np.einsum("aibj,ji->ab", w.reshape(d, dl, d, dl), init)
-        else:
-            r = yield body, np.kron(x, init).reshape(shape * 2), outer + local.names, False
-            out = np.einsum("aibi->ab", r.reshape(d, dl, d, dl))
-        return out.reshape(t.shape)
+        other = linalg.identity(dl) if self.adjoint else p.init
+        self.do(_extend(d, other, (shape[: len(names)] + local.dims) * 2), _TOP)
+        yield p.body, outer + local.names
+        self.do(_trace_out(d, dl, p.init if self.adjoint else None, shape), _TOP)
 
-    def _guard(self, p: Guarded, t: np.ndarray, names, adjoint: bool):
+    def _guard(self, p: Guarded, names):
         """In the guard's basis, ``X`` becomes ``C X C†`` (with ``C†`` first
         for the adjoint): block ``(i, j)`` is ``A_i X_ij A_j†``, as the square
         branch weights sum to one, so the guarded composition never needs its
@@ -467,27 +629,30 @@ class _Stream:
         gnames = p.own_layout.names
         rotate = not p.basis.is_computational
         if rotate:
-            t = kernels.sandwich(t, names, kernels.side(p.basis.kernel, True), gnames)
+            self.kernel(kernels.plan_sandwich(self.stack[-1], names, p.basis.kernel, gnames, True))
         c, measuring = _control(p, self.max_dim)
-        out = kernels.apply_control(c, t, names, p.layout.names, len(gnames), adjoint)
+        shape = self.stack[-1].shape
+        self.kernel(kernels.plan_control(c, self.stack[-1], names, p.layout.names, len(gnames),
+                                         self.adjoint), _ABOVE if measuring else _TOP)
         if measuring:
             n = len(names)
             gpos = [names.index(g) for g in gnames]
             rest = tuple(v for v in names if v not in gnames)
             for i in measuring:
                 at = [slice(None)] * (2 * n)
-                for a, r in zip(gpos, np.unravel_index(i, [t.shape[a] for a in gpos])):
+                for a, r in zip(gpos, np.unravel_index(i, [shape[a] for a in gpos])):
                     at[a] = at[n + a] = r
                 at = tuple(at)
-                out[at] = yield p.branches[i], t[at], rest, adjoint
+                self.do(_slice(at))
+                yield p.branches[i], rest
+                self.do(_put(at))
+            self.do(_close)  # drops the rotated input before the rotation back allocates
         if rotate:
-            t = out  # drops the rotated input before the rotation back allocates
-            out = kernels.sandwich(t, names, p.basis.kernel, gnames)
-        return out
+            self.kernel(kernels.plan_sandwich(self.stack[-1], names, p.basis.kernel, gnames))
 
 
-_PUSH = {Seq: _Stream._seq, Measure: _Stream._measure, ProbChoice: _Stream._choice,
-         Block: _Stream._block, Guarded: _Stream._guard}
+_PUSH = {Seq: _Planner._seq, Measure: _Planner._measure, ProbChoice: _Planner._choice,
+         Block: _Planner._block, Guarded: _Planner._guard}
 
 
 @dataclass(eq=False)

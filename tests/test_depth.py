@@ -156,3 +156,40 @@ def test_a_shared_chain_costs_what_the_flat_chain_costs():
                 best = min(best, time.perf_counter() - start)
             times[name] = best
         assert times["shared"] <= 1.2 * times["flat"], (evaluate.__name__, times)
+
+
+def test_the_deepest_program_replays_its_plan(monkeypatch):
+    """10,000 nested ``pchoice`` levels through ``apply_program`` twice: the
+    second call replays the first call's plan, one flat loop, with the
+    first call's bytes."""
+    plans = []
+    plan = semantics._plan
+
+    def counted(*args):
+        plans.append(args[0])
+        return plan(*args)
+
+    monkeypatch.setattr(semantics, "_plan", counted)
+    p = nest(NESTINGS["pchoice"])
+    rho = DensityMatrix(np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]), RegisterLayout.of(Q))
+    first = apply_program(p, rho).matrix
+    assert apply_program(p, rho).matrix.tobytes() == first.tobytes()
+    assert plans == [p]
+
+
+def test_kept_layouts_stay_within_the_cap():
+    """The collecting pass keeps no layout of more variables than one within
+    the default cap can have, so a nest declaring a variable per level keeps
+    a number of names linear in its depth, and evaluation still finds the
+    layouts of the levels it checks."""
+    depth = 40
+    p = nest(NESTINGS["guard"], depth)
+    assert well_formed(p) == []
+    kept, todo = [], [p]
+    while todo:
+        q = todo.pop()
+        todo += program.children(q)
+        if "layout" in q.__dict__:
+            kept.append(len(q.__dict__["layout"].variables))
+    assert kept and max(kept) <= program._KEPT_VARIABLES
+    assert 2**program._KEPT_VARIABLES <= la.MAX_DIM_DEFAULT < 2 ** (program._KEPT_VARIABLES + 1)

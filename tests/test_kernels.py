@@ -1,6 +1,6 @@
 """The streaming kernels against an independent reference.
 
-``kernels.contract``, ``kernels.sandwich`` and ``_Stream._guard`` apply
+``kernels.contract``, ``kernels.sandwich`` and ``semantics._Planner._guard`` apply
 each operator on the tensor factors where its variables lie.  The reference here
 never uses them: the operator is ``registers.embed``-ed into the full layout
 and applied to the flattened matrix, and a guard's channel comes from
@@ -452,13 +452,13 @@ def monomial_guards(draw):
 
 
 def streamed(p, t, names, adjoint):
-    """``t`` pushed through ``p`` as one streaming pass does (``_Stream.push``)."""
-    return walk((p, t, names, adjoint), semantics._Stream(la.MAX_DIM_DEFAULT).push)
+    """``t`` pushed through ``p`` as one streaming pass does (``semantics._plan``)."""
+    return semantics._plan(p, t, names, adjoint, la.MAX_DIM_DEFAULT)[1]
 
 
 def blocks(p, x, layout, adjoint):
     """``p``'s guard streamed block by block in its basis, the reference for
-    ``_Stream._guard``: diagonal block ``i`` is branch ``i``'s own
+    ``_Planner._guard``: diagonal block ``i`` is branch ``i``'s own
     evaluation and off-diagonal block ``(i, j)`` is ``A_i X_ij A_j†`` (with
     ``A†`` for the adjoint).  Each block is a view of the state at the
     guard variables' coordinates of ``i`` and ``j``, and its result is
@@ -526,7 +526,7 @@ def channel_of(p, layout, x, adjoint):
 
 
 def path(p):
-    """How ``_Stream._guard`` multiplies by ``p``'s ``C``, as ``_control`` decided."""
+    """How ``_Planner._guard`` multiplies by ``p``'s ``C``, as ``_control`` decided."""
     c = semantics._control(p, la.MAX_DIM_DEFAULT)[0]
     return ("gather" if isinstance(c, kernels.Monomial) else "batched" if isinstance(c, np.ndarray)
             else "slices")
@@ -729,8 +729,8 @@ def test_measuring_slices_are_written_in_place(rotated):
     """A two-outcome projective branch beside a dense unitary, at state
     dimension 256: each ``A_i`` writes its slice of the left side's output
     directly, and the right side overwrites that output slice by slice, so
-    the pass peaks within 0.1 state of the block loop.  The bits are those
-    of products copied into their slices."""
+    a warm pass (a replayed plan) peaks within 0.1 state of the block loop.
+    The bits are those of products copied into their slices."""
     import tracemalloc
 
     gen = rng(9)
@@ -743,10 +743,10 @@ def test_measuring_slices_are_written_in_place(rotated):
     layout = p.layout
     x = matrix(gen, layout.dim)
     t = x.reshape(layout.dims * 2)
-    runs = (lambda: streamed(p, t, layout.names, False), lambda: blocks(p, x, layout, False))
+    runs = (lambda: stream(p, x, layout), lambda: blocks(p, x, layout, False))
     peaks, got = [], []
     for run in runs:
-        got.append(run())  # the kept data, and numpy's own first-call allocations
+        got.append(run())  # the kept data and plan, and numpy's own first-call allocations
         tracemalloc.start()
         try:
             run()
@@ -755,16 +755,16 @@ def test_measuring_slices_are_written_in_place(rotated):
             tracemalloc.stop()
     assert peaks[0] <= peaks[1] + 0.1 * x.nbytes
     assert la.max_abs_diff(got[0].reshape(x.shape), got[1]) < TOL
-    contract = kernels.contract
+    plan = kernels.plan_contract
 
-    def copied(op, t, axes, out=None):
-        product = contract(op, t, axes)
+    def copied(op, t, axes, out=None, conj=False):
+        step, product = plan(op, t, axes, conj=conj)
         if out is None:
-            return product
+            return step, product
         out[...] = product
-        return out
+        return None, out
 
-    with mock.patch.object(kernels, "contract", copied):
+    with mock.patch.object(kernels, "plan_contract", copied):
         assert streamed(p, t, layout.names, False).tobytes() == got[0].tobytes()
 
 

@@ -295,6 +295,31 @@ class TestPositivityAgainstEigenvalues:
         assert eigvalsh_positive(m, self.TOL) == expected[0]
         assert self.verdict_and_factored(m) == expected
 
+    # The row of the lowest diagonal entry is tried first: when its disc
+    # reaches below -tol, |m| is never formed and Cholesky decides.
+    @pytest.mark.parametrize("m, expected", [
+        ([[-1e-9 * (1 - 1e-3)]], (True, False, True)),
+        ([[-1e-9 * (1 + 1e-3)]], (False, True, False)),
+        (np.diag([1.0, 0.5, -2e-9, 0.3]), (False, True, False)),
+        # tied lowest diagonals: the first one's disc holds, then fails
+        ([[0.2, 0, 0], [0, 1, 0.4], [0, 0.4, 0.2]], (True, True, True)),
+        ([[0.2, 0, 0.5], [0, 1, 0], [0.5, 0, 0.2]], (False, True, False)),
+        # the lowest diagonal's disc holds while another row's fails
+        ([[0.1, 0, 0], [0, 1, 0.4], [0, 0.4, 0.2]], (True, True, True)),
+        ([[0.1, 0, 0], [0, 1, 0.5], [0, 0.5, 0.2]], (False, True, True)),
+    ])
+    def test_weakest_row_is_tried_first(self, m, expected):
+        """Each row: the verdict, whether Cholesky ran and whether the
+        magnitudes of the whole matrix were formed."""
+        m = np.array(m, dtype=complex)
+        herm = la.hermitian_part(m, self.TOL)
+        with (patch.object(np, "abs", wraps=np.abs) as magnitudes,
+              patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky):
+            verdict, factored = la.hermitian_psd(herm, self.TOL), cholesky.called
+        formed = any(np.ndim(call.args[0]) == 2 for call in magnitudes.call_args_list)
+        assert verdict == eigvalsh_positive(m, self.TOL)
+        assert (verdict, factored, formed) == expected
+
     # ``DensityMatrix``/``Observable.validate`` test ``max |m - m†| <= tol``
     # and then only the Hermitian part's spectrum: the anti-Hermitian part
     # ``|m - m†| / 2`` is then within ``tol / 2``, inside ``is_positive``'s bound.

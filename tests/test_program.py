@@ -386,3 +386,36 @@ def test_block_init_verdict_on_a_diagonal_state_needs_no_eigensolver(diagonal, o
         found = [v.code for v in block_rules((C,), np.diag(diagonal), body)]
     assert found == ([] if ok else ["block-init"])
     assert eigvalsh.call_count == 0
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_collecting_pass_keeps_the_joined_layouts(seed, depth):
+    """``well_formed`` leaves on every node the layout ``joined_layout``
+    builds from its subprograms' layouts."""
+    p = ProgramSampler(rng(seed), (("q", 2), ("r", 3)), (("g0", 2), ("g1", 3))).program(depth)
+    assert well_formed(p) == []
+    todo = [p]
+    while todo:
+        node = todo.pop()
+        subs = children(node)
+        assert node.__dict__["layout"] == program.joined_layout(node, [s.layout for s in subs])
+        todo += subs
+
+
+def test_evaluation_after_parsing_joins_no_layout():
+    """The raising pass of ``apply_program`` on a parsed program finds every
+    node's layout kept by the parser's collecting pass: no
+    ``joined_layout`` call."""
+    import os
+
+    from qgcl import matrixio
+    from qgcl.parser import parse_file
+    from qgcl.semantics import apply_program
+
+    samples = os.path.join(os.path.dirname(__file__), "..", "samples")
+    p = parse_file(os.path.join(samples, "bb84.qgcl"))
+    rho = matrixio.density_from_record(matrixio.load_file(os.path.join(samples, "bb84_input.json")))
+    with patch.object(program, "joined_layout", wraps=program.joined_layout) as joins:
+        apply_program(p, rho)
+    assert joins.call_count == 0

@@ -652,3 +652,147 @@ def test_shared_measurement_is_classified_once():
             wp_apply(p, Observable(rho, layout))
     assert kernel.call_count == len(mmt.outcomes)
     assert all(isinstance(k, kernels.Monomial) for k in mmt.kernels)
+
+
+# -- Plans: one per root, signature and direction, replayed ---------------------------
+
+
+def laid_out(m):
+    """``m`` in C order, in Fortran order and as a strided view of a larger array."""
+    big = np.zeros((2 * len(m), 3 * len(m)), dtype=complex)
+    big[::2, ::3] = m
+    return {"C": m, "F": np.asfortranarray(m), "strided": big[::2, ::3]}
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_replayed_plans_keep_the_bits(seed, depth, adjoint):
+    """A second call replays the first call's plan and gives its bytes; a
+    call after the input's order or strides change plans anew and gives
+    the bytes of a fresh copy of the program on that input."""
+
+    def sampled():
+        gen = rng(seed)
+        return ProgramSampler(gen, (Q, R), (("g0", 2), ("g1", 3))).program(depth), gen
+
+    p, gen = sampled()
+    layout = shuffled(gen, qvar_layout(p), (("e", 3),) if not adjoint and gen.uniform() < 0.5 else ())
+    x = (random_positive if adjoint else random_density)(gen, layout.dim)
+    outs = {}
+    for form, m in laid_out(x).items():
+        first = streamed(p, m, layout, adjoint)
+        assert streamed(p, m, layout, adjoint).tobytes() == first.tobytes(), form
+        assert streamed(sampled()[0], m, layout, adjoint).tobytes() == first.tobytes(), form
+        outs[form] = first
+    assert all(la.max_abs_diff(out, outs["C"]) < TOL for out in outs.values())
+
+
+def planned(monkeypatch):
+    """Counts of ``semantics._plan``'s builds, by direction."""
+    builds = Counter()
+    plan = semantics._plan
+
+    def counted(p, t, names, adjoint, max_dim):
+        builds[adjoint] += 1
+        return plan(p, t, names, adjoint, max_dim)
+
+    monkeypatch.setattr(semantics, "_plan", counted)
+    return builds
+
+
+def test_one_plan_per_signature_and_direction(monkeypatch):
+    """A root keeps one plan a direction: each direction is planned once for
+    a signature, and a change of factor order, strides or ``max_dim`` is a
+    miss that replaces the plan, so returning to the old signature plans
+    again."""
+    builds = planned(monkeypatch)
+    gen = rng(2)
+    p = QChoice(Unitary((C,), H), GuardBasis.computational(2),
+                (Unitary((Q,), X), Measure("x", (Q,), Measurement.computational(2),
+                                           ((0, Skip()), (1, Unitary((Q,), H))))))
+    layout = RegisterLayout.of(Q, C)
+    rho, m = random_density(gen, 4), random_positive(gen, 4)
+    for _ in range(3):
+        apply_program(p, DensityMatrix(rho, layout))
+        wp_apply(p, Observable(m, layout))
+    assert builds == {False: 1, True: 1}
+    misses = [(rho, layout, la.MAX_DIM_DEFAULT), (np.asfortranarray(rho), layout, la.MAX_DIM_DEFAULT),
+              (rho, layout, la.MAX_DIM_DEFAULT), (rho, RegisterLayout.of(C, Q), la.MAX_DIM_DEFAULT),
+              (rho, layout, 64), (rho, layout, 64)]
+    expected = [1, 2, 3, 4, 5, 5]
+    for (x, lay, cap), count in zip(misses, expected):
+        apply_program(p, DensityMatrix(x, lay), max_dim=cap)
+        assert builds[False] == count
+    assert builds[True] == 1
+    assert len(p.__dict__[semantics._PLAN]) == 2
+
+
+def held(obj) -> dict:
+    """The memory reachable from ``obj`` (through closures, containers and
+    the package's objects, a node's plans left out): each array's base
+    array, by ``id``."""
+    seen, out, todo = set(), {}, [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            while o.base is not None:
+                o = o.base
+            out[id(o)] = o
+        elif isinstance(o, (list, tuple, set, frozenset)):
+            todo += o
+        elif isinstance(o, dict):
+            todo += o.values()
+        elif callable(o) and getattr(o, "__closure__", None):
+            todo += [cell.cell_contents for cell in o.__closure__]
+        elif type(o).__module__.startswith("qgcl") and hasattr(o, "__dict__"):
+            todo += [v for k, v in vars(o).items() if k != semantics._PLAN]
+    return out
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_a_plan_holds_no_array_the_size_of_a_state(adjoint):
+    """Dense operators on every variable of the state (whose conjugates
+    would be as large as it), a guard and a block: the plans hold no array
+    as large as the state, and replay the first call's bytes."""
+    gen = rng(4)
+    p = Seq(Unitary((Q, R), random_unitary(gen, 4)),
+            Guarded((C,), GuardBasis(random_unitary(gen, 2)),
+                    (Unitary((Q,), random_unitary(gen, 2)), Unitary((Q, R), random_unitary(gen, 4)))),
+            Block((("l", 2),), random_density(gen, 2), Unitary((Q, ("l", 2)), random_unitary(gen, 4))),
+            Unitary((Q, R, C), random_unitary(gen, 8)))
+    layout = p.layout
+    x = (random_positive if adjoint else random_density)(gen, layout.dim)
+    first = streamed(p, x, layout, adjoint)
+    assert streamed(p, x, layout, adjoint).tobytes() == first.tobytes()
+    kept = held(p)
+    own = [a for i, a in held(p.__dict__[semantics._PLAN][adjoint][1]).items() if i not in kept]
+    assert own and max(a.nbytes for a in own) < x.nbytes
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_a_replayed_walk_step_peaks_no_higher_than_its_first_call(adjoint):
+    """The coined walk's step at state dimension 512: the replay's
+    ``tracemalloc`` peak is at most the first call's, which planned."""
+    import tracemalloc
+
+    n = 256
+    right = np.roll(np.eye(n), 1, axis=0)
+    step = QChoice(Unitary((C,), H), GuardBasis.computational(2),
+                   (Unitary((("v", n),), right), Unitary((("v", n),), right.T)))
+    layout = RegisterLayout.of(("v", n), C)
+    x = (random_positive if adjoint else random_density)(rng(7), layout.dim)
+    peaks, outs = [], []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]  # the first call's output
+            outs.append(streamed(step, x, layout, adjoint))
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert outs[0].tobytes() == outs[1].tobytes()
+    assert peaks[1] <= peaks[0]
