@@ -3,15 +3,16 @@ operator: its form (``kernel``), a :class:`Monomial` applied as a gather, a
 :class:`RealMatrix` multiplied on the float view of the state, or the
 complex matrix; a guard basis's rotation (``rotation``); a guard's ``C =
 sum_i |i><i| (x) A_i`` as one gather, one batched stack or per-branch
-slices (``control``, ``apply_control``).  ``sandwich`` applies an operator
-on both sides of a state, ``contract`` on one.
+slices (``control``).  ``sandwich`` applies an operator on both sides of a
+state, ``contract`` on one, and ``plan_control`` a guard's ``C``.
 
-Each of the three is planned (``plan_sandwich``, ``plan_contract``,
-``plan_control``): every choice is made from the arrays' shapes, strides
-and overlaps into a step that makes only the numpy calls, run once on
-those arrays and returned with its result.  ``semantics`` records the
-steps in a program's plan and replays them on arrays laid out the same;
-the call forms run the step they plan once.
+Each is planned (``plan_sandwich``, ``plan_contract``, ``plan_control``):
+every choice is made from the arrays' shapes, strides and overlaps into
+steps of data only, each ``(f, args)`` with ``f`` a function of this
+module that makes only the numpy calls, run once on those arrays and
+returned with their result.  ``semantics`` records the steps in a
+program's plan and replays them on arrays laid out the same; the call
+forms run the steps they plan once.
 
 Every limit here was measured with numpy 2.4.6 on its OpenBLAS 0.3.31,
 Haswell kernels, one thread: where a real product keeps the complex
@@ -142,9 +143,9 @@ def sandwich(t: np.ndarray, names, op, site) -> np.ndarray:
 
 def plan_sandwich(t: np.ndarray, names, op, site, adjoint: bool = False) -> tuple:
     """``sandwich`` by ``L = side(op, adjoint)`` decided from ``t``'s shape
-    and strides: the steps, each ``step(t) -> t`` and run in order, that
-    make only the numpy calls for an array laid out as ``t``, and their
-    result on ``t``.
+    and strides: the steps that make only the numpy calls for an array laid
+    out as ``t``, each ``(f, args)`` run in order as ``t = f(t, *args)``,
+    and their result on ``t``.
 
     A monomial ``L``, on any variables, reads ``t`` once, as one gather
     (``_gather_plan``: one ``np.take`` over a kept flat index, or a
@@ -172,14 +173,19 @@ def plan_sandwich(t: np.ndarray, names, op, site, adjoint: bool = False) -> tupl
                    if not isinstance(index, tuple))
         plans[key] = _gather_plan(op, rows, cols, t, TAKE_INDEX_BYTES - kept)
     shape, index, scales = plans[key]
-    full, flat = t.shape, not isinstance(index, tuple)
+    args = (shape, index, not isinstance(index, tuple), scales, t.shape)
+    return ((_gather, args),), _gather(t, *args)
 
-    def gather(t):
-        out = np.take(t, index) if flat else t.reshape(shape)[index]
-        for scale in scales:  # in place, so no outer product of the scales is formed
-            out *= scale
-        return out.reshape(full)
-    return (gather,), gather(t)
+
+def _gather(t: np.ndarray, shape: tuple, index, flat: bool, scales: list,
+            full: tuple) -> np.ndarray:
+    """``plan_sandwich``'s gather: ``t`` read at ``index`` (flat, or
+    broadcast over ``t`` viewed at ``shape``), then scaled in place, so no
+    outer product of the scales is formed."""
+    out = np.take(t, index) if flat else t.reshape(shape)[index]
+    for scale in scales:
+        out *= scale
+    return out.reshape(full)
 
 
 _PLANS = "_plans"  # the key of a monomial's gather plans in its ``__dict__``
@@ -313,25 +319,20 @@ def _guard_monomial(layouts: list, kernels: list, data) -> Monomial:
     return Monomial(np.concatenate(cols), np.concatenate(scales))
 
 
-def apply_control(c, t: np.ndarray, names, site, own: int, adjoint: bool) -> np.ndarray:
-    """``C X C†`` (``C† X C`` for the adjoint) for a guard's ``C``
-    (``control``) on the variables ``site`` of ``t``: the result of
-    ``plan_control``'s steps."""
-    return plan_control(c, t, names, site, own, adjoint)[1]
-
-
 def plan_control(c, t: np.ndarray, names, site, own: int, adjoint: bool) -> tuple:
-    """``apply_control`` decided from ``t``'s shape and strides: its steps,
-    as ``plan_sandwich``'s, and their result on ``t``.  The first ``own`` of
-    ``site`` are the guard's variables, indexing ``i``, the rest its data
-    variables.  A monomial ``C`` is one gather (``plan_sandwich``).
-    Otherwise the rows take ``C`` and then the columns its conjugate (so
-    the adjoint's right side is a transpose, not a copy), each side's axes
-    brought to the front and ``t`` read as ``(k, s, rest)``: a stack is one
-    batched product; else each ``A_i`` writes its slice of the output, a
-    dense one by a product, a scalar by scaling, and any other on its own
-    axes (``plan_contract``, straight into the slice).  The right side of a
-    list overwrites the left side's result, slice by slice."""
+    """``C X C†`` (``C† X C`` for the adjoint) for a guard's ``C``
+    (``control``) on the variables ``site`` of ``t``, decided from ``t``'s
+    shape and strides: its steps, as ``plan_sandwich``'s, and their result
+    on ``t``.  The first ``own`` of ``site`` are the guard's variables,
+    indexing ``i``, the rest its data variables.  A monomial ``C`` is one
+    gather (``plan_sandwich``).  Otherwise the rows take ``C`` and then the
+    columns its conjugate (so the adjoint's right side is a transpose, not
+    a copy), each side's axes brought to the front and ``t`` read as ``(k,
+    s, rest)``: a stack is one batched product; else each ``A_i`` writes
+    its slice of the output, a dense one by a product, a scalar by scaling,
+    and any other on its own axes (``contract``, straight into the slice).
+    The right side of a list overwrites the left side's result, slice by
+    slice.  A dense ``A_i``'s conjugate is formed on each call."""
     if isinstance(c, Monomial):
         return plan_sandwich(t, names, c, site, adjoint)
     rows = [names.index(v) for v in site]
@@ -339,71 +340,92 @@ def plan_control(c, t: np.ndarray, names, site, own: int, adjoint: bool) -> tupl
     steps = []
     for right in (False, True):
         axes = [len(names) * right + a for a in rows]
-        order = axes + [a for a in range(t.ndim) if a not in axes]
-        step = _control_side(c, t, order, (len(c), prod(data), -1), data, adjoint, right)
+        order = tuple(axes + [a for a in range(t.ndim) if a not in axes])
+        step, t = _control_side(c, t, order, (len(c), prod(data), -1), data, adjoint, right)
         steps.append(step)
-        t = step(t, plan=True)
     return tuple(steps), t
 
 
-def _control_side(c, t: np.ndarray, order: list[int], shape3: tuple, data: tuple,
-                  adjoint: bool, right: bool):
-    """One side of ``plan_control``: ``C`` on the rows, or its conjugate on
-    the columns, with ``order`` bringing them to the front.  The step's
-    first call, with ``plan``, decides each branch's product from the
-    slices it meets; later calls replay them."""
+def _control_side(c, t: np.ndarray, order: tuple, shape3: tuple, data: tuple, adjoint: bool,
+                  right: bool) -> tuple:
+    """One side of ``plan_control``, its step and its result on ``t``: ``C``
+    on the rows, or its conjugate on the columns, with ``order`` bringing
+    them to the front.  Each branch's product is decided from its slices of
+    ``t`` and of the output, and run on them."""
     moved_shape = tuple(t.shape[a] for a in order)
-    back = sorted(range(t.ndim), key=order.__getitem__)
+    back = tuple(sorted(range(t.ndim), key=order.__getitem__))
     if isinstance(c, np.ndarray):
-        a = c.transpose(0, 2, 1) if adjoint else c
-        a = a.conj() if adjoint != right else a
+        args = (c.transpose(0, 2, 1) if adjoint else c, adjoint != right, order, shape3,
+                moved_shape, back)
+        return (_stacked, args), _stacked(t, *args)
+    t3 = t.transpose(order).reshape(shape3)
+    out = t3 if right else np.empty_like(t3)
+    products = tuple(_branch_product(a, at, x, y, data, adjoint, right)
+                     for x, y, (a, at) in zip(t3, out, c))
+    return ((_sliced, (products, right, order, shape3, moved_shape, back)),
+            out.reshape(moved_shape).transpose(back))
 
-        def stacked(t, plan=False):
-            return (a @ t.transpose(order).reshape(shape3)).reshape(moved_shape).transpose(back)
-        return stacked
-    products = []
 
-    def sliced(t, plan=False):
-        t3 = t.transpose(order).reshape(shape3)
-        out = t3 if right else np.empty_like(t3)
-        if plan:
-            for x, y, (a, at) in zip(t3, out, c):
-                products.append(_branch_product(a, at, x, y, data, adjoint, right))
-        else:
-            for product, x, y in zip(products, t3, out):
-                product(x, y)
-        return out.reshape(moved_shape).transpose(back)
-    return sliced
+def _stacked(t: np.ndarray, a: np.ndarray, conj: bool, order: tuple, shape3: tuple,
+             moved_shape: tuple, back: tuple) -> np.ndarray:
+    """A stack's side of ``C``: one batched product, by its conjugate with ``conj``."""
+    t3 = t.transpose(order).reshape(shape3)
+    return ((a.conj() if conj else a) @ t3).reshape(moved_shape).transpose(back)
+
+
+def _sliced(t: np.ndarray, products: tuple, right: bool, order: tuple, shape3: tuple,
+            moved_shape: tuple, back: tuple) -> np.ndarray:
+    """A list's side of ``C``: each branch's product, ``(f, args)``, from
+    its slice ``x`` of ``t`` into its slice ``y`` of the output, as ``f(x,
+    y, *args)``; on the right side the output is ``t`` itself."""
+    t3 = t.transpose(order).reshape(shape3)
+    out = t3 if right else np.empty_like(t3)
+    for (f, args), x, y in zip(products, t3, out):
+        f(x, y, *args)
+    return out.reshape(moved_shape).transpose(back)
 
 
 def _branch_product(a, at, x: np.ndarray, y: np.ndarray, data: tuple, adjoint: bool,
-                    right: bool):
-    """Branch ``i``'s slice of one side of ``C``: ``A_i`` (its adjoint, and
-    on the columns conjugated) from ``x`` into ``y``, worked out and run
-    once; the returned ``product(x, y)`` replays it."""
+                    right: bool) -> tuple:
+    """Branch ``i``'s product on one side of ``C``, ``A_i`` (its adjoint,
+    and on the columns conjugated) from ``x`` into ``y``, as ``(f, args)``,
+    run once."""
     a = a.T if adjoint else a
-    if adjoint != right:
-        a = a.conj()
-    if at is None and right:  # ``y`` is ``x``: the product goes to a buffer laid out as
-        # ``x``, as ``np.empty_like(t3)`` lays out the left side's ``y``, so matmul takes
-        # the same BLAS call (``a @ x`` can give other bits)
-        def product(x, y):
-            y[...] = np.matmul(a, x, out=np.empty_like(x))
-    elif at is None:
-        def product(x, y):
-            np.matmul(a, x, out=y)
-    elif at:
+    conj = adjoint != right
+    if at:
         shape = data + (-1,)
-        step = plan_contract(a, x.reshape(shape), at, y.reshape(shape))[0]
-
-        def product(x, y):
-            step(x.reshape(shape), y.reshape(shape))
-        return product
+        return _contracted, (shape, plan_contract(a, x.reshape(shape), at, y.reshape(shape),
+                                                  conj)[0][1])
+    if at is None:  # on the right, ``y`` is ``x``
+        f, args = (_buffered if right else _multiplied), (a, conj)
     else:
-        def product(x, y):
-            np.multiply(x, a, out=y)
-    product(x, y)
-    return product
+        f, args = _scaled, (a.conj() if conj else a,)
+    f(x, y, *args)
+    return f, args
+
+
+def _multiplied(x: np.ndarray, y: np.ndarray, a: np.ndarray, conj: bool) -> None:
+    """A dense branch on the left side: one product straight into ``y``."""
+    np.matmul(a.conj() if conj else a, x, out=y)
+
+
+def _buffered(x: np.ndarray, y: np.ndarray, a: np.ndarray, conj: bool) -> None:
+    """A dense branch on the right side, where ``y`` is ``x``: the product
+    goes to a buffer laid out as ``x``, as ``np.empty_like(t3)`` lays out
+    the left side's ``y``, so matmul takes the same BLAS call (``a @ x`` can
+    give other bits), and is copied back."""
+    y[...] = np.matmul(a.conj() if conj else a, x, out=np.empty_like(x))
+
+
+def _contracted(x: np.ndarray, y: np.ndarray, shape: tuple, args: tuple) -> None:
+    """A branch on some of the data variables: ``contract`` on its axes of
+    ``x`` and ``y`` read at ``shape``."""
+    _contract(x.reshape(shape), *args, out=y.reshape(shape))
+
+
+def _scaled(x: np.ndarray, y: np.ndarray, a) -> None:
+    """A branch on no variables (``skip``, ``abort``): its scalar."""
+    np.multiply(x, a, out=y)
 
 
 def contract(op, t: np.ndarray, axes: list[int], out: np.ndarray | None = None) -> np.ndarray:
@@ -416,11 +438,22 @@ def contract(op, t: np.ndarray, axes: list[int], out: np.ndarray | None = None) 
 def plan_contract(op, t: np.ndarray, axes: list[int], out: np.ndarray | None = None,
                   conj: bool = False) -> tuple:
     """``contract`` by ``op``, or with ``conj`` its conjugate, decided from
-    the shapes and strides of ``t`` and ``out``: a step, ``step(t,
-    out=None) -> result``, that makes only the numpy calls for arrays laid
-    out as these, and its result on them.  A dense ``op``'s conjugate is
-    formed on each call, as ``op.conj()``; a monomial's or a real
-    operator's is worked out once, on it.
+    the shapes and strides of ``t`` and ``out``: a step, ``(_contract,
+    args)``, run as ``_contract(t, *args, out=out)`` for arrays laid out as
+    these, and its result on them, computed on the views the step was
+    decided from."""
+    args, t3, into = _contract_plan(op, t, axes, out, conj)
+    product, pargs, _, _, moved_shape, back, direct = args
+    return (_contract, args), _placed(product(t3, into, *pargs), moved_shape, back, direct, out)
+
+
+def _contract_plan(op, t: np.ndarray, axes: list[int], out: np.ndarray | None,
+                   conj: bool) -> tuple:
+    """What ``_contract`` runs with for ``plan_contract``, and the views of
+    ``t`` and ``out`` it read them from, ``t3`` and ``into`` (``None``
+    unless the product goes straight into ``out``).  A dense ``op``'s
+    conjugate is formed on each call, as ``op.conj()``; a monomial's or a
+    real operator's is worked out once, on it.
 
     The axes are brought together, in order, where the first of them is (a
     view: no transpose at all when they already are together), and ``t`` is
@@ -440,63 +473,75 @@ def plan_contract(op, t: np.ndarray, axes: list[int], out: np.ndarray | None = N
         op, conj = op.conj(), False
     rest = [a for a in range(t.ndim) if a not in axes]
     lead = sum(a < axes[0] for a in rest) if axes else 0
-    order = rest[:lead] + axes + rest[lead:]
+    order = tuple(rest[:lead] + axes + rest[lead:])
     moved = t.transpose(order)
     t3 = moved.reshape(prod(moved.shape[:lead]), -1, prod(moved.shape[lead + len(axes):]))
-    back = sorted(range(t.ndim), key=order.__getitem__)
     into = None if out is None else out.transpose(order).reshape(t3.shape)
-    if into is not None and (into.strides != t3.strides or not np.may_share_memory(into, out)
-                             or np.may_share_memory(into, t3)  # np.take would copy a ``t3``
-                             or isinstance(op, Monomial) and not t3.flags.c_contiguous):
+    if into is not None and (
+            into.strides != t3.strides or not np.may_share_memory(into, out)
+            or np.may_share_memory(into, t3)  # np.take would copy a ``t3``
+            or isinstance(op, Monomial) and not t3.flags.c_contiguous):
         into = None
-    direct = into is not None
-    product = _product(op, t3, direct, conj)
-    got = product(t3, into).reshape(moved.shape).transpose(back)
-    if out is not None and not direct:
-        out[...] = got
-    return _contract_step(product, order, t3.shape, moved.shape, back, direct), (
-        got if out is None else out)
-
-
-def _contract_step(product, order: list[int], shape3: tuple, moved_shape: tuple,
-                   back: list[int], direct: bool):
-    """``plan_contract``'s step: ``t`` read as ``t3``, ``product`` on it,
-    written straight into ``out`` where ``direct``, else copied in."""
-    def step(t, out=None):
-        got = product(t.transpose(order).reshape(shape3),
-                      out.transpose(order).reshape(shape3) if direct else None)
-        got = got.reshape(moved_shape).transpose(back)
-        if out is None:
-            return got
-        if not direct:
-            out[...] = got
-        return out
-    return step
-
-
-def _product(op, t3: np.ndarray, direct: bool, conj: bool):
-    """``plan_contract``'s product on ``t3``, ``product(t3, into)``, by the
-    path ``op``'s form and ``t3``'s layout choose, into ``into`` when
-    ``direct``; with ``conj``, by a dense ``op``'s conjugate."""
     if isinstance(op, Monomial):
-        col, scale = op.col, None if op.unit else op.scale[:, None]
+        product, pargs = _gathered, (op.col, None if op.unit else op.scale[:, None])
+    elif isinstance(op, RealMatrix) and t3.shape[2] % 4 == 0 and t3.strides[2] == t3.itemsize:
+        product, pargs = _real, (op.real,)
+    else:
+        product = _columns if t3.shape[2] == 1 else _dense
+        pargs = op.matrix if isinstance(op, RealMatrix) else op, conj
+    return (product, pargs, order, t3.shape, moved.shape,
+            tuple(sorted(range(t.ndim), key=order.__getitem__)), into is not None), t3, into
 
-        def gathered(t3, into):  # "clip" buffers no ``out``
-            got = np.take(t3, col, axis=1, out=into, mode="clip") if direct else t3[:, col]
-            if scale is not None:
-                got *= scale
-            return got
-        return gathered
-    real = isinstance(op, RealMatrix)
-    if real and t3.shape[2] % 4 == 0 and t3.strides[2] == t3.itemsize:
-        r = op.real
-        if direct:
-            return lambda t3, into: np.matmul(r, t3.view(float), out=into.view(float)).view(complex)
-        return lambda t3, into: (r @ t3.view(float)).view(complex)
-    m = op.matrix if real else op
-    matrix = m.conj if conj else lambda: m
-    if t3.shape[2] == 1:
-        if direct:
-            return lambda t3, into: np.matmul(t3[:, :, 0], matrix().T, out=into[:, :, 0])
-        return lambda t3, into: t3[:, :, 0] @ matrix().T
-    return lambda t3, into: np.matmul(matrix(), t3, out=into)  # ``@`` where ``into`` is None
+
+def _contract(t: np.ndarray, product, pargs: tuple, order: tuple, shape3: tuple,
+              moved_shape: tuple, back: tuple, direct: bool,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """``plan_contract``'s step: ``t`` read as ``t3``, ``product(t3, into,
+    *pargs)`` on it, written straight into ``out`` where ``direct``, else
+    copied in."""
+    into = out.transpose(order).reshape(shape3) if direct else None
+    return _placed(product(t.transpose(order).reshape(shape3), into, *pargs), moved_shape, back,
+                   direct, out)
+
+
+def _placed(got: np.ndarray, moved_shape: tuple, back: tuple, direct: bool,
+            out: np.ndarray | None) -> np.ndarray:
+    """A product read as ``t3`` brought back to ``t``'s axes, and copied
+    into ``out`` where it is given and the product did not go there."""
+    got = got.reshape(moved_shape).transpose(back)
+    if out is None:
+        return got
+    if not direct:
+        out[...] = got
+    return out
+
+
+def _gathered(t3: np.ndarray, into: np.ndarray | None, col: np.ndarray, scale) -> np.ndarray:
+    """A monomial: the middle axis gathered ("clip" buffers no ``into``), then scaled."""
+    got = t3[:, col] if into is None else np.take(t3, col, axis=1, out=into, mode="clip")
+    if scale is not None:
+        got *= scale
+    return got
+
+
+def _real(t3: np.ndarray, into: np.ndarray | None, r: np.ndarray) -> np.ndarray:
+    """A :class:`RealMatrix`: its real part on the float view of ``t3``."""
+    if into is None:
+        return (r @ t3.view(float)).view(complex)
+    return np.matmul(r, t3.view(float), out=into.view(float)).view(complex)
+
+
+def _dense(t3: np.ndarray, into: np.ndarray | None, m: np.ndarray, conj: bool) -> np.ndarray:
+    """A dense operator: one broadcast matmul."""
+    m = m.conj() if conj else m
+    if into is None:
+        return m @ t3
+    return np.matmul(m, t3, out=into)
+
+
+def _columns(t3: np.ndarray, into: np.ndarray | None, m: np.ndarray, conj: bool) -> np.ndarray:
+    """A dense operator on ``t3`` with ``post`` 1: ``t3[:, :, 0] @ m.T``."""
+    m = m.conj() if conj else m
+    if into is None:
+        return t3[:, :, 0] @ m.T
+    return np.matmul(t3[:, :, 0], m.T, out=into[:, :, 0])

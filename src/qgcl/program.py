@@ -591,7 +591,6 @@ def check(p: Program, tol: float = linalg.DEFAULT_TOL) -> Program:
 
 
 _PASSED = "_passed"  # the key of a node's record of the ``tol`` and ``(tol, max_dim)`` it passed at
-_KEPT_VARIABLES = linalg.MAX_DIM_DEFAULT.bit_length() - 1  # the most a layout within the cap has
 
 
 def rules(p: Program, tol: float, max_dim: int | None = None):
@@ -601,11 +600,10 @@ def rules(p: Program, tol: float, max_dim: int | None = None):
     not kept.  Collecting (``well_formed``, no ``max_dim``), the diagnostics
     are a tree, ``(own, [subprograms'])``, which a ``cut`` violation prunes,
     and a node whose layout exists keeps it as ``Program.layout``, so the
-    raising pass after a parse builds none; but not a layout of more
-    variables than one within the default cap can have (``_KEPT_VARIABLES``,
-    each of dimension 2 at least): a nest adding a variable per level would
-    keep a number of names quadratic in its depth, and evaluation at that
-    cap rejects such a node anyway.
+    raising pass after a parse builds none; but not a layout over the
+    default cap (``_within_default_cap``): a nest adding a variable per
+    level would keep a number of names quadratic in its depth, and
+    evaluation at that cap rejects such a node anyway.
     Raising (evaluation), the first violated rule raises its typed error,
     its code leading the message; then a guard over branches outside the
     core, the ``max_dim`` cap and an unknown node class.  A node records
@@ -615,6 +613,18 @@ def rules(p: Program, tol: float, max_dim: int | None = None):
     if max_dim is not None and (tol, max_dim) in p.__dict__.get(_PASSED, ()):
         return None
     return _rules(p, tol, max_dim, p.__dict__.setdefault(_PASSED, set()))
+
+
+def _within_default_cap(dims) -> bool:
+    """Whether the product of ``dims`` is within ``linalg.MAX_DIM_DEFAULT``,
+    stopping at the first factor past it: each dimension is 2 at least, so
+    at most 13 are read."""
+    d = 1
+    for n in dims:
+        d *= n
+        if d > linalg.MAX_DIM_DEFAULT:
+            return False
+    return True
 
 
 def _rules(p: Program, tol: float, max_dim: int | None, passed: set):
@@ -642,7 +652,7 @@ def _rules(p: Program, tol: float, max_dim: int | None, passed: set):
             found = list(found)
             below = [] if any(v.cut for v in found) else [v[2] for v in values if v[2]]
             if layout is not None:
-                if "layout" not in p.__dict__ and len(layout) <= _KEPT_VARIABLES:
+                if "layout" not in p.__dict__ and _within_default_cap(layout.values()):
                     p.__dict__["layout"] = RegisterLayout._of(layout)  # as ``joined_layout`` builds it
                 if not found:
                     passed.add(tol)

@@ -35,10 +35,11 @@ overwrites its diagonal block with its own evaluation.
 
 Streaming is planned once and replayed.  A plan (``_plan``, the walk's rule
 being ``_Planner.push``) is a flat list of steps over a small stack of
-arrays, each kernel step holding what ``kernels`` decided from the arrays
-it met (side, axis order, shapes, the monomial, real or complex product,
-the gather, writing into ``out``) and making only numpy calls; it is run
-as it is recorded.  The root keeps one plan per direction, for the
+arrays, each a module-level function and the data it runs with, a kernel
+step's data being what ``kernels`` decided from the arrays it met (side,
+axis order, shapes, the monomial, real or complex product, the gather,
+writing into ``out``), so that it makes only numpy calls; it is run as it
+is recorded.  The root keeps one plan per direction, for the
 signature of the input it was built on: the layout, the matrix's shape and
 strides, and ``max_dim``.  A call with that signature replays it, one loop
 with no frame per nesting level, making the same numpy calls on arrays of
@@ -426,22 +427,24 @@ class _Calls(list):
         self.blocks: dict = {}
 
 
-# How a plan's step ``(f, how)`` meets the stack of a call: ``f`` maps the
-# top matrix to the one replacing it (``_TOP``) or to one pushed above it
-# (``_ABOVE``), or moves arrays on the stack itself (``_STACK``).
+# How a plan's step ``(f, args, how)`` meets the stack of a call: ``f(x,
+# *args)`` maps the top matrix ``x`` to the one replacing it (``_TOP``) or
+# to one pushed above it (``_ABOVE``), or ``f(s, *args)`` moves arrays on
+# the stack ``s`` itself (``_STACK``).  Every ``f`` is a module-level
+# function, and ``args`` data only.
 _TOP, _ABOVE, _STACK = range(3)
 
 
 def _replay(steps: list, t: np.ndarray) -> np.ndarray:
     """A plan's steps run on ``t``, one flat loop: no frame per nesting level."""
     s = _Calls(t)
-    for f, how in steps:
+    for f, args, how in steps:
         if how == _TOP:
-            s[-1] = f(s[-1])
+            s[-1] = f(s[-1], *args)
         elif how == _ABOVE:
-            s.append(f(s[-1]))
+            s.append(f(s[-1], *args))
         else:
-            f(s)
+            f(s, *args)
     return s[0]
 
 
@@ -475,61 +478,48 @@ def _close(s):
     s[-1] = out
 
 
-def _weighted(w: float):
+def _weighted(s, w: float):
     """A branch's result, weighted by ``w``, added to the sum under it."""
-    def step(s):
-        r = s.pop()
-        s[-1] += w * r
-    return step
+    r = s.pop()
+    s[-1] += w * r
 
 
-def _slice(at: tuple):
+def _slice(s, at: tuple):
     """Block ``at`` of the matrix under the guard's output, pushed."""
-    def step(s):
-        s.append(s[-2][at])
-    return step
+    s.append(s[-2][at])
 
 
-def _put(at: tuple):
+def _put(s, at: tuple):
     """A branch's result written over block ``at`` of the guard's output."""
-    def step(s):
-        r = s.pop()
-        s[-1][at] = r
-    return step
+    r = s.pop()
+    s[-1][at] = r
 
 
-def _over_cap(p: Block, names: tuple[str, ...], adjoint: bool, max_dim: int):
+def _over_cap(s, p: Block, names: tuple[str, ...], adjoint: bool, max_dim: int):
     """A block whose state with its locals would exceed ``max_dim``: applied
     through its dense Kraus family on its own layout, built once per call."""
-    def step(s):
-        if id(p) not in s.blocks:
-            s.blocks[id(p)] = _denote(p, max_dim).stack
-        t = s[-1]
-        out = np.zeros_like(t)
-        for k in s.blocks[id(p)]:
-            out += kernels.sandwich(t, names, kernels.side(k, adjoint), p.layout.names)
-        s[-1] = out
-    return step
+    if id(p) not in s.blocks:
+        s.blocks[id(p)] = _denote(p, max_dim).stack
+    t = s[-1]
+    out = np.zeros_like(t)
+    for k in s.blocks[id(p)]:
+        out += kernels.sandwich(t, names, kernels.side(k, adjoint), p.layout.names)
+    s[-1] = out
 
 
 # The steps that map the top matrix.
-def _extend(d: int, other: np.ndarray, shape: tuple):
-    """A block's state with its locals: ``X (x) other``, each entry one
-    product, as ``np.kron`` forms it, without its per-call bookkeeping."""
-    other = other[None, :, None, :]
-
-    def step(t):
-        return np.multiply(t.reshape(d, 1, d, 1), other).reshape(shape)
-    return step
+def _extend(t, d: int, other: np.ndarray, shape: tuple):
+    """A block's state with its locals: ``X (x) other``, ``other`` viewed as
+    ``(1, dl, 1, dl)``, each entry one product, as ``np.kron`` forms it,
+    without its per-call bookkeeping."""
+    return np.multiply(t.reshape(d, 1, d, 1), other).reshape(shape)
 
 
-def _trace_out(d: int, dl: int, init: np.ndarray | None, shape: tuple):
+def _trace_out(t, d: int, dl: int, init: np.ndarray | None, shape: tuple):
     """A block's locals traced out (forward), or the adjoint's ``init`` contracted."""
-    def step(t):
-        x = t.reshape(d, dl, d, dl)
-        out = np.einsum("aibi->ab", x) if init is None else np.einsum("aibj,ji->ab", x, init)
-        return out.reshape(shape)
-    return step
+    x = t.reshape(d, dl, d, dl)
+    out = np.einsum("aibi->ab", x) if init is None else np.einsum("aibj,ji->ab", x, init)
+    return out.reshape(shape)
 
 
 @dataclass
@@ -542,13 +532,16 @@ class _Planner:
     adjoint: bool
     max_dim: int
 
-    def do(self, f, how: int = _STACK) -> None:
-        """Records the step ``(f, how)`` and runs it, as ``_replay`` does."""
-        if how == _STACK:
-            self.steps.append((f, how))
-            f(self.stack)
+    def do(self, f, args: tuple = (), how: int = _STACK) -> None:
+        """Records the step ``(f, args, how)`` and runs it, as ``_replay`` does."""
+        self.steps.append((f, args, how))
+        s = self.stack
+        if how == _TOP:
+            s[-1] = f(s[-1], *args)
+        elif how == _ABOVE:
+            s.append(f(s[-1], *args))
         else:
-            self.kernel(((f,), f(self.stack[-1])), how)
+            f(s, *args)
 
     def kernel(self, planned: tuple, how: int = _TOP) -> None:
         """Records a kernel's ``(steps, result)``, planned on the top matrix
@@ -559,15 +552,15 @@ class _Planner:
             self.stack.append(out)
         else:
             self.stack[-1] = out
-        for f in steps:
-            self.steps.append((f, how))
+        for f, args in steps:
+            self.steps.append((f, args, how))
             how = _TOP
 
     def push(self, p: Program, names: tuple[str, ...]):
         """The rule for ``walk``: the top matrix, on ``names`` shaped ``dims
         + dims``, through the channel, or with ``adjoint`` its dual."""
         if isinstance(p, Abort):
-            self.do(np.zeros_like, _TOP)
+            self.do(np.zeros_like, (), _TOP)
         elif isinstance(p, Unitary):
             self.kernel(kernels.plan_sandwich(self.stack[-1], names, p.kernel, p.own_layout.names,
                                               self.adjoint))
@@ -583,7 +576,7 @@ class _Planner:
 
     def _measure(self, p: Measure, names):
         site = p.own_layout.names
-        self.do(np.zeros_like, _ABOVE)  # the sum the branches' results are added to
+        self.do(np.zeros_like, (), _ABOVE)  # the sum the branches' results are added to
         for op, (_, sub) in zip(p.measurement.kernels, p.branches):
             self.do(_again)
             if self.adjoint:
@@ -595,11 +588,11 @@ class _Planner:
         self.do(_close)
 
     def _choice(self, p: ProbChoice, names):
-        self.do(np.zeros_like, _ABOVE)
+        self.do(np.zeros_like, (), _ABOVE)
         for w, sub in zip(p.weights, p.branches):
             self.do(_again)
             yield sub, names
-            self.do(_weighted(w))
+            self.do(_weighted, (w,))
         self.do(_close)
 
     def _block(self, p: Block, names):
@@ -608,15 +601,16 @@ class _Planner:
         shape, local = self.stack[-1].shape, p.own_layout
         d, dl = int(np.prod(shape[: len(names)])), local.dim
         if d * dl > self.max_dim:
-            self.do(_over_cap(p, names, self.adjoint, self.max_dim))
+            self.do(_over_cap, (p, names, self.adjoint, self.max_dim))
             return
         # A local shadows any variable of the same name outside the block.
         outer = tuple(_fresh_name(n + "'", set(names) | set(local.names)) if n in local else n
                       for n in names)
         other = linalg.identity(dl) if self.adjoint else p.init
-        self.do(_extend(d, other, (shape[: len(names)] + local.dims) * 2), _TOP)
+        self.do(_extend, (d, other[None, :, None, :], (shape[: len(names)] + local.dims) * 2),
+                _TOP)
         yield p.body, outer + local.names
-        self.do(_trace_out(d, dl, p.init if self.adjoint else None, shape), _TOP)
+        self.do(_trace_out, (d, dl, p.init if self.adjoint else None, shape), _TOP)
 
     def _guard(self, p: Guarded, names):
         """In the guard's basis, ``X`` becomes ``C X C†`` (with ``C†`` first
@@ -643,9 +637,9 @@ class _Planner:
                 for a, r in zip(gpos, np.unravel_index(i, [shape[a] for a in gpos])):
                     at[a] = at[n + a] = r
                 at = tuple(at)
-                self.do(_slice(at))
+                self.do(_slice, (at,))
                 yield p.branches[i], rest
-                self.do(_put(at))
+                self.do(_put, (at,))
             self.do(_close)  # drops the rotated input before the rotation back allocates
         if rotate:
             self.kernel(kernels.plan_sandwich(self.stack[-1], names, p.basis.kernel, gnames))

@@ -178,10 +178,9 @@ def test_the_deepest_program_replays_its_plan(monkeypatch):
 
 
 def test_kept_layouts_stay_within_the_cap():
-    """The collecting pass keeps no layout of more variables than one within
-    the default cap can have, so a nest declaring a variable per level keeps
-    a number of names linear in its depth, and evaluation still finds the
-    layouts of the levels it checks."""
+    """The collecting pass keeps no layout over the default cap, so a nest
+    declaring a variable per level keeps a number of names linear in its
+    depth, and evaluation still finds the layouts of the levels it checks."""
     depth = 40
     p = nest(NESTINGS["guard"], depth)
     assert well_formed(p) == []
@@ -190,6 +189,5 @@ def test_kept_layouts_stay_within_the_cap():
         q = todo.pop()
         todo += program.children(q)
         if "layout" in q.__dict__:
-            kept.append(len(q.__dict__["layout"].variables))
-    assert kept and max(kept) <= program._KEPT_VARIABLES
-    assert 2**program._KEPT_VARIABLES <= la.MAX_DIM_DEFAULT < 2 ** (program._KEPT_VARIABLES + 1)
+            kept.append(q.__dict__["layout"].dim)
+    assert kept and max(kept) <= la.MAX_DIM_DEFAULT

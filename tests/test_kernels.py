@@ -456,13 +456,13 @@ def streamed(p, t, names, adjoint):
     return semantics._plan(p, t, names, adjoint, la.MAX_DIM_DEFAULT)[1]
 
 
-def blocks(p, x, layout, adjoint):
+def blocks(p, x, layout, adjoint, diagonal=streamed):
     """``p``'s guard streamed block by block in its basis, the reference for
     ``_Planner._guard``: diagonal block ``i`` is branch ``i``'s own
-    evaluation and off-diagonal block ``(i, j)`` is ``A_i X_ij A_j†`` (with
-    ``A†`` for the adjoint).  Each block is a view of the state at the
-    guard variables' coordinates of ``i`` and ``j``, and its result is
-    written into the same view of the output."""
+    evaluation (by ``diagonal``) and off-diagonal block ``(i, j)`` is ``A_i
+    X_ij A_j†`` (with ``A†`` for the adjoint).  Each block is a view of the
+    state at the guard variables' coordinates of ``i`` and ``j``, and its
+    result is written into the same view of the output."""
     t, names, site = x.reshape(layout.dims * 2), layout.names, p.own_layout.names
     rotated = not p.basis.is_computational
     if rotated:
@@ -481,7 +481,7 @@ def blocks(p, x, layout, adjoint):
                 at[a], at[n + a] = r, c
             at = tuple(at)
             if i == j:
-                out[at] = streamed(p.branches[i], t[at], data, adjoint)
+                out[at] = diagonal(p.branches[i], t[at], data, adjoint)
             else:
                 rows = [data.index(v) for v in p.branches[i].layout.names]
                 cols = [len(data) + data.index(v) for v in p.branches[j].layout.names]
@@ -729,8 +729,11 @@ def test_measuring_slices_are_written_in_place(rotated):
     """A two-outcome projective branch beside a dense unitary, at state
     dimension 256: each ``A_i`` writes its slice of the left side's output
     directly, and the right side overwrites that output slice by slice, so
-    a warm pass (a replayed plan) peaks within 0.1 state of the block loop.
-    The bits are those of products copied into their slices."""
+    the pass that plans peaks within 0.1 state of the block loop, and so
+    does a replay of its plan.  Nor does the pass that plans peak above a
+    block loop that plans nothing, its diagonal blocks each branch's Kraus
+    sum by ``kernels.sandwich``.  The bits are those of products copied
+    into their slices."""
     import tracemalloc
 
     gen = rng(9)
@@ -743,7 +746,16 @@ def test_measuring_slices_are_written_in_place(rotated):
     layout = p.layout
     x = matrix(gen, layout.dim)
     t = x.reshape(layout.dims * 2)
-    runs = (lambda: stream(p, x, layout), lambda: blocks(p, x, layout, False))
+    families = {id(q): [kernels.kernel(k) for k in semantics._denote(q, la.MAX_DIM_DEFAULT).stack]
+                for q in p.branches}
+
+    def kraus(q, t, names, adjoint):
+        out = np.zeros_like(t)
+        for k in families[id(q)]:
+            out += kernels.sandwich(t, names, kernels.side(k, adjoint), q.layout.names)
+        return out
+    runs = (lambda: streamed(p, t, layout.names, False), lambda: stream(p, x, layout),
+            lambda: blocks(p, x, layout, False), lambda: blocks(p, x, layout, False, kraus))
     peaks, got = [], []
     for run in runs:
         got.append(run())  # the kept data and plan, and numpy's own first-call allocations
@@ -753,18 +765,19 @@ def test_measuring_slices_are_written_in_place(rotated):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= peaks[1] + 0.1 * x.nbytes
-    assert la.max_abs_diff(got[0].reshape(x.shape), got[1]) < TOL
-    plan = kernels.plan_contract
+    planning, replay, reference, unplanned = peaks
+    assert planning <= reference + 0.1 * x.nbytes
+    assert replay <= reference + 0.1 * x.nbytes
+    assert planning <= unplanned
+    assert got[1].tobytes() == got[0].reshape(x.shape).tobytes()
+    assert la.max_abs_diff(got[0].reshape(x.shape), got[2]) < TOL
+    assert la.max_abs_diff(got[0].reshape(x.shape), got[3]) < TOL
+    plan = kernels._contract_plan
 
-    def copied(op, t, axes, out=None, conj=False):
-        step, product = plan(op, t, axes, conj=conj)
-        if out is None:
-            return step, product
-        out[...] = product
-        return None, out
+    def copied(op, t, axes, out, conj):  # decided as for no ``out``: computed, then copied in
+        return plan(op, t, axes, None, conj)
 
-    with mock.patch.object(kernels, "plan_contract", copied):
+    with mock.patch.object(kernels, "_contract_plan", copied):
         assert streamed(p, t, layout.names, False).tobytes() == got[0].tobytes()
 
 
