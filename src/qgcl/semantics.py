@@ -21,9 +21,10 @@ the first violated side condition raises, with its code leading the
 message, so the four entry points accept the same programs.  The trace
 bound ``sum F† F <= I`` follows from the leaf contracts among those rules
 and is not checked again.  A node keeps what only the program fixes: its
-layout, a guard its branch functions and their ``A_i`` (``_branches``) and
-how streaming multiplies by them (``_control``), a streamed root its plans
-(``_PLAN``).
+layout, a guard its ``A_i`` (``_branches``) and how streaming multiplies by
+them (``_control``), a denoted root its channel, a guard branch its function
+(``_kept``, read-only; a fold meeting such a node reads it), a streamed
+root its plans (``_PLAN``).
 
 ``apply_program`` and ``wp_apply`` never build the channel: ``stream``
 pushes the state (or, backwards, the observable) through the program, each
@@ -45,8 +46,9 @@ strides, and ``max_dim``.  A call with that signature replays it, one loop
 with no frame per nesting level, making the same numpy calls on arrays of
 the same shapes and strides as the call that built it, so with the same
 bits; a call with another builds a new plan in its place.  A plan holds no
-array the size of a state, and a block over the cap rebuilds its Kraus
-family on every call.
+array the size of a state; a block over the cap keeps its Kraus family from
+its first call, so the family one call held is held for as long as the
+program lives.
 Every call still checks the program and its input.  Bounded loop unrolling
 and the system-environment model of channels support the coin-relocation
 equivalences."""
@@ -114,15 +116,17 @@ def semi_classical(
     Defined for the measurement-and-guard core only; quantum choice is
     accepted through its sequential desugaring.  Blocks and probabilistic
     choices are rejected: their meaning exists only at the channel level.
-    The trace bound ``sum F† F <= I`` holds as for ``denote``.
+    The trace bound ``sum F† F <= I`` holds as for ``denote``.  The
+    function is kept on ``p``, as ``denote`` keeps the channel.
     """
     _check(p, tol, max_dim)
-    return _semi(p, max_dim)
+    return _kept(p, _FUNCTION, _semi, max_dim)
 
 
 def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
-    """Fold of a checked program into its function, by the rules of ``_SEMI``."""
-    return walk(p, lambda q: _SEMI.get(type(q), _no_semi)(q, max_dim))
+    """Fold of a checked program into its function, by the rules of
+    ``_SEMI``; a node that keeps its function gives it instead."""
+    return walk(p, lambda q: _read(q, _FUNCTION) or _SEMI.get(type(q), _no_semi)(q, max_dim))
 
 
 def _semi_leaf(p: Abort | Skip | Unitary, max_dim: int) -> OperatorValuedFunction:
@@ -191,16 +195,39 @@ def denote(
     The channel is trace-nonincreasing by construction, within about
     ``tol`` per leaf (``2 tol`` per guard basis): the leaf contracts bound
     each leaf's norm within ``tol`` and every construct preserves the bound.
+    The channel is kept on ``p`` (``_kept``): a later call checks ``p`` again
+    and returns a fresh wrapper around the same read-only stack.
     """
     _check(p, tol, max_dim)
-    return _denote(p, max_dim)
+    return _kept(p, _CHANNEL, _denote, max_dim)
 
 
 def _denote(p: Program, max_dim: int) -> SuperOperator:
     """Fold of a checked program into its channel, by the rules of
     ``_DENOTE``: every family is pruned and held at ``d²`` operators or
-    fewer (``_family``)."""
-    return walk(p, lambda q: _DENOTE[type(q)](q, max_dim))
+    fewer (``_family``); a node that keeps its channel gives it instead."""
+    return walk(p, lambda q: _read(q, _CHANNEL) or _DENOTE[type(q)](q, max_dim))
+
+
+_CHANNEL, _FUNCTION = "_channel", "_function"  # the keys of a node's kept denotations
+
+
+def _kept(p: Program, key: str, fold, max_dim: int):
+    """``fold(p, max_dim)``, ``p``'s channel (``_denote``) or function
+    (``_semi``), kept on ``p`` under ``key`` with its stack read-only: a
+    checked program's denotation depends on nothing else, as ``_check``
+    capped every layout in it.  Each call gets a fresh wrapper (``_read``)."""
+    if key not in p.__dict__:
+        f = fold(p, max_dim)
+        f.stack.flags.writeable = False
+        p.__dict__[key] = f
+    return _read(p, key)
+
+
+def _read(p: Program, key: str):
+    """A fresh wrapper of the denotation ``p`` keeps under ``key``, or ``None``."""
+    f = p.__dict__.get(key)
+    return f if f is None else f._of(f.layout, f.stack, getattr(f, "states", None))
 
 
 def _denote_branches(p: Measure | ProbChoice, max_dim: int):
@@ -262,18 +289,17 @@ def _guard_family(p: Guarded, max_dim: int) -> np.ndarray:
     return np.concatenate([sum(tops)[None], *rest])
 
 
-_BRANCHES = "_branches"  # the key of a guard's branch data in its ``__dict__``
+_BRANCHES = "_branches"  # the key of a guard's ``A_i`` in its ``__dict__``
 
 
 def _branches(p: Guarded, max_dim: int) -> tuple:
-    """Each branch's function ``F_i`` and ``A_i = sum_d λ_i(d) F_i(d)``, kept
-    on the guard: ``_check`` capped every layout in it, so ``max_dim``
-    cannot change them."""
+    """Each branch's function ``F_i``, kept on the branch node (``_kept``),
+    and ``A_i = sum_d λ_i(d) F_i(d)``, kept on the guard: ``_check`` capped
+    every layout in it, so ``max_dim`` cannot change them."""
+    fns = [_kept(b, _FUNCTION, _semi, max_dim) for b in p.branches]
     if _BRANCHES not in p.__dict__:
-        fns = [_semi(b, max_dim) for b in p.branches]
-        p.__dict__[_BRANCHES] = fns, [np.einsum("k,kij->ij", lambda_weights(f), f.stack)
-                                      for f in fns]
-    return p.__dict__[_BRANCHES]
+        p.__dict__[_BRANCHES] = [np.einsum("k,kij->ij", lambda_weights(f), f.stack) for f in fns]
+    return fns, p.__dict__[_BRANCHES]
 
 
 _CONTROL = "_control"  # the key of a guard's ``_control`` in its ``__dict__``
@@ -417,17 +443,8 @@ def _check(p: Program, tol: float, max_dim: int) -> None:
     walk(p, lambda q: rules(q, tol, max_dim))
 
 
-class _Calls(list):
-    """The arrays of one streamed call, as a stack whose top is the matrix
-    being pushed, and the dense Kraus families of the blocks over the cap
-    it met (``_over_cap``), by node, kept for the rest of the call."""
-
-    def __init__(self, t: np.ndarray):
-        super().__init__((t,))
-        self.blocks: dict = {}
-
-
-# How a plan's step ``(f, args, how)`` meets the stack of a call: ``f(x,
+# A streamed call's arrays are one list, a stack whose top is the matrix
+# being pushed.  How a plan's step ``(f, args, how)`` meets it: ``f(x,
 # *args)`` maps the top matrix ``x`` to the one replacing it (``_TOP``) or
 # to one pushed above it (``_ABOVE``), or ``f(s, *args)`` moves arrays on
 # the stack ``s`` itself (``_STACK``).  Every ``f`` is a module-level
@@ -437,7 +454,7 @@ _TOP, _ABOVE, _STACK = range(3)
 
 def _replay(steps: list, t: np.ndarray) -> np.ndarray:
     """A plan's steps run on ``t``, one flat loop: no frame per nesting level."""
-    s = _Calls(t)
+    s = [t]
     for f, args, how in steps:
         if how == _TOP:
             s[-1] = f(s[-1], *args)
@@ -455,7 +472,7 @@ def _plan(p: Program, t: np.ndarray, names: tuple[str, ...], adjoint: bool,
     result: the program walked once, each step decided from the arrays it
     meets (``kernels.plan_sandwich``, ``plan_control``) and run as it is
     recorded."""
-    planner = _Planner(_Calls(t), [], adjoint, max_dim)
+    planner = _Planner([t], [], adjoint, max_dim)
     walk((p, names), planner.push)
     return planner.steps, planner.stack[0]
 
@@ -497,12 +514,11 @@ def _put(s, at: tuple):
 
 def _over_cap(s, p: Block, names: tuple[str, ...], adjoint: bool, max_dim: int):
     """A block whose state with its locals would exceed ``max_dim``: applied
-    through its dense Kraus family on its own layout, built once per call."""
-    if id(p) not in s.blocks:
-        s.blocks[id(p)] = _denote(p, max_dim).stack
+    through its dense Kraus family on its own layout, kept on the block
+    (``_kept``) from its first call for as long as the program lives."""
     t = s[-1]
     out = np.zeros_like(t)
-    for k in s.blocks[id(p)]:
+    for k in _kept(p, _CHANNEL, _denote, max_dim).stack:
         out += kernels.sandwich(t, names, kernels.side(k, adjoint), p.layout.names)
     s[-1] = out
 
@@ -527,7 +543,7 @@ class _Planner:
     """One plan being built: the walk's rule (``push``) records each step
     and runs it on ``stack``, as a replay will."""
 
-    stack: _Calls
+    stack: list
     steps: list
     adjoint: bool
     max_dim: int
@@ -744,7 +760,9 @@ def coin_relocation_lhs_rhs(
     A coin with one Kraus operator dilates with no environment, so its
     right-hand side is the guard and the unitary, with no block.
     A discarded branch keeps its program in front of the abort so both sides
-    range over the same quantum variables.
+    range over the same quantum variables.  The right-hand guard is built
+    over the left-hand side's branch nodes (one abort node per branch), so
+    it reads the branch functions they keep (``_branches``).
     """
     branches = tuple(branches)
     coin_layout = qvar_layout(coin)
@@ -771,8 +789,9 @@ def coin_relocation_lhs_rhs(
     lifted_basis = GuardBasis(
         linalg.dagger(dilation.unitary) @ np.kron(basis.matrix, linalg.identity(m))
     )
+    aborted = [Seq(b, Abort()) for b in branches]
     rhs_branches = tuple(
-        branches[i] if j < dilation.kept else Seq(branches[i], Abort())
+        branches[i] if j < dilation.kept else aborted[i]
         for i in range(len(branches))
         for j in range(m)
     )

@@ -740,3 +740,124 @@ def test_core_checks_grow_linearly_with_nesting():
         counts[k] = len(calls)
     assert all(counts[k] <= 4 * k for k in counts), counts
     assert counts[32] - counts[16] == 2 * (counts[16] - counts[8]), counts
+
+
+# -- Kept denotations -----------------------------------------------------------
+# A root keeps the channel and the function asked of it, and a guard's branch
+# node its function, read-only; each call checks the program and returns a
+# fresh wrapper around the kept stack.
+
+
+def folds(monkeypatch):
+    """Counts of the calls of ``semantics._denote`` and ``semantics._semi``."""
+    calls = {"_denote": 0, "_semi": 0}
+    for name in calls:
+        def counted(p, max_dim, _fold=getattr(semantics, name), _name=name):
+            calls[_name] += 1
+            return _fold(p, max_dim)
+
+        monkeypatch.setattr(semantics, name, counted)
+    return calls
+
+
+def kept_program():
+    """A quantum choice whose branches measure and rotate: each fold has
+    rules to run below the root."""
+    return QChoice(Unitary((C,), H), GuardBasis(random_unitary(rng(7), 2)),
+                   (measure_skip(), Seq(Unitary((Q,), X), Unitary((Q,), H))))
+
+
+def test_a_second_call_runs_no_rule(monkeypatch):
+    calls = folds(monkeypatch)
+    p = kept_program()
+    for evaluate, name in ((denote, "_denote"), (semi_classical, "_semi")):
+        first = evaluate(p)
+        built = dict(calls)
+        assert built[name] >= 1
+        with rule_calls(semantics._DENOTE) as channel, rule_calls(semantics._SEMI) as semi:
+            again = evaluate(p)
+        assert calls == built and not channel and not semi
+        assert again is not first and again.stack.tobytes() == first.stack.tobytes()
+        assert getattr(again, "states", None) == getattr(first, "states", None)
+
+
+@pytest.mark.parametrize("evaluate", [denote, semi_classical])
+def test_a_kept_stack_is_read_only(evaluate):
+    f = evaluate(kept_program())
+    with pytest.raises(ValueError):
+        f.stack[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        f.stack *= 2
+
+
+@pytest.mark.parametrize("evaluate", [denote, semi_classical])
+def test_reassigning_a_returned_stack_leaves_the_kept_one(evaluate):
+    p = kept_program()
+    f = evaluate(p)
+    expect = f.stack.tobytes()
+    f.stack = np.zeros_like(f.stack)
+    f.layout = RegisterLayout()
+    again = evaluate(p)
+    assert again.stack.tobytes() == expect and again.layout == p.layout
+
+
+def test_a_kept_program_is_still_checked():
+    p = kept_program()
+    denote(p)
+    semi_classical(p)
+    with pytest.raises(CapacityError):
+        denote(p, max_dim=p.layout.dim - 1)
+    with pytest.raises(CapacityError):
+        semi_classical(p, max_dim=p.layout.dim - 1)
+    # Within 1e-8 of unitary: kept at that tolerance, still rejected at a
+    # tighter one.
+    near = Unitary((Q,), H * (1 + 5e-9))
+    denote(near, tol=1e-8)
+    with pytest.raises(ContractError):
+        denote(near, tol=1e-12)
+    with pytest.raises(ContractError):
+        denote(near)
+
+
+@pytest.mark.parametrize("measuring", [False, True], ids=["unitary-coin", "measuring-coin"])
+def test_right_hand_sides_share_their_branch_functions(measuring):
+    """Two right-hand sides built from one branch tuple: each branch's
+    function is built once, the second guard reading what the branch nodes
+    keep; both denote the left-hand side's channel."""
+    gen = rng(8)
+    coin = (Measure("w", (C,), Measurement.computational(2),
+                    ((0, Skip()), (1, Unitary((C,), H))))
+            if measuring else Unitary((C,), H))
+    branches = (Measure("x", (Q,), random_measurement(gen, 2, 2),
+                        ((0, Unitary((Q,), X)), (1, Skip()))),
+                Unitary((Q,), random_unitary(gen, 2)))
+    with rule_calls(semantics._SEMI) as built:
+        sides = [coin_relocation_lhs_rhs(coin, GuardBasis(H), branches) for _ in range(2)]
+        channels = [denote(rhs) for _, rhs in sides]
+    for b in branches:
+        assert sum(q is b for q in built) == 1
+    lhs = denote(sides[0][0])
+    assert all(choi_dev(lhs, c) < 1e-12 for c in channels)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_kept_denotations_keep_the_bits(seed, depth):
+    """``denote`` and ``semi_classical`` give the same bytes on a first call,
+    a second call and a fresh copy of the program, and a kept program used as
+    a subprogram gives the bytes a fresh copy gives there."""
+
+    def sampled():
+        return ProgramSampler(rng(seed), (Q, ("r", 2)), (("g0", 2), ("g1", 3))).program(depth)
+
+    def outer(p):
+        return Measure("y", (Q,), M0, ((0, p), (1, Skip())))
+
+    p = sampled()
+    for evaluate in (denote, semi_classical):
+        first = evaluate(p)
+        for f in (evaluate(p), evaluate(sampled())):
+            assert f.stack.tobytes() == first.stack.tobytes()
+            assert f.layout == first.layout
+            assert getattr(f, "states", None) == getattr(first, "states", None)
+        assert evaluate(outer(p)).stack.tobytes() == evaluate(outer(sampled())).stack.tobytes()

@@ -176,16 +176,42 @@ def test_block_local_shadowing_an_input_variable():
     assert_matches_dense(p, gen, extra=(C,))
 
 
+def block_beyond_the_cap(gen):
+    """A block on ``q`` with a local ``c``: on a state over ``(q, e)``, with
+    ``e`` of dimension 4, the state with the local exceeds ``max_dim = 8``;
+    each part stays within it."""
+    return Block((C,), random_density(gen, 2), Seq(Unitary((Q, C), random_unitary(gen, 4)),
+                                                   Measure("x", (C,), Measurement.computational(2),
+                                                           ((0, Skip()), (1, Unitary((Q,), X))))))
+
+
 def test_block_beyond_the_cap_uses_its_kraus_family():
-    # State (q, e) times the local exceeds max_dim; each part stays within it.
     gen = rng(6)
-    p = Block((C,), random_density(gen, 2), Seq(Unitary((Q, C), random_unitary(gen, 4)),
-                                                Measure("x", (C,), Measurement.computational(2),
-                                                        ((0, Skip()), (1, Unitary((Q,), X))))))
+    p = block_beyond_the_cap(gen)
     layout = RegisterLayout.of(Q, ("e", 4))
     rho = random_density(gen, 8)
     expect = dense(p, rho, layout, max_dim=8)
     assert la.max_abs_diff(streamed(p, rho, layout, max_dim=8), expect) < TOL
+
+
+def test_block_beyond_the_cap_builds_its_family_once(monkeypatch):
+    """The block keeps its Kraus family from the first call over the cap: a
+    second run and a wp build none, and the runs give the same bytes."""
+    gen = rng(6)
+    p = block_beyond_the_cap(gen)
+    builds = []
+    fold = semantics._denote
+
+    def counted(q, max_dim):
+        builds.append(q)
+        return fold(q, max_dim)
+
+    monkeypatch.setattr(semantics, "_denote", counted)
+    rho = DensityMatrix(random_density(gen, 8), RegisterLayout.of(Q, ("e", 4)))
+    first, again = (apply_program(p, rho, max_dim=8).matrix for _ in range(2))
+    wp_apply(p, Observable(random_positive(gen, 2), p.layout), max_dim=8)
+    assert builds == [p]
+    assert again.tobytes() == first.tobytes()
 
 
 def test_output_is_a_fresh_array():
