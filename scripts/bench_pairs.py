@@ -41,7 +41,8 @@ be placed in a layer.
 Each invocation also appends one record per workload to the JSON list in
 ``BENCH_<workload>.json`` at the repository root: both commits and whether
 the working tree was dirty, the host facts the runs report (Python and
-numpy versions, ``nproc``, OpenBLAS threads), the pair count and run
+numpy versions, ``nproc``, OpenBLAS threads) and the OpenBLAS core this
+process reads (``openblas_core``), the pair count and run
 seconds, each side's failed ops, and for every end-to-end metric each
 side's median and quartiles, the relative change, the pairs won, the
 sign-test probability and the flag; with ``--layers``, the traced self
@@ -49,6 +50,7 @@ times too.
 """
 
 import argparse
+import ctypes
 import glob
 import json
 import math
@@ -112,6 +114,22 @@ def host(output: str) -> dict:
     """The host facts a run printed, or ``{}`` when it printed none."""
     found = HOST.search(output)
     return found.groupdict() if found else {}
+
+
+def openblas_core() -> str | None:
+    """The kernel set numpy's bundled OpenBLAS picked for this CPU, read
+    through ``ctypes`` (``scipy_openblas_get_corename64_``), or ``None``
+    where numpy's extension does not export that symbol."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:
+        return None
+    corename = getattr(ctypes.CDLL(_multiarray_umath.__file__), "scipy_openblas_get_corename64_",
+                       None)
+    if corename is None:
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def git(*args: str) -> str:
@@ -220,10 +238,13 @@ def compare(workload: str, args, checkouts: dict, metrics: list) -> tuple[str, d
             + ("; FAILED" if more_failed else "")), figures
 
 
-def record(workload: str, args, commits: dict, figures: dict, lines: dict) -> dict:
-    """One invocation's record of one workload, as ``BENCH_<workload>.json`` keeps it."""
+def record(workload: str, args, commits: dict, figures: dict, lines: dict,
+           core: str | None) -> dict:
+    """One invocation's record of one workload, as ``BENCH_<workload>.json``
+    keeps it: the runs' host facts joined by the OpenBLAS ``core``."""
     return {"workload": workload, **commits, "seed": args.seed, "pairs": args.pairs,
-            "seconds": args.seconds, **figures, "source_lines": lines}
+            "seconds": args.seconds, **figures,
+            "host": {**figures.get("host", {}), "openblas_core": core}, "source_lines": lines}
 
 
 def append_record(path: str, entry: dict) -> None:
@@ -266,13 +287,14 @@ def main() -> None:
         checkouts = {"base": base, "change": change}
         compared = {w: compare(w, args, checkouts, bench["end_to_end"]) for w in workloads}
         lines = {side: source_lines(path) for side, path in checkouts.items()}
+    core = openblas_core()
     print(f"src/qgcl lines: base {lines['base']}, change {lines['change']} "
           f"({lines['change'] - lines['base']:+d})")
     print("summary:")
     for workload, (line, figures) in compared.items():
         print(f"  {line}")
         append_record(os.path.join(ROOT, f"BENCH_{workload}.json"),
-                      record(workload, args, commits, figures, lines))
+                      record(workload, args, commits, figures, lines, core))
 
 
 if __name__ == "__main__":

@@ -14,12 +14,12 @@ returned with their result.  ``semantics`` records the steps in a
 program's plan and replays them on arrays laid out the same; the call
 forms run the steps they plan once.
 
-Every limit here was measured with numpy 2.4.6 on its OpenBLAS 0.3.31,
-Haswell kernels, one thread: where a real product keeps the complex
-product's bits (``REAL_KERNEL_MAX``; ``post`` a multiple of 4 in
-``contract``) and where a gather over a flat index pays
-(``TAKE_MIN_ENTRIES``, ``TAKE_INDEX_BYTES``).  Another BLAS build may need
-other limits; ``tests/test_kernels.py`` fails where the bits move."""
+Every limit here was measured with numpy 2.4.6 on its OpenBLAS 0.3.31, one
+thread, on SkylakeX kernels: where a real product keeps the complex product's
+bits (``REAL_KERNEL_MAX``; ``post`` a multiple of 4 in ``contract``) and where
+a gather over a flat index pays (``TAKE_MIN_ENTRIES``, ``TAKE_INDEX_BYTES``).
+OpenBLAS picks its kernels by CPU, and another core or BLAS build may move the
+bits and need other limits; ``tests/test_kernels.py`` fails where they move."""
 
 from __future__ import annotations
 

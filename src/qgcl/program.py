@@ -14,11 +14,8 @@ associative, so a chain is one ``Seq`` node however it was grouped.
 A node keeps a read-only complex copy of every matrix it is given
 (``Unitary``, ``Measurement``, ``GuardBasis``, ``Block``; ``linalg.frozen``),
 so what is worked out from a node is fixed for its lifetime and kept on it:
-``own_layout``, ``layout`` and ``core``, ``Unitary.operator`` and
-``kernel``, ``Measurement.kernels`` and ``stack``, ``GuardBasis.kernel``, a
-quantum choice's coin-then-guard ``seq``, what the rules pass found
-(``_PASSED``) and, from ``semantics``, a guard's branch functions and a
-streamed program's plans.
+``KEPT`` is the table of what it may keep, ``kept`` and ``keep`` the one
+way to read and write it.
 
 Each construct's side conditions are written once, in ``RULES``: every rule
 gives a diagnostic code, a message and an error type, and one pass,
@@ -213,6 +210,47 @@ def _parents(root) -> dict[int, int]:
     return count
 
 
+# -- What a node keeps -----------------------------------------------------------
+# A program is a value, so what is worked out from a node alone is kept on it
+# (Michie's memo function) under a row of ``KEPT``: read as an attribute or by
+# ``kept``, written by ``keep`` or a ``cached_property``.  No caller gets a
+# kept value it can write into, a dropped one is rebuilt with the same bits,
+# and none skips a check: every call runs the rules pass first, which caps
+# every layout, so ``max_dim`` changes no value but a plan.  Two memos sit
+# beside the table, on objects that are not nodes: ``kernels._PLANS`` (a
+# ``Monomial``'s gather plans) and ``registers._PASSED`` (the tolerances a state passed).
+KEPT = {  # key: (owner: on what, when it is filled, what of tol and max_dim it depends on)
+    "own_layout": ("program: any node", "first read", "neither"),
+    "layout": ("program: any node", "first read, or a collecting pass within the cap", "neither"),
+    "core": ("program: any node", "first read", "neither"),
+    "_passed": ("program: any node", "each rules pass", "records the tol, (tol, max_dim) passed"),
+    "operator": ("program: Unitary", "first read", "neither"),
+    "kernel": ("program: Unitary, GuardBasis", "first read", "neither"),
+    "kernels": ("program: Measurement", "first streamed", "neither"),
+    "stack": ("program: Measurement", "first folded", "neither"),
+    "is_computational": ("program: GuardBasis", "first streamed", "neither"),
+    "seq": ("program: QChoice", "first evaluated", "neither"),
+    "_channel": ("semantics: a root, an over-cap block", "denote, or first streamed", "neither"),
+    "_function": ("semantics: a root, a guard branch", "semi_classical, or its guard", "neither"),
+    "_branches": ("semantics: Guarded, its A_i", "first folded or streamed", "neither"),
+    "_control": ("semantics: Guarded, its C", "first streamed", "neither"),
+    "_plan": ("semantics: a streamed root", "each call its plans miss", "keyed by max_dim, input"),
+}
+
+
+def kept(p, key: str):
+    """What ``p`` keeps under ``key``, a row of ``KEPT``, or ``None``."""
+    return p.__dict__.get(key)
+
+
+def keep(p, key: str, value):
+    """``value`` kept on ``p`` under ``key``, which must be a row of ``KEPT``; returns it."""
+    if key not in KEPT:
+        raise KeyError(f"{key!r} is not a row of program.KEPT")
+    p.__dict__[key] = value
+    return value
+
+
 class _bottom_up:
     """``cached_property`` whose ``rule(node, values)`` combines the node's
     subprograms' values, filled by ``walk`` for the nodes below lacking it,
@@ -234,8 +272,7 @@ class _bottom_up:
         values = []
         for c in children(p):
             values.append((yield c,))
-        p.__dict__[self.key] = value = self.rule(p, values)
-        return value
+        return keep(p, self.key, self.rule(p, values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -590,9 +627,6 @@ def check(p: Program, tol: float = linalg.DEFAULT_TOL) -> Program:
     return p
 
 
-_PASSED = "_passed"  # the key of a node's record of the ``tol`` and ``(tol, max_dim)`` it passed at
-
-
 def rules(p: Program, tol: float, max_dim: int | None = None):
     """The rules pass at node ``p``, a rule for ``walk``: bottom-up, its
     value is ``p``'s layout (a dict of dimensions by name, ``None`` where a
@@ -607,12 +641,12 @@ def rules(p: Program, tol: float, max_dim: int | None = None):
     Raising (evaluation), the first violated rule raises its typed error,
     its code leading the message; then a guard over branches outside the
     core, the ``max_dim`` cap and an unknown node class.  A node records
-    (``_PASSED``) each ``tol`` its rules held at, not run again in either
+    (``_passed``) each ``tol`` its rules held at, not run again in either
     mode, and each ``(tol, max_dim)`` its subtree passed raising at, not
     walked again; raising, a node that runs no rules gives ``None``."""
-    if max_dim is not None and (tol, max_dim) in p.__dict__.get(_PASSED, ()):
-        return None
-    return _rules(p, tol, max_dim, p.__dict__.setdefault(_PASSED, set()))
+    passed = kept(p, "_passed") or keep(p, "_passed", set())
+    if max_dim is None or (tol, max_dim) not in passed:
+        return _rules(p, tol, max_dim, passed)
 
 
 def _within_default_cap(dims) -> bool:
@@ -652,14 +686,12 @@ def _rules(p: Program, tol: float, max_dim: int | None, passed: set):
             found = list(found)
             below = [] if any(v.cut for v in found) else [v[2] for v in values if v[2]]
             if layout is not None:
-                if "layout" not in p.__dict__ and _within_default_cap(layout.values()):
-                    p.__dict__["layout"] = RegisterLayout._of(layout)  # as ``joined_layout`` builds it
+                if kept(p, "layout") is None and _within_default_cap(layout.values()):
+                    keep(p, "layout", RegisterLayout._of(layout))  # as ``joined_layout`` builds it
                 if not found:
                     passed.add(tol)
             own = [Diagnostic(v.code, v.message, p.span) for v in found]
             return layout, value[1], (own, below) if own or below else None
-    if "layout" not in p.__dict__:
-        p.__dict__["layout"] = joined_layout(p, [s.layout for s in subs])
     if isinstance(p, (Guarded, QChoice)) and not all(map(is_core, p.branches)):
         raise UnsupportedConstructError(
             "guarded command over block/probabilistic branches has no defined semantics")

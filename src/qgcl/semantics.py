@@ -20,11 +20,9 @@ Every evaluator starts from the rules pass of ``program.rules``, raising:
 the first violated side condition raises, with its code leading the
 message, so the four entry points accept the same programs.  The trace
 bound ``sum F† F <= I`` follows from the leaf contracts among those rules
-and is not checked again.  A node keeps what only the program fixes: its
-layout, a guard its ``A_i`` (``_branches``) and how streaming multiplies by
-them (``_control``), a denoted root its channel, a guard branch its function
-(``_kept``, read-only; a fold meeting such a node reads it), a streamed
-root its plans (``_PLAN``).
+and is not checked again.  A node keeps what only the program fixes, under
+the rows of ``program.KEPT``; a fold meeting a node that keeps its
+denotation reads it (``_kept``).
 
 ``apply_program`` and ``wp_apply`` never build the channel: ``stream``
 pushes the state (or, backwards, the observable) through the program, each
@@ -37,20 +35,16 @@ overwrites its diagonal block with its own evaluation.
 Streaming is planned once and replayed.  A plan (``_plan``, the walk's rule
 being ``_Planner.push``) is a flat list of steps over a small stack of
 arrays, each a module-level function and the data it runs with, a kernel
-step's data being what ``kernels`` decided from the arrays it met (side,
-axis order, shapes, the monomial, real or complex product, the gather,
-writing into ``out``), so that it makes only numpy calls; it is run as it
-is recorded.  The root keeps one plan per direction, for the
-signature of the input it was built on: the layout, the matrix's shape and
-strides, and ``max_dim``.  A call with that signature replays it, one loop
-with no frame per nesting level, making the same numpy calls on arrays of
-the same shapes and strides as the call that built it, so with the same
-bits; a call with another builds a new plan in its place.  A plan holds no
-array the size of a state; a block over the cap keeps its Kraus family from
-its first call, so the family one call held is held for as long as the
-program lives.
-Every call still checks the program and its input.  Bounded loop unrolling
-and the system-environment model of channels support the coin-relocation
+step's data being what ``kernels`` decided from the arrays it met, so that
+it makes only numpy calls; it is run as it is recorded.  The root keeps one
+plan per direction, for the signature of the input it was built on: the
+layout, the matrix's shape and strides, and ``max_dim``.  A call with that
+signature replays it, one loop with no frame per nesting level, making the
+same numpy calls on arrays of the same shapes and strides as the call that
+built it, so with the same bits; a call with another builds a new plan in
+its place.  A plan holds no array the size of a state.  Every call still
+checks the program and its input.  Bounded loop unrolling and the
+system-environment model of channels support the coin-relocation
 equivalences."""
 
 from __future__ import annotations
@@ -62,13 +56,7 @@ import numpy as np
 
 from . import classical as cs
 from . import kernels, linalg
-from .errors import (
-    ArityError,
-    CapacityError,
-    ContractError,
-    LayoutError,
-    UnsupportedConstructError,
-)
+from .errors import ArityError, CapacityError, ContractError, LayoutError, UnsupportedConstructError
 from .ovf import (
     OperatorValuedFunction,
     SuperOperator,
@@ -94,6 +82,8 @@ from .program import (
     block_rules,
     children,
     enforce,
+    keep,
+    kept,
     qvar_layout,
     rules,
     walk,
@@ -120,13 +110,13 @@ def semi_classical(
     function is kept on ``p``, as ``denote`` keeps the channel.
     """
     _check(p, tol, max_dim)
-    return _kept(p, _FUNCTION, _semi, max_dim)
+    return _kept(p, "_function", _semi, max_dim)
 
 
 def _semi(p: Program, max_dim: int) -> OperatorValuedFunction:
     """Fold of a checked program into its function, by the rules of
     ``_SEMI``; a node that keeps its function gives it instead."""
-    return walk(p, lambda q: _read(q, _FUNCTION) or _SEMI.get(type(q), _no_semi)(q, max_dim))
+    return walk(p, lambda q: _read(q, "_function") or _SEMI.get(type(q), _no_semi)(q, max_dim))
 
 
 def _semi_leaf(p: Abort | Skip | Unitary, max_dim: int) -> OperatorValuedFunction:
@@ -195,38 +185,31 @@ def denote(
     The channel is trace-nonincreasing by construction, within about
     ``tol`` per leaf (``2 tol`` per guard basis): the leaf contracts bound
     each leaf's norm within ``tol`` and every construct preserves the bound.
-    The channel is kept on ``p`` (``_kept``): a later call checks ``p`` again
-    and returns a fresh wrapper around the same read-only stack.
+    The channel is kept on ``p`` (``_kept``).
     """
     _check(p, tol, max_dim)
-    return _kept(p, _CHANNEL, _denote, max_dim)
+    return _kept(p, "_channel", _denote, max_dim)
 
 
 def _denote(p: Program, max_dim: int) -> SuperOperator:
     """Fold of a checked program into its channel, by the rules of
     ``_DENOTE``: every family is pruned and held at ``d²`` operators or
     fewer (``_family``); a node that keeps its channel gives it instead."""
-    return walk(p, lambda q: _read(q, _CHANNEL) or _DENOTE[type(q)](q, max_dim))
-
-
-_CHANNEL, _FUNCTION = "_channel", "_function"  # the keys of a node's kept denotations
+    return walk(p, lambda q: _read(q, "_channel") or _DENOTE[type(q)](q, max_dim))
 
 
 def _kept(p: Program, key: str, fold, max_dim: int):
     """``fold(p, max_dim)``, ``p``'s channel (``_denote``) or function
-    (``_semi``), kept on ``p`` under ``key`` with its stack read-only: a
-    checked program's denotation depends on nothing else, as ``_check``
-    capped every layout in it.  Each call gets a fresh wrapper (``_read``)."""
-    if key not in p.__dict__:
-        f = fold(p, max_dim)
-        f.stack.flags.writeable = False
-        p.__dict__[key] = f
+    (``_semi``), kept on ``p`` under ``key`` with its stack read-only; each
+    call gets a fresh wrapper (``_read``)."""
+    if kept(p, key) is None:
+        keep(p, key, fold(p, max_dim)).stack.flags.writeable = False
     return _read(p, key)
 
 
 def _read(p: Program, key: str):
     """A fresh wrapper of the denotation ``p`` keeps under ``key``, or ``None``."""
-    f = p.__dict__.get(key)
+    f = kept(p, key)
     return f if f is None else f._of(f.layout, f.stack, getattr(f, "states", None))
 
 
@@ -289,32 +272,25 @@ def _guard_family(p: Guarded, max_dim: int) -> np.ndarray:
     return np.concatenate([sum(tops)[None], *rest])
 
 
-_BRANCHES = "_branches"  # the key of a guard's ``A_i`` in its ``__dict__``
-
-
 def _branches(p: Guarded, max_dim: int) -> tuple:
     """Each branch's function ``F_i``, kept on the branch node (``_kept``),
-    and ``A_i = sum_d λ_i(d) F_i(d)``, kept on the guard: ``_check`` capped
-    every layout in it, so ``max_dim`` cannot change them."""
-    fns = [_kept(b, _FUNCTION, _semi, max_dim) for b in p.branches]
-    if _BRANCHES not in p.__dict__:
-        p.__dict__[_BRANCHES] = [np.einsum("k,kij->ij", lambda_weights(f), f.stack) for f in fns]
-    return fns, p.__dict__[_BRANCHES]
-
-
-_CONTROL = "_control"  # the key of a guard's ``_control`` in its ``__dict__``
+    and ``A_i = sum_d λ_i(d) F_i(d)``, kept on the guard."""
+    fns = [_kept(b, "_function", _semi, max_dim) for b in p.branches]
+    return fns, kept(p, "_branches") or keep(p, "_branches", [
+        np.einsum("k,kij->ij", lambda_weights(f), f.stack) for f in fns])
 
 
 def _control(p: Guarded, max_dim: int) -> tuple:
     """``C = sum_i |i><i| (x) A_i`` in the guard's basis as ``kernels.control``
     forms it, and the branches whose function has more than one classical
     state; worked out when the guard is first streamed, and kept on it."""
-    if _CONTROL not in p.__dict__:
+    c = kept(p, "_control")
+    if c is None:
         fns, a_s = _branches(p, max_dim)
         data = RegisterLayout(p.layout.variables[len(p.own_layout.names):])
-        c = kernels.control([(a, f.layout) for f, a in zip(fns, a_s)], data)
-        p.__dict__[_CONTROL] = c, [i for i, f in enumerate(fns) if len(f.states) > 1]
-    return p.__dict__[_CONTROL]
+        c = keep(p, "_control", (kernels.control([(a, f.layout) for f, a in zip(fns, a_s)], data),
+                                 [i for i, f in enumerate(fns) if len(f.states) > 1]))
+    return c
 
 
 def _family(layout: RegisterLayout, ops: np.ndarray) -> SuperOperator:
@@ -409,17 +385,14 @@ def _stream(p: Program, x: DensityMatrix | Observable, adjoint: bool, tol: float
         check_cap(layout.dim, max_dim)
     t = m.reshape(layout.dims * 2)
     key = (layout.variables, m.shape, m.strides, max_dim)
-    plans = p.__dict__.setdefault(_PLAN, [None, None])
+    plans = kept(p, "_plan") or keep(p, "_plan", [None, None])
     if plans[adjoint] is not None and plans[adjoint][0] == key:
-        out = _replay(plans[adjoint][1], t)
+        out = _replay(plans[adjoint][1], [t])
     else:
         steps, out = _plan(p, t, layout.names, adjoint, max_dim)
         plans[adjoint] = key, steps
     out = out.reshape(layout.dim, layout.dim)
     return out.copy() if np.may_share_memory(out, m) else out
-
-
-_PLAN = "_plan"  # the key of a root's ``[run, wp]`` plans, each ``(key, steps)``
 
 
 def _check_input(program: RegisterLayout, given: RegisterLayout, adjoint: bool) -> None:
@@ -452,9 +425,9 @@ def _check(p: Program, tol: float, max_dim: int) -> None:
 _TOP, _ABOVE, _STACK = range(3)
 
 
-def _replay(steps: list, t: np.ndarray) -> np.ndarray:
-    """A plan's steps run on ``t``, one flat loop: no frame per nesting level."""
-    s = [t]
+def _replay(steps: list, s: list) -> np.ndarray:
+    """A plan's steps run on the stack ``s``, one flat loop: no frame per
+    nesting level."""
     for f, args, how in steps:
         if how == _TOP:
             s[-1] = f(s[-1], *args)
@@ -518,7 +491,7 @@ def _over_cap(s, p: Block, names: tuple[str, ...], adjoint: bool, max_dim: int):
     (``_kept``) from its first call for as long as the program lives."""
     t = s[-1]
     out = np.zeros_like(t)
-    for k in _kept(p, _CHANNEL, _denote, max_dim).stack:
+    for k in _kept(p, "_channel", _denote, max_dim).stack:
         out += kernels.sandwich(t, names, kernels.side(k, adjoint), p.layout.names)
     s[-1] = out
 
@@ -549,15 +522,9 @@ class _Planner:
     max_dim: int
 
     def do(self, f, args: tuple = (), how: int = _STACK) -> None:
-        """Records the step ``(f, args, how)`` and runs it, as ``_replay`` does."""
+        """Records the step ``(f, args, how)`` and runs it (``_replay``)."""
         self.steps.append((f, args, how))
-        s = self.stack
-        if how == _TOP:
-            s[-1] = f(s[-1], *args)
-        elif how == _ABOVE:
-            s.append(f(s[-1], *args))
-        else:
-            f(s, *args)
+        _replay(self.steps[-1:], self.stack)
 
     def kernel(self, planned: tuple, how: int = _TOP) -> None:
         """Records a kernel's ``(steps, result)``, planned on the top matrix
@@ -759,10 +726,11 @@ def coin_relocation_lhs_rhs(
     part of the environment abort, and the dilation unitary closes the block.
     A coin with one Kraus operator dilates with no environment, so its
     right-hand side is the guard and the unitary, with no block.
-    A discarded branch keeps its program in front of the abort so both sides
-    range over the same quantum variables.  The right-hand guard is built
-    over the left-hand side's branch nodes (one abort node per branch), so
-    it reads the branch functions they keep (``_branches``).
+    A discarded branch runs its program before the abort, so both sides
+    range over the same quantum variables; a chain runs under a guard on no
+    variables (one basis state: the guard is its branch), so that ``Seq``
+    keeps it one node.  The right-hand guard is built over the left-hand
+    side's branch nodes, so it reads the functions they keep (``_branches``).
     """
     branches = tuple(branches)
     coin_layout = qvar_layout(coin)
@@ -786,19 +754,13 @@ def coin_relocation_lhs_rhs(
     m = dilation.env_dim
     env_vars = tuple(dilation.env_layout.variables)
     joint_vars = coin_vars + env_vars
-    lifted_basis = GuardBasis(
-        linalg.dagger(dilation.unitary) @ np.kron(basis.matrix, linalg.identity(m))
-    )
-    aborted = [Seq(b, Abort()) for b in branches]
-    rhs_branches = tuple(
-        branches[i] if j < dilation.kept else aborted[i]
-        for i in range(len(branches))
-        for j in range(m)
-    )
-    body = Seq(
-        Guarded(joint_vars, lifted_basis, rhs_branches),
-        Unitary(joint_vars, dilation.unitary),
-    )
+    lifted = linalg.dagger(dilation.unitary) @ np.kron(basis.matrix, linalg.identity(m))
+    one = GuardBasis.computational(1)
+    aborted = [Seq(Guarded((), one, (b,)) if isinstance(b, Seq) else b, Abort()) for b in branches]
+    rhs_branches = tuple(b if j < dilation.kept else a for b, a in zip(branches, aborted)
+                         for j in range(m))
+    body = Seq(Guarded(joint_vars, GuardBasis(lifted), rhs_branches),
+               Unitary(joint_vars, dilation.unitary))
     if not env_vars:  # a one-operator coin: no environment, so no block
         return lhs, body
     return lhs, Block(env_vars, dilation.env_state @ linalg.dagger(dilation.env_state), body)

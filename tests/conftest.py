@@ -1,7 +1,8 @@
 """Shared corpus builders for the syntax and acceptance suites, the
 explicit permutation matrix the linalg and ovf suites check against, a
-node type defined outside the package, and counters of the rules that
-``walk`` runs."""
+node type defined outside the package, counters of the rules that
+``walk`` runs, and what a program keeps (``program.KEPT``), found and
+dropped."""
 
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ from types import GeneratorType
 import numpy as np
 import pytest
 
-from qgcl.program import Block, ProbChoice, Program, qvar_layout, well_formed
+from qgcl.program import KEPT, Block, ProbChoice, Program, children, kept, qvar_layout, well_formed
 from qgcl.sampling import ProgramSampler, random_density, rng
 
 
@@ -84,3 +85,28 @@ def rule_calls(table, check=None):
         for cls, rule in list(table.items()):
             patch.setitem(table, cls, wrapped(rule))
         yield nodes
+
+
+def keepers(p: Program) -> list:
+    """Everything below ``p`` that may keep a row of ``program.KEPT``, once
+    each: every node, a quantum choice's kept ``seq`` and its nodes
+    included, and every node's measurement and guard basis."""
+    out, seen, todo = [], set(), [p]
+    while todo:
+        q = todo.pop()
+        if id(q) in seen:
+            continue
+        seen.add(id(q))
+        out.append(q)
+        if isinstance(q, Program):
+            extra = (kept(q, "seq"), getattr(q, "measurement", None), getattr(q, "basis", None))
+            todo += children(q) + [v for v in extra if v is not None]
+    return out
+
+
+def forget(p: Program, keys=KEPT) -> None:
+    """``keys``, every row of ``program.KEPT`` unless given, dropped from
+    everything below ``p`` (``keepers``)."""
+    for q in keepers(p):
+        for key in keys:
+            q.__dict__.pop(key, None)

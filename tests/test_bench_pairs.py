@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 from argparse import Namespace
+from unittest import mock
 
 import pytest
 
@@ -56,12 +57,13 @@ def test_each_invocation_appends_one_record(tmp_path):
     path = str(tmp_path / "BENCH_equiv.json")
     for _ in range(2):
         bench_pairs.append_record(
-            path, bench_pairs.record("equiv", args, commits, figures, {"base": 10, "change": 9}))
+            path, bench_pairs.record("equiv", args, commits, figures, {"base": 10, "change": 9},
+                                     "SkylakeX"))
     with open(path, encoding="utf-8") as fh:
         records = json.load(fh)
     assert len(records) == 2 and records[0] == records[1]
     rec = records[0]
-    assert rec["workload"] == "equiv" and rec["host"] == HOST
+    assert rec["workload"] == "equiv" and rec["host"] == {**HOST, "openblas_core": "SkylakeX"}
     assert rec["base"]["commit"] == "a" * 40 and rec["change"]["dirty"] is True
     assert (rec["pairs"], rec["seconds"], rec["seed"]) == (2, 10.0, 1)
     assert set(rec["metrics"]) == {"ops_per_s", "op_p50_ms"}
@@ -75,3 +77,18 @@ def test_host_facts_are_read_from_a_run():
            "python 3.11.7  numpy 2.4.6  OPENBLAS_NUM_THREADS=1  nproc 2  commit abc\n")
     assert bench_pairs.host(out) == HOST
     assert bench_pairs.host("no environment line") == {}
+
+
+def test_the_openblas_core_is_read_once_or_none():
+    """The core is the name numpy's OpenBLAS reports, or ``None`` where the
+    library does not export ``scipy_openblas_get_corename64_``; a record
+    keeps ``None`` as it is."""
+    core = bench_pairs.openblas_core()
+    assert core is None or (isinstance(core, str) and core)
+    with mock.patch.object(bench_pairs.ctypes, "CDLL", lambda path: object()):
+        assert bench_pairs.openblas_core() is None
+    figures = bench_pairs.summarise({"base": runs([100], [1.0]), "change": runs([100], [1.0])},
+                                    METRICS, 1)
+    rec = bench_pairs.record("walk", Namespace(seed=1, pairs=1, seconds=1.0), {}, figures,
+                             {"base": 1, "change": 1}, None)
+    assert rec["host"] == {"openblas_core": None} and rec["source_lines"] == {"base": 1, "change": 1}

@@ -9,9 +9,9 @@ held to the form it stands in for, bit for bit, signed zeros included
 (``same_bits``): a real operator's product on the float view to the complex
 product, a gather over a flat index to the broadcast gather, and a guard's
 rotations to the dense products.  Which real products keep the complex
-product's bits was measured with numpy 2.4 on OpenBLAS 0.3.31's Haswell
+product's bits was measured with numpy 2.4 on OpenBLAS 0.3.31's SkylakeX
 kernels; the tests of those limits use states on which the real product
-gives other bits there.
+gives other bits there.  Another OpenBLAS core may move those bits.
 """
 
 from unittest import mock
@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 import qgcl.semantics as semantics
 from qgcl import kernels, linalg as la
 from qgcl.program import (Abort, GuardBasis, Guarded, Measure, Measurement, QChoice, Seq, Skip,
-                          Unitary, walk)
+                          Unitary, kept, walk)
 from qgcl.registers import DensityMatrix, Observable, RegisterLayout, embed
 from qgcl.sampling import random_density, random_unitary, rng
 from qgcl.semantics import apply_program, denote, stream
@@ -308,7 +308,7 @@ def walk_guard(n):
 
 def guard_monomials(p):
     """A gather guard's ``C`` and, once the adjoint has used it, its transpose."""
-    c = p.__dict__[semantics._CONTROL][0]
+    c = kept(p, "_control")[0]
     return [c] + ([c.T] if "T" in c.__dict__ else [])
 
 
@@ -369,9 +369,9 @@ def test_walk_step_keeps_its_peaks_and_its_index_budget():
         monomials = guard_monomials(step.seq.parts[1])
         assert flat_plans(*monomials) == [flat, flat]
         for c in monomials:
-            kept = [index.nbytes for _, index, _ in c.__dict__[kernels._PLANS].values()
-                    if not isinstance(index, tuple)]
-            assert sum(kept) <= kernels.TAKE_INDEX_BYTES
+            indices = [index.nbytes for _, index, _ in c.__dict__[kernels._PLANS].values()
+                       if not isinstance(index, tuple)]
+            assert sum(indices) <= kernels.TAKE_INDEX_BYTES
         if peaks:
             assert peaks[0] < 2.05 and peaks[1] < 3.05
 
@@ -819,7 +819,7 @@ def test_shift_guards_stay_one_gather_at_scale(relocated):
     p = (Guarded((("c", 2),), GuardBasis(h), (tr, tl)) if relocated
          else Guarded((("c", 2),), GuardBasis.computational(2), (Skip(), tr)))
     assert path(p) == "gather"
-    c, measured = p.__dict__[semantics._CONTROL]
+    c, measured = kept(p, "_control")
     assert isinstance(c, kernels.Monomial) and not measured
     layout = p.layout
     x = matrix(rng(4), layout.dim)

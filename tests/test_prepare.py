@@ -147,7 +147,7 @@ class TestMemo:
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
         key = (la.DEFAULT_TOL, la.MAX_DIM_DEFAULT)
-        passed = [q.__dict__.get(program._PASSED, ()) for q in (p.parts[0], p, p.parts[1])]
+        passed = [program.kept(q, "_passed") or () for q in (p.parts[0], p, p.parts[1])]
         assert key in passed[0]  # the record's key: the rest is not vacuous
         assert key not in passed[1] and key not in passed[2]
 

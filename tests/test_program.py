@@ -1,3 +1,6 @@
+import glob
+import os
+from dataclasses import fields
 from unittest.mock import patch
 
 import numpy as np
@@ -32,12 +35,14 @@ from qgcl.program import (
     var,
     well_formed,
 )
+from qgcl.parser import parse_file
 from qgcl.printer import print_program
-from qgcl.registers import RegisterLayout
-from qgcl.semantics import denote
-from qgcl.sampling import ProgramSampler, rng
+from qgcl.registers import DensityMatrix, Observable, RegisterLayout
+from qgcl.semantics import apply_program, denote, semi_classical
+from qgcl.sampling import ProgramSampler, random_density, random_positive, rng
+from qgcl.wp import wp_apply
 
-from conftest import Repeat
+from conftest import Repeat, corpus_program, forget, keepers
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -399,7 +404,7 @@ def test_collecting_pass_keeps_the_joined_layouts(seed, depth):
     while todo:
         node = todo.pop()
         subs = children(node)
-        assert node.__dict__["layout"] == program.joined_layout(node, [s.layout for s in subs])
+        assert program.kept(node, "layout") == program.joined_layout(node, [s.layout for s in subs])
         todo += subs
 
 
@@ -419,3 +424,78 @@ def test_evaluation_after_parsing_joins_no_layout():
     with patch.object(program, "joined_layout", wraps=program.joined_layout) as joins:
         apply_program(p, rho)
     assert joins.call_count == 0
+
+
+# -- What a node keeps: ``program.KEPT`` -------------------------------------------
+
+SAMPLES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "samples", "*.qgcl")))
+PARTNERS = {"coin_qchoice.qgcl": "coin_relocated.qgcl",
+            "coin_relocated.qgcl": "coin_relocated_swapped.qgcl"}
+
+
+def outputs(p, partner) -> list:
+    """What each entry point gives on ``p``, as bytes or text: ``check``,
+    ``run`` (also on a state one variable wider, at a cap its blocks'
+    locals pass, so a block streams through its kept family), ``wp``,
+    ``denote``, ``semi_classical`` and ``branches`` (or their error), and
+    ``program_equiv_report`` against ``partner``."""
+    gen, layout = rng(1), p.layout
+    wide = layout.extended(RegisterLayout.of(("@e", 4)))
+    out = [repr(well_formed(p)),
+           apply_program(p, DensityMatrix(random_density(gen, layout.dim), layout)).matrix,
+           apply_program(p, DensityMatrix(random_density(gen, wide.dim), wide),
+                         max_dim=wide.dim).matrix,
+           wp_apply(p, Observable(random_positive(gen, layout.dim), layout)).matrix,
+           denote(p).stack]
+    try:
+        f = semi_classical(p)
+        out += [f.stack, repr(f.states), f.trace_weights()]
+    except QgclError as exc:
+        out.append(f"{type(exc).__name__}: {exc}")
+    verdict, deviation = program_equiv_report(p, partner)
+    out.append(f"{verdict} {float.hex(deviation)}")
+    return [x.tobytes() if isinstance(x, np.ndarray) else x for x in out]
+
+
+def kept_programs() -> list:
+    """Pairs ``(program, partner)``: each sample against its relocated or
+    swapped counterpart, or against itself parsed again, and seeded
+    ``ProgramSampler`` programs of every construct (``corpus_program``)
+    against their desugared form."""
+    out = []
+    for path in SAMPLES:
+        name = os.path.basename(path)
+        out.append((parse_file(path), parse_file(path.replace(name, PARTNERS.get(name, name)))))
+    for seed in range(12):
+        p = corpus_program(seed)
+        if well_formed(p) == []:
+            out.append((p, program.desugar(p)))
+    return out
+
+
+def test_every_kept_key_is_a_row_of_the_table_and_forgetting_keeps_the_bits():
+    """After every entry point has run on the samples and on sampled
+    programs, each key that a node (or its measurement or guard basis)
+    holds beyond its dataclass fields is a row of ``KEPT``; with every row
+    dropped from every node, each call gives the same bytes again."""
+    pairs = kept_programs()
+    assert {type(q).__name__ for p, _ in pairs for q in keepers(p)} >= {
+        "Block", "ProbChoice", "QChoice", "Guarded", "Measure", "Unitary", "Seq"}
+    for p, partner in pairs:
+        first = outputs(p, partner)
+        held = set()
+        for q in keepers(p) + keepers(partner):
+            held |= set(vars(q)) - {f.name for f in fields(q)}
+        assert held <= set(program.KEPT), sorted(held - set(program.KEPT))
+        assert {"_channel", "_plan", "_passed", "layout"} <= held
+        forget(p)
+        forget(partner)
+        assert outputs(p, partner) == first
+
+
+def test_keep_refuses_a_key_not_in_the_table():
+    p = Skip()
+    with pytest.raises(KeyError, match="KEPT"):
+        program.keep(p, "_channels", 1)
+    assert program.kept(p, "_channels") is None
+    assert program.keep(p, "_plan", [None, None]) is program.kept(p, "_plan")

@@ -840,6 +840,24 @@ def test_right_hand_sides_share_their_branch_functions(measuring):
     assert all(choi_dev(lhs, c) < 1e-12 for c in channels)
 
 
+def test_a_discarded_chain_branch_is_folded_once():
+    """A measuring coin whose outcome 1 aborts, so the right-hand guard
+    discards part of its environment, over a chain branch ``b``: three
+    right-hand sides fold ``b`` and each of its parts once, the discarded
+    branches reading the function ``b`` keeps, and each is still
+    equivalent to the left-hand side."""
+    coin = Measure("w", (C,), M0, ((0, Skip()), (1, Abort())))
+    b = Seq(Unitary((Q,), H), Unitary((Q,), X))
+    with rule_calls(semantics._SEMI) as built:
+        sides = [coin_relocation_lhs_rhs(coin, GuardBasis(H), (b, Unitary((Q,), X)))
+                 for _ in range(3)]
+        for _, rhs in sides:
+            denote(rhs)
+    assert [sum(q is node for q in built) for node in (b, *b.parts)] == [1, 1, 1]
+    lhs = denote(sides[0][0])
+    assert all(choi_dev(lhs, denote(rhs)) < 1e-12 for _, rhs in sides)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
 @settings(max_examples=40, deadline=None)
 def test_kept_denotations_keep_the_bits(seed, depth):

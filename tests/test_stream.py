@@ -750,7 +750,7 @@ def test_one_plan_per_signature_and_direction(monkeypatch):
         apply_program(p, DensityMatrix(x, lay), max_dim=cap)
         assert builds[False] == count
     assert builds[True] == 1
-    assert len(p.__dict__[semantics._PLAN]) == 2
+    assert len(program.kept(p, "_plan")) == 2
 
 
 def held(obj) -> dict:
@@ -774,7 +774,7 @@ def held(obj) -> dict:
         elif callable(o) and getattr(o, "__closure__", None):
             todo += [cell.cell_contents for cell in o.__closure__]
         elif type(o).__module__.startswith("qgcl") and hasattr(o, "__dict__"):
-            todo += [v for k, v in vars(o).items() if k != semantics._PLAN]
+            todo += [v for k, v in vars(o).items() if k != "_plan"]
     return out
 
 
@@ -793,7 +793,7 @@ def test_a_plan_holds_no_array_the_size_of_a_state(adjoint):
     x = (random_positive if adjoint else random_density)(gen, layout.dim)
     first = streamed(p, x, layout, adjoint)
     assert streamed(p, x, layout, adjoint).tobytes() == first.tobytes()
-    reached, kept = held(p.__dict__[semantics._PLAN][adjoint][1]), held(p)
+    reached, kept = held(program.kept(p, "_plan")[adjoint][1]), held(p)
     assert reached  # the operators the steps read
     assert all(a.nbytes < x.nbytes for i, a in reached.items() if i not in kept)
 
