@@ -213,8 +213,8 @@ def _parents(root) -> dict[int, int]:
 # -- What a node keeps -----------------------------------------------------------
 # A program is a value, so what is worked out from a node alone is kept on it
 # (Michie's memo function) under a row of ``KEPT``: read as an attribute or by
-# ``kept``, written by ``keep`` or a ``cached_property``.  No caller gets a
-# kept value it can write into, a dropped one is rebuilt with the same bits,
+# ``kept``, written once by ``keep`` or a ``cached_property``.  No caller gets
+# a kept value it can write into, a dropped one is rebuilt with the same bits,
 # and none skips a check: every call runs the rules pass first, which caps
 # every layout, so ``max_dim`` changes no value but a plan.  Two memos sit
 # beside the table, on objects that are not nodes: ``kernels._PLANS`` (a
@@ -244,11 +244,11 @@ def kept(p, key: str):
 
 
 def keep(p, key: str, value):
-    """``value`` kept on ``p`` under ``key``, which must be a row of ``KEPT``; returns it."""
+    """What ``p`` keeps under ``key``, which must be a row of ``KEPT``:
+    ``value``, kept now, unless ``p`` keeps one already (as ``dict.setdefault``)."""
     if key not in KEPT:
         raise KeyError(f"{key!r} is not a row of program.KEPT")
-    p.__dict__[key] = value
-    return value
+    return p.__dict__.setdefault(key, value)
 
 
 class _bottom_up:
@@ -644,7 +644,7 @@ def rules(p: Program, tol: float, max_dim: int | None = None):
     (``_passed``) each ``tol`` its rules held at, not run again in either
     mode, and each ``(tol, max_dim)`` its subtree passed raising at, not
     walked again; raising, a node that runs no rules gives ``None``."""
-    passed = kept(p, "_passed") or keep(p, "_passed", set())
+    passed = keep(p, "_passed", set())
     if max_dim is None or (tol, max_dim) not in passed:
         return _rules(p, tol, max_dim, passed)
 
@@ -686,7 +686,7 @@ def _rules(p: Program, tol: float, max_dim: int | None, passed: set):
             found = list(found)
             below = [] if any(v.cut for v in found) else [v[2] for v in values if v[2]]
             if layout is not None:
-                if kept(p, "layout") is None and _within_default_cap(layout.values()):
+                if _within_default_cap(layout.values()):
                     keep(p, "layout", RegisterLayout._of(layout))  # as ``joined_layout`` builds it
                 if not found:
                     passed.add(tol)

@@ -385,7 +385,7 @@ def _stream(p: Program, x: DensityMatrix | Observable, adjoint: bool, tol: float
         check_cap(layout.dim, max_dim)
     t = m.reshape(layout.dims * 2)
     key = (layout.variables, m.shape, m.strides, max_dim)
-    plans = kept(p, "_plan") or keep(p, "_plan", [None, None])
+    plans = keep(p, "_plan", [None, None])
     if plans[adjoint] is not None and plans[adjoint][0] == key:
         out = _replay(plans[adjoint][1], [t])
     else:

@@ -493,9 +493,10 @@ def test_every_kept_key_is_a_row_of_the_table_and_forgetting_keeps_the_bits():
         assert outputs(p, partner) == first
 
 
-def test_keep_refuses_a_key_not_in_the_table():
+def test_keep_refuses_a_key_not_in_the_table_and_replaces_no_kept_value():
     p = Skip()
     with pytest.raises(KeyError, match="KEPT"):
         program.keep(p, "_channels", 1)
     assert program.kept(p, "_channels") is None
-    assert program.keep(p, "_plan", [None, None]) is program.kept(p, "_plan")
+    plans = program.keep(p, "_plan", [None, None])
+    assert program.kept(p, "_plan") is plans and program.keep(p, "_plan", []) is plans
