@@ -56,7 +56,13 @@ import numpy as np
 
 from . import classical as cs
 from . import kernels, linalg
-from .errors import ArityError, CapacityError, ContractError, LayoutError, UnsupportedConstructError
+from .errors import (
+    ArityError,
+    CapacityError,
+    ContractError,
+    LayoutError,
+    UnsupportedConstructError,
+)
 from .ovf import (
     OperatorValuedFunction,
     SuperOperator,
@@ -284,13 +290,12 @@ def _control(p: Guarded, max_dim: int) -> tuple:
     """``C = sum_i |i><i| (x) A_i`` in the guard's basis as ``kernels.control``
     forms it, and the branches whose function has more than one classical
     state; worked out when the guard is first streamed, and kept on it."""
-    c = kept(p, "_control")
-    if c is None:
+    if kept(p, "_control") is None:
         fns, a_s = _branches(p, max_dim)
         data = RegisterLayout(p.layout.variables[len(p.own_layout.names):])
-        c = keep(p, "_control", (kernels.control([(a, f.layout) for f, a in zip(fns, a_s)], data),
-                                 [i for i, f in enumerate(fns) if len(f.states) > 1]))
-    return c
+        keep(p, "_control", (kernels.control([(a, f.layout) for f, a in zip(fns, a_s)], data),
+                             [i for i, f in enumerate(fns) if len(f.states) > 1]))
+    return kept(p, "_control")
 
 
 def _family(layout: RegisterLayout, ops: np.ndarray) -> SuperOperator:
@@ -328,8 +333,8 @@ def _block_family(inner: SuperOperator, locals_layout: RegisterLayout, init) -> 
     full = inner.layout
     outer = locals_layout.extended(full).remove(locals_layout.names)  # locals' dimensions agree
     vals, vecs = np.linalg.eigh((init + linalg.dagger(init)) / 2)
-    keep = vals > 1e-12
-    cols = vecs[:, keep] * np.sqrt(vals[keep])
+    nonzero = vals > 1e-12
+    cols = vecs[:, nonzero] * np.sqrt(vals[nonzero])
     locals_last = RegisterLayout(outer.variables + locals_layout.variables)
     d_out, d_loc = outer.dim, locals_layout.dim
     body = embed(inner.stack, full, locals_last, max_dim=full.dim)
@@ -487,8 +492,7 @@ def _put(s, at: tuple):
 
 def _over_cap(s, p: Block, names: tuple[str, ...], adjoint: bool, max_dim: int):
     """A block whose state with its locals would exceed ``max_dim``: applied
-    through its dense Kraus family on its own layout, kept on the block
-    (``_kept``) from its first call for as long as the program lives."""
+    through its dense Kraus family on its own layout (``_kept``)."""
     t = s[-1]
     out = np.zeros_like(t)
     for k in _kept(p, "_channel", _denote, max_dim).stack:
@@ -687,7 +691,7 @@ def system_environment_model(
     gram = linalg.gram(ops, d)
     if not linalg.loewner_leq(gram, linalg.identity(d), tol):
         raise ContractError("dilation needs a trace-nonincreasing channel")
-    kept = len(ops)
+    n_kept = len(ops)
     defect = linalg.identity(d) - gram
     if linalg.max_abs_diff(defect, np.zeros_like(defect)) > tol:
         ops = np.concatenate([ops, linalg.psd_sqrt(defect, tol)[None]])
@@ -695,8 +699,8 @@ def system_environment_model(
     if d * m > max_dim:
         raise CapacityError(f"dilated dimension {d * m} exceeds the cap {max_dim}")
     if m == 1:
-        projector = linalg.identity(d) if kept == 1 else np.zeros((d, d), dtype=complex)
-        return DilationModel(RegisterLayout(), np.ones((1, 1), complex), ops[0], projector, kept)
+        projector = linalg.identity(d) if n_kept == 1 else np.zeros((d, d), dtype=complex)
+        return DilationModel(RegisterLayout(), np.ones((1, 1), complex), ops[0], projector, n_kept)
     isometry = ops.transpose(1, 0, 2).reshape(d * m, d)  # row s*m + j: row s of ops[j]
     q, _ = np.linalg.qr(isometry, mode="complete")
     # column s*m is the isometry's column s, columns s*m + 1 .. s*m + m-1 spare ones
@@ -704,9 +708,9 @@ def system_environment_model(
     unitary = np.concatenate([isometry[:, :, None], spare], axis=2).reshape(d * m, d * m)
     if not linalg.is_unitary(unitary, 1e-8):
         raise ContractError("dilation unitary completion failed")
-    projector = np.kron(linalg.identity(d), np.diag(np.arange(m) < kept).astype(complex))
+    projector = np.kron(linalg.identity(d), np.diag(np.arange(m) < n_kept).astype(complex))
     return DilationModel(RegisterLayout.of((env_name, m)), linalg.basis_ket(m, 0), unitary,
-                         projector, kept)
+                         projector, n_kept)
 
 
 def coin_relocation_lhs_rhs(
