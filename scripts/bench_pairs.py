@@ -28,7 +28,8 @@ time").  Each side's
 failed ops are totalled; when the change fails a larger share of its ops
 than the base, no metric is flagged ``gain`` and the summary says
 ``FAILED``.  Last it prints each side's ``src/qgcl`` line total, as
-``wc -l src/qgcl/*.py`` counts it.
+``wc -l src/qgcl/*.py`` counts it, and its code lines, the lines that hold
+code: no blank line, comment or docstring counts.
 The output ends with one summary line per workload naming the metrics
 flagged ``WORSE`` and ``gain``, and ``FAILED`` where it applies, so one
 command tells whether any metric got worse anywhere.
@@ -45,8 +46,8 @@ numpy versions, ``nproc``, OpenBLAS threads) and the OpenBLAS core this
 process reads (``openblas_core``), the pair count and run
 seconds, each side's failed ops, and for every end-to-end metric each
 side's median and quartiles, the relative change, the pairs won, the
-sign-test probability and the flag; with ``--layers``, the traced self
-times too.
+sign-test probability and the flag, and both sides' line totals and code
+lines; with ``--layers``, the traced self times too.
 """
 
 import argparse
@@ -61,6 +62,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LAYERS = ("parser.parse_source", "program.well_formed", "semantics.semi_classical",
@@ -144,6 +146,38 @@ def source_lines(checkout: str) -> int:
         with open(path, "rb") as fh:
             total += fh.read().count(b"\n")
     return total
+
+
+NOT_CODE = {tokenize.ENCODING, tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(checkout: str) -> int:
+    """Lines of the package's Python modules that hold code: a line that
+    holds only blanks, comments or part of a docstring (a string that is a
+    statement of its own) does not count."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "qgcl", "*.py")):
+        with open(path, "rb") as fh:
+            tokens = list(tokenize.tokenize(fh.readline))
+        lines = set()
+        for i, tok in enumerate(tokens):
+            if tok.type in NOT_CODE or tok.type == tokenize.STRING and docstring(tokens, i):
+                continue
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(lines)
+    return total
+
+
+def docstring(tokens: list, i: int) -> bool:
+    """``tokens[i]``, a string, is a statement of its own: it starts a
+    logical line and ends it."""
+    before = i - 1
+    while tokens[before].type in (tokenize.NL, tokenize.COMMENT):
+        before -= 1
+    return (tokens[before].type in (tokenize.ENCODING, tokenize.NEWLINE, tokenize.INDENT,
+                                    tokenize.DEDENT)
+            and tokens[i + 1].type in (tokenize.NEWLINE, tokenize.ENDMARKER))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -238,13 +272,15 @@ def compare(workload: str, args, checkouts: dict, metrics: list) -> tuple[str, d
             + ("; FAILED" if more_failed else "")), figures
 
 
-def record(workload: str, args, commits: dict, figures: dict, lines: dict,
+def record(workload: str, args, commits: dict, figures: dict, lines: dict, code: dict,
            core: str | None) -> dict:
     """One invocation's record of one workload, as ``BENCH_<workload>.json``
-    keeps it: the runs' host facts joined by the OpenBLAS ``core``."""
+    keeps it: the runs' host facts joined by the OpenBLAS ``core``, and each
+    side's line total and code lines."""
     return {"workload": workload, **commits, "seed": args.seed, "pairs": args.pairs,
             "seconds": args.seconds, **figures,
-            "host": {**figures.get("host", {}), "openblas_core": core}, "source_lines": lines}
+            "host": {**figures.get("host", {}), "openblas_core": core}, "source_lines": lines,
+            "code_lines": code}
 
 
 def append_record(path: str, entry: dict) -> None:
@@ -287,14 +323,16 @@ def main() -> None:
         checkouts = {"base": base, "change": change}
         compared = {w: compare(w, args, checkouts, bench["end_to_end"]) for w in workloads}
         lines = {side: source_lines(path) for side, path in checkouts.items()}
+        code = {side: code_lines(path) for side, path in checkouts.items()}
     core = openblas_core()
-    print(f"src/qgcl lines: base {lines['base']}, change {lines['change']} "
-          f"({lines['change'] - lines['base']:+d})")
+    for name, count in (("lines", lines), ("code lines", code)):
+        print(f"src/qgcl {name}: base {count['base']}, change {count['change']} "
+              f"({count['change'] - count['base']:+d})")
     print("summary:")
     for workload, (line, figures) in compared.items():
         print(f"  {line}")
         append_record(os.path.join(ROOT, f"BENCH_{workload}.json"),
-                      record(workload, args, commits, figures, lines, core))
+                      record(workload, args, commits, figures, lines, code, core))
 
 
 if __name__ == "__main__":

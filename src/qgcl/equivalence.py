@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import linalg
-from .errors import LayoutError
+from .errors import ArityError, LayoutError
 from .ovf import OperatorValuedFunction, SuperOperator, guarded_superop_member
 from .ovf import guarded_ovf, to_superop  # noqa: F401  lookup sites patched by perfbench/tracing.py
 from .program import GuardBasis, Program, qvar_layout
@@ -89,6 +89,8 @@ def refinement_member(
     their channels, otherwise the certificate is meaningless and
     :func:`guarded_superop_member` raises an error.
     """
+    if not branch_channels:
+        raise ArityError("guarded composition needs at least one branch channel")
     data_layout = branch_channels[0].layout
     guard_names = [n for n in guard_channel.layout.names if n not in data_layout]
     guard_layout = guard_channel.layout.restrict(guard_names)

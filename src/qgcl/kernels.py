@@ -7,7 +7,7 @@ slices (``control``).  ``sandwich`` applies an operator on both sides of a
 state, ``contract`` on one, and ``plan_control`` a guard's ``C``.
 
 Each is planned (``plan_sandwich``, ``plan_contract``, ``plan_control``):
-every choice is made from the arrays' shapes, strides and overlaps into
+every choice is made from the arrays' shapes and strides into
 steps of data only, each ``(f, args)`` with ``f`` a function of this
 module that makes only the numpy calls, run once on those arrays and
 returned with their result.  ``semantics`` records the steps in a
@@ -152,20 +152,18 @@ def plan_sandwich(t: np.ndarray, names, op, site, adjoint: bool = False) -> tupl
     broadcast gather), and scales it on each side unless it is a
     permutation, left first, as ``contract`` would.  Any other ``L`` is two
     ``contract`` steps, ``L`` on the rows, then its conjugate on the
-    columns.  Of a dense ``op`` the steps keep only ``op`` or its transpose,
-    a view, and form a conjugate on each call, as an operator on every
-    variable of the state would have one as large as the state."""
+    columns, each taken from ``op`` or its transpose, so of a dense ``op``
+    the steps keep only a view and form a conjugate on each call, as an
+    operator on every variable of the state would have one as large as the
+    state."""
     rows = [names.index(v) for v in site]
     cols = [len(names) + a for a in rows]
-    if isinstance(op, np.ndarray):  # ``L`` is ``op``, or ``op.T`` conjugated
-        first, u = plan_contract(op.T if adjoint else op, t, rows, conj=adjoint)
-        second, out = plan_contract(op.T if adjoint else op, u, cols, conj=not adjoint)
+    if not (isinstance(op, Monomial) and rows):  # on no variables, ``contract`` scales ``t``
+        a = op.T if adjoint else op
+        first, u = plan_contract(a, t, rows, conj=adjoint)
+        second, out = plan_contract(a, u, cols, conj=not adjoint)
         return (first, second), out
     op = side(op, adjoint)
-    if not (isinstance(op, Monomial) and rows):  # on no variables, ``contract`` scales ``t``
-        first, u = plan_contract(op, t, rows)
-        second, out = plan_contract(op, u, cols, conj=True)
-        return (first, second), out
     key = (tuple(rows), t.shape, t.strides)
     plans = op.__dict__.setdefault(_PLANS, {})
     if key not in plans:
@@ -328,11 +326,12 @@ def plan_control(c, t: np.ndarray, names, site, own: int, adjoint: bool) -> tupl
     gather (``plan_sandwich``).  Otherwise the rows take ``C`` and then the
     columns its conjugate (so the adjoint's right side is a transpose, not
     a copy), each side's axes brought to the front and ``t`` read as ``(k,
-    s, rest)``: a stack is one batched product; else each ``A_i`` writes
-    its slice of the output, a dense one by a product, a scalar by scaling,
-    and any other on its own axes (``contract``, straight into the slice).
-    The right side of a list overwrites the left side's result, slice by
-    slice.  A dense ``A_i``'s conjugate is formed on each call."""
+    s, rest)``: a stack is one batched product, ``contract``'s step on the
+    stack; else each ``A_i`` fills its slice of the output, a dense one by
+    a product, a scalar by scaling, and any other by ``contract`` on its
+    own axes, its product copied in.  The right side of a list overwrites
+    the left side's result, slice by slice.  A dense ``A_i``'s conjugate is
+    formed on each call."""
     if isinstance(c, Monomial):
         return plan_sandwich(t, names, c, site, adjoint)
     rows = [names.index(v) for v in site]
@@ -354,23 +353,16 @@ def _control_side(c, t: np.ndarray, order: tuple, shape3: tuple, data: tuple, ad
     ``t`` and of the output, and run on them."""
     moved_shape = tuple(t.shape[a] for a in order)
     back = tuple(sorted(range(t.ndim), key=order.__getitem__))
-    if isinstance(c, np.ndarray):
-        args = (c.transpose(0, 2, 1) if adjoint else c, adjoint != right, order, shape3,
+    if isinstance(c, np.ndarray):  # ``_dense`` broadcasts the stack over ``k``
+        args = (_dense, (c.transpose(0, 2, 1) if adjoint else c, adjoint != right), order, shape3,
                 moved_shape, back)
-        return (_stacked, args), _stacked(t, *args)
+        return (_contract, args), _contract(t, *args)
     t3 = t.transpose(order).reshape(shape3)
     out = t3 if right else np.empty_like(t3)
     products = tuple(_branch_product(a, at, x, y, data, adjoint, right)
                      for x, y, (a, at) in zip(t3, out, c))
     return ((_sliced, (products, right, order, shape3, moved_shape, back)),
             out.reshape(moved_shape).transpose(back))
-
-
-def _stacked(t: np.ndarray, a: np.ndarray, conj: bool, order: tuple, shape3: tuple,
-             moved_shape: tuple, back: tuple) -> np.ndarray:
-    """A stack's side of ``C``: one batched product, by its conjugate with ``conj``."""
-    t3 = t.transpose(order).reshape(shape3)
-    return ((a.conj() if conj else a) @ t3).reshape(moved_shape).transpose(back)
 
 
 def _sliced(t: np.ndarray, products: tuple, right: bool, order: tuple, shape3: tuple,
@@ -394,8 +386,9 @@ def _branch_product(a, at, x: np.ndarray, y: np.ndarray, data: tuple, adjoint: b
     conj = adjoint != right
     if at:
         shape = data + (-1,)
-        return _contracted, (shape, plan_contract(a, x.reshape(shape), at, y.reshape(shape),
-                                                  conj)[0][1])
+        (_, args), got = plan_contract(a, x.reshape(shape), at, conj)
+        y.reshape(shape)[...] = got
+        return _contracted, (shape, args)
     if at is None:  # on the right, ``y`` is ``x``
         f, args = (_buffered if right else _multiplied), (a, conj)
     else:
@@ -419,8 +412,8 @@ def _buffered(x: np.ndarray, y: np.ndarray, a: np.ndarray, conj: bool) -> None:
 
 def _contracted(x: np.ndarray, y: np.ndarray, shape: tuple, args: tuple) -> None:
     """A branch on some of the data variables: ``contract`` on its axes of
-    ``x`` and ``y`` read at ``shape``."""
-    _contract(x.reshape(shape), *args, out=y.reshape(shape))
+    ``x`` read at ``shape``, its product copied into ``y``."""
+    y.reshape(shape)[...] = _contract(x.reshape(shape), *args)
 
 
 def _scaled(x: np.ndarray, y: np.ndarray, a) -> None:
@@ -428,47 +421,31 @@ def _scaled(x: np.ndarray, y: np.ndarray, a) -> None:
     np.multiply(x, a, out=y)
 
 
-def contract(op, t: np.ndarray, axes: list[int], out: np.ndarray | None = None) -> np.ndarray:
-    """Apply ``op`` to the tensor factors of ``t`` at ``axes``, in order,
-    into ``out`` when it is given (shaped as ``t``, and may be ``t``): the
-    result of ``plan_contract``'s step."""
-    return plan_contract(op, t, axes, out)[1]
+def contract(op, t: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Apply ``op`` to the tensor factors of ``t`` at ``axes``, in order:
+    the result of ``plan_contract``'s step."""
+    return plan_contract(op, t, axes)[1]
 
 
-def plan_contract(op, t: np.ndarray, axes: list[int], out: np.ndarray | None = None,
-                  conj: bool = False) -> tuple:
+def plan_contract(op, t: np.ndarray, axes: list[int], conj: bool = False) -> tuple:
     """``contract`` by ``op``, or with ``conj`` its conjugate, decided from
-    the shapes and strides of ``t`` and ``out``: a step, ``(_contract,
-    args)``, run as ``_contract(t, *args, out=out)`` for arrays laid out as
-    these, and its result on them, computed on the views the step was
-    decided from."""
-    args, t3, into = _contract_plan(op, t, axes, out, conj)
-    product, pargs, _, _, moved_shape, back, direct = args
-    return (_contract, args), _placed(product(t3, into, *pargs), moved_shape, back, direct, out)
-
-
-def _contract_plan(op, t: np.ndarray, axes: list[int], out: np.ndarray | None,
-                   conj: bool) -> tuple:
-    """What ``_contract`` runs with for ``plan_contract``, and the views of
-    ``t`` and ``out`` it read them from, ``t3`` and ``into`` (``None``
-    unless the product goes straight into ``out``).  A dense ``op``'s
-    conjugate is formed on each call, as ``op.conj()``; a monomial's or a
-    real operator's is worked out once, on it.
+    the shape and strides of ``t``: a step, ``(_contract, args)``, run as
+    ``_contract(t, *args)`` for an array laid out as ``t``, and its result
+    on ``t``, computed on the view the step was decided from.  A dense
+    ``op``'s conjugate is formed on each call, as ``op.conj()``; a
+    monomial's or a real operator's is worked out once, on it.
 
     The axes are brought together, in order, where the first of them is (a
     view: no transpose at all when they already are together), and ``t`` is
     read as ``(pre, k, post)``.  A :class:`Monomial` gathers the middle
-    axis (by ``np.take`` into ``out``, for a contiguous ``t3``), then scales
-    it unless it is a permutation; a dense ``op`` is one broadcast matmul,
-    ``op @ t3``, or ``t3[:, :, 0] @ op.T`` when ``post`` is 1.  A
-    :class:`RealMatrix` is ``op.real @ t3`` on the float view of ``t3``
-    when ``post`` is a multiple of 4: the complex product's bits, signed
-    zeros included, in half the multiplications.  On a remainder of
+    axis, then scales it unless it is a permutation; a dense ``op`` is one
+    broadcast matmul, ``op @ t3``, or ``t3[:, :, 0] @ op.T`` when ``post``
+    is 1.  A :class:`RealMatrix` is ``op.real @ t3`` on the float view of
+    ``t3`` when ``post`` is a multiple of 4: the complex product's bits,
+    signed zeros included, in half the multiplications.  On a remainder of
     ``post`` OpenBLAS's complex kernels give some exact zeros the other
-    sign.  No axes (a 1 x 1 ``op``) is ``k = 1``.  The product is written
-    straight into ``out`` where ``out``, read as ``t3``, is a view laid out
-    as ``t3`` apart from it, so every product sees the operands it would
-    see alone; else it is copied in."""
+    sign.  No axes (a 1 x 1 ``op``) is ``k = 1``.  Every product is a new
+    array."""
     if conj and not isinstance(op, np.ndarray):
         op, conj = op.conj(), False
     rest = [a for a in range(t.ndim) if a not in axes]
@@ -476,12 +453,6 @@ def _contract_plan(op, t: np.ndarray, axes: list[int], out: np.ndarray | None,
     order = tuple(rest[:lead] + axes + rest[lead:])
     moved = t.transpose(order)
     t3 = moved.reshape(prod(moved.shape[:lead]), -1, prod(moved.shape[lead + len(axes):]))
-    into = None if out is None else out.transpose(order).reshape(t3.shape)
-    if into is not None and (
-            into.strides != t3.strides or not np.may_share_memory(into, out)
-            or np.may_share_memory(into, t3)  # np.take would copy a ``t3``
-            or isinstance(op, Monomial) and not t3.flags.c_contiguous):
-        into = None
     if isinstance(op, Monomial):
         product, pargs = _gathered, (op.col, None if op.unit else op.scale[:, None])
     elif isinstance(op, RealMatrix) and t3.shape[2] % 4 == 0 and t3.strides[2] == t3.itemsize:
@@ -489,59 +460,36 @@ def _contract_plan(op, t: np.ndarray, axes: list[int], out: np.ndarray | None,
     else:
         product = _columns if t3.shape[2] == 1 else _dense
         pargs = op.matrix if isinstance(op, RealMatrix) else op, conj
-    return (product, pargs, order, t3.shape, moved.shape,
-            tuple(sorted(range(t.ndim), key=order.__getitem__)), into is not None), t3, into
+    back = tuple(sorted(range(t.ndim), key=order.__getitem__))
+    return ((_contract, (product, pargs, order, t3.shape, moved.shape, back)),
+            product(t3, *pargs).reshape(moved.shape).transpose(back))
 
 
 def _contract(t: np.ndarray, product, pargs: tuple, order: tuple, shape3: tuple,
-              moved_shape: tuple, back: tuple, direct: bool,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """``plan_contract``'s step: ``t`` read as ``t3``, ``product(t3, into,
-    *pargs)`` on it, written straight into ``out`` where ``direct``, else
-    copied in."""
-    into = out.transpose(order).reshape(shape3) if direct else None
-    return _placed(product(t.transpose(order).reshape(shape3), into, *pargs), moved_shape, back,
-                   direct, out)
+              moved_shape: tuple, back: tuple) -> np.ndarray:
+    """``plan_contract``'s step: ``product(t3, *pargs)`` on ``t`` read as
+    ``t3``, brought back to ``t``'s axes."""
+    return product(t.transpose(order).reshape(shape3), *pargs).reshape(moved_shape).transpose(back)
 
 
-def _placed(got: np.ndarray, moved_shape: tuple, back: tuple, direct: bool,
-            out: np.ndarray | None) -> np.ndarray:
-    """A product read as ``t3`` brought back to ``t``'s axes, and copied
-    into ``out`` where it is given and the product did not go there."""
-    got = got.reshape(moved_shape).transpose(back)
-    if out is None:
-        return got
-    if not direct:
-        out[...] = got
-    return out
-
-
-def _gathered(t3: np.ndarray, into: np.ndarray | None, col: np.ndarray, scale) -> np.ndarray:
-    """A monomial: the middle axis gathered ("clip" buffers no ``into``), then scaled."""
-    got = t3[:, col] if into is None else np.take(t3, col, axis=1, out=into, mode="clip")
+def _gathered(t3: np.ndarray, col: np.ndarray, scale) -> np.ndarray:
+    """A monomial: the middle axis gathered, then scaled."""
+    got = t3[:, col]
     if scale is not None:
         got *= scale
     return got
 
 
-def _real(t3: np.ndarray, into: np.ndarray | None, r: np.ndarray) -> np.ndarray:
+def _real(t3: np.ndarray, r: np.ndarray) -> np.ndarray:
     """A :class:`RealMatrix`: its real part on the float view of ``t3``."""
-    if into is None:
-        return (r @ t3.view(float)).view(complex)
-    return np.matmul(r, t3.view(float), out=into.view(float)).view(complex)
+    return (r @ t3.view(float)).view(complex)
 
 
-def _dense(t3: np.ndarray, into: np.ndarray | None, m: np.ndarray, conj: bool) -> np.ndarray:
+def _dense(t3: np.ndarray, m: np.ndarray, conj: bool) -> np.ndarray:
     """A dense operator: one broadcast matmul."""
-    m = m.conj() if conj else m
-    if into is None:
-        return m @ t3
-    return np.matmul(m, t3, out=into)
+    return (m.conj() if conj else m) @ t3
 
 
-def _columns(t3: np.ndarray, into: np.ndarray | None, m: np.ndarray, conj: bool) -> np.ndarray:
+def _columns(t3: np.ndarray, m: np.ndarray, conj: bool) -> np.ndarray:
     """A dense operator on ``t3`` with ``post`` 1: ``t3[:, :, 0] @ m.T``."""
-    m = m.conj() if conj else m
-    if into is None:
-        return t3[:, :, 0] @ m.T
-    return np.matmul(t3[:, :, 0], m.T, out=into[:, :, 0])
+    return t3[:, :, 0] @ (m.conj() if conj else m).T

@@ -377,6 +377,8 @@ def guarded_superop_member(
     """
     if len(channels) != basis.arity:
         raise ArityError(f"{basis.arity} guard states but {len(channels)} channels")
+    if not channels:
+        raise ArityError("guarded composition needs at least one channel")
     data_layout = channels[0].layout
     for e in channels:
         if e.layout.variables != data_layout.variables:

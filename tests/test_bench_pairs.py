@@ -58,7 +58,7 @@ def test_each_invocation_appends_one_record(tmp_path):
     for _ in range(2):
         bench_pairs.append_record(
             path, bench_pairs.record("equiv", args, commits, figures, {"base": 10, "change": 9},
-                                     "SkylakeX"))
+                                     {"base": 6, "change": 5}, "SkylakeX"))
     with open(path, encoding="utf-8") as fh:
         records = json.load(fh)
     assert len(records) == 2 and records[0] == records[1]
@@ -66,6 +66,8 @@ def test_each_invocation_appends_one_record(tmp_path):
     assert rec["workload"] == "equiv" and rec["host"] == {**HOST, "openblas_core": "SkylakeX"}
     assert rec["base"]["commit"] == "a" * 40 and rec["change"]["dirty"] is True
     assert (rec["pairs"], rec["seconds"], rec["seed"]) == (2, 10.0, 1)
+    assert rec["source_lines"] == {"base": 10, "change": 9}
+    assert rec["code_lines"] == {"base": 6, "change": 5}
     assert set(rec["metrics"]) == {"ops_per_s", "op_p50_ms"}
     assert set(rec["metrics"]["ops_per_s"]) >= {"base", "change", "relative_change", "won",
                                                 "sign_test_p", "flag"}
@@ -90,5 +92,33 @@ def test_the_openblas_core_is_read_once_or_none():
     figures = bench_pairs.summarise({"base": runs([100], [1.0]), "change": runs([100], [1.0])},
                                     METRICS, 1)
     rec = bench_pairs.record("walk", Namespace(seed=1, pairs=1, seconds=1.0), {}, figures,
-                             {"base": 1, "change": 1}, None)
+                             {"base": 1, "change": 1}, {"base": 1, "change": 1}, None)
     assert rec["host"] == {"openblas_core": None} and rec["source_lines"] == {"base": 1, "change": 1}
+
+
+MODULE = '''"""A module docstring
+over two lines."""
+
+# a comment
+import os  # a comment after code
+
+
+def f(x):
+    """A function's docstring."""
+
+    y = """a string that is
+    part of an assignment"""
+    return (x,
+            y)
+'''
+
+
+def test_code_lines_leave_out_blanks_comments_and_docstrings(tmp_path):
+    """``code_lines`` counts the lines that hold a token of code, however
+    many lines a statement spans; ``source_lines`` counts every line."""
+    package = tmp_path / "src" / "qgcl"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(MODULE, encoding="utf-8")
+    (package / "other.py").write_text("x = 1\n\n", encoding="utf-8")
+    assert bench_pairs.source_lines(str(tmp_path)) == MODULE.count("\n") + 2
+    assert bench_pairs.code_lines(str(tmp_path)) == 6 + 1

@@ -1,12 +1,16 @@
 import gc
+import io
 import json
 import os
+import shutil
+import tempfile
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgcl import kernels, linalg as la, matrixio, semantics
 from qgcl.cli import main
@@ -510,3 +514,94 @@ class TestReproduce:
 
     def test_seeded_suites_accept_flags(self, capsys):
         assert run_cli("reproduce", "proim", "--n", "5", "--seed", "3") == 0
+
+
+# The exit codes ``qgcl`` documents (``qgcl.cli``).
+EXIT_CODES = {0, 1, 2, 64, 66, 70, 73}
+SOURCES = sorted(name for name in os.listdir(SAMPLES) if name.endswith(".qgcl"))
+RECORDS = sorted(name for name in os.listdir(SAMPLES) if name.endswith(".json"))
+PIECES = ["{", "}", "[", "]", "(", ")", ";", ",", ":", "->", "@", "|0>", "|1>", '"', "\n", " ",
+          "0", "2", "-1", "0.5", "1e309", "nan", "null", "true", "qvar", "matrix", "measurement",
+          "use", "begin", "local", "end", "guard", "basis", "measure", "pchoice", "skip", "abort",
+          '"rows"', '"entries"', '"layout"']
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5000) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def mutated_text(draw, text: str) -> str:
+    """``text`` with one to four spans deleted, replaced, duplicated or
+    given an insertion, the new text a piece of the two languages or a few
+    arbitrary characters."""
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 16)))
+        piece = draw(st.sampled_from(PIECES) | st.text(max_size=3))
+        text = draw(st.sampled_from([text[:i] + text[j:], text[:i] + piece + text[i:],
+                                     text[:i] + piece + text[j:], text[:j] + text[i:j] + text[j:]]))
+    return text
+
+
+def paths(value, at=()):
+    """Every path into a JSON value, the value's own ``()`` first."""
+    yield at
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from paths(inner, at + (key,))
+
+
+@st.composite
+def mutated_record(draw, text: str) -> str:
+    """A JSON record with its text mutated, or one of its values, at any
+    depth, replaced by another JSON value."""
+    if draw(st.booleans()):
+        return draw(mutated_text(text))
+    record = json.loads(text)
+    at = draw(st.sampled_from(list(paths(record))[1:]))
+    parent = record
+    for key in at[:-1]:
+        parent = parent[key]
+    parent[at[-1]] = draw(JSON_VALUES)
+    return json.dumps(record)
+
+
+def cli_code(argv: list[str]) -> int:
+    """``qgcl``'s exit code in process, its output discarded; any exception
+    but ``SystemExit`` escapes."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_sources_and_records_exit_with_a_documented_code(data):
+    """A sample source and the JSON records beside it (``use`` definitions
+    in ``gates.json``, states, observables), each mutated or not, through
+    ``check``, ``run``, ``wp`` and ``branches`` in process: every command
+    exits with a documented code and raises nothing.  ``--max-dim 64`` keeps
+    what a mutated dimension can allocate small."""
+    source = data.draw(st.sampled_from(SOURCES))
+    state, observable = data.draw(st.lists(st.sampled_from(RECORDS), min_size=2, max_size=2))
+    with tempfile.TemporaryDirectory() as d:
+        for name in [source] + RECORDS:
+            shutil.copy(os.path.join(SAMPLES, name), d)
+        for name in sorted({source, state, observable, "gates.json"}):
+            if data.draw(st.booleans(), label=f"mutate {name}"):
+                path = os.path.join(d, name)
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
+                mutate = mutated_text if name == source else mutated_record
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(data.draw(mutate(text), label=name))
+        src, state, observable = (os.path.join(d, name) for name in (source, state, observable))
+        for argv in (["check", src], ["run", src, "--input", state],
+                     ["wp", src, "--observable", observable], ["branches", src]):
+            code = cli_code(argv + ["--max-dim", "64"])
+            assert code in EXIT_CODES, (argv, code)

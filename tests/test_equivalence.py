@@ -14,7 +14,7 @@ from qgcl.equivalence import (
     refinement_member,
     superop_equal,
 )
-from qgcl.errors import ContractError, LayoutError
+from qgcl.errors import ArityError, ContractError, LayoutError
 from qgcl.ovf import OperatorValuedFunction, SuperOperator, to_superop
 from qgcl.program import (
     Block,
@@ -262,6 +262,10 @@ class TestRefinementMember:
         other = SuperOperator(QL, (X,))
         with pytest.raises(ContractError):
             refinement_member(other, GuardBasis(np.array([[1.0]])), [other], [rep])
+
+    def test_no_branch_channels_rejected(self):
+        with pytest.raises(ArityError):
+            refinement_member(denote(Skip()), GuardBasis(np.zeros((0, 0))), [], [])
 
 
 @given(st.integers(0, 2**32 - 1))

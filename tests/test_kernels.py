@@ -178,8 +178,7 @@ def test_real_products_match_complex_ones(data, adjoint, strided, seed):
     """A dense operator with real entries is applied on the float view of
     the state (``kernels.RealMatrix``) with exactly the complex product's bits:
     on states holding exact and signed zeros, on any variables in any order,
-    on a strided state, forward and adjoint, and written into a given array
-    as well.  Both sides of the sandwich agree with the embedded operator."""
+    on a strided state, forward and adjoint.  Both sides of the sandwich agree with the embedded operator."""
     gen = rng(seed)
     layout = data.draw(layouts())
     site = data.draw(sites(layout))
@@ -195,9 +194,6 @@ def test_real_products_match_complex_ones(data, adjoint, strided, seed):
     for axes in ([names.index(v) for v in site], [n + names.index(v) for v in site]):
         expect = kernels.contract(cplx, t, axes)
         assert same_bits(kernels.contract(real, t, axes), expect)
-        into = np.empty_like(t)
-        assert kernels.contract(real, t, axes, into) is into
-        assert same_bits(into, expect)
     full = embed(op, sub(layout, site), layout)
     if adjoint:
         full = la.dagger(full)
@@ -222,7 +218,7 @@ def test_a_real_coin_takes_the_float_view_where_its_bits_hold():
 def test_real_operators_keep_the_complex_bits_at_their_limits(side, post):
     """A real operator whose ``post`` is not a multiple of 4, or whose side
     passes ``kernels.REAL_KERNEL_MAX``, keeps the complex product, forward and
-    adjoint, written into a given array as well.  On these states the real
+    adjoint.  On these states the real
     product gives other bits: other zero signs off a multiple of 4, other
     last bits from side 129.  Side 128 is the largest real product taken."""
     gen = rng(side + post)
@@ -234,9 +230,6 @@ def test_real_operators_keep_the_complex_bits_at_their_limits(side, post):
     for adjoint in (False, True):
         expect = kernels.contract(kernels.side(op, adjoint), t, [1])
         assert same_bits(kernels.contract(kernels.side(k, adjoint), t, [1]), expect)
-        into = np.empty_like(t)
-        kernels.contract(kernels.side(k, adjoint), t, [1], into)
-        assert same_bits(into, expect)
 
 
 GUARD_BASES = {
@@ -725,23 +718,37 @@ def test_controlled_guard_holds_at_most_one_state_more(rotated, other):
 
 
 @pytest.mark.parametrize("rotated", [False, True])
-def test_measuring_slices_are_written_in_place(rotated):
-    """A two-outcome projective branch beside a dense unitary, at state
-    dimension 256: each ``A_i`` writes its slice of the left side's output
-    directly, and the right side overwrites that output slice by slice, so
+@pytest.mark.parametrize("branch", ["measuring", "partial"])
+def test_sliced_guards_peak_within_a_tenth_of_a_state(branch, rotated, request):
+    """At state dimension 256, a two-outcome projective branch beside a
+    dense unitary on ``v``, or a dense branch on ``v`` alone beside a dense
+    unitary on ``(v: 64, w: 2)``: each ``A_i`` fills its slice of the left
+    side's output, a branch on some of the data variables by copying in its
+    product, and the right side overwrites that output slice by slice, so
     the pass that plans peaks within 0.1 state of the block loop, and so
     does a replay of its plan.  Nor does the pass that plans peak above a
     block loop that plans nothing, its diagonal blocks each branch's Kraus
-    sum by ``kernels.sandwich``.  The bits are those of products copied
-    into their slices."""
+    sum by ``kernels.sandwich``.
+
+    The partial branch in the computational basis peaks at 2.07 states
+    against the block loop's 1.75: on the right side its slice, read as
+    ``(pre, k, post)``, has post axes that no view merges, so ``contract``
+    copies the slice before its product."""
     import tracemalloc
 
+    if branch == "partial" and not rotated:
+        request.applymarker(pytest.mark.xfail(strict=True, reason="the slice is copied"))
     gen = rng(9)
-    v = (("v", 128),)
-    half = np.diag(np.arange(128) < 64).astype(complex)
-    mmt = Measurement(((0, half), (1, np.eye(128) - half)))
     basis = GuardBasis(random_unitary(gen, 2)) if rotated else GuardBasis.computational(2)
-    p = Guarded((("g", 2),), basis, (measuring(v, mmt), Unitary(v, random_unitary(gen, 128))))
+    if branch == "measuring":
+        v = (("v", 128),)
+        half = np.diag(np.arange(128) < 64).astype(complex)
+        mmt = Measurement(((0, half), (1, np.eye(128) - half)))
+        branches = (measuring(v, mmt), Unitary(v, random_unitary(gen, 128)))
+    else:
+        vw = (("v", 64), ("w", 2))
+        branches = (Unitary(vw[:1], random_unitary(gen, 64)), Unitary(vw, random_unitary(gen, 128)))
+    p = Guarded((("g", 2),), basis, branches)
     assert path(p) == "slices"
     layout = p.layout
     x = matrix(gen, layout.dim)
@@ -772,13 +779,6 @@ def test_measuring_slices_are_written_in_place(rotated):
     assert got[1].tobytes() == got[0].reshape(x.shape).tobytes()
     assert la.max_abs_diff(got[0].reshape(x.shape), got[2]) < TOL
     assert la.max_abs_diff(got[0].reshape(x.shape), got[3]) < TOL
-    plan = kernels._contract_plan
-
-    def copied(op, t, axes, out, conj):  # decided as for no ``out``: computed, then copied in
-        return plan(op, t, axes, None, conj)
-
-    with mock.patch.object(kernels, "_contract_plan", copied):
-        assert streamed(p, t, layout.names, False).tobytes() == got[0].tobytes()
 
 
 @pytest.mark.parametrize("order", [("v", "c"), ("c", "v"), ("v", "e", "c"), ("c", "e", "v")])

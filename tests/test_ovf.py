@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qgcl import classical as cs
 from qgcl import linalg as la
 from qgcl import ovf
-from qgcl.errors import ContractError, LayoutError
+from qgcl.errors import ArityError, ContractError, LayoutError
 from qgcl.ovf import (
     OperatorValuedFunction,
     SuperOperator,
@@ -257,6 +257,10 @@ class TestGuardedChannelMembers:
                 RegisterLayout(),
                 reps=[OperatorValuedFunction(Q, {cs.EPS: X})],
             )
+
+    def test_no_channels_rejected(self):
+        with pytest.raises(ArityError):
+            guarded_superop_member(GuardBasis(np.zeros((0, 0))), [], RegisterLayout())
 
 
 @given(st.integers(0, 2**32 - 1))
