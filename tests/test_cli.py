@@ -548,8 +548,12 @@ def mutated_text(draw, text: str) -> str:
 def paths(value, at=()):
     """Every path into a JSON value, the value's own ``()`` first."""
     yield at
-    items = value.items() if isinstance(value, dict) else enumerate(value) \
-        if isinstance(value, list) else ()
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
     for key, inner in items:
         yield from paths(inner, at + (key,))
 

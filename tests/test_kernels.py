@@ -178,7 +178,8 @@ def test_real_products_match_complex_ones(data, adjoint, strided, seed):
     """A dense operator with real entries is applied on the float view of
     the state (``kernels.RealMatrix``) with exactly the complex product's bits:
     on states holding exact and signed zeros, on any variables in any order,
-    on a strided state, forward and adjoint.  Both sides of the sandwich agree with the embedded operator."""
+    on a strided state, forward and adjoint.  Both sides of the sandwich
+    agree with the embedded operator."""
     gen = rng(seed)
     layout = data.draw(layouts())
     site = data.draw(sites(layout))
@@ -218,9 +219,9 @@ def test_a_real_coin_takes_the_float_view_where_its_bits_hold():
 def test_real_operators_keep_the_complex_bits_at_their_limits(side, post):
     """A real operator whose ``post`` is not a multiple of 4, or whose side
     passes ``kernels.REAL_KERNEL_MAX``, keeps the complex product, forward and
-    adjoint.  On these states the real
-    product gives other bits: other zero signs off a multiple of 4, other
-    last bits from side 129.  Side 128 is the largest real product taken."""
+    adjoint.  On these states the real product gives other bits: other zero
+    signs off a multiple of 4, other last bits from side 129.  Side 128 is
+    the largest real product taken."""
     gen = rng(side + post)
     op = gen.normal(size=(side, side)) + 0j
     k = kernels.kernel(op)
